@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench ci baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity golden trace-golden statslint benchdiff profile
+.PHONY: all build vet test race bench ci baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity golden trace-golden statslint benchdiff perfbench profile
 
 all: ci
 
@@ -83,7 +83,7 @@ iommuparity:
 steerparity:
 	$(GO) test -race -run 'TestSteerBreakEvenMatchesExhaustive|TestSteerWorkerParity|TestSteerPagingDominated|TestSteerZoomDeterministic|TestSteerOSLatConverges|TestSteerDecisionTrace|TestLiveFeedZeroDelta|TestLiveFeedVeto|TestLiveWatchZeroAllocs|TestTraceReader|TestSnapshotAt|TestWatchZeroAllocs|TestReaderFromNowSkipsHistory' ./internal/exp ./internal/core ./internal/obs
 
-ci: build vet statslint shardparity ringparity iommuparity steerparity race benchdiff
+ci: build vet statslint shardparity ringparity iommuparity steerparity race perfbench benchdiff
 
 # Regenerate the perf-trajectory snapshot (raw simulated picoseconds;
 # byte-identical for any -procs value).
@@ -134,6 +134,14 @@ baseline-iommu:
 # show.
 baseline-steer:
 	$(GO) run ./cmd/dmabench -json -steer > BENCH_steer.json
+
+# Build and test the repository benchmark (perfbench/, its own module
+# reaching the simulator through `replace uldma => ../`). Nothing else
+# in ci builds that module, so a change the benchmark cannot build
+# against — a go.mod language bump its own go.mod does not match, a
+# renamed entry point — would otherwise pass unnoticed.
+perfbench:
+	cd perfbench && $(GO) test ./...
 
 # Compare the current model's simulated-time numbers against the
 # committed baseline snapshot. Every value is exact simulated time, so

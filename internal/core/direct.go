@@ -2,11 +2,11 @@ package userdma
 
 // Direct execution: run a method's initiation sequence on a machine's
 // bare CPU, outside the process scheduler. proc.Context couples every
-// instruction to a scheduler slot grant (Context.begin blocks on the
-// runner's slot channel), which is right for multiprogrammed guest
-// code but impossible inside a discrete-event handler — a shard-hosted
-// machine fires RPC events from the cluster's event loop, where no
-// guest goroutine exists to park. DirectCPU is the same instruction
+// instruction to a scheduler slot grant (Context.begin yields to the
+// runner and waits for its next grant), which is right for
+// multiprogrammed guest code but impossible inside a discrete-event
+// handler — a shard-hosted machine fires RPC events from the cluster's
+// event loop, where no guest coroutine exists to suspend. DirectCPU is the same instruction
 // stream without the slot protocol: the CPU still pays translation,
 // TLB misses, write-buffer drains and bus transactions on the shared
 // clock, so Table-1 costs are preserved instruction for instruction.

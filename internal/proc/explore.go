@@ -95,7 +95,7 @@ func Explore(factory WorldFactory, maxDepth int, maxSchedules int) (ExploreResul
 			return false, nil
 		}
 		// This world only served to discover the frontier; tear its
-		// guest goroutines down before branching.
+		// guest coroutines down before branching.
 		w.Runner.Shutdown()
 		for _, idx := range alive {
 			next := append(append([]int(nil), prefix...), idx)

@@ -1,12 +1,16 @@
+//go:build go1.23
+
 // Package proc models preemptive multiprogramming — the source of every
 // race the paper is about — as deterministic coroutines.
 //
 // Guest code is ordinary Go (a Body function) issuing simulated
 // instructions through a Context. Every instruction boundary is a
 // scheduling decision: the Runner grants one instruction slot at a time,
-// and a pluggable Policy decides which process gets it. Because exactly
-// one goroutine ever runs between grant and report, execution is fully
-// deterministic; a recorded schedule replays bit-for-bit.
+// and a pluggable Policy decides which process gets it. Each process
+// body runs as a runtime coroutine (iter.Pull): a grant resumes it, and
+// it yields back at its next instruction boundary. Control passes
+// directly between the scheduler and exactly one guest, so execution is
+// fully deterministic; a recorded schedule replays bit-for-bit.
 //
 // Three policies cover the experiments:
 //
@@ -19,11 +23,16 @@
 // Syscalls and PAL calls occupy a single slot and run to completion
 // inside it — that is precisely the "executes uninterrupted" property
 // the kernel path and the PAL-code scheme (§2.7) rely on.
+//
+// The file holding the coroutine handoff carries a go1.23 build
+// constraint (iter.Pull), while go.mod stays at go 1.22: building the
+// module needs a toolchain of at least Go 1.23.
 package proc
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"uldma/internal/cpu"
 	"uldma/internal/obs"
@@ -54,13 +63,13 @@ type Process struct {
 	pid   PID
 	name  string
 	as    *vm.AddressSpace
-	body  Body
+	body  Body // until the first slot creates the coroutine
 	state State
 	err   error
 
-	slot    chan bool // scheduler -> process: true = run one slot, false = die
-	holding bool      // guest holds the token between an op and its next boundary
-	fresh   bool      // token granted but no instruction consumed yet (preamble)
+	next    func() (struct{}, bool) // runs the guest for one slot; false once its body returned
+	stop    func()                  // unwinds a suspended guest (Shutdown)
+	fresh   bool                    // slot granted but no instruction consumed yet (preamble)
 	instrs  uint64
 	cpuTime sim.Time // simulated time consumed in this process's slots
 
@@ -128,13 +137,6 @@ type SyscallHandler interface {
 // installs PAL functions; any process may then invoke them.
 type PALFunc func(p *Process, args []uint64) (uint64, error)
 
-// report is what a process sends back after consuming a slot.
-type report struct {
-	p        *Process
-	finished bool
-	err      error
-}
-
 // Stats counts scheduler activity. It is a read-only view assembled
 // from the obs counter cells on demand (the thin compatibility
 // accessor over the unified metrics plane).
@@ -169,7 +171,6 @@ type Runner struct {
 	procs   []*Process
 	nextPID PID
 	current *Process
-	reports chan report
 	ctr     counters
 	scratch []*Process // reused by runnable(); policies must not retain it
 
@@ -198,7 +199,6 @@ func NewRunner(c *cpu.CPU, cfg RunnerConfig) *Runner {
 		palCost:     cfg.PALCallCycles,
 		flushOnSwch: cfg.FlushTLBOnSwitch,
 		pal:         make(map[string]PALFunc),
-		reports:     make(chan report),
 		nextPID:     1,
 	}
 }
@@ -235,7 +235,8 @@ func (r *Runner) SetTracer(t *obs.Trace, node int32) {
 func (r *Runner) AddSwitchHook(h SwitchHook) { r.hooks = append(r.hooks, h) }
 
 // ExitHook runs when a process finishes — ordinary process-teardown
-// kernel work (resource reclamation), NOT a context-switch-path change.
+// kernel work (resource reclamation), NOT an edit to the context-switch
+// path.
 type ExitHook func(p *Process)
 
 // AddExitHook appends a process-exit hook.
@@ -254,56 +255,48 @@ func (r *Runner) Current() *Process { return r.current }
 // Processes returns all spawned processes.
 func (r *Runner) Processes() []*Process { return r.procs }
 
-// Spawn creates a process executing body in address space as. The
-// coroutine starts immediately but blocks until its first slot.
+// Spawn creates a process executing body in address space as. Its
+// coroutine is created at its first slot, so nothing of body — not even
+// the Go code before its first instruction — runs before then, and a
+// process that is never granted a slot costs no goroutine.
 func (r *Runner) Spawn(name string, as *vm.AddressSpace, body Body) *Process {
-	p := &Process{
-		pid:  r.nextPID,
-		name: name,
-		as:   as,
-		body: body,
-		slot: make(chan bool),
-	}
+	p := &Process{pid: r.nextPID, name: name, as: as, body: body}
 	r.nextPID++
 	r.procs = append(r.procs, p)
-	go func() {
-		defer func() {
-			if e := recover(); e != nil {
-				if _, ok := e.(killed); ok {
-					return // Shutdown tore us down; no report expected
-				}
-				panic(e)
-			}
-		}()
-		// Even the body's preamble (Go code before its first simulated
-		// instruction) must not run concurrently with the scheduler or
-		// with machine setup, so the goroutine blocks for its first
-		// token before calling body at all. The first instruction then
-		// consumes this same token (p.fresh), keeping slot accounting
-		// one-grant-per-instruction.
-		if !<-p.slot {
-			return
-		}
-		p.holding, p.fresh = true, true
-		ctx := &Context{p: p, r: r}
-		err := body(ctx)
-		// Release the slot of the last instruction (the body kept the
-		// token while running its trailing Go code), then wait for one
-		// more grant to report completion, so the scheduler is always
-		// the one consuming our reports.
-		if p.holding {
-			p.holding = false
-			r.reports <- report{p: p}
-		}
-		if !<-p.slot {
-			return
-		}
-		r.reports <- report{p: p, finished: true, err: err}
-	}()
 	return p
 }
 
-// killed is the panic payload used to unwind guest goroutines at
+// start creates p's coroutine, suspended before its body.
+func (r *Runner) start(p *Process) {
+	body := p.body
+	p.body = nil
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if e := recover(); e != nil {
+				if _, ok := e.(killed); ok {
+					return // Shutdown tore us down
+				}
+				// A guest panic resumes on the scheduler's caller
+				// (out of next); the dead process never runs again.
+				p.state = Done
+				panic(e)
+			}
+		}()
+		// The first instruction consumes the grant that started the
+		// coroutine (p.fresh), keeping slot accounting
+		// one-grant-per-instruction.
+		p.fresh = true
+		err := body(&Context{p: p, r: r, yield: yield})
+		// Release the slot of the last instruction (the body kept it
+		// while running its trailing Go code); the next grant ends the
+		// coroutine, and that grant completes the process.
+		if yield(struct{}{}) {
+			p.err = err
+		}
+	})
+}
+
+// killed is the panic payload used to unwind guest coroutines at
 // Shutdown.
 type killed struct{}
 
@@ -351,7 +344,7 @@ func (r *Runner) Run(policy Policy, maxSlots uint64) error {
 // advanceIdle moves the clock toward the next thing that can make a
 // blocked process runnable: the earliest timed wakeup or the next
 // pending event (whose effect may Wake an event-blocked process). It
-// reports false when nothing is blocked (everything is Done), and
+// returns false when nothing is blocked (everything is Done), and
 // ErrDeadlock when processes are blocked forever with no event pending.
 func (r *Runner) advanceIdle() (bool, error) {
 	wake, ok := r.EarliestWakeup()
@@ -393,7 +386,7 @@ func (r *Runner) EarliestWakeup() (sim.Time, bool) {
 }
 
 // StepPolicy grants one slot to whichever process the policy picks.
-// It reports false (and does nothing) when no process is runnable.
+// It returns false (and does nothing) when no process is runnable.
 // Cluster schedulers use it to interleave several machines' runners on
 // a shared clock.
 func (r *Runner) StepPolicy(policy Policy) bool {
@@ -427,14 +420,16 @@ func (r *Runner) dispatch(p *Process) {
 	}
 	r.ctr.slots.Inc()
 	before := r.cpu.Clock().Now()
-	p.slot <- true
-	rep := <-r.reports
-	rep.p.cpuTime += r.cpu.Clock().Now() - before
-	if rep.finished {
-		rep.p.state = Done
-		rep.p.err = rep.err
+	if p.next == nil {
+		r.start(p)
+	}
+	_, running := p.next()
+	p.cpuTime += r.cpu.Clock().Now() - before
+	if !running {
+		p.state = Done
+		p.next, p.stop = nil, nil
 		for _, h := range r.exitHooks {
-			h(rep.p)
+			h(p)
 		}
 	}
 }
@@ -488,14 +483,17 @@ func (r *Runner) contextSwitch(from, to *Process) {
 	r.current = to
 }
 
-// Shutdown tears down any still-blocked guest goroutines. Call it when
-// abandoning a run (e.g. after ErrSlotBudget); it is a no-op for
+// Shutdown tears down any still-suspended guest coroutines. Call it
+// when abandoning a run (e.g. after ErrSlotBudget); it is a no-op for
 // processes that finished.
 func (r *Runner) Shutdown() {
 	for _, p := range r.procs {
 		if p.state != Done {
 			p.state = Done
-			p.slot <- false
+			p.body = nil // a never-started body may capture its whole world
+			if p.stop != nil {
+				p.stop()
+			}
 		}
 	}
 }
@@ -507,39 +505,40 @@ func (r *Runner) Shutdown() {
 // preemption point); Syscall and PALCall run their entire privileged
 // body inside that single slot.
 //
-// Token discipline: a process acquires the token at the start of an
+// Slot discipline: a process takes its slot at the start of an
 // instruction and keeps it until it reaches its NEXT instruction
-// boundary (or its body returns). The Go code a guest runs between two
-// instructions therefore executes while the scheduler is still blocked,
-// so guest logic, scheduler, and other guests are strictly serialized —
-// the simulation is deterministic and race-free by construction.
+// boundary (or its body returns), where it yields back to the
+// scheduler. The Go code a guest runs between two instructions
+// therefore executes while the scheduler is suspended, so guest logic,
+// scheduler, and other guests are strictly serialized — the simulation
+// is deterministic and race-free by construction.
 type Context struct {
-	p *Process
-	r *Runner
+	p     *Process
+	r     *Runner
+	yield func(struct{}) bool
 }
 
 // Process returns the process this context belongs to.
 func (c *Context) Process() *Process { return c.p }
 
-// begin acquires the token for one instruction: a freshly granted token
-// (covering the body's preamble) is consumed directly; otherwise the
-// previous slot is released and the next grant awaited. Panics with
-// killed on shutdown.
+// begin takes the slot for one instruction: a fresh grant (covering
+// the body's preamble) is consumed directly; otherwise the previous
+// slot is handed back and the next grant awaited.
 func (c *Context) begin() {
-	if c.p.holding && c.p.fresh {
+	if c.p.fresh {
 		c.p.fresh = false
-		c.p.instrs++
-		return
+	} else {
+		c.handOff()
 	}
-	if c.p.holding {
-		c.p.holding = false
-		c.r.reports <- report{p: c.p}
-	}
-	if !<-c.p.slot {
+	c.p.instrs++
+}
+
+// handOff yields the slot back to the scheduler and resumes at the
+// process's next grant. Panics with killed on shutdown.
+func (c *Context) handOff() {
+	if !c.yield(struct{}{}) {
 		panic(killed{})
 	}
-	c.p.holding = true
-	c.p.instrs++
 }
 
 // Load issues a user-mode load.
@@ -560,7 +559,7 @@ func (c *Context) MB() error {
 	return c.r.cpu.MB()
 }
 
-// Swap issues an atomic exchange (one slot; atomic by construction).
+// Swap issues an atomic load-and-store (one slot; atomic by construction).
 func (c *Context) Swap(va vm.VAddr, size phys.AccessSize, val uint64) (uint64, error) {
 	c.begin()
 	return c.r.cpu.Swap(c.p.as, va, size, val)
@@ -588,13 +587,9 @@ func (c *Context) Syscall(num int, args ...uint64) (uint64, error) {
 		// The handler put us to sleep (e.g. waiting for a completion
 		// interrupt): give the CPU back; the scheduler re-grants at or
 		// after the wakeup time, and that grant also covers the code
-		// following the syscall (a fresh token).
-		c.p.holding = false
-		c.r.reports <- report{p: c.p}
-		if !<-c.p.slot {
-			panic(killed{})
-		}
-		c.p.holding, c.p.fresh = true, true
+		// following the syscall (a fresh grant).
+		c.handOff()
+		c.p.fresh = true
 		c.p.blockedUntil = 0
 	}
 	return v, err

@@ -24,7 +24,7 @@ type fixture struct {
 	mem   *phys.Memory
 }
 
-func newFixture(t *testing.T, cfg RunnerConfig) *fixture {
+func newFixture(t testing.TB, cfg RunnerConfig) *fixture {
 	t.Helper()
 	clock := sim.NewClock()
 	mem := phys.New(1 << 20)
@@ -34,7 +34,7 @@ func newFixture(t *testing.T, cfg RunnerConfig) *fixture {
 	return &fixture{r: NewRunner(c, cfg), clock: clock, mem: mem}
 }
 
-func (f *fixture) space(t *testing.T, asid int, frame phys.Addr) *vm.AddressSpace {
+func (f *fixture) space(t testing.TB, asid int, frame phys.Addr) *vm.AddressSpace {
 	t.Helper()
 	as := vm.NewAddressSpace(asid, pageSize)
 	if err := as.Map(0x10000, frame, vm.Read|vm.Write); err != nil {
@@ -412,7 +412,7 @@ func TestSlotBudgetAndShutdown(t *testing.T) {
 	if !errors.Is(err, ErrSlotBudget) {
 		t.Fatalf("err = %v, want slot budget", err)
 	}
-	f.r.Shutdown() // must not hang; guest goroutine unwinds
+	f.r.Shutdown() // must not hang; guest coroutine unwinds
 	if f.r.Processes()[0].State() != Done {
 		t.Fatal("shutdown did not mark process done")
 	}

@@ -2,7 +2,7 @@ package proc
 
 // World snapshot/restore support (see internal/machine). A runner can
 // only be snapshotted quiescent: every spawned process Done, so no
-// guest goroutine is live and no slot token is outstanding. Done
+// guest coroutine is live and no slot is outstanding. Done
 // Process records are immutable from then on, which lets the snapshot,
 // the origin runner and any number of restored clones share them by
 // pointer — their address spaces included, under the contract that
@@ -28,7 +28,7 @@ type RunnerSnapshot struct {
 
 // Snapshot captures the process list, PID counter, scheduling counters
 // and hook-chain lengths. It fails unless every process is Done: a live
-// guest goroutine cannot be captured.
+// guest coroutine cannot be captured.
 func (r *Runner) Snapshot() (*RunnerSnapshot, error) {
 	for _, p := range r.procs {
 		if p.state != Done {
