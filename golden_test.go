@@ -126,6 +126,15 @@ var goldenCases = []struct {
 	// pins the machine path's determinism at the tool level too.
 	{"clustersim_scalemachine.txt", "clustersim",
 		[]string{"-scale", "-protocol", "all", "-nodes", "16", "-arrival", "10000", "-ms", "1"}},
+	// The JSON documents of oslat and clustersim, and dmabench's bus
+	// transaction listing: each encoder and renderer is pinned byte for
+	// byte, not just by a smoke substring.
+	{"oslat.json", "oslat", []string{"-iters", "1000", "-json"}},
+	{"clustersim.json", "clustersim", []string{"-msgs", "4", "-json"}},
+	{"clustersim_scale.json", "clustersim", []string{"-scale", "-json"}},
+	{"clustersim_scalemachine.json", "clustersim",
+		[]string{"-scale", "-json", "-protocol", "all", "-nodes", "16", "-arrival", "10000", "-ms", "1"}},
+	{"dmabench_bustrace.txt", "dmabench", []string{"-iters", "5", "-trace"}},
 }
 
 // TestGolden pins the rendered output of every tool: text, markdown and
