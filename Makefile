@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench ci baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity golden trace-golden statslint benchdiff perfbench profile
+.PHONY: all build vet test race bench ci snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity golden trace-golden statslint benchdiff perfbench profile
 
 all: ci
 
@@ -83,12 +83,21 @@ iommuparity:
 steerparity:
 	$(GO) test -race -run 'TestSteerBreakEvenMatchesExhaustive|TestSteerWorkerParity|TestSteerPagingDominated|TestSteerZoomDeterministic|TestSteerOSLatConverges|TestSteerDecisionTrace|TestLiveFeedZeroDelta|TestLiveFeedVeto|TestLiveWatchZeroAllocs|TestTraceReader|TestSnapshotAt|TestWatchZeroAllocs|TestReaderFromNowSkipsHistory' ./internal/exp ./internal/core ./internal/obs
 
-ci: build vet statslint shardparity ringparity iommuparity steerparity race perfbench benchdiff
+ci: build vet statslint snapshots shardparity ringparity iommuparity steerparity race perfbench benchdiff
+
+# Regenerate the five exact snapshots into a temp dir and byte-compare
+# each against the committed file, so wire-format drift in any of them
+# fails ci like a golden does. BENCH_scale*.json carry Host* wall-clock
+# leaves and are left out.
+snapshots:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(MAKE) -s --no-print-directory SNAPDIR="$$tmp/" baseline baseline-fault baseline-ring baseline-iommu baseline-steer && \
+	for f in baseline fault ring iommu steer; do cmp "$$tmp/BENCH_$$f.json" "BENCH_$$f.json" || exit 1; done
 
 # Regenerate the perf-trajectory snapshot (raw simulated picoseconds;
 # byte-identical for any -procs value).
 baseline:
-	$(GO) run ./cmd/dmabench -json -sweep -breakeven -trend -comparators -metrics > BENCH_baseline.json
+	$(GO) run ./cmd/dmabench -json -sweep -breakeven -trend -comparators -metrics > $(SNAPDIR)BENCH_baseline.json
 
 # Regenerate the fault-injection snapshot (faultsweep goodput/latency
 # grid, link-down recovery, model-checked delivery search) in raw
@@ -96,7 +105,7 @@ baseline:
 # `go run ./cmd/benchdiff old.json new.json` — rows that exist on only
 # one side are reported as added/removed, never as failures.
 baseline-fault:
-	$(GO) run ./cmd/faultsim -json > BENCH_fault.json
+	$(GO) run ./cmd/faultsim -json > $(SNAPDIR)BENCH_fault.json
 
 # Regenerate the scale snapshot: the 1000-node NOW (>= 10^6 link
 # deliveries) timed at shards {1,4,8}, then the hosted-machine world —
@@ -116,7 +125,7 @@ baseline-scale:
 # grid (contexts x processes x arbitration policy). Exact simulated
 # time; cmd/benchdiff treats first-appearance leaves as added.
 baseline-ring:
-	$(GO) run ./cmd/dmabench -json -ring -ringchurn > BENCH_ring.json
+	$(GO) run ./cmd/dmabench -json -ring -ringchurn > $(SNAPDIR)BENCH_ring.json
 
 # Regenerate the virtual-address DMA snapshot: Table 1 measured through
 # the IOMMU against the physical shadow window, the IOTLB hit-rate
@@ -124,7 +133,7 @@ baseline-ring:
 # hex world fingerprints; cmd/benchdiff treats first-appearance leaves
 # as added, never as failures.
 baseline-iommu:
-	$(GO) run ./cmd/dmabench -json -va -paging > BENCH_iommu.json
+	$(GO) run ./cmd/dmabench -json -va -paging > $(SNAPDIR)BENCH_iommu.json
 
 # Regenerate the steered-sweep snapshot: per search, the probed-vs-grid
 # cell counts, decision tallies and the verdicts (crossover sizes,
@@ -133,7 +142,7 @@ baseline-iommu:
 # probing as many cells as its grid is a regression benchdiff will
 # show.
 baseline-steer:
-	$(GO) run ./cmd/dmabench -json -steer > BENCH_steer.json
+	$(GO) run ./cmd/dmabench -json -steer > $(SNAPDIR)BENCH_steer.json
 
 # Build and test the repository benchmark (perfbench/, its own module
 # reaching the simulator through `replace uldma => ../`). Nothing else

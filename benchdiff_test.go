@@ -8,6 +8,8 @@ package uldma_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -102,4 +104,84 @@ func TestBenchdiffFatalThreshold(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBenchdiffRepeatedKeys: ring rows repeat their Method across
+// depths, so a change to any one of them must still flag exactly that
+// leaf rather than vanish under a later row with the same key.
+func TestBenchdiffRepeatedKeys(t *testing.T) {
+	dir := buildTools(t)
+	data, err := os.ReadFile("BENCH_ring.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	row := doc["Ring"].([]any)[1].(map[string]any) // ext-shadow, depth 1
+	row["PerInitPs"] = 2 * row["PerInitPs"].(float64)
+	mutated, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := writeSnapshot(t, t.TempDir(), "ring.json", string(mutated))
+	var out bytes.Buffer
+	cmd := exec.Command(filepath.Join(dir, "benchdiff"), "-fatal-threshold", "1", "BENCH_ring.json", cur)
+	cmd.Stdout, cmd.Stderr = &out, &out
+	err = cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("benchdiff exited with %v, want exit 1\n%s", err, out.String())
+	}
+	if !bytes.Contains(out.Bytes(), []byte(" 1 flagged")) {
+		t.Fatalf("want exactly 1 flagged leaf:\n%s", out.String())
+	}
+}
+
+// TestBenchdiffComparesEveryLeaf: for every committed snapshot and JSON
+// golden, benchdiff compares as many paths as the document has numeric
+// leaves — no two leaves flatten onto one key.
+func TestBenchdiffComparesEveryLeaf(t *testing.T) {
+	dir := buildTools(t)
+	files, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "golden", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(files, goldens...) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out := runTool(t, dir, "benchdiff", path, path)
+		want := fmt.Sprintf(": %d leaves compared,", numericLeaves(doc))
+		if !bytes.Contains(out, []byte(want)) {
+			t.Errorf("%s: benchdiff summary lacks %q:\n%s", path, want, out)
+		}
+	}
+}
+
+// numericLeaves counts the numbers in a decoded JSON document.
+func numericLeaves(v any) int {
+	n := 0
+	switch t := v.(type) {
+	case map[string]any:
+		for _, c := range t {
+			n += numericLeaves(c)
+		}
+	case []any:
+		for _, c := range t {
+			n += numericLeaves(c)
+		}
+	case float64:
+		n = 1
+	}
+	return n
 }

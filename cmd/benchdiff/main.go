@@ -38,6 +38,7 @@ import (
 	"os"
 	"sort"
 
+	userdma "uldma/internal/core"
 	"uldma/internal/exp"
 	"uldma/internal/obs"
 )
@@ -203,11 +204,11 @@ func regenerate(iters, procs int) (map[string]any, error) {
 	doc := struct {
 		Machine     string
 		Iters       int
-		Table1      []exp.InitiationRow
-		Comparators []exp.InitiationRow
-		BusSweep    map[string][]exp.InitiationRow
-		BreakEven   map[string][]exp.BreakEvenRow
-		Trend       []exp.TrendRow
+		Table1      []userdma.InitiationResult
+		Comparators []userdma.InitiationResult
+		BusSweep    map[string][]userdma.InitiationResult
+		BreakEven   map[string][]userdma.BreakEvenPoint
+		Trend       []userdma.TrendPoint
 		Metrics     map[string][]obs.MetricValue
 	}{Machine: exp.MachineName(), Iters: iters}
 
@@ -215,12 +216,12 @@ func regenerate(iters, procs int) (map[string]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc.Table1 = exp.InitRows(t1)
+	doc.Table1 = t1
 	cs, err := exp.Comparators(iters, procs, exp.ComparatorMethods()[:4])
 	if err != nil {
 		return nil, err
 	}
-	doc.Comparators = exp.InitRows(cs)
+	doc.Comparators = cs
 	sweep, err := exp.BusSweep(iters, procs)
 	if err != nil {
 		return nil, err
@@ -235,7 +236,7 @@ func regenerate(iters, procs int) (map[string]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc.Trend = exp.TrendRows(pts)
+	doc.Trend = pts
 	if doc.Metrics, err = exp.MetricsSnapshot(iters); err != nil {
 		return nil, err
 	}
@@ -255,7 +256,10 @@ func regenerate(iters, procs int) (map[string]any, error) {
 // under a dotted path. Array elements that carry an identifying field
 // (Method, Label, Size, Gen, Name — the last keys the observability
 // registry's metric rows) are keyed by its value instead of their
-// index, so reordering or insertion reads as what it is.
+// index, so reordering or insertion reads as what it is. A key that
+// repeats within one array (ring rows share a Method across depths)
+// carries its ordinal among the equal keys from the second on, so no
+// row overwrites another.
 func flatten(prefix string, v any, out map[string]float64) {
 	switch t := v.(type) {
 	case map[string]any:
@@ -267,6 +271,7 @@ func flatten(prefix string, v any, out map[string]float64) {
 			flatten(p, child, out)
 		}
 	case []any:
+		seen := map[string]int{}
 		for i, child := range t {
 			key := fmt.Sprintf("[%d]", i)
 			if m, ok := child.(map[string]any); ok {
@@ -281,6 +286,9 @@ func flatten(prefix string, v any, out map[string]float64) {
 					}
 					break
 				}
+			}
+			if seen[key]++; seen[key] > 1 {
+				key = fmt.Sprintf("%s#%d]", key[:len(key)-1], seen[key])
 			}
 			flatten(prefix+key, child, out)
 		}

@@ -139,10 +139,10 @@ type clusterJSON struct {
 // -protocol the machine-world sections are populated instead — a
 // separate pair of keys so the flat scale wire format never shifts.
 type scaleJSON struct {
-	Scale        []exp.ScaleRow        `json:",omitempty"`
-	Bench        []exp.ScaleRow        `json:",omitempty"`
-	ScaleMachine []exp.ScaleMachineRow `json:",omitempty"`
-	BenchMachine []exp.ScaleMachineRow `json:",omitempty"`
+	Scale        []exp.ScalePoint        `json:",omitempty"`
+	Bench        []exp.ScalePoint        `json:",omitempty"`
+	ScaleMachine []exp.ScaleMachinePoint `json:",omitempty"`
+	BenchMachine []exp.ScaleMachinePoint `json:",omitempty"`
 }
 
 func run(msgs int, size uint64, atm, hist bool, procs int, jsonOut bool) error {
@@ -188,7 +188,7 @@ func runScale(p exp.Params, jsonOut, bench bool) error {
 	}
 	var doc scaleJSON
 	if p.Protocol != "" {
-		doc.ScaleMachine = exp.ScaleMachineRows(r)
+		doc.ScaleMachine = exp.Collect[exp.ScaleMachinePoint](r)
 		if bench {
 			rows, err := benchScaleMachine(p)
 			if err != nil {
@@ -197,7 +197,7 @@ func runScale(p exp.Params, jsonOut, bench bool) error {
 			doc.BenchMachine = rows
 		}
 	} else {
-		doc.Scale = exp.ScaleRows(r)
+		doc.Scale = exp.Collect[exp.ScalePoint](r)
 		if bench {
 			rows, err := benchScale(p)
 			if err != nil {
@@ -217,8 +217,8 @@ func runScale(p exp.Params, jsonOut, bench bool) error {
 // byte-identical across the ladder — only the Host* fields vary, and
 // they vary with the machine: events/sec scales with shard count only
 // up to the host's core count (HostCPUs records it).
-func benchScale(p exp.Params) ([]exp.ScaleRow, error) {
-	var rows []exp.ScaleRow
+func benchScale(p exp.Params) ([]exp.ScalePoint, error) {
+	var rows []exp.ScalePoint
 	for _, shards := range []int{1, 4, 8} {
 		if shards > p.Nodes {
 			continue
@@ -230,28 +230,32 @@ func benchScale(p exp.Params) ([]exp.ScaleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		wall := time.Since(start)
-		row := exp.ScaleRowOf(pt)
-		row.HostNs = wall.Nanoseconds()
-		if wall > 0 {
-			row.HostEventsPerSec = float64(pt.Events) / wall.Seconds()
-		}
-		row.HostCPUs = runtime.NumCPU()
-		rows = append(rows, row)
+		stampHost(&pt, time.Since(start))
+		rows = append(rows, pt)
 	}
 	return rows, nil
+}
+
+// stampHost records this host's wall time, events/sec and core count
+// for a run that took wall.
+func stampHost(pt *exp.ScalePoint, wall time.Duration) {
+	pt.Host.HostNs = wall.Nanoseconds()
+	if wall > 0 {
+		pt.Host.HostEventsPerSec = float64(pt.Events) / wall.Seconds()
+	}
+	pt.Host.HostCPUs = runtime.NumCPU()
 }
 
 // benchScaleMachine is benchScale for the hosted-machine worlds: the
 // same shard ladder, one pass per selected protocol. The simulated
 // columns are byte-identical down each protocol's ladder; only the
 // Host* stamps vary with the machine.
-func benchScaleMachine(p exp.Params) ([]exp.ScaleMachineRow, error) {
+func benchScaleMachine(p exp.Params) ([]exp.ScaleMachinePoint, error) {
 	names, err := exp.ScaleProtocolNames(p.Protocol)
 	if err != nil {
 		return nil, err
 	}
-	var rows []exp.ScaleMachineRow
+	var rows []exp.ScaleMachinePoint
 	for _, name := range names {
 		for _, shards := range []int{1, 4, 8} {
 			if shards > p.Nodes {
@@ -264,14 +268,8 @@ func benchScaleMachine(p exp.Params) ([]exp.ScaleMachineRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			wall := time.Since(start)
-			row := exp.ScaleMachineRowOf(pt)
-			row.HostNs = wall.Nanoseconds()
-			if wall > 0 {
-				row.HostEventsPerSec = float64(pt.Events) / wall.Seconds()
-			}
-			row.HostCPUs = runtime.NumCPU()
-			rows = append(rows, row)
+			stampHost(&pt.ScalePoint, time.Since(start))
+			rows = append(rows, pt)
 		}
 	}
 	return rows, nil

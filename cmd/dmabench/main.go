@@ -21,13 +21,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	userdma "uldma/internal/core"
 	"uldma/internal/exp"
 	"uldma/internal/obs"
+	"uldma/internal/phys"
 	"uldma/internal/proc"
 	"uldma/internal/stats"
-	"uldma/internal/trace"
 	"uldma/internal/vm"
 )
 
@@ -143,17 +144,17 @@ func section(name string, iters, procs int) error {
 type benchJSON struct {
 	Machine     string
 	Iters       int
-	Table1      []exp.InitiationRow
-	Comparators []exp.InitiationRow            `json:",omitempty"`
-	BusSweep    map[string][]exp.InitiationRow `json:",omitempty"`
-	BreakEven   map[string][]exp.BreakEvenRow  `json:",omitempty"`
-	Trend       []exp.TrendRow                 `json:",omitempty"`
-	Contention  []exp.InitiationRow            `json:",omitempty"`
-	Ring        []exp.RingRow                  `json:",omitempty"`
-	RingChurn   []exp.ChurnRow                 `json:",omitempty"`
-	VASweep     []exp.VARow                    `json:",omitempty"`
-	IOTLB       []exp.IOTLBRow                 `json:",omitempty"`
-	Paging      []exp.PagingRow                `json:",omitempty"`
+	Table1      []userdma.InitiationResult
+	Comparators []userdma.InitiationResult            `json:",omitempty"`
+	BusSweep    map[string][]userdma.InitiationResult `json:",omitempty"`
+	BreakEven   map[string][]userdma.BreakEvenPoint   `json:",omitempty"`
+	Trend       []userdma.TrendPoint                  `json:",omitempty"`
+	Contention  []userdma.InitiationResult            `json:",omitempty"`
+	Ring        []userdma.RingDepthResult             `json:",omitempty"`
+	RingChurn   []userdma.RingChurnResult             `json:",omitempty"`
+	VASweep     []userdma.VACompareRow                `json:",omitempty"`
+	IOTLB       []userdma.IOTLBPoint                  `json:",omitempty"`
+	Paging      []userdma.PagingResult                `json:",omitempty"`
 	// Steer (-steer) is the steered-sweep scoreboard: per search, the
 	// probed-vs-grid cell counts and the verdict the adaptive policy
 	// landed on (see BENCH_steer.json / `make baseline-steer`).
@@ -172,13 +173,13 @@ func runJSON(iters, procs int, sweep, comparators, breakeven, trend, contention,
 	if err != nil {
 		return err
 	}
-	doc.Table1 = exp.InitRows(t1)
+	doc.Table1 = t1
 	if comparators {
 		rs, err := exp.Comparators(iters, procs, exp.ComparatorMethods()[:4])
 		if err != nil {
 			return err
 		}
-		doc.Comparators = exp.InitRows(rs)
+		doc.Comparators = rs
 	}
 	if sweep {
 		groups, err := exp.BusSweep(iters, procs)
@@ -199,43 +200,43 @@ func runJSON(iters, procs int, sweep, comparators, breakeven, trend, contention,
 		if err != nil {
 			return err
 		}
-		doc.Trend = exp.TrendRows(pts)
+		doc.Trend = pts
 	}
 	if contention {
 		rs, err := exp.Contention(iters, procs)
 		if err != nil {
 			return err
 		}
-		doc.Contention = exp.InitRows(rs)
+		doc.Contention = rs
 	}
 	if ring {
 		r, err := exp.RunNamed("ringdepth", exp.Params{Iters: iters, Procs: procs})
 		if err != nil {
 			return err
 		}
-		doc.Ring = exp.RingRows(r)
+		doc.Ring = exp.RingPoints(r)
 	}
 	if ringchurn {
 		r, err := exp.RunNamed("ringchurn", exp.Params{Procs: procs})
 		if err != nil {
 			return err
 		}
-		doc.RingChurn = exp.ChurnRows(r)
+		doc.RingChurn = exp.Collect[userdma.RingChurnResult](r)
 	}
 	if va {
 		r, err := exp.RunNamed("vasweep", exp.Params{Iters: iters, Procs: procs, TLB: tlb})
 		if err != nil {
 			return err
 		}
-		doc.VASweep = exp.VARows(r)
-		doc.IOTLB = exp.IOTLBRows(r)
+		doc.VASweep = exp.Collect[userdma.VACompareRow](r)
+		doc.IOTLB = exp.Collect[userdma.IOTLBPoint](r)
 	}
 	if paging {
 		r, err := exp.RunNamed("paging", exp.Params{Procs: procs})
 		if err != nil {
 			return err
 		}
-		doc.Paging = exp.PagingRows(r)
+		doc.Paging = exp.Collect[userdma.PagingResult](r)
 	}
 	if steer {
 		s, err := exp.RunSteerSuite(exp.Params{Iters: iters, Procs: procs}, nil)
@@ -262,14 +263,13 @@ func runJSON(iters, procs int, sweep, comparators, breakeven, trend, contention,
 func runTrace() error {
 	for _, method := range userdma.AllMethods() {
 		m := userdma.Machine(method)
-		rec := trace.New(m.Clock, 64)
-		rec.AnnotateEngine(m.Engine.Config())
+		tr := obs.NewTrace(64, obs.DropNewest)
 
 		var h *userdma.Handle
 		p := m.NewProcess("traced", func(c *proc.Context) error {
-			rec.AttachBus(m.Bus)
+			m.Bus.SetTracer(tr, 0)
 			_, err := h.DMA(c, 0x10000, 0x20000, 64)
-			rec.DetachBus(m.Bus)
+			m.Bus.SetTracer(nil, 0)
 			return err
 		})
 		var err error
@@ -295,7 +295,7 @@ func runTrace() error {
 			return fmt.Errorf("%s: %w", method.Name(), p.Err())
 		}
 		fmt.Printf("%s — bus transactions of one DMA(src, dst, 64):\n", method.Name())
-		out := rec.Render()
+		out := renderBusTrace(tr, m.Engine.Config().WindowOf)
 		if out == "" {
 			out = "  (no bus traffic: the initiation ran inside the kernel/PAL call below)\n"
 		}
@@ -303,6 +303,26 @@ func runTrace() error {
 		fmt.Println()
 	}
 	return nil
+}
+
+// renderBusTrace formats tr's bus transactions as a timeline, one per
+// line, each annotated with the engine window its address decodes to.
+func renderBusTrace(tr *obs.Trace, windowOf func(phys.Addr) string) string {
+	var b strings.Builder
+	for _, e := range tr.Events() {
+		if e.Cat != obs.CatBus {
+			continue
+		}
+		win := windowOf(phys.Addr(e.A0))
+		if win == "" {
+			win = "-"
+		}
+		fmt.Fprintf(&b, "%-10v %-5s %-8s %v = %#x\n", e.At, e.Name, win, phys.Addr(e.A0), e.A2)
+	}
+	if d := tr.Dropped(); d > 0 {
+		fmt.Fprintf(&b, "... %d further events dropped (recorder full)\n", d)
+	}
+	return b.String()
 }
 
 func run(iters, procs int, sweep, contention, comparators, breakeven, ring, ringchurn, va, paging, steer bool, tlb int) error {

@@ -75,9 +75,9 @@ func main() {
 // faultJSON is the -json document.
 type faultJSON struct {
 	Msgs     int
-	Sweep    []exp.FaultRow
-	Recovery []exp.RecoveryRow
-	Search   []exp.FaultSearchRow
+	Sweep    []exp.FaultPoint
+	Recovery []exp.RecoveryPoint
+	Search   []exp.FaultSearchPoint
 }
 
 func run(msgs, seeds, depth, procs int, jsonOut bool) error {
@@ -97,9 +97,9 @@ func run(msgs, seeds, depth, procs int, jsonOut bool) error {
 	if jsonOut {
 		doc := faultJSON{
 			Msgs:     msgs,
-			Sweep:    exp.FaultRows(sweep),
-			Recovery: exp.RecoveryRows(recov),
-			Search:   exp.FaultSearchRows(search),
+			Sweep:    exp.Collect[exp.FaultPoint](sweep),
+			Recovery: exp.Collect[exp.RecoveryPoint](recov),
+			Search:   exp.Collect[exp.FaultSearchPoint](search),
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

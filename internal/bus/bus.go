@@ -120,7 +120,6 @@ type Bus struct {
 	cost     CostConfig
 	mappings []mapping // sorted by base
 	ctr      counters
-	trace    func(op string, addr phys.Addr, size phys.AccessSize, val uint64)
 
 	// tr is the obs trace spine (nil = tracing disabled, the zero-cost
 	// fast path); node is the cluster node id stamped on events.
@@ -177,18 +176,11 @@ func (b *Bus) RegisterMetrics(r *obs.Registry) {
 // SetTracer attaches (or, with nil, detaches) the obs trace spine.
 // Every successful transaction is emitted as a CatBus instant, and
 // every DMA bus-mastering window as a CatDMA span, stamped with node.
-// Independent of the legacy SetTrace hook, which tests and the
-// internal/trace adapter keep using.
+// Tests and dmabench -trace attach a trace of their own to assert on,
+// or print, the exact access stream a method generates.
 func (b *Bus) SetTracer(t *obs.Trace, node int32) {
 	b.tr = t
 	b.node = node
-}
-
-// SetTrace installs a hook called for every transaction (nil to disable).
-// Used by the trace tooling and by protocol-level tests that assert on
-// the exact access stream a method generates.
-func (b *Bus) SetTrace(fn func(op string, addr phys.Addr, size phys.AccessSize, val uint64)) {
-	b.trace = fn
 }
 
 // Map attaches dev at the window [base, base+size). Windows must not
@@ -293,9 +285,6 @@ func (b *Bus) Load(addr phys.Addr, size phys.AccessSize) (uint64, error) {
 		b.ctr.errors.Inc()
 		return 0, err
 	}
-	if b.trace != nil {
-		b.trace("load", addr, size, val)
-	}
 	if b.tr != nil {
 		b.tr.Instant(b.clock.Now(), obs.CatBus, "load", b.node, -1, uint64(addr), uint64(size), val)
 	}
@@ -320,9 +309,6 @@ func (b *Bus) Store(addr phys.Addr, size phys.AccessSize, val uint64) error {
 	if err != nil {
 		b.ctr.errors.Inc()
 		return err
-	}
-	if b.trace != nil {
-		b.trace("store", addr, size, val)
 	}
 	if b.tr != nil {
 		b.tr.Instant(b.clock.Now(), obs.CatBus, "store", b.node, -1, uint64(addr), uint64(size), val)
@@ -355,9 +341,6 @@ func (b *Bus) RMW(addr phys.Addr, size phys.AccessSize, val uint64) (uint64, err
 	if err != nil {
 		b.ctr.errors.Inc()
 		return 0, err
-	}
-	if b.trace != nil {
-		b.trace("rmw", addr, size, val)
 	}
 	if b.tr != nil {
 		b.tr.Instant(b.clock.Now(), obs.CatBus, "rmw", b.node, -1, uint64(addr), uint64(size), val)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"uldma/internal/obs"
 	"uldma/internal/phys"
 	"uldma/internal/sim"
 )
@@ -196,10 +197,8 @@ func TestStatsAndTrace(t *testing.T) {
 	if err := b.Map(d, 0x1000, 0x1000); err != nil {
 		t.Fatal(err)
 	}
-	var traced []string
-	b.SetTrace(func(op string, addr phys.Addr, size phys.AccessSize, val uint64) {
-		traced = append(traced, op)
-	})
+	tr := obs.NewTrace(16, obs.DropNewest)
+	b.SetTracer(tr, 0)
 	b.Store(0x1000, phys.Size64, 1)
 	b.Store(0x1008, phys.Size64, 2)
 	b.Load(0x1000, phys.Size64)
@@ -210,8 +209,9 @@ func TestStatsAndTrace(t *testing.T) {
 	if s.BusyCycles != 2*6+8 {
 		t.Fatalf("busy cycles = %d, want 20", s.BusyCycles)
 	}
-	if len(traced) != 3 || traced[0] != "store" || traced[2] != "load" {
-		t.Fatalf("trace = %v", traced)
+	ev := tr.Events()
+	if len(ev) != 3 || ev[0].Name != "store" || ev[2].Name != "load" || ev[1].A0 != 0x1008 || ev[1].A2 != 2 {
+		t.Fatalf("trace = %+v", ev)
 	}
 	b.ResetStats()
 	if b.Stats() != (Stats{}) {

@@ -23,8 +23,8 @@ import (
 // BreakEvenPoint is one (method, size) measurement.
 type BreakEvenPoint struct {
 	Size       uint64
-	Initiation sim.Time // start of sequence to status returned
-	Transfer   sim.Time // engine accept to last byte delivered
+	Initiation sim.Time `json:"InitiationPs"` // start of sequence to status returned
+	Transfer   sim.Time `json:"TransferPs"`   // engine accept to last byte delivered
 	// InitShare is initiation / (initiation + transfer).
 	InitShare float64
 }
@@ -206,8 +206,8 @@ func TrendEras() []Era {
 // TrendPoint is one era's measurement.
 type TrendPoint struct {
 	Era             string
-	KernelInit      sim.Time
-	UserInit        sim.Time // extended shadow addressing
+	KernelInit      sim.Time `json:"KernelInitPs"`
+	UserInit        sim.Time `json:"UserInitPs"` // extended shadow addressing
 	KernelCrossover uint64   // bytes where the wire outweighs the kernel trap
 }
 

@@ -18,6 +18,7 @@ package userdma
 // latency and doorbells lost to revocation.
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"uldma/internal/kernel"
@@ -37,14 +38,33 @@ type RingDepthResult struct {
 	Depth   uint64
 	Batches int      // timed batches rung
 	Posted  uint64   // descriptors posted in timed batches
-	PerInit sim.Time // amortized initiation cost per descriptor
+	PerInit sim.Time `json:"PerInitPs"` // amortized initiation cost per descriptor
+	// Baseline and Speedup join the row to its protocol's depth-0
+	// baseline (PerInit there, and that over PerInit here). A single
+	// measurement leaves them zero; the ringdepth experiment fills them
+	// across its grid (exp.RingPoints).
+	Baseline sim.Time `json:"BaselinePs"`
+	Speedup  float64
 	// GoodputMBps is the payload-phase delivery rate (1 KiB payloads,
 	// doorbell-to-drain), 0 for the depth-0 baseline.
-	GoodputMBps float64
-	Doorbells   uint64 // engine doorbell stores over the whole run
-	Completions uint64 // completion records written back
-	Fingerprint uint64 // digest of the final machine fingerprint
+	GoodputMBps float64 `json:",omitempty"`
+	Doorbells   uint64  // engine doorbell stores over the whole run
+	Completions uint64  // completion records written back
+	Fingerprint uint64  // digest of the final machine fingerprint
 }
+
+// MarshalJSON writes the row with Fingerprint as hex.
+func (r RingDepthResult) MarshalJSON() ([]byte, error) {
+	type wire RingDepthResult
+	return json.Marshal(struct {
+		wire
+		Fingerprint string
+	}{wire(r), hexDigest(r.Fingerprint)})
+}
+
+// hexDigest renders a state digest for a JSON row as a 16-digit hex
+// string, so no JSON reader rounds it through a float64.
+func hexDigest(d uint64) string { return fmt.Sprintf("%016x", d) }
 
 // fingerprintDigest folds a machine fingerprint into one word (FNV-1a
 // over the words) so renderers and goldens can assert end-state
@@ -165,14 +185,23 @@ type RingChurnResult struct {
 	Policy      string
 	Procs       int
 	Contexts    int
-	Doorbells   uint64 // batches the engine accepted
-	Posted      uint64 // descriptors the engine walked
-	Dropped     uint64 // doorbells lost to key revocation (steal policy)
-	Steals      uint64 // LRU revocations performed
-	Waits       uint64 // processes queued for a context
-	MeanAcquire sim.Time
-	Elapsed     sim.Time
+	Doorbells   uint64   // batches the engine accepted
+	Posted      uint64   // descriptors the engine walked
+	Dropped     uint64   // doorbells lost to key revocation (steal policy)
+	Steals      uint64   // LRU revocations performed
+	Waits       uint64   // processes queued for a context
+	MeanAcquire sim.Time `json:"MeanAcquirePs"`
+	Elapsed     sim.Time `json:"ElapsedPs"`
 	Fingerprint uint64
+}
+
+// MarshalJSON writes the row with Fingerprint as hex.
+func (r RingChurnResult) MarshalJSON() ([]byte, error) {
+	type wire RingChurnResult
+	return json.Marshal(struct {
+		wire
+		Fingerprint string
+	}{wire(r), hexDigest(r.Fingerprint)})
 }
 
 // RingChurnBench oversubscribes contexts register contexts with procs

@@ -21,6 +21,7 @@ package userdma
 // tail latency.
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"uldma/internal/dma"
@@ -69,72 +70,17 @@ func SetupVAPages(m *machine.Machine, p *proc.Process, ctx int, base vm.VAddr, n
 // timing summary — MeasureMethod's loop, §3.4 methodology included,
 // with the data pages wired through the IOMMU.
 func MeasureVAMethod(method Method, cfg machine.Config, iters int) (InitiationResult, error) {
-	m, err := machine.New(cfg)
-	if err != nil {
-		return InitiationResult{}, err
-	}
-	if m.IOMMU == nil {
-		return InitiationResult{}, fmt.Errorf("userdma: MeasureVAMethod: config has no IOMMU (use VAConfigFor)")
-	}
-	res := InitiationResult{
-		Method:     method.Name(),
-		Iterations: iters,
-		PaperMean:  PaperTable1[method.Name()],
-	}
-	var sample stats.Sample
-
-	var h *Handle
-	const srcBase, dstBase = vm.VAddr(0x10000), vm.VAddr(0x20000)
-	p := m.NewProcess("vabench", func(c *proc.Context) error {
-		if _, err := h.DMA(c, srcBase, dstBase, 0); err != nil {
-			return err
+	return measureInitiations(method, cfg, iters, "vabench", func(m *machine.Machine, p *proc.Process, h *Handle) error {
+		if m.IOMMU == nil {
+			return fmt.Errorf("userdma: MeasureVAMethod: config has no IOMMU (use VAConfigFor)")
 		}
-		var conv convergence
-		for i := 0; i < iters; i++ {
-			off := vm.VAddr((i % 64) * 16)
-			start := m.Clock.Now()
-			st, err := h.DMA(c, srcBase+off, dstBase+off, 0)
-			if err != nil {
+		for _, base := range []vm.VAddr{measureSrc, measureDst} {
+			if _, err := SetupVAPages(m, p, h.Context(), base, 1, vm.Read|vm.Write); err != nil {
 				return err
-			}
-			dur := m.Clock.Now() - start
-			sample.Add(dur)
-			if st == dma.StatusFailure {
-				return fmt.Errorf("userdma: iteration %d refused", i)
-			}
-			// Zero-length initiations never walk (translation is a walk-
-			// time cost), so the IOTLB words in the engine's hash stay
-			// constant and the steady-state fast-forward still engages.
-			if fastForward && conv.observe(m.Fingerprint()) {
-				ffEngagements.Add(1)
-				remaining := iters - 1 - i
-				for r := 0; r < remaining; r++ {
-					sample.Add(dur)
-				}
-				m.Clock.AdvanceTo(m.Clock.Now() + conv.clockDelta()*sim.Time(remaining))
-				break
 			}
 		}
 		return nil
 	})
-	h, err = method.Attach(m, p)
-	if err != nil {
-		return res, err
-	}
-	if _, err := SetupVAPages(m, p, h.Context(), srcBase, 1, vm.Read|vm.Write); err != nil {
-		return res, err
-	}
-	if _, err := SetupVAPages(m, p, h.Context(), dstBase, 1, vm.Read|vm.Write); err != nil {
-		return res, err
-	}
-	if err := m.Run(proc.NewRoundRobin(1<<20), 1<<30); err != nil {
-		return res, err
-	}
-	if p.Err() != nil {
-		return res, p.Err()
-	}
-	res.Mean, res.Min, res.Max = sample.Mean(), sample.Min(), sample.Max()
-	return res, nil
 }
 
 // VACompareRow is one Table 1 row measured both ways: through the
@@ -143,9 +89,9 @@ func MeasureVAMethod(method Method, cfg machine.Config, iters int) (InitiationRe
 type VACompareRow struct {
 	Method     string
 	Iterations int
-	ShadowMean sim.Time // physical shadow-window initiation
-	VAMean     sim.Time // IOMMU-translated initiation
-	PaperMean  sim.Time
+	ShadowMean sim.Time `json:"ShadowMeanPs"` // physical shadow-window initiation
+	VAMean     sim.Time `json:"VAMeanPs"`     // IOMMU-translated initiation
+	PaperMean  sim.Time `json:"PaperMeanPs,omitempty"`
 }
 
 // VATable1 measures the paper's four rows shadow- and VA-initiated, in
@@ -154,23 +100,33 @@ type VACompareRow struct {
 func VATable1(iters int) ([]VACompareRow, error) {
 	var out []VACompareRow
 	for _, method := range Methods() {
-		sh, err := MeasureMethod(method, ConfigFor(method), iters)
+		row, err := MeasureVACompare(method, iters)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", method.Name(), err)
+			return nil, err
 		}
-		va, err := MeasureVAMethod(method, VAConfigFor(method, 0), iters)
-		if err != nil {
-			return nil, fmt.Errorf("%s (va): %w", method.Name(), err)
-		}
-		out = append(out, VACompareRow{
-			Method:     method.Name(),
-			Iterations: iters,
-			ShadowMean: sh.Mean,
-			VAMean:     va.Mean,
-			PaperMean:  sh.PaperMean,
-		})
+		out = append(out, row)
 	}
 	return out, nil
+}
+
+// MeasureVACompare measures one Table 1 row both ways, each on its
+// method's calibrated preset.
+func MeasureVACompare(method Method, iters int) (VACompareRow, error) {
+	sh, err := MeasureMethod(method, ConfigFor(method), iters)
+	if err != nil {
+		return VACompareRow{}, fmt.Errorf("%s shadow: %w", method.Name(), err)
+	}
+	va, err := MeasureVAMethod(method, VAConfigFor(method, 0), iters)
+	if err != nil {
+		return VACompareRow{}, fmt.Errorf("%s va: %w", method.Name(), err)
+	}
+	return VACompareRow{
+		Method:     method.Name(),
+		Iterations: iters,
+		ShadowMean: sh.Mean,
+		VAMean:     va.Mean,
+		PaperMean:  sh.PaperMean,
+	}, nil
 }
 
 // IOTLBPoint is one (pages, tlbEntries) cell of the vasweep hit-rate
@@ -182,8 +138,17 @@ type IOTLBPoint struct {
 	Hits        uint64
 	Misses      uint64
 	HitRate     float64  // hits / (hits + misses)
-	PerTransfer sim.Time // mean initiate-to-delivered latency
+	PerTransfer sim.Time `json:"PerTransferPs"` // mean initiate-to-delivered latency
 	Fingerprint uint64
+}
+
+// MarshalJSON writes the row with Fingerprint as hex.
+func (p IOTLBPoint) MarshalJSON() ([]byte, error) {
+	type wire IOTLBPoint
+	return json.Marshal(struct {
+		wire
+		Fingerprint string
+	}{wire(p), hexDigest(p.Fingerprint)})
 }
 
 // MeasureIOTLB streams transfers full-page payloads cyclically over a
@@ -259,22 +224,31 @@ type PagingResult struct {
 	Oversub     float64 // working set (src + dst) over budget
 	Transfers   int
 	GoodputMBps float64
-	P50         sim.Time
-	P99         sim.Time
-	Faults      uint64 // device-side translation faults taken
-	Stalls      uint64 // stall-and-resolve suspensions
-	Bounced     uint64 // pages redirected through the bounce buffer
-	Pins        uint64 // kernel-assisted pre-pins
-	Evictions   uint64 // pager evictions (the oversubscription cost)
+	P50         sim.Time `json:"P50Ps"`
+	P99         sim.Time `json:"P99Ps"`
+	Elapsed     sim.Time `json:"ElapsedPs"`
+	Faults      uint64   // device-side translation faults taken
+	Stalls      uint64   // stall-and-resolve suspensions
+	Bounced     uint64   // pages redirected through the bounce buffer
+	Pins        uint64   // kernel-assisted pre-pins
+	Evictions   uint64   // pager evictions (the oversubscription cost)
 	PageIns     uint64
-	Elapsed     sim.Time
 	Fingerprint uint64
 	// Completed counts transfers actually issued: Transfers unless a
 	// live observer (PagingBenchLive) cut the stream short.
-	Completed int
+	Completed int `json:"-"`
 	// LiveSamples counts the mid-run live-feed readings an observer
 	// took (0 on the plain PagingBench path).
-	LiveSamples int
+	LiveSamples int `json:"-"`
+}
+
+// MarshalJSON writes the row with Fingerprint as hex.
+func (r PagingResult) MarshalJSON() ([]byte, error) {
+	type wire PagingResult
+	return json.Marshal(struct {
+		wire
+		Fingerprint string
+	}{wire(r), hexDigest(r.Fingerprint)})
 }
 
 // pagingPageIn is the modeled backing-store page-in latency. It dwarfs

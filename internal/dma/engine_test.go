@@ -1051,6 +1051,28 @@ func TestWindowBoundaries(t *testing.T) {
 	}
 }
 
+// TestWindowOfNames: addresses inside each engine window are named for
+// it (the annotation dmabench -trace prints), plain memory for none.
+func TestWindowOfNames(t *testing.T) {
+	cfg := testConfig(ModeKeyed)
+	cases := []struct {
+		addr phys.Addr
+		want string
+	}{
+		{cfg.ShadowBase + 8, "shadow"},
+		{cfg.CtxPage(1), "ctx"},
+		{cfg.ControlBase, "control"},
+		{cfg.AtomicShadow(0x40, AtomicAdd), "atomic"},
+		{cfg.RemoteAddr(1, 0x100), "remote"},
+		{0x1000, ""},
+	}
+	for _, c := range cases {
+		if got := cfg.WindowOf(c.addr); got != c.want {
+			t.Errorf("WindowOf(%v) = %q, want %q", c.addr, got, c.want)
+		}
+	}
+}
+
 func TestCtxWindowRangeErrors(t *testing.T) {
 	f := newEngine(t, ModeKeyed, nil)
 	// The last valid ctx page works; decode guards reject impossible

@@ -46,11 +46,11 @@ func exhaustiveCells(p Params) ([]Cell, error) {
 		cells[i] = Cell{Seed: uint64(i), Config: scheduleString(schedules[i]), Run: func() (Obs, bool, error) {
 			o, err := userdma.RunInterleaving(schedules[i])
 			if err != nil {
-				return Obs{}, false, err
+				return nil, false, err
 			}
 			// A hijack ends the search: the runner keeps the lowest-
 			// indexed one in schedule order, like the serial hunt.
-			return Obs{Attack: &o}, o.Hijacked, nil
+			return Obs{o}, o.Hijacked, nil
 		}}
 	}
 	return cells, nil
@@ -71,7 +71,8 @@ func ExhaustiveInterleavings(slots, procs int) (tried int, hijack *userdma.Attac
 		return 0, nil, err
 	}
 	if r.Stopped != nil {
-		return r.Tried, r.Stopped.Obs.Attack, nil
+		o := r.Stopped.Obs[0].(userdma.AttackOutcome)
+		return r.Tried, &o, nil
 	}
 	return r.Tried, nil, nil
 }
@@ -87,9 +88,9 @@ func campaignCells(p Params) ([]Cell, error) {
 		cells[i] = Cell{Seed: uint64(i + 1), Run: func() (Obs, bool, error) {
 			o, err := userdma.RandomAdversarialRun(uint64(i+1), p.ShareA, p.LooseStatus)
 			if err != nil {
-				return Obs{}, false, err
+				return nil, false, err
 			}
-			return Obs{Attack: &o}, false, nil
+			return Obs{o}, false, nil
 		}}
 	}
 	return cells, nil
@@ -103,5 +104,5 @@ func Campaign(n int, shareA, looseStatus bool, procs int) ([]userdma.AttackOutco
 	if err != nil {
 		return nil, err
 	}
-	return r.Outcomes(), nil
+	return Collect[userdma.AttackOutcome](r), nil
 }

@@ -46,9 +46,9 @@ func breakEvenCells(p Params) ([]Cell, error) {
 			cells = append(cells, Cell{Method: method.Name(), Size: size, Run: func() (Obs, bool, error) {
 				pt, err := userdma.BreakEvenCellFrom(snap, method, size)
 				if err != nil {
-					return Obs{}, false, fmt.Errorf("size %d: %w", size, err)
+					return nil, false, fmt.Errorf("size %d: %w", size, err)
 				}
-				return Obs{Points: []userdma.BreakEvenPoint{pt}}, false, nil
+				return Obs{pt}, false, nil
 			}})
 		}
 	}
@@ -61,12 +61,21 @@ type MethodPoints struct {
 	Points []userdma.BreakEvenPoint
 }
 
+// BreakEvenJSON renders the per-method break-even map the tools emit.
+func BreakEvenJSON(groups []MethodPoints) map[string][]userdma.BreakEvenPoint {
+	out := make(map[string][]userdma.BreakEvenPoint, len(groups))
+	for _, g := range groups {
+		out[g.Method.Name()] = g.Points
+	}
+	return out
+}
+
 // BreakEvenGroups slices an ordered breakeven result per method, in
 // the method-axis order.
 func BreakEvenGroups(r *Result, p Params) []MethodPoints {
 	methods := BreakEvenMethods()
 	per := len(p.sizes())
-	pts := r.Points()
+	pts := Collect[userdma.BreakEvenPoint](r)
 	if per == 0 || len(pts) != per*len(methods) {
 		return nil
 	}

@@ -43,9 +43,9 @@ func busSweepCells(p Params) ([]Cell, error) {
 				}
 				r, err := userdma.MeasureMethod(method, cfg, p.Iters)
 				if err != nil {
-					return Obs{}, false, fmt.Errorf("%v/%s: %w", freq, method.Name(), err)
+					return nil, false, fmt.Errorf("%v/%s: %w", freq, method.Name(), err)
 				}
-				return Obs{Inits: []userdma.InitiationResult{r}}, false, nil
+				return Obs{r}, false, nil
 			}})
 		}
 	}
@@ -58,6 +58,17 @@ type FreqRows struct {
 	Rows []userdma.InitiationResult
 }
 
+// BusSweepJSON renders the sweep in the map shape the tools emit.
+// encoding/json sorts the keys, and "PCI 33MHz" < "PCI 66MHz" <
+// "TC 12.5MHz" is a fixed order, so the document is deterministic.
+func BusSweepJSON(groups []FreqRows) map[string][]userdma.InitiationResult {
+	out := make(map[string][]userdma.InitiationResult, len(groups))
+	for _, g := range groups {
+		out[g.Freq.String()] = g.Rows
+	}
+	return out
+}
+
 // BusSweepGroups slices an ordered bussweep result per frequency, in
 // the frequency-axis order.
 func BusSweepGroups(r *Result, p Params) []FreqRows {
@@ -67,7 +78,7 @@ func BusSweepGroups(r *Result, p Params) []FreqRows {
 	}
 	per := len(r.Cells) / len(freqs)
 	out := make([]FreqRows, len(freqs))
-	rows := r.Initiations()
+	rows := Collect[userdma.InitiationResult](r)
 	for i, f := range freqs {
 		out[i] = FreqRows{Freq: f, Rows: rows[i*per : (i+1)*per]}
 	}

@@ -58,9 +58,9 @@ func clusterCells(p Params) ([]Cell, error) {
 		cells[i] = Cell{Method: method.Name(), Config: linkName, Run: func() (Obs, bool, error) {
 			lat, initCost, sample, err := oneWayLatency(method, link, p.Msgs, p.MsgSize)
 			if err != nil {
-				return Obs{}, false, fmt.Errorf("%s: %w", method.Name(), err)
+				return nil, false, fmt.Errorf("%s: %w", method.Name(), err)
 			}
-			return Obs{Rows: []Row{{Name: method.Name(), Mean: lat, Init: initCost, Hist: sample}}}, false, nil
+			return Obs{Row{Name: method.Name(), Mean: lat, Init: initCost, Hist: sample}}, false, nil
 		}}
 	}
 	return cells, nil
@@ -72,7 +72,7 @@ func clusterText(r *Result, p Params) string {
 	fmt.Fprintf(&b, "NOW message passing — 2 workstations, %s link, %d×%dB messages\n\n",
 		linkName, p.Msgs, p.MsgSize)
 	tb := stats.NewTable("initiation method", "msg latency", "initiation", "init share")
-	rows := r.Rows()
+	rows := Collect[Row](r)
 	for _, row := range rows {
 		tb.AddRow(row.Name, row.Mean, row.Init,
 			fmt.Sprintf("%.0f%%", 100*float64(row.Init)/float64(row.Mean)))
@@ -87,6 +87,27 @@ func clusterText(r *Result, p Params) string {
 	b.WriteString("init share = fraction of one-way latency spent starting the DMA.\n")
 	b.WriteString("The faster the link, the more the kernel trap dominates — the paper's thesis.\n")
 	return b.String()
+}
+
+// ClusterRow is one initiation method's NOW result as the tools emit
+// it in JSON, with the initiation share of the latency.
+type ClusterRow struct {
+	Method       string
+	LatencyPs    int64
+	InitiationPs int64
+	InitShare    float64
+}
+
+// ClusterRows converts a clustersim result into its JSON rows.
+func ClusterRows(r *Result) []ClusterRow {
+	var out []ClusterRow
+	for _, row := range Collect[Row](r) {
+		out = append(out, ClusterRow{
+			Method: row.Name, LatencyPs: int64(row.Mean), InitiationPs: int64(row.Init),
+			InitShare: float64(row.Init) / float64(row.Mean),
+		})
+	}
+	return out
 }
 
 // oneWayLatency measures mean send-to-receive latency: sender DMAs the

@@ -101,25 +101,11 @@ func DefaultFreqs() []sim.Hz {
 	return []sim.Hz{12_500_000, 33 * sim.MHz, 66 * sim.MHz}
 }
 
-// Obs is one cell's observation. Exactly the fields matching the
-// experiment's kind are set; the Result views flatten them in cell
-// order.
-type Obs struct {
-	Inits  []userdma.InitiationResult // timing cells (Table 1 style)
-	Points []userdma.BreakEvenPoint   // break-even cells
-	Attack *userdma.AttackOutcome     // adversarial cells
-	Rows   []Row                      // microbenchmark rows (oslat, clustersim)
-	Fault  []FaultPoint               // faultsweep cells
-	Recov  []RecoveryPoint            // recovery cells
-	Search []FaultSearchPoint         // faultsearch cells
-	Scale  []ScalePoint               // scale cells (sharded NOW runs)
-	ScaleM []ScaleMachinePoint        // scalemachine cells (hosted machine worlds)
-	Ring   []userdma.RingDepthResult  // ringdepth cells (batched initiation)
-	Churn  []userdma.RingChurnResult  // ringchurn cells (context oversubscription)
-	VACmp  []userdma.VACompareRow     // vasweep cells (shadow vs IOMMU Table 1)
-	IOTLB  []userdma.IOTLBPoint       // vasweep cells (IOTLB hit-rate sweep)
-	Paging []userdma.PagingResult     // paging cells (recovery-policy grid)
-}
+// Obs is one cell's observation: the cell's result values in the
+// order it produced them — core/exp result structs such as
+// userdma.InitiationResult or FaultPoint, which are also the JSON rows
+// the tools emit. Collect gathers one type across a Result.
+type Obs []any
 
 // Row is one generic latency-table row produced by the OS and cluster
 // microbenchmark cells.
@@ -167,132 +153,15 @@ type Result struct {
 	Stopped *CellResult
 }
 
-// Initiations flattens the timing observations in cell order.
-func (r *Result) Initiations() []userdma.InitiationResult {
-	var out []userdma.InitiationResult
+// Collect gathers every observation of type T in cell order.
+func Collect[T any](r *Result) []T {
+	var out []T
 	for _, c := range r.Cells {
-		out = append(out, c.Obs.Inits...)
-	}
-	return out
-}
-
-// Points flattens the break-even observations in cell order.
-func (r *Result) Points() []userdma.BreakEvenPoint {
-	var out []userdma.BreakEvenPoint
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.Points...)
-	}
-	return out
-}
-
-// Outcomes flattens the adversarial observations in cell order.
-func (r *Result) Outcomes() []userdma.AttackOutcome {
-	var out []userdma.AttackOutcome
-	for _, c := range r.Cells {
-		if c.Obs.Attack != nil {
-			out = append(out, *c.Obs.Attack)
+		for _, o := range c.Obs {
+			if v, ok := o.(T); ok {
+				out = append(out, v)
+			}
 		}
-	}
-	return out
-}
-
-// Rows flattens the microbenchmark rows in cell order.
-func (r *Result) Rows() []Row {
-	var out []Row
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.Rows...)
-	}
-	return out
-}
-
-// FaultPoints flattens the fault-sweep observations in cell order.
-func (r *Result) FaultPoints() []FaultPoint {
-	var out []FaultPoint
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.Fault...)
-	}
-	return out
-}
-
-// RecoveryPoints flattens the recovery observations in cell order.
-func (r *Result) RecoveryPoints() []RecoveryPoint {
-	var out []RecoveryPoint
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.Recov...)
-	}
-	return out
-}
-
-// ScalePoints flattens the scale observations in cell order.
-func (r *Result) ScalePoints() []ScalePoint {
-	var out []ScalePoint
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.Scale...)
-	}
-	return out
-}
-
-// ScaleMachinePoints flattens the scalemachine observations in cell
-// order.
-func (r *Result) ScaleMachinePoints() []ScaleMachinePoint {
-	var out []ScaleMachinePoint
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.ScaleM...)
-	}
-	return out
-}
-
-// RingPoints flattens the ringdepth observations in cell order.
-func (r *Result) RingPoints() []userdma.RingDepthResult {
-	var out []userdma.RingDepthResult
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.Ring...)
-	}
-	return out
-}
-
-// ChurnPoints flattens the ringchurn observations in cell order.
-func (r *Result) ChurnPoints() []userdma.RingChurnResult {
-	var out []userdma.RingChurnResult
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.Churn...)
-	}
-	return out
-}
-
-// VAComparisons flattens the vasweep Table 1 observations in cell
-// order.
-func (r *Result) VAComparisons() []userdma.VACompareRow {
-	var out []userdma.VACompareRow
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.VACmp...)
-	}
-	return out
-}
-
-// IOTLBPoints flattens the vasweep IOTLB observations in cell order.
-func (r *Result) IOTLBPoints() []userdma.IOTLBPoint {
-	var out []userdma.IOTLBPoint
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.IOTLB...)
-	}
-	return out
-}
-
-// PagingPoints flattens the paging observations in cell order.
-func (r *Result) PagingPoints() []userdma.PagingResult {
-	var out []userdma.PagingResult
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.Paging...)
-	}
-	return out
-}
-
-// SearchPoints flattens the fault-search observations in cell order.
-func (r *Result) SearchPoints() []FaultSearchPoint {
-	var out []FaultSearchPoint
-	for _, c := range r.Cells {
-		out = append(out, c.Obs.Search...)
 	}
 	return out
 }
@@ -314,9 +183,9 @@ type RenderFunc func(*Result, Params) string
 
 // Experiment is a declarative spec: a registry name, a one-line doc
 // string (what -list prints), a pure cell expansion, and the renderers
-// the spec supports. JSON output is composed from the typed row
-// converters (InitRows, BreakEvenRows, TrendRows, ...) instead,
-// because the tools emit ONE document combining several experiments.
+// the spec supports. JSON output is composed from the result structs
+// themselves (Collect), because the tools emit ONE document combining
+// several experiments.
 type Experiment struct {
 	Name   string
 	Doc    string

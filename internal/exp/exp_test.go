@@ -25,9 +25,9 @@ func gridExperiment(n int, fail map[int]error, stop map[int]bool, ran *int64) *E
 						atomic.AddInt64(ran, 1)
 					}
 					if err := fail[i]; err != nil {
-						return Obs{}, false, err
+						return nil, false, err
 					}
-					return Obs{Rows: []Row{{Name: fmt.Sprintf("cell%d", i)}}}, stop[i], nil
+					return Obs{Row{Name: fmt.Sprintf("cell%d", i)}}, stop[i], nil
 				}}
 			}
 			return cells, nil
@@ -44,7 +44,7 @@ func TestRunOrdersResults(t *testing.T) {
 		if r.Tried != 17 || len(r.Cells) != 17 || r.Stopped != nil {
 			t.Fatalf("procs=%d: Tried=%d len=%d Stopped=%v", procs, r.Tried, len(r.Cells), r.Stopped)
 		}
-		for i, row := range r.Rows() {
+		for i, row := range Collect[Row](r) {
 			if want := fmt.Sprintf("cell%d", i); row.Name != want {
 				t.Fatalf("procs=%d: row %d is %q, want %q", procs, i, row.Name, want)
 			}

@@ -70,9 +70,9 @@ type FaultPoint struct {
 	Size  uint64
 	Msgs  int
 
-	Mean sim.Time // mean send-to-deliver latency
-	P50  sim.Time
-	P99  sim.Time
+	Mean sim.Time `json:"MeanPs"` // mean send-to-deliver latency
+	P50  sim.Time `json:"P50Ps"`
+	P99  sim.Time `json:"P99Ps"`
 	// GoodputMBps is delivered payload bytes per simulated second,
 	// first send to last delivery, in MB/s (1 MB = 1e6 bytes).
 	GoodputMBps float64
@@ -87,12 +87,12 @@ type FaultPoint struct {
 // RecoveryPoint is one outage-length cell of the recovery experiment.
 type RecoveryPoint struct {
 	Label  string   // e.g. "down=500µs"
-	Outage sim.Time // length of the link-down window
+	Outage sim.Time `json:"OutagePs"` // length of the link-down window
 	// Recover is the gap between the link healing and the first
 	// delivery after it — the retransmit machinery's reaction time.
-	Recover sim.Time
+	Recover sim.Time `json:"RecoverPs"`
 	// Complete is when the last message of the stream landed.
-	Complete    sim.Time
+	Complete    sim.Time `json:"CompletePs"`
 	Retransmits uint64
 	Timeouts    uint64
 }
@@ -102,7 +102,7 @@ type FaultSearchPoint struct {
 	Label     string // e.g. "seed=3"
 	Seed      uint64
 	Schedules int    // complete schedules model-checked
-	Violation string // "" when every schedule delivered exactly-once in-order
+	Violation string `json:",omitempty"` // "" when every schedule delivered exactly-once in-order
 }
 
 // FaultDrops is the faultsweep's canonical drop-rate axis. Zero is the
@@ -258,7 +258,7 @@ func faultSweepCells(p Params) ([]Cell, error) {
 				}
 				r, err := reliableStream(plan, seed, cfg, total, size, 0, linger)
 				if err != nil {
-					return Obs{}, false, fmt.Errorf("%s: %w", label, err)
+					return nil, false, fmt.Errorf("%s: %w", label, err)
 				}
 				elapsed := r.recvTimes[len(r.recvTimes)-1] - r.sendTimes[0]
 				pt := FaultPoint{
@@ -269,7 +269,7 @@ func faultSweepCells(p Params) ([]Cell, error) {
 					Recredits: r.rx.Recredits,
 					Dropped:   r.fabric.FaultDropped, Delivered: r.fabric.Delivered,
 				}
-				return Obs{Fault: []FaultPoint{pt}}, false, nil
+				return Obs{pt}, false, nil
 			}})
 		}
 	}
@@ -293,7 +293,7 @@ func recoveryCells(p Params) ([]Cell, error) {
 			cfg := msg.ReliableConfig{Config: msg.Config{Slots: 4, SlotPayload: 64}}
 			r, err := reliableStream(plan, uint64(i+1), cfg, total, 64, 30*sim.Microsecond, 0)
 			if err != nil {
-				return Obs{}, false, fmt.Errorf("%s: %w", label, err)
+				return nil, false, fmt.Errorf("%s: %w", label, err)
 			}
 			until := outageFrom + outage
 			recover := sim.Time(0)
@@ -309,7 +309,7 @@ func recoveryCells(p Params) ([]Cell, error) {
 				Complete:    r.recvTimes[len(r.recvTimes)-1],
 				Retransmits: r.tx.Retransmits, Timeouts: r.tx.Timeouts,
 			}
-			return Obs{Recov: []RecoveryPoint{pt}}, false, nil
+			return Obs{pt}, false, nil
 		}})
 	}
 	return cells, nil
@@ -419,7 +419,7 @@ func faultSearchCells(p Params) ([]Cell, error) {
 		cells[i] = Cell{Seed: seed, Config: fmt.Sprintf("seed=%d", seed), Run: func() (Obs, bool, error) {
 			res, err := proc.Explore(faultSearchFactory(seed, total), depth, 10_000)
 			if err != nil {
-				return Obs{}, false, fmt.Errorf("seed %d: %w", seed, err)
+				return nil, false, fmt.Errorf("seed %d: %w", seed, err)
 			}
 			pt := FaultSearchPoint{
 				Label: fmt.Sprintf("seed=%d", seed), Seed: seed, Schedules: res.Schedules,
@@ -429,9 +429,9 @@ func faultSearchCells(p Params) ([]Cell, error) {
 					res.Counterexample, res.CounterexampleErr, seed, FaultPlanForSeed(seed).Default)
 				// A violation is a protocol bug: stop the sweep at the
 				// lowest-indexed seed, like the attack searches.
-				return Obs{Search: []FaultSearchPoint{pt}}, true, nil
+				return Obs{pt}, true, nil
 			}
-			return Obs{Search: []FaultSearchPoint{pt}}, false, nil
+			return Obs{pt}, false, nil
 		}}
 	}
 	return cells, nil
@@ -443,7 +443,7 @@ func faultSweepText(r *Result, p Params) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Reliable channel under loss — 2 nodes, Gigabit link, %d messages per cell\n\n", faultMsgs(p))
 	tb := stats.NewTable("scenario", "p50", "p99", "mean", "goodput", "rexmit", "recredit", "dropped")
-	for _, pt := range r.FaultPoints() {
+	for _, pt := range Collect[FaultPoint](r) {
 		tb.AddRow(pt.Label, pt.P50, pt.P99, pt.Mean,
 			fmt.Sprintf("%.1f MB/s", pt.GoodputMBps), pt.Retransmits, pt.Recredits, pt.Dropped)
 	}
@@ -459,7 +459,7 @@ func faultSweepMarkdown(r *Result, p Params) string {
 	b.WriteString("\n## Fault sweep — reliable channel vs drop rate × size\n\n")
 	b.WriteString("| scenario | p50 | p99 | mean | goodput MB/s | rexmit | recredit | dropped |\n")
 	b.WriteString("|---|---|---|---|---|---|---|---|\n")
-	for _, pt := range r.FaultPoints() {
+	for _, pt := range Collect[FaultPoint](r) {
 		fmt.Fprintf(&b, "| %s | %v | %v | %v | %.1f | %d | %d | %d |\n",
 			pt.Label, pt.P50, pt.P99, pt.Mean, pt.GoodputMBps, pt.Retransmits, pt.Recredits, pt.Dropped)
 	}
@@ -470,7 +470,7 @@ func recoveryText(r *Result, p Params) string {
 	var b strings.Builder
 	b.WriteString("Link-down recovery — paced reliable stream across an outage window\n\n")
 	tb := stats.NewTable("outage", "recover", "complete", "rexmit", "timeouts")
-	for _, pt := range r.RecoveryPoints() {
+	for _, pt := range Collect[RecoveryPoint](r) {
 		tb.AddRow(pt.Label, pt.Recover, pt.Complete, pt.Retransmits, pt.Timeouts)
 	}
 	b.WriteString(tb.String())
@@ -484,7 +484,7 @@ func recoveryMarkdown(r *Result, p Params) string {
 	b.WriteString("\n## Recovery — time to resume after a link-down window\n\n")
 	b.WriteString("| outage | recover | complete | rexmit | timeouts |\n")
 	b.WriteString("|---|---|---|---|---|\n")
-	for _, pt := range r.RecoveryPoints() {
+	for _, pt := range Collect[RecoveryPoint](r) {
 		fmt.Fprintf(&b, "| %s | %v | %v | %d | %d |\n",
 			pt.Label, pt.Recover, pt.Complete, pt.Retransmits, pt.Timeouts)
 	}
@@ -495,7 +495,7 @@ func faultSearchText(r *Result, p Params) string {
 	var b strings.Builder
 	b.WriteString("Bounded interleaving × fault-plan search — exactly-once, in-order delivery\n\n")
 	total := 0
-	for _, pt := range r.SearchPoints() {
+	for _, pt := range Collect[FaultSearchPoint](r) {
 		total += pt.Schedules
 		if pt.Violation != "" {
 			fmt.Fprintf(&b, "  %s: VIOLATION after %d schedules — %s\n", pt.Label, pt.Schedules, pt.Violation)
@@ -515,7 +515,7 @@ func faultSearchMarkdown(r *Result, p Params) string {
 	var b strings.Builder
 	b.WriteString("\n## Fault search — model-checked delivery guarantee\n\n")
 	b.WriteString("| seed | schedules | verdict |\n|---|---|---|\n")
-	for _, pt := range r.SearchPoints() {
+	for _, pt := range Collect[FaultSearchPoint](r) {
 		verdict := "exactly-once, in order"
 		if pt.Violation != "" {
 			verdict = pt.Violation

@@ -19,14 +19,14 @@ var faultParityWorkers = []int{1, 4, 8}
 // differently under parallel cell execution fails the test.
 func TestFaultSweepParityAcrossWorkers(t *testing.T) {
 	p := Params{Msgs: 8}
-	var want []FaultRow
+	var want []FaultPoint
 	for _, w := range faultParityWorkers {
 		p.Procs = w
 		r, err := RunNamed("faultsweep", p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		rows := FaultRows(r)
+		rows := Collect[FaultPoint](r)
 		if len(rows) != len(FaultDrops())*len(FaultSizes()) {
 			t.Fatalf("workers=%d: %d rows", w, len(rows))
 		}
@@ -52,14 +52,14 @@ func TestFaultSweepParityAcrossWorkers(t *testing.T) {
 
 func TestRecoveryParityAcrossWorkers(t *testing.T) {
 	p := Params{Msgs: 16}
-	var want []RecoveryRow
+	var want []RecoveryPoint
 	for _, w := range faultParityWorkers {
 		p.Procs = w
 		r, err := RunNamed("recovery", p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		rows := RecoveryRows(r)
+		rows := Collect[RecoveryPoint](r)
 		if want == nil {
 			want = rows
 			continue
@@ -80,7 +80,7 @@ func TestRecoveryParityAcrossWorkers(t *testing.T) {
 // (and schedule counts) for any worker count.
 func TestFaultSearchHoldsAndIsParallelSafe(t *testing.T) {
 	p := Params{Seeds: 3, Slots: 3}
-	var want []FaultSearchRow
+	var want []FaultSearchPoint
 	for _, w := range faultParityWorkers {
 		p.Procs = w
 		r, err := RunNamed("faultsearch", p)
@@ -88,9 +88,9 @@ func TestFaultSearchHoldsAndIsParallelSafe(t *testing.T) {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		if r.Stopped != nil {
-			t.Fatalf("workers=%d: delivery violation: %+v", w, r.Stopped.Obs.Search)
+			t.Fatalf("workers=%d: delivery violation: %+v", w, r.Stopped.Obs)
 		}
-		rows := FaultSearchRows(r)
+		rows := Collect[FaultSearchPoint](r)
 		for _, row := range rows {
 			if row.Schedules == 0 {
 				t.Fatalf("workers=%d: seed %d explored nothing", w, row.Seed)

@@ -57,9 +57,9 @@ func table1Cells(p Params) ([]Cell, error) {
 		cells[i] = Cell{Method: method.Name(), Run: func() (Obs, bool, error) {
 			r, err := userdma.MeasureMethod(method, userdma.ConfigFor(method), p.Iters)
 			if err != nil {
-				return Obs{}, false, fmt.Errorf("%s: %w", method.Name(), err)
+				return nil, false, fmt.Errorf("%s: %w", method.Name(), err)
 			}
-			return Obs{Inits: []userdma.InitiationResult{r}}, false, nil
+			return Obs{r}, false, nil
 		}}
 	}
 	return cells, nil
@@ -73,7 +73,7 @@ func Table1(iters, procs int) ([]userdma.InitiationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.Initiations(), nil
+	return Collect[userdma.InitiationResult](r), nil
 }
 
 func table1Text(r *Result, p Params) string {
@@ -81,7 +81,7 @@ func table1Text(r *Result, p Params) string {
 	fmt.Fprintf(&b, "Table 1 — DMA initiation time (%d initiations/method)\n", p.Iters)
 	fmt.Fprintf(&b, "machine: %s\n\n", MachineName())
 	tb := stats.NewTable("DMA algorithm", "paper (µs)", "measured (µs)", "delta", "min", "max")
-	for _, res := range r.Initiations() {
+	for _, res := range Collect[userdma.InitiationResult](r) {
 		tb.AddRow(res.Method,
 			fmt.Sprintf("%.1f", res.PaperMean.Microseconds()),
 			fmt.Sprintf("%.2f", res.Mean.Microseconds()),
@@ -98,7 +98,7 @@ func table1Markdown(r *Result, _ Params) string {
 	b.WriteString("\n## T1 — Table 1: DMA initiation time\n")
 	b.WriteString("\n| DMA algorithm | paper (µs) | measured (µs) | delta |\n")
 	b.WriteString("|---|---|---|---|\n")
-	for _, res := range r.Initiations() {
+	for _, res := range Collect[userdma.InitiationResult](r) {
 		fmt.Fprintf(&b, "| %s | %.1f | %.2f | %+.1f%% |\n", res.Method,
 			res.PaperMean.Microseconds(), res.Mean.Microseconds(),
 			100*(float64(res.Mean)-float64(res.PaperMean))/float64(res.PaperMean))
@@ -133,9 +133,9 @@ func comparatorCells(p Params) ([]Cell, error) {
 		cells[i] = Cell{Method: method.Name(), Run: func() (Obs, bool, error) {
 			r, err := userdma.MeasureMethod(method, userdma.ConfigFor(method), p.Iters)
 			if err != nil {
-				return Obs{}, false, err
+				return nil, false, err
 			}
-			return Obs{Inits: []userdma.InitiationResult{r}}, false, nil
+			return Obs{r}, false, nil
 		}}
 	}
 	return cells, nil
@@ -148,14 +148,14 @@ func Comparators(iters, procs int, methods []userdma.Method) ([]userdma.Initiati
 	if err != nil {
 		return nil, err
 	}
-	return r.Initiations(), nil
+	return Collect[userdma.InitiationResult](r), nil
 }
 
 func comparatorsText(r *Result, p Params) string {
 	var b strings.Builder
 	b.WriteString("Comparators (not in Table 1; measured on the same model)\n")
 	tb := stats.NewTable("method", "measured (µs)", "kernel mod?")
-	results := r.Initiations()
+	results := Collect[userdma.InitiationResult](r)
 	for i, m := range p.comparators() {
 		tb.AddRow(m.Name(), fmt.Sprintf("%.2f", results[i].Mean.Microseconds()), m.RequiresKernelMod())
 	}
@@ -169,7 +169,7 @@ func comparatorsMarkdown(r *Result, p Params) string {
 	b.WriteString("\n## Comparators (no Table 1 reference)\n")
 	b.WriteString("\n| method | measured (µs) | kernel mod? |\n")
 	b.WriteString("|---|---|---|\n")
-	results := r.Initiations()
+	results := Collect[userdma.InitiationResult](r)
 	for i, m := range p.comparators() {
 		fmt.Fprintf(&b, "| %s | %.2f | %v |\n", m.Name(), results[i].Mean.Microseconds(), m.RequiresKernelMod())
 	}
@@ -187,9 +187,13 @@ func contentionCells(p Params) ([]Cell, error) {
 		Run: func() (Obs, bool, error) {
 			rs, err := userdma.ContextContention(userdma.ExtShadow{}, 6, p.Iters/10+1)
 			if err != nil {
-				return Obs{}, false, err
+				return nil, false, err
 			}
-			return Obs{Inits: rs}, false, nil
+			obs := make(Obs, len(rs))
+			for i, r := range rs {
+				obs[i] = r
+			}
+			return obs, false, nil
 		},
 	}}, nil
 }
@@ -202,14 +206,14 @@ func Contention(iters, procs int) ([]userdma.InitiationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.Initiations(), nil
+	return Collect[userdma.InitiationResult](r), nil
 }
 
 func contentionText(r *Result, _ Params) string {
 	var b strings.Builder
 	b.WriteString("Register-context contention — 6 processes, 4 extended-shadow contexts\n")
 	tb := stats.NewTable("process path", "mean (µs)")
-	for _, res := range r.Initiations() {
+	for _, res := range Collect[userdma.InitiationResult](r) {
 		tb.AddRow(res.Method, fmt.Sprintf("%.2f", res.Mean.Microseconds()))
 	}
 	b.WriteString(tb.String())
@@ -222,7 +226,7 @@ func contentionMarkdown(r *Result, _ Params) string {
 	b.WriteString("\n## §3.2 — register-context contention (6 processes, 4 contexts)\n")
 	b.WriteString("\n| process path | mean (µs) |\n")
 	b.WriteString("|---|---|\n")
-	for _, res := range r.Initiations() {
+	for _, res := range Collect[userdma.InitiationResult](r) {
 		fmt.Fprintf(&b, "| %s | %.2f |\n", res.Method, res.Mean.Microseconds())
 	}
 	return b.String()

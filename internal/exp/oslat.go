@@ -47,7 +47,7 @@ func oslatSyscalls(iters int) (Obs, bool, error) {
 	cfg := machine.Alpha3000TC(dma.ModePaired, 0)
 	m, err := machine.New(cfg)
 	if err != nil {
-		return Obs{}, false, err
+		return nil, false, err
 	}
 	var nullSample, dmaSample stats.Sample
 	p := m.NewProcess("lmbench", func(c *proc.Context) error {
@@ -70,15 +70,15 @@ func oslatSyscalls(iters int) (Obs, bool, error) {
 	m.Kernel.AllocPage(p.AddressSpace(), 0x10000, vm.Read|vm.Write)
 	m.Kernel.AllocPage(p.AddressSpace(), 0x20000, vm.Read|vm.Write)
 	if err := m.Run(proc.NewRoundRobin(1<<20), 1<<30); err != nil {
-		return Obs{}, false, err
+		return nil, false, err
 	}
 	if p.Err() != nil {
-		return Obs{}, false, p.Err()
+		return nil, false, p.Err()
 	}
-	return Obs{Rows: []Row{
-		{Name: "null syscall", Mean: nullSample.Mean()},
-		{Name: "DMA syscall (Figure 1)", Mean: dmaSample.Mean()},
-	}}, false, nil
+	return Obs{
+		Row{Name: "null syscall", Mean: nullSample.Mean()},
+		Row{Name: "DMA syscall (Figure 1)", Mean: dmaSample.Mean()},
+	}, false, nil
 }
 
 // oslatSwitch measures context-switch cost: two ping-ponging processes
@@ -95,13 +95,13 @@ func oslatSwitch(iters int) (Obs, bool, error) {
 		})
 	}
 	if err := m2.Run(proc.NewRoundRobin(1), 1<<30); err != nil {
-		return Obs{}, false, err
+		return nil, false, err
 	}
 	switchMean := sim.Time(0)
 	if s := m2.Runner.Stats(); s.Switches > 0 {
 		switchMean = s.SwitchTime / sim.Time(s.Switches)
 	}
-	return Obs{Rows: []Row{{Name: "context switch", Mean: switchMean}}}, false, nil
+	return Obs{Row{Name: "context switch", Mean: switchMean}}, false, nil
 }
 
 // oslatMicro measures PAL dispatch, uncached device access, and the
@@ -155,27 +155,45 @@ func oslatMicro(iters int) (Obs, bool, error) {
 		m3.Kernel.AllocPage(p3.AddressSpace(), vm.VAddr(0x40000+uint64(i)*m3.Cfg.PageSize), vm.Read)
 	}
 	if err := m3.Run(proc.NewRoundRobin(1<<20), 1<<62); err != nil {
-		return Obs{}, false, err
+		return nil, false, err
 	}
 	if p3.Err() != nil {
-		return Obs{}, false, p3.Err()
+		return nil, false, p3.Err()
 	}
-	return Obs{Rows: []Row{
-		{Name: "PAL user_level_dma call", Mean: palSample.Mean()},
-		{Name: "uncached device load", Mean: uncachedSample.Mean()},
-		{Name: "TLB miss penalty", Mean: tlbMissPenalty.Mean()},
-	}}, false, nil
+	return Obs{
+		Row{Name: "PAL user_level_dma call", Mean: palSample.Mean()},
+		Row{Name: "uncached device load", Mean: uncachedSample.Mean()},
+		Row{Name: "TLB miss penalty", Mean: tlbMissPenalty.Mean()},
+	}, false, nil
 }
 
 // OSLatCycles returns the null-syscall cost of an oslat result in CPU
 // cycles — the number the §2.2 lmbench band check (1,000–5,000) is
 // about.
 func OSLatCycles(r *Result) int64 {
-	rows := r.Rows()
+	rows := Collect[Row](r)
 	if len(rows) == 0 {
 		return 0
 	}
 	return machine.Alpha3000TC(dma.ModePaired, 0).CPU.Freq.CyclesIn(rows[0].Mean)
+}
+
+// OSLatRow is one oslat benchmark as the tools emit it in JSON, with
+// its cycle count on the testbed CPU clock the text renderer uses.
+type OSLatRow struct {
+	Benchmark string
+	MeanPs    int64
+	CPUCycles int64
+}
+
+// OSLatRows converts an oslat result into its JSON rows.
+func OSLatRows(r *Result) []OSLatRow {
+	freq := machine.Alpha3000TC(dma.ModePaired, 0).CPU.Freq
+	var out []OSLatRow
+	for _, row := range Collect[Row](r) {
+		out = append(out, OSLatRow{Benchmark: row.Name, MeanPs: int64(row.Mean), CPUCycles: freq.CyclesIn(row.Mean)})
+	}
+	return out
 }
 
 // OSLatInBand reports whether the null-syscall cost sits in the
@@ -190,7 +208,7 @@ func oslatText(r *Result, p Params) string {
 	cpuFreq := cfg.CPU.Freq
 	var b strings.Builder
 	fmt.Fprintf(&b, "OS latency microbenchmarks — %s (%d iterations)\n\n", cfg.Name, p.Iters)
-	rows := r.Rows()
+	rows := Collect[Row](r)
 	tb := stats.NewTable("microbenchmark", "mean", "CPU cycles")
 	for _, row := range rows {
 		tb.AddRow(row.Name, row.Mean, cpuFreq.CyclesIn(row.Mean))

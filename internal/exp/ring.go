@@ -16,6 +16,7 @@ import (
 
 	userdma "uldma/internal/core"
 	"uldma/internal/kernel"
+	"uldma/internal/sim"
 	"uldma/internal/stats"
 )
 
@@ -67,7 +68,7 @@ func ringDepthCells(p Params) ([]Cell, error) {
 					if depth == 0 {
 						r, err := userdma.MeasureMethod(method, userdma.ConfigFor(method), p.Iters)
 						if err != nil {
-							return Obs{}, false, fmt.Errorf("%s baseline: %w", method.Name(), err)
+							return nil, false, fmt.Errorf("%s baseline: %w", method.Name(), err)
 						}
 						base := userdma.RingDepthResult{
 							Method:  method.Name(),
@@ -76,13 +77,13 @@ func ringDepthCells(p Params) ([]Cell, error) {
 							Posted:  uint64(r.Iterations),
 							PerInit: r.Mean,
 						}
-						return Obs{Ring: []userdma.RingDepthResult{base}}, false, nil
+						return Obs{base}, false, nil
 					}
 					r, err := userdma.MeasureRingDepth(method, p.Iters, depth)
 					if err != nil {
-						return Obs{}, false, fmt.Errorf("%s depth %d: %w", method.Name(), depth, err)
+						return nil, false, fmt.Errorf("%s depth %d: %w", method.Name(), depth, err)
 					}
-					return Obs{Ring: []userdma.RingDepthResult{r}}, false, nil
+					return Obs{r}, false, nil
 				},
 			})
 		}
@@ -96,18 +97,29 @@ func RingDepth(iters, procs int) ([]userdma.RingDepthResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.RingPoints(), nil
+	return RingPoints(r), nil
 }
 
-// ringBaselines maps method name to its depth-0 per-transfer cost.
-func ringBaselines(points []userdma.RingDepthResult) map[string]userdma.RingDepthResult {
-	base := make(map[string]userdma.RingDepthResult)
+// RingPoints collects a ringdepth result's points in cell order, each
+// joined to its protocol's depth-0 baseline (Baseline, Speedup).
+func RingPoints(r *Result) []userdma.RingDepthResult {
+	points := Collect[userdma.RingDepthResult](r)
+	base := make(map[string]sim.Time)
 	for _, pt := range points {
 		if pt.Depth == 0 {
-			base[pt.Method] = pt
+			base[pt.Method] = pt.PerInit
 		}
 	}
-	return base
+	for i := range points {
+		pt := &points[i]
+		if bl, ok := base[pt.Method]; ok {
+			pt.Baseline = bl
+			if pt.PerInit > 0 {
+				pt.Speedup = float64(bl) / float64(pt.PerInit)
+			}
+		}
+	}
+	return points
 }
 
 func ringDepthText(r *Result, p Params) string {
@@ -115,13 +127,11 @@ func ringDepthText(r *Result, p Params) string {
 	fmt.Fprintf(&b, "Batched initiation — descriptor-ring depth sweep (%d initiations/point)\n", p.Iters)
 	fmt.Fprintf(&b, "machine: %s\n", MachineName())
 	b.WriteString("depth 0 = the protocol's own unbatched initiation sequence\n\n")
-	points := r.RingPoints()
-	base := ringBaselines(points)
 	tb := stats.NewTable("protocol", "depth", "per-init (µs)", "vs unbatched", "goodput (MB/s)", "doorbells", "completions")
-	for _, pt := range points {
+	for _, pt := range RingPoints(r) {
 		speedup := "1.00x"
-		if bl, ok := base[pt.Method]; ok && pt.PerInit > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(bl.PerInit)/float64(pt.PerInit))
+		if pt.Speedup > 0 {
+			speedup = fmt.Sprintf("%.2fx", pt.Speedup)
 		}
 		goodput := "-"
 		if pt.GoodputMBps > 0 {
@@ -141,12 +151,10 @@ func ringDepthMarkdown(r *Result, _ Params) string {
 	b.WriteString("\n## Ring — batched initiation vs descriptor-ring depth\n")
 	b.WriteString("\n| protocol | depth | per-init (µs) | vs unbatched | goodput (MB/s) |\n")
 	b.WriteString("|---|---|---|---|---|\n")
-	points := r.RingPoints()
-	base := ringBaselines(points)
-	for _, pt := range points {
-		speedup := 1.0
-		if bl, ok := base[pt.Method]; ok && pt.PerInit > 0 {
-			speedup = float64(bl.PerInit) / float64(pt.PerInit)
+	for _, pt := range RingPoints(r) {
+		speedup := pt.Speedup
+		if speedup == 0 {
+			speedup = 1
 		}
 		goodput := "-"
 		if pt.GoodputMBps > 0 {
@@ -184,9 +192,9 @@ func ringChurnCells(Params) ([]Cell, error) {
 				Run: func() (Obs, bool, error) {
 					r, err := userdma.RingChurnBench(policy, procs, ringChurnContexts, ringChurnBatches)
 					if err != nil {
-						return Obs{}, false, fmt.Errorf("%v/%d procs: %w", policy, procs, err)
+						return nil, false, fmt.Errorf("%v/%d procs: %w", policy, procs, err)
 					}
-					return Obs{Churn: []userdma.RingChurnResult{r}}, false, nil
+					return Obs{r}, false, nil
 				},
 			})
 		}
@@ -200,7 +208,7 @@ func RingChurn(procs int) ([]userdma.RingChurnResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.ChurnPoints(), nil
+	return Collect[userdma.RingChurnResult](r), nil
 }
 
 func ringChurnText(r *Result, _ Params) string {
@@ -209,7 +217,7 @@ func ringChurnText(r *Result, _ Params) string {
 		ringChurnContexts, ringChurnBatches)
 	fmt.Fprintf(&b, "machine: %s\n\n", MachineName())
 	tb := stats.NewTable("policy", "procs", "acquire (µs)", "doorbells", "posted", "dropped", "steals", "waits", "elapsed")
-	for _, pt := range r.ChurnPoints() {
+	for _, pt := range Collect[userdma.RingChurnResult](r) {
 		tb.AddRow(pt.Policy, pt.Procs,
 			fmt.Sprintf("%.2f", pt.MeanAcquire.Microseconds()),
 			pt.Doorbells, pt.Posted, pt.Dropped, pt.Steals, pt.Waits, pt.Elapsed)
@@ -224,7 +232,7 @@ func ringChurnMarkdown(r *Result, _ Params) string {
 	fmt.Fprintf(&b, "\n## Ring churn — %d contexts oversubscribed\n", ringChurnContexts)
 	b.WriteString("\n| policy | procs | acquire (µs) | doorbells | dropped | steals | waits |\n")
 	b.WriteString("|---|---|---|---|---|---|---|\n")
-	for _, pt := range r.ChurnPoints() {
+	for _, pt := range Collect[userdma.RingChurnResult](r) {
 		fmt.Fprintf(&b, "| %s | %d | %.2f | %d | %d | %d | %d |\n",
 			pt.Policy, pt.Procs, pt.MeanAcquire.Microseconds(),
 			pt.Doorbells, pt.Dropped, pt.Steals, pt.Waits)

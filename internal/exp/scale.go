@@ -19,6 +19,7 @@ package exp
 // experiment safe to golden and to benchdiff.
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -61,21 +62,22 @@ const (
 	scaleKindResp uint8 = 2
 )
 
-// ScalePoint is one scale run's complete observation.
+// ScalePoint is one scale run's complete observation, and the row the
+// tools emit as JSON (see MarshalJSON).
 type ScalePoint struct {
 	Nodes   int
 	Shards  int
 	Arrival int // per-node RPC arrival rate, RPCs/s
 	Tenants int
 	Bytes   uint64   // request payload size
-	Dur     sim.Time // arrival-window length
+	Dur     sim.Time `json:"DurPs"` // arrival-window length
 
 	Issued    uint64 // RPCs issued inside the arrival window
 	Completed uint64 // RPCs whose completion write landed
 
-	Mean sim.Time // client-observed RPC latency (arrival -> completion)
-	P50  sim.Time
-	P99  sim.Time
+	Mean sim.Time `json:"MeanPs"` // client-observed RPC latency (arrival -> completion)
+	P50  sim.Time `json:"P50Ps"`
+	P99  sim.Time `json:"P99Ps"`
 
 	// GoodputMBps is completed request payload per simulated second.
 	GoodputMBps float64
@@ -85,12 +87,38 @@ type ScalePoint struct {
 	Deliveries uint64   // link deliveries (requests + responses)
 	Events     uint64   // events fired across all shards
 	Windows    uint64   // synchronizer windows
-	Finish     sim.Time // last event's timestamp
+	Finish     sim.Time `json:"FinishPs"` // last event's timestamp
 
 	// Fingerprint digests the world's layout-invariant final state
 	// (net.ShardedCluster.Fingerprint); the parity tests pin it across
 	// shard and worker counts.
 	Fingerprint uint64
+
+	// Host is set only by clustersim -bench; MarshalJSON places it
+	// after Fingerprint.
+	Host HostClock `json:"-"`
+}
+
+// HostClock is a wall-clock measurement of THIS host. Unlike every
+// other field of a row it is never expected to reproduce: cmd/benchdiff
+// treats each Host*-prefixed leaf as informational.
+type HostClock struct {
+	HostNs           int64   `json:",omitempty"`
+	HostEventsPerSec float64 `json:",omitempty"`
+	HostCPUs         int     `json:",omitempty"`
+}
+
+// MarshalJSON writes the row the tools emit: a "nodes/shards" Label
+// first, Fingerprint as hex (so no JSON reader rounds it through a
+// float64), then the host clock.
+func (pt ScalePoint) MarshalJSON() ([]byte, error) {
+	type scale ScalePoint
+	return json.Marshal(struct {
+		Label string
+		scale
+		Fingerprint string
+		HostClock
+	}{fmt.Sprintf("%dn/%ds", pt.Nodes, pt.Shards), scale(pt), fmt.Sprintf("%016x", pt.Fingerprint), pt.Host})
 }
 
 // scaleWorld is the traffic generator's model state. Every slice is
@@ -329,15 +357,15 @@ func scaleCells(p Params) ([]Cell, error) {
 	return []Cell{{Config: cfg, Run: func() (Obs, bool, error) {
 		pt, err := RunScale(p, p.Procs)
 		if err != nil {
-			return Obs{}, false, err
+			return nil, false, err
 		}
-		return Obs{Scale: []ScalePoint{pt}}, false, nil
+		return Obs{pt}, false, nil
 	}}}, nil
 }
 
 func scaleText(r *Result, p Params) string {
 	var b strings.Builder
-	for _, pt := range r.ScalePoints() {
+	for _, pt := range Collect[ScalePoint](r) {
 		fmt.Fprintf(&b, "NOW at scale — %d nodes, %d shards, %d tenants/node, %d RPC/s/node, %dB requests, %v window\n\n",
 			pt.Nodes, pt.Shards, pt.Tenants, pt.Arrival, pt.Bytes, pt.Dur)
 		tb := stats.NewTable("metric", "value")

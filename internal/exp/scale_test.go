@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -125,17 +126,34 @@ func TestScaleExperimentRenders(t *testing.T) {
 			t.Errorf("text output missing %q:\n%s", want, out)
 		}
 	}
-	rows := func() []ScaleRow {
-		r, err := RunNamed("scale", p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ScaleRows(r)
-	}()
-	if len(rows) != 1 || rows[0].Label != "8n/2s" || rows[0].Deliveries == 0 {
-		t.Fatalf("ScaleRows = %+v, want one populated 8n/2s row", rows)
+	r, err := RunNamed("scale", p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rows[0].HostNs != 0 {
-		t.Fatalf("HostNs = %d before any -bench fill, want omitted zero", rows[0].HostNs)
+	pts := Collect[ScalePoint](r)
+	if len(pts) != 1 || pts[0].Deliveries == 0 {
+		t.Fatalf("scale points = %+v, want one populated point", pts)
 	}
+	row := wireRow(t, pts[0])
+	if row["Label"] != "8n/2s" {
+		t.Fatalf("Label = %v, want 8n/2s", row["Label"])
+	}
+	if _, ok := row["HostNs"]; ok {
+		t.Fatalf("HostNs emitted before any -bench fill: %v", row)
+	}
+}
+
+// wireRow marshals a result struct the way the tools emit it and
+// decodes the object back into a generic map.
+func wireRow(t *testing.T, v any) map[string]any {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row map[string]any
+	if err := json.Unmarshal(data, &row); err != nil {
+		t.Fatal(err)
+	}
+	return row
 }

@@ -31,6 +31,7 @@ package exp
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -115,14 +116,19 @@ func scaleMPeerVA(d int) vm.VAddr {
 type ScaleMachinePoint struct {
 	ScalePoint
 	Protocol string
+	Fleet
+}
+
+// Fleet is the machine-world half of a ScaleMachinePoint.
+type Fleet struct {
 	// Boot is the template's snapshot time: arrivals start after it,
 	// and goodput is computed over Finish - Boot.
-	Boot sim.Time
+	Boot sim.Time `json:"BootPs"`
 	// Lookahead/LatMin/LatMax describe the rack latency matrix the
 	// synchronizer ran under.
-	Lookahead sim.Time
-	LatMin    sim.Time
-	LatMax    sim.Time
+	Lookahead sim.Time `json:"LookaheadPs"`
+	LatMin    sim.Time `json:"LatMinPs"`
+	LatMax    sim.Time `json:"LatMaxPs"`
 	// Engine totals summed over every node's real DMA engine.
 	EngStarted    uint64
 	EngRejected   uint64
@@ -132,6 +138,28 @@ type ScaleMachinePoint struct {
 	// high-water mark in node order — the machine-level analogue of the
 	// fabric Fingerprint, pinned by the parity tests.
 	MachineDigest uint64
+}
+
+// MarshalJSON writes the row the tools emit: ScalePoint's layout with a
+// "protocol/nodes/shards" Label and the Protocol up front, the fleet
+// after Fingerprint, and MachineDigest as hex like Fingerprint.
+func (pt ScaleMachinePoint) MarshalJSON() ([]byte, error) {
+	type scale ScalePoint
+	type fleet Fleet
+	return json.Marshal(struct {
+		Label    string
+		Protocol string
+		scale
+		Fingerprint string
+		fleet
+		MachineDigest string
+		HostClock
+	}{
+		fmt.Sprintf("%s/%dn/%ds", pt.Protocol, pt.Nodes, pt.Shards), pt.Protocol,
+		scale(pt.ScalePoint), fmt.Sprintf("%016x", pt.Fingerprint),
+		fleet(pt.Fleet), fmt.Sprintf("%016x", pt.MachineDigest),
+		pt.Host,
+	})
 }
 
 // scaleMTemplate is one pooled pristine world: a standalone machine
@@ -717,11 +745,13 @@ func (w *scaleMWorld) observe() ScaleMachinePoint {
 			Finish:      t.Finish,
 			Fingerprint: w.c.Fingerprint(),
 		},
-		Protocol:  w.protocol,
-		Boot:      w.boot,
-		Lookahead: w.c.Lookahead(),
-		LatMin:    latMin,
-		LatMax:    latMax,
+		Protocol: w.protocol,
+		Fleet: Fleet{
+			Boot:      w.boot,
+			Lookahead: w.c.Lookahead(),
+			LatMin:    latMin,
+			LatMax:    latMax,
+		},
 	}
 	// Machine digest: FNV-1a over every node's engine counters and CPU
 	// high-water mark, in node order.
@@ -778,16 +808,16 @@ func scaleMachineCells(p Params) ([]Cell, error) {
 		cells[i] = Cell{Method: method.Name(), Config: cfg, Run: func() (Obs, bool, error) {
 			pt, err := RunScaleMachine(method, p, p.Procs)
 			if err != nil {
-				return Obs{}, false, fmt.Errorf("%s: %w", method.Name(), err)
+				return nil, false, fmt.Errorf("%s: %w", method.Name(), err)
 			}
-			return Obs{ScaleM: []ScaleMachinePoint{pt}}, false, nil
+			return Obs{pt}, false, nil
 		}}
 	}
 	return cells, nil
 }
 
 func scaleMachineText(r *Result, p Params) string {
-	pts := r.ScaleMachinePoints()
+	pts := Collect[ScaleMachinePoint](r)
 	var b strings.Builder
 	if len(pts) > 0 {
 		pt := pts[0]

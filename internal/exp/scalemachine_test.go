@@ -276,15 +276,16 @@ func TestScaleMachineRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := ScaleMachineRows(r)
-	if len(rows) != 1 || rows[0].Label != "extshadow/8n/2s" || rows[0].Completed == 0 {
-		t.Fatalf("ScaleMachineRows = %+v, want one populated extshadow/8n/2s row", rows)
+	pts := Collect[ScaleMachinePoint](r)
+	if len(pts) != 1 || pts[0].Completed == 0 || pts[0].MachineDigest == 0 {
+		t.Fatalf("scalemachine points = %+v, want one populated point", pts)
 	}
-	if rows[0].MachineDigest == "0000000000000000" {
-		t.Fatalf("MachineDigest unset in %+v", rows[0])
+	row := wireRow(t, pts[0])
+	if row["Label"] != "extshadow/8n/2s" {
+		t.Fatalf("Label = %v, want extshadow/8n/2s", row["Label"])
 	}
-	if rows[0].HostNs != 0 {
-		t.Fatalf("HostNs = %d before any -bench fill, want omitted zero", rows[0].HostNs)
+	if _, ok := row["HostNs"]; ok {
+		t.Fatalf("HostNs emitted before any -bench fill: %v", row)
 	}
 
 	// The full line-up: one cell per protocol.
@@ -293,7 +294,7 @@ func TestScaleMachineRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := ScaleMachineRows(r); len(rows) != 4 {
+	if rows := Collect[ScaleMachinePoint](r); len(rows) != 4 {
 		t.Fatalf("protocol=all yields %d rows, want 4", len(rows))
 	}
 }

@@ -102,7 +102,7 @@ func TestSteerPagingDominated(t *testing.T) {
 		t.Fatalf("kernel-assisted pin was aborted (survivors %v); the exhaustive grid shows it undominated", survivors)
 	}
 	for _, probe := range res.Probes {
-		pr := probe.Obs.Paging[0]
+		pr := probe.Obs[0].(userdma.PagingResult)
 		if pr.LiveSamples != pr.Transfers {
 			t.Fatalf("%s/%dp: live feed took %d samples over %d transfers",
 				pr.Policy, pr.Pages, pr.LiveSamples, pr.Transfers)

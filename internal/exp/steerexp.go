@@ -109,7 +109,7 @@ func (f *FrontierPolicy) Next(r int, history []CellResult, log *DecisionLog) ([]
 		tail := history[len(history)-len(f.last):]
 		for i, laneIdx := range f.last {
 			lane := f.lanes[laneIdx]
-			pt := tail[i].Obs.Points[0]
+			pt := tail[i].Obs[0].(userdma.BreakEvenPoint)
 			mid := (lane.lo + lane.hi) / 2
 			if pt.Transfer >= pt.Initiation {
 				lane.hi = mid
@@ -149,9 +149,9 @@ func (f *FrontierPolicy) Next(r int, history []CellResult, log *DecisionLog) ([]
 		batch = append(batch, Cell{Method: lane.method.Name(), Size: size, Run: func() (Obs, bool, error) {
 			pt, err := userdma.BreakEvenCellFrom(lane.snap, lane.method, size)
 			if err != nil {
-				return Obs{}, false, fmt.Errorf("size %d: %w", size, err)
+				return nil, false, fmt.Errorf("size %d: %w", size, err)
 			}
-			return Obs{Points: []userdma.BreakEvenPoint{pt}}, false, nil
+			return Obs{pt}, false, nil
 		}})
 	}
 	return batch, nil
@@ -214,7 +214,7 @@ func (d *DominatedPolicy) Next(r int, history []CellResult, log *DecisionLog) ([
 		tail := history[len(history)-len(d.last):]
 		wave := make(map[int]userdma.PagingResult, len(tail))
 		for i, laneIdx := range d.last {
-			res := tail[i].Obs.Paging[0]
+			res := tail[i].Obs[0].(userdma.PagingResult)
 			wave[laneIdx] = res
 			d.lanes[laneIdx].samples += res.LiveSamples
 		}
@@ -286,9 +286,9 @@ func (d *DominatedPolicy) Next(r int, history []CellResult, log *DecisionLog) ([
 				res, err := userdma.PagingBenchLive(lane.policy, pages, d.budget, d.xfers,
 					func(userdma.LiveSample) bool { return true })
 				if err != nil {
-					return Obs{}, false, fmt.Errorf("%v/%d pages: %w", lane.policy, pages, err)
+					return nil, false, fmt.Errorf("%v/%d pages: %w", lane.policy, pages, err)
 				}
-				return Obs{Paging: []userdma.PagingResult{res}}, false, nil
+				return Obs{res}, false, nil
 			},
 		})
 	}
@@ -365,7 +365,7 @@ func (z *ZoomPolicy) cell(drop float64, log *DecisionLog, r int, act Action, why
 		}
 		res, err := reliableStream(plan, seed, cfg, msgs, size, 0, linger)
 		if err != nil {
-			return Obs{}, false, fmt.Errorf("%s: %w", label, err)
+			return nil, false, fmt.Errorf("%s: %w", label, err)
 		}
 		elapsed := res.recvTimes[len(res.recvTimes)-1] - res.sendTimes[0]
 		pt := FaultPoint{
@@ -376,7 +376,7 @@ func (z *ZoomPolicy) cell(drop float64, log *DecisionLog, r int, act Action, why
 			Recredits: res.rx.Recredits,
 			Dropped:   res.fabric.FaultDropped, Delivered: res.fabric.Delivered,
 		}
-		return Obs{Fault: []FaultPoint{pt}}, false, nil
+		return Obs{pt}, false, nil
 	}}
 }
 
@@ -397,7 +397,7 @@ func (z *ZoomPolicy) Next(r int, history []CellResult, log *DecisionLog) ([]Cell
 	for i, drop := range z.last {
 		for j := range z.points {
 			if z.points[j].drop == drop {
-				z.points[j].p99 = tail[i].Obs.Fault[0].P99
+				z.points[j].p99 = tail[i].Obs[0].(FaultPoint).P99
 			}
 		}
 	}
@@ -485,7 +485,7 @@ func NewConvergePolicy() *ConvergePolicy { return &ConvergePolicy{} }
 func (c *ConvergePolicy) Next(r int, history []CellResult, log *DecisionLog) ([]Cell, error) {
 	ladder := ConvergeLadder()
 	if r > 0 {
-		mean := history[len(history)-1].Obs.Rows[0].Mean
+		mean := history[len(history)-1].Obs[0].(Row).Mean
 		c.means = append(c.means, mean)
 		if n := len(c.means); n >= 2 {
 			prev, cur := c.means[n-2], c.means[n-1]

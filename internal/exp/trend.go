@@ -43,26 +43,26 @@ func trendCells(p Params) ([]Cell, error) {
 			cells[i] = Cell{Config: era.Name, Method: (userdma.KernelLevel{}).Name(), Run: func() (Obs, bool, error) {
 				r, err := userdma.MeasureMethod(userdma.KernelLevel{}, era.Config(dma.ModePaired, 0), p.Iters)
 				if err != nil {
-					return Obs{}, false, fmt.Errorf("%s/kernel: %w", era.Name, err)
+					return nil, false, fmt.Errorf("%s/kernel: %w", era.Name, err)
 				}
-				return Obs{Inits: []userdma.InitiationResult{r}}, false, nil
+				return Obs{r}, false, nil
 			}}
 		case 1:
 			cells[i] = Cell{Config: era.Name, Method: (userdma.ExtShadow{}).Name(), Run: func() (Obs, bool, error) {
 				r, err := userdma.MeasureMethod(userdma.ExtShadow{}, era.Config(dma.ModeExtended, 0), p.Iters)
 				if err != nil {
-					return Obs{}, false, fmt.Errorf("%s/user: %w", era.Name, err)
+					return nil, false, fmt.Errorf("%s/user: %w", era.Name, err)
 				}
-				return Obs{Inits: []userdma.InitiationResult{r}}, false, nil
+				return Obs{r}, false, nil
 			}}
 		default:
 			size := sizes[k-2]
 			cells[i] = Cell{Config: era.Name, Method: (userdma.KernelLevel{}).Name(), Size: size, Run: func() (Obs, bool, error) {
 				pt, err := userdma.BreakEvenCell(userdma.KernelLevel{}, era.Config(dma.ModePaired, 0), size)
 				if err != nil {
-					return Obs{}, false, err
+					return nil, false, err
 				}
-				return Obs{Points: []userdma.BreakEvenPoint{pt}}, false, nil
+				return Obs{pt}, false, nil
 			}}
 		}
 	}
@@ -77,13 +77,13 @@ func TrendPoints(r *Result, p Params) []userdma.TrendPoint {
 	for base := 0; base+perEra <= len(r.Cells); base += perEra {
 		pts := make([]userdma.BreakEvenPoint, len(sizes))
 		for s := range sizes {
-			pts[s] = r.Cells[base+2+s].Obs.Points[0]
+			pts[s] = r.Cells[base+2+s].Obs[0].(userdma.BreakEvenPoint)
 		}
 		cross, _ := userdma.Crossover(pts)
 		out = append(out, userdma.TrendPoint{
 			Era:             r.Cells[base].Cell.Config,
-			KernelInit:      r.Cells[base].Obs.Inits[0].Mean,
-			UserInit:        r.Cells[base+1].Obs.Inits[0].Mean,
+			KernelInit:      r.Cells[base].Obs[0].(userdma.InitiationResult).Mean,
+			UserInit:        r.Cells[base+1].Obs[0].(userdma.InitiationResult).Mean,
 			KernelCrossover: cross,
 		})
 	}

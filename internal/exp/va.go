@@ -73,22 +73,11 @@ func vaSweepCells(p Params) ([]Cell, error) {
 			Method: method.Name(),
 			Config: "table1",
 			Run: func() (Obs, bool, error) {
-				sh, err := userdma.MeasureMethod(method, userdma.ConfigFor(method), p.Iters)
+				row, err := userdma.MeasureVACompare(method, p.Iters)
 				if err != nil {
-					return Obs{}, false, fmt.Errorf("%s shadow: %w", method.Name(), err)
+					return nil, false, err
 				}
-				va, err := userdma.MeasureVAMethod(method, userdma.VAConfigFor(method, 0), p.Iters)
-				if err != nil {
-					return Obs{}, false, fmt.Errorf("%s va: %w", method.Name(), err)
-				}
-				row := userdma.VACompareRow{
-					Method:     method.Name(),
-					Iterations: p.Iters,
-					ShadowMean: sh.Mean,
-					VAMean:     va.Mean,
-					PaperMean:  sh.PaperMean,
-				}
-				return Obs{VACmp: []userdma.VACompareRow{row}}, false, nil
+				return Obs{row}, false, nil
 			},
 		})
 	}
@@ -103,9 +92,9 @@ func vaSweepCells(p Params) ([]Cell, error) {
 			Run: func() (Obs, bool, error) {
 				pt, err := userdma.MeasureIOTLB(pages, entries, vaSweepTransfers)
 				if err != nil {
-					return Obs{}, false, fmt.Errorf("iotlb %d pages: %w", pages, err)
+					return nil, false, fmt.Errorf("iotlb %d pages: %w", pages, err)
 				}
-				return Obs{IOTLB: []userdma.IOTLBPoint{pt}}, false, nil
+				return Obs{pt}, false, nil
 			},
 		})
 	}
@@ -118,7 +107,7 @@ func VASweep(iters, procs int) ([]userdma.VACompareRow, []userdma.IOTLBPoint, er
 	if err != nil {
 		return nil, nil, err
 	}
-	return r.VAComparisons(), r.IOTLBPoints(), nil
+	return Collect[userdma.VACompareRow](r), Collect[userdma.IOTLBPoint](r), nil
 }
 
 func vaSweepText(r *Result, p Params) string {
@@ -126,7 +115,7 @@ func vaSweepText(r *Result, p Params) string {
 	fmt.Fprintf(&b, "Virtual-address DMA — Table 1 through the IOMMU (%d initiations/row)\n", p.Iters)
 	fmt.Fprintf(&b, "machine: %s + IOMMU (per-context device page tables, ASID-tagged IOTLB)\n\n", MachineName())
 	tb := stats.NewTable("method", "shadow (µs)", "va (µs)", "paper (µs)")
-	for _, row := range r.VAComparisons() {
+	for _, row := range Collect[userdma.VACompareRow](r) {
 		paper := "-"
 		if row.PaperMean > 0 {
 			paper = fmt.Sprintf("%.1f", row.PaperMean.Microseconds())
@@ -140,7 +129,7 @@ func vaSweepText(r *Result, p Params) string {
 	fmt.Fprintf(&b, "\nIOTLB hit rate — %d-entry IOTLB, cyclic full-page streams (%d transfers/point)\n\n",
 		vaEntries(p), vaSweepTransfers)
 	tb = stats.NewTable("working set (pages)", "hits", "misses", "hit rate", "per-transfer (µs)")
-	for _, pt := range r.IOTLBPoints() {
+	for _, pt := range Collect[userdma.IOTLBPoint](r) {
 		tb.AddRow(pt.Pages, pt.Hits, pt.Misses,
 			fmt.Sprintf("%.3f", pt.HitRate),
 			fmt.Sprintf("%.2f", pt.PerTransfer.Microseconds()))
@@ -155,7 +144,7 @@ func vaSweepMarkdown(r *Result, p Params) string {
 	b.WriteString("\n## Virtual-address DMA — Table 1 through the IOMMU\n")
 	b.WriteString("\n| method | shadow (µs) | va (µs) | paper (µs) |\n")
 	b.WriteString("|---|---|---|---|\n")
-	for _, row := range r.VAComparisons() {
+	for _, row := range Collect[userdma.VACompareRow](r) {
 		paper := "-"
 		if row.PaperMean > 0 {
 			paper = fmt.Sprintf("%.1f", row.PaperMean.Microseconds())
@@ -166,7 +155,7 @@ func vaSweepMarkdown(r *Result, p Params) string {
 	fmt.Fprintf(&b, "\n### IOTLB hit rate (%d entries, cyclic full-page streams)\n", vaEntries(p))
 	b.WriteString("\n| working set (pages) | hit rate | per-transfer (µs) |\n")
 	b.WriteString("|---|---|---|\n")
-	for _, pt := range r.IOTLBPoints() {
+	for _, pt := range Collect[userdma.IOTLBPoint](r) {
 		fmt.Fprintf(&b, "| %d | %.3f | %.2f |\n",
 			pt.Pages, pt.HitRate, pt.PerTransfer.Microseconds())
 	}
@@ -200,9 +189,9 @@ func pagingCells(Params) ([]Cell, error) {
 				Run: func() (Obs, bool, error) {
 					r, err := userdma.PagingBench(policy, pages, pagingBudget, pagingTransfers)
 					if err != nil {
-						return Obs{}, false, fmt.Errorf("%v/%d pages: %w", policy, pages, err)
+						return nil, false, fmt.Errorf("%v/%d pages: %w", policy, pages, err)
 					}
-					return Obs{Paging: []userdma.PagingResult{r}}, false, nil
+					return Obs{r}, false, nil
 				},
 			})
 		}
@@ -216,7 +205,7 @@ func Paging(procs int) ([]userdma.PagingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.PagingPoints(), nil
+	return Collect[userdma.PagingResult](r), nil
 }
 
 func pagingText(r *Result, _ Params) string {
@@ -226,7 +215,7 @@ func pagingText(r *Result, _ Params) string {
 	fmt.Fprintf(&b, "machine: %s + IOMMU + kernel pager (LRU eviction, %s page-in)\n\n",
 		MachineName(), "100µs")
 	tb := stats.NewTable("policy", "pages", "oversub", "goodput (MB/s)", "p50 (µs)", "p99 (µs)", "faults", "stalls", "bounced", "pins", "evictions")
-	for _, pt := range r.PagingPoints() {
+	for _, pt := range Collect[userdma.PagingResult](r) {
 		tb.AddRow(pt.Policy, pt.Pages,
 			fmt.Sprintf("%.2fx", pt.Oversub),
 			fmt.Sprintf("%.1f", pt.GoodputMBps),
@@ -244,7 +233,7 @@ func pagingMarkdown(r *Result, _ Params) string {
 	fmt.Fprintf(&b, "\n## Device paging — %d resident pages under stall/bounce/pin recovery\n", pagingBudget)
 	b.WriteString("\n| policy | pages | oversub | goodput (MB/s) | p50 (µs) | p99 (µs) | evictions |\n")
 	b.WriteString("|---|---|---|---|---|---|---|\n")
-	for _, pt := range r.PagingPoints() {
+	for _, pt := range Collect[userdma.PagingResult](r) {
 		fmt.Fprintf(&b, "| %s | %d | %.2fx | %.1f | %.1f | %.1f | %d |\n",
 			pt.Policy, pt.Pages, pt.Oversub, pt.GoodputMBps,
 			pt.P50.Microseconds(), pt.P99.Microseconds(), pt.Evictions)

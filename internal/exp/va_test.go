@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	userdma "uldma/internal/core"
 )
 
 func TestVASweepParity(t *testing.T) {
@@ -82,23 +84,23 @@ func TestVARendersDeterministic(t *testing.T) {
 		// JSON rows flatten without loss.
 		switch name {
 		case "vasweep":
-			if len(VARows(r)) != 4 || len(IOTLBRows(r)) != len(VASweepPages()) {
-				t.Errorf("vasweep wire rows incomplete: %d cmp, %d iotlb",
-					len(VARows(r)), len(IOTLBRows(r)))
+			cmp, iotlb := Collect[userdma.VACompareRow](r), Collect[userdma.IOTLBPoint](r)
+			if len(cmp) != 4 || len(iotlb) != len(VASweepPages()) {
+				t.Errorf("vasweep wire rows incomplete: %d cmp, %d iotlb", len(cmp), len(iotlb))
 			}
-			for _, row := range IOTLBRows(r) {
-				if len(row.Fingerprint) != 16 {
-					t.Errorf("IOTLB fingerprint %q not 16 hex digits", row.Fingerprint)
+			for _, pt := range iotlb {
+				if fp, _ := wireRow(t, pt)["Fingerprint"].(string); len(fp) != 16 {
+					t.Errorf("IOTLB fingerprint %q not 16 hex digits", fp)
 				}
 			}
 		case "paging":
-			rows := PagingRows(r)
+			rows := Collect[userdma.PagingResult](r)
 			if len(rows) != len(PagingPolicies())*len(PagingPages()) {
 				t.Errorf("paging wire rows incomplete: %d", len(rows))
 			}
-			for _, row := range rows {
-				if len(row.Fingerprint) != 16 {
-					t.Errorf("paging fingerprint %q not 16 hex digits", row.Fingerprint)
+			for _, pt := range rows {
+				if fp, _ := wireRow(t, pt)["Fingerprint"].(string); len(fp) != 16 {
+					t.Errorf("paging fingerprint %q not 16 hex digits", fp)
 				}
 			}
 		}

@@ -1,12 +1,12 @@
 package obs
 
 // The structured trace spine: a ring-buffered, sim-clocked event
-// stream with spans. It subsumes the old internal/trace bus recorder
-// (which survives as a thin adapter) and adds cross-layer events the
-// paper's protection and atomicity arguments live on: which process's
-// accesses reached the engine in which order, when the engine mastered
-// the bus, when the kernel was entered and left, when the fabric
-// delivered — all on one timeline, exportable to Perfetto.
+// stream with spans. It subsumes the old bus-transaction recorder and
+// adds cross-layer events the paper's protection and atomicity
+// arguments live on: which process's accesses reached the engine in
+// which order, when the engine mastered the bus, when the kernel was
+// entered and left, when the fabric delivered — all on one timeline,
+// exportable to Perfetto.
 //
 // Cost model: components hold a nil *Trace until tracing is enabled
 // (machine.EnableTrace / net.Cluster.EnableTrace). Every emission site
@@ -97,8 +97,7 @@ const (
 	// the default for always-on tracing.
 	Ring Policy = iota
 	// DropNewest stops storing once full and counts the overflow —
-	// the old internal/trace recorder's contract, kept for its
-	// adapter and for tests that pin "the first N events".
+	// for dmabench -trace and tests that pin "the first N events".
 	DropNewest
 )
 
