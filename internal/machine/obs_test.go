@@ -184,3 +184,16 @@ func TestCloneTraceDiverges(t *testing.T) {
 }
 
 // dmaWorkload is defined in snapshot_test.go.
+
+// TestFingerprintZeroAllocs holds Fingerprint to its doc comment: the
+// convergence detector samples it every measurement iteration, so it
+// must not allocate.
+func TestFingerprintZeroAllocs(t *testing.T) {
+	m := MustNew(Alpha3000TC(dma.ModeExtended, 0))
+	dmaWorkload(t, m)
+	var sink Fingerprint
+	if allocs := testing.AllocsPerRun(100, func() { sink = m.Fingerprint() }); allocs != 0 {
+		t.Fatalf("Fingerprint allocates %.1f times per call, want 0", allocs)
+	}
+	_ = sink
+}
