@@ -34,9 +34,9 @@ golden:
 trace-golden:
 	$(GO) test -run TestTraceGolden -update .
 
-# The observability plane's structural lint: new metric storage must be
-# obs cells (internal/obs), never a fresh ad-hoc *Stats struct. The
-# script allowlists the pre-obs compat structs.
+# The observability plane's structural lint: metric storage must be
+# obs cells (internal/obs), never an ad-hoc *Stats struct. The script
+# has no allowlist: any *Stats struct outside internal/obs fails it.
 statslint:
 	sh scripts/statslint.sh
 

@@ -36,6 +36,14 @@ func main() {
 		fmt.Print(exp.List())
 		return
 	}
+	// The PAL-call and uncached-load rows run -iters/10 iterations, so
+	// below 10 they would report measurements never made. Reject before
+	// any world is built, like dmabench's and clustersim's flag checks.
+	// -steer ignores -iters: its ladder starts at 250.
+	if !*steer && *iters < 10 {
+		fmt.Fprintf(os.Stderr, "oslat: -iters %d: need at least 10 (the PAL-call and uncached-load rows run -iters/10 times)\n", *iters)
+		exp.Exit(2)
+	}
 	if *steer {
 		if err := runSteered(*procs); err != nil {
 			fmt.Fprintln(os.Stderr, "oslat:", err)

@@ -68,7 +68,7 @@ func main() {
 	fmt.Printf("phase 1 — fetch_and_add counter: %d (want %d)\n", counter, procs*perProc)
 	fmt.Printf("phase 2 — spinlock-guarded counter: %d (want %d)\n", guarded, procs*perProc)
 	fmt.Printf("engine atomic operations executed: %d, kernel crossings: %d\n",
-		m.Engine.Stats().AtomicOps, m.Kernel.Stats().Syscalls)
+		m.Engine.Counters().AtomicOps, m.Kernel.Counters().Syscalls)
 
 	// Phase 3: latency comparison on a fresh machine.
 	userCost, kernelCost := measureCosts()

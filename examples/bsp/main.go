@@ -116,9 +116,9 @@ func main() {
 	}
 	crossings := 0
 	for _, n := range cluster.Nodes {
-		crossings += int(n.Kernel.Stats().Syscalls)
+		crossings += int(n.Kernel.Counters().Syscalls)
 	}
 	fmt.Printf("kernel crossings across the whole computation: %d\n", crossings)
 	fmt.Printf("fabric traffic: %d messages; finished at t=%v\n",
-		cluster.Fabric.Stats().Messages, cluster.Clock.Now())
+		cluster.Fabric.Counters().Messages, cluster.Clock.Now())
 }

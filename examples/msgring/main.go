@@ -98,9 +98,9 @@ func main() {
 	fmt.Printf("token journey: %s (started at node 0, %d rounds around %d nodes)\n",
 		journey, rounds, nodes)
 	fmt.Printf("fabric: %d messages, %d bytes\n",
-		cluster.Fabric.Stats().Messages, cluster.Fabric.Stats().Bytes)
+		cluster.Fabric.Counters().Messages, cluster.Fabric.Counters().Bytes)
 	for i, n := range cluster.Nodes {
-		fmt.Printf("node %d kernel crossings after setup: %d\n", i, n.Kernel.Stats().Syscalls)
+		fmt.Printf("node %d kernel crossings after setup: %d\n", i, n.Kernel.Counters().Syscalls)
 	}
 	fmt.Printf("finished at simulated t=%v\n", cluster.Clock.Now())
 }

@@ -82,5 +82,5 @@ func main() {
 		}
 	}
 	fmt.Printf("destination verified: %v (1024 bytes of 0x42)\n", ok)
-	fmt.Printf("kernel crossings during the transfer: %d\n", m.Kernel.Stats().Syscalls)
+	fmt.Printf("kernel crossings during the transfer: %d\n", m.Kernel.Counters().Syscalls)
 }

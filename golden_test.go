@@ -231,25 +231,34 @@ func TestSmoke(t *testing.T) {
 // message before any simulation spins up, matching the -scale
 // precedent above.
 func TestVAFlagRejection(t *testing.T) {
-	dir := buildTools(t)
-	cases := []struct {
-		name string
-		args []string
-		want string // substring the stderr diagnostic must contain
-	}{
+	checkFlagRejections(t, "dmabench", []flagCase{
 		{"tlb-without-va", []string{"-tlb", "4"}, "needs -va"},
 		{"negative-tlb", []string{"-va", "-tlb", "-1"}, "-tlb -1"},
 		{"zero-iters", []string{"-va", "-iters", "0"}, "-iters 0"},
-	}
+	})
+}
+
+// flagCase is one invalid invocation: the tool must exit 2 with want
+// in its stderr diagnostic.
+type flagCase struct {
+	name string
+	args []string
+	want string // substring the stderr diagnostic must contain
+}
+
+// checkFlagRejections runs each case as a subtest against tool.
+func checkFlagRejections(t *testing.T, tool string, cases []flagCase) {
+	t.Helper()
+	dir := buildTools(t)
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			code, stderr := runToolErr(t, dir, "dmabench", tc.args...)
+			code, stderr := runToolErr(t, dir, tool, tc.args...)
 			if code != 2 {
-				t.Fatalf("dmabench %v exited %d, want 2\n%s", tc.args, code, stderr)
+				t.Fatalf("%s %v exited %d, want 2\n%s", tool, tc.args, code, stderr)
 			}
 			if !bytes.Contains([]byte(stderr), []byte(tc.want)) {
-				t.Fatalf("dmabench %v stderr lacks %q:\n%s", tc.args, tc.want, stderr)
+				t.Fatalf("%s %v stderr lacks %q:\n%s", tool, tc.args, tc.want, stderr)
 			}
 		})
 	}
@@ -260,41 +269,19 @@ func TestVAFlagRejection(t *testing.T) {
 // names BEFORE any experiment runs, matching the -va and -scale
 // flag-validation precedents.
 func TestReportOnlyRejection(t *testing.T) {
-	dir := buildTools(t)
-	cases := []struct {
-		name string
-		args []string
-		want string // substring the stderr diagnostic must contain
-	}{
+	checkFlagRejections(t, "report", []flagCase{
 		{"unknown-name", []string{"-only", "nosuch"}, `unknown experiment "nosuch"`},
 		{"unknown-among-valid", []string{"-only", "table1,bogus"}, `unknown experiment "bogus"`},
 		{"lists-valid-names", []string{"-only", "nope"}, "valid: breakeven"},
 		{"empty-list", []string{"-only", ","}, "no experiment names"},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			code, stderr := runToolErr(t, dir, "report", tc.args...)
-			if code != 2 {
-				t.Fatalf("report %v exited %d, want 2\n%s", tc.args, code, stderr)
-			}
-			if !bytes.Contains([]byte(stderr), []byte(tc.want)) {
-				t.Fatalf("report %v stderr lacks %q:\n%s", tc.args, tc.want, stderr)
-			}
-		})
-	}
+	})
 }
 
 // TestScaleFlagRejection pins the -scale frontend's failure paths: a
 // nonsense world must die with exit status 2 and a flag-level message,
 // before any simulation spins up.
 func TestScaleFlagRejection(t *testing.T) {
-	dir := buildTools(t)
-	cases := []struct {
-		name string
-		args []string
-		want string // substring the stderr diagnostic must contain
-	}{
+	checkFlagRejections(t, "clustersim", []flagCase{
 		{"shards-above-nodes", []string{"-scale", "-nodes", "8", "-shards", "9"}, "-shards 9 exceeds -nodes 8"},
 		{"zero-arrival", []string{"-scale", "-arrival", "0"}, "-arrival 0"},
 		{"negative-arrival", []string{"-scale", "-arrival", "-5"}, "-arrival -5"},
@@ -307,17 +294,17 @@ func TestScaleFlagRejection(t *testing.T) {
 		{"protocol-nodes-ceiling", []string{"-scale", "-protocol", "extshadow", "-nodes", "2049"}, "at most 2048 nodes"},
 		{"protocol-tiny-request", []string{"-scale", "-protocol", "kernel", "-bytes", "4"}, "8-byte RPC tag"},
 		{"protocol-huge-request", []string{"-scale", "-protocol", "kernel", "-bytes", "9000"}, "landing page"},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			code, stderr := runToolErr(t, dir, "clustersim", tc.args...)
-			if code != 2 {
-				t.Fatalf("clustersim %v exited %d, want 2\n%s", tc.args, code, stderr)
-			}
-			if !bytes.Contains([]byte(stderr), []byte(tc.want)) {
-				t.Fatalf("clustersim %v stderr lacks %q:\n%s", tc.args, tc.want, stderr)
-			}
-		})
-	}
+	})
+}
+
+// TestOSLatFlagRejection pins oslat's -iters floor: the PAL-call and
+// uncached-load rows run -iters/10 iterations, so a smaller count must
+// die with exit status 2 before any world is built, instead of
+// printing 0ps rows and blaming the model.
+func TestOSLatFlagRejection(t *testing.T) {
+	checkFlagRejections(t, "oslat", []flagCase{
+		{"zero-iters", []string{"-iters", "0"}, "-iters 0"},
+		{"five-iters", []string{"-iters", "5"}, "-iters 5"},
+		{"five-iters-json", []string{"-iters", "5", "-json"}, "-iters 5"},
+	})
 }

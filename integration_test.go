@@ -333,8 +333,8 @@ func TestDeterminism(t *testing.T) {
 		return fingerprint{
 			clock:     m.Clock.Now(),
 			transfers: log,
-			started:   m.Engine.Stats().Started,
-			switches:  m.Runner.Stats().Switches,
+			started:   m.Engine.Counters().Started.Value(),
+			switches:  m.Runner.Counters().Switches.Value(),
 		}
 	}
 	a, b := run(), run()
@@ -443,8 +443,8 @@ func TestSoakClusterCombined(t *testing.T) {
 	}
 	// Nothing in steady state crossed a kernel.
 	for _, m := range cluster.Nodes {
-		if m.Kernel.Stats().Syscalls != 0 {
-			t.Fatalf("node %d made %d syscalls", m.NodeID, m.Kernel.Stats().Syscalls)
+		if m.Kernel.Counters().Syscalls != 0 {
+			t.Fatalf("node %d made %d syscalls", m.NodeID, m.Kernel.Counters().Syscalls)
 		}
 	}
 }

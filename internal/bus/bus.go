@@ -69,28 +69,16 @@ type CostConfig struct {
 	RMWExtraCycles int64
 }
 
-// Stats counts bus traffic for utilization reports. It is a read-only
-// view assembled from the obs counter cells on demand (the thin
-// compatibility accessor over the unified metrics plane).
-type Stats struct {
-	Loads        uint64
-	Stores       uint64
-	RMWs         uint64
-	BusyCycles   int64 // total bus cycles consumed by transactions
-	StolenCycles int64 // extra cycles paid to DMA contention
-	Errors       uint64
-}
-
-// counters is the live metric storage: typed obs cells, registered
-// with the machine's registry at construction and captured by value in
-// snapshots so bus counters rewind with the world.
-type counters struct {
-	loads        obs.Counter
-	stores       obs.Counter
-	rmws         obs.Counter
-	busyCycles   obs.Gauge
-	stolenCycles obs.Gauge
-	errors       obs.Counter
+// Counters counts bus traffic for utilization reports: the bus's live
+// obs cells, registered with the machine's registry at construction
+// and captured by value in snapshots so they rewind with the world.
+type Counters struct {
+	Loads        obs.Counter
+	Stores       obs.Counter
+	RMWs         obs.Counter
+	BusyCycles   obs.Gauge // total bus cycles consumed by transactions
+	StolenCycles obs.Gauge // extra cycles paid to DMA contention
+	Errors       obs.Counter
 }
 
 // Error describes a failed bus transaction.
@@ -119,7 +107,7 @@ type Bus struct {
 	freq     sim.Hz
 	cost     CostConfig
 	mappings []mapping // sorted by base
-	ctr      counters
+	ctr      Counters
 
 	// tr is the obs trace spine (nil = tracing disabled, the zero-cost
 	// fast path); node is the cluster node id stamped on events.
@@ -148,29 +136,17 @@ func (b *Bus) Freq() sim.Hz { return b.freq }
 // Cost returns the transaction cost table.
 func (b *Bus) Cost() CostConfig { return b.cost }
 
-// Stats returns a snapshot of the traffic counters.
-func (b *Bus) Stats() Stats {
-	return Stats{
-		Loads:        b.ctr.loads.Value(),
-		Stores:       b.ctr.stores.Value(),
-		RMWs:         b.ctr.rmws.Value(),
-		BusyCycles:   b.ctr.busyCycles.Value(),
-		StolenCycles: b.ctr.stolenCycles.Value(),
-		Errors:       b.ctr.errors.Value(),
-	}
-}
-
-// ResetStats zeroes the traffic counters.
-func (b *Bus) ResetStats() { b.ctr = counters{} }
+// Counters returns the traffic counters.
+func (b *Bus) Counters() Counters { return b.ctr }
 
 // RegisterMetrics publishes the bus's counters in a registry.
 func (b *Bus) RegisterMetrics(r *obs.Registry) {
-	r.RegisterCounter("bus.loads", &b.ctr.loads)
-	r.RegisterCounter("bus.stores", &b.ctr.stores)
-	r.RegisterCounter("bus.rmws", &b.ctr.rmws)
-	r.RegisterGauge("bus.busy_cycles", &b.ctr.busyCycles)
-	r.RegisterGauge("bus.stolen_cycles", &b.ctr.stolenCycles)
-	r.RegisterCounter("bus.errors", &b.ctr.errors)
+	r.RegisterCounter("bus.loads", &b.ctr.Loads)
+	r.RegisterCounter("bus.stores", &b.ctr.Stores)
+	r.RegisterCounter("bus.rmws", &b.ctr.RMWs)
+	r.RegisterGauge("bus.busy_cycles", &b.ctr.BusyCycles)
+	r.RegisterGauge("bus.stolen_cycles", &b.ctr.StolenCycles)
+	r.RegisterCounter("bus.errors", &b.ctr.Errors)
 }
 
 // SetTracer attaches (or, with nil, detaches) the obs trace spine.
@@ -258,10 +234,10 @@ func (b *Bus) contended(now sim.Time) bool {
 
 func (b *Bus) charge(cycles int64) {
 	if b.contended(b.clock.Now()) {
-		b.ctr.stolenCycles.Add(cycles)
+		b.ctr.StolenCycles.Add(cycles)
 		cycles *= 2
 	}
-	b.ctr.busyCycles.Add(cycles)
+	b.ctr.BusyCycles.Add(cycles)
 	b.clock.Advance(b.freq.Cycles(cycles))
 }
 
@@ -271,10 +247,10 @@ func (b *Bus) charge(cycles int64) {
 func (b *Bus) Load(addr phys.Addr, size phys.AccessSize) (uint64, error) {
 	dev, ok := b.DeviceAt(addr)
 	if !ok {
-		b.ctr.errors.Inc()
+		b.ctr.Errors.Inc()
 		return 0, &Error{Op: "load", Addr: addr, Why: "no device decodes this address"}
 	}
-	b.ctr.loads.Inc()
+	b.ctr.Loads.Inc()
 	b.charge(b.cost.LoadRequestCycles)
 	val, extra, err := dev.Load(b.clock.Now(), addr, size)
 	if extra > 0 {
@@ -282,7 +258,7 @@ func (b *Bus) Load(addr phys.Addr, size phys.AccessSize) (uint64, error) {
 	}
 	b.charge(b.cost.LoadReplyCycles)
 	if err != nil {
-		b.ctr.errors.Inc()
+		b.ctr.Errors.Inc()
 		return 0, err
 	}
 	if b.tr != nil {
@@ -297,17 +273,17 @@ func (b *Bus) Load(addr phys.Addr, size phys.AccessSize) (uint64, error) {
 func (b *Bus) Store(addr phys.Addr, size phys.AccessSize, val uint64) error {
 	dev, ok := b.DeviceAt(addr)
 	if !ok {
-		b.ctr.errors.Inc()
+		b.ctr.Errors.Inc()
 		return &Error{Op: "store", Addr: addr, Why: "no device decodes this address"}
 	}
-	b.ctr.stores.Inc()
+	b.ctr.Stores.Inc()
 	b.charge(b.cost.StoreCycles)
 	extra, err := dev.Store(b.clock.Now(), addr, size, val)
 	if extra > 0 {
 		b.charge(extra)
 	}
 	if err != nil {
-		b.ctr.errors.Inc()
+		b.ctr.Errors.Inc()
 		return err
 	}
 	if b.tr != nil {
@@ -322,16 +298,16 @@ func (b *Bus) Store(addr phys.Addr, size phys.AccessSize, val uint64) error {
 func (b *Bus) RMW(addr phys.Addr, size phys.AccessSize, val uint64) (uint64, error) {
 	dev, ok := b.DeviceAt(addr)
 	if !ok {
-		b.ctr.errors.Inc()
+		b.ctr.Errors.Inc()
 		return 0, &Error{Op: "rmw", Addr: addr, Why: "no device decodes this address"}
 	}
 	rdev, ok := dev.(RMWDevice)
 	if !ok {
-		b.ctr.errors.Inc()
+		b.ctr.Errors.Inc()
 		return 0, &Error{Op: "rmw", Addr: addr,
 			Why: fmt.Sprintf("device %q does not support atomic transactions", dev.Name())}
 	}
-	b.ctr.rmws.Inc()
+	b.ctr.RMWs.Inc()
 	b.charge(b.cost.LoadRequestCycles)
 	old, extra, err := rdev.RMW(b.clock.Now(), addr, size, val)
 	if extra > 0 {
@@ -339,7 +315,7 @@ func (b *Bus) RMW(addr phys.Addr, size phys.AccessSize, val uint64) (uint64, err
 	}
 	b.charge(b.cost.LoadReplyCycles + b.cost.RMWExtraCycles)
 	if err != nil {
-		b.ctr.errors.Inc()
+		b.ctr.Errors.Inc()
 		return 0, err
 	}
 	if b.tr != nil {

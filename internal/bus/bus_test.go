@@ -171,8 +171,8 @@ func TestUnmappedAccessErrors(t *testing.T) {
 	if _, err := b.Load(0x9999, phys.Size64); err == nil {
 		t.Fatal("unmapped load succeeded")
 	}
-	if b.Stats().Errors != 2 {
-		t.Fatalf("error counter = %d, want 2", b.Stats().Errors)
+	if b.Counters().Errors != 2 {
+		t.Fatalf("error counter = %d, want 2", b.Counters().Errors)
 	}
 }
 
@@ -202,9 +202,9 @@ func TestStatsAndTrace(t *testing.T) {
 	b.Store(0x1000, phys.Size64, 1)
 	b.Store(0x1008, phys.Size64, 2)
 	b.Load(0x1000, phys.Size64)
-	s := b.Stats()
+	s := b.Counters()
 	if s.Stores != 2 || s.Loads != 1 {
-		t.Fatalf("stats = %+v", s)
+		t.Fatalf("counters = %+v", s)
 	}
 	if s.BusyCycles != 2*6+8 {
 		t.Fatalf("busy cycles = %d, want 20", s.BusyCycles)
@@ -212,10 +212,6 @@ func TestStatsAndTrace(t *testing.T) {
 	ev := tr.Events()
 	if len(ev) != 3 || ev[0].Name != "store" || ev[2].Name != "load" || ev[1].A0 != 0x1008 || ev[1].A2 != 2 {
 		t.Fatalf("trace = %+v", ev)
-	}
-	b.ResetStats()
-	if b.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero")
 	}
 }
 
@@ -240,8 +236,8 @@ func TestDMACycleStealing(t *testing.T) {
 	if got := clock.Now() - start; got != tcFreq.Cycles(12) {
 		t.Fatalf("contended store cost %v, want doubled", got)
 	}
-	if b.Stats().StolenCycles != 6 {
-		t.Fatalf("stolen cycles = %d", b.Stats().StolenCycles)
+	if b.Counters().StolenCycles != 6 {
+		t.Fatalf("stolen cycles = %d", b.Counters().StolenCycles)
 	}
 	// After the window: normal again, and the window is pruned.
 	clock.AdvanceTo(6 * sim.Microsecond)
@@ -291,8 +287,8 @@ func TestRMWTransaction(t *testing.T) {
 	if got, want := clock.Now(), tcFreq.Cycles(10); got != want {
 		t.Fatalf("RMW cost %v, want %v", got, want)
 	}
-	if b.Stats().RMWs != 1 {
-		t.Fatalf("RMW counter = %d", b.Stats().RMWs)
+	if b.Counters().RMWs != 1 {
+		t.Fatalf("RMW counter = %d", b.Counters().RMWs)
 	}
 }
 
@@ -355,8 +351,8 @@ func TestWriteBufferCoalescesSameAddress(t *testing.T) {
 	if len(d.stores) != 1 || d.stores[0] != 222 {
 		t.Fatalf("device saw stores %v, want [222]", d.stores)
 	}
-	if wb.Stats().Coalesced != 1 {
-		t.Fatalf("coalesced counter = %d, want 1", wb.Stats().Coalesced)
+	if wb.Counters().Coalesced != 1 {
+		t.Fatalf("coalesced counter = %d, want 1", wb.Counters().Coalesced)
 	}
 }
 
@@ -389,8 +385,8 @@ func TestWriteBufferLoadForwarding(t *testing.T) {
 	if len(d.log) != 0 {
 		t.Fatalf("device saw %v during forwarded load; repeated LOAD never reached the engine", d.log)
 	}
-	if wb.Stats().LoadForwards != 1 {
-		t.Fatalf("forward counter = %d", wb.Stats().LoadForwards)
+	if wb.Counters().LoadForwards != 1 {
+		t.Fatalf("forward counter = %d", wb.Counters().LoadForwards)
 	}
 }
 

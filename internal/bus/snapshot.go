@@ -11,7 +11,7 @@ import "fmt"
 
 // BusSnapshot captures a Bus's mutable state. See Bus.Snapshot.
 type BusSnapshot struct {
-	ctr        counters
+	ctr        Counters
 	dmaWindows []stealWindow
 }
 
@@ -37,14 +37,14 @@ type WBSnapshot struct {
 	capacity   int
 	strictLoad bool
 	entries    []wbEntry
-	stats      WBStats
+	ctr        WBCounters
 }
 
 // Snapshot captures the queued stores, counters and load-ordering mode.
 func (w *WriteBuffer) Snapshot() *WBSnapshot {
 	entries := make([]wbEntry, len(w.entries))
 	copy(entries, w.entries)
-	return &WBSnapshot{capacity: w.capacity, strictLoad: w.strictLoad, entries: entries, stats: w.stats}
+	return &WBSnapshot{capacity: w.capacity, strictLoad: w.strictLoad, entries: entries, ctr: w.ctr}
 }
 
 // Restore rewinds the buffer to the snapshot. The snapshot must come
@@ -56,6 +56,6 @@ func (w *WriteBuffer) Restore(s *WBSnapshot) error {
 	w.strictLoad = s.strictLoad
 	w.entries = w.entries[:0]
 	w.entries = append(w.entries, s.entries...)
-	w.stats = s.stats
+	w.ctr = s.ctr
 	return nil
 }

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"uldma/internal/obs"
 	"uldma/internal/phys"
 	"uldma/internal/sim"
 )
@@ -39,7 +40,7 @@ type WriteBuffer struct {
 	coalesce   bool
 	strictLoad bool // load misses drain the buffer (device-ordered)
 	entries    []wbEntry
-	stats      WBStats
+	ctr        WBCounters
 }
 
 type wbEntry struct {
@@ -48,13 +49,14 @@ type wbEntry struct {
 	val  uint64
 }
 
-// WBStats counts write-buffer activity.
-type WBStats struct {
-	Enqueued     uint64 // stores accepted into the buffer
-	Coalesced    uint64 // stores merged into an existing entry
-	LoadForwards uint64 // loads serviced from the buffer
-	Drains       uint64 // drain operations (MB, load miss, overflow)
-	DrainedOps   uint64 // individual stores pushed to the bus by drains
+// WBCounters counts write-buffer activity: the buffer's live obs
+// cells, copied by value into snapshots so they rewind with the world.
+type WBCounters struct {
+	Enqueued     obs.Counter // stores accepted into the buffer
+	Coalesced    obs.Counter // stores merged into an existing entry
+	LoadForwards obs.Counter // loads serviced from the buffer
+	Drains       obs.Counter // drain operations (MB, load miss, overflow)
+	DrainedOps   obs.Counter // individual stores pushed to the bus by drains
 }
 
 // NewWriteBuffer creates a buffer of the given entry capacity in front of
@@ -82,11 +84,17 @@ func NewWriteBuffer(b *Bus, capacity int, coalesce bool) *WriteBuffer {
 // memory-barrier remark is about (ablation X3).
 func (w *WriteBuffer) SetDrainOnLoadMiss(on bool) { w.strictLoad = on }
 
-// Stats returns a snapshot of the counters.
-func (w *WriteBuffer) Stats() WBStats { return w.stats }
+// Counters returns the activity counters.
+func (w *WriteBuffer) Counters() WBCounters { return w.ctr }
 
-// ResetStats zeroes the counters.
-func (w *WriteBuffer) ResetStats() { w.stats = WBStats{} }
+// RegisterMetrics publishes the buffer's counters in a registry.
+func (w *WriteBuffer) RegisterMetrics(r *obs.Registry) {
+	r.RegisterCounter("wb.enqueued", &w.ctr.Enqueued)
+	r.RegisterCounter("wb.coalesced", &w.ctr.Coalesced)
+	r.RegisterCounter("wb.load_forwards", &w.ctr.LoadForwards)
+	r.RegisterCounter("wb.drains", &w.ctr.Drains)
+	r.RegisterCounter("wb.drained_ops", &w.ctr.DrainedOps)
+}
 
 // Pending reports the number of buffered stores.
 func (w *WriteBuffer) Pending() int { return len(w.entries) }
@@ -105,7 +113,7 @@ func (w *WriteBuffer) Store(clock *sim.Clock, enqueueCost sim.Time, addr phys.Ad
 		for i := range w.entries {
 			if w.entries[i].addr == addr && w.entries[i].size == size {
 				w.entries[i].val = val
-				w.stats.Coalesced++
+				w.ctr.Coalesced.Inc()
 				return nil
 			}
 		}
@@ -116,7 +124,7 @@ func (w *WriteBuffer) Store(clock *sim.Clock, enqueueCost sim.Time, addr phys.Ad
 		}
 	}
 	w.entries = append(w.entries, wbEntry{addr: addr, size: size, val: val})
-	w.stats.Enqueued++
+	w.ctr.Enqueued.Inc()
 	return nil
 }
 
@@ -134,7 +142,7 @@ func (w *WriteBuffer) Load(addr phys.Addr, size phys.AccessSize) (uint64, error)
 		// Newest matching entry wins (program order).
 		for i := len(w.entries) - 1; i >= 0; i-- {
 			if w.entries[i].addr == addr && w.entries[i].size == size {
-				w.stats.LoadForwards++
+				w.ctr.LoadForwards.Inc()
 				return w.entries[i].val, nil
 			}
 		}
@@ -165,7 +173,7 @@ func (w *WriteBuffer) Drain() error {
 	if len(w.entries) == 0 {
 		return nil
 	}
-	w.stats.Drains++
+	w.ctr.Drains.Inc()
 	for i := range w.entries {
 		e := &w.entries[i]
 		if err := w.bus.Store(e.addr, e.size, e.val); err != nil {
@@ -175,7 +183,7 @@ func (w *WriteBuffer) Drain() error {
 			w.entries = w.entries[:n]
 			return err
 		}
-		w.stats.DrainedOps++
+		w.ctr.DrainedOps.Inc()
 	}
 	// Empty the buffer but keep the backing array: the next Store
 	// appends without allocating.

@@ -22,6 +22,7 @@ import (
 	"errors"
 
 	userdma "uldma/internal/core"
+	"uldma/internal/obs"
 	"uldma/internal/phys"
 	"uldma/internal/proc"
 )
@@ -53,13 +54,13 @@ func mix(epoch, result uint64) uint64 {
 // budget without observing the release epoch.
 var ErrGaveUp = errors.New("coll: release not observed within the retry budget")
 
-// ResilientStats counts recovery activity.
-type ResilientStats struct {
+// ResilientCounters counts recovery activity in obs cells.
+type ResilientCounters struct {
 	// Fallbacks is the number of waits whose local spin timed out (a
 	// notify write was presumably lost).
-	Fallbacks uint64
+	Fallbacks obs.Counter
 	// Probes is the number of reliable coordinator reads issued.
-	Probes uint64
+	Probes obs.Counter
 }
 
 // Resilient wraps a Comm with bounded-retry collectives that survive
@@ -74,14 +75,14 @@ type Resilient struct {
 	// Retries bounds the reliable probes per wait (default 32).
 	Retries int
 
-	stats ResilientStats
+	ctr ResilientCounters
 }
 
 // NewResilient wraps comm. Each rank wraps its own Comm handle.
 func NewResilient(comm *Comm) *Resilient { return &Resilient{c: comm} }
 
-// Stats returns the recovery counters.
-func (r *Resilient) Stats() ResilientStats { return r.stats }
+// Counters returns the recovery counters.
+func (r *Resilient) Counters() ResilientCounters { return r.ctr }
 
 // Rank returns the wrapped communicator's rank.
 func (r *Resilient) Rank() int { return r.c.rank }
@@ -201,9 +202,9 @@ func (r *Resilient) await(ctx *proc.Context, withResult bool) (uint64, error) {
 	}
 	// The notify write was (presumably) lost: fall back to reading the
 	// published cells over the reliable atomic channel.
-	r.stats.Fallbacks++
+	r.ctr.Fallbacks.Inc()
 	for attempt := 0; attempt < retries; attempt++ {
-		r.stats.Probes++
+		r.ctr.Probes.Inc()
 		e, err := userdma.FetchAdd(ctx, vaCoord+cellEpoch, 0)
 		if err != nil {
 			return 0, err

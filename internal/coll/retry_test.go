@@ -57,7 +57,7 @@ func TestResilientUnderHeavyDrop(t *testing.T) {
 	}
 	var fallbacks uint64
 	for _, r := range wrapped {
-		fallbacks += r.Stats().Fallbacks
+		fallbacks += r.Counters().Fallbacks.Value()
 	}
 	if fallbacks == 0 {
 		t.Fatal("no wait ever fell back — the drop plan did not exercise recovery")
@@ -90,7 +90,7 @@ func TestResilientFaultFree(t *testing.T) {
 	}
 	w.run(t)
 	for i, r := range wrapped {
-		if s := r.Stats(); s.Fallbacks != 0 || s.Probes != 0 {
+		if s := r.Counters(); s.Fallbacks != 0 || s.Probes != 0 {
 			t.Fatalf("rank %d paid recovery traffic on a clean fabric: %+v", i, s)
 		}
 	}

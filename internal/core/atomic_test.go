@@ -124,7 +124,7 @@ func TestConcurrentFetchAdd(t *testing.T) {
 	if v, _ := m.Mem.Read(frame, phys.Size64); v != procs*per {
 		t.Fatalf("counter = %d, want %d", v, procs*per)
 	}
-	if m.Kernel.Stats().Syscalls != 0 {
+	if m.Kernel.Counters().Syscalls != 0 {
 		t.Fatal("user-level atomics crossed into the kernel")
 	}
 }

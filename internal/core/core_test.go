@@ -94,8 +94,8 @@ func TestEveryMethodMovesData(t *testing.T) {
 			if !bytes.Equal(got, payload) {
 				t.Fatalf("destination = %v..., want 0xd5 repeated", got[:8])
 			}
-			if w.m.Engine.Stats().Started != 1 {
-				t.Fatalf("engine started %d transfers", w.m.Engine.Stats().Started)
+			if w.m.Engine.Counters().Started != 1 {
+				t.Fatalf("engine started %d transfers", w.m.Engine.Counters().Started)
 			}
 		})
 	}
@@ -709,7 +709,7 @@ func TestInitiationContendsWithDMATraffic(t *testing.T) {
 	if contended > 3*quiet {
 		t.Fatalf("contention model too aggressive: %v vs %v", contended, quiet)
 	}
-	if w.m.Bus.Stats().StolenCycles == 0 {
+	if w.m.Bus.Counters().StolenCycles == 0 {
 		t.Fatal("stolen cycles not counted")
 	}
 }
@@ -753,10 +753,10 @@ func TestKeyGuessing(t *testing.T) {
 		}
 		return nil
 	})
-	if got := w.m.Engine.Stats().KeyMismatches; got != tries {
+	if got := w.m.Engine.Counters().KeyMismatches; got != tries {
 		t.Fatalf("key mismatches = %d, want %d", got, tries)
 	}
-	if w.m.Engine.Stats().Started != 0 {
+	if w.m.Engine.Counters().Started != 0 {
 		t.Fatal("a forged key started a transfer")
 	}
 }

@@ -48,7 +48,7 @@ func ExampleHandle_DMA() {
 	if err := m.Run(proc.NewRoundRobin(64), 100_000); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("kernel crossings: %d\n", m.Kernel.Stats().Syscalls)
+	fmt.Printf("kernel crossings: %d\n", m.Kernel.Counters().Syscalls)
 	// Output:
 	// initiated in 1.587µs, 1024 bytes to go
 	// transfer complete

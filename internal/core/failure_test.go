@@ -66,7 +66,7 @@ func TestKeyedNeedsWritableSource(t *testing.T) {
 	if status == dma.StatusFailure {
 		t.Fatal("ext-shadow DMA from read-only source refused")
 	}
-	if w.m.Engine.Stats().Started != 1 {
+	if w.m.Engine.Counters().Started != 1 {
 		t.Fatal("transfer did not start")
 	}
 }
@@ -99,7 +99,7 @@ func TestUnmappedShadowFaults(t *testing.T) {
 	if !errors.As(gotErr, &fault) || fault.Kind != vm.FaultUnmapped {
 		t.Fatalf("DMA without shadow mapping: %v", gotErr)
 	}
-	if m.Engine.Stats().Started != 0 {
+	if m.Engine.Counters().Started != 0 {
 		t.Fatal("engine started a transfer without shadow mappings")
 	}
 }
@@ -123,10 +123,10 @@ func TestOversizedTransferRefused(t *testing.T) {
 		if status != dma.StatusFailure {
 			t.Fatalf("%s: oversized transfer accepted (%#x)", method.Name(), status)
 		}
-		if w.m.Engine.Stats().Started != 0 {
+		if w.m.Engine.Counters().Started != 0 {
 			t.Fatalf("%s: engine started an oversized transfer", method.Name())
 		}
-		if w.m.Engine.Stats().Rejected == 0 {
+		if w.m.Engine.Counters().Rejected == 0 {
 			t.Fatalf("%s: rejection not counted", method.Name())
 		}
 	}

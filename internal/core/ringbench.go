@@ -173,8 +173,8 @@ func MeasureRingDepth(method Method, iters int, depth uint64) (RingDepthResult, 
 	if p.Err() != nil {
 		return res, p.Err()
 	}
-	es := m.Engine.Stats()
-	res.Doorbells, res.Completions = es.RingDoorbells, es.RingCompletions
+	es := m.Engine.Counters()
+	res.Doorbells, res.Completions = es.RingDoorbells.Value(), es.RingCompletions.Value()
 	res.Fingerprint = fingerprintDigest(m.Fingerprint())
 	return res, nil
 }
@@ -314,11 +314,11 @@ func RingChurnBench(policy kernel.CtxPolicy, procs, contexts, batchesPerProc int
 			return res, fmt.Errorf("churn%d: %w", i, err)
 		}
 	}
-	es := m.Engine.Stats()
-	ks := m.Kernel.Stats()
-	res.Doorbells, res.Posted = es.RingDoorbells, es.RingPosted
-	res.Dropped = es.KeyMismatches
-	res.Steals, res.Waits = ks.CtxSteals, ks.CtxWaits
+	es := m.Engine.Counters()
+	ks := m.Kernel.Counters()
+	res.Doorbells, res.Posted = es.RingDoorbells.Value(), es.RingPosted.Value()
+	res.Dropped = es.KeyMismatches.Value()
+	res.Steals, res.Waits = ks.CtxSteals.Value(), ks.CtxWaits.Value()
 	res.MeanAcquire = acq.Mean()
 	res.Elapsed = m.Clock.Now()
 	res.Fingerprint = fingerprintDigest(m.Fingerprint())

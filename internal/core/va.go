@@ -206,7 +206,8 @@ func MeasureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, error) {
 		return res, p.Err()
 	}
 	m.Settle()
-	res.Hits, res.Misses = m.IOMMU.Hits(), m.IOMMU.Misses()
+	tc := m.IOMMU.IOTLB().Counters()
+	res.Hits, res.Misses = tc.Hits.Value(), tc.Misses.Value()
 	if total := res.Hits + res.Misses; total > 0 {
 		res.HitRate = float64(res.Hits) / float64(total)
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"uldma/internal/bus"
+	"uldma/internal/obs"
 	"uldma/internal/phys"
 	"uldma/internal/sim"
 	"uldma/internal/vm"
@@ -70,16 +71,18 @@ type Config struct {
 	TLBEntries int
 }
 
-// Stats counts CPU activity for experiment reports.
-type Stats struct {
-	Instructions  uint64
-	Loads         uint64
-	Stores        uint64
-	RMWs          uint64
-	Barriers      uint64
-	DeviceAccess  uint64 // uncached accesses routed to the bus
-	MemoryAccess  uint64 // cached accesses to main memory
-	ComputeCycles int64  // cycles consumed via Spin (modelled software work)
+// Counters counts CPU activity for experiment reports: the CPU's live
+// obs cells, copied by value into snapshots so they rewind with the
+// world.
+type Counters struct {
+	Instructions  obs.Counter
+	Loads         obs.Counter
+	Stores        obs.Counter
+	RMWs          obs.Counter
+	Barriers      obs.Counter
+	DeviceAccess  obs.Counter // uncached accesses routed to the bus
+	MemoryAccess  obs.Counter // cached accesses to main memory
+	ComputeCycles obs.Gauge   // cycles consumed via Spin (modelled software work)
 }
 
 // PrivilegeError is returned when user mode attempts a privileged
@@ -106,7 +109,7 @@ type CPU struct {
 	wb     *bus.WriteBuffer
 	tlb    *vm.TLB
 	mode   Mode
-	stats  Stats
+	ctr    Counters
 }
 
 // New builds a CPU. wb must be a write buffer in front of b.
@@ -147,14 +150,24 @@ func (c *CPU) Mode() Mode { return c.mode }
 // machinery and the PAL dispatcher, never by guest code directly.
 func (c *CPU) SetMode(m Mode) { c.mode = m }
 
-// Stats returns a snapshot of the counters.
-func (c *CPU) Stats() Stats { return c.stats }
+// Counters returns the activity counters.
+func (c *CPU) Counters() Counters { return c.ctr }
 
-// ResetStats zeroes the counters.
-func (c *CPU) ResetStats() { c.stats = Stats{} }
+// RegisterMetrics publishes the CPU's counters in a registry. The TLB
+// registers its own (TLB.RegisterMetrics), as does the write buffer.
+func (c *CPU) RegisterMetrics(r *obs.Registry) {
+	r.RegisterCounter("cpu.instructions", &c.ctr.Instructions)
+	r.RegisterCounter("cpu.loads", &c.ctr.Loads)
+	r.RegisterCounter("cpu.stores", &c.ctr.Stores)
+	r.RegisterCounter("cpu.rmws", &c.ctr.RMWs)
+	r.RegisterCounter("cpu.barriers", &c.ctr.Barriers)
+	r.RegisterCounter("cpu.device_access", &c.ctr.DeviceAccess)
+	r.RegisterCounter("cpu.memory_access", &c.ctr.MemoryAccess)
+	r.RegisterGauge("cpu.compute_cycles", &c.ctr.ComputeCycles)
+}
 
 // TLB exposes the translation buffer (for flushes at context switch in
-// non-ASN configurations, and for stats).
+// non-ASN configurations, and for its counters).
 func (c *CPU) TLB() *vm.TLB { return c.tlb }
 
 // WriteBuffer exposes the posted-write buffer.
@@ -178,7 +191,7 @@ func (c *CPU) pump() {
 // Spin consumes n core cycles of pure computation. The kernel model uses
 // it for trap entry/exit, software translation, and scheduler work.
 func (c *CPU) Spin(n int64) {
-	c.stats.ComputeCycles += n
+	c.ctr.ComputeCycles.Add(n)
 	c.charge(n)
 }
 
@@ -199,8 +212,8 @@ func (c *CPU) translate(as *vm.AddressSpace, va vm.VAddr, access vm.Access) (phy
 // addresses take the uncached path (write buffer + bus, stalling for the
 // reply); everything else is a cached memory access.
 func (c *CPU) Load(as *vm.AddressSpace, va vm.VAddr, size phys.AccessSize) (uint64, error) {
-	c.stats.Instructions++
-	c.stats.Loads++
+	c.ctr.Instructions.Inc()
+	c.ctr.Loads.Inc()
 	c.charge(c.cfg.IssueCycles)
 	pa, err := c.translate(as, va, vm.AccessLoad)
 	if err != nil {
@@ -211,8 +224,8 @@ func (c *CPU) Load(as *vm.AddressSpace, va vm.VAddr, size phys.AccessSize) (uint
 
 // Store issues a store of the low size bytes of val at va in as.
 func (c *CPU) Store(as *vm.AddressSpace, va vm.VAddr, size phys.AccessSize, val uint64) error {
-	c.stats.Instructions++
-	c.stats.Stores++
+	c.ctr.Instructions.Inc()
+	c.ctr.Stores.Inc()
 	c.charge(c.cfg.IssueCycles)
 	pa, err := c.translate(as, va, vm.AccessStore)
 	if err != nil {
@@ -228,20 +241,20 @@ func (c *CPU) Store(as *vm.AddressSpace, va vm.VAddr, size phys.AccessSize, val 
 // vehicle for user-level atomic operations (§3.5). On plain memory it
 // degenerates to a local exchange.
 func (c *CPU) Swap(as *vm.AddressSpace, va vm.VAddr, size phys.AccessSize, val uint64) (uint64, error) {
-	c.stats.Instructions++
-	c.stats.RMWs++
+	c.ctr.Instructions.Inc()
+	c.ctr.RMWs.Inc()
 	c.charge(c.cfg.IssueCycles)
 	pa, err := c.translate(as, va, vm.AccessRMW)
 	if err != nil {
 		return 0, err
 	}
 	if c.bus.IsDevice(pa) {
-		c.stats.DeviceAccess++
+		c.ctr.DeviceAccess.Inc()
 		old, err := c.wb.RMW(pa, size, val)
 		c.pump()
 		return old, err
 	}
-	c.stats.MemoryAccess++
+	c.ctr.MemoryAccess.Inc()
 	c.charge(2 * c.cfg.CacheHitCycles)
 	old, err := c.mem.Read(pa, size)
 	if err != nil {
@@ -256,8 +269,8 @@ func (c *CPU) Swap(as *vm.AddressSpace, va vm.VAddr, size phys.AccessSize, val u
 // MB executes a memory barrier: the write buffer drains so that every
 // prior store reaches its device before MB returns.
 func (c *CPU) MB() error {
-	c.stats.Instructions++
-	c.stats.Barriers++
+	c.ctr.Instructions.Inc()
+	c.ctr.Barriers.Inc()
 	c.charge(c.cfg.IssueCycles + c.cfg.MBCycles)
 	err := c.wb.Drain()
 	c.pump()
@@ -269,8 +282,8 @@ func (c *CPU) PhysLoad(pa phys.Addr, size phys.AccessSize) (uint64, error) {
 	if c.mode == User {
 		return 0, &PrivilegeError{Op: "physical load", Mode: c.mode}
 	}
-	c.stats.Instructions++
-	c.stats.Loads++
+	c.ctr.Instructions.Inc()
+	c.ctr.Loads.Inc()
 	c.charge(c.cfg.IssueCycles)
 	return c.physLoad(pa, size)
 }
@@ -280,8 +293,8 @@ func (c *CPU) PhysStore(pa phys.Addr, size phys.AccessSize, val uint64) error {
 	if c.mode == User {
 		return &PrivilegeError{Op: "physical store", Mode: c.mode}
 	}
-	c.stats.Instructions++
-	c.stats.Stores++
+	c.ctr.Instructions.Inc()
+	c.ctr.Stores.Inc()
 	c.charge(c.cfg.IssueCycles)
 	return c.physStore(pa, size, val)
 }
@@ -293,16 +306,16 @@ func (c *CPU) PhysSwap(pa phys.Addr, size phys.AccessSize, val uint64) (uint64, 
 	if c.mode == User {
 		return 0, &PrivilegeError{Op: "physical swap", Mode: c.mode}
 	}
-	c.stats.Instructions++
-	c.stats.RMWs++
+	c.ctr.Instructions.Inc()
+	c.ctr.RMWs.Inc()
 	c.charge(c.cfg.IssueCycles)
 	if c.bus.IsDevice(pa) {
-		c.stats.DeviceAccess++
+		c.ctr.DeviceAccess.Inc()
 		old, err := c.wb.RMW(pa, size, val)
 		c.pump()
 		return old, err
 	}
-	c.stats.MemoryAccess++
+	c.ctr.MemoryAccess.Inc()
 	c.charge(2 * c.cfg.CacheHitCycles)
 	old, err := c.mem.Read(pa, size)
 	if err != nil {
@@ -313,25 +326,25 @@ func (c *CPU) PhysSwap(pa phys.Addr, size phys.AccessSize, val uint64) (uint64, 
 
 func (c *CPU) physLoad(pa phys.Addr, size phys.AccessSize) (uint64, error) {
 	if c.bus.IsDevice(pa) {
-		c.stats.DeviceAccess++
+		c.ctr.DeviceAccess.Inc()
 		v, err := c.wb.Load(pa, size)
 		c.pump()
 		return v, err
 	}
-	c.stats.MemoryAccess++
+	c.ctr.MemoryAccess.Inc()
 	c.charge(c.cfg.CacheHitCycles)
 	return c.mem.Read(pa, size)
 }
 
 func (c *CPU) physStore(pa phys.Addr, size phys.AccessSize, val uint64) error {
 	if c.bus.IsDevice(pa) {
-		c.stats.DeviceAccess++
+		c.ctr.DeviceAccess.Inc()
 		// Issue cost was already charged; the post itself is free.
 		err := c.wb.Store(c.clock, 0, pa, size, val)
 		c.pump()
 		return err
 	}
-	c.stats.MemoryAccess++
+	c.ctr.MemoryAccess.Inc()
 	c.charge(c.cfg.CacheHitCycles)
 	return c.mem.Write(pa, size, val)
 }

@@ -84,9 +84,9 @@ func TestMemoryLoadStore(t *testing.T) {
 	if pv != 0xabcd {
 		t.Fatalf("physical memory holds %#x", pv)
 	}
-	s := f.cpu.Stats()
+	s := f.cpu.Counters()
 	if s.MemoryAccess != 2 || s.DeviceAccess != 0 {
-		t.Fatalf("stats = %+v", s)
+		t.Fatalf("counters = %+v", s)
 	}
 }
 
@@ -225,8 +225,8 @@ func TestSpinAdvancesClockAndPumpsEvents(t *testing.T) {
 	if got, want := f.clock.Now(), coreFreq.Cycles(100); got != want {
 		t.Fatalf("Spin(100) advanced %v, want %v", got, want)
 	}
-	if f.cpu.Stats().ComputeCycles != 100 {
-		t.Fatalf("ComputeCycles = %d", f.cpu.Stats().ComputeCycles)
+	if f.cpu.Counters().ComputeCycles != 100 {
+		t.Fatalf("ComputeCycles = %d", f.cpu.Counters().ComputeCycles)
 	}
 }
 
@@ -250,8 +250,8 @@ func TestSwapOnMemory(t *testing.T) {
 	if v, _ := f.mem.Read(0x40000, phys.Size64); v != 88 {
 		t.Fatalf("memory after swap = %d", v)
 	}
-	if f.cpu.Stats().RMWs != 1 {
-		t.Fatalf("RMW counter = %d", f.cpu.Stats().RMWs)
+	if f.cpu.Counters().RMWs != 1 {
+		t.Fatalf("RMW counter = %d", f.cpu.Counters().RMWs)
 	}
 }
 
@@ -325,16 +325,12 @@ func TestStatsCounting(t *testing.T) {
 	f.cpu.Store(f.as, 0x10000, phys.Size64, 1)
 	f.cpu.Store(f.as, 0x20000, phys.Size64, 1)
 	f.cpu.MB()
-	s := f.cpu.Stats()
+	s := f.cpu.Counters()
 	if s.Instructions != 4 || s.Loads != 1 || s.Stores != 2 || s.Barriers != 1 {
-		t.Fatalf("stats = %+v", s)
+		t.Fatalf("counters = %+v", s)
 	}
 	if s.DeviceAccess != 1 || s.MemoryAccess != 2 {
 		t.Fatalf("access split = %+v", s)
-	}
-	f.cpu.ResetStats()
-	if f.cpu.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero")
 	}
 }
 

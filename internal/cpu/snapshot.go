@@ -9,14 +9,14 @@ import "uldma/internal/vm"
 
 // Snapshot captures a CPU's mutable state. See CPU.Snapshot.
 type Snapshot struct {
-	mode  Mode
-	stats Stats
-	tlb   *vm.TLBSnapshot
+	mode Mode
+	ctr  Counters
+	tlb  *vm.TLBSnapshot
 }
 
 // Snapshot captures the mode, counters and TLB.
 func (c *CPU) Snapshot() *Snapshot {
-	return &Snapshot{mode: c.mode, stats: c.stats, tlb: c.tlb.Snapshot()}
+	return &Snapshot{mode: c.mode, ctr: c.ctr, tlb: c.tlb.Snapshot()}
 }
 
 // Restore rewinds the CPU to the snapshot. The CPU must have the same
@@ -26,6 +26,6 @@ func (c *CPU) Restore(s *Snapshot) error {
 		return err
 	}
 	c.mode = s.mode
-	c.stats = s.stats
+	c.ctr = s.ctr
 	return nil
 }

@@ -35,7 +35,7 @@ func (e *Engine) shadowStore(now sim.Time, off uint64, val uint64) (int64, error
 			// Wrong key: the argument is silently dropped — the paper's
 			// protection guarantee is that a guesser cannot write into a
 			// context it does not own, not that it learns why.
-			e.ctr.keyMismatches.Inc()
+			e.ctr.KeyMismatches.Inc()
 			return e.cfg.KeyCheckCycles, nil
 		}
 		c := &e.ctxs[ctx]
@@ -94,15 +94,15 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 		// Figure 2: LOAD return_status FROM shadow(vsource).
 		_, src := e.decodeShadow(off)
 		if !e.pending.valid {
-			e.ctr.rejected.Inc()
+			e.ctr.Rejected.Inc()
 			return StatusFailure, 0, nil
 		}
 		if e.pidTrk && e.pending.pid != e.curPID {
 			// FLASH: arguments belong to a process that is no longer
 			// running; refuse rather than mix.
 			e.pending.valid = false
-			e.ctr.abortedPending.Inc()
-			e.ctr.rejected.Inc()
+			e.ctr.AbortedPending.Inc()
+			e.ctr.Rejected.Inc()
 			return StatusFailure, 0, nil
 		}
 		p := e.pending
@@ -110,7 +110,7 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 		if p.virt != e.vaAcc {
 			// Half the pair came through the VA window and half did not:
 			// the arguments are in different address spaces, refuse.
-			e.ctr.rejected.Inc()
+			e.ctr.Rejected.Inc()
 			return StatusFailure, 0, nil
 		}
 		var t *Transfer
@@ -129,7 +129,7 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 		// Loads from the shadow window are not part of the keyed
 		// protocol (status lives in the register-context page); treat
 		// them as protocol errors.
-		e.ctr.rejected.Inc()
+		e.ctr.Rejected.Inc()
 		return StatusFailure, 0, nil
 
 	case ModeExtended:
@@ -142,7 +142,7 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 				// Mismatched or missing pair: "the DMA operation is not
 				// started and an error code is returned".
 				e.pending.valid = false
-				e.ctr.rejected.Inc()
+				e.ctr.Rejected.Inc()
 				return StatusFailure, 0, nil
 			}
 			p := e.pending
@@ -165,7 +165,7 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 				// The store and load straddled the VA window: refuse and
 				// consume the half-initiation.
 				c.haveDst, c.haveSize = false, false
-				e.ctr.rejected.Inc()
+				e.ctr.Rejected.Inc()
 				return StatusFailure, 0, nil
 			}
 			dst, size := c.dst, c.size
@@ -186,7 +186,7 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 			// No half-initiation outstanding: poll the running transfer.
 			return c.cur.Remaining(now), 0, nil
 		}
-		e.ctr.rejected.Inc()
+		e.ctr.Rejected.Inc()
 		return StatusFailure, 0, nil
 
 	case ModeRepeated:
@@ -286,7 +286,7 @@ func (e *Engine) controlLoad(now sim.Time, off uint64) (uint64, int64, error) {
 	case RegPID:
 		return uint64(e.curPID), 0, nil
 	case RegStarted:
-		return e.ctr.started.Value(), 0, nil
+		return e.ctr.Started.Value(), 0, nil
 	default:
 		return 0, 0, fmt.Errorf("dma: read of unknown control register %#x", off)
 	}
@@ -309,11 +309,11 @@ func (e *Engine) atomicOp(off uint64, size phys.AccessSize, val uint64) (uint64,
 		}
 		node := int((pa - e.cfg.RemoteBase) >> e.cfg.NodeShift)
 		raddr := phys.Addr(uint64(pa-e.cfg.RemoteBase) & (1<<e.cfg.NodeShift - 1))
-		e.ctr.atomicOps.Inc()
+		e.ctr.AtomicOps.Inc()
 		old, err := rh.RMWRemote(node, raddr, op, size, val)
 		return old, 1, err
 	}
-	e.ctr.atomicOps.Inc()
+	e.ctr.AtomicOps.Inc()
 	old, err := ApplyAtomic(e.mem, pa, op, size, val)
 	if err != nil {
 		return 0, 0, err
@@ -359,14 +359,14 @@ func (e *Engine) mappedOutInitiate(now sim.Time, off uint64, size uint64) (uint6
 	pageBase := phys.Addr(uint64(src) &^ (e.cfg.PageSize - 1))
 	dstBase, ok := e.pageMap[pageBase]
 	if !ok {
-		e.ctr.rejected.Inc()
+		e.ctr.Rejected.Inc()
 		return StatusFailure, 0, nil
 	}
 	dst := dstBase + (src - pageBase)
 	if uint64(src)%e.cfg.PageSize+size > e.cfg.PageSize {
 		// A mapped-out DMA cannot cross its page: the mapping is
 		// per-page (the restrictiveness §2.4 criticises).
-		e.ctr.rejected.Inc()
+		e.ctr.Rejected.Inc()
 		return StatusFailure, 0, nil
 	}
 	t, started := e.start(now, src, dst, size)
@@ -445,7 +445,7 @@ func (e *Engine) seqAccess(now sim.Time, kind accKind, pa phys.Addr, data uint64
 		// A mid-sequence window switch (shadow <-> VA) counts as out of
 		// order: the addresses would be in different spaces.
 		s.reset()
-		e.ctr.seqResets.Inc()
+		e.ctr.SeqResets.Inc()
 		if kind == s.pattern[0] {
 			s.addrs[0] = pa
 			if kind == accStore {

@@ -185,7 +185,7 @@ func TestPairedInitiation(t *testing.T) {
 	}
 	f.settle()
 	f.expectMoved(t, 0x8000, 256, 0xaa)
-	if s := f.e.Stats(); s.Started != 1 || s.Completed != 1 || s.BytesMoved != 256 {
+	if s := f.e.Counters(); s.Started != 1 || s.Completed != 1 || s.BytesMoved != 256 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -196,7 +196,7 @@ func TestPairedLoadWithoutPendingFails(t *testing.T) {
 	if err != nil || st != StatusFailure {
 		t.Fatalf("st=%#x err=%v, want StatusFailure", st, err)
 	}
-	if f.e.Stats().Rejected != 1 {
+	if f.e.Counters().Rejected != 1 {
 		t.Fatal("rejection not counted")
 	}
 }
@@ -230,11 +230,11 @@ func TestPairedAbortPendingHook(t *testing.T) {
 	if st != StatusFailure {
 		t.Fatalf("aborted pair returned %#x, want failure", st)
 	}
-	if f.e.Stats().AbortedPending != 1 {
+	if f.e.Counters().AbortedPending != 1 {
 		t.Fatal("abort not counted")
 	}
 	f.e.AbortPending() // idempotent when nothing pending
-	if f.e.Stats().AbortedPending != 1 {
+	if f.e.Counters().AbortedPending != 1 {
 		t.Fatal("no-op abort counted")
 	}
 }
@@ -291,7 +291,7 @@ func TestKeyedWrongKeyIgnored(t *testing.T) {
 	f.e.SetKey(1, 0x1111)
 	// Attacker guesses a wrong key for context 1.
 	f.e.Store(0, f.e.cfg.Shadow(0xa000, 0), phys.Size64, PackKey(0x2222, 1))
-	if f.e.Stats().KeyMismatches != 1 {
+	if f.e.Counters().KeyMismatches != 1 {
 		t.Fatal("mismatch not counted")
 	}
 	// Context 1 must have no destination argument: a size store plus
@@ -301,7 +301,7 @@ func TestKeyedWrongKeyIgnored(t *testing.T) {
 	if st != StatusFailure {
 		t.Fatalf("context with only forged arguments started a DMA: %#x", st)
 	}
-	if f.e.Stats().Started != 0 {
+	if f.e.Counters().Started != 0 {
 		t.Fatal("transfer started from forged key")
 	}
 }
@@ -310,12 +310,12 @@ func TestKeyedUnassignedContextRejects(t *testing.T) {
 	f := newEngine(t, ModeKeyed, nil)
 	// Key 0 means unassigned: even "key 0" cannot address it.
 	f.e.Store(0, f.e.cfg.Shadow(0xa000, 0), phys.Size64, PackKey(0, 2))
-	if f.e.Stats().KeyMismatches != 1 {
+	if f.e.Counters().KeyMismatches != 1 {
 		t.Fatal("unassigned context accepted an argument")
 	}
 	// Out-of-range context id.
 	f.e.Store(0, f.e.cfg.Shadow(0xa000, 0), phys.Size64, PackKey(7, 200))
-	if f.e.Stats().KeyMismatches != 2 {
+	if f.e.Counters().KeyMismatches != 2 {
 		t.Fatal("out-of-range context accepted an argument")
 	}
 }
@@ -458,8 +458,8 @@ func TestExtendedNoRegContextsPairing(t *testing.T) {
 	if st == StatusFailure {
 		t.Fatal("retried pair rejected")
 	}
-	if f.e.Stats().Started != 2 {
-		t.Fatalf("started = %d, want 2", f.e.Stats().Started)
+	if f.e.Counters().Started != 2 {
+		t.Fatalf("started = %d, want 2", f.e.Counters().Started)
 	}
 }
 
@@ -526,8 +526,8 @@ func TestRepeated5HappyPath(t *testing.T) {
 	if st == StatusFailure {
 		t.Fatal("access 5 rejected")
 	}
-	if f.e.Stats().Started != 1 {
-		t.Fatalf("started = %d", f.e.Stats().Started)
+	if f.e.Counters().Started != 1 {
+		t.Fatalf("started = %d", f.e.Counters().Started)
 	}
 	f.settle()
 	f.expectMoved(t, 0xa000, 64, 0x3c)
@@ -544,10 +544,10 @@ func TestRepeated5AddressMismatchRejected(t *testing.T) {
 	if st != StatusFailure {
 		t.Fatalf("broken sequence returned %#x", st)
 	}
-	if f.e.Stats().Started != 0 {
+	if f.e.Counters().Started != 0 {
 		t.Fatal("broken sequence started a transfer")
 	}
-	if f.e.Stats().SeqResets == 0 {
+	if f.e.Counters().SeqResets == 0 {
 		t.Fatal("reset not counted")
 	}
 }
@@ -561,7 +561,7 @@ func TestRepeated5SizeMismatchResets(t *testing.T) {
 	if st := f.repLoad(0, 0xa000); st != StatusFailure {
 		t.Fatalf("size-mismatched sequence returned %#x", st)
 	}
-	if f.e.Stats().Started != 0 {
+	if f.e.Counters().Started != 0 {
 		t.Fatal("transfer started despite size mismatch")
 	}
 }
@@ -578,7 +578,7 @@ func TestRepeated3Figure5Attack(t *testing.T) {
 	f.repLoad(0, A)       // 1: victim LOAD status1 FROM shadow(A)
 	f.repStore(0, foo, 1) // 2: attacker STORE foo
 	f.repLoad(0, foo)     // 3: attacker LOAD shadow(foo) — no DMA (A≠foo)
-	if f.e.Stats().Started != 0 {
+	if f.e.Counters().Started != 0 {
 		t.Fatal("DMA started prematurely")
 	}
 	f.repLoad(0, C)          // 4: attacker LOAD shadow(C): new sequence
@@ -593,8 +593,8 @@ func TestRepeated3Figure5Attack(t *testing.T) {
 	}
 	f.settle()
 	f.expectMoved(t, B, 64, 0x66) // B holds the ATTACKER's data
-	if f.e.Stats().Started != 1 {
-		t.Fatalf("started = %d", f.e.Stats().Started)
+	if f.e.Counters().Started != 1 {
+		t.Fatalf("started = %d", f.e.Counters().Started)
 	}
 }
 
@@ -617,8 +617,8 @@ func TestRepeated4Figure6Attack(t *testing.T) {
 	if vic != StatusFailure {
 		t.Fatalf("victim's load returned %#x, figure 6 says DMA rejected", vic)
 	}
-	if f.e.Stats().Started != 1 {
-		t.Fatalf("started = %d", f.e.Stats().Started)
+	if f.e.Counters().Started != 1 {
+		t.Fatalf("started = %d", f.e.Counters().Started)
 	}
 }
 
@@ -765,7 +765,7 @@ func TestAtomicAdd(t *testing.T) {
 	if v, _ := f.mem.Read(0x5000, phys.Size64); v != 42 {
 		t.Fatalf("cell = %d", v)
 	}
-	if f.e.Stats().AtomicOps != 1 {
+	if f.e.Counters().AtomicOps != 1 {
 		t.Fatal("atomic op not counted")
 	}
 }
@@ -994,7 +994,7 @@ func TestRemoteTransfer(t *testing.T) {
 	if rh.n != 1 || rh.node != 3 || rh.addr != 0x4000 || len(rh.data) != 128 || rh.data[0] != 0xab {
 		t.Fatalf("delivery = %+v", rh)
 	}
-	if f.e.Stats().RemoteStarted != 1 {
+	if f.e.Counters().RemoteStarted != 1 {
 		t.Fatal("remote start not counted")
 	}
 }
@@ -1134,17 +1134,5 @@ func TestCheckInvariants(t *testing.T) {
 	f2.e.Load(0, f2.e.cfg.Shadow(0x1000, 0), phys.Size64)
 	if err := f2.e.CheckInvariants(0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStatsReset(t *testing.T) {
-	f := newEngine(t, ModePaired, nil)
-	f.e.Store(0, f.e.cfg.Shadow(0x8000, 0), phys.Size64, 64)
-	if f.e.Stats().ShadowStores != 1 {
-		t.Fatal("shadow store not counted")
-	}
-	f.e.ResetStats()
-	if f.e.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero")
 	}
 }

@@ -267,7 +267,7 @@ func (c *ringCompletion) run(at sim.Time) {
 // DMA_FAILURE rejections. The engine masters these writes on memory it
 // validated at setup time; a failure is a model bug.
 func (e *Engine) writeCompletion(slot phys.Addr, status uint64, at sim.Time) {
-	e.ctr.ringCompletions.Inc()
+	e.ctr.RingCompletions.Inc()
 	if err := e.mem.Write(slot+DescStatus, phys.Size64, status); err != nil {
 		panic(err)
 	}
@@ -293,20 +293,20 @@ func (e *Engine) ringStore(now sim.Time, off uint64, val uint64) (int64, error) 
 		if e.keys[ctx] == 0 || e.keys[ctx] != key {
 			// Silent drop, like a keyed shadow store with a bad key: a
 			// revoked or forged doorbell must not be probeable.
-			e.ctr.keyMismatches.Inc()
+			e.ctr.KeyMismatches.Inc()
 			return lat, nil
 		}
 	}
 	if r.depth == 0 {
 		// No ring installed: drop. The doorbell page is only ever mapped
 		// while a ring is, so this is a stale access after revocation.
-		e.ctr.rejected.Inc()
+		e.ctr.Rejected.Inc()
 		return lat, nil
 	}
 	if n > r.depth {
 		n = r.depth
 	}
-	e.ctr.ringDoorbells.Inc()
+	e.ctr.RingDoorbells.Inc()
 	for i := uint64(0); i < n; i++ {
 		slot := r.base + phys.Addr(r.head*DescBytes)
 		r.head++
@@ -315,7 +315,7 @@ func (e *Engine) ringStore(now sim.Time, off uint64, val uint64) (int64, error) 
 		}
 		e.walkDescriptor(now, ctx, r, slot)
 	}
-	e.ctr.ringPosted.Add(n)
+	e.ctr.RingPosted.Add(n)
 	return lat, nil
 }
 
@@ -343,7 +343,7 @@ func (e *Engine) walkDescriptor(now sim.Time, ctx int, r *ringState, slot phys.A
 	remoteDst := e.cfg.RemoteBase != 0 && dst >= e.cfg.RemoteBase
 	if !r.ringAllowed(src, size) || (!remoteDst && !r.ringAllowed(dst, size)) {
 		// Unregistered address: DMA_FAILURE record, immediately.
-		e.ctr.rejected.Inc()
+		e.ctr.Rejected.Inc()
 		e.writeCompletion(slot, StatusFailure, now)
 		return
 	}

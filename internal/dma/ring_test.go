@@ -150,7 +150,7 @@ func TestRingDoorbellWalksChain(t *testing.T) {
 		}
 		prev = stamp
 	}
-	s := f.e.Stats()
+	s := f.e.Counters()
 	if s.RingDoorbells != 1 || s.RingPosted != n || s.RingCompletions != n {
 		t.Errorf("counters = doorbells %d posted %d completions %d, want 1/%d/%d",
 			s.RingDoorbells, s.RingPosted, s.RingCompletions, n, n)
@@ -176,7 +176,7 @@ func TestRingHeadWrap(t *testing.T) {
 	if _, _, head, _ := f.e.RingState(0); head != 2 {
 		t.Errorf("head = %d after 6 posts on a depth-4 ring, want 2", head)
 	}
-	if s := f.e.Stats(); s.RingPosted != 6 || s.RingCompletions != 6 {
+	if s := f.e.Counters(); s.RingPosted != 6 || s.RingCompletions != 6 {
 		t.Errorf("posted %d completions %d, want 6/6", s.RingPosted, s.RingCompletions)
 	}
 }
@@ -204,7 +204,7 @@ func TestRingRejectsUnregistered(t *testing.T) {
 	if got != 0 {
 		t.Errorf("destination written (%#x) despite rejection", got)
 	}
-	if s := f.e.Stats(); s.Rejected == 0 || s.RingCompletions != 1 {
+	if s := f.e.Counters(); s.Rejected == 0 || s.RingCompletions != 1 {
 		t.Errorf("rejected %d completions %d, want >0/1", s.Rejected, s.RingCompletions)
 	}
 }
@@ -224,7 +224,7 @@ func TestRingKeyedDoorbell(t *testing.T) {
 
 	doorbell(t, f, 0, uint64(key+1)<<KeyShift|2) // forged key
 	f.settle()
-	if s := f.e.Stats(); s.KeyMismatches != 1 || s.RingPosted != 0 {
+	if s := f.e.Counters(); s.KeyMismatches != 1 || s.RingPosted != 0 {
 		t.Fatalf("forged key: mismatches %d posted %d, want 1/0", s.KeyMismatches, s.RingPosted)
 	}
 	if status, _ := completion(t, f, 0); status != RingPending {
@@ -233,7 +233,7 @@ func TestRingKeyedDoorbell(t *testing.T) {
 
 	doorbell(t, f, 0, uint64(key)<<KeyShift|2) // good key, whole batch
 	f.settle()
-	if s := f.e.Stats(); s.RingPosted != 2 || s.RingCompletions != 2 {
+	if s := f.e.Counters(); s.RingPosted != 2 || s.RingCompletions != 2 {
 		t.Fatalf("good key: posted %d completions %d, want 2/2", s.RingPosted, s.RingCompletions)
 	}
 }
@@ -264,9 +264,9 @@ func TestRingTeardownMidFlight(t *testing.T) {
 	}
 
 	f.e.TeardownRing(0)
-	before := f.e.Stats().Rejected
+	before := f.e.Counters().Rejected
 	doorbell(t, f, 0, 1)
-	if got := f.e.Stats().Rejected; got != before+1 {
+	if got := f.e.Counters().Rejected; got != before+1 {
 		t.Errorf("doorbell on torn-down ring: rejected %d, want %d", got, before+1)
 	}
 }
@@ -330,7 +330,7 @@ func TestRingDoorbellZeroAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("doorbell->walk->completion allocates %.1f/op, want 0", allocs)
 	}
-	if s := f.e.Stats(); s.RingCompletions != s.RingPosted {
+	if s := f.e.Counters(); s.RingCompletions != s.RingPosted {
 		t.Fatalf("completions %d != posted %d", s.RingCompletions, s.RingPosted)
 	}
 }

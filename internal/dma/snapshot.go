@@ -29,7 +29,7 @@ type EngineSnapshot struct {
 	log     []*Transfer
 	busy    sim.Time
 	rings   []ringState
-	ctr     counters
+	ctr     Counters
 
 	// Virtual-address state (va.go). Parked transfers are the one
 	// exception to the records-immutable-post-settle rule — a resumed
@@ -37,7 +37,6 @@ type EngineSnapshot struct {
 	// enough indices to re-point e.log/e.last/e.ctxs at a fresh copy.
 	policy     RecoveryPolicy
 	bounceFree []int32
-	vactr      vaCounters
 	parked     []vaParkedSnap
 }
 
@@ -108,7 +107,6 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 		}
 	}
 	s.policy = e.policy
-	s.vactr = e.vactr
 	s.bounceFree = append([]int32(nil), e.bounceFree...)
 	for _, w := range e.vaParked {
 		if w.fixups != 0 {
@@ -176,7 +174,6 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 	}
 	e.ctr = s.ctr
 	e.policy = s.policy
-	e.vactr = s.vactr
 	e.bounceFree = append(e.bounceFree[:0], s.bounceFree...)
 	// Drop the current parked set (their transfers are being discarded
 	// wholesale), then rebuild each snapshotted one around a FRESH

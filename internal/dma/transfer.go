@@ -107,7 +107,7 @@ func (e *Engine) validateTransfer(src, dst phys.Addr, size uint64) bool {
 // event is scheduled, and the transfer becomes the engine's "last".
 func (e *Engine) start(now sim.Time, src, dst phys.Addr, size uint64) (*Transfer, bool) {
 	if !e.validateTransfer(src, dst, size) {
-		e.ctr.rejected.Inc()
+		e.ctr.Rejected.Inc()
 		e.last = &Transfer{Src: src, Dst: dst, Size: size, Failed: true, Start: now, End: now}
 		return e.last, false
 	}
@@ -130,10 +130,10 @@ func (e *Engine) start(now sim.Time, src, dst phys.Addr, size uint64) (*Transfer
 		off := uint64(dst - e.cfg.RemoteBase)
 		t.Node = int(off >> e.cfg.NodeShift)
 		t.RemoteAddr = phys.Addr(off & (1<<e.cfg.NodeShift - 1))
-		e.ctr.remoteStarted.Inc()
+		e.ctr.RemoteStarted.Inc()
 	}
 	e.xfer.busyUntil = t.End
-	e.ctr.started.Inc()
+	e.ctr.Started.Inc()
 	e.last = t
 	if e.logging {
 		e.log = append(e.log, t)
@@ -217,8 +217,8 @@ const transferChunk = 4096
 // finish records a transfer's completion.
 func (e *Engine) finish(t *Transfer) {
 	t.delivered = true
-	e.ctr.completed.Inc()
-	e.ctr.bytesMoved.Add(t.Size)
+	e.ctr.Completed.Inc()
+	e.ctr.BytesMoved.Add(t.Size)
 }
 
 // remoteShip is one in-flight remote payload waiting for its End event:

@@ -124,29 +124,17 @@ func ParseRecoveryPolicy(s string) (RecoveryPolicy, error) {
 	}
 }
 
-// vaCounters are the virtual-address path's obs cells, registered
-// separately from the physical counters (RegisterVAMetrics) so worlds
-// without an IOMMU keep their registry dump byte-identical.
-type vaCounters struct {
-	vaStores  obs.Counter // VA-window stores
-	vaLoads   obs.Counter // VA-window loads
-	vaStarted obs.Counter // virtual transfers accepted
-	vaFaults  obs.Counter // mid-transfer translation faults
-	vaStalls  obs.Counter // faults handled by stalling (parked or resolved inline)
-	vaBounced obs.Counter // destination pages redirected into the bounce region
-	vaPins    obs.Counter // transfers that pre-pinned their extents
-}
-
-// RegisterVAMetrics publishes the virtual-address counters. The machine
-// calls this only when an IOMMU is configured.
+// RegisterVAMetrics publishes the virtual-address counters (the VA*
+// cells of Counters). The machine calls this only when an IOMMU is
+// configured.
 func (e *Engine) RegisterVAMetrics(r *obs.Registry) {
-	r.RegisterCounter("dma.va_stores", &e.vactr.vaStores)
-	r.RegisterCounter("dma.va_loads", &e.vactr.vaLoads)
-	r.RegisterCounter("dma.va_started", &e.vactr.vaStarted)
-	r.RegisterCounter("dma.va_faults", &e.vactr.vaFaults)
-	r.RegisterCounter("dma.va_stalls", &e.vactr.vaStalls)
-	r.RegisterCounter("dma.va_bounced", &e.vactr.vaBounced)
-	r.RegisterCounter("dma.va_pins", &e.vactr.vaPins)
+	r.RegisterCounter("dma.va_stores", &e.ctr.VAStores)
+	r.RegisterCounter("dma.va_loads", &e.ctr.VALoads)
+	r.RegisterCounter("dma.va_started", &e.ctr.VAStarted)
+	r.RegisterCounter("dma.va_faults", &e.ctr.VAFaults)
+	r.RegisterCounter("dma.va_stalls", &e.ctr.VAStalls)
+	r.RegisterCounter("dma.va_bounced", &e.ctr.VABounced)
+	r.RegisterCounter("dma.va_pins", &e.ctr.VAPins)
 }
 
 // AttachIOMMU plugs the translator in. Its geometry must match the
@@ -192,7 +180,7 @@ func (e *Engine) decodeVA(off uint64) (int, uint64) {
 // mode, so the FSMs see the device VA (and, in extended mode, the same
 // context id) they would have seen for a physical shadow access.
 func (e *Engine) vaStore(now sim.Time, off uint64, val uint64) (int64, error) {
-	e.vactr.vaStores.Inc()
+	e.ctr.VAStores.Inc()
 	ctx, _ := e.decodeVA(off)
 	e.vaAcc, e.vaCtx = true, ctx
 	lat, err := e.shadowStore(now, off, val)
@@ -202,7 +190,7 @@ func (e *Engine) vaStore(now sim.Time, off uint64, val uint64) (int64, error) {
 
 // vaLoad handles a load from the VA window (see vaStore).
 func (e *Engine) vaLoad(now sim.Time, off uint64) (uint64, int64, error) {
-	e.vactr.vaLoads.Inc()
+	e.ctr.VALoads.Inc()
 	ctx, _ := e.decodeVA(off)
 	e.vaAcc, e.vaCtx = true, ctx
 	v, lat, err := e.shadowLoad(now, off)
@@ -242,7 +230,7 @@ func (e *Engine) validateVA(ctx int, srcVA, dstVA, size uint64) bool {
 // are pinned first and the pin latency precedes engine startup.
 func (e *Engine) startVA(now sim.Time, ctx int, srcVA, dstVA, size uint64) (*Transfer, bool) {
 	if !e.validateVA(ctx, srcVA, dstVA, size) {
-		e.ctr.rejected.Inc()
+		e.ctr.Rejected.Inc()
 		e.last = &Transfer{Src: phys.Addr(srcVA), Dst: phys.Addr(dstVA), Size: size,
 			Failed: true, Start: now, End: now, Virt: true, VCtx: ctx}
 		return e.last, false
@@ -251,7 +239,7 @@ func (e *Engine) startVA(now sim.Time, ctx int, srcVA, dstVA, size uint64) (*Tra
 	if e.policy == RecoverPin {
 		lat, err := e.resolver.PinRange(ctx, srcVA, size, false)
 		if err != nil {
-			e.ctr.rejected.Inc()
+			e.ctr.Rejected.Inc()
 			e.last = &Transfer{Src: phys.Addr(srcVA), Dst: phys.Addr(dstVA), Size: size,
 				Failed: true, Start: now, End: now, Virt: true, VCtx: ctx}
 			return e.last, false
@@ -259,13 +247,13 @@ func (e *Engine) startVA(now sim.Time, ctx int, srcVA, dstVA, size uint64) (*Tra
 		pinLat = lat
 		if lat, err = e.resolver.PinRange(ctx, dstVA, size, true); err != nil {
 			e.resolver.UnpinRange(ctx, srcVA, size)
-			e.ctr.rejected.Inc()
+			e.ctr.Rejected.Inc()
 			e.last = &Transfer{Src: phys.Addr(srcVA), Dst: phys.Addr(dstVA), Size: size,
 				Failed: true, Start: now, End: now, Virt: true, VCtx: ctx}
 			return e.last, false
 		}
 		pinLat += lat
-		e.vactr.vaPins.Inc()
+		e.ctr.VAPins.Inc()
 	}
 	begin := now + pinLat
 	if e.xfer.busyUntil > begin {
@@ -283,8 +271,8 @@ func (e *Engine) startVA(now sim.Time, ctx int, srcVA, dstVA, size uint64) (*Tra
 	t.Src, t.Dst, t.Size, t.Start, t.End = phys.Addr(srcVA), phys.Addr(dstVA), size, begin, begin+duration
 	t.Virt, t.VCtx = true, ctx
 	e.xfer.busyUntil = t.End
-	e.ctr.started.Inc()
-	e.vactr.vaStarted.Inc()
+	e.ctr.Started.Inc()
+	e.ctr.VAStarted.Inc()
 	e.last = t
 	if e.logging {
 		e.log = append(e.log, t)
@@ -485,7 +473,7 @@ func (w *vaWalker) step(at sim.Time) {
 // latency; ErrFaultPending parks the transfer for ResumeFaulted.
 func (w *vaWalker) fault(at sim.Time, va uint64, write bool) {
 	e := w.e
-	e.vactr.vaFaults.Inc()
+	e.ctr.VAFaults.Inc()
 	w.faults++
 	if w.faults > w.maxFaults || e.resolver == nil {
 		w.fail(at)
@@ -496,14 +484,14 @@ func (w *vaWalker) fault(at sim.Time, va uint64, write bool) {
 		if errors.Is(err, ErrFaultPending) && e.events != nil {
 			w.parked = true
 			w.faultVA, w.faultWr = va, write
-			e.vactr.vaStalls.Inc()
+			e.ctr.VAStalls.Inc()
 			e.vaParked = append(e.vaParked, w)
 			return
 		}
 		w.fail(at)
 		return
 	}
-	e.vactr.vaStalls.Inc()
+	e.ctr.VAStalls.Inc()
 	e.events.ScheduleFunc(at+lat, w.fire)
 }
 
@@ -577,7 +565,7 @@ func (e *Engine) bounceOut(w *vaWalker, at sim.Time, va, n uint64) (phys.Addr, b
 	e.bounceFree = e.bounceFree[:k-1]
 	pa := e.cfg.BounceBase + phys.Addr(uint64(frame)*e.cfg.PageSize+va%e.cfg.PageSize)
 	w.fixups++
-	e.vactr.vaBounced.Inc()
+	e.ctr.VABounced.Inc()
 	// The fix-up record and its closure are allocated per fault — the
 	// fault path is off the allocation-pinned no-fault hot path.
 	fx := &vaFixup{w: w, frame: frame, bpa: pa, va: va, n: n}
@@ -740,7 +728,7 @@ func (e *Engine) runSyncVA(t *Transfer) {
 	faults := 0
 	maxFaults := int(2*(t.Size/pageSize) + 8)
 	resolve := func(va uint64, write bool) bool {
-		e.vactr.vaFaults.Inc()
+		e.ctr.VAFaults.Inc()
 		faults++
 		if faults > maxFaults || e.resolver == nil {
 			return false
@@ -749,7 +737,7 @@ func (e *Engine) runSyncVA(t *Transfer) {
 		if err != nil {
 			return false
 		}
-		e.vactr.vaStalls.Inc()
+		e.ctr.VAStalls.Inc()
 		extra += lat
 		return true
 	}

@@ -201,7 +201,7 @@ func TestVAPairedInitiation(t *testing.T) {
 	if !last.Virt || last.VCtx != 0 {
 		t.Fatalf("transfer Virt=%v VCtx=%d, want true/0", last.Virt, last.VCtx)
 	}
-	if got := f.e.vactr.vaStarted.Value(); got != 1 {
+	if got := f.e.ctr.VAStarted.Value(); got != 1 {
 		t.Fatalf("vaStarted = %d, want 1", got)
 	}
 	if !last.Done(last.End) {
@@ -333,8 +333,8 @@ func TestVAIOTLBMissPenalty(t *testing.T) {
 	if warmSpan := warm.End - warm.Start; warmSpan >= coldSpan {
 		t.Fatalf("warm span %v not shorter than cold span %v", warmSpan, coldSpan)
 	}
-	if f.io.Misses() == 0 || f.io.Hits() == 0 {
-		t.Fatalf("IOTLB hits=%d misses=%d, want both nonzero", f.io.Hits(), f.io.Misses())
+	if tc := f.io.IOTLB().Counters(); tc.Misses == 0 || tc.Hits == 0 {
+		t.Fatalf("IOTLB hits=%d misses=%d, want both nonzero", tc.Hits, tc.Misses)
 	}
 }
 
@@ -357,7 +357,7 @@ func TestVAStallParkAndResume(t *testing.T) {
 	if last.Done(now) {
 		t.Fatal("parked transfer reports done")
 	}
-	if got := f.e.vactr.vaStalls.Value(); got != 1 {
+	if got := f.e.ctr.VAStalls.Value(); got != 1 {
 		t.Fatalf("vaStalls = %d, want 1", got)
 	}
 
@@ -430,7 +430,7 @@ func TestVABounceRecovery(t *testing.T) {
 	last := f.e.LastTransfer()
 	f.settle()
 	f.expectMoved(t, vaDstPA, int(size), 0x9A)
-	if got := f.e.vactr.vaBounced.Value(); got == 0 {
+	if got := f.e.ctr.VABounced.Value(); got == 0 {
 		t.Fatal("no pages bounced")
 	}
 	if got := len(f.e.bounceFree); got != f.e.Config().BouncePages {
@@ -481,10 +481,10 @@ func TestVAPinPolicy(t *testing.T) {
 	last := f.e.LastTransfer()
 	f.settle()
 	f.expectMoved(t, vaDstPA, 256, 0xC4)
-	if got := f.e.vactr.vaPins.Value(); got != 1 {
+	if got := f.e.ctr.VAPins.Value(); got != 1 {
 		t.Fatalf("vaPins = %d, want 1", got)
 	}
-	if got := f.e.vactr.vaFaults.Value(); got != 0 {
+	if got := f.e.ctr.VAFaults.Value(); got != 0 {
 		t.Fatalf("vaFaults = %d, want 0 under pin", got)
 	}
 	if f.res.unpins != 2 {
@@ -659,7 +659,7 @@ func TestVARingDescriptors(t *testing.T) {
 	if sim.Time(stamp) != last.End {
 		t.Fatalf("completion stamp %v != real end %v", sim.Time(stamp), last.End)
 	}
-	if f.io.Misses() == 0 {
+	if f.io.IOTLB().Counters().Misses == 0 {
 		t.Fatal("cold ring walk took no IOTLB misses")
 	}
 }
@@ -751,7 +751,7 @@ func TestVATranslateZeroAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("no-fault VA translate path allocates %.1f/op, want 0", allocs)
 	}
-	if got := f.e.vactr.vaFaults.Value(); got != 0 {
+	if got := f.e.ctr.VAFaults.Value(); got != 0 {
 		t.Fatalf("warm path took %d faults", got)
 	}
 }

@@ -139,9 +139,22 @@ type streamResult struct {
 	sendTimes []sim.Time
 	recvTimes []sim.Time
 	bytes     uint64
-	tx        msg.RStats
-	rx        msg.RStats
-	fabric    net.FabricStats
+	tx        msg.RCounters
+	rx        msg.RCounters
+	fabric    net.FabricCounters
+}
+
+// faultPoint summarizes the stream as one faultsweep row.
+func (r *streamResult) faultPoint(label string, drop float64, size uint64, msgs int) FaultPoint {
+	elapsed := r.recvTimes[len(r.recvTimes)-1] - r.sendTimes[0]
+	return FaultPoint{
+		Label: label, Drop: drop, Size: size, Msgs: msgs,
+		Mean: r.latency.Mean(), P50: r.latency.Percentile(50), P99: r.latency.Percentile(99),
+		GoodputMBps: float64(r.bytes) / (float64(elapsed) / 1e12) / 1e6,
+		Retransmits: r.tx.Retransmits.Value(), Timeouts: r.tx.Timeouts.Value(),
+		Recredits: r.rx.Recredits.Value(),
+		Dropped:   r.fabric.FaultDropped.Value(), Delivered: r.fabric.Delivered.Value(),
+	}
 }
 
 // fmsg deterministically fills buf for message i (and is what the
@@ -224,7 +237,7 @@ func reliableStream(plan fault.Plan, seed uint64, cfg msg.ReliableConfig,
 	for i := range res.recvTimes {
 		res.latency.Add(res.recvTimes[i] - res.sendTimes[i])
 	}
-	res.tx, res.rx, res.fabric = tx.Stats(), rx.Stats(), cluster.Fabric.Stats()
+	res.tx, res.rx, res.fabric = tx.Counters(), rx.Counters(), cluster.Fabric.Counters()
 	return res, nil
 }
 
@@ -260,16 +273,7 @@ func faultSweepCells(p Params) ([]Cell, error) {
 				if err != nil {
 					return nil, false, fmt.Errorf("%s: %w", label, err)
 				}
-				elapsed := r.recvTimes[len(r.recvTimes)-1] - r.sendTimes[0]
-				pt := FaultPoint{
-					Label: label, Drop: drop, Size: size, Msgs: total,
-					Mean: r.latency.Mean(), P50: r.latency.Percentile(50), P99: r.latency.Percentile(99),
-					GoodputMBps: float64(r.bytes) / (float64(elapsed) / 1e12) / 1e6,
-					Retransmits: r.tx.Retransmits, Timeouts: r.tx.Timeouts,
-					Recredits: r.rx.Recredits,
-					Dropped:   r.fabric.FaultDropped, Delivered: r.fabric.Delivered,
-				}
-				return Obs{pt}, false, nil
+				return Obs{r.faultPoint(label, drop, size, total)}, false, nil
 			}})
 		}
 	}
@@ -307,7 +311,7 @@ func recoveryCells(p Params) ([]Cell, error) {
 				Label: label, Outage: outage,
 				Recover:     recover,
 				Complete:    r.recvTimes[len(r.recvTimes)-1],
-				Retransmits: r.tx.Retransmits, Timeouts: r.tx.Timeouts,
+				Retransmits: r.tx.Retransmits.Value(), Timeouts: r.tx.Timeouts.Value(),
 			}
 			return Obs{pt}, false, nil
 		}})

@@ -14,7 +14,7 @@ var faultParityWorkers = []int{1, 4, 8}
 // TestFaultSweepParityAcrossWorkers pins the fault plane's determinism
 // contract end to end: the full faultsweep — per-message latencies,
 // goodput, retransmit counters AND the fabric's fault statistics —
-// is byte-identical for any worker count. Fabric.Stats() is part of
+// is byte-identical for any worker count. Fabric.Counters() is part of
 // the compared rows, so a single drop/dup/reorder verdict landing
 // differently under parallel cell execution fails the test.
 func TestFaultSweepParityAcrossWorkers(t *testing.T) {

@@ -98,8 +98,8 @@ func oslatSwitch(iters int) (Obs, bool, error) {
 		return nil, false, err
 	}
 	switchMean := sim.Time(0)
-	if s := m2.Runner.Stats(); s.Switches > 0 {
-		switchMean = s.SwitchTime / sim.Time(s.Switches)
+	if s := m2.Runner.Counters(); s.Switches > 0 {
+		switchMean = sim.Time(s.SwitchTime.Value()) / sim.Time(s.Switches.Value())
 	}
 	return Obs{Row{Name: "context switch", Mean: switchMean}}, false, nil
 }

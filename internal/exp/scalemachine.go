@@ -761,23 +761,23 @@ func (w *scaleMWorld) observe() ScaleMachinePoint {
 		digest *= 1099511628211
 	}
 	for n := 0; n < w.nodes; n++ {
-		st := w.hm.Machine(n).Engine.Stats()
-		mix(st.ShadowStores)
-		mix(st.ShadowLoads)
-		mix(st.KeyMismatches)
-		mix(st.SeqResets)
-		mix(st.Started)
-		mix(st.Rejected)
-		mix(st.Completed)
-		mix(st.BytesMoved)
-		mix(st.AtomicOps)
-		mix(st.RemoteStarted)
-		mix(st.AbortedPending)
+		st := w.hm.Machine(n).Engine.Counters()
+		mix(st.ShadowStores.Value())
+		mix(st.ShadowLoads.Value())
+		mix(st.KeyMismatches.Value())
+		mix(st.SeqResets.Value())
+		mix(st.Started.Value())
+		mix(st.Rejected.Value())
+		mix(st.Completed.Value())
+		mix(st.BytesMoved.Value())
+		mix(st.AtomicOps.Value())
+		mix(st.RemoteStarted.Value())
+		mix(st.AbortedPending.Value())
 		mix(uint64(w.hm.Busy(n)))
-		pt.EngStarted += st.Started
-		pt.EngRejected += st.Rejected
-		pt.EngCompleted += st.Completed
-		pt.EngBytesMoved += st.BytesMoved
+		pt.EngStarted += st.Started.Value()
+		pt.EngRejected += st.Rejected.Value()
+		pt.EngCompleted += st.Completed.Value()
+		pt.EngBytesMoved += st.BytesMoved.Value()
 	}
 	pt.MachineDigest = digest
 	if pt.Finish > pt.Boot {

@@ -367,16 +367,7 @@ func (z *ZoomPolicy) cell(drop float64, log *DecisionLog, r int, act Action, why
 		if err != nil {
 			return nil, false, fmt.Errorf("%s: %w", label, err)
 		}
-		elapsed := res.recvTimes[len(res.recvTimes)-1] - res.sendTimes[0]
-		pt := FaultPoint{
-			Label: label, Drop: drop, Size: size, Msgs: msgs,
-			Mean: res.latency.Mean(), P50: res.latency.Percentile(50), P99: res.latency.Percentile(99),
-			GoodputMBps: float64(res.bytes) / (float64(elapsed) / 1e12) / 1e6,
-			Retransmits: res.tx.Retransmits, Timeouts: res.tx.Timeouts,
-			Recredits: res.rx.Recredits,
-			Dropped:   res.fabric.FaultDropped, Delivered: res.fabric.Delivered,
-		}
-		return Obs{pt}, false, nil
+		return Obs{res.faultPoint(label, drop, size, msgs)}, false, nil
 	}}
 }
 

@@ -48,17 +48,16 @@ type IOMMU struct {
 	cfg    Config
 	tables []*vm.AddressSpace // per-context device page tables; asid == ctx
 	tlb    *vm.TLB            // IOTLB: ASID-tagged, LRU, L0 hint
-	ctr    counters
+	ctr    Counters
 }
 
-// counters are the IOMMU's obs cells. IOTLB hits/misses live in the
-// vm.TLB and are registered through closures; these cells cover the
-// management plane.
-type counters struct {
-	flushes obs.Counter // invalidation events (unmap generation bumps + explicit flushes)
-	maps    obs.Counter // Map calls
-	unmaps  obs.Counter // Unmap calls
-	faults  obs.Counter // translations that faulted (unmapped or protection)
+// Counters are the IOMMU's management-plane obs cells. IOTLB hits and
+// misses are the IOTLB's own cells (IOTLB().Counters()).
+type Counters struct {
+	Flushes obs.Counter // invalidation events (unmap generation bumps + explicit flushes)
+	Maps    obs.Counter // Map calls
+	Unmaps  obs.Counter // Unmap calls
+	Faults  obs.Counter // translations that faulted (unmapped or protection)
 }
 
 // New builds an IOMMU. PageSize must be a power of two and Contexts at
@@ -107,7 +106,7 @@ func (io *IOMMU) Map(ctx int, va uint64, frame phys.Addr, prot vm.Prot) error {
 	if err := as.Map(vm.VAddr(va), frame, prot); err != nil {
 		return err
 	}
-	io.ctr.maps.Inc()
+	io.ctr.Maps.Inc()
 	return nil
 }
 
@@ -121,15 +120,15 @@ func (io *IOMMU) Unmap(ctx int, va uint64) error {
 		return err
 	}
 	as.Unmap(vm.VAddr(va))
-	io.ctr.unmaps.Inc()
-	io.ctr.flushes.Inc()
+	io.ctr.Unmaps.Inc()
+	io.ctr.Flushes.Inc()
 	return nil
 }
 
 // Flush invalidates the whole IOTLB (every context).
 func (io *IOMMU) Flush() {
 	io.tlb.Flush()
-	io.ctr.flushes.Inc()
+	io.ctr.Flushes.Inc()
 }
 
 // Translate resolves a device virtual address for ctx. hit reports an
@@ -143,7 +142,7 @@ func (io *IOMMU) Translate(ctx int, va uint64, access vm.Access) (phys.Addr, boo
 	}
 	pa, hit, err := io.tlb.Translate(as, vm.VAddr(va), access)
 	if err != nil {
-		io.ctr.faults.Inc()
+		io.ctr.Faults.Inc()
 	}
 	return pa, hit, err
 }
@@ -167,28 +166,22 @@ func (io *IOMMU) MappedPages(ctx int) int {
 	return as.MappedPages()
 }
 
-// Hits returns the IOTLB hit count.
-func (io *IOMMU) Hits() uint64 { return io.tlb.Stats().Hits }
+// Counters returns the management-plane counters.
+func (io *IOMMU) Counters() Counters { return io.ctr }
 
-// Misses returns the IOTLB miss count.
-func (io *IOMMU) Misses() uint64 { return io.tlb.Stats().Misses }
-
-// Flushes returns the invalidation-event count.
-func (io *IOMMU) Flushes() uint64 { return io.ctr.flushes.Value() }
-
-// Faults returns the translation-fault count.
-func (io *IOMMU) Faults() uint64 { return io.ctr.faults.Value() }
+// IOTLB exposes the translation cache, whose counters are the IOTLB
+// hits and misses.
+func (io *IOMMU) IOTLB() *vm.TLB { return io.tlb }
 
 // RegisterMetrics registers the IOMMU's cells. The machine calls this
 // only when an IOMMU is configured, so worlds without one keep their
 // registry dump byte-identical.
 func (io *IOMMU) RegisterMetrics(r *obs.Registry) {
-	r.Register("iommu.iotlb_hits", func() uint64 { return io.tlb.Stats().Hits })
-	r.Register("iommu.iotlb_misses", func() uint64 { return io.tlb.Stats().Misses })
-	r.RegisterCounter("iommu.iotlb_flushes", &io.ctr.flushes)
-	r.RegisterCounter("iommu.maps", &io.ctr.maps)
-	r.RegisterCounter("iommu.unmaps", &io.ctr.unmaps)
-	r.RegisterCounter("iommu.faults", &io.ctr.faults)
+	io.tlb.RegisterMetrics(r, "iommu.iotlb_")
+	r.RegisterCounter("iommu.iotlb_flushes", &io.ctr.Flushes)
+	r.RegisterCounter("iommu.maps", &io.ctr.Maps)
+	r.RegisterCounter("iommu.unmaps", &io.ctr.Unmaps)
+	r.RegisterCounter("iommu.faults", &io.ctr.Faults)
 }
 
 // TranslateIO implements dma.Translator: a device access is a store
@@ -227,12 +220,12 @@ func (io *IOMMU) StateHash() uint64 {
 	}
 	mix(io.tlb.StateHash())
 	mix(io.tlb.Tick())
-	s := io.tlb.Stats()
-	mix(s.Hits)
-	mix(s.Misses)
-	mix(io.ctr.flushes.Value())
-	mix(io.ctr.maps.Value())
-	mix(io.ctr.unmaps.Value())
-	mix(io.ctr.faults.Value())
+	s := io.tlb.Counters()
+	mix(s.Hits.Value())
+	mix(s.Misses.Value())
+	mix(io.ctr.Flushes.Value())
+	mix(io.ctr.Maps.Value())
+	mix(io.ctr.Unmaps.Value())
+	mix(io.ctr.Faults.Value())
 	return h
 }

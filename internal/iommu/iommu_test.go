@@ -38,8 +38,8 @@ func TestTranslateHitMissFault(t *testing.T) {
 	if pa != 0x4010 {
 		t.Fatalf("pa = %v, want 0x4010", pa)
 	}
-	if io.Hits() != 1 || io.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", io.Hits(), io.Misses())
+	if tc := io.IOTLB().Counters(); tc.Hits != 1 || tc.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1/1", tc.Hits, tc.Misses)
 	}
 
 	// Same VA in a different context is unmapped: ASID tagging.
@@ -51,8 +51,8 @@ func TestTranslateHitMissFault(t *testing.T) {
 	if !errors.As(err, &f) || f.Kind != vm.FaultUnmapped {
 		t.Fatalf("unmapped VA: err=%v, want *vm.Fault{FaultUnmapped}", err)
 	}
-	if io.Faults() != 2 {
-		t.Fatalf("faults = %d, want 2", io.Faults())
+	if got := io.Counters().Faults; got != 2 {
+		t.Fatalf("faults = %d, want 2", got)
 	}
 }
 
@@ -70,8 +70,8 @@ func TestUnmapInvalidates(t *testing.T) {
 	if err := io.Unmap(0, 0x2000); err != nil {
 		t.Fatal(err)
 	}
-	if io.Flushes() != 1 {
-		t.Fatalf("flushes = %d, want 1", io.Flushes())
+	if got := io.Counters().Flushes; got != 1 {
+		t.Fatalf("flushes = %d, want 1", got)
 	}
 	// The generation bump must make the cached entry stale.
 	if _, _, err := io.Translate(0, 0x2000, vm.AccessLoad); err == nil {

@@ -2,7 +2,7 @@ package iommu
 
 // Snapshot/restore: the IOMMU is pure data (no events), so its
 // complete state is the per-context tables, the IOTLB (entries + LRU
-// clock + hit/miss stats) and the management counters. machine.Snapshot
+// clock + hit/miss counters) and the management counters. machine.Snapshot
 // carries one of these when an IOMMU is configured, under the same
 // rewind-with-the-world rule as every other substrate.
 
@@ -16,7 +16,7 @@ import (
 type Snapshot struct {
 	tables []*vm.ASSnapshot
 	tlb    *vm.TLBSnapshot
-	ctr    counters
+	ctr    Counters
 }
 
 // Snapshot captures every table, the IOTLB and the counters.

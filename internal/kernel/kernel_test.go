@@ -319,8 +319,8 @@ func TestSysDMAMovesData(t *testing.T) {
 	if v, _ := m.Mem.Read(pa, phys.Size64); v != 0xfeed {
 		t.Fatalf("dst word = %#x", v)
 	}
-	if m.Kernel.Stats().DMASyscalls != 1 {
-		t.Fatalf("stats = %+v", m.Kernel.Stats())
+	if m.Kernel.Counters().DMASyscalls != 1 {
+		t.Fatalf("stats = %+v", m.Kernel.Counters())
 	}
 }
 
@@ -350,7 +350,7 @@ func TestSysDMARejectsBadRights(t *testing.T) {
 		if !errors.As(gotErr, &fault) || status != dma.StatusFailure {
 			t.Fatalf("%s: err=%v status=%#x", c.name, gotErr, status)
 		}
-		if m.Engine.Stats().Started != 0 {
+		if m.Engine.Counters().Started != 0 {
 			t.Fatalf("%s: engine started a transfer", c.name)
 		}
 	}
@@ -428,8 +428,8 @@ func TestSyscallValidation(t *testing.T) {
 			t.Fatalf("bad syscall %d accepted", i)
 		}
 	}
-	if m.Kernel.Stats().Syscalls != 3 {
-		t.Fatalf("syscall count = %d", m.Kernel.Stats().Syscalls)
+	if m.Kernel.Counters().Syscalls != 3 {
+		t.Fatalf("syscall count = %d", m.Kernel.Counters().Syscalls)
 	}
 }
 

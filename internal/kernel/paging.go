@@ -58,9 +58,8 @@ type pagerPage struct {
 	seq      uint64 // registration order, the lastUse tiebreak
 }
 
-// pagerState is the kernel's paging/eviction model. Not a *Stats
-// struct: the counters are obs cells registered via
-// RegisterPagerMetrics.
+// pagerState is the kernel's paging/eviction model. Its counters are
+// the Pager* cells of the kernel's Counters.
 type pagerState struct {
 	enabled  bool
 	budget   int      // max resident device pages (0 with enabled = unlimited)
@@ -69,10 +68,6 @@ type pagerState struct {
 	resident int
 	tick     uint64 // LRU clock
 	seq      uint64 // registration counter
-
-	evictions obs.Counter
-	pageIns   obs.Counter
-	pins      obs.Counter
 }
 
 // SetIOMMU attaches the machine's IOMMU. The machine layer calls it
@@ -113,9 +108,9 @@ func (k *Kernel) ResidentPages() int { return k.pager.resident }
 // this only on IOMMU-equipped worlds, keeping other registry dumps
 // byte-identical.
 func (k *Kernel) RegisterPagerMetrics(r *obs.Registry) {
-	r.RegisterCounter("kernel.pager_evictions", &k.pager.evictions)
-	r.RegisterCounter("kernel.pager_page_ins", &k.pager.pageIns)
-	r.RegisterCounter("kernel.pager_pins", &k.pager.pins)
+	r.RegisterCounter("kernel.pager_evictions", &k.ctr.PagerEvictions)
+	r.RegisterCounter("kernel.pager_page_ins", &k.ctr.PagerPageIns)
+	r.RegisterCounter("kernel.pager_pins", &k.ctr.PagerPins)
 }
 
 // MapIO installs a device translation: ctx's device VA va -> frame with
@@ -236,7 +231,7 @@ func (k *Kernel) evictOne() error {
 	}
 	victim.resident = false
 	k.pager.resident--
-	k.pager.evictions.Inc()
+	k.ctr.PagerEvictions.Inc()
 	return nil
 }
 
@@ -265,11 +260,11 @@ func (k *Kernel) ResolveFault(ctx int, va uint64, write bool) (sim.Time, error) 
 	key := pagerKey{ctx: ctx, va: base}
 	pg := k.pager.pages[key]
 	if pg == nil {
-		k.ctr.faults.Inc()
+		k.ctr.Faults.Inc()
 		return 0, fmt.Errorf("kernel: device page ctx=%d va=%#x never mapped", ctx, base)
 	}
 	if write && !pg.prot.Can(vm.Write) {
-		k.ctr.faults.Inc()
+		k.ctr.Faults.Inc()
 		return 0, fmt.Errorf("kernel: device page ctx=%d va=%#x not writable", ctx, base)
 	}
 	if pg.resident {
@@ -277,10 +272,10 @@ func (k *Kernel) ResolveFault(ctx int, va uint64, write bool) (sim.Time, error) 
 		return 0, nil
 	}
 	if err := k.makeResident(key, pg); err != nil {
-		k.ctr.faults.Inc()
+		k.ctr.Faults.Inc()
 		return 0, err
 	}
-	k.pager.pageIns.Inc()
+	k.ctr.PagerPageIns.Inc()
 	return k.pager.pageIn, nil
 }
 
@@ -316,7 +311,7 @@ func (k *Kernel) pinOne(ctx int, base uint64, write bool) (sim.Time, error) {
 		if write && !pte.Prot.Can(vm.Write) {
 			return 0, fmt.Errorf("kernel: PinRange: device page ctx=%d va=%#x not writable", ctx, base)
 		}
-		k.pager.pins.Inc()
+		k.ctr.PagerPins.Inc()
 		return 0, nil
 	}
 	lat, err := k.ResolveFault(ctx, base, write)
@@ -324,7 +319,7 @@ func (k *Kernel) pinOne(ctx int, base uint64, write bool) (sim.Time, error) {
 		return 0, err
 	}
 	k.pager.pages[pagerKey{ctx: ctx, va: base}].pinned++
-	k.pager.pins.Inc()
+	k.ctr.PagerPins.Inc()
 	return lat, nil
 }
 
@@ -370,7 +365,7 @@ func (k *Kernel) sysIOMap(p *proc.Process, devva uint64, va vm.VAddr) (uint64, e
 	base := as.PageBase(va)
 	pte, ok := as.Lookup(base)
 	if !ok {
-		k.ctr.faults.Inc()
+		k.ctr.Faults.Inc()
 		return dma.StatusFailure, &vm.Fault{VA: va, Access: vm.AccessLoad, Kind: vm.FaultUnmapped, ASID: as.ASID()}
 	}
 	if err := k.MapIO(ctx, devva, pte.Frame, pte.Prot); err != nil {
@@ -455,9 +450,9 @@ func (k *Kernel) PagerStateHash() uint64 {
 	mix(uint64(k.pager.resident))
 	mix(k.pager.tick)
 	mix(k.pager.seq)
-	mix(k.pager.evictions.Value())
-	mix(k.pager.pageIns.Value())
-	mix(k.pager.pins.Value())
+	mix(k.ctr.PagerEvictions.Value())
+	mix(k.ctr.PagerPageIns.Value())
+	mix(k.ctr.PagerPins.Value())
 	var pagesFold uint64
 	for key, pg := range k.pager.pages {
 		ph := uint64(0x9e3779b97f4a7c15)

@@ -139,7 +139,7 @@ func (k *Kernel) AcquireContext(p *proc.Process, policy CtxPolicy) (int, bool, e
 				victim = ctx
 			}
 		}
-		k.ctr.ctxSteals.Inc()
+		k.ctr.CtxSteals.Inc()
 		k.revokeContext(victim)
 		if err := k.grantContext(p, victim); err != nil {
 			return 0, false, err
@@ -158,7 +158,7 @@ func (k *Kernel) AcquireContext(p *proc.Process, policy CtxPolicy) (int, bool, e
 	}
 	if !queued {
 		k.ctxWaiters = append(k.ctxWaiters, p)
-		k.ctr.ctxWaits.Inc()
+		k.ctr.CtxWaits.Inc()
 	}
 	p.BlockUntil(sim.Never)
 	return 0, false, nil

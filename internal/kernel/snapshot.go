@@ -10,7 +10,6 @@ package kernel
 import (
 	"fmt"
 
-	"uldma/internal/obs"
 	"uldma/internal/phys"
 	"uldma/internal/proc"
 	"uldma/internal/sim"
@@ -29,7 +28,7 @@ type Snapshot struct {
 	shrimp2   bool
 	flash     bool
 	palDMA    bool
-	ctr       counters
+	ctr       Counters
 
 	// Pager state (paging.go). Pages are deep-copied: live records
 	// mutate after the snapshot.
@@ -40,9 +39,6 @@ type Snapshot struct {
 	pagerTick     uint64
 	pagerSeq      uint64
 	pagerPages    map[pagerKey]pagerPage
-	pagerEvict    uint64
-	pagerIns      uint64
-	pagerPins     uint64
 }
 
 // SHRIMP2Hook reports whether the SHRIMP-2 context-switch hook was
@@ -91,9 +87,6 @@ func (k *Kernel) Snapshot() (*Snapshot, error) {
 	s.pagerResident = k.pager.resident
 	s.pagerTick = k.pager.tick
 	s.pagerSeq = k.pager.seq
-	s.pagerEvict = k.pager.evictions.Value()
-	s.pagerIns = k.pager.pageIns.Value()
-	s.pagerPins = k.pager.pins.Value()
 	if len(k.pager.pages) > 0 {
 		s.pagerPages = make(map[pagerKey]pagerPage, len(k.pager.pages))
 		for key, pg := range k.pager.pages {
@@ -138,9 +131,6 @@ func (k *Kernel) Restore(s *Snapshot) error {
 	k.pager.resident = s.pagerResident
 	k.pager.tick = s.pagerTick
 	k.pager.seq = s.pagerSeq
-	k.pager.evictions = obs.Counter(s.pagerEvict)
-	k.pager.pageIns = obs.Counter(s.pagerIns)
-	k.pager.pins = obs.Counter(s.pagerPins)
 	for key := range k.pager.pages {
 		delete(k.pager.pages, key)
 	}

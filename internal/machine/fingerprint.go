@@ -54,48 +54,48 @@ func (m *Machine) Fingerprint() Fingerprint {
 	put(uint64(m.Clock.Now()))
 
 	// CPU counters (linear).
-	cs := m.CPU.Stats()
-	put(cs.Instructions)
-	put(cs.Loads)
-	put(cs.Stores)
-	put(cs.RMWs)
-	put(cs.Barriers)
-	put(cs.DeviceAccess)
-	put(cs.MemoryAccess)
-	put(uint64(cs.ComputeCycles))
+	cs := m.CPU.Counters()
+	put(cs.Instructions.Value())
+	put(cs.Loads.Value())
+	put(cs.Stores.Value())
+	put(cs.RMWs.Value())
+	put(cs.Barriers.Value())
+	put(cs.DeviceAccess.Value())
+	put(cs.MemoryAccess.Value())
+	put(uint64(cs.ComputeCycles.Value()))
 
 	// TLB: counters and LRU tick (linear), structure (hash).
-	ts := m.CPU.TLB().Stats()
-	put(ts.Hits)
-	put(ts.Misses)
+	ts := m.CPU.TLB().Counters()
+	put(ts.Hits.Value())
+	put(ts.Misses.Value())
 	put(m.CPU.TLB().Tick())
 	put(m.CPU.TLB().StateHash())
 
 	// Bus counters (linear).
-	bs := m.Bus.Stats()
-	put(bs.Loads)
-	put(bs.Stores)
-	put(bs.RMWs)
-	put(uint64(bs.BusyCycles))
-	put(uint64(bs.StolenCycles))
-	put(bs.Errors)
+	bs := m.Bus.Counters()
+	put(bs.Loads.Value())
+	put(bs.Stores.Value())
+	put(bs.RMWs.Value())
+	put(uint64(bs.BusyCycles.Value()))
+	put(uint64(bs.StolenCycles.Value()))
+	put(bs.Errors.Value())
 
 	// Write buffer: counters (linear) and occupancy (hash-like; must
 	// be identical in steady state).
-	ws := m.WB.Stats()
-	put(ws.Enqueued)
-	put(ws.Coalesced)
-	put(ws.LoadForwards)
-	put(ws.Drains)
-	put(ws.DrainedOps)
+	ws := m.WB.Counters()
+	put(ws.Enqueued.Value())
+	put(ws.Coalesced.Value())
+	put(ws.LoadForwards.Value())
+	put(ws.Drains.Value())
+	put(ws.DrainedOps.Value())
 	put(uint64(m.WB.Pending()))
 
 	// Physical memory counters (linear).
-	ms := m.Mem.Stats()
-	put(ms.Reads)
-	put(ms.Writes)
-	put(ms.BytesRead)
-	put(ms.BytesWrote)
+	ms := m.Mem.Counters()
+	put(ms.Reads.Value())
+	put(ms.Writes.Value())
+	put(ms.BytesRead.Value())
+	put(ms.BytesWrote.Value())
 
 	// DMA engine: counters (linear), channel/transfer clocks (linear),
 	// register/FSM state (hash). Completed is deliberately absent: it
@@ -110,26 +110,26 @@ func (m *Machine) Fingerprint() Fingerprint {
 	// payload-carrying transfers, whose burst deliveries also touch the
 	// memory counters below — a deliberate brake on fast-forwarding any
 	// loop with data movement still in flight.
-	es := m.Engine.Stats()
-	put(es.ShadowStores)
-	put(es.ShadowLoads)
-	put(es.KeyMismatches)
-	put(es.SeqResets)
-	put(es.Started)
-	put(es.Rejected)
-	put(es.BytesMoved)
-	put(es.AtomicOps)
-	put(es.RemoteStarted)
-	put(es.AbortedPending)
+	es := m.Engine.Counters()
+	put(es.ShadowStores.Value())
+	put(es.ShadowLoads.Value())
+	put(es.KeyMismatches.Value())
+	put(es.SeqResets.Value())
+	put(es.Started.Value())
+	put(es.Rejected.Value())
+	put(es.BytesMoved.Value())
+	put(es.AtomicOps.Value())
+	put(es.RemoteStarted.Value())
+	put(es.AbortedPending.Value())
 	// Ring-engine counters (linear): doorbells rung, descriptors
 	// posted, completion records written back. RingCompletions shares
 	// Completed's event-cadence caveat above, but unlike Completed it
 	// feeds a state the client CAN observe (the completion record in the
 	// descriptor slot), so it must brake fast-forwarding while ring
 	// deliveries are in flight.
-	put(es.RingDoorbells)
-	put(es.RingPosted)
-	put(es.RingCompletions)
+	put(es.RingDoorbells.Value())
+	put(es.RingPosted.Value())
+	put(es.RingCompletions.Value())
 	busy, lastBounds, ctxBounds := m.Engine.FingerprintLinear()
 	put(uint64(busy))
 	put(uint64(lastBounds))
@@ -155,10 +155,10 @@ func (m *Machine) Fingerprint() Fingerprint {
 	// flip state no cost path reads.
 
 	// Scheduler counters (linear).
-	rs := m.Runner.Stats()
-	put(rs.Slots)
-	put(rs.Switches)
-	put(uint64(rs.SwitchTime))
+	rs := m.Runner.Counters()
+	put(rs.Slots.Value())
+	put(rs.Switches.Value())
+	put(uint64(rs.SwitchTime.Value()))
 
 	// Trace spine (linear): events offered and not-retained advance by
 	// a constant per identical iteration when tracing is enabled, and
@@ -172,10 +172,10 @@ func (m *Machine) Fingerprint() Fingerprint {
 	}
 
 	// Kernel counters and RNG position (linear).
-	ks := m.Kernel.Stats()
-	put(ks.Syscalls)
-	put(ks.DMASyscalls)
-	put(ks.Faults)
+	ks := m.Kernel.Counters()
+	put(ks.Syscalls.Value())
+	put(ks.DMASyscalls.Value())
+	put(ks.Faults.Value())
 	put(m.Kernel.RNGState())
 
 	if i != FingerprintLen {

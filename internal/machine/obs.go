@@ -3,14 +3,12 @@ package machine
 // Observability wiring: the machine-wide metrics registry and the
 // structured trace spine (internal/obs).
 //
-// Registry: every component registers its counters at construction,
-// in a fixed order (CPU, TLB, bus, write buffer, memory, engine,
-// scheduler, kernel — the fingerprint's order), so two identically
-// built machines render byte-identical metric snapshots. Components
-// with obs-cell storage register their cells directly; the CPU, TLB
-// and write buffer (whose counter structs are also their snapshot
-// wire format) register closures over their Stats() accessors — both
-// paths read live, restore-aware state.
+// Registry: every component registers pointers to the cells of its
+// Counters struct at construction, in a fixed order (CPU, TLB, bus,
+// write buffer, memory, engine, scheduler, kernel — the fingerprint's
+// order), so two identically built machines render byte-identical
+// metric snapshots. The registry reads those same cells, so it always
+// sees live, restore-aware state.
 //
 // Tracer: nil until EnableTrace. Enabling hands the one Trace to
 // every emitting component (bus, scheduler, kernel; the DMA window
@@ -25,28 +23,11 @@ import "uldma/internal/obs"
 func (m *Machine) registerMetrics() {
 	r := obs.NewRegistry()
 
-	// CPU counters (closures over the compat accessor: the CPU's stats
-	// struct doubles as its snapshot wire format, so the cells stay).
-	r.Register("cpu.instructions", func() uint64 { return m.CPU.Stats().Instructions })
-	r.Register("cpu.loads", func() uint64 { return m.CPU.Stats().Loads })
-	r.Register("cpu.stores", func() uint64 { return m.CPU.Stats().Stores })
-	r.Register("cpu.rmws", func() uint64 { return m.CPU.Stats().RMWs })
-	r.Register("cpu.barriers", func() uint64 { return m.CPU.Stats().Barriers })
-	r.Register("cpu.device_access", func() uint64 { return m.CPU.Stats().DeviceAccess })
-	r.Register("cpu.memory_access", func() uint64 { return m.CPU.Stats().MemoryAccess })
-	r.Register("cpu.compute_cycles", func() uint64 { return uint64(m.CPU.Stats().ComputeCycles) })
-
-	// TLB.
-	r.Register("tlb.hits", func() uint64 { return m.CPU.TLB().Stats().Hits })
-	r.Register("tlb.misses", func() uint64 { return m.CPU.TLB().Stats().Misses })
-
-	// Bus, write buffer, memory.
+	// CPU, TLB, bus, write buffer, memory.
+	m.CPU.RegisterMetrics(r)
+	m.CPU.TLB().RegisterMetrics(r, "tlb.")
 	m.Bus.RegisterMetrics(r)
-	r.Register("wb.enqueued", func() uint64 { return m.WB.Stats().Enqueued })
-	r.Register("wb.coalesced", func() uint64 { return m.WB.Stats().Coalesced })
-	r.Register("wb.load_forwards", func() uint64 { return m.WB.Stats().LoadForwards })
-	r.Register("wb.drains", func() uint64 { return m.WB.Stats().Drains })
-	r.Register("wb.drained_ops", func() uint64 { return m.WB.Stats().DrainedOps })
+	m.WB.RegisterMetrics(r)
 	m.Mem.RegisterMetrics(r)
 
 	// DMA engine, scheduler, kernel.

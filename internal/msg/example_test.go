@@ -44,7 +44,7 @@ func Example() {
 		log.Fatal(err)
 	}
 	fmt.Printf("kernel crossings: %d + %d\n",
-		n0.Kernel.Stats().Syscalls, n1.Kernel.Stats().Syscalls)
+		n0.Kernel.Counters().Syscalls, n1.Kernel.Counters().Syscalls)
 	// Output:
 	// received "hello, workstation 1"
 	// kernel crossings: 0 + 0

@@ -81,8 +81,8 @@ func TestSingleMessage(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("received %q, want %q", got, payload)
 	}
-	if w.tx.Stats().Messages != 1 || w.rx.Stats().Messages != 1 {
-		t.Fatalf("stats tx=%+v rx=%+v", w.tx.Stats(), w.rx.Stats())
+	if w.tx.Counters().Messages != 1 || w.rx.Counters().Messages != 1 {
+		t.Fatalf("stats tx=%+v rx=%+v", w.tx.Counters(), w.rx.Counters())
 	}
 }
 
@@ -123,11 +123,11 @@ func TestManyMessagesWrapAndFlowControl(t *testing.T) {
 	}
 	// With a slow receiver relative to ring depth, the sender stalled at
 	// least once — flow control engaged rather than overwriting.
-	if w.tx.Stats().FlowStalls == 0 {
+	if w.tx.Counters().FlowStalls == 0 {
 		t.Log("note: no flow stalls observed (receiver kept up)")
 	}
-	if w.cluster.Nodes[0].Kernel.Stats().Syscalls != 0 ||
-		w.cluster.Nodes[1].Kernel.Stats().Syscalls != 0 {
+	if w.cluster.Nodes[0].Kernel.Counters().Syscalls != 0 ||
+		w.cluster.Nodes[1].Kernel.Counters().Syscalls != 0 {
 		t.Fatal("channel crossed into a kernel")
 	}
 }
@@ -372,7 +372,7 @@ func TestRecvBlocking(t *testing.T) {
 	}
 	// The receiver trapped at most once per message plus a few spurious
 	// wakeups — nothing like a poll loop.
-	traps := w.cluster.Nodes[1].Kernel.Stats().Syscalls
+	traps := w.cluster.Nodes[1].Kernel.Counters().Syscalls
 	if traps == 0 {
 		t.Fatal("receiver never slept — blocking path not exercised")
 	}

@@ -76,13 +76,13 @@ func TestClusterSnapshotRestoreFidelity(t *testing.T) {
 	}
 
 	driveSchedule(t, c, 60) // phase B, first run
-	stats1, sum1 := c.Fabric.Stats(), memSum(t, c)
+	stats1, sum1 := c.Fabric.Counters(), memSum(t, c)
 
 	if err := c.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	driveSchedule(t, c, 60) // phase B, replayed
-	stats2, sum2 := c.Fabric.Stats(), memSum(t, c)
+	stats2, sum2 := c.Fabric.Counters(), memSum(t, c)
 
 	if stats1 != stats2 {
 		t.Fatalf("fabric stats diverged after restore:\n first %+v\nreplay %+v", stats1, stats2)
@@ -108,7 +108,7 @@ func TestZeroFaultPlaneByteIdentity(t *testing.T) {
 	driveSchedule(t, bare, 50)
 	driveSchedule(t, zeroed, 50)
 
-	if a, b := bare.Fabric.Stats(), zeroed.Fabric.Stats(); a != b {
+	if a, b := bare.Fabric.Counters(), zeroed.Fabric.Counters(); a != b {
 		t.Fatalf("stats differ with a zero plane attached:\n bare %+v\n zero %+v", a, b)
 	}
 	if a, b := memSum(t, bare), memSum(t, zeroed); a != b {

@@ -43,36 +43,21 @@ func ATM155() LinkConfig {
 	return LinkConfig{Latency: 10 * sim.Microsecond, Bandwidth: 19_375_000}
 }
 
-// FabricStats counts fabric traffic. The last four counters are only
-// ever advanced by an attached fault plane (SetFaultPlane); on a
-// fault-free fabric Delivered is the only one that moves.
-//
-// FabricStats is a read-only compatibility view over the fabric's obs
-// counter cells (see internal/obs); the storage lives in counters and
-// participates in the cluster-wide metrics registry.
-type FabricStats struct {
-	Messages  uint64
-	Bytes     uint64
-	Dropped   uint64 // deliveries refused (bad node or address)
-	RemoteMax int    // highest node id addressed
+// FabricCounters counts fabric traffic: the fabric's live obs cells,
+// registered with the cluster-wide registry and copied by value into
+// cluster snapshots so they rewind with the world. The last three
+// counters are only ever advanced by an attached fault plane
+// (SetFaultPlane).
+type FabricCounters struct {
+	Messages  obs.Counter
+	Bytes     obs.Counter
+	Dropped   obs.Counter // deliveries refused (bad node or address)
+	RemoteMax obs.Gauge   // highest node id addressed (Max semantics)
 
-	Delivered    uint64 // payloads that actually landed in a node's memory
-	FaultDropped uint64 // payloads the fault plane swallowed
-	Duplicated   uint64 // extra copies the fault plane injected
-	Reordered    uint64 // copies released from the per-destination FIFO
-}
-
-// counters is the fabric's live metric storage, copied by value into
-// cluster snapshots so it rewinds with the world.
-type counters struct {
-	messages     obs.Counter
-	bytes        obs.Counter
-	dropped      obs.Counter
-	remoteMax    obs.Gauge // highest node id addressed (Max semantics)
-	delivered    obs.Counter
-	faultDropped obs.Counter
-	duplicated   obs.Counter
-	reordered    obs.Counter
+	Delivered    obs.Counter // payloads that actually landed in a node's memory
+	FaultDropped obs.Counter // payloads the fault plane swallowed
+	Duplicated   obs.Counter // extra copies the fault plane injected
+	Reordered    obs.Counter // copies released from the per-destination FIFO
 }
 
 // Arrival describes one delivered copy of a faulted message: an extra
@@ -259,37 +244,26 @@ type Fabric struct {
 	cluster  *Cluster
 	link     LinkConfig
 	lastInto map[int]sim.Time // per-destination FIFO point
-	ctr      counters
+	ctr      FabricCounters
 	plane    FaultPlane
 	free     []*delivery // pooled in-flight payload records
 	tr       *obs.Trace  // nil = tracing disabled
 }
 
-// Stats returns a snapshot of the counters.
-func (f *Fabric) Stats() FabricStats {
-	return FabricStats{
-		Messages:     f.ctr.messages.Value(),
-		Bytes:        f.ctr.bytes.Value(),
-		Dropped:      f.ctr.dropped.Value(),
-		RemoteMax:    int(f.ctr.remoteMax.Value()),
-		Delivered:    f.ctr.delivered.Value(),
-		FaultDropped: f.ctr.faultDropped.Value(),
-		Duplicated:   f.ctr.duplicated.Value(),
-		Reordered:    f.ctr.reordered.Value(),
-	}
-}
+// Counters returns the traffic counters.
+func (f *Fabric) Counters() FabricCounters { return f.ctr }
 
 // RegisterMetrics registers the fabric's counters with the cluster-wide
 // registry.
 func (f *Fabric) RegisterMetrics(r *obs.Registry) {
-	r.RegisterCounter("net.messages", &f.ctr.messages)
-	r.RegisterCounter("net.bytes", &f.ctr.bytes)
-	r.RegisterCounter("net.dropped", &f.ctr.dropped)
-	r.RegisterGauge("net.remote_max", &f.ctr.remoteMax)
-	r.RegisterCounter("net.delivered", &f.ctr.delivered)
-	r.RegisterCounter("net.fault_dropped", &f.ctr.faultDropped)
-	r.RegisterCounter("net.duplicated", &f.ctr.duplicated)
-	r.RegisterCounter("net.reordered", &f.ctr.reordered)
+	r.RegisterCounter("net.messages", &f.ctr.Messages)
+	r.RegisterCounter("net.bytes", &f.ctr.Bytes)
+	r.RegisterCounter("net.dropped", &f.ctr.Dropped)
+	r.RegisterGauge("net.remote_max", &f.ctr.RemoteMax)
+	r.RegisterCounter("net.delivered", &f.ctr.Delivered)
+	r.RegisterCounter("net.fault_dropped", &f.ctr.FaultDropped)
+	r.RegisterCounter("net.duplicated", &f.ctr.Duplicated)
+	r.RegisterCounter("net.reordered", &f.ctr.Reordered)
 }
 
 // SetTracer attaches (or detaches, with nil) the structured trace
@@ -357,7 +331,7 @@ func (f *Fabric) land(d *delivery) {
 	if err := dst.Mem.WriteBytes(d.addr, d.buf); err != nil {
 		panic(err)
 	}
-	f.ctr.delivered.Inc()
+	f.ctr.Delivered.Inc()
 	// Receive interrupt: wake any process sleeping on this range.
 	dst.Kernel.NotifyRemoteWrite(d.addr, len(d.buf))
 	d.buf = d.buf[:0]
@@ -392,17 +366,17 @@ func (f *Fabric) enqueue(node int, addr phys.Addr, data []byte, arrive sim.Time,
 // shared clock here.
 func (f *Fabric) RMWRemote(node int, addr phys.Addr, op int, size phys.AccessSize, val uint64) (uint64, error) {
 	if node < 0 || node >= len(f.cluster.Nodes) {
-		f.ctr.dropped.Inc()
+		f.ctr.Dropped.Inc()
 		return 0, fmt.Errorf("net: remote atomic to nonexistent node %d", node)
 	}
 	// Request travels, the remote engine applies the operation, the
 	// reply travels back.
 	f.cluster.Clock.Advance(2 * f.link.Latency)
-	f.ctr.messages.Add(2)
-	f.ctr.bytes.Add(16) // request + reply words
+	f.ctr.Messages.Add(2)
+	f.ctr.Bytes.Add(16) // request + reply words
 	old, err := dma.ApplyAtomic(f.cluster.Nodes[node].Mem, addr, op, size, val)
 	if err != nil {
-		f.ctr.dropped.Inc()
+		f.ctr.Dropped.Inc()
 		return 0, err
 	}
 	return old, nil
@@ -429,17 +403,17 @@ func (f *Fabric) Deliver(node int, addr phys.Addr, data []byte, at sim.Time) err
 
 func (f *Fabric) deliver(src, node int, addr phys.Addr, data []byte, at sim.Time) error {
 	if node < 0 || node >= len(f.cluster.Nodes) {
-		f.ctr.dropped.Inc()
+		f.ctr.Dropped.Inc()
 		return fmt.Errorf("net: delivery to nonexistent node %d", node)
 	}
 	dst := f.cluster.Nodes[node]
 	if uint64(addr)+uint64(len(data)) > uint64(dst.Mem.Size()) {
-		f.ctr.dropped.Inc()
+		f.ctr.Dropped.Inc()
 		return fmt.Errorf("net: delivery to node %d at %v overruns its memory", node, addr)
 	}
-	f.ctr.messages.Inc()
-	f.ctr.bytes.Add(uint64(len(data)))
-	f.ctr.remoteMax.Max(int64(node))
+	f.ctr.Messages.Inc()
+	f.ctr.Bytes.Add(uint64(len(data)))
+	f.ctr.RemoteMax.Max(int64(node))
 	arrive := at + f.link.Latency +
 		sim.Time(uint64(len(data))*uint64(sim.Second)/f.link.Bandwidth)
 	if f.plane == nil {
@@ -452,7 +426,7 @@ func (f *Fabric) deliver(src, node int, addr phys.Addr, data []byte, at sim.Time
 	}
 	v := f.plane.Judge(src, node, at)
 	if v.N <= 0 {
-		f.ctr.faultDropped.Inc()
+		f.ctr.FaultDropped.Inc()
 		if f.tr != nil {
 			f.tr.Instant(at, obs.CatFault, "drop",
 				int32(node), -1, uint64(addr), uint64(len(data)), uint64(int64(src)))
@@ -463,7 +437,7 @@ func (f *Fabric) deliver(src, node int, addr phys.Addr, data []byte, at sim.Time
 		v.N = len(v.Copies)
 	}
 	if v.N > 1 {
-		f.ctr.duplicated.Add(uint64(v.N - 1))
+		f.ctr.Duplicated.Add(uint64(v.N - 1))
 		if f.tr != nil {
 			f.tr.Instant(at, obs.CatFault, "dup",
 				int32(node), -1, uint64(addr), uint64(v.N), uint64(int64(src)))
@@ -472,7 +446,7 @@ func (f *Fabric) deliver(src, node int, addr phys.Addr, data []byte, at sim.Time
 	for i := 0; i < v.N; i++ {
 		a := v.Copies[i]
 		if a.Unordered {
-			f.ctr.reordered.Inc()
+			f.ctr.Reordered.Inc()
 			if f.tr != nil {
 				f.tr.Instant(at, obs.CatFault, "reorder",
 					int32(node), -1, uint64(addr), uint64(a.Delay), uint64(int64(src)))

@@ -91,8 +91,8 @@ func TestRemoteDMADelivers(t *testing.T) {
 			t.Fatalf("remote memory = %v...", got[:8])
 		}
 	}
-	if c.Fabric.Stats().Messages != 1 || c.Fabric.Stats().Bytes != 512 {
-		t.Fatalf("fabric stats = %+v", c.Fabric.Stats())
+	if c.Fabric.Counters().Messages != 1 || c.Fabric.Counters().Bytes != 512 {
+		t.Fatalf("fabric stats = %+v", c.Fabric.Counters())
 	}
 }
 
@@ -251,7 +251,7 @@ func TestPingPong(t *testing.T) {
 	if p0.Err() != nil || p1.Err() != nil {
 		t.Fatalf("p0=%v p1=%v", p0.Err(), p1.Err())
 	}
-	if got := c.Fabric.Stats().Messages; got < 2*rounds {
+	if got := c.Fabric.Counters().Messages; got < 2*rounds {
 		t.Fatalf("only %d messages crossed the fabric", got)
 	}
 }
@@ -346,8 +346,8 @@ func TestDeliverValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "overruns") {
 		t.Fatalf("bad address: %v", err)
 	}
-	if c.Fabric.Stats().Dropped != 2 {
-		t.Fatalf("dropped = %d", c.Fabric.Stats().Dropped)
+	if c.Fabric.Counters().Dropped != 2 {
+		t.Fatalf("dropped = %d", c.Fabric.Counters().Dropped)
 	}
 }
 
@@ -400,7 +400,7 @@ func TestFanInEightNodes(t *testing.T) {
 			}
 		}
 	}
-	if got := c.Fabric.Stats().Messages; got != uint64((machine.MaxNodes-1)*wordsEach) {
+	if got := c.Fabric.Counters().Messages.Value(); got != uint64((machine.MaxNodes-1)*wordsEach) {
 		t.Fatalf("fabric messages = %d", got)
 	}
 }

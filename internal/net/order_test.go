@@ -78,7 +78,7 @@ func TestFabricDeliveryZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, ship); avg > 0 {
 		t.Fatalf("fabric delivery allocates %.2f times per payload, want 0", avg)
 	}
-	if c.Fabric.Stats().Delivered == 0 {
+	if c.Fabric.Counters().Delivered == 0 {
 		t.Fatal("no deliveries landed")
 	}
 }

@@ -55,24 +55,15 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("phys: %s %d bytes at %v: %s", e.Op, int(e.Size), e.Addr, e.Why)
 }
 
-// Stats counts traffic into a Memory, for experiment reporting. It is
-// a read-only view assembled from the obs counter cells on demand (the
-// thin compatibility accessor over the unified metrics plane).
-type Stats struct {
-	Reads      uint64 // word-sized read operations
-	Writes     uint64 // word-sized write operations
-	BytesRead  uint64
-	BytesWrote uint64
-}
-
-// counters is the live metric storage: typed obs cells, registered
-// with the machine's registry at construction and captured by value in
-// snapshots so access statistics rewind with the world.
-type counters struct {
-	reads      obs.Counter
-	writes     obs.Counter
-	bytesRead  obs.Counter
-	bytesWrote obs.Counter
+// Counters counts traffic into a Memory, for experiment reporting: the
+// memory's live obs cells, registered with the machine's registry at
+// construction and captured by value in snapshots so access statistics
+// rewind with the world.
+type Counters struct {
+	Reads      obs.Counter // word-sized read operations
+	Writes     obs.Counter // word-sized write operations
+	BytesRead  obs.Counter
+	BytesWrote obs.Counter
 }
 
 // Chunked backing store: physical memory is materialized lazily in
@@ -105,7 +96,7 @@ type Memory struct {
 	size   int
 	chunks [][]byte // lazily allocated; nil chunk reads as zeros
 	shared []bool   // chunk is owned by a snapshot: copy before write
-	ctr    counters
+	ctr    Counters
 }
 
 // New allocates a physical memory of size bytes, zero-filled. Size must
@@ -164,7 +155,7 @@ func (m *Memory) chunkRW(addr Addr) []byte {
 type Snapshot struct {
 	size   int
 	chunks [][]byte
-	ctr    counters
+	ctr    Counters
 }
 
 // Snapshot captures the current contents. It marks every materialized
@@ -211,25 +202,15 @@ func FromSnapshot(s *Snapshot) *Memory {
 	return m
 }
 
-// Stats returns a snapshot of the access counters.
-func (m *Memory) Stats() Stats {
-	return Stats{
-		Reads:      m.ctr.reads.Value(),
-		Writes:     m.ctr.writes.Value(),
-		BytesRead:  m.ctr.bytesRead.Value(),
-		BytesWrote: m.ctr.bytesWrote.Value(),
-	}
-}
-
-// ResetStats zeroes the access counters.
-func (m *Memory) ResetStats() { m.ctr = counters{} }
+// Counters returns the access counters.
+func (m *Memory) Counters() Counters { return m.ctr }
 
 // RegisterMetrics publishes the memory's counters in a registry.
 func (m *Memory) RegisterMetrics(r *obs.Registry) {
-	r.RegisterCounter("phys.reads", &m.ctr.reads)
-	r.RegisterCounter("phys.writes", &m.ctr.writes)
-	r.RegisterCounter("phys.bytes_read", &m.ctr.bytesRead)
-	r.RegisterCounter("phys.bytes_wrote", &m.ctr.bytesWrote)
+	r.RegisterCounter("phys.reads", &m.ctr.Reads)
+	r.RegisterCounter("phys.writes", &m.ctr.Writes)
+	r.RegisterCounter("phys.bytes_read", &m.ctr.BytesRead)
+	r.RegisterCounter("phys.bytes_wrote", &m.ctr.BytesWrote)
 }
 
 // Contains reports whether an access of the given size at addr lies
@@ -258,8 +239,8 @@ func (m *Memory) Read(addr Addr, size AccessSize) (uint64, error) {
 	if err := m.check("read", addr, size); err != nil {
 		return 0, err
 	}
-	m.ctr.reads.Inc()
-	m.ctr.bytesRead.Add(uint64(size))
+	m.ctr.Reads.Inc()
+	m.ctr.BytesRead.Add(uint64(size))
 	c := m.chunkRO(addr)
 	if c == nil {
 		return 0, nil // never-written chunk: zero-filled RAM
@@ -284,8 +265,8 @@ func (m *Memory) Write(addr Addr, size AccessSize, val uint64) error {
 	if err := m.check("write", addr, size); err != nil {
 		return err
 	}
-	m.ctr.writes.Inc()
-	m.ctr.bytesWrote.Add(uint64(size))
+	m.ctr.Writes.Inc()
+	m.ctr.BytesWrote.Add(uint64(size))
 	b := m.chunkRW(addr)[addr&chunkMask:]
 	switch size {
 	case Size8:
@@ -340,7 +321,7 @@ func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 		}
 		off += span
 	}
-	m.ctr.bytesRead.Add(uint64(n))
+	m.ctr.BytesRead.Add(uint64(n))
 	return nil
 }
 
@@ -358,7 +339,7 @@ func (m *Memory) WriteBytes(addr Addr, b []byte) error {
 		copy(m.chunkRW(a)[a&chunkMask:], b[off:off+span])
 		off += span
 	}
-	m.ctr.bytesWrote.Add(uint64(len(b)))
+	m.ctr.BytesWrote.Add(uint64(len(b)))
 	return nil
 }
 
@@ -398,8 +379,8 @@ func (m *Memory) Copy(dst, src Addr, n int) error {
 		copy(m.chunkRW(a)[a&chunkMask:], tmp[off:off+span])
 		off += span
 	}
-	m.ctr.bytesRead.Add(uint64(n))
-	m.ctr.bytesWrote.Add(uint64(n))
+	m.ctr.BytesRead.Add(uint64(n))
+	m.ctr.BytesWrote.Add(uint64(n))
 	return nil
 }
 
@@ -425,6 +406,6 @@ func (m *Memory) Fill(addr Addr, n int, v byte) error {
 		}
 		off += span
 	}
-	m.ctr.bytesWrote.Add(uint64(n))
+	m.ctr.BytesWrote.Add(uint64(n))
 	return nil
 }

@@ -186,13 +186,9 @@ func TestStats(t *testing.T) {
 	m.Write(0, Size64, 1)
 	m.Write(8, Size32, 1)
 	m.Read(0, Size64)
-	s := m.Stats()
+	s := m.Counters()
 	if s.Writes != 2 || s.Reads != 1 || s.BytesWrote != 12 || s.BytesRead != 8 {
-		t.Fatalf("stats = %+v", s)
-	}
-	m.ResetStats()
-	if m.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not zero counters")
+		t.Fatalf("counters = %+v", s)
 	}
 }
 

@@ -137,22 +137,13 @@ type SyscallHandler interface {
 // installs PAL functions; any process may then invoke them.
 type PALFunc func(p *Process, args []uint64) (uint64, error)
 
-// Stats counts scheduler activity. It is a read-only view assembled
-// from the obs counter cells on demand (the thin compatibility
-// accessor over the unified metrics plane).
-type Stats struct {
-	Slots      uint64 // instruction slots granted
-	Switches   uint64 // context switches performed
-	SwitchTime sim.Time
-}
-
-// counters is the live metric storage: typed obs cells, registered
-// with the machine's registry at construction and captured by value in
-// snapshots so scheduler accounting rewinds with the world.
-type counters struct {
-	slots      obs.Counter
-	switches   obs.Counter
-	switchTime obs.Gauge // simulated picoseconds spent switching
+// Counters counts scheduler activity: the runner's live obs cells,
+// registered with the machine's registry at construction and captured
+// by value in snapshots so scheduler accounting rewinds with the world.
+type Counters struct {
+	Slots      obs.Counter // instruction slots granted
+	Switches   obs.Counter // context switches performed
+	SwitchTime obs.Gauge   // simulated picoseconds spent switching
 }
 
 // Runner owns the processes of one machine and schedules them onto its
@@ -171,7 +162,7 @@ type Runner struct {
 	procs   []*Process
 	nextPID PID
 	current *Process
-	ctr     counters
+	ctr     Counters
 	scratch []*Process // reused by runnable(); policies must not retain it
 
 	// tr is the obs trace spine (nil = tracing disabled, the zero-cost
@@ -206,20 +197,14 @@ func NewRunner(c *cpu.CPU, cfg RunnerConfig) *Runner {
 // CPU returns the processor the runner schedules onto.
 func (r *Runner) CPU() *cpu.CPU { return r.cpu }
 
-// Stats returns a snapshot of the counters.
-func (r *Runner) Stats() Stats {
-	return Stats{
-		Slots:      r.ctr.slots.Value(),
-		Switches:   r.ctr.switches.Value(),
-		SwitchTime: sim.Time(r.ctr.switchTime.Value()),
-	}
-}
+// Counters returns the scheduler counters.
+func (r *Runner) Counters() Counters { return r.ctr }
 
 // RegisterMetrics publishes the scheduler's counters in a registry.
 func (r *Runner) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterCounter("proc.slots", &r.ctr.slots)
-	reg.RegisterCounter("proc.switches", &r.ctr.switches)
-	reg.RegisterGauge("proc.switch_time_ps", &r.ctr.switchTime)
+	reg.RegisterCounter("proc.slots", &r.ctr.Slots)
+	reg.RegisterCounter("proc.switches", &r.ctr.Switches)
+	reg.RegisterGauge("proc.switch_time_ps", &r.ctr.SwitchTime)
 }
 
 // SetTracer attaches (or, with nil, detaches) the obs trace spine.
@@ -418,7 +403,7 @@ func (r *Runner) dispatch(p *Process) {
 	if r.current != p {
 		r.contextSwitch(r.current, p)
 	}
-	r.ctr.slots.Inc()
+	r.ctr.Slots.Inc()
 	before := r.cpu.Clock().Now()
 	if p.next == nil {
 		r.start(p)
@@ -456,7 +441,7 @@ func (r *Runner) runnable() []*Process {
 // switch hook (SHRIMP-2's abort would otherwise miss a half-initiation
 // still sitting in the buffer).
 func (r *Runner) contextSwitch(from, to *Process) {
-	r.ctr.switches.Inc()
+	r.ctr.Switches.Inc()
 	before := r.cpu.Clock().Now()
 	if err := r.cpu.WriteBuffer().Drain(); err != nil {
 		// A store that faults at drain time would machine-check; in the
@@ -471,7 +456,7 @@ func (r *Runner) contextSwitch(from, to *Process) {
 	for _, h := range r.hooks {
 		h(from, to)
 	}
-	r.ctr.switchTime.Add(int64(r.cpu.Clock().Now() - before))
+	r.ctr.SwitchTime.Add(int64(r.cpu.Clock().Now() - before))
 	if r.tr != nil {
 		fromPID, toPID := PID(0), to.pid
 		if from != nil {

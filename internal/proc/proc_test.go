@@ -251,9 +251,9 @@ func TestContextSwitchCostAndHooks(t *testing.T) {
 	if err := f.r.Run(NewRoundRobin(1), 100); err != nil {
 		t.Fatal(err)
 	}
-	s := f.r.Stats()
+	s := f.r.Counters()
 	if s.Switches == 0 || s.SwitchTime == 0 {
-		t.Fatalf("stats = %+v", s)
+		t.Fatalf("counters = %+v", s)
 	}
 	if len(hookLog) != int(s.Switches) {
 		t.Fatalf("hook ran %d times for %d switches", len(hookLog), s.Switches)
@@ -281,7 +281,7 @@ func TestTLBFlushOnSwitchOption(t *testing.T) {
 	}
 	// Alternating single-instruction quanta with flushes: every load
 	// misses.
-	if misses := f.r.CPU().TLB().Stats().Misses; misses != 4 {
+	if misses := f.r.CPU().TLB().Counters().Misses; misses != 4 {
 		t.Fatalf("TLB misses = %d, want 4 (flush per switch)", misses)
 	}
 }

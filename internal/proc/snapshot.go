@@ -23,7 +23,7 @@ type RunnerSnapshot struct {
 	current   *Process
 	hooks     int // switch-hook chain length at snapshot time
 	exitHooks int
-	ctr       counters
+	ctr       Counters
 }
 
 // Snapshot captures the process list, PID counter, scheduling counters

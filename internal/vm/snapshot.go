@@ -50,7 +50,7 @@ func (as *AddressSpace) Restore(s *ASSnapshot) error {
 type TLBSnapshot struct {
 	entries []tlbEntry
 	tick    uint64
-	stats   TLBStats
+	ctr     TLBCounters
 	last    int
 }
 
@@ -58,7 +58,7 @@ type TLBSnapshot struct {
 func (t *TLB) Snapshot() *TLBSnapshot {
 	entries := make([]tlbEntry, len(t.entries))
 	copy(entries, t.entries)
-	return &TLBSnapshot{entries: entries, tick: t.tick, stats: t.stats, last: t.last}
+	return &TLBSnapshot{entries: entries, tick: t.tick, ctr: t.ctr, last: t.last}
 }
 
 // Restore rewinds the TLB to the snapshot. The snapshot must come from
@@ -68,7 +68,7 @@ func (t *TLB) Restore(s *TLBSnapshot) error {
 		return fmt.Errorf("vm: restore: snapshot has %d TLB entries, TLB has %d", len(s.entries), len(t.entries))
 	}
 	copy(t.entries, s.entries)
-	t.tick, t.stats, t.last = s.tick, s.stats, s.last
+	t.tick, t.ctr, t.last = s.tick, s.ctr, s.last
 	return nil
 }
 

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 
+	"uldma/internal/obs"
 	"uldma/internal/phys"
 )
 
@@ -18,7 +19,7 @@ import (
 type TLB struct {
 	entries []tlbEntry
 	tick    uint64
-	stats   TLBStats
+	ctr     TLBCounters
 	// last is the index of the most recently hit or filled entry: a
 	// one-entry L0 in front of the associative scan. Guest code streams
 	// through buffers page by page, so the vast majority of lookups hit
@@ -38,10 +39,11 @@ type tlbEntry struct {
 	valid bool
 }
 
-// TLBStats counts hit/miss traffic.
-type TLBStats struct {
-	Hits   uint64
-	Misses uint64
+// TLBCounters counts hit/miss traffic: the TLB's live obs cells,
+// copied by value into snapshots so they rewind with the world.
+type TLBCounters struct {
+	Hits   obs.Counter
+	Misses obs.Counter
 }
 
 // NewTLB creates a TLB with the given number of entries (the 21064 had a
@@ -53,11 +55,16 @@ func NewTLB(size int) *TLB {
 	return &TLB{entries: make([]tlbEntry, size)}
 }
 
-// Stats returns a snapshot of the counters.
-func (t *TLB) Stats() TLBStats { return t.stats }
+// Counters returns the hit/miss counters.
+func (t *TLB) Counters() TLBCounters { return t.ctr }
 
-// ResetStats zeroes the counters.
-func (t *TLB) ResetStats() { t.stats = TLBStats{} }
+// RegisterMetrics publishes the counters as prefix+"hits" and
+// prefix+"misses" (the CPU's TLB is "tlb.", the IOMMU's IOTLB
+// "iommu.iotlb_").
+func (t *TLB) RegisterMetrics(r *obs.Registry, prefix string) {
+	r.RegisterCounter(prefix+"hits", &t.ctr.Hits)
+	r.RegisterCounter(prefix+"misses", &t.ctr.Misses)
+}
 
 // Flush invalidates every entry.
 func (t *TLB) Flush() {
@@ -83,7 +90,7 @@ func (t *TLB) Translate(as *AddressSpace, va VAddr, access Access) (pa phys.Addr
 	t.tick++
 	vpn := uint64(va) / as.PageSize()
 	// L0 fast path: re-check the last entry used before scanning. The
-	// outcome (entry found, stats, LRU stamp) is identical to the scan
+	// outcome (entry found, counters, LRU stamp) is identical to the scan
 	// finding the same entry — at most one entry can carry a given
 	// (asid, vpn, gen) tag, because fills happen only on misses.
 	if e := &t.entries[t.last]; e.valid && e.vpn == vpn && e.asid == as.ASID() && e.gen == as.Generation() {
@@ -91,7 +98,7 @@ func (t *TLB) Translate(as *AddressSpace, va VAddr, access Access) (pa phys.Addr
 			return 0, true, &Fault{VA: va, Access: access, Kind: FaultProtection, ASID: as.ASID()}
 		}
 		e.used = t.tick
-		t.stats.Hits++
+		t.ctr.Hits.Inc()
 		return e.pte.Frame + phys.Addr(uint64(va)%as.PageSize()), true, nil
 	}
 	for i := range t.entries {
@@ -101,13 +108,13 @@ func (t *TLB) Translate(as *AddressSpace, va VAddr, access Access) (pa phys.Addr
 				return 0, true, &Fault{VA: va, Access: access, Kind: FaultProtection, ASID: as.ASID()}
 			}
 			e.used = t.tick
-			t.stats.Hits++
+			t.ctr.Hits.Inc()
 			t.last = i
 			return e.pte.Frame + phys.Addr(uint64(va)%as.PageSize()), true, nil
 		}
 	}
 	// Miss: walk the page table.
-	t.stats.Misses++
+	t.ctr.Misses.Inc()
 	pte, ok := as.Lookup(va)
 	if !ok {
 		return 0, false, &Fault{VA: va, Access: access, Kind: FaultUnmapped, ASID: as.ASID()}

@@ -1,45 +1,23 @@
 #!/bin/sh
 # statslint: the unified observability plane (internal/obs) is the only
-# place new metric storage may be declared. Every counter on a hot path
-# lives in an obs.Counter/obs.Gauge cell and is registered with the
-# machine's registry; the *Stats structs below predate obs and survive
-# only as compatibility accessors / snapshot wire formats. A NEW *Stats
-# struct outside internal/obs means a component grew private counter
-# storage instead of obs cells — this script fails `make ci` when that
-# happens. To bless an intentional addition, extend the allowlist here
-# (and say why in the commit).
+# place metric storage may be declared. Every component keeps its counts
+# in one exported struct of obs.Counter/obs.Gauge cells (bus.Counters,
+# dma.Counters, ...), which is its live storage, its snapshot state and
+# its read API at once. A *Stats struct anywhere outside internal/obs
+# means a component grew a second copy of its counters — this script
+# fails `make ci` when that happens. There is no allowlist.
 set -eu
 cd "$(dirname "$0")/.."
 
-allow=$(cat <<'EOF'
-internal/bus/bus.go:Stats
-internal/bus/writebuffer.go:WBStats
-internal/coll/retry.go:ResilientStats
-internal/cpu/cpu.go:Stats
-internal/dma/engine.go:Stats
-internal/kernel/kernel.go:Stats
-internal/msg/msg.go:Stats
-internal/msg/reliable.go:RStats
-internal/net/net.go:FabricStats
-internal/phys/phys.go:Stats
-internal/proc/proc.go:Stats
-internal/vm/tlb.go:TLBStats
-EOF
-)
-
-found=$(grep -rn 'type [A-Za-z0-9_]*Stats struct' --include='*.go' internal cmd \
+found=$(grep -rn 'type [A-Za-z0-9_]*Stats struct' --include='*.go' internal cmd examples \
     | grep -v '_test\.go:' \
     | grep -v '^internal/obs/' \
-    | sed -E 's|^([^:]+):[0-9]+:[[:space:]]*type ([A-Za-z0-9_]*Stats) struct.*|\1:\2|' \
-    | sort)
+    || true)
 
-if [ "$found" != "$allow" ]; then
-    echo "statslint: the set of *Stats structs outside internal/obs changed." >&2
-    echo "statslint: new metric storage belongs in obs cells (internal/obs), not ad-hoc structs." >&2
-    echo "--- allowlisted" >&2
-    echo "$allow" >&2
-    echo "--- found" >&2
+if [ -n "$found" ]; then
+    echo "statslint: *Stats structs outside internal/obs:" >&2
     echo "$found" >&2
+    echo "statslint: keep counters in the component's obs-cell Counters struct instead." >&2
     exit 1
 fi
-echo "statslint: ok (${allow:+$(echo "$allow" | wc -l | tr -d ' ')} compat Stats structs, none new)"
+echo "statslint: ok (no Stats structs outside internal/obs)"
