@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench ci snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity golden trace-golden statslint benchdiff perfbench profile
+.PHONY: all build vet test race bench ci snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity schedparity golden trace-golden statslint benchdiff perfbench profile
 
 all: ci
 
@@ -83,7 +83,17 @@ iommuparity:
 steerparity:
 	$(GO) test -race -run 'TestSteerBreakEvenMatchesExhaustive|TestSteerWorkerParity|TestSteerPagingDominated|TestSteerZoomDeterministic|TestSteerOSLatConverges|TestSteerDecisionTrace|TestLiveFeedZeroDelta|TestLiveFeedVeto|TestLiveWatchZeroAllocs|TestTraceReader|TestSnapshotAt|TestWatchZeroAllocs|TestReaderFromNowSkipsHistory' ./internal/exp ./internal/core ./internal/obs
 
-ci: build vet statslint snapshots shardparity ringparity iommuparity steerparity race perfbench benchdiff
+# The scheduler's contracts, run under the race detector: Run, where
+# the running guest makes each next-slot decision itself and re-grants
+# its own slot in place, matches the one-yield-per-slot reference loop
+# slot for slot under every policy (budget exhaustion included); a
+# self-regrant and a warm bounce fix-up allocate nothing; WindowOf names
+# the window the engine decodes; and Step, Explore and ExploreParallel,
+# which keep one yield per slot, still drive exact interleavings.
+schedparity:
+	$(GO) test -race -run 'TestRunMatchesReferenceLoop|TestSelfRegrantZeroAllocs|TestSlotHandoffZeroAllocs|TestStepDrivesSingleSlots|TestExplore|TestVABounceFixupZeroAllocs|TestWindowOfMatchesDecode' ./internal/proc ./internal/dma
+
+ci: build vet statslint snapshots shardparity ringparity iommuparity steerparity schedparity race perfbench benchdiff
 
 # Regenerate the five exact snapshots into a temp dir and byte-compare
 # each against the committed file, so wire-format drift in any of them

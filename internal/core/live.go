@@ -56,6 +56,9 @@ func PagingBenchLive(policy dma.RecoveryPolicy, pages, budget, transfers int, ob
 		return PagingResult{}, err
 	}
 	m.Engine.SetRecoveryPolicy(policy)
+	// The loop never reads the transfer log: dropping it lets the engine
+	// recycle Transfer records instead of retaining one per transfer.
+	m.Engine.SetLogging(false)
 	if err := m.Kernel.EnablePager(budget, pagingPageIn); err != nil {
 		return PagingResult{}, err
 	}

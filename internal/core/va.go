@@ -163,6 +163,7 @@ func MeasureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, error) {
 	if err != nil {
 		return IOTLBPoint{}, err
 	}
+	m.Engine.SetLogging(false) // see PagingBenchLive
 	res := IOTLBPoint{Pages: pages, TLBEntries: tlbEntries, Transfers: transfers}
 
 	ps := vm.VAddr(cfg.PageSize)

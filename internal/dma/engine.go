@@ -249,30 +249,14 @@ func (c Config) RemoteAddr(node int, offset phys.Addr) phys.Addr {
 }
 
 // WindowOf names the engine window a physical address decodes to
-// ("shadow", "ctx", "control", "atomic", "remote") or "" for addresses
-// outside the engine. Trace tooling uses it to annotate bus traffic.
+// ("shadow", "ctx", "control", "atomic", "ring", "remote", "va") or ""
+// for addresses outside the engine. Trace tooling uses it to annotate
+// bus traffic. It reads the same window table the engine decodes with,
+// so the name is always the window the engine would dispatch to.
 func (c Config) WindowOf(addr phys.Addr) string {
-	in := func(base phys.Addr, size uint64) bool {
-		return size > 0 && addr >= base && uint64(addr)-uint64(base) < size
-	}
-	switch {
-	case in(c.ShadowBase, c.ShadowWindowSize()):
-		return "shadow"
-	case c.Contexts > 0 && in(c.CtxPageBase, c.CtxWindowSize()):
-		return "ctx"
-	case in(c.ControlBase, c.PageSize):
-		return "control"
-	case in(c.AtomicBase, c.AtomicWindowSize()):
-		return "atomic"
-	case c.RingBase != 0 && in(c.RingBase, c.RingWindowSize()):
-		return "ring"
-	case c.VABase != 0 && in(c.VABase, c.VAWindowSize()):
-		return "va"
-	case c.RemoteBase != 0 && in(c.RemoteBase, c.RemoteWindowSize()):
-		return "remote"
-	default:
-		return ""
-	}
+	t := c.windows()
+	w, _ := t.lookup(addr)
+	return windowNames[w]
 }
 
 // Shadow returns the shadow physical address encoding pa for register
@@ -435,6 +419,7 @@ type Engine struct {
 	events *sim.EventQueue
 	mem    *phys.Memory
 
+	wins    windowTable // address decode, built from cfg at New
 	ctxs    []regContext
 	keys    []uint64 // per-context keys (0 = unassigned), ModeKeyed
 	pending pendingPair
@@ -479,8 +464,9 @@ type Engine struct {
 	// Allocation control for the per-message hot path. logging keeps the
 	// full transfer log (default); with it off, retired Transfer records
 	// are recycled. wordBuf carries single-word remote writes; freeBuf,
-	// freeShip, freeRingC and freeVW pool remote payload buffers,
-	// in-flight ship records, ring completion records and VA walkers.
+	// freeShip, freeRingC, freeVW and freeFx pool remote payload buffers,
+	// in-flight ship records, ring completion records, VA walkers and
+	// bounce fix-ups.
 	logging   bool
 	wordBuf   [8]byte
 	freeT     []*Transfer
@@ -488,6 +474,7 @@ type Engine struct {
 	freeShip  []*remoteShip
 	freeRingC []*ringCompletion
 	freeVW    []*vaWalker
+	freeFx    []*vaFixup
 }
 
 // BusReserver lets the engine report the windows in which it masters
@@ -505,6 +492,7 @@ func New(cfg Config, clock *sim.Clock, events *sim.EventQueue, mem *phys.Memory)
 	nCtx := cfg.numCtx()
 	e := &Engine{
 		cfg:     cfg,
+		wins:    cfg.windows(),
 		clock:   clock,
 		events:  events,
 		mem:     mem,
@@ -591,13 +579,19 @@ func (e *Engine) Remote() RemoteHandler { return e.remote }
 
 // SetLogging enables or disables the transfer log (Transfers). The log
 // is a debugging and attack-study aid: it grows one record per accepted
-// transfer for the life of the engine. High-rate message channels turn
-// it off, which lets the engine recycle retired Transfer records and
-// makes the steady-state send path allocation-free (pinned by
-// internal/msg's TestSendSteadyStateZeroAllocs). With logging off the
-// log stays empty, the log-based invariant checks are skipped, and
-// Snapshot refuses (a snapshot without the log could not restore
-// faithfully). Logging is on by default.
+// transfer for the life of the engine. Turning it off lets the engine
+// recycle retired Transfer records, which makes a steady-state
+// initiation path allocation-free. The drivers that turn it off:
+//
+//   - core.PagingBench (through PagingBenchLive) and core.MeasureIOTLB,
+//     the virtual-address measurement loops, which stream thousands of
+//     transfers and never read the log, snapshot or check invariants;
+//   - high-rate msg channel worlds (internal/msg's
+//     TestSendSteadyStateZeroAllocs pins their send path at zero).
+//
+// With logging off the log stays empty, the log-based invariant checks
+// are skipped, and Snapshot refuses (a snapshot without the log could
+// not restore faithfully). Logging is on by default.
 func (e *Engine) SetLogging(on bool) { e.logging = on }
 
 // Logging reports whether the transfer log is being kept.
@@ -708,6 +702,8 @@ func (e *Engine) CheckInvariants(now sim.Time) error {
 
 // window classification -----------------------------------------------
 
+// window is an engine bus window kind. The constants' order is the
+// decode priority (see windowTable).
 type window uint8
 
 const (
@@ -721,39 +717,58 @@ const (
 	winVA
 )
 
-func (e *Engine) classify(addr phys.Addr) (window, uint64) {
-	c := e.cfg
-	if off := uint64(addr) - uint64(c.ShadowBase); uint64(addr) >= uint64(c.ShadowBase) && off < c.ShadowWindowSize() {
-		return winShadow, off
-	}
+var windowNames = [...]string{
+	winNone:    "",
+	winShadow:  "shadow",
+	winCtx:     "ctx",
+	winControl: "control",
+	winAtomic:  "atomic",
+	winRing:    "ring",
+	winRemote:  "remote",
+	winVA:      "va",
+}
+
+// winRange is one bus window: addresses in [base, base+size) decode to
+// it at offset addr-base. A window the configuration leaves out has
+// size 0 and matches nothing.
+type winRange struct{ base, size uint64 }
+
+// windowTable is the engine's address decode: entry k-1 is window kind
+// k, and the kinds' declaration order is the decode priority, so the
+// first window holding an address claims it.
+type windowTable [winVA]winRange
+
+// windows builds the decode table the configuration implies. New
+// computes it once into the Engine, so the per-access decode neither
+// copies the Config nor recomputes window sizes.
+func (c Config) windows() windowTable {
+	var ctx uint64
 	if c.Contexts > 0 {
-		if off := uint64(addr) - uint64(c.CtxPageBase); uint64(addr) >= uint64(c.CtxPageBase) && off < c.CtxWindowSize() {
-			return winCtx, off
-		}
+		ctx = c.CtxWindowSize()
 	}
-	if off := uint64(addr) - uint64(c.ControlBase); uint64(addr) >= uint64(c.ControlBase) && off < c.PageSize {
-		return winControl, off
+	return windowTable{
+		winShadow - 1:  {uint64(c.ShadowBase), c.ShadowWindowSize()},
+		winCtx - 1:     {uint64(c.CtxPageBase), ctx},
+		winControl - 1: {uint64(c.ControlBase), c.PageSize},
+		winAtomic - 1:  {uint64(c.AtomicBase), c.AtomicWindowSize()},
+		winRing - 1:    {uint64(c.RingBase), c.RingWindowSize()},
+		winRemote - 1:  {uint64(c.RemoteBase), c.RemoteWindowSize()},
+		winVA - 1:      {uint64(c.VABase), c.VAWindowSize()},
 	}
-	if off := uint64(addr) - uint64(c.AtomicBase); uint64(addr) >= uint64(c.AtomicBase) && off < c.AtomicWindowSize() {
-		return winAtomic, off
-	}
-	if c.RingBase != 0 {
-		if off := uint64(addr) - uint64(c.RingBase); uint64(addr) >= uint64(c.RingBase) && off < c.RingWindowSize() {
-			return winRing, off
-		}
-	}
-	if c.RemoteBase != 0 {
-		if off := uint64(addr) - uint64(c.RemoteBase); uint64(addr) >= uint64(c.RemoteBase) && off < c.RemoteWindowSize() {
-			return winRemote, off
-		}
-	}
-	if c.VABase != 0 {
-		if off := uint64(addr) - uint64(c.VABase); uint64(addr) >= uint64(c.VABase) && off < c.VAWindowSize() {
-			return winVA, off
+}
+
+// lookup returns the window holding addr and the offset within it.
+func (t *windowTable) lookup(addr phys.Addr) (window, uint64) {
+	for i := range t {
+		w := &t[i]
+		if off := uint64(addr) - w.base; uint64(addr) >= w.base && off < w.size {
+			return window(i + 1), off
 		}
 	}
 	return winNone, 0
 }
+
+func (e *Engine) classify(addr phys.Addr) (window, uint64) { return e.wins.lookup(addr) }
 
 // Load implements bus.Device.
 func (e *Engine) Load(now sim.Time, addr phys.Addr, size phys.AccessSize) (uint64, int64, error) {

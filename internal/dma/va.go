@@ -566,17 +566,18 @@ func (e *Engine) bounceOut(w *vaWalker, at sim.Time, va, n uint64) (phys.Addr, b
 	pa := e.cfg.BounceBase + phys.Addr(uint64(frame)*e.cfg.PageSize+va%e.cfg.PageSize)
 	w.fixups++
 	e.ctr.VABounced.Inc()
-	// The fix-up record and its closure are allocated per fault — the
-	// fault path is off the allocation-pinned no-fault hot path.
-	fx := &vaFixup{w: w, frame: frame, bpa: pa, va: va, n: n}
-	fx.fire = func(t sim.Time) { fx.run(t) }
+	// A pooled record (see vaFixup): once the pool is warm, a bounce
+	// allocates nothing.
+	fx := e.getFx()
+	fx.w, fx.frame, fx.bpa, fx.va, fx.n = w, frame, pa, va, n
 	e.events.ScheduleFunc(at+lat+e.copyDur(n), fx.fire)
 	return pa, true
 }
 
 // vaFixup is one outstanding bounce fix-up: copy the piece from its
 // bounce frame to the real (now resident) destination page, then free
-// the frame.
+// the frame. Records are pooled like remoteShip: the fire closure is
+// built once per record, so a warm bounce schedules without allocating.
 type vaFixup struct {
 	w     *vaWalker
 	frame int32
@@ -585,6 +586,29 @@ type vaFixup struct {
 	n     uint64
 	tries int
 	fire  func(sim.Time)
+}
+
+func (e *Engine) getFx() *vaFixup {
+	if n := len(e.freeFx); n > 0 {
+		fx := e.freeFx[n-1]
+		e.freeFx = e.freeFx[:n-1]
+		return fx
+	}
+	fx := &vaFixup{}
+	fx.fire = func(at sim.Time) { fx.run(at) }
+	return fx
+}
+
+// release retires the fix-up: the bounce frame returns to the free
+// list, the walker's outstanding count drops, and the record goes back
+// to the pool.
+func (fx *vaFixup) release() {
+	w := fx.w
+	e := w.e
+	e.bounceFree = append(e.bounceFree, fx.frame)
+	w.fixups--
+	*fx = vaFixup{fire: fx.fire}
+	e.freeFx = append(e.freeFx, fx)
 }
 
 // maxFixupRetries bounds re-resolution of a destination page that was
@@ -596,8 +620,7 @@ func (fx *vaFixup) run(at sim.Time) {
 	e := w.e
 	t := w.t
 	if t == nil || t.Failed {
-		e.bounceFree = append(e.bounceFree, fx.frame)
-		w.fixups--
+		fx.release()
 		if w.dead && w.fixups == 0 {
 			e.releaseVW(w)
 		}
@@ -614,23 +637,22 @@ func (fx *vaFixup) run(at sim.Time) {
 				return
 			}
 		}
-		e.bounceFree = append(e.bounceFree, fx.frame)
-		w.fixups--
+		fx.release()
 		w.fail(at)
 		return
 	}
-	buf := make([]byte, fx.n)
+	// The copy goes through the walker's piece buffer: a piece is at most
+	// transferChunk bytes, and step never holds the buffer across events.
+	buf := w.buf[:fx.n]
 	if rerr := e.mem.ReadInto(fx.bpa, buf); rerr != nil {
 		panic(rerr) // bounce region was validated against MemSize
 	}
-	if werr := e.mem.WriteBytes(dpa, buf); werr != nil {
-		e.bounceFree = append(e.bounceFree, fx.frame)
-		w.fixups--
+	werr := e.mem.WriteBytes(dpa, buf)
+	fx.release()
+	if werr != nil {
 		w.fail(at)
 		return
 	}
-	e.bounceFree = append(e.bounceFree, fx.frame)
-	w.fixups--
 	if at > w.lastFix {
 		w.lastFix = at
 	}

@@ -756,6 +756,78 @@ func TestVATranslateZeroAllocs(t *testing.T) {
 	}
 }
 
+// faultedTransferAllocs returns the warm per-transfer allocations of a
+// two-page VA transfer whose second destination page is evicted before
+// every initiation, under policy. It also checks that every transfer
+// took its fault and that every bounce frame came back.
+func faultedTransferAllocs(t *testing.T, policy RecoveryPolicy) float64 {
+	t.Helper()
+	f := newVAEngine(t, ModeExtended, nil)
+	f.e.SetLogging(false)
+	f.e.SetRecoveryPolicy(policy)
+	f.res.pageIn = 20 * sim.Microsecond
+	const ctx = 1
+	size := uint64(2 * testPageSize)
+	for i := 0; i < 2; i++ {
+		off := uint64(i) * testPageSize
+		if err := f.io.Map(ctx, vaSrcVA+off, vaSrcPA+phys.Addr(off), vm.Read); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.io.Map(ctx, vaDstVA, vaDstPA, vm.Read|vm.Write); err != nil {
+		t.Fatal(err)
+	}
+	second := vaDstVA + testPageSize
+	f.res.backing[second] = vaDstPA + testPageSize
+	now := sim.Time(0)
+	transfer := func() {
+		if err := f.io.Unmap(ctx, second); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.e.Store(now, vaOff(ctx, vaDstVA), phys.Size64, size); err != nil {
+			t.Fatal(err)
+		}
+		if v, _, err := f.e.Load(now, vaOff(ctx, vaSrcVA), phys.Size64); err != nil || v == StatusFailure {
+			t.Fatalf("initiation: status %#x, err %v", v, err)
+		}
+		now = f.settle()
+	}
+	for i := 0; i < 4; i++ { // warm the walker, fix-up, transfer and event pools
+		transfer()
+	}
+	// A bounced page is not counted as a fault: it never stalls.
+	taken := &f.e.ctr.VAFaults
+	if policy == RecoverBounce {
+		taken = &f.e.ctr.VABounced
+	}
+	before := taken.Value()
+	allocs := testing.AllocsPerRun(100, transfer)
+	if got := taken.Value() - before; got != 101 {
+		t.Fatalf("%v: %d faulted pages over 101 transfers, want one each", policy, got)
+	}
+	if got := len(f.e.bounceFree); got != f.e.Config().BouncePages {
+		t.Fatalf("%v: bounce frames free = %d, want all %d back", policy, got, f.e.Config().BouncePages)
+	}
+	return allocs
+}
+
+// TestVABounceFixupZeroAllocs: once the pools are warm, bouncing a
+// faulting destination page and copying it back allocates nothing.
+// Fix-up records are pooled and the copy goes through the walker's
+// piece buffer, so a bounced transfer allocates exactly what the same
+// transfer stalled on an inline page-in does; that one allocation is
+// the IOMMU's translation-fault error, which both paths take.
+func TestVABounceFixupZeroAllocs(t *testing.T) {
+	stall := faultedTransferAllocs(t, RecoverStall)
+	bounce := faultedTransferAllocs(t, RecoverBounce)
+	if bounce != stall {
+		t.Fatalf("bounced transfer allocates %.1f/op, stalled %.1f/op: the fix-up allocates", bounce, stall)
+	}
+	if stall > 1 {
+		t.Fatalf("faulted transfer allocates %.1f/op, want at most the fault error", stall)
+	}
+}
+
 // BenchmarkVARingDoorbell measures the engine-side cost of one batched
 // VA kick: 8 device-VA descriptors per doorbell, IOTLB warm.
 func BenchmarkVARingDoorbell(b *testing.B) {

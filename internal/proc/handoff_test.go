@@ -1,8 +1,11 @@
 package proc
 
 import (
+	"errors"
 	"runtime"
 	"testing"
+
+	"uldma/internal/sim"
 )
 
 // spinner is a guest that never finishes: one slot per iteration.
@@ -128,5 +131,54 @@ func BenchmarkSlotHandoff(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.r.StepPolicy(policy)
+	}
+}
+
+// TestSelfRegrantZeroAllocs: a guest that keeps the CPU under Run
+// re-grants its own slot with no allocation. Each round the guest runs
+// a burst of slots and then parks itself; with nothing pending to wake
+// it, Run returns the preallocated ErrDeadlock, so a whole Run round
+// allocates nothing unless a slot does.
+func TestSelfRegrantZeroAllocs(t *testing.T) {
+	const burst = 1000
+	f := newFixture(t, RunnerConfig{})
+	p := f.r.Spawn("A", f.space(t, 1, ramPage), func(ctx *Context) error {
+		for {
+			for i := 0; i < burst; i++ {
+				ctx.Spin(1)
+			}
+			ctx.Process().BlockUntil(sim.Never) // until the test wakes it
+		}
+	})
+	defer f.r.Shutdown()
+	policy := NewRoundRobin(1 << 20)
+	round := func() {
+		if err := f.r.Run(policy, 1<<62); !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("Run = %v, want the parked guest's deadlock", err)
+		}
+		p.Wake(f.clock.Now())
+	}
+	round()
+	before := p.Instructions()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("%v allocs per %d-slot Run, want 0", allocs, burst)
+	}
+	if got := p.Instructions() - before; got != 21*burst {
+		t.Fatalf("%d instructions over 21 rounds, want %d", got, 21*burst)
+	}
+}
+
+// BenchmarkSelfRegrant: one spinning process on RoundRobin(1<<20)
+// under Run, so every op is one slot the guest re-grants to itself —
+// the slot cost when the policy keeps the running process.
+func BenchmarkSelfRegrant(b *testing.B) {
+	f := newFixture(b, RunnerConfig{})
+	f.r.Spawn("A", f.space(b, 1, ramPage), spinner)
+	defer f.r.Shutdown()
+	policy := NewRoundRobin(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := f.r.Run(policy, uint64(b.N)); !errors.Is(err, ErrSlotBudget) {
+		b.Fatal(err)
 	}
 }

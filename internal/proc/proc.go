@@ -8,9 +8,19 @@
 // scheduling decision: the Runner grants one instruction slot at a time,
 // and a pluggable Policy decides which process gets it. Each process
 // body runs as a runtime coroutine (iter.Pull): a grant resumes it, and
-// it yields back at its next instruction boundary. Control passes
+// it yields back when a slot goes to someone else. Control passes
 // directly between the scheduler and exactly one guest, so execution is
 // fully deterministic; a recorded schedule replays bit-for-bit.
+//
+// Where the per-slot decision runs depends on who drives. Under Run,
+// the running guest makes it itself at its next instruction boundary
+// (Context.begin): the same runnable set, slot-budget check and
+// Policy.Next that Run would make. When the policy picks the guest
+// again, the slot is re-granted in place without a coroutine switch;
+// when it picks another process, the guest records the pick and yields,
+// and Run dispatches it without consulting the policy twice. Step and
+// StepPolicy keep one yield per slot, so cluster schedulers and
+// hand-built interleavings drive the scheduler exactly as before.
 //
 // Three policies cover the experiments:
 //
@@ -165,6 +175,19 @@ type Runner struct {
 	ctr     Counters
 	scratch []*Process // reused by runnable(); policies must not retain it
 
+	// slotStart is the clock at the start of the current slot; the
+	// slot's end bills the difference to the running process's cpuTime.
+	slotStart sim.Time
+
+	// Run's own state, nil/zero outside Run and never snapshot state:
+	// the policy and slot budget the running guest consults in
+	// regrant, the slots granted so far, and the guest's pick of
+	// another process, which Run dispatches without calling Next again.
+	policy   Policy
+	maxSlots uint64
+	granted  uint64
+	pending  *Process
+
 	// tr is the obs trace spine (nil = tracing disabled, the zero-cost
 	// fast path); node is the cluster node id stamped on events.
 	tr   *obs.Trace
@@ -299,9 +322,17 @@ var ErrDeadlock = errors.New("proc: deadlock — all processes blocked forever w
 // generous number). It returns ErrSlotBudget if the budget ran out.
 // When every live process is blocked, the scheduler advances idle time
 // to the earliest wakeup (firing due events along the way), like an
-// idle loop waiting for the next interrupt.
+// idle loop waiting for the next interrupt. While Run drives, the
+// running guest makes each next-slot decision itself (see regrant).
 func (r *Runner) Run(policy Policy, maxSlots uint64) error {
-	for granted := uint64(0); ; {
+	r.policy, r.maxSlots, r.granted = policy, maxSlots, 0
+	defer r.endRun()
+	for {
+		if p := r.pending; p != nil {
+			r.pending = nil
+			r.dispatch(p)
+			continue
+		}
 		runnable := r.runnable()
 		if len(runnable) == 0 {
 			progressed, err := r.advanceIdle()
@@ -313,17 +344,57 @@ func (r *Runner) Run(policy Policy, maxSlots uint64) error {
 			}
 			continue
 		}
-		if granted >= maxSlots {
+		if r.granted >= maxSlots {
 			return fmt.Errorf("%w (%d slots, %d processes unfinished)",
 				ErrSlotBudget, maxSlots, len(runnable))
 		}
-		granted++
-		p := policy.Next(runnable, r.current)
-		if p == nil || p.state == Done {
-			p = runnable[0]
-		}
-		r.dispatch(p)
+		r.granted++
+		r.dispatch(pick(policy, runnable, r.current))
 	}
+}
+
+// endRun clears Run's state, also when a guest panic unwinds Run.
+func (r *Runner) endRun() {
+	r.policy, r.maxSlots, r.granted, r.pending = nil, 0, 0, nil
+}
+
+// regrant makes the next slot's scheduling decision on the running
+// guest p's own coroutine, exactly as Run's loop would: the runnable
+// set, the slot-budget check, then Policy.Next. It reports whether the
+// policy picked p again, in which case the finished slot is closed and
+// the new one opened in place, with no yield. Otherwise p must yield:
+// with a pick of another process recorded in pending, or with no pick
+// at all when Run has to idle or report the exhausted budget. Outside
+// Run it always returns false, so Step and StepPolicy keep one yield
+// per slot.
+func (r *Runner) regrant(p *Process) bool {
+	if r.policy == nil {
+		return false
+	}
+	runnable := r.runnable()
+	if len(runnable) == 0 || r.granted >= r.maxSlots {
+		return false
+	}
+	r.granted++
+	if next := pick(r.policy, runnable, r.current); next != p {
+		r.pending = next
+		return false
+	}
+	now := r.cpu.Clock().Now()
+	p.cpuTime += now - r.slotStart
+	r.ctr.Slots.Inc()
+	r.slotStart = now
+	return true
+}
+
+// pick asks the policy for the next slot's process, falling back to
+// the first runnable one when the policy names none or a Done process.
+func pick(policy Policy, runnable []*Process, current *Process) *Process {
+	p := policy.Next(runnable, current)
+	if p == nil || p.state == Done {
+		p = runnable[0]
+	}
+	return p
 }
 
 // advanceIdle moves the clock toward the next thing that can make a
@@ -379,11 +450,7 @@ func (r *Runner) StepPolicy(policy Policy) bool {
 	if len(runnable) == 0 {
 		return false
 	}
-	p := policy.Next(runnable, r.current)
-	if p == nil || p.state == Done {
-		p = runnable[0]
-	}
-	r.dispatch(p)
+	r.dispatch(pick(policy, runnable, r.current))
 	return true
 }
 
@@ -404,12 +471,12 @@ func (r *Runner) dispatch(p *Process) {
 		r.contextSwitch(r.current, p)
 	}
 	r.ctr.Slots.Inc()
-	before := r.cpu.Clock().Now()
+	r.slotStart = r.cpu.Clock().Now()
 	if p.next == nil {
 		r.start(p)
 	}
 	_, running := p.next()
-	p.cpuTime += r.cpu.Clock().Now() - before
+	p.cpuTime += r.cpu.Clock().Now() - r.slotStart
 	if !running {
 		p.state = Done
 		p.next, p.stop = nil, nil
@@ -492,11 +559,12 @@ func (r *Runner) Shutdown() {
 //
 // Slot discipline: a process takes its slot at the start of an
 // instruction and keeps it until it reaches its NEXT instruction
-// boundary (or its body returns), where it yields back to the
-// scheduler. The Go code a guest runs between two instructions
-// therefore executes while the scheduler is suspended, so guest logic,
-// scheduler, and other guests are strictly serialized — the simulation
-// is deterministic and race-free by construction.
+// boundary (or its body returns), where it either takes the next slot
+// in place (Runner.regrant) or yields back to the scheduler. The Go
+// code a guest runs between two instructions therefore executes while
+// the scheduler is suspended, so guest logic, scheduler, and other
+// guests are strictly serialized — the simulation is deterministic and
+// race-free by construction.
 type Context struct {
 	p     *Process
 	r     *Runner
@@ -507,12 +575,14 @@ type Context struct {
 func (c *Context) Process() *Process { return c.p }
 
 // begin takes the slot for one instruction: a fresh grant (covering
-// the body's preamble) is consumed directly; otherwise the previous
-// slot is handed back and the next grant awaited.
+// the body's preamble) is consumed directly; a slot the scheduler
+// re-grants to this process is taken in place (Runner.regrant);
+// otherwise the previous slot is handed back and the next grant
+// awaited.
 func (c *Context) begin() {
 	if c.p.fresh {
 		c.p.fresh = false
-	} else {
+	} else if !c.r.regrant(c.p) {
 		c.handOff()
 	}
 	c.p.instrs++
