@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench ci snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity schedparity golden trace-golden statslint benchdiff perfbench profile
+.PHONY: all build vet test race bench ci loc snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity schedparity golden trace-golden statslint benchdiff perfbench profile
 
 all: ci
 
@@ -88,8 +88,8 @@ steerparity:
 # its own slot in place, matches the one-yield-per-slot reference loop
 # slot for slot under every policy (budget exhaustion included); a
 # self-regrant and a warm bounce fix-up allocate nothing; WindowOf names
-# the window the engine decodes; and Step, Explore and ExploreParallel,
-# which keep one yield per slot, still drive exact interleavings.
+# the window the engine decodes; and Step and Explore, which keep one
+# yield per slot, still drive exact interleavings.
 schedparity:
 	$(GO) test -race -run 'TestRunMatchesReferenceLoop|TestSelfRegrantZeroAllocs|TestSlotHandoffZeroAllocs|TestStepDrivesSingleSlots|TestExplore|TestVABounceFixupZeroAllocs|TestWindowOfMatchesDecode' ./internal/proc ./internal/dma
 
@@ -169,6 +169,12 @@ perfbench:
 # `make baseline` refresh in the same commit.
 benchdiff:
 	-$(GO) run ./cmd/benchdiff
+
+# Non-blank, non-comment Go line counts: non-test code outside
+# perfbench/, test code, and the tool frontends (cmd/ + internal/exp).
+# Informational, not part of ci.
+loc:
+	@sh scripts/loc.sh
 
 # Host-CPU and allocation profiles of the heaviest tool. Every cmd/
 # tool takes the same -cpuprofile/-memprofile flags (see

@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	userdma "uldma/internal/core"
@@ -34,8 +33,7 @@ func main() {
 	flag.Parse()
 	stop, err := exp.StartProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "attacksim:", err)
-		os.Exit(2)
+		exp.Fail("attacksim", 2, err)
 	}
 	defer stop()
 
@@ -46,8 +44,7 @@ func main() {
 
 	if *victimSrc != "" {
 		if err := custom(*seqLen, *shareA, *victimSrc, *attackerSrc, *schedule); err != nil {
-			fmt.Fprintln(os.Stderr, "attacksim:", err)
-			exp.Exit(1)
+			exp.Fail("attacksim", 1, err)
 		}
 		return
 	}
@@ -70,14 +67,12 @@ func main() {
 	}
 	for _, f := range figures {
 		if err := run(f); err != nil {
-			fmt.Fprintln(os.Stderr, "attacksim:", err)
-			exp.Exit(1)
+			exp.Fail("attacksim", 1, err)
 		}
 		fmt.Println()
 	}
 	if err := exp.FlushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "attacksim:", err)
-		exp.Exit(1)
+		exp.Fail("attacksim", 1, err)
 	}
 }
 
@@ -177,12 +172,12 @@ func figure8(attackerSlots, seeds, procs int) error {
 	}
 	fmt.Println("none")
 
-	outcomes, err := exp.Campaign(seeds, false, false, procs)
+	r, err := exp.RunNamed("campaign", exp.Params{Seeds: seeds, Procs: procs})
 	if err != nil {
 		return err
 	}
 	hijacked, misinformed := 0, 0
-	for _, o := range outcomes {
+	for _, o := range exp.Collect[userdma.AttackOutcome](r) {
 		if o.Hijacked {
 			hijacked++
 		}

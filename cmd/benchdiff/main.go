@@ -38,9 +38,7 @@ import (
 	"os"
 	"sort"
 
-	userdma "uldma/internal/core"
 	"uldma/internal/exp"
-	"uldma/internal/obs"
 )
 
 // errRegression marks a -fatal-threshold failure: the diff itself ran
@@ -58,17 +56,19 @@ func main() {
 		"exit 1 when any model leaf moves by at least this percent (Host* leaves stay exempt; negative = off)")
 	flag.Parse()
 
+	// The regeneration count is checked before any world is built.
+	if *iters < 1 {
+		exp.Fail("benchdiff", 2, fmt.Errorf("-iters %d: need at least one initiation per measurement", *iters))
+	}
 	if err := run(flag.Args(), *iters, *procs, *tol, *fatal, *fatalThreshold); err != nil {
+		code := 2
 		if errors.Is(err, errRegression) {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(1)
+			code = 1
 		}
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		exp.Fail("benchdiff", code, err)
 	}
 	if err := exp.FlushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		exp.Fail("benchdiff", 2, err)
 	}
 }
 
@@ -198,49 +198,18 @@ func load(path string, into *map[string]any) error {
 	return json.Unmarshal(data, into)
 }
 
-// regenerate rebuilds the `make baseline` document in-process and
-// round-trips it through JSON so both sides flatten identically.
+// baselineSections are the sections `make baseline` snapshots:
+// dmabench -json -sweep -breakeven -trend -comparators -metrics.
+var baselineSections = []string{"table1", "comparators", "bussweep", "breakeven", "trend", "metrics"}
+
+// regenerate rebuilds the `make baseline` document in-process through
+// the same call as dmabench -json, and round-trips it through JSON so
+// both sides flatten identically.
 func regenerate(iters, procs int) (map[string]any, error) {
-	doc := struct {
-		Machine     string
-		Iters       int
-		Table1      []userdma.InitiationResult
-		Comparators []userdma.InitiationResult
-		BusSweep    map[string][]userdma.InitiationResult
-		BreakEven   map[string][]userdma.BreakEvenPoint
-		Trend       []userdma.TrendPoint
-		Metrics     map[string][]obs.MetricValue
-	}{Machine: exp.MachineName(), Iters: iters}
-
-	t1, err := exp.Table1(iters, procs)
+	doc, err := exp.Document(iters, exp.BenchSections(exp.Params{Iters: iters, Procs: procs}, baselineSections...))
 	if err != nil {
 		return nil, err
 	}
-	doc.Table1 = t1
-	cs, err := exp.Comparators(iters, procs, exp.ComparatorMethods()[:4])
-	if err != nil {
-		return nil, err
-	}
-	doc.Comparators = cs
-	sweep, err := exp.BusSweep(iters, procs)
-	if err != nil {
-		return nil, err
-	}
-	doc.BusSweep = exp.BusSweepJSON(sweep)
-	be, err := exp.BreakEven(procs)
-	if err != nil {
-		return nil, err
-	}
-	doc.BreakEven = exp.BreakEvenJSON(be)
-	pts, err := exp.TrendSweep(iters, procs)
-	if err != nil {
-		return nil, err
-	}
-	doc.Trend = pts
-	if doc.Metrics, err = exp.MetricsSnapshot(iters); err != nil {
-		return nil, err
-	}
-
 	raw, err := json.Marshal(doc)
 	if err != nil {
 		return nil, err

@@ -30,7 +30,7 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -63,8 +63,7 @@ func main() {
 	flag.Parse()
 	stop, err := exp.StartProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		os.Exit(2)
+		exp.Fail("clustersim", 2, err)
 	}
 	defer stop()
 	if *list {
@@ -78,23 +77,18 @@ func main() {
 			ScaleSeed: *seed, Procs: *procs, Protocol: *protocol,
 		}
 		if err := validateScale(*nodes, *shards, *arrival, *tenants, *ms, *protocol, *bytes); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim:", err)
-			exp.Exit(2)
+			exp.Fail("clustersim", 2, err)
 		}
 		if err := runScale(p, *jsonOut, *bench); err != nil {
-			fmt.Fprintln(os.Stderr, "clustersim:", err)
-			exp.Exit(1)
+			exp.Fail("clustersim", 1, err)
 		}
 	} else if *protocol != "" {
-		fmt.Fprintln(os.Stderr, "clustersim: -protocol selects the machine-world scale experiment and needs -scale")
-		exp.Exit(2)
+		exp.Fail("clustersim", 2, errors.New("-protocol selects the machine-world scale experiment and needs -scale"))
 	} else if err := run(*msgs, *size, !*gigabit, *hist, *procs, *jsonOut); err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		exp.Exit(1)
+		exp.Fail("clustersim", 1, err)
 	}
 	if err := exp.FlushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		exp.Exit(1)
+		exp.Fail("clustersim", 1, err)
 	}
 }
 
@@ -157,9 +151,7 @@ func run(msgs int, size uint64, atm, hist bool, procs int, jsonOut bool) error {
 			link = "ATM-155"
 		}
 		doc := clusterJSON{Link: link, Msgs: msgs, MsgSize: size, Rows: exp.ClusterRows(r)}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
+		return exp.WriteJSON(os.Stdout, doc)
 	}
 	s, err := exp.RenderNamed("clustersim", exp.Text, r, p)
 	if err != nil {
@@ -206,9 +198,7 @@ func runScale(p exp.Params, jsonOut, bench bool) error {
 			doc.Bench = rows
 		}
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return exp.WriteJSON(os.Stdout, doc)
 }
 
 // benchScale times the SAME world at shards {1,4,8} (skipping counts

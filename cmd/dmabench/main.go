@@ -17,19 +17,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	userdma "uldma/internal/core"
 	"uldma/internal/exp"
-	"uldma/internal/obs"
-	"uldma/internal/phys"
-	"uldma/internal/proc"
-	"uldma/internal/stats"
-	"uldma/internal/vm"
 )
 
 func main() {
@@ -53,8 +45,7 @@ func main() {
 	flag.Parse()
 	stop, err := exp.StartProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmabench:", err)
-		os.Exit(2)
+		exp.Fail("dmabench", 2, err)
 	}
 	defer stop()
 
@@ -63,12 +54,11 @@ func main() {
 		return
 	}
 
-	// The VA flags are validated before any simulation spins up, same
+	// Counts are validated before any simulation spins up, same
 	// contract as clustersim's -scale frontend: nonsense dies with exit
 	// status 2 and a flag-level message.
-	if err := validateVA(*va, *paging, *tlb, *iters); err != nil {
-		fmt.Fprintln(os.Stderr, "dmabench:", err)
-		exp.Exit(2)
+	if err := validate(*iters, *tlb, *va); err != nil {
+		exp.Fail("dmabench", 2, err)
 	}
 
 	// With -steer the traced scenario becomes the search itself: the
@@ -77,334 +67,72 @@ func main() {
 		exp.SetTraceScenario(exp.SteerTraceScenario)
 	}
 
-	if *jsonOut {
-		if err := runJSON(*iters, *procs, *sweep, *comparators, *breakeven, *trend, *contention, *ring, *ringchurn, *va, *paging, *steer, *tlb, *metrics); err != nil {
-			fmt.Fprintln(os.Stderr, "dmabench:", err)
-			exp.Exit(1)
-		}
-		if err := exp.FlushTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "dmabench:", err)
-			exp.Exit(1)
-		}
-		return
-	}
-
-	if *trend {
-		if err := section("trend", *iters, *procs); err != nil {
-			fmt.Fprintln(os.Stderr, "dmabench:", err)
-			exp.Exit(1)
+	// One list in print order; each format keeps the sections it can
+	// print (the overview and -trace are text-only, -metrics JSON-only).
+	var names []string
+	for _, sec := range []struct {
+		on   bool
+		name string
+	}{
+		{*trend, "trend"}, {*traceFlag, "bustrace"}, {true, "overview"}, {true, "table1"},
+		{*comparators, "comparators"}, {*sweep, "bussweep"}, {*breakeven, "breakeven"},
+		{*contention, "contention"}, {*ring, "ringdepth"}, {*ringchurn, "ringchurn"},
+		{*va, "vasweep"}, {*paging, "paging"}, {*steer, "steer"}, {*metrics, "metrics"},
+	} {
+		if sec.on {
+			names = append(names, sec.name)
 		}
 	}
-
-	if *traceFlag {
-		if err := runTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "dmabench:", err)
-			exp.Exit(1)
-		}
-	}
-	if err := run(*iters, *procs, *sweep, *contention, *comparators, *breakeven, *ring, *ringchurn, *va, *paging, *steer, *tlb); err != nil {
-		fmt.Fprintln(os.Stderr, "dmabench:", err)
-		exp.Exit(1)
+	secs := exp.BenchSections(exp.Params{Iters: *iters, Procs: *procs, TLB: *tlb}, names...)
+	if err := run(secs, *iters, *jsonOut); err != nil {
+		exp.Fail("dmabench", 1, err)
 	}
 	if err := exp.FlushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "dmabench:", err)
-		exp.Exit(1)
+		exp.Fail("dmabench", 1, err)
 	}
 }
 
-// validateVA rejects flag combinations the virtual-address sections
-// cannot run, before any machine is built.
-func validateVA(va, paging bool, tlb, iters int) error {
+// validate rejects flag values no section can run, before any machine
+// is built.
+func validate(iters, tlb int, va bool) error {
+	if iters < 1 {
+		return fmt.Errorf("-iters %d: need at least one initiation per measurement", iters)
+	}
 	if tlb < 0 {
 		return fmt.Errorf("-tlb %d: the IOTLB needs at least one entry", tlb)
 	}
 	if tlb != 0 && !va {
 		return fmt.Errorf("-tlb sizes the vasweep IOTLB and needs -va")
 	}
-	if va && iters < 1 {
-		return fmt.Errorf("-iters %d: -va needs at least one initiation per cell", iters)
-	}
-	_ = paging // no knobs yet; the grid is fixed by the experiment spec
 	return nil
 }
 
-// section runs one registry experiment and prints its text rendering.
-func section(name string, iters, procs int) error {
-	s, err := exp.Report(name, exp.Text, exp.Params{Iters: iters, Procs: procs})
-	if err != nil {
-		return err
+// run prints the sections that support the chosen format: each text
+// rendering in order, or one JSON document.
+func run(secs []exp.Section, iters int, jsonOut bool) error {
+	f := exp.Text
+	if jsonOut {
+		f = exp.JSON
 	}
-	fmt.Print(s)
-	return nil
-}
-
-// benchJSON is the one JSON document -json emits: raw sim.Time values
-// (picoseconds of simulated time), exact integers suitable for
-// byte-for-byte regression comparison across code changes.
-type benchJSON struct {
-	Machine     string
-	Iters       int
-	Table1      []userdma.InitiationResult
-	Comparators []userdma.InitiationResult            `json:",omitempty"`
-	BusSweep    map[string][]userdma.InitiationResult `json:",omitempty"`
-	BreakEven   map[string][]userdma.BreakEvenPoint   `json:",omitempty"`
-	Trend       []userdma.TrendPoint                  `json:",omitempty"`
-	Contention  []userdma.InitiationResult            `json:",omitempty"`
-	Ring        []userdma.RingDepthResult             `json:",omitempty"`
-	RingChurn   []userdma.RingChurnResult             `json:",omitempty"`
-	VASweep     []userdma.VACompareRow                `json:",omitempty"`
-	IOTLB       []userdma.IOTLBPoint                  `json:",omitempty"`
-	Paging      []userdma.PagingResult                `json:",omitempty"`
-	// Steer (-steer) is the steered-sweep scoreboard: per search, the
-	// probed-vs-grid cell counts and the verdict the adaptive policy
-	// landed on (see BENCH_steer.json / `make baseline-steer`).
-	Steer []exp.SteerRow `json:",omitempty"`
-	// Metrics (-metrics) is the per-method observability registry
-	// snapshot after a fixed initiation burst: exact event counts, so
-	// benchdiff flags any behavioural change even when timings agree.
-	Metrics map[string][]obs.MetricValue `json:",omitempty"`
-}
-
-// runJSON gathers every requested section and emits one JSON document.
-func runJSON(iters, procs int, sweep, comparators, breakeven, trend, contention, ring, ringchurn, va, paging, steer bool, tlb int, metrics bool) error {
-	doc := benchJSON{Machine: exp.MachineName(), Iters: iters}
-
-	t1, err := exp.Table1(iters, procs)
-	if err != nil {
-		return err
+	var keep []exp.Section
+	for _, s := range secs {
+		if e, _ := exp.Lookup(s.Name); e.Supports(f) {
+			keep = append(keep, s)
+		}
 	}
-	doc.Table1 = t1
-	if comparators {
-		rs, err := exp.Comparators(iters, procs, exp.ComparatorMethods()[:4])
+	if jsonOut {
+		doc, err := exp.Document(iters, keep)
 		if err != nil {
 			return err
 		}
-		doc.Comparators = rs
+		return exp.WriteJSON(os.Stdout, doc)
 	}
-	if sweep {
-		groups, err := exp.BusSweep(iters, procs)
+	for _, s := range keep {
+		out, err := exp.Report(s.Name, f, s.Params)
 		if err != nil {
 			return err
-		}
-		doc.BusSweep = exp.BusSweepJSON(groups)
-	}
-	if breakeven {
-		groups, err := exp.BreakEven(procs)
-		if err != nil {
-			return err
-		}
-		doc.BreakEven = exp.BreakEvenJSON(groups)
-	}
-	if trend {
-		pts, err := exp.TrendSweep(iters, procs)
-		if err != nil {
-			return err
-		}
-		doc.Trend = pts
-	}
-	if contention {
-		rs, err := exp.Contention(iters, procs)
-		if err != nil {
-			return err
-		}
-		doc.Contention = rs
-	}
-	if ring {
-		r, err := exp.RunNamed("ringdepth", exp.Params{Iters: iters, Procs: procs})
-		if err != nil {
-			return err
-		}
-		doc.Ring = exp.RingPoints(r)
-	}
-	if ringchurn {
-		r, err := exp.RunNamed("ringchurn", exp.Params{Procs: procs})
-		if err != nil {
-			return err
-		}
-		doc.RingChurn = exp.Collect[userdma.RingChurnResult](r)
-	}
-	if va {
-		r, err := exp.RunNamed("vasweep", exp.Params{Iters: iters, Procs: procs, TLB: tlb})
-		if err != nil {
-			return err
-		}
-		doc.VASweep = exp.Collect[userdma.VACompareRow](r)
-		doc.IOTLB = exp.Collect[userdma.IOTLBPoint](r)
-	}
-	if paging {
-		r, err := exp.RunNamed("paging", exp.Params{Procs: procs})
-		if err != nil {
-			return err
-		}
-		doc.Paging = exp.Collect[userdma.PagingResult](r)
-	}
-	if steer {
-		s, err := exp.RunSteerSuite(exp.Params{Iters: iters, Procs: procs}, nil)
-		if err != nil {
-			return err
-		}
-		doc.Steer = s.SteerRows()
-	}
-	if metrics {
-		mv, err := exp.MetricsSnapshot(iters)
-		if err != nil {
-			return err
-		}
-		doc.Metrics = mv
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// runTrace records and prints the wire-level view of one initiation per
-// Table 1 method: what the engine actually saw, in order, with window
-// annotations.
-func runTrace() error {
-	for _, method := range userdma.AllMethods() {
-		m := userdma.Machine(method)
-		tr := obs.NewTrace(64, obs.DropNewest)
-
-		var h *userdma.Handle
-		p := m.NewProcess("traced", func(c *proc.Context) error {
-			m.Bus.SetTracer(tr, 0)
-			_, err := h.DMA(c, 0x10000, 0x20000, 64)
-			m.Bus.SetTracer(nil, 0)
-			return err
-		})
-		var err error
-		if h, err = method.Attach(m, p); err != nil {
-			return err
-		}
-		if _, err := m.SetupPages(p, 0x10000, 1, vm.Read|vm.Write); err != nil {
-			return err
-		}
-		dstFrames, err := m.SetupPages(p, 0x20000, 1, vm.Read|vm.Write)
-		if err != nil {
-			return err
-		}
-		if s1, ok := method.(userdma.SHRIMP1); ok {
-			if err := s1.MapOutPage(m, p, 0x10000, dstFrames[0]); err != nil {
-				return err
-			}
-		}
-		if err := m.Run(proc.NewRoundRobin(64), 100_000); err != nil {
-			return err
-		}
-		if p.Err() != nil {
-			return fmt.Errorf("%s: %w", method.Name(), p.Err())
-		}
-		fmt.Printf("%s — bus transactions of one DMA(src, dst, 64):\n", method.Name())
-		out := renderBusTrace(tr, m.Engine.Config().WindowOf)
-		if out == "" {
-			out = "  (no bus traffic: the initiation ran inside the kernel/PAL call below)\n"
 		}
 		fmt.Print(out)
-		fmt.Println()
-	}
-	return nil
-}
-
-// renderBusTrace formats tr's bus transactions as a timeline, one per
-// line, each annotated with the engine window its address decodes to.
-func renderBusTrace(tr *obs.Trace, windowOf func(phys.Addr) string) string {
-	var b strings.Builder
-	for _, e := range tr.Events() {
-		if e.Cat != obs.CatBus {
-			continue
-		}
-		win := windowOf(phys.Addr(e.A0))
-		if win == "" {
-			win = "-"
-		}
-		fmt.Fprintf(&b, "%-10v %-5s %-8s %v = %#x\n", e.At, e.Name, win, phys.Addr(e.A0), e.A2)
-	}
-	if d := tr.Dropped(); d > 0 {
-		fmt.Fprintf(&b, "... %d further events dropped (recorder full)\n", d)
-	}
-	return b.String()
-}
-
-func run(iters, procs int, sweep, contention, comparators, breakeven, ring, ringchurn, va, paging, steer bool, tlb int) error {
-	infos, err := userdma.Overview()
-	if err != nil {
-		return err
-	}
-	ov := stats.NewTable("method", "engine mode", "user accesses", "instructions", "kernel mod?", "user poll?")
-	for _, i := range infos {
-		accesses := "-"
-		if i.UserAccesses > 0 {
-			accesses = fmt.Sprintf("%d", i.UserAccesses)
-		}
-		ov.AddRow(i.Name, i.EngineMode, accesses, i.Instructions, i.KernelMod, i.Polls)
-	}
-	fmt.Println("Initiation methods")
-	fmt.Println(ov)
-
-	if err := section("table1", iters, procs); err != nil {
-		return err
-	}
-
-	if comparators {
-		s, err := exp.Report("comparators", exp.Text,
-			exp.Params{Iters: iters, Procs: procs, Methods: exp.ComparatorMethods()[:4]})
-		if err != nil {
-			return err
-		}
-		fmt.Print(s)
-	}
-
-	if sweep {
-		if err := section("bussweep", iters, procs); err != nil {
-			return err
-		}
-	}
-
-	if breakeven {
-		if err := section("breakeven", iters, procs); err != nil {
-			return err
-		}
-	}
-
-	if contention {
-		if err := section("contention", iters, procs); err != nil {
-			return err
-		}
-	}
-
-	if ring {
-		if err := section("ringdepth", iters, procs); err != nil {
-			return err
-		}
-	}
-
-	if ringchurn {
-		if err := section("ringchurn", iters, procs); err != nil {
-			return err
-		}
-	}
-
-	if va {
-		s, err := exp.Report("vasweep", exp.Text, exp.Params{Iters: iters, Procs: procs, TLB: tlb})
-		if err != nil {
-			return err
-		}
-		fmt.Print(s)
-	}
-
-	if paging {
-		if err := section("paging", iters, procs); err != nil {
-			return err
-		}
-	}
-
-	if steer {
-		s, err := exp.RunSteerSuite(exp.Params{Iters: iters, Procs: procs}, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(exp.SteerSuiteText(s))
 	}
 	return nil
 }

@@ -26,7 +26,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,8 +44,7 @@ func main() {
 	flag.Parse()
 	stop, err := exp.StartProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "faultsim:", err)
-		os.Exit(2)
+		exp.Fail("faultsim", 2, err)
 	}
 	defer stop()
 	if *list {
@@ -56,19 +54,21 @@ func main() {
 	if *replay != 0 {
 		verdict, err := exp.FaultReplay(*replay, 3)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultsim:", err)
-			exp.Exit(1)
+			exp.Fail("faultsim", 1, err)
 		}
 		fmt.Fprintf(os.Stderr, "faultsim: seed %d replayed: %s\n", *replay, verdict)
 		return
 	}
+	// -msgs sizes every faultsweep cell and heads the JSON document, so
+	// it is checked before any world is built.
+	if *msgs < 1 {
+		exp.Fail("faultsim", 2, fmt.Errorf("-msgs %d: need at least one message per cell", *msgs))
+	}
 	if err := run(*msgs, *seeds, *depth, *procs, *jsonOut); err != nil {
-		fmt.Fprintln(os.Stderr, "faultsim:", err)
-		exp.Exit(1)
+		exp.Fail("faultsim", 1, err)
 	}
 	if err := exp.FlushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "faultsim:", err)
-		exp.Exit(1)
+		exp.Fail("faultsim", 1, err)
 	}
 }
 
@@ -101,9 +101,7 @@ func run(msgs, seeds, depth, procs int, jsonOut bool) error {
 			Recovery: exp.Collect[exp.RecoveryPoint](recov),
 			Search:   exp.Collect[exp.FaultSearchPoint](search),
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
+		return exp.WriteJSON(os.Stdout, doc)
 	}
 	for _, sec := range []struct {
 		name string

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,8 +27,7 @@ func main() {
 	flag.Parse()
 	stop, err := exp.StartProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "oslat:", err)
-		os.Exit(2)
+		exp.Fail("oslat", 2, err)
 	}
 	defer stop()
 	if *list {
@@ -41,21 +39,17 @@ func main() {
 	// any world is built, like dmabench's and clustersim's flag checks.
 	// -steer ignores -iters: its ladder starts at 250.
 	if !*steer && *iters < 10 {
-		fmt.Fprintf(os.Stderr, "oslat: -iters %d: need at least 10 (the PAL-call and uncached-load rows run -iters/10 times)\n", *iters)
-		exp.Exit(2)
+		exp.Fail("oslat", 2, fmt.Errorf("-iters %d: need at least 10 (the PAL-call and uncached-load rows run -iters/10 times)", *iters))
 	}
 	if *steer {
 		if err := runSteered(*procs); err != nil {
-			fmt.Fprintln(os.Stderr, "oslat:", err)
-			exp.Exit(1)
+			exp.Fail("oslat", 1, err)
 		}
 	} else if err := run(*iters, *procs, *jsonOut); err != nil {
-		fmt.Fprintln(os.Stderr, "oslat:", err)
-		exp.Exit(1)
+		exp.Fail("oslat", 1, err)
 	}
 	if err := exp.FlushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "oslat:", err)
-		exp.Exit(1)
+		exp.Fail("oslat", 1, err)
 	}
 }
 
@@ -91,9 +85,7 @@ func run(iters, procs int, jsonOut bool) error {
 	}
 	if jsonOut {
 		doc := oslatJSON{Machine: exp.MachineName(), Iters: iters, Rows: exp.OSLatRows(r)}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
+		return exp.WriteJSON(os.Stdout, doc)
 	}
 	s, err := exp.RenderNamed("oslat", exp.Text, r, p)
 	if err != nil {

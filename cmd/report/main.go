@@ -4,30 +4,22 @@
 //
 //	go run ./cmd/report > /tmp/results.md
 //
-// Each timing section is one experiment from the internal/exp registry
-// (-list enumerates them). Independent measurement cells run on -procs
-// worker goroutines (default: GOMAXPROCS) with byte-identical output
-// for any worker count. -json emits the timing tables as one JSON
-// document (raw simulated picoseconds) instead of markdown.
+// Every section is one experiment from the internal/exp registry (-list
+// enumerates them); -only renders a chosen subset, in the order given,
+// with the same per-section parameters as the full report. Independent
+// measurement cells run on -procs worker goroutines (default:
+// GOMAXPROCS) with byte-identical output for any worker count. -json
+// emits the timing tables (or the -only sections) as one JSON document
+// (raw simulated picoseconds) instead of markdown.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-
 	"strings"
-	"uldma/internal/coll"
-	userdma "uldma/internal/core"
-	"uldma/internal/dma"
+
 	"uldma/internal/exp"
-	"uldma/internal/kernel"
-	"uldma/internal/machine"
-	"uldma/internal/msg"
-	"uldma/internal/net"
-	"uldma/internal/proc"
-	"uldma/internal/sim"
 )
 
 func main() {
@@ -43,88 +35,98 @@ func main() {
 	flag.Parse()
 	stop, err := exp.StartProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(2)
+		exp.Fail("report", 2, err)
 	}
 	defer stop()
 	if *list {
 		fmt.Print(exp.List())
 		return
 	}
-	if *only != "" {
-		// Every name is validated against the registry BEFORE any
-		// simulation spins up: a typo dies with exit status 2 and the
-		// list of valid names, the same flag-level contract dmabench's
-		// -va validation has.
-		names, err := resolveOnly(*only)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			exp.Exit(2)
-		}
-		if err := runOnly(names, *iters, *procs); err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			exp.Exit(1)
-		}
-		if err := exp.FlushTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			exp.Exit(1)
-		}
-		return
+
+	// Every flag is validated BEFORE any simulation spins up: nonsense
+	// dies with exit status 2 and a flag-level message, the same
+	// contract dmabench's and clustersim's flags have.
+	if *iters < 1 {
+		exp.Fail("report", 2, fmt.Errorf("-iters %d: need at least one initiation per measurement", *iters))
 	}
+	names := defaultSections(*ring, *va, *steer)
 	if *jsonOut {
-		if err := runJSON(*iters, *procs); err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			exp.Exit(1)
-		}
-		if err := exp.FlushTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			exp.Exit(1)
-		}
-		return
+		names = jsonSections
 	}
-	if err := run(*iters, *seeds, *procs, *ring, *va, *steer); err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		exp.Exit(1)
+	if *only != "" {
+		if names, err = resolveOnly(*only, *jsonOut); err != nil {
+			exp.Fail("report", 2, err)
+		}
+	}
+	secs := make([]exp.Section, len(names))
+	for i, name := range names {
+		secs[i] = exp.Section{Name: name, Params: params(name, *iters, *seeds, *procs)}
+	}
+	if err := run(secs, *iters, *jsonOut, *only != ""); err != nil {
+		exp.Fail("report", 1, err)
 	}
 	if err := exp.FlushTrace(); err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		exp.Exit(1)
+		exp.Fail("report", 1, err)
 	}
 }
 
-// section runs one registry experiment and prints its markdown section.
-func section(name string, p exp.Params) error {
-	s, err := exp.Report(name, exp.Markdown, p)
-	if err != nil {
-		return err
+// defaultSections is the full report, in print order. The ring, VA
+// and steered sections are opt-in so the default report stays
+// byte-identical across versions that predate them.
+func defaultSections(ring, va, steer bool) []string {
+	names := []string{"table1", "comparators", "syscall", "bussweep", "breakeven", "contention"}
+	if ring {
+		names = append(names, "ringdepth", "ringchurn")
 	}
-	fmt.Print(s)
-	return nil
+	if va {
+		names = append(names, "vasweep", "paging")
+	}
+	names = append(names, "atomics", "trend", "libraries", "attacks", "faultsweep", "recovery", "faultsearch")
+	if steer {
+		names = append(names, "steer")
+	}
+	return names
 }
 
-// trendIters is the reduced iteration count the trend sweep has always
-// used: a fifth of -iters, floored at 10.
-func trendIters(iters int) int {
-	n := iters / 5
-	if n < 10 {
-		n = 10
+// jsonSections are the timing tables -json emits by default.
+var jsonSections = []string{"table1", "bussweep", "breakeven", "trend", "faultsweep", "recovery"}
+
+// params is the Params section name runs under, the same for the full
+// report and for -only.
+func params(name string, iters, seeds, procs int) exp.Params {
+	switch name {
+	case "trend":
+		// The trend sweep has always run at a fifth of -iters, floored
+		// at 10.
+		return exp.Params{Iters: max(iters/5, 10), Procs: procs}
+	case "faultsweep", "recovery", "faultsearch":
+		// The fault studies at cmd/faultsim's default sizes.
+		return exp.Params{Msgs: 24, Seeds: 4, Slots: 4, Procs: procs}
 	}
-	return n
+	return exp.Params{Iters: iters, Seeds: seeds, Procs: procs}
 }
 
 // resolveOnly splits and validates -only's comma-separated experiment
-// names against the registry. All names are checked before anything
-// runs, so one typo cannot waste a half-finished report.
-func resolveOnly(arg string) ([]string, error) {
+// names against the registry: each must exist and print in the output
+// format (JSON, or markdown with a text fallback). All names are
+// checked before anything runs, so one typo cannot waste a
+// half-finished report.
+func resolveOnly(arg string, jsonOut bool) ([]string, error) {
 	var names []string
 	for _, name := range strings.Split(arg, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		if _, ok := exp.Lookup(name); !ok {
+		e, ok := exp.Lookup(name)
+		switch {
+		case !ok:
 			return nil, fmt.Errorf("-only %s: unknown experiment %q (valid: %s)",
 				arg, name, strings.Join(exp.Names(), ", "))
+		case jsonOut && !e.Supports(exp.JSON):
+			return nil, fmt.Errorf("-only %s: experiment %q has no %v section", arg, name, exp.JSON)
+		case !jsonOut && !e.Supports(exp.Markdown) && !e.Supports(exp.Text):
+			return nil, fmt.Errorf("-only %s: experiment %q has no %v or %v section", arg, name, exp.Markdown, exp.Text)
 		}
 		names = append(names, name)
 	}
@@ -134,393 +136,37 @@ func resolveOnly(arg string) ([]string, error) {
 	return names, nil
 }
 
-// runOnly renders the requested registry subset in the order given,
-// with the same per-experiment parameters the full report uses.
-func runOnly(names []string, iters, procs int) error {
+// run prints the sections as one JSON document, or as markdown under
+// the report header; an experiment without a markdown renderer (oslat,
+// the cluster studies) prints its text under a heading of its name.
+func run(secs []exp.Section, iters int, jsonOut, only bool) error {
+	if jsonOut {
+		doc, err := exp.Document(iters, secs)
+		if err != nil {
+			return err
+		}
+		return exp.WriteJSON(os.Stdout, doc)
+	}
 	fmt.Println("# Reproduction results (generated by cmd/report)")
-	fmt.Printf("\nmachine: %s; %d initiations per measurement; sections: %s.\n",
-		exp.MachineName(), iters, strings.Join(names, ", "))
-	for _, name := range names {
-		p := exp.Params{Iters: iters, Procs: procs}
-		switch name {
-		case "trend":
-			p.Iters = trendIters(iters)
-		case "faultsweep", "recovery", "faultsearch":
-			p = exp.Params{Msgs: 24, Seeds: 4, Slots: 4, Procs: procs}
+	fmt.Printf("\nmachine: %s; %d initiations per measurement", exp.MachineName(), iters)
+	if only {
+		names := make([]string, len(secs))
+		for i, s := range secs {
+			names[i] = s.Name
 		}
-		r, err := exp.RunNamed(name, p)
+		fmt.Printf("; sections: %s", strings.Join(names, ", "))
+	}
+	fmt.Println(".")
+	for _, s := range secs {
+		f, heading := exp.Markdown, ""
+		if e, _ := exp.Lookup(s.Name); !e.Supports(f) {
+			f, heading = exp.Text, "\n## "+s.Name+"\n\n"
+		}
+		out, err := exp.Report(s.Name, f, s.Params)
 		if err != nil {
 			return err
 		}
-		// Prefer the markdown section; experiments that only render
-		// text (oslat, the cluster studies) fall back to it so -only
-		// can name any registry entry.
-		s, err := exp.RenderNamed(name, exp.Markdown, r, p)
-		if err != nil {
-			if s, err = exp.RenderNamed(name, exp.Text, r, p); err != nil {
-				return err
-			}
-			fmt.Printf("\n## %s\n\n", name)
-		}
-		fmt.Print(s)
+		fmt.Print(heading + out)
 	}
-	return nil
-}
-
-func run(iters, seeds, procs int, ring, va, steer bool) error {
-	fmt.Println("# Reproduction results (generated by cmd/report)")
-	fmt.Printf("\nmachine: %s; %d initiations per measurement.\n", exp.MachineName(), iters)
-
-	p := exp.Params{Iters: iters, Procs: procs}
-	if err := section("table1", p); err != nil {
-		return err
-	}
-	if err := section("comparators", p); err != nil {
-		return err
-	}
-	if err := syscallBand(); err != nil {
-		return err
-	}
-	if err := section("bussweep", p); err != nil {
-		return err
-	}
-	if err := section("breakeven", p); err != nil {
-		return err
-	}
-	if err := section("contention", p); err != nil {
-		return err
-	}
-	// The ring sections are opt-in (-ring) so the default report stays
-	// byte-identical across versions that predate them.
-	if ring {
-		if err := section("ringdepth", p); err != nil {
-			return err
-		}
-		if err := section("ringchurn", p); err != nil {
-			return err
-		}
-	}
-	// Same opt-in contract for the virtual-address plane (-va).
-	if va {
-		if err := section("vasweep", p); err != nil {
-			return err
-		}
-		if err := section("paging", p); err != nil {
-			return err
-		}
-	}
-	if err := atomics(); err != nil {
-		return err
-	}
-	if err := section("trend", exp.Params{Iters: trendIters(iters), Procs: procs}); err != nil {
-		return err
-	}
-	if err := libraries(); err != nil {
-		return err
-	}
-	if err := attacks(seeds, procs); err != nil {
-		return err
-	}
-	// Fault-injection studies (cmd/faultsim is the standalone driver;
-	// the report embeds the same experiments at their default sizes).
-	fp := exp.Params{Msgs: 24, Seeds: 4, Slots: 4, Procs: procs}
-	if err := section("faultsweep", fp); err != nil {
-		return err
-	}
-	if err := section("recovery", fp); err != nil {
-		return err
-	}
-	if err := section("faultsearch", fp); err != nil {
-		return err
-	}
-	// The steered section is opt-in (-steer), same contract as -ring
-	// and -va: the default report stays byte-identical.
-	if steer {
-		s, err := exp.RunSteerSuite(exp.Params{Iters: iters, Procs: procs}, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.SteerSuiteMarkdown(s))
-	}
-	return nil
-}
-
-// reportJSON is the one JSON document -json emits: raw sim.Time
-// picosecond values, exact integers for regression snapshots (see
-// BENCH_baseline.json at the repo root).
-type reportJSON struct {
-	Machine   string
-	Iters     int
-	Table1    []userdma.InitiationResult
-	BusSweep  map[string][]userdma.InitiationResult
-	BreakEven map[string][]userdma.BreakEvenPoint
-	Trend     []userdma.TrendPoint
-	Fault     []exp.FaultPoint
-	Recovery  []exp.RecoveryPoint
-}
-
-func runJSON(iters, procs int) error {
-	doc := reportJSON{Machine: exp.MachineName(), Iters: iters}
-	t1, err := exp.Table1(iters, procs)
-	if err != nil {
-		return err
-	}
-	doc.Table1 = t1
-	sweep, err := exp.BusSweep(iters, procs)
-	if err != nil {
-		return err
-	}
-	doc.BusSweep = exp.BusSweepJSON(sweep)
-	groups, err := exp.BreakEven(procs)
-	if err != nil {
-		return err
-	}
-	doc.BreakEven = exp.BreakEvenJSON(groups)
-	pts, err := exp.TrendSweep(trendIters(iters), procs)
-	if err != nil {
-		return err
-	}
-	doc.Trend = pts
-	fp := exp.Params{Msgs: 24, Procs: procs}
-	fr, err := exp.RunNamed("faultsweep", fp)
-	if err != nil {
-		return err
-	}
-	doc.Fault = exp.Collect[exp.FaultPoint](fr)
-	rr, err := exp.RunNamed("recovery", fp)
-	if err != nil {
-		return err
-	}
-	doc.Recovery = exp.Collect[exp.RecoveryPoint](rr)
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// libraries reports the end-to-end numbers of the application layers
-// built on the primitives (msg channels, collectives).
-func libraries() error {
-	fmt.Println("\n## Application libraries on the primitives")
-	// msg: per-message stream latency for two payload sizes.
-	for _, payload := range []int{64, 512} {
-		per, err := msgStreamLatency(200, payload)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n- msg channel, %3dB payloads: %v per message (zero kernel crossings)\n", payload, per)
-	}
-	// collectives: barrier and all-reduce latency at 4 ranks.
-	for _, op := range []string{"barrier", "allreduce"} {
-		per, err := collectiveLatency(4, op, 100)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("- %s, 4 ranks: %v per operation\n", op, per)
-	}
-	return nil
-}
-
-func msgStreamLatency(count, payload int) (sim.Time, error) {
-	method := userdma.ExtShadow{}
-	cluster, err := net.NewCluster(2, userdma.ConfigFor(method), net.Gigabit())
-	if err != nil {
-		return 0, err
-	}
-	n0, n1 := cluster.Nodes[0], cluster.Nodes[1]
-	var tx *msg.Sender
-	var rx *msg.Receiver
-	data := make([]byte, payload)
-	sender := n0.NewProcess("tx", func(c *proc.Context) error {
-		for i := 0; i < count; i++ {
-			if err := tx.Send(c, data); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	receiver := n1.NewProcess("rx", func(c *proc.Context) error {
-		buf := make([]byte, payload)
-		for i := 0; i < count; i++ {
-			if _, err := rx.Recv(c, buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	h, err := method.Attach(n0, sender)
-	if err != nil {
-		return 0, err
-	}
-	if tx, rx, err = msg.NewChannel(n0, sender, h, n1, receiver, 1, msg.Config{}); err != nil {
-		return 0, err
-	}
-	start := cluster.Clock.Now()
-	if err := cluster.RunRoundRobin(8, 1<<62); err != nil {
-		return 0, err
-	}
-	if sender.Err() != nil {
-		return 0, sender.Err()
-	}
-	if receiver.Err() != nil {
-		return 0, receiver.Err()
-	}
-	return (cluster.Clock.Now() - start) / sim.Time(count), nil
-}
-
-func collectiveLatency(ranks int, op string, iters int) (sim.Time, error) {
-	cluster, err := net.NewCluster(ranks, userdma.ConfigFor(userdma.ExtShadow{}), net.Gigabit())
-	if err != nil {
-		return 0, err
-	}
-	var comms []*coll.Comm
-	procs := make([]*proc.Process, ranks)
-	for i := 0; i < ranks; i++ {
-		i := i
-		procs[i] = cluster.Nodes[i].NewProcess(fmt.Sprintf("r%d", i), func(c *proc.Context) error {
-			for k := 0; k < iters; k++ {
-				switch op {
-				case "barrier":
-					if err := comms[i].Barrier(c); err != nil {
-						return err
-					}
-				default:
-					if _, err := comms[i].AllReduceSum(c, 1); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	}
-	if comms, err = coll.New(cluster, procs); err != nil {
-		return 0, err
-	}
-	start := cluster.Clock.Now()
-	if err := cluster.RunRoundRobin(4, 1<<62); err != nil {
-		return 0, err
-	}
-	for _, p := range procs {
-		if p.Err() != nil {
-			return 0, p.Err()
-		}
-	}
-	return (cluster.Clock.Now() - start) / sim.Time(iters), nil
-}
-
-func syscallBand() error {
-	fmt.Println("\n## X1 — empty-syscall cost (paper band: 1,000–5,000 cycles)")
-	cfg := machine.Alpha3000TC(dma.ModePaired, 0)
-	m, err := machine.New(cfg)
-	if err != nil {
-		return err
-	}
-	var mean sim.Time
-	m.NewProcess("b", func(c *proc.Context) error {
-		start := m.Clock.Now()
-		for i := 0; i < 1000; i++ {
-			if _, err := c.Syscall(kernel.SysNull); err != nil {
-				return err
-			}
-		}
-		mean = (m.Clock.Now() - start) / 1000
-		return nil
-	})
-	if err := m.Run(proc.NewRoundRobin(1<<20), 1<<62); err != nil {
-		return err
-	}
-	fmt.Printf("\nnull syscall: %v = %d CPU cycles\n", mean, cfg.CPU.Freq.CyclesIn(mean))
-	return nil
-}
-
-func atomics() error {
-	fmt.Println("\n## X5 — user-level vs kernel atomic operations")
-	m := machine.MustNew(machine.Alpha3000TC(dma.ModeExtended, 0))
-	const cellVA = 0x50000
-	var user, kern sim.Time
-	p := m.NewProcess("b", func(c *proc.Context) error {
-		if _, err := userdma.FetchAdd(c, cellVA, 0); err != nil {
-			return err
-		}
-		start := m.Clock.Now()
-		for i := 0; i < 200; i++ {
-			if _, err := userdma.FetchAdd(c, cellVA, 1); err != nil {
-				return err
-			}
-		}
-		user = (m.Clock.Now() - start) / 200
-		start = m.Clock.Now()
-		for i := 0; i < 200; i++ {
-			if _, err := userdma.KernelFetchAdd(c, cellVA, 1); err != nil {
-				return err
-			}
-		}
-		kern = (m.Clock.Now() - start) / 200
-		return nil
-	})
-	if _, err := m.Kernel.AllocPage(p.AddressSpace(), cellVA, 3); err != nil {
-		return err
-	}
-	if err := userdma.SetupAtomics(m, p, cellVA); err != nil {
-		return err
-	}
-	if err := m.Run(proc.NewRoundRobin(1<<20), 1<<62); err != nil {
-		return err
-	}
-	if p.Err() != nil {
-		return p.Err()
-	}
-	fmt.Printf("\nfetch_and_add: user-level %v, via syscall %v (%.0fx)\n",
-		user, kern, float64(kern)/float64(user))
-	return nil
-}
-
-func attacks(seeds, procs int) error {
-	fmt.Println("\n## F5/F6/F8 — adversarial studies")
-	o5, err := userdma.Figure5()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\n- Figure 5 (3-access): transfers %v, victim success %v, hijacked %v\n",
-		o5.Transfers, o5.VictimBelievesSuccess, o5.Hijacked)
-	o6, err := userdma.Figure6()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("- Figure 6 (4-access): transfers %v, victim success %v, misinformed %v\n",
-		o6.Transfers, o6.VictimBelievesSuccess, o6.Misinformed)
-	o8, err := userdma.Figure8Replay()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("- Figure 8 (5-access, same schedule): %v\n", o8)
-
-	tried := 0
-	for _, slots := range []int{1, 2, 3, 4, 5} {
-		n, hijack, err := exp.ExhaustiveInterleavings(slots, procs)
-		if err != nil {
-			return err
-		}
-		if hijack != nil {
-			return fmt.Errorf("exhaustive search found a hijack: %v", *hijack)
-		}
-		tried += n
-	}
-	fmt.Printf("- exhaustive search: %d interleavings, zero hijacks\n", tried)
-
-	outcomes, err := exp.Campaign(seeds, false, false, procs)
-	if err != nil {
-		return err
-	}
-	hijacks, deceptions := 0, 0
-	for _, o := range outcomes {
-		if o.Hijacked {
-			hijacks++
-		}
-		if o.Misinformed {
-			deceptions++
-		}
-	}
-	fmt.Printf("- random campaigns: %d runs, %d hijacks, %d status deceptions\n",
-		seeds, hijacks, deceptions)
 	return nil
 }

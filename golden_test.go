@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"uldma/internal/exp"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from current tool output")
@@ -238,6 +240,28 @@ func TestVAFlagRejection(t *testing.T) {
 	})
 }
 
+// TestCountFlagRejection pins the count floors: an -iters or -msgs
+// below 1 would print rows of measurements never made (0.00 µs Table 1
+// rows, a JSON header claiming the count), so each tool dies with exit
+// status 2 before any world is built.
+func TestCountFlagRejection(t *testing.T) {
+	checkFlagRejections(t, "dmabench", []flagCase{
+		{"dmabench-zero-iters", []string{"-iters", "0"}, "-iters 0"},
+		{"dmabench-zero-iters-json", []string{"-iters", "0", "-json"}, "-iters 0"},
+	})
+	checkFlagRejections(t, "report", []flagCase{
+		{"report-zero-iters", []string{"-iters", "0"}, "-iters 0"},
+		{"report-negative-iters-json", []string{"-iters", "-3", "-json"}, "-iters -3"},
+	})
+	checkFlagRejections(t, "benchdiff", []flagCase{
+		{"benchdiff-zero-iters", []string{"-iters", "0"}, "-iters 0"},
+	})
+	checkFlagRejections(t, "faultsim", []flagCase{
+		{"faultsim-zero-msgs", []string{"-msgs", "0"}, "-msgs 0"},
+		{"faultsim-zero-msgs-json", []string{"-msgs", "0", "-json"}, "-msgs 0"},
+	})
+}
+
 // flagCase is one invalid invocation: the tool must exit 2 with want
 // in its stderr diagnostic.
 type flagCase struct {
@@ -272,9 +296,41 @@ func TestReportOnlyRejection(t *testing.T) {
 	checkFlagRejections(t, "report", []flagCase{
 		{"unknown-name", []string{"-only", "nosuch"}, `unknown experiment "nosuch"`},
 		{"unknown-among-valid", []string{"-only", "table1,bogus"}, `unknown experiment "bogus"`},
-		{"lists-valid-names", []string{"-only", "nope"}, "valid: breakeven"},
+		{"lists-valid-names", []string{"-only", "nope"}, "valid: atomics, attacks, breakeven"},
 		{"empty-list", []string{"-only", ","}, "no experiment names"},
+		{"campaign-has-no-section", []string{"-only", "campaign"}, `"campaign" has no markdown or text section`},
+		{"exhaustive-has-no-section", []string{"-only", "table1,exhaustive"}, `"exhaustive" has no markdown or text section`},
+		{"metrics-has-no-section", []string{"-only", "metrics"}, `"metrics" has no markdown or text section`},
+		{"json-needs-json-section", []string{"-json", "-only", "table1,oslat"}, `"oslat" has no json section`},
 	})
+}
+
+// TestReportOnlyEveryName runs report -only over every registered
+// experiment: each either renders (exit 0, a markdown section under the
+// report header) or is rejected with exit status 2 before anything is
+// printed — never a half-written report and a late failure.
+func TestReportOnlyEveryName(t *testing.T) {
+	dir := buildTools(t)
+	for _, name := range exp.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(filepath.Join(dir, "report"), "-iters", "10", "-seeds", "2", "-only", name)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if err == nil {
+				if !bytes.Contains(stdout.Bytes(), []byte("sections: "+name+".")) || !bytes.Contains(stdout.Bytes(), []byte("\n## ")) {
+					t.Fatalf("report -only %s printed no section:\n%s", name, stdout.String())
+				}
+				return
+			}
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 2 || stdout.Len() > 0 {
+				t.Fatalf("report -only %s: %v with %d bytes of output, want exit 0 or a clean exit 2\n%s",
+					name, err, stdout.Len(), stderr.String())
+			}
+		})
+	}
 }
 
 // TestScaleFlagRejection pins the -scale frontend's failure paths: a

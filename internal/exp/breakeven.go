@@ -21,6 +21,7 @@ func init() {
 			Text:     breakEvenText,
 			Markdown: breakEvenMarkdown,
 		},
+		JSON: breakEvenJSON,
 	})
 }
 
@@ -61,13 +62,13 @@ type MethodPoints struct {
 	Points []userdma.BreakEvenPoint
 }
 
-// BreakEvenJSON renders the per-method break-even map the tools emit.
-func BreakEvenJSON(groups []MethodPoints) map[string][]userdma.BreakEvenPoint {
-	out := make(map[string][]userdma.BreakEvenPoint, len(groups))
+// breakEvenJSON writes the per-method break-even map the tools emit.
+func breakEvenJSON(r *Result, p Params, d *Doc) {
+	groups := BreakEvenGroups(r, p)
+	d.BreakEven = make(map[string][]userdma.BreakEvenPoint, len(groups))
 	for _, g := range groups {
-		out[g.Method.Name()] = g.Points
+		d.BreakEven[g.Method.Name()] = g.Points
 	}
-	return out
 }
 
 // BreakEvenGroups slices an ordered breakeven result per method, in
@@ -84,17 +85,6 @@ func BreakEvenGroups(r *Result, p Params) []MethodPoints {
 		out[i] = MethodPoints{Method: m, Points: pts[i*per : (i+1)*per]}
 	}
 	return out
-}
-
-// BreakEven runs the "breakeven" experiment over the canonical size
-// axis and returns the ordered per-method groups.
-func BreakEven(procs int) ([]MethodPoints, error) {
-	p := Params{Procs: procs}
-	r, err := RunNamed("breakeven", p)
-	if err != nil {
-		return nil, err
-	}
-	return BreakEvenGroups(r, p), nil
 }
 
 // sizeHeaders renders the sweep's size columns ("8B", ..., "64KiB").

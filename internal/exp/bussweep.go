@@ -25,6 +25,7 @@ func init() {
 			Text:     busSweepText,
 			Markdown: busSweepMarkdown,
 		},
+		JSON: busSweepJSON,
 	})
 }
 
@@ -58,15 +59,15 @@ type FreqRows struct {
 	Rows []userdma.InitiationResult
 }
 
-// BusSweepJSON renders the sweep in the map shape the tools emit.
+// busSweepJSON writes the sweep in the map shape the tools emit.
 // encoding/json sorts the keys, and "PCI 33MHz" < "PCI 66MHz" <
 // "TC 12.5MHz" is a fixed order, so the document is deterministic.
-func BusSweepJSON(groups []FreqRows) map[string][]userdma.InitiationResult {
-	out := make(map[string][]userdma.InitiationResult, len(groups))
+func busSweepJSON(r *Result, p Params, d *Doc) {
+	groups := BusSweepGroups(r, p)
+	d.BusSweep = make(map[string][]userdma.InitiationResult, len(groups))
 	for _, g := range groups {
-		out[g.Freq.String()] = g.Rows
+		d.BusSweep[g.Freq.String()] = g.Rows
 	}
-	return out
 }
 
 // BusSweepGroups slices an ordered bussweep result per frequency, in
@@ -83,17 +84,6 @@ func BusSweepGroups(r *Result, p Params) []FreqRows {
 		out[i] = FreqRows{Freq: f, Rows: rows[i*per : (i+1)*per]}
 	}
 	return out
-}
-
-// BusSweep runs the "bussweep" experiment over the canonical X4
-// frequency axis and returns the ordered per-frequency groups.
-func BusSweep(iters, procs int) ([]FreqRows, error) {
-	p := Params{Iters: iters, Procs: procs}
-	r, err := RunNamed("bussweep", p)
-	if err != nil {
-		return nil, err
-	}
-	return BusSweepGroups(r, p), nil
 }
 
 // freqHeader names a sweep column the way the tools always have:

@@ -175,22 +175,46 @@ const (
 	Text Format = iota
 	// Markdown is cmd/report's section style.
 	Markdown
+	// JSON is the experiment's section of the one Doc the tools emit
+	// with -json (Experiment.JSON).
+	JSON
 )
+
+// String names the format the way error messages spell it.
+func (f Format) String() string {
+	switch f {
+	case Text:
+		return "text"
+	case Markdown:
+		return "markdown"
+	case JSON:
+		return "json"
+	}
+	return fmt.Sprintf("Format(%d)", int(f))
+}
 
 // RenderFunc turns an experiment's ordered result into one output
 // section. Renderers are pure: same result + params, same bytes.
 type RenderFunc func(*Result, Params) string
 
 // Experiment is a declarative spec: a registry name, a one-line doc
-// string (what -list prints), a pure cell expansion, and the renderers
-// the spec supports. JSON output is composed from the result structs
-// themselves (Collect), because the tools emit ONE document combining
-// several experiments.
+// string (what -list prints), a pure cell expansion, the text and
+// markdown renderers the spec supports, and the hook that writes its
+// section of the one JSON document (Doc) the tools emit.
 type Experiment struct {
 	Name   string
 	Doc    string
 	Cells  func(Params) ([]Cell, error)
 	Render map[Format]RenderFunc
+	JSON   func(*Result, Params, *Doc)
+}
+
+// Supports reports whether the experiment can print in format f.
+func (e *Experiment) Supports(f Format) bool {
+	if f == JSON {
+		return e.JSON != nil
+	}
+	return e.Render[f] != nil
 }
 
 // errCellStop is the pool sentinel for "this cell ended the sweep"
@@ -313,7 +337,7 @@ func RenderNamed(name string, f Format, r *Result, p Params) (string, error) {
 	}
 	fn, ok := e.Render[f]
 	if !ok {
-		return "", fmt.Errorf("exp: experiment %q has no renderer for format %d", name, f)
+		return "", fmt.Errorf("exp: experiment %q has no %v renderer", name, f)
 	}
 	return fn(r, p), nil
 }

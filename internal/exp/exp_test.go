@@ -4,6 +4,7 @@ package exp
 // errors, search-stop semantics, partial results, and the registry.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -107,6 +108,7 @@ func TestRegistry(t *testing.T) {
 	for _, name := range []string{
 		"table1", "comparators", "contention", "bussweep", "breakeven",
 		"trend", "exhaustive", "campaign", "oslat", "clustersim",
+		"syscall", "atomics", "libraries", "attacks", "overview", "bustrace", "steer", "metrics",
 	} {
 		if _, ok := Lookup(name); !ok {
 			t.Errorf("experiment %q not registered", name)
@@ -144,4 +146,33 @@ func TestRegisterPanics(t *testing.T) {
 	}
 	mustPanic("empty name", &Experiment{})
 	mustPanic("duplicate", &Experiment{Name: "table1"})
+}
+
+// TestDocumentWorkerParity: the one JSON document is byte-identical at
+// any worker count, including the metrics section, whose per-method
+// worlds fan out on the runner like every other grid.
+func TestDocumentWorkerParity(t *testing.T) {
+	var ref []byte
+	for _, w := range []int{1, 4} {
+		d, err := Document(20, BenchSections(Params{Iters: 20, Procs: w}, "table1", "comparators", "metrics"))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if len(d.Comparators) != 4 || len(d.Metrics) != len(d.Table1) {
+			t.Fatalf("workers=%d: %d comparators and %d metric sets for %d Table 1 rows",
+				w, len(d.Comparators), len(d.Metrics), len(d.Table1))
+		}
+		got, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+		} else if string(got) != string(ref) {
+			t.Fatalf("workers=%d: document differs from the serial one", w)
+		}
+	}
+	if _, err := Document(20, []Section{{Name: "oslat"}}); err == nil {
+		t.Error("Document must fail for an experiment without a JSON section")
+	}
 }

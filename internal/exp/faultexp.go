@@ -42,6 +42,7 @@ func init() {
 			Text:     faultSweepText,
 			Markdown: faultSweepMarkdown,
 		},
+		JSON: func(r *Result, _ Params, d *Doc) { d.Fault = Collect[FaultPoint](r) },
 	})
 	Register(&Experiment{
 		Name:  "recovery",
@@ -51,6 +52,7 @@ func init() {
 			Text:     recoveryText,
 			Markdown: recoveryMarkdown,
 		},
+		JSON: func(r *Result, _ Params, d *Doc) { d.Recovery = Collect[RecoveryPoint](r) },
 	})
 	Register(&Experiment{
 		Name:  "faultsearch",

@@ -24,6 +24,7 @@ func init() {
 			Text:     table1Text,
 			Markdown: table1Markdown,
 		},
+		JSON: func(r *Result, _ Params, d *Doc) { d.Table1 = Collect[userdma.InitiationResult](r) },
 	})
 	Register(&Experiment{
 		Name:  "comparators",
@@ -33,6 +34,7 @@ func init() {
 			Text:     comparatorsText,
 			Markdown: comparatorsMarkdown,
 		},
+		JSON: func(r *Result, _ Params, d *Doc) { d.Comparators = Collect[userdma.InitiationResult](r) },
 	})
 	Register(&Experiment{
 		Name:  "contention",
@@ -42,6 +44,25 @@ func init() {
 			Text:     contentionText,
 			Markdown: contentionMarkdown,
 		},
+		JSON: func(r *Result, _ Params, d *Doc) { d.Contention = Collect[userdma.InitiationResult](r) },
+	})
+	Register(&Experiment{
+		Name: "overview",
+		Doc:  "the initiation methods side by side: engine mode, user accesses, kernel modification, polling",
+		Cells: func(Params) ([]Cell, error) {
+			return []Cell{{Run: func() (Obs, bool, error) {
+				infos, err := userdma.Overview()
+				if err != nil {
+					return nil, false, err
+				}
+				obs := make(Obs, len(infos))
+				for i, info := range infos {
+					obs[i] = info
+				}
+				return obs, false, nil
+			}}}, nil
+		},
+		Render: map[Format]RenderFunc{Text: overviewText},
 	})
 }
 
@@ -49,31 +70,22 @@ func init() {
 // renderer and JSON document header.
 func MachineName() string { return machine.Alpha3000TC(0, 0).Name }
 
-func table1Cells(p Params) ([]Cell, error) {
-	methods := userdma.Methods()
+func table1Cells(p Params) ([]Cell, error) { return measureCells(userdma.Methods(), p.Iters), nil }
+
+// measureCells is one calibrated MeasureMethod cell per method.
+func measureCells(methods []userdma.Method, iters int) []Cell {
 	cells := make([]Cell, len(methods))
 	for i, method := range methods {
 		method := method
 		cells[i] = Cell{Method: method.Name(), Run: func() (Obs, bool, error) {
-			r, err := userdma.MeasureMethod(method, userdma.ConfigFor(method), p.Iters)
+			r, err := userdma.MeasureMethod(method, userdma.ConfigFor(method), iters)
 			if err != nil {
 				return nil, false, fmt.Errorf("%s: %w", method.Name(), err)
 			}
 			return Obs{r}, false, nil
 		}}
 	}
-	return cells, nil
-}
-
-// Table1 runs the "table1" experiment: the paper's four rows in row
-// order, measured on p.Procs workers, byte-identical for any worker
-// count.
-func Table1(iters, procs int) ([]userdma.InitiationResult, error) {
-	r, err := RunNamed("table1", Params{Iters: iters, Procs: procs})
-	if err != nil {
-		return nil, err
-	}
-	return Collect[userdma.InitiationResult](r), nil
+	return cells
 }
 
 func table1Text(r *Result, p Params) string {
@@ -125,31 +137,7 @@ func (p Params) comparators() []userdma.Method {
 	return p.Methods
 }
 
-func comparatorCells(p Params) ([]Cell, error) {
-	methods := p.comparators()
-	cells := make([]Cell, len(methods))
-	for i, method := range methods {
-		method := method
-		cells[i] = Cell{Method: method.Name(), Run: func() (Obs, bool, error) {
-			r, err := userdma.MeasureMethod(method, userdma.ConfigFor(method), p.Iters)
-			if err != nil {
-				return nil, false, err
-			}
-			return Obs{r}, false, nil
-		}}
-	}
-	return cells, nil
-}
-
-// Comparators runs the "comparators" experiment over the given method
-// axis (nil = ComparatorMethods).
-func Comparators(iters, procs int, methods []userdma.Method) ([]userdma.InitiationResult, error) {
-	r, err := RunNamed("comparators", Params{Iters: iters, Procs: procs, Methods: methods})
-	if err != nil {
-		return nil, err
-	}
-	return Collect[userdma.InitiationResult](r), nil
-}
+func comparatorCells(p Params) ([]Cell, error) { return measureCells(p.comparators(), p.Iters), nil }
 
 func comparatorsText(r *Result, p Params) string {
 	var b strings.Builder
@@ -176,6 +164,8 @@ func comparatorsMarkdown(r *Result, p Params) string {
 	return b.String()
 }
 
+// contentionCells: the study uses iters/10+1 initiations per process,
+// as the tools always have.
 func contentionCells(p Params) ([]Cell, error) {
 	// One cell: the six processes share ONE machine (the contention
 	// under study is within a world, not between worlds), so the
@@ -196,17 +186,6 @@ func contentionCells(p Params) ([]Cell, error) {
 			return obs, false, nil
 		},
 	}}, nil
-}
-
-// Contention runs the "contention" experiment (iters is the tools'
-// -iters value; the study uses iters/10+1 initiations per process, as
-// the tools always have).
-func Contention(iters, procs int) ([]userdma.InitiationResult, error) {
-	r, err := RunNamed("contention", Params{Iters: iters, Procs: procs})
-	if err != nil {
-		return nil, err
-	}
-	return Collect[userdma.InitiationResult](r), nil
 }
 
 func contentionText(r *Result, _ Params) string {
@@ -230,4 +209,16 @@ func contentionMarkdown(r *Result, _ Params) string {
 		fmt.Fprintf(&b, "| %s | %.2f |\n", res.Method, res.Mean.Microseconds())
 	}
 	return b.String()
+}
+
+func overviewText(r *Result, _ Params) string {
+	tb := stats.NewTable("method", "engine mode", "user accesses", "instructions", "kernel mod?", "user poll?")
+	for _, i := range Collect[userdma.MethodInfo](r) {
+		accesses := "-"
+		if i.UserAccesses > 0 {
+			accesses = fmt.Sprintf("%d", i.UserAccesses)
+		}
+		tb.AddRow(i.Name, i.EngineMode, accesses, i.Instructions, i.KernelMod, i.Polls)
+	}
+	return "Initiation methods\n" + tb.String() + "\n"
 }

@@ -30,7 +30,18 @@ func init() {
 			Text: oslatText,
 		},
 	})
+	Register(&Experiment{
+		Name: "syscall",
+		Doc:  "X1 — empty-syscall cost against the paper's §2.2 band (1,000-5,000 cycles)",
+		Cells: func(Params) ([]Cell, error) {
+			return []Cell{{Config: "syscalls", Run: func() (Obs, bool, error) { return oslatSyscalls(syscallIters) }}}, nil
+		},
+		Render: map[Format]RenderFunc{Markdown: syscallMarkdown},
+	})
 }
+
+// syscallIters is X1's fixed loop length, the paper's 1,000.
+const syscallIters = 1000
 
 func oslatCells(p Params) ([]Cell, error) {
 	iters := p.Iters
@@ -226,4 +237,11 @@ func oslatText(r *Result, p Params) string {
 	fmt.Fprintf(&b, "kernel DMA = null syscall + %v of translation, checks and device programming\n",
 		rows[1].Mean-rows[0].Mean)
 	return b.String()
+}
+
+// syscallMarkdown renders X1: the null-syscall row of the oslat
+// syscall cell, in CPU cycles.
+func syscallMarkdown(r *Result, _ Params) string {
+	return fmt.Sprintf("\n## X1 — empty-syscall cost (paper band: 1,000–5,000 cycles)\n\nnull syscall: %v = %d CPU cycles\n",
+		Collect[Row](r)[0].Mean, OSLatCycles(r))
 }

@@ -15,6 +15,17 @@ import (
 
 var parityWorkers = []int{1, 2, 3, 4, 8}
 
+// runRows runs the named experiment and collects its T rows in cell
+// order.
+func runRows[T any](t *testing.T, name string, p Params) []T {
+	t.Helper()
+	r, err := RunNamed(name, p)
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", name, p.Procs, err)
+	}
+	return Collect[T](r)
+}
+
 func TestTable1Parity(t *testing.T) {
 	const iters = 50
 	want, err := userdma.Table1(iters)
@@ -22,12 +33,9 @@ func TestTable1Parity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range parityWorkers {
-		got, err := Table1(iters, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
+		got := runRows[userdma.InitiationResult](t, "table1", Params{Iters: iters, Procs: w})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: exp.Table1 diverged from serial Table1\n got %+v\nwant %+v", w, got, want)
+			t.Errorf("workers=%d: table1 diverged from serial Table1\n got %+v\nwant %+v", w, got, want)
 		}
 	}
 }
@@ -40,10 +48,12 @@ func TestBusSweepParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range parityWorkers {
-		groups, err := BusSweep(iters, w)
+		p := Params{Iters: iters, Procs: w}
+		r, err := RunNamed("bussweep", p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
+		groups := BusSweepGroups(r, p)
 		if len(groups) != len(freqs) {
 			t.Fatalf("workers=%d: %d frequency groups, want %d", w, len(groups), len(freqs))
 		}
@@ -52,7 +62,7 @@ func TestBusSweepParity(t *testing.T) {
 				t.Errorf("workers=%d: group %d is %v, want %v", w, i, g.Freq, freqs[i])
 			}
 			if !reflect.DeepEqual(g.Rows, want[g.Freq]) {
-				t.Errorf("workers=%d freq=%v: exp.BusSweep diverged from serial BusSweep", w, g.Freq)
+				t.Errorf("workers=%d freq=%v: bussweep diverged from serial BusSweep", w, g.Freq)
 			}
 		}
 	}
@@ -69,10 +79,12 @@ func TestBreakEvenParity(t *testing.T) {
 		want[i] = pts
 	}
 	for _, w := range parityWorkers {
-		groups, err := BreakEven(w)
+		p := Params{Procs: w}
+		r, err := RunNamed("breakeven", p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
+		groups := BreakEvenGroups(r, p)
 		if len(groups) != len(methods) {
 			t.Fatalf("workers=%d: %d method groups, want %d", w, len(groups), len(methods))
 		}
@@ -81,7 +93,7 @@ func TestBreakEvenParity(t *testing.T) {
 				t.Errorf("workers=%d: group %d is %s, want %s", w, i, g.Method.Name(), methods[i].Name())
 			}
 			if !reflect.DeepEqual(g.Points, want[i]) {
-				t.Errorf("workers=%d method=%s: exp.BreakEven diverged from serial BreakEven",
+				t.Errorf("workers=%d method=%s: breakeven diverged from serial BreakEven",
 					w, g.Method.Name())
 			}
 		}
@@ -95,13 +107,14 @@ func TestTrendSweepParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range parityWorkers {
-		got, err := TrendSweep(iters, w)
+		p := Params{Iters: iters, Procs: w}
+		r, err := RunNamed("trend", p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: exp.TrendSweep diverged from serial TrendSweep\n got %+v\nwant %+v",
-				w, got, want)
+		if got := TrendPoints(r, p); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: trend diverged from serial TrendSweep\n got %+v\nwant %+v",
+				w, TrendPoints(r, p), want)
 		}
 	}
 }
@@ -138,12 +151,9 @@ func TestCampaignParity(t *testing.T) {
 		want[seed-1] = o
 	}
 	for _, w := range parityWorkers {
-		got, err := Campaign(n, false, false, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
+		got := runRows[userdma.AttackOutcome](t, "campaign", Params{Seeds: n, Procs: w})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: exp.Campaign diverged from serial seed loop", w)
+			t.Errorf("workers=%d: campaign diverged from serial seed loop", w)
 		}
 	}
 }
@@ -155,12 +165,9 @@ func TestContentionParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range parityWorkers {
-		got, err := Contention(iters, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
+		got := runRows[userdma.InitiationResult](t, "contention", Params{Iters: iters, Procs: w})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: exp.Contention diverged from serial ContextContention", w)
+			t.Errorf("workers=%d: contention diverged from serial ContextContention", w)
 		}
 	}
 }
@@ -171,17 +178,12 @@ func TestContentionParity(t *testing.T) {
 // scheduling-order-dependence leaking into results.
 func TestTable1StableAcrossRuns(t *testing.T) {
 	for _, iters := range []int{10, 25, 40} {
-		first, err := Table1(iters, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := Params{Iters: iters, Procs: 4}
+		first := runRows[userdma.InitiationResult](t, "table1", p)
 		for run := 0; run < 2; run++ {
-			again, err := Table1(iters, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			again := runRows[userdma.InitiationResult](t, "table1", p)
 			if !reflect.DeepEqual(again, first) {
-				t.Fatalf("iters=%d run=%d: exp.Table1 not reproducible", iters, run)
+				t.Fatalf("iters=%d run=%d: table1 not reproducible", iters, run)
 			}
 		}
 	}
@@ -208,7 +210,7 @@ func TestBusSweepRenderDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a != b {
-			t.Fatalf("format %d: rendering the same bussweep result twice differed", f)
+			t.Fatalf("format %v: rendering the same bussweep result twice differed", f)
 		}
 		r2, err := RunNamed("bussweep", p)
 		if err != nil {
@@ -219,7 +221,7 @@ func TestBusSweepRenderDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a != c {
-			t.Fatalf("format %d: re-running the bussweep changed the rendered bytes", f)
+			t.Fatalf("format %v: re-running the bussweep changed the rendered bytes", f)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package exp
 
 // Shared profiling support for the cmd/ tools. Importing this package
 // gives every tool -cpuprofile and -memprofile flags; each tool calls
-// StartProfiles right after flag.Parse and Exit instead of os.Exit, so
-// profiles are flushed on every exit path.
+// StartProfiles right after flag.Parse and Exit (or Fail) instead of
+// os.Exit, so profiles are flushed on every exit path.
 
 import (
 	"flag"
@@ -71,4 +71,11 @@ func Exit(code int) {
 		stopProfiles()
 	}
 	os.Exit(code)
+}
+
+// Fail prints err as the tool's "tool: err" diagnostic on stderr and
+// exits with code through Exit.
+func Fail(tool string, code int, err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+	Exit(code)
 }

@@ -29,6 +29,7 @@ func init() {
 			Text:     ringDepthText,
 			Markdown: ringDepthMarkdown,
 		},
+		JSON: func(r *Result, _ Params, d *Doc) { d.Ring = RingPoints(r) },
 	})
 	Register(&Experiment{
 		Name:  "ringchurn",
@@ -38,6 +39,7 @@ func init() {
 			Text:     ringChurnText,
 			Markdown: ringChurnMarkdown,
 		},
+		JSON: func(r *Result, _ Params, d *Doc) { d.RingChurn = Collect[userdma.RingChurnResult](r) },
 	})
 }
 
@@ -89,15 +91,6 @@ func ringDepthCells(p Params) ([]Cell, error) {
 		}
 	}
 	return cells, nil
-}
-
-// RingDepth runs the "ringdepth" experiment on p.Procs workers.
-func RingDepth(iters, procs int) ([]userdma.RingDepthResult, error) {
-	r, err := RunNamed("ringdepth", Params{Iters: iters, Procs: procs})
-	if err != nil {
-		return nil, err
-	}
-	return RingPoints(r), nil
 }
 
 // RingPoints collects a ringdepth result's points in cell order, each
@@ -200,15 +193,6 @@ func ringChurnCells(Params) ([]Cell, error) {
 		}
 	}
 	return cells, nil
-}
-
-// RingChurn runs the "ringchurn" experiment on procs workers.
-func RingChurn(procs int) ([]userdma.RingChurnResult, error) {
-	r, err := RunNamed("ringchurn", Params{Procs: procs})
-	if err != nil {
-		return nil, err
-	}
-	return Collect[userdma.RingChurnResult](r), nil
 }
 
 func ringChurnText(r *Result, _ Params) string {

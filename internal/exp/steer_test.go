@@ -24,10 +24,11 @@ import (
 // per method, the steered bisect lands on the exhaustive grid's exact
 // crossover size, in strictly fewer probes than the grid has cells.
 func TestSteerBreakEvenMatchesExhaustive(t *testing.T) {
-	groups, err := BreakEven(2)
+	r, err := RunNamed("breakeven", Params{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	groups := BreakEvenGroups(r, Params{Procs: 2})
 	res, lanes, err := SteeredBreakEven(Params{Procs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -62,11 +63,10 @@ func TestSteerBreakEvenMatchesExhaustive(t *testing.T) {
 func TestSteerWorkerParity(t *testing.T) {
 	var ref string
 	for _, procs := range []int{1, 4, 8} {
-		s, err := RunSteerSuite(Params{Procs: procs}, nil)
+		text, err := Report("steer", Text, Params{Procs: procs})
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
-		text := SteerSuiteText(s)
 		if ref == "" {
 			ref = text
 			continue

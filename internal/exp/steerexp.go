@@ -508,6 +508,27 @@ func (c *ConvergePolicy) Converged() (iters int, mean sim.Time) { return c.iters
 
 // --- the suite the tools print ---
 
+func init() {
+	Register(&Experiment{
+		Name: "steer",
+		Doc:  "steered sweeps: adaptive searches replacing the breakeven, paging, faultsweep and oslat grids",
+		Cells: func(p Params) ([]Cell, error) {
+			// One cell: each search fans its own probes out on p.Procs.
+			return []Cell{{Run: func() (Obs, bool, error) {
+				s, err := RunSteerSuite(p, nil)
+				return Obs{s}, false, err
+			}}}, nil
+		},
+		Render: map[Format]RenderFunc{
+			Text:     steerText,
+			Markdown: steerMarkdown,
+		},
+		JSON: func(r *Result, _ Params, d *Doc) { d.Steer = steerSuite(r).SteerRows() },
+	})
+}
+
+func steerSuite(r *Result) *SteerSuite { return Collect[*SteerSuite](r)[0] }
+
 // SteerSuite bundles the four steered searches' results and verdicts.
 type SteerSuite struct {
 	BreakEven      *SteerResult
@@ -628,11 +649,12 @@ func (s *SteerSuite) results() []struct {
 	}
 }
 
-// SteerSuiteText renders the suite as the fixed-width section dmabench
-// and oslat print.
-func SteerSuiteText(s *SteerSuite) string {
+// steerText renders the suite as the fixed-width section dmabench
+// prints.
+func steerText(r *Result, _ Params) string {
+	s := steerSuite(r)
 	var b strings.Builder
-	b.WriteString("Steered sweeps — adaptive experiment loop on the live obs plane\n")
+	b.WriteString("\nSteered sweeps — adaptive experiment loop on the live obs plane\n")
 	b.WriteString("(exhaustive grids replaced by policy-driven probing: same answers, fewer cells)\n\n")
 	tb := stats.NewTable("search", "policy", "probed", "grid", "rounds", "result")
 	for _, row := range s.results() {
@@ -647,8 +669,9 @@ func SteerSuiteText(s *SteerSuite) string {
 	return b.String()
 }
 
-// SteerSuiteMarkdown renders the suite as cmd/report's section style.
-func SteerSuiteMarkdown(s *SteerSuite) string {
+// steerMarkdown renders the suite as cmd/report's section style.
+func steerMarkdown(r *Result, _ Params) string {
+	s := steerSuite(r)
 	var b strings.Builder
 	b.WriteString("\n## Online steering — steered sweeps on the live obs plane\n")
 	b.WriteString("\n| search | policy | probed | grid | rounds | result |\n")

@@ -26,8 +26,6 @@ import (
 
 	userdma "uldma/internal/core"
 	"uldma/internal/obs"
-	"uldma/internal/proc"
-	"uldma/internal/vm"
 )
 
 var (
@@ -104,33 +102,9 @@ func DefaultTraceScenario() ([]obs.PerfettoProcess, error) {
 func tracedInitiations(method userdma.Method, pid int) (obs.PerfettoProcess, error) {
 	m := userdma.Machine(method)
 	tr := m.EnableTrace(*traceCap, obs.Ring)
-	var h *userdma.Handle
-	const src, dst = vm.VAddr(0x10000), vm.VAddr(0x20000)
-	p := m.NewProcess("init", func(c *proc.Context) error {
-		for i := 0; i < 4; i++ {
-			if _, err := h.DMA(c, src, dst, 64); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	var err error
-	if h, err = method.Attach(m, p); err != nil {
+	if err := dmaBurst(m, method, "init", 4); err != nil {
 		return obs.PerfettoProcess{}, err
 	}
-	if _, err := m.SetupPages(p, src, 1, vm.Read|vm.Write); err != nil {
-		return obs.PerfettoProcess{}, err
-	}
-	if _, err := m.SetupPages(p, dst, 1, vm.Read|vm.Write); err != nil {
-		return obs.PerfettoProcess{}, err
-	}
-	if err := m.Run(proc.NewRoundRobin(1<<20), 1<<30); err != nil {
-		return obs.PerfettoProcess{}, err
-	}
-	if p.Err() != nil {
-		return obs.PerfettoProcess{}, p.Err()
-	}
-	m.Settle()
 	return obs.PerfettoProcess{PID: pid, Name: method.Name(), Events: tr.Events()}, nil
 }
 

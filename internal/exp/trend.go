@@ -23,6 +23,7 @@ func init() {
 			Text:     trendText,
 			Markdown: trendMarkdown,
 		},
+		JSON: func(r *Result, p Params, d *Doc) { d.Trend = TrendPoints(r, p) },
 	})
 }
 
@@ -88,16 +89,6 @@ func TrendPoints(r *Result, p Params) []userdma.TrendPoint {
 		})
 	}
 	return out
-}
-
-// TrendSweep runs the "trend" experiment over the canonical size axis.
-func TrendSweep(iters, procs int) ([]userdma.TrendPoint, error) {
-	p := Params{Iters: iters, Procs: procs}
-	r, err := RunNamed("trend", p)
-	if err != nil {
-		return nil, err
-	}
-	return TrendPoints(r, p), nil
 }
 
 func trendText(r *Result, p Params) string {

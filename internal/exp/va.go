@@ -31,6 +31,10 @@ func init() {
 			Text:     vaSweepText,
 			Markdown: vaSweepMarkdown,
 		},
+		JSON: func(r *Result, _ Params, d *Doc) {
+			d.VASweep = Collect[userdma.VACompareRow](r)
+			d.IOTLB = Collect[userdma.IOTLBPoint](r)
+		},
 	})
 	Register(&Experiment{
 		Name:  "paging",
@@ -40,6 +44,7 @@ func init() {
 			Text:     pagingText,
 			Markdown: pagingMarkdown,
 		},
+		JSON: func(r *Result, _ Params, d *Doc) { d.Paging = Collect[userdma.PagingResult](r) },
 	})
 }
 
@@ -99,15 +104,6 @@ func vaSweepCells(p Params) ([]Cell, error) {
 		})
 	}
 	return cells, nil
-}
-
-// VASweep runs the "vasweep" experiment on procs workers.
-func VASweep(iters, procs int) ([]userdma.VACompareRow, []userdma.IOTLBPoint, error) {
-	r, err := RunNamed("vasweep", Params{Iters: iters, Procs: procs})
-	if err != nil {
-		return nil, nil, err
-	}
-	return Collect[userdma.VACompareRow](r), Collect[userdma.IOTLBPoint](r), nil
 }
 
 func vaSweepText(r *Result, p Params) string {
@@ -197,15 +193,6 @@ func pagingCells(Params) ([]Cell, error) {
 		}
 	}
 	return cells, nil
-}
-
-// Paging runs the "paging" experiment on procs workers.
-func Paging(procs int) ([]userdma.PagingResult, error) {
-	r, err := RunNamed("paging", Params{Procs: procs})
-	if err != nil {
-		return nil, err
-	}
-	return Collect[userdma.PagingResult](r), nil
 }
 
 func pagingText(r *Result, _ Params) string {

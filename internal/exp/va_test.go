@@ -15,10 +15,11 @@ import (
 
 func TestVASweepParity(t *testing.T) {
 	const iters = 50
-	wantCmp, wantTLB, err := VASweep(iters, 1)
+	ref, err := RunNamed("vasweep", Params{Iters: iters, Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantCmp, wantTLB := Collect[userdma.VACompareRow](ref), Collect[userdma.IOTLBPoint](ref)
 	if len(wantCmp) != 4 {
 		t.Fatalf("vasweep produced %d Table 1 rows, want 4", len(wantCmp))
 	}
@@ -26,10 +27,11 @@ func TestVASweepParity(t *testing.T) {
 		t.Fatalf("vasweep produced %d IOTLB points, want %d", len(wantTLB), len(VASweepPages()))
 	}
 	for _, w := range []int{2, 4} {
-		cmp, tlb, err := VASweep(iters, w)
+		r, err := RunNamed("vasweep", Params{Iters: iters, Procs: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
+		cmp, tlb := Collect[userdma.VACompareRow](r), Collect[userdma.IOTLBPoint](r)
 		if !reflect.DeepEqual(cmp, wantCmp) {
 			t.Errorf("workers=%d: Table 1 comparison diverged", w)
 		}
@@ -40,19 +42,12 @@ func TestVASweepParity(t *testing.T) {
 }
 
 func TestPagingParity(t *testing.T) {
-	want, err := Paging(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runRows[userdma.PagingResult](t, "paging", Params{Procs: 1})
 	if got := len(PagingPolicies()) * len(PagingPages()); len(want) != got {
 		t.Fatalf("paging produced %d cells, want %d", len(want), got)
 	}
 	for _, w := range []int{3, 8} {
-		got, err := Paging(w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := runRows[userdma.PagingResult](t, "paging", Params{Procs: w}); !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: paging grid diverged from serial run", w)
 		}
 	}

@@ -12,8 +12,9 @@
 //
 // The contract this package enforces:
 //
-//   - Order preservation: Map returns results in job-index order, so a
-//     parallel sweep emits byte-identical tables to a serial one.
+//   - Order preservation: job i writes slot i of its caller's result
+//     slice, so a parallel sweep emits byte-identical tables to a
+//     serial one.
 //   - Deterministic first-error propagation: the error returned is the
 //     error of the LOWEST-INDEXED failing job, regardless of which
 //     worker hit an error first on the wall clock.
@@ -22,9 +23,6 @@
 //   - Cancellation: a context cancels the pool between jobs; the
 //     lowest-indexed error still wins over the cancellation error when
 //     both occur.
-//   - Seed splitting: SplitSeed derives statistically independent
-//     per-job RNG seeds from one base seed, so seeded experiments
-//     shard without correlated streams.
 package par
 
 import (
@@ -131,45 +129,4 @@ func DoCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 		return errs[int(idx)]
 	}
 	return ctx.Err()
-}
-
-// Map runs fn for every index in [0, n) on at most workers concurrent
-// goroutines and returns the results in index order. Error semantics
-// match Do: the lowest-indexed job error wins and nil results are
-// returned alongside it.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, workers, fn)
-}
-
-// MapCtx is Map with cancellation.
-func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	if n < 0 {
-		n = 0
-	}
-	out := make([]T, n)
-	err := DoCtx(ctx, n, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SplitSeed derives the i-th child seed from a base seed using a
-// SplitMix64-style finalizer over (base, i). Children of one base are
-// statistically independent streams, and the derivation is pure: the
-// same (base, i) always yields the same child, regardless of worker
-// scheduling — the property that keeps seeded parallel sweeps
-// reproducible.
-func SplitSeed(base uint64, i int) uint64 {
-	z := base + 0x9e3779b97f4a7c15*uint64(i+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

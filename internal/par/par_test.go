@@ -9,19 +9,27 @@ import (
 	"testing"
 )
 
-// TestMapOrderPreserved: results come back in job-index order no matter
-// how workers interleave.
+// mapJobs maps a pure job function over [0, n) on Do, each job
+// writing its own slot — the pattern the experiment runner uses.
+func mapJobs(n, workers int, fn func(i int) uint64) ([]uint64, error) {
+	out := make([]uint64, n)
+	err := Do(n, workers, func(i int) error {
+		out[i] = fn(i)
+		return nil
+	})
+	return out, err
+}
+
+// TestMapOrderPreserved: results written through Do's job index come
+// back in job-index order no matter how workers interleave.
 func TestMapOrderPreserved(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 9} {
-		got, err := Map(100, workers, func(i int) (int, error) { return i * i, nil })
+		got, err := mapJobs(100, workers, func(i int) uint64 { return uint64(i * i) })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got) != 100 {
-			t.Fatalf("workers=%d: %d results", workers, len(got))
-		}
 		for i, v := range got {
-			if v != i*i {
+			if v != uint64(i*i) {
 				t.Fatalf("workers=%d: got[%d] = %d, want %d", workers, i, v, i*i)
 			}
 		}
@@ -138,20 +146,22 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestMapDeterministicAcrossWorkerCounts: a pure job function yields
-// byte-identical outputs for any worker count — the property the sweep
-// parity tests depend on.
+// TestMapDeterministicAcrossWorkerCounts: a pure job function run on Do
+// yields byte-identical outputs for any worker count — the property the
+// sweep parity tests depend on.
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
-	job := func(i int) (uint64, error) {
-		// A deterministic pseudo-computation.
-		return SplitSeed(0xdeadbeef, i), nil
+	job := func(i int) uint64 {
+		// A deterministic pseudo-computation (a SplitMix64 finalizer).
+		z := 0xdeadbeef + 0x9e3779b97f4a7c15*uint64(i+1)
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		return z ^ (z >> 27)
 	}
-	ref, err := Map(64, 1, job)
+	ref, err := mapJobs(64, 1, job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 16} {
-		got, err := Map(64, w, job)
+		got, err := mapJobs(64, w, job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,36 +173,9 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSplitSeed: children are deterministic, distinct from each other
-// and from the base.
-func TestSplitSeed(t *testing.T) {
-	seen := map[uint64]int{}
-	const base = 42
-	for i := 0; i < 1000; i++ {
-		s := SplitSeed(base, i)
-		if s == base {
-			t.Fatalf("child %d equals base", i)
-		}
-		if j, dup := seen[s]; dup {
-			t.Fatalf("children %d and %d collide", i, j)
-		}
-		seen[s] = i
-		if s != SplitSeed(base, i) {
-			t.Fatalf("child %d not deterministic", i)
-		}
-	}
-	if SplitSeed(1, 0) == SplitSeed(2, 0) {
-		t.Fatal("different bases produced the same child 0")
-	}
-}
-
 // TestZeroJobs: empty input is a no-op for any worker count.
 func TestZeroJobs(t *testing.T) {
 	if err := Do(0, 8, func(int) error { t.Fatal("ran"); return nil }); err != nil {
 		t.Fatal(err)
-	}
-	out, err := Map(0, 8, func(int) (int, error) { return 0, nil })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("out=%v err=%v", out, err)
 	}
 }

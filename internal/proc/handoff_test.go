@@ -18,8 +18,8 @@ func spinner(ctx *Context) error {
 // TestNoGoroutineLeak: every guest coroutine is gone once its runner
 // is finished with — after a complete Run, after a partial run torn
 // down by Shutdown, and for processes that were spawned but never
-// granted a slot. Explore and ExploreParallel abandon thousands of
-// worlds through Shutdown, so a leak there would pile up.
+// granted a slot. Explore abandons thousands of worlds through
+// Shutdown, so a leak there would pile up.
 func TestNoGoroutineLeak(t *testing.T) {
 	const n = 8
 	base := runtime.NumGoroutine()
