@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build vet test race bench ci loc snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity schedparity golden trace-golden statslint benchdiff perfbench profile
+.PHONY: all build vet fmt test race bench ci loc snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity schedparity golden trace-golden statslint benchdiff perfbench profile
 
 all: ci
 
@@ -9,6 +10,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file in the repository, perfbench/ included, must be gofmt
+# clean; the target lists the offenders and fails.
+fmt:
+	@out=$$($(GOFMT) -l .) && if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -46,26 +52,26 @@ bench:
 # The sharded engine's determinism contract, run under the race
 # detector: the same world must produce an identical fingerprint and
 # observation for every shard count and worker count — for the abstract
-# RPC world AND the hosted-machine world (full machine.Machine per
-# node, real protocol initiation, fault planes, snapshot/restore).
+# RPC world (uniform links and a two-rack latency matrix) AND the
+# hosted-machine world (full machine.Machine per node, real protocol
+# initiation, fault planes, snapshot/restore).
 # `race` covers these too via ./...; the named target keeps the
 # contract visible and lets CI fail fast on the one invariant the whole
 # PR hangs off.
 shardparity:
-	$(GO) test -race -run 'TestShardEquivalence|TestShardSnapshotRestore|TestScaleShardParity|TestScaleMachineShardParity|TestScaleMachineFaultParity|TestScaleMachineSnapshotRestore' ./internal/net ./internal/exp
+	$(GO) test -race -run 'TestShardEquivalence|TestShardSnapshotRestore|TestRackShardParity|TestRackSnapshotRestore|TestScaleShardParity|TestScaleMachineShardParity|TestScaleMachineFaultParity|TestScaleMachineSnapshotRestore' ./internal/net ./internal/exp
 
 # The descriptor-ring contracts, run under the race detector: amortized
 # initiation falls monotonically with depth (2x floor at depth 32),
 # depth/churn measurements are rerun-deterministic, a mid-batch fleet
-# snapshot rewinds byte-identically, the doorbell->walk->completion hot
-# path stays at 0 allocs/op, and the adaptive per-shard-pair lookahead
-# matches the single-shard reference at every shard x worker layout.
+# snapshot rewinds byte-identically, and the doorbell->walk->completion
+# hot path stays at 0 allocs/op.
 ringparity:
-	$(GO) test -race -run 'TestRingDepthAmortizes|TestRingDepthDeterministic|TestRingChurnPolicies|TestRingSnapshotFidelity|TestRingDoorbellZeroAllocs|TestAdaptiveShardParity|TestAdaptiveUniformMatchesGlobal' ./internal/core ./internal/dma ./internal/net
+	$(GO) test -race -run 'TestRingDepthAmortizes|TestRingDepthDeterministic|TestRingChurnPolicies|TestRingSnapshotFidelity|TestRingDoorbellZeroAllocs' ./internal/core ./internal/dma
 
 # The virtual-address plane's contracts, run under the race detector:
 # a world snapshotted with a transfer PARKED mid-fault rewinds and
-# replays byte-identically (machine level and bare engine), Table 1's
+# replays byte-identically (machine level and engine level), Table 1's
 # ordering survives IOMMU-translated initiation, the three recovery
 # policies diverge under oversubscription yet replay exactly, the
 # vasweep/paging grids are worker-count invariant, and the warm VA
@@ -93,7 +99,7 @@ steerparity:
 schedparity:
 	$(GO) test -race -run 'TestRunMatchesReferenceLoop|TestSelfRegrantZeroAllocs|TestSlotHandoffZeroAllocs|TestStepDrivesSingleSlots|TestExplore|TestVABounceFixupZeroAllocs|TestWindowOfMatchesDecode' ./internal/proc ./internal/dma
 
-ci: build vet statslint snapshots shardparity ringparity iommuparity steerparity schedparity race perfbench benchdiff
+ci: build vet fmt statslint snapshots shardparity ringparity iommuparity steerparity schedparity race perfbench benchdiff
 
 # Regenerate the five exact snapshots into a temp dir and byte-compare
 # each against the committed file, so wire-format drift in any of them

@@ -217,7 +217,7 @@ func TestPhysAccessPrivilege(t *testing.T) {
 func TestSpinAdvancesClockAndPumpsEvents(t *testing.T) {
 	f := newFixture(t)
 	fired := false
-	f.events.Schedule(f.clock.Now()+coreFreq.Cycles(50), func(sim.Time) { fired = true })
+	f.events.ScheduleFunc(f.clock.Now()+coreFreq.Cycles(50), func(sim.Time) { fired = true })
 	f.cpu.Spin(100)
 	if !fired {
 		t.Fatal("event due during Spin did not fire")

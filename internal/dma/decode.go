@@ -363,7 +363,7 @@ func (e *Engine) mappedOutInitiate(now sim.Time, off uint64, size uint64) (uint6
 		return StatusFailure, 0, nil
 	}
 	dst := dstBase + (src - pageBase)
-	if uint64(src)%e.cfg.PageSize+size > e.cfg.PageSize {
+	if !inBounds(uint64(src)%e.cfg.PageSize, size, e.cfg.PageSize) {
 		// A mapped-out DMA cannot cross its page: the mapping is
 		// per-page (the restrictiveness §2.4 criticises).
 		e.ctr.Rejected.Inc()

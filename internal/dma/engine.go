@@ -484,10 +484,14 @@ type BusReserver interface {
 }
 
 // New builds an engine. mem is the node's local memory the engine
-// masters transfers on.
+// masters transfers on; events is the queue every delivery is
+// scheduled on.
 func New(cfg Config, clock *sim.Clock, events *sim.EventQueue, mem *phys.Memory) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if events == nil {
+		return nil, fmt.Errorf("dma: engine needs an event queue")
 	}
 	nCtx := cfg.numCtx()
 	e := &Engine{

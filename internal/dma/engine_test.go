@@ -112,12 +112,15 @@ func TestConfigValidation(t *testing.T) {
 	for _, c := range cases {
 		cfg := base
 		c.mut(&cfg)
-		if _, err := New(cfg, sim.NewClock(), nil, phys.New(testMemSize)); err == nil {
+		if _, err := New(cfg, sim.NewClock(), sim.NewEventQueue(), phys.New(testMemSize)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := New(base, sim.NewClock(), nil, phys.New(testMemSize)); err != nil {
+	if _, err := New(base, sim.NewClock(), sim.NewEventQueue(), phys.New(testMemSize)); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+	if _, err := New(base, sim.NewClock(), nil, phys.New(testMemSize)); err == nil {
+		t.Error("engine without an event queue accepted")
 	}
 }
 

@@ -180,7 +180,7 @@ func (e *Engine) RingAllow(ctx int, base phys.Addr, size uint64) error {
 	if r.depth == 0 {
 		return fmt.Errorf("dma: ring context %d has no ring installed", ctx)
 	}
-	if size == 0 || uint64(base)+size > e.cfg.MemSize {
+	if size == 0 || !inBounds(uint64(base), size, e.cfg.MemSize) {
 		return fmt.Errorf("dma: ring extent %v+%d outside local memory", base, size)
 	}
 	if len(r.allow) >= maxRingExtents {
@@ -205,7 +205,7 @@ func (e *Engine) RingState(ctx int) (base phys.Addr, depth, head, inFlight uint6
 func (r *ringState) ringAllowed(addr phys.Addr, size uint64) bool {
 	for i := range r.allow {
 		ext := &r.allow[i]
-		if addr >= ext.base && uint64(addr)+size <= uint64(ext.base)+ext.size {
+		if addr >= ext.base && inBounds(uint64(addr-ext.base), size, ext.size) {
 			return true
 		}
 	}
@@ -352,11 +352,6 @@ func (e *Engine) walkDescriptor(now sim.Time, ctx int, r *ringState, slot phys.A
 		e.writeCompletion(slot, StatusFailure, now)
 		return
 	}
-	if e.events == nil {
-		// Bare engine: the transfer delivered eagerly inside start.
-		e.writeCompletion(slot, 0, t.End)
-		return
-	}
 	r.inFlight++
 	c := e.getRingC()
 	c.t, c.slot, c.ctx, c.gen, c.zero = t, slot, int32(ctx), r.gen, t.Size == 0
@@ -376,15 +371,9 @@ func (e *Engine) ringLoad(off uint64) (uint64, int64, error) {
 // completion path schedules nothing extra and stays allocation-free.
 func (e *Engine) startRing(now sim.Time, src, dst phys.Addr, size uint64) (*Transfer, bool) {
 	prev := e.last
-	var t *Transfer
-	var ok bool
-	if size == 0 && e.events != nil {
-		e.ringZeroDefer = true
-		t, ok = e.start(now, src, dst, size)
-		e.ringZeroDefer = false
-	} else {
-		t, ok = e.start(now, src, dst, size)
-	}
+	e.ringZeroDefer = size == 0
+	t, ok := e.start(now, src, dst, size)
+	e.ringZeroDefer = false
 	if !ok {
 		return t, false
 	}

@@ -82,24 +82,26 @@ type transferEngine struct {
 	busyUntil sim.Time
 }
 
-// validate checks a requested transfer against the engine's limits.
+// inBounds reports whether [addr, addr+size) lies inside [0, limit).
+// It never computes addr+size: the size is guest data, and the sum
+// could wrap past zero.
+func inBounds(addr, size, limit uint64) bool {
+	return addr <= limit && size <= limit-addr
+}
+
+// validateTransfer checks a requested transfer against the engine's
+// limits.
 func (e *Engine) validateTransfer(src, dst phys.Addr, size uint64) bool {
 	if e.cfg.MaxTransfer != 0 && size > e.cfg.MaxTransfer {
 		return false
 	}
-	if uint64(src)+size > e.cfg.MemSize || uint64(src) > e.cfg.MemSize {
+	if !inBounds(uint64(src), size, e.cfg.MemSize) {
 		return false // source must be local, fully in memory
 	}
 	if e.cfg.RemoteBase != 0 && dst >= e.cfg.RemoteBase {
-		if e.remote == nil {
-			return false
-		}
-		return true
+		return e.remote != nil
 	}
-	if uint64(dst)+size > e.cfg.MemSize || uint64(dst) > e.cfg.MemSize {
-		return false
-	}
-	return true
+	return inBounds(uint64(dst), size, e.cfg.MemSize)
 }
 
 // start accepts or rejects a transfer with the given physical
@@ -164,11 +166,9 @@ func (e *Engine) newTransfer() *Transfer {
 }
 
 // snapshot reads the whole payload at acceptance time into a pooled
-// buffer (returned to the pool by the delivery path via putBuf). Only
-// the bare-engine and remote paths need it; local event-driven
-// transfers re-read each burst at its burst time and never touch this
-// copy, so skipping the snapshot there removes a per-transfer
-// allocation of the full payload size from the hot path.
+// buffer (returned to the pool by remoteShip.run via putBuf). Only
+// remote transfers need it; local transfers re-read each burst at its
+// burst time, so they never allocate a copy of the full payload.
 func (e *Engine) snapshot(t *Transfer) []byte {
 	data := e.getBuf(t.Size)
 	if err := e.mem.ReadInto(t.Src, data); err != nil {
@@ -310,24 +310,6 @@ func (w *localWalker) step(sim.Time) {
 // scheduled up front at acceptance, preserving the queue's FIFO
 // tie-break order across overlapping transfers.
 func (e *Engine) schedule(t *Transfer) {
-	if e.events == nil {
-		// Bare-engine tests: deliver eagerly in one piece.
-		data := e.snapshot(t)
-		if t.Remote {
-			if err := e.remote.Deliver(t.Node, t.RemoteAddr, data, t.End); err != nil {
-				e.putBuf(data)
-				t.Failed = true
-				return
-			}
-		} else if err := e.mem.WriteBytes(t.Dst, data); err != nil {
-			e.putBuf(data)
-			t.Failed = true
-			return
-		}
-		e.putBuf(data)
-		e.finish(t)
-		return
-	}
 	if t.Size == 0 {
 		if e.ringZeroDefer {
 			// Ring path: the pooled completion record (ring.go) delivers

@@ -212,10 +212,7 @@ func (e *Engine) validateVA(ctx int, srcVA, dstVA, size uint64) bool {
 		return false
 	}
 	limit := uint64(1) << e.cfg.MemBits
-	if srcVA > limit || srcVA+size > limit {
-		return false
-	}
-	if dstVA > limit || dstVA+size > limit {
+	if !inBounds(srcVA, size, limit) || !inBounds(dstVA, size, limit) {
 		return false
 	}
 	if e.policy == RecoverPin && e.resolver == nil {
@@ -301,18 +298,10 @@ func (e *Engine) startCtxVA(now sim.Time, reg, ctx int, srcVA, dstVA, size uint6
 // scheduleVA arranges delivery of a virtual transfer.
 func (e *Engine) scheduleVA(t *Transfer) {
 	if t.Size == 0 {
-		if e.events == nil {
-			e.finish(t)
-			return
-		}
 		if e.ringZeroDefer {
 			return // the pooled ring completion record delivers finish
 		}
 		e.events.ScheduleFunc(t.End, func(sim.Time) { e.finish(t) })
-		return
-	}
-	if e.events == nil {
-		e.runSyncVA(t)
 		return
 	}
 	w := e.getVW()
@@ -481,7 +470,7 @@ func (w *vaWalker) fault(at sim.Time, va uint64, write bool) {
 	}
 	lat, err := e.resolver.ResolveFault(w.ctx, va, write)
 	if err != nil {
-		if errors.Is(err, ErrFaultPending) && e.events != nil {
+		if errors.Is(err, ErrFaultPending) {
 			w.parked = true
 			w.faultVA, w.faultWr = va, write
 			e.ctr.VAStalls.Inc()
@@ -500,9 +489,6 @@ func (w *vaWalker) fault(at sim.Time, va uint64, write bool) {
 // walkers at time at. The kernel calls this after making the faulted
 // pages resident. Returns how many transfers resumed.
 func (e *Engine) ResumeFaulted(ctx int, at sim.Time) int {
-	if e.events == nil {
-		return 0
-	}
 	n := 0
 	kept := e.vaParked[:0]
 	for _, w := range e.vaParked {
@@ -550,7 +536,7 @@ func (e *Engine) copyDur(n uint64) sim.Time {
 // on success; on any obstacle (no bounce region, no free frame, the
 // resolver cannot page in) the caller falls back to the stall path.
 func (e *Engine) bounceOut(w *vaWalker, at sim.Time, va, n uint64) (phys.Addr, bool) {
-	if e.cfg.BouncePages == 0 || e.resolver == nil || e.events == nil {
+	if e.cfg.BouncePages == 0 || e.resolver == nil {
 		return 0, false
 	}
 	k := len(e.bounceFree)
@@ -727,105 +713,6 @@ func (w *vaWalker) fail(at sim.Time) {
 	e.releaseVW(w)
 }
 
-// runSyncVA delivers a virtual transfer eagerly for bare-engine tests
-// (no event queue): faults resolve synchronously (parking needs events;
-// an unresolvable fault fails the transfer), misses and page-in
-// latencies accumulate into the final End, and bounce is moot because
-// every fault resolves before the next piece.
-func (e *Engine) runSyncVA(t *Transfer) {
-	unpin := func() {
-		if e.policy == RecoverPin && e.resolver != nil {
-			e.resolver.UnpinRange(t.VCtx, uint64(t.Src), t.Size)
-			e.resolver.UnpinRange(t.VCtx, uint64(t.Dst), t.Size)
-		}
-	}
-	var extra sim.Time
-	pageSize := e.cfg.PageSize
-	srcVA, dstVA := uint64(t.Src), uint64(t.Dst)
-	bufN := uint64(transferChunk)
-	if t.Size < bufN {
-		bufN = t.Size
-	}
-	buf := e.getBuf(bufN)
-	faults := 0
-	maxFaults := int(2*(t.Size/pageSize) + 8)
-	resolve := func(va uint64, write bool) bool {
-		e.ctr.VAFaults.Inc()
-		faults++
-		if faults > maxFaults || e.resolver == nil {
-			return false
-		}
-		lat, err := e.resolver.ResolveFault(t.VCtx, va, write)
-		if err != nil {
-			return false
-		}
-		e.ctr.VAStalls.Inc()
-		extra += lat
-		return true
-	}
-	off := uint64(0)
-	for off < t.Size {
-		n := t.Size - off
-		if n > transferChunk {
-			n = transferChunk
-		}
-		sva, dva := srcVA+off, dstVA+off
-		if rem := pageSize - sva%pageSize; n > rem {
-			n = rem
-		}
-		if rem := pageSize - dva%pageSize; n > rem {
-			n = rem
-		}
-		spa, shit, err := e.iommu.TranslateIO(t.VCtx, sva, false)
-		if err != nil {
-			if !resolve(sva, false) {
-				e.putBuf(buf)
-				unpin()
-				t.Failed = true
-				return
-			}
-			continue
-		}
-		if !shit {
-			extra += e.cfg.IOTLBMissTime
-		}
-		dpa, dhit, derr := e.iommu.TranslateIO(t.VCtx, dva, true)
-		if derr != nil {
-			if !resolve(dva, true) {
-				e.putBuf(buf)
-				unpin()
-				t.Failed = true
-				return
-			}
-			continue
-		}
-		if !dhit {
-			extra += e.cfg.IOTLBMissTime
-		}
-		p := buf[:n]
-		if rerr := e.mem.ReadInto(spa, p); rerr != nil {
-			e.putBuf(buf)
-			unpin()
-			t.Failed = true
-			return
-		}
-		if werr := e.mem.WriteBytes(dpa, p); werr != nil {
-			e.putBuf(buf)
-			unpin()
-			t.Failed = true
-			return
-		}
-		off += n
-	}
-	e.putBuf(buf)
-	t.End += extra
-	if t.End > e.xfer.busyUntil {
-		e.xfer.busyUntil = t.End
-	}
-	unpin()
-	e.finish(t)
-}
-
 // walkDescriptorVA consumes one descriptor slot of a ring switched to
 // virtual addressing (SetRingVA): Src/Dst are device VAs for the ring's
 // context and validation is the IOMMU's page tables themselves — the
@@ -834,15 +721,9 @@ func (e *Engine) runSyncVA(t *Transfer) {
 // transfer's REAL end (penalties, stalls and fix-ups included).
 func (e *Engine) walkDescriptorVA(now sim.Time, ctx int, r *ringState, slot phys.Addr, srcVA, dstVA, size uint64) {
 	prev := e.last
-	var t *Transfer
-	var ok bool
-	if size == 0 && e.events != nil {
-		e.ringZeroDefer = true
-		t, ok = e.startVA(now, ctx, srcVA, dstVA, size)
-		e.ringZeroDefer = false
-	} else {
-		t, ok = e.startVA(now, ctx, srcVA, dstVA, size)
-	}
+	e.ringZeroDefer = size == 0
+	t, ok := e.startVA(now, ctx, srcVA, dstVA, size)
+	e.ringZeroDefer = false
 	if !ok {
 		e.writeCompletion(slot, StatusFailure, now)
 		return
@@ -850,14 +731,6 @@ func (e *Engine) walkDescriptorVA(now sim.Time, ctx int, r *ringState, slot phys
 	t.ring = true
 	if !e.logging && prev != nil && prev != t && prev.ring && prev.delivered {
 		e.freeT = append(e.freeT, prev)
-	}
-	if e.events == nil {
-		status := uint64(0)
-		if t.Failed {
-			status = StatusFailure
-		}
-		e.writeCompletion(slot, status, t.End)
-		return
 	}
 	r.inFlight++
 	c := e.getRingC()

@@ -23,20 +23,26 @@ const (
 )
 
 // stubResolver is a minimal kernel stand-in: pages it has backing for
-// resolve after pageIn; everything else is ErrFaultPending (the
-// manual-park path).
+// resolve after pageIn, refused pages fail with errRefused, and
+// everything else is ErrFaultPending (the manual-park path).
 type stubResolver struct {
 	io      *iommu.IOMMU
 	ps      uint64
 	pageIn  sim.Time
 	backing map[uint64]phys.Addr // device page VA (ctx 0..n share it) -> frame
+	refused map[uint64]bool      // device page VAs the kernel will not map
 	pins    int
 	unpins  int
 	pinErr  error
 }
 
+var errRefused = errors.New("stub: page refused")
+
 func (r *stubResolver) ResolveFault(ctx int, va uint64, _ bool) (sim.Time, error) {
 	base := va &^ (r.ps - 1)
+	if r.refused[base] {
+		return 0, errRefused
+	}
 	if _, ok := r.io.Lookup(ctx, base); ok {
 		return 0, nil
 	}
@@ -96,7 +102,7 @@ func newVAEngine(tb testing.TB, mode Mode, mut func(*Config)) *vaFixture {
 	if err := e.AttachIOMMU(io); err != nil {
 		tb.Fatal(err)
 	}
-	res := &stubResolver{io: io, ps: cfg.PageSize, backing: map[uint64]phys.Addr{}}
+	res := &stubResolver{io: io, ps: cfg.PageSize, backing: map[uint64]phys.Addr{}, refused: map[uint64]bool{}}
 	e.SetFaultResolver(res)
 	return &vaFixture{engFixture: &engFixture{e: e, mem: mem, events: events}, io: io, res: res}
 }
@@ -156,7 +162,7 @@ func TestVAConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := testConfig(ModePaired)
 		tc.mut(&cfg)
-		if _, err := New(cfg, sim.NewClock(), nil, phys.New(testMemSize)); err == nil {
+		if _, err := New(cfg, sim.NewClock(), sim.NewEventQueue(), phys.New(testMemSize)); err == nil {
 			t.Errorf("%s: config accepted", tc.name)
 		}
 	}
@@ -466,6 +472,146 @@ func TestVABounceSourceFaultStalls(t *testing.T) {
 	f.expectMoved(t, vaDstPA, 256, 0x42)
 }
 
+// twoPageTransfer sets up a two-page transfer whose source pages and
+// first destination page are resident; the second destination page is
+// left to the test. Returns the transfer size.
+func (f *vaFixture) twoPageTransfer(tb testing.TB) uint64 {
+	tb.Helper()
+	size := uint64(2 * testPageSize)
+	for i := uint64(0); i < 2; i++ {
+		if err := f.io.Map(0, vaSrcVA+i*testPageSize, vaSrcPA+phys.Addr(i*testPageSize), vm.Read); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := f.io.Map(0, vaDstVA, vaDstPA, vm.Read|vm.Write); err != nil {
+		tb.Fatal(err)
+	}
+	f.fillSrc(vaSrcPA, int(size), 0x5C)
+	return size
+}
+
+// expectVAFailed checks the aftermath of a mid-transfer failure: the
+// status reads DMA_FAILURE, nothing is left parked, the walker is back
+// in its pool and every bounce frame is free.
+func (f *vaFixture) expectVAFailed(tb testing.TB, last *Transfer) {
+	tb.Helper()
+	now := f.settle()
+	if st := last.Remaining(now); st != StatusFailure {
+		tb.Errorf("status = %#x, want DMA_FAILURE", st)
+	}
+	if n := f.e.ParkedTransfers(); n != 0 {
+		tb.Errorf("ParkedTransfers = %d, want 0", n)
+	}
+	if last.vw != nil {
+		tb.Error("failed transfer still holds its walker")
+	}
+	if got := len(f.e.bounceFree); got != f.e.Config().BouncePages {
+		tb.Errorf("bounce frames free = %d, want %d", got, f.e.Config().BouncePages)
+	}
+	if got := f.e.Counters().Completed; got != 0 {
+		tb.Errorf("Completed = %d, want 0", got)
+	}
+}
+
+// TestVAFaultRefusedFails: a resolver error other than ErrFaultPending
+// fails the transfer mid-stream instead of parking it.
+func TestVAFaultRefusedFails(t *testing.T) {
+	f := newVAEngine(t, ModePaired, nil)
+	size := f.twoPageTransfer(t)
+	f.res.refused[vaDstVA+testPageSize] = true
+	if v := f.initiatePaired(t, 0, 0, vaSrcVA, vaDstVA, size); v == StatusFailure {
+		t.Fatal("initiation rejected")
+	}
+	f.expectVAFailed(t, f.e.LastTransfer())
+	f.expectMoved(t, vaDstPA, testPageSize, 0x5C)
+	if got := f.e.ctr.VAFaults.Value(); got != 1 {
+		t.Errorf("vaFaults = %d, want 1", got)
+	}
+}
+
+// TestVAPinFaultRefusedUnpins: under RecoverPin a pinned page that
+// disappears mid-transfer and cannot be brought back fails the
+// transfer, and both pinned extents are released.
+func TestVAPinFaultRefusedUnpins(t *testing.T) {
+	f := newVAEngine(t, ModePaired, nil)
+	f.e.SetRecoveryPolicy(RecoverPin)
+	size := f.twoPageTransfer(t)
+	f.res.backing[vaDstVA+testPageSize] = vaDstPA + testPageSize // the pin succeeds...
+	if v := f.initiatePaired(t, 0, 0, vaSrcVA, vaDstVA, size); v == StatusFailure {
+		t.Fatal("initiation rejected")
+	}
+	if f.res.pins != 2 || f.res.unpins != 0 {
+		t.Fatalf("after initiation: pins %d unpins %d, want 2/0", f.res.pins, f.res.unpins)
+	}
+	// ...then the page vanishes and the kernel refuses to restore it.
+	if err := f.io.Unmap(0, vaDstVA+testPageSize); err != nil {
+		t.Fatal(err)
+	}
+	f.res.refused[vaDstVA+testPageSize] = true
+	f.expectVAFailed(t, f.e.LastTransfer())
+	if f.res.unpins != 2 {
+		t.Errorf("unpins = %d, want 2 (both extents)", f.res.unpins)
+	}
+}
+
+// TestVABounceFixupRefusedWhileParked: a bounce fix-up whose page was
+// evicted and is then refused fails the transfer while its walker is
+// parked on a later source fault, which takes the walker off the
+// parked list.
+func TestVABounceFixupRefusedWhileParked(t *testing.T) {
+	f := newVAEngine(t, ModePaired, nil)
+	f.e.SetRecoveryPolicy(RecoverBounce)
+	f.res.pageIn = 200 * sim.Microsecond
+	size := uint64(2 * testPageSize)
+	// Source page two is absent with no backing (the walker parks on
+	// it); destination page one bounces.
+	if err := f.io.Map(0, vaSrcVA, vaSrcPA, vm.Read); err != nil {
+		t.Fatal(err)
+	}
+	f.res.backing[vaDstVA] = vaDstPA
+	f.fillSrc(vaSrcPA, testPageSize, 0x71)
+	if v := f.initiatePaired(t, 0, 0, vaSrcVA, vaDstVA, size); v == StatusFailure {
+		t.Fatal("initiation rejected")
+	}
+	last := f.e.LastTransfer()
+	// Before the fix-up lands (page-in plus copy after the first burst),
+	// the bounced page is evicted and the kernel refuses it back.
+	f.events.ScheduleFunc(f.res.pageIn, func(sim.Time) {
+		if f.e.ParkedTransfers() != 1 || f.e.ctr.VABounced.Value() == 0 {
+			t.Errorf("at eviction: parked %d bounced %d, want 1 and > 0",
+				f.e.ParkedTransfers(), f.e.ctr.VABounced.Value())
+		}
+		if err := f.io.Unmap(0, vaDstVA); err != nil {
+			t.Error(err)
+		}
+		f.res.refused[vaDstVA] = true
+	})
+	f.expectVAFailed(t, last)
+}
+
+// TestVARingFaultRefused: on a VA ring, the refused page's descriptor
+// gets a DMA_FAILURE completion record and leaves nothing in flight.
+func TestVARingFaultRefused(t *testing.T) {
+	f := newVARingEngine(t, ModePaired)
+	if err := f.e.SetupRing(0, ringDescs, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.e.SetRingVA(0, true); err != nil {
+		t.Fatal(err)
+	}
+	size := f.twoPageTransfer(t)
+	f.res.refused[vaDstVA+testPageSize] = true
+	post(t, f.engFixture, 0, phys.Addr(vaSrcVA), phys.Addr(vaDstVA), size)
+	doorbell(t, f.engFixture, 0, 1)
+	f.expectVAFailed(t, f.e.LastTransfer())
+	if status, _ := completion(t, f.engFixture, 0); status != StatusFailure {
+		t.Errorf("completion status %#x, want DMA_FAILURE", status)
+	}
+	if _, _, _, inFlight := f.e.RingState(0); inFlight != 0 {
+		t.Errorf("inFlight = %d, want 0", inFlight)
+	}
+}
+
 func TestVAPinPolicy(t *testing.T) {
 	f := newVAEngine(t, ModePaired, nil)
 	f.e.SetRecoveryPolicy(RecoverPin)
@@ -561,7 +707,7 @@ func TestVAParkedSnapshotRestore(t *testing.T) {
 	}
 
 	// The machine layer snapshots the IOMMU alongside the engine; at the
-	// bare-engine level the test does the same — without the IOMMU
+	// engine level the test does the same — without the IOMMU
 	// rewind, run 2 would replay against run 1's warmed IOTLB and finish
 	// early.
 	snap, err := f.e.Snapshot()

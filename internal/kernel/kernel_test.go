@@ -567,10 +567,10 @@ func TestNotifyRemoteWriteWakesOnlyOverlaps(t *testing.T) {
 	// An arrival into frame B (scheduled as an event so the scheduler's
 	// idle advance finds it) must wake only B; A would deadlock, so a
 	// second event wakes A's page later.
-	m.Events.Schedule(50*sim.Microsecond, func(sim.Time) {
+	m.Events.ScheduleFunc(50*sim.Microsecond, func(sim.Time) {
 		m.Kernel.NotifyRemoteWrite(frameB+128, 8)
 	})
-	m.Events.Schedule(200*sim.Microsecond, func(sim.Time) {
+	m.Events.ScheduleFunc(200*sim.Microsecond, func(sim.Time) {
 		m.Kernel.NotifyRemoteWrite(frameA, 8)
 	})
 	if err := m.Run(proc.NewRoundRobin(1), 10_000); err != nil {

@@ -29,7 +29,7 @@ func snapshotPresets() []struct {
 		cfg  Config
 	}{
 		{"Alpha3000TC", Alpha3000TC(dma.ModePaired, 0)},
-		{"PCI33", PCI(dma.ModePaired, 0, 33 * sim.MHz)},
+		{"PCI33", PCI(dma.ModePaired, 0, 33*sim.MHz)},
 		{"Workstation1994", Workstation1994(dma.ModePaired, 0)},
 		{"Workstation2000", Workstation2000(dma.ModePaired, 0)},
 	}

@@ -82,20 +82,6 @@ type ShardedConfig struct {
 	// remains layout-invariant) and a per-shard-pair minimum matrix
 	// used as a causality floor on every flushed message.
 	Latency func(src, dst int) sim.Time
-	// Adaptive opts into per-shard window horizons: instead of one
-	// global bound (earliest pending event + global minimum latency),
-	// each shard advances to the earliest instant any OTHER shard's
-	// pending work could still influence it, computed from the metric
-	// closure of the per-shard-pair latency floors. With a latency
-	// matrix whose pairs are far apart, distant shards get much wider
-	// windows (fewer barriers); with uniform latency it degenerates to
-	// exactly the global bound. The window SEQUENCE becomes layout-
-	// dependent, so same-instant deliveries are ordered by message
-	// content (sim.EventQueue.SchedulePri) instead of barrier order,
-	// and Windows is excluded from the fingerprint. Incompatible with
-	// a fault plane: the plane's draw sequence follows barrier
-	// composition, which adaptive windows make layout-dependent.
-	Adaptive bool
 }
 
 // SMsg is one inter-node message in the sharded engine. It carries no
@@ -204,17 +190,10 @@ type ShardedCluster struct {
 	pairMin        [][]sim.Time
 	latMin, latMax sim.Time
 
-	// cfloor (adaptive mode only) is the metric closure of the
-	// shard-pair floors: cfloor[j][i] bounds from below the latency of
-	// ANY causal chain from a pending event on shard j to an arrival on
-	// shard i, over any number of intermediate hops. cfloor[i][i] is the
-	// cheapest round trip (or the intra-shard pair floor), never zero.
-	cfloor [][]sim.Time
-
-	horizons    []sim.Time // per-shard inclusive window bounds (all equal unless Adaptive)
-	lastHorizon sim.Time   // causality floor for flushed arrivals
-	lastH       []sim.Time // adaptive: per-shard exclusive causality floors
-	windows     uint64
+	// horizon is the last window's inclusive bound: no flushed arrival
+	// may land before it.
+	horizon sim.Time
+	windows uint64
 }
 
 // NewShardedCluster validates cfg and builds the world. The model must
@@ -251,7 +230,6 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		outbox:    make([][]SMsg, cfg.Shards),
 		free:      make([][]*sdelivery, cfg.Shards),
 		ctr:       make([]shardCtr, cfg.Shards),
-		horizons:  make([]sim.Time, cfg.Shards),
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		c.shards[s] = sim.NewShard(s, hint)
@@ -316,42 +294,6 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		return nil, fmt.Errorf("net: lookahead %v exceeds minimum link latency %v", la, c.latMin)
 	}
 	c.lookahead = la
-	if cfg.Adaptive {
-		// Metric closure of the shard-pair floors (Floyd–Warshall over
-		// Shards² entries, run once). The direct floor is pairMin when a
-		// latency matrix is set (diagonal = intra-shard pair minimum,
-		// Never for a single-node shard with no intra pairs) and the
-		// uniform link latency otherwise.
-		n := cfg.Shards
-		c.cfloor = make([][]sim.Time, n)
-		for i := range c.cfloor {
-			row := make([]sim.Time, n)
-			for j := range row {
-				if c.pairMin != nil {
-					row[j] = c.pairMin[i][j]
-				} else {
-					row[j] = cfg.Link.Latency
-				}
-			}
-			c.cfloor[i] = row
-		}
-		for k := 0; k < n; k++ {
-			for i := 0; i < n; i++ {
-				if c.cfloor[i][k] == sim.Never {
-					continue
-				}
-				for j := 0; j < n; j++ {
-					if c.cfloor[k][j] == sim.Never {
-						continue
-					}
-					if via := c.cfloor[i][k] + c.cfloor[k][j]; via < c.cfloor[i][j] {
-						c.cfloor[i][j] = via
-					}
-				}
-			}
-		}
-		c.lastH = make([]sim.Time, n)
-	}
 	return c, nil
 }
 
@@ -365,15 +307,6 @@ func (c *ShardedCluster) Lookahead() sim.Time { return c.lookahead }
 // over all ordered node pairs (equal to Link.Latency twice when no
 // latency matrix is configured).
 func (c *ShardedCluster) LatencyBounds() (min, max sim.Time) { return c.latMin, c.latMax }
-
-// ShardPairFloor returns the causality floor for messages from shard i
-// to shard j: the minimum wire latency over the owned node pairs.
-func (c *ShardedCluster) ShardPairFloor(i, j int) sim.Time {
-	if c.pairMin == nil {
-		return c.cfg.Link.Latency
-	}
-	return c.pairMin[i][j]
-}
 
 // SetFaultPlane attaches a fault injector to the cluster's links. Every
 // message is judged once at outbox flush, in canonical order, on the
@@ -511,19 +444,12 @@ func (c *ShardedCluster) flush() {
 	for i := range p {
 		m := p[i]
 		ss, ds := int(c.nodeShard[m.Src]), int(c.nodeShard[m.Dst])
-		floor := c.lastHorizon
-		if c.cfg.Adaptive {
-			// Adaptive windows are exclusive of their bound, so an
-			// arrival exactly AT the destination's floor has not been
-			// run past yet.
-			floor = c.lastH[ds]
-		}
-		if m.Arrive < floor {
+		if m.Arrive < c.horizon {
 			// The lookahead contract was violated: a message would land
 			// inside a window that already ran. Always a model bug (a
 			// Send from another node's event, or a latency floor beaten).
 			panic(fmt.Sprintf("net: sharded causality violation: arrival %v before horizon %v (src %d dst %d)",
-				m.Arrive, floor, m.Src, m.Dst))
+				m.Arrive, c.horizon, m.Src, m.Dst))
 		}
 		if c.pairMin != nil && m.Arrive-m.Sent < c.pairMin[ss][ds] {
 			// A message beat the latency matrix's own floor for its shard
@@ -548,25 +474,9 @@ func (c *ShardedCluster) flush() {
 			cm.Arrive += verdict.Copies[k].Delay
 			d := c.getDelivery(ds)
 			d.m = cm
-			if c.cfg.Adaptive {
-				// Different layouts flush the same messages at different
-				// barriers, so same-instant delivery order must come from
-				// message content, not scheduling order: deliveries rank
-				// after same-instant local events (high bit) and among
-				// themselves by the canonical (Src, Seq) key.
-				c.shards[ds].Events.SchedulePri(cm.Arrive, deliveryPri(cm.Src, cm.Seq), d.fire)
-			} else {
-				c.shards[ds].Events.ScheduleFunc(cm.Arrive, d.fire)
-			}
+			c.shards[ds].Events.ScheduleFunc(cm.Arrive, d.fire)
 		}
 	}
-}
-
-// deliveryPri packs a flushed message's canonical identity into one
-// priority word: the high bit puts deliveries after pri-0 local events
-// at the same instant, then source node, then per-source sequence.
-func deliveryPri(src int, seq uint64) uint64 {
-	return 1<<63 | uint64(src)<<40 | seq&(1<<40-1)
 }
 
 // Run drives the synchronizer until every shard is idle and every
@@ -576,9 +486,6 @@ func deliveryPri(src int, seq uint64) uint64 {
 func (c *ShardedCluster) Run(workers int, maxWindows uint64) error {
 	if c.deliver == nil {
 		return fmt.Errorf("net: sharded cluster has no deliver hook (SetDeliver)")
-	}
-	if c.cfg.Adaptive && c.plane != nil {
-		return fmt.Errorf("net: adaptive windows are incompatible with a fault plane (the plane's draw sequence follows barrier composition, which adaptive windows make layout-dependent)")
 	}
 	if workers > len(c.shards) {
 		workers = len(c.shards)
@@ -590,14 +497,14 @@ func (c *ShardedCluster) Run(workers int, maxWindows uint64) error {
 	)
 	if workers > 1 {
 		// Persistent pool: one channel of shard indices, reused every
-		// window. The horizons entries are written strictly before the
-		// sends and read after the receives, so the channel carries the
+		// window. The horizon is written strictly before the sends and
+		// read after the receives, so the channel carries the
 		// happens-before edge; WaitGroup is the window barrier.
 		work = make(chan int, len(c.shards))
 		for w := 0; w < workers; w++ {
 			go func() {
 				for idx := range work {
-					c.shards[idx].RunWindow(c.horizons[idx])
+					c.shards[idx].RunWindow(c.horizon)
 					wg.Done()
 				}
 			}()
@@ -605,14 +512,15 @@ func (c *ShardedCluster) Run(workers int, maxWindows uint64) error {
 		defer close(work)
 	}
 
-	next := make([]sim.Time, len(c.shards))
 	for {
 		c.flush()
+		// The bound depends only on the union of pending events, not on
+		// how nodes were dealt to shards, which is what makes the window
+		// sequence (and the whole run) invariant under shard count.
 		min := sim.Never
-		for i, s := range c.shards {
-			next[i] = s.Events.NextAt()
-			if next[i] < min {
-				min = next[i]
+		for _, s := range c.shards {
+			if at := s.Events.NextAt(); at < min {
+				min = at
 			}
 		}
 		if min == sim.Never {
@@ -621,67 +529,21 @@ func (c *ShardedCluster) Run(workers int, maxWindows uint64) error {
 		if c.windows >= maxWindows {
 			return fmt.Errorf("net: sharded window budget (%d) exhausted", maxWindows)
 		}
-		if c.cfg.Adaptive {
-			c.adaptiveBounds(next)
-		} else {
-			horizon := min + c.lookahead
-			for i := range c.horizons {
-				c.horizons[i] = horizon
-			}
-		}
+		c.horizon = min + c.lookahead
 		if workers > 1 {
 			for idx, s := range c.shards {
-				if s.Events.NextAt() <= c.horizons[idx] {
+				if s.Events.NextAt() <= c.horizon {
 					wg.Add(1)
 					work <- idx
 				}
 			}
 			wg.Wait()
 		} else {
-			for idx, s := range c.shards {
-				s.RunWindow(c.horizons[idx])
+			for _, s := range c.shards {
+				s.RunWindow(c.horizon)
 			}
 		}
 		c.windows++
-		if c.cfg.Adaptive {
-			for i := range c.lastH {
-				// Arrivals into shard i are provably >= horizons[i]+1 (the
-				// exclusive bound); the floor only ever rises.
-				if h := c.horizons[i] + 1; h > c.lastH[i] {
-					c.lastH[i] = h
-				}
-			}
-		} else {
-			c.lastHorizon = c.horizons[0]
-		}
-	}
-}
-
-// adaptiveBounds computes each shard's window bound for this round:
-// the earliest instant at which any shard's earliest pending event
-// could still influence it, over any chain of messages (the metric
-// closure cfloor), minus one — RunWindow is inclusive and an arrival
-// exactly at the influence instant may still be in flight. The global
-// minimum's owner always gets at least its own next event (every
-// closure entry is positive), so every round makes progress.
-func (c *ShardedCluster) adaptiveBounds(next []sim.Time) {
-	for i := range c.horizons {
-		h := sim.Never
-		for j := range next {
-			if next[j] == sim.Never || c.cfloor[j][i] == sim.Never {
-				continue
-			}
-			if t := next[j] + c.cfloor[j][i]; t < h {
-				h = t
-			}
-		}
-		if h == sim.Never {
-			// Nothing pending anywhere can ever reach this shard: it may
-			// drain completely.
-			c.horizons[i] = sim.Never
-		} else {
-			c.horizons[i] = h - 1
-		}
 	}
 }
 
@@ -773,12 +635,7 @@ func (c *ShardedCluster) Fingerprint() uint64 {
 	h = fpMix(h, t.Delivered)
 	h = fpMix(h, t.Bytes)
 	h = fpMix(h, t.Events)
-	if !c.cfg.Adaptive {
-		// Adaptive window bounds depend on the partition, so the window
-		// COUNT is layout-dependent there — every other component stays
-		// invariant and keeps the determinism pin meaningful.
-		h = fpMix(h, t.Windows)
-	}
+	h = fpMix(h, t.Windows)
 	h = fpMix(h, uint64(t.Finish))
 	h = fpMix(h, c.TraceEmitted())
 	return h
@@ -803,9 +660,8 @@ type ShardedSnapshot struct {
 
 	sent, delivered, bytes []uint64
 
-	lastHorizon sim.Time
-	lastH       []sim.Time // adaptive per-shard floors (nil otherwise)
-	windows     uint64
+	horizon sim.Time
+	windows uint64
 
 	faultDrops, faultDups uint64
 	plane                 any // FaultPlane state payload
@@ -830,21 +686,20 @@ func (c *ShardedCluster) Snapshot() (*ShardedSnapshot, error) {
 	}
 	sn := &ShardedSnapshot{
 		nodes: c.cfg.Nodes, shards: c.cfg.Shards,
-		rngState:    make([]uint64, len(c.rng)),
-		egress:      append([]sim.Time(nil), c.egress...),
-		eseq:        append([]uint64(nil), c.eseq...),
-		clocks:      make([]sim.Time, len(c.shards)),
-		seqs:        make([]uint64, len(c.shards)),
-		fired:       make([]uint64, len(c.shards)),
-		reached:     make([]sim.Time, len(c.shards)),
-		sent:        make([]uint64, len(c.shards)),
-		delivered:   make([]uint64, len(c.shards)),
-		bytes:       make([]uint64, len(c.shards)),
-		lastHorizon: c.lastHorizon,
-		lastH:       append([]sim.Time(nil), c.lastH...),
-		windows:     c.windows,
-		faultDrops:  c.faultDrops,
-		faultDups:   c.faultDups,
+		rngState:   make([]uint64, len(c.rng)),
+		egress:     append([]sim.Time(nil), c.egress...),
+		eseq:       append([]uint64(nil), c.eseq...),
+		clocks:     make([]sim.Time, len(c.shards)),
+		seqs:       make([]uint64, len(c.shards)),
+		fired:      make([]uint64, len(c.shards)),
+		reached:    make([]sim.Time, len(c.shards)),
+		sent:       make([]uint64, len(c.shards)),
+		delivered:  make([]uint64, len(c.shards)),
+		bytes:      make([]uint64, len(c.shards)),
+		horizon:    c.horizon,
+		windows:    c.windows,
+		faultDrops: c.faultDrops,
+		faultDups:  c.faultDups,
 	}
 	for n := range c.rng {
 		sn.rngState[n] = c.rng[n].State()
@@ -899,11 +754,7 @@ func (c *ShardedCluster) Restore(sn *ShardedSnapshot) error {
 		c.ctr[i].bytes = obs.Counter(sn.bytes[i])
 		c.outbox[i] = c.outbox[i][:0]
 	}
-	if (sn.lastH != nil) != (c.lastH != nil) {
-		return fmt.Errorf("net: restore: adaptive-mode snapshot mismatch")
-	}
-	c.lastHorizon = sn.lastHorizon
-	copy(c.lastH, sn.lastH)
+	c.horizon = sn.horizon
 	c.windows = sn.windows
 	c.faultDrops = sn.faultDrops
 	c.faultDups = sn.faultDups

@@ -537,7 +537,7 @@ func TestEventsFireDuringIdleAdvance(t *testing.T) {
 	f := newFixture(t, RunnerConfig{})
 	f.r.SetSyscallHandler(&blockingSyscalls{c: f.r.CPU(), dur: 300 * sim.Microsecond})
 	fired := false
-	f.r.CPU().Events().Schedule(150*sim.Microsecond, func(sim.Time) { fired = true })
+	f.r.CPU().Events().ScheduleFunc(150*sim.Microsecond, func(sim.Time) { fired = true })
 	f.r.Spawn("solo", f.space(t, 1, ramPage), func(ctx *Context) error {
 		_, err := ctx.Syscall(0)
 		return err
@@ -566,7 +566,7 @@ func TestEventBlockAndWake(t *testing.T) {
 	})
 	// The "device interrupt": an event at 80µs wakes the process with a
 	// 5µs dispatch overhead.
-	f.r.CPU().Events().Schedule(80*sim.Microsecond, func(now sim.Time) {
+	f.r.CPU().Events().ScheduleFunc(80*sim.Microsecond, func(now sim.Time) {
 		p.Wake(now + 5*sim.Microsecond)
 	})
 	if err := f.r.Run(NewRoundRobin(1), 1000); err != nil {

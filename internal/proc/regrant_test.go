@@ -48,7 +48,7 @@ func (k *parityKernel) Syscall(p *Process, num int, _ []uint64) (uint64, error) 
 		p.BlockUntil(now + 20*sim.Microsecond)
 	case 1:
 		p.BlockUntil(sim.Never)
-		k.c.Events().Schedule(now+30*sim.Microsecond, func(at sim.Time) { p.Wake(at + sim.Microsecond) })
+		k.c.Events().ScheduleFunc(now+30*sim.Microsecond, func(at sim.Time) { p.Wake(at + sim.Microsecond) })
 	}
 	return 0, nil
 }

@@ -4,11 +4,9 @@ import "testing"
 
 // The event queue is the hottest object in the simulator: every DMA
 // burst, packet arrival and timer goes through it. The benchmarks pin
-// the allocation behaviour of the two scheduling paths — Schedule
-// returns a cancellable handle and must allocate a fresh Event (handles
-// may outlive the firing), while ScheduleFunc recycles fired events
-// through the queue's free list and must reach zero allocs/op once the
-// pool is warm.
+// its allocation behaviour: ScheduleFunc recycles fired events through
+// the queue's free list and must reach zero allocs/op once the pool is
+// warm.
 
 // TestScheduleFuncSteadyStateZeroAlloc pins the free-list contract as a
 // plain test (it runs in every `go test`, not only under -bench): once
@@ -53,17 +51,6 @@ func TestEventQueueSizeHint(t *testing.T) {
 		if q.Len() != 0 || cap(q.h) != 0 {
 			t.Errorf("hint %d: want plain empty queue", hint)
 		}
-	}
-}
-
-func BenchmarkSchedule(b *testing.B) {
-	q := NewEventQueue()
-	fire := func(Time) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Schedule(Time(i), fire)
-		q.RunUntil(Time(i + 1))
 	}
 }
 

@@ -13,22 +13,8 @@ type Event struct {
 	// advanced to at least At.
 	Fire func(now Time)
 
-	seq    uint64 // tie-breaker: FIFO among events with equal At
-	pri    uint64 // ranks before seq; 0 except via SchedulePri
-	index  int    // heap bookkeeping; see the sentinels below
-	pooled bool   // recycled through the queue's free list after firing
+	seq uint64 // tie-breaker: FIFO among events with equal At
 }
-
-// index sentinels. A live event's index is its heap position (>= 0);
-// negative values record why it left the heap, so stale handles can
-// never alias a live slot.
-const (
-	idxFired     = -1 // popped by RunUntil/Drain (or mid-removal)
-	idxCancelled = -2 // removed by Cancel
-)
-
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == idxCancelled }
 
 // EventQueue is a deterministic time-ordered queue of events. Events with
 // the same timestamp fire in the order they were scheduled, which keeps
@@ -39,7 +25,7 @@ func (e *Event) Cancelled() bool { return e.index == idxCancelled }
 type EventQueue struct {
 	h    eventHeap
 	seq  uint64
-	free []*Event // recycled ScheduleFunc events (no outstanding handles)
+	free []*Event // fired events, recycled by ScheduleFunc
 }
 
 // NewEventQueue returns an empty queue.
@@ -68,37 +54,20 @@ func (q *EventQueue) SnapshotSeq() uint64 { return q.seq }
 
 // Reset discards every pending event without firing it and rewinds the
 // tie-break counter to seq, as part of restoring a world snapshot.
-// Discarded pooled events return to the free list; outstanding handles
-// observe Cancelled.
+// Discarded events return to the free list.
 func (q *EventQueue) Reset(seq uint64) {
-	for _, e := range q.h {
-		e.index = idxCancelled
+	for i, e := range q.h {
 		q.release(e)
-	}
-	for i := range q.h {
 		q.h[i] = nil
 	}
 	q.h = q.h[:0]
 	q.seq = seq
 }
 
-// Schedule enqueues fire to run at time at and returns a handle that can
-// be passed to Cancel. Handle-returning events are never pooled: the
-// caller may hold the handle indefinitely, so recycling could alias a
-// stale handle onto a live event. Use ScheduleFunc on hot paths that
-// never cancel.
-func (q *EventQueue) Schedule(at Time, fire func(now Time)) *Event {
-	q.seq++
-	e := &Event{At: at, Fire: fire, seq: q.seq}
-	heap.Push(&q.h, e)
-	return e
-}
-
-// ScheduleFunc enqueues fire at time at without returning a handle.
-// Because no handle escapes, the Event object is recycled through an
-// internal free list once it fires, making repeated scheduling
-// allocation-free. This is the hot path used by DMA transfer walkers
-// and other fire-and-forget device activity.
+// ScheduleFunc enqueues fire at time at. No handle escapes, so the
+// Event object is recycled through an internal free list once it
+// fires, making repeated scheduling allocation-free. This is the hot
+// path used by DMA transfer walkers and other device activity.
 func (q *EventQueue) ScheduleFunc(at Time, fire func(now Time)) {
 	q.seq++
 	var e *Event
@@ -107,54 +76,17 @@ func (q *EventQueue) ScheduleFunc(at Time, fire func(now Time)) {
 		q.free[n-1] = nil
 		q.free = q.free[:n-1]
 	} else {
-		e = &Event{pooled: true}
+		e = &Event{}
 	}
-	e.At, e.Fire, e.seq, e.pri = at, fire, q.seq, 0
+	e.At, e.Fire, e.seq = at, fire, q.seq
 	heap.Push(&q.h, e)
 }
 
-// SchedulePri is ScheduleFunc with an explicit priority word: events
-// with equal At fire in (pri, seq) order, so a caller that derives pri
-// from event CONTENT gets a same-instant ordering that does not depend
-// on scheduling order. The adaptive sharded synchronizer uses this to
-// keep message delivery order canonical when different shard layouts
-// flush the same messages at different barriers; everything else
-// schedules at pri 0 and keeps plain FIFO.
-func (q *EventQueue) SchedulePri(at Time, pri uint64, fire func(now Time)) {
-	q.seq++
-	var e *Event
-	if n := len(q.free); n > 0 {
-		e = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-	} else {
-		e = &Event{pooled: true}
-	}
-	e.At, e.Fire, e.seq, e.pri = at, fire, q.seq, pri
-	heap.Push(&q.h, e)
-}
-
-// release returns a pooled event to the free list. Called after the
-// event has been popped and its Fire/At copied out.
+// release returns an event to the free list. Called after the event
+// has been popped and its Fire/At copied out.
 func (q *EventQueue) release(e *Event) {
-	if !e.pooled {
-		return
-	}
 	e.Fire = nil // drop the closure eagerly
 	q.free = append(q.free, e)
-}
-
-// Cancel removes a scheduled event. Cancelling an event that already
-// fired or was already cancelled is a no-op. Cancel validates that the
-// handle actually occupies its claimed heap slot in THIS queue before
-// touching the heap, so a stale or foreign handle can never evict an
-// innocent event or corrupt heap order.
-func (q *EventQueue) Cancel(e *Event) {
-	if e == nil || e.index < 0 || e.index >= len(q.h) || q.h[e.index] != e {
-		return
-	}
-	heap.Remove(&q.h, e.index)
-	e.index = idxCancelled
 }
 
 // Len reports how many events are pending.
@@ -214,7 +146,7 @@ func (q *EventQueue) Drain(start Time) Time {
 	return last
 }
 
-// eventHeap implements heap.Interface ordered by (At, pri, seq).
+// eventHeap implements heap.Interface ordered by (At, seq).
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -222,31 +154,15 @@ func (h eventHeap) Less(i, j int) bool {
 	if h[i].At != h[j].At {
 		return h[i].At < h[j].At
 	}
-	if h[i].pri != h[j].pri {
-		return h[i].pri < h[j].pri
-	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
-	// Mark the element as out-of-heap HERE, not in the callers: every
-	// removal path (RunUntil, Drain, heap.Remove via Cancel) funnels
-	// through this method, so no window exists in which a removed
-	// event still advertises a live-looking index.
-	e.index = idxFired
 	return e
 }

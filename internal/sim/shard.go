@@ -80,37 +80,6 @@ func (s *Shard) RunWindow(to Time) uint64 {
 	return n
 }
 
-// Sync is the conservative time-window synchronizer for a set of
-// shards. Lookahead is the minimum latency of any cross-shard
-// interaction: a message sent at time t can arrive no earlier than
-// t + Lookahead, so once every shard has drained up to some horizon h,
-// all events up to h + Lookahead are already enqueued somewhere and the
-// window [_, h+Lookahead] is safe to run in parallel.
-type Sync struct {
-	Shards    []*Shard
-	Lookahead Time
-}
-
-// Horizon returns the next safe window bound: the globally earliest
-// pending event plus the lookahead. ok is false when every shard is
-// idle (no pending events anywhere), i.e. the simulation is done.
-//
-// The bound depends only on the union of pending events — not on how
-// nodes were dealt to shards — which is what makes the window sequence
-// (and therefore the whole run) invariant under shard count.
-func (y *Sync) Horizon() (Time, bool) {
-	min := Never
-	for _, s := range y.Shards {
-		if at := s.Events.NextAt(); at < min {
-			min = at
-		}
-	}
-	if min == Never {
-		return Never, false
-	}
-	return min + y.Lookahead, true
-}
-
 // SplitSeed derives a child seed for stream i from one base seed with a
 // SplitMix64-style finalizer. Same contract as par.SplitSeed but keyed
 // by uint64 so worlds can split per-node streams directly by node ID.

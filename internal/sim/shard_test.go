@@ -61,19 +61,6 @@ func TestShardRunWindow(t *testing.T) {
 	}
 }
 
-func TestSyncHorizon(t *testing.T) {
-	a, b := NewShard(0, 4), NewShard(1, 4)
-	y := &Sync{Shards: []*Shard{a, b}, Lookahead: 7}
-	if h, ok := y.Horizon(); ok || h != Never {
-		t.Fatalf("Horizon() on idle shards = %v, %v; want Never, false", h, ok)
-	}
-	b.Events.ScheduleFunc(100, func(Time) {})
-	a.Events.ScheduleFunc(50, func(Time) {})
-	if h, ok := y.Horizon(); !ok || h != 57 {
-		t.Fatalf("Horizon() = %v, %v; want 57 (global min 50 + lookahead 7), true", h, ok)
-	}
-}
-
 func TestSplitSeed(t *testing.T) {
 	if SplitSeed(42, 7) != SplitSeed(42, 7) {
 		t.Fatal("SplitSeed is not pure")

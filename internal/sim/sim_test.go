@@ -100,9 +100,9 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 func TestEventQueueOrdering(t *testing.T) {
 	q := NewEventQueue()
 	var got []int
-	q.Schedule(30, func(Time) { got = append(got, 3) })
-	q.Schedule(10, func(Time) { got = append(got, 1) })
-	q.Schedule(20, func(Time) { got = append(got, 2) })
+	q.ScheduleFunc(30, func(Time) { got = append(got, 3) })
+	q.ScheduleFunc(10, func(Time) { got = append(got, 1) })
+	q.ScheduleFunc(20, func(Time) { got = append(got, 2) })
 	q.RunUntil(25)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("events up to t=25 fired as %v, want [1 2]", got)
@@ -121,7 +121,7 @@ func TestEventQueueFIFOAtSameTime(t *testing.T) {
 	var got []int
 	for i := 0; i < 8; i++ {
 		i := i
-		q.Schedule(50, func(Time) { got = append(got, i) })
+		q.ScheduleFunc(50, func(Time) { got = append(got, i) })
 	}
 	q.RunUntil(50)
 	for i, v := range got {
@@ -131,29 +131,13 @@ func TestEventQueueFIFOAtSameTime(t *testing.T) {
 	}
 }
 
-func TestEventQueueCancel(t *testing.T) {
-	q := NewEventQueue()
-	fired := false
-	e := q.Schedule(10, func(Time) { fired = true })
-	q.Cancel(e)
-	if !e.Cancelled() {
-		t.Fatal("cancelled event does not report Cancelled")
-	}
-	q.Cancel(e) // double cancel: no-op
-	q.RunUntil(100)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	q.Cancel(nil) // nil-safe
-}
-
 func TestEventQueueRescheduleDuringFire(t *testing.T) {
 	q := NewEventQueue()
 	var got []Time
-	q.Schedule(10, func(now Time) {
+	q.ScheduleFunc(10, func(now Time) {
 		got = append(got, now)
-		q.Schedule(now+5, func(now Time) { got = append(got, now) })
-		q.Schedule(now+50, func(now Time) { got = append(got, now) })
+		q.ScheduleFunc(now+5, func(now Time) { got = append(got, now) })
+		q.ScheduleFunc(now+50, func(now Time) { got = append(got, now) })
 	})
 	q.RunUntil(20)
 	if len(got) != 2 || got[0] != 10 || got[1] != 15 {
@@ -167,8 +151,8 @@ func TestEventQueueRescheduleDuringFire(t *testing.T) {
 func TestEventQueueDrain(t *testing.T) {
 	q := NewEventQueue()
 	n := 0
-	q.Schedule(100, func(Time) { n++ })
-	q.Schedule(900, func(Time) { n++ })
+	q.ScheduleFunc(100, func(Time) { n++ })
+	q.ScheduleFunc(900, func(Time) { n++ })
 	last := q.Drain(50)
 	if n != 2 || last != 900 {
 		t.Fatalf("Drain fired %d events, last at %v; want 2 events, last 900", n, last)
