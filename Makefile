@@ -59,7 +59,7 @@ bench:
 # contract visible and lets CI fail fast on the one invariant the whole
 # PR hangs off.
 shardparity:
-	$(GO) test -race -run 'TestShardEquivalence|TestShardSnapshotRestore|TestRackShardParity|TestRackSnapshotRestore|TestScaleShardParity|TestScaleMachineShardParity|TestScaleMachineFaultParity|TestScaleMachineSnapshotRestore' ./internal/net ./internal/exp
+	$(GO) test -race -run 'TestShardEquivalence|TestShardSnapshotRestore|TestRackShardParity|TestRackSnapshotRestore|TestScaleShardParity|TestScaleFaultParity|TestScaleMachineShardParity|TestScaleMachineFaultParity|TestScaleMachineSnapshotRestore' ./internal/net ./internal/exp
 
 # The descriptor-ring contracts, run under the race detector: amortized
 # initiation falls monotonically with depth (2x floor at depth 32),

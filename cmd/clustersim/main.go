@@ -33,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -71,12 +72,17 @@ func main() {
 		return
 	}
 	if *scale {
+		// -ms in picoseconds; a window the clock cannot hold wraps, so
+		// it is refused before the conversion.
+		if *ms > int(math.MaxInt64/sim.Millisecond) {
+			exp.Fail("clustersim", 2, fmt.Errorf("-ms %d: the arrival window overflows the picosecond clock", *ms))
+		}
 		p := exp.Params{
 			Nodes: *nodes, Shards: *shards, Arrival: *arrival, Tenants: *tenants,
 			ScaleBytes: *bytes, ScaleDur: sim.Time(*ms) * sim.Millisecond,
 			ScaleSeed: *seed, Procs: *procs, Protocol: *protocol,
 		}
-		if err := validateScale(*nodes, *shards, *arrival, *tenants, *ms, *protocol, *bytes); err != nil {
+		if err := exp.ValidScale(p); err != nil {
 			exp.Fail("clustersim", 2, err)
 		}
 		if err := runScale(p, *jsonOut, *bench); err != nil {
@@ -90,34 +96,6 @@ func main() {
 	if err := exp.FlushTrace(); err != nil {
 		exp.Fail("clustersim", 1, err)
 	}
-}
-
-// validateScale rejects nonsense scale configurations up front with
-// flag-level messages (the experiment validates again underneath).
-func validateScale(nodes, shards, arrival, tenants, ms int, protocol string, bytes uint64) error {
-	if err := exp.ValidProtocol(protocol); err != nil {
-		return fmt.Errorf("-protocol %q: %w", protocol, err)
-	}
-	if protocol != "" {
-		if err := exp.ValidScaleMachineWorld(nodes, bytes); err != nil {
-			return fmt.Errorf("-protocol %s: %w", protocol, err)
-		}
-	}
-	switch {
-	case nodes < 2:
-		return fmt.Errorf("-nodes %d: the scale workload needs at least 2 nodes", nodes)
-	case shards < 1:
-		return fmt.Errorf("-shards %d: need at least 1 shard", shards)
-	case shards > nodes:
-		return fmt.Errorf("-shards %d exceeds -nodes %d: a shard must own at least one node", shards, nodes)
-	case arrival <= 0:
-		return fmt.Errorf("-arrival %d: the RPC arrival rate must be positive", arrival)
-	case tenants < 1:
-		return fmt.Errorf("-tenants %d: need at least 1 tenant stream per node", tenants)
-	case ms <= 0:
-		return fmt.Errorf("-ms %d: the arrival window must be positive", ms)
-	}
-	return nil
 }
 
 // clusterJSON is the -json document.
@@ -178,52 +156,53 @@ func runScale(p exp.Params, jsonOut, bench bool) error {
 		fmt.Print(s)
 		return nil
 	}
-	var doc scaleJSON
-	if p.Protocol != "" {
-		doc.ScaleMachine = exp.Collect[exp.ScaleMachinePoint](r)
-		if bench {
-			rows, err := benchScaleMachine(p)
-			if err != nil {
-				return err
-			}
-			doc.BenchMachine = rows
-		}
-	} else {
-		doc.Scale = exp.Collect[exp.ScalePoint](r)
-		if bench {
-			rows, err := benchScale(p)
-			if err != nil {
-				return err
-			}
-			doc.Bench = rows
+	doc := scaleJSON{Scale: exp.Collect[exp.ScalePoint](r), ScaleMachine: exp.Collect[exp.ScaleMachinePoint](r)}
+	if bench {
+		if doc.Bench, doc.BenchMachine, err = benchScale(name, p); err != nil {
+			return err
 		}
 	}
 	return exp.WriteJSON(os.Stdout, doc)
 }
 
 // benchScale times the SAME world at shards {1,4,8} (skipping counts
-// above -nodes) with workers = shard count, and stamps each row with
-// this host's wall time and events/sec. The simulated results are
-// byte-identical across the ladder — only the Host* fields vary, and
-// they vary with the machine: events/sec scales with shard count only
-// up to the host's core count (HostCPUs records it).
-func benchScale(p exp.Params) ([]exp.ScalePoint, error) {
-	var rows []exp.ScalePoint
-	for _, shards := range []int{1, 4, 8} {
-		if shards > p.Nodes {
-			continue
+// above -nodes) with workers = shard count, once per selected protocol
+// for the machine world, and stamps each row with this host's wall
+// time, events/sec and core count. The simulated results are
+// byte-identical down each ladder; only the Host* fields vary, and they
+// vary with the machine: events/sec scales with shard count only up to
+// the host's core count (HostCPUs records it).
+func benchScale(name string, p exp.Params) (flat []exp.ScalePoint, hosted []exp.ScaleMachinePoint, err error) {
+	protocols := []string{""} // the flat world has no protocol axis
+	if p.Protocol != "" {
+		if protocols, err = exp.ScaleProtocolNames(p.Protocol); err != nil {
+			return nil, nil, err
 		}
-		bp := p
-		bp.Shards = shards
-		start := time.Now()
-		pt, err := exp.RunScale(bp, shards)
-		if err != nil {
-			return nil, err
-		}
-		stampHost(&pt, time.Since(start))
-		rows = append(rows, pt)
 	}
-	return rows, nil
+	for _, protocol := range protocols {
+		for _, shards := range []int{1, 4, 8} {
+			if shards > p.Nodes {
+				continue
+			}
+			bp := p
+			bp.Shards, bp.Procs, bp.Protocol = shards, shards, protocol
+			start := time.Now()
+			r, err := exp.RunNamed(name, bp)
+			if err != nil {
+				return nil, nil, err
+			}
+			wall := time.Since(start)
+			for _, pt := range exp.Collect[exp.ScalePoint](r) {
+				stampHost(&pt, wall)
+				flat = append(flat, pt)
+			}
+			for _, pt := range exp.Collect[exp.ScaleMachinePoint](r) {
+				stampHost(&pt.ScalePoint, wall)
+				hosted = append(hosted, pt)
+			}
+		}
+	}
+	return flat, hosted, nil
 }
 
 // stampHost records this host's wall time, events/sec and core count
@@ -234,33 +213,4 @@ func stampHost(pt *exp.ScalePoint, wall time.Duration) {
 		pt.Host.HostEventsPerSec = float64(pt.Events) / wall.Seconds()
 	}
 	pt.Host.HostCPUs = runtime.NumCPU()
-}
-
-// benchScaleMachine is benchScale for the hosted-machine worlds: the
-// same shard ladder, one pass per selected protocol. The simulated
-// columns are byte-identical down each protocol's ladder; only the
-// Host* stamps vary with the machine.
-func benchScaleMachine(p exp.Params) ([]exp.ScaleMachinePoint, error) {
-	names, err := exp.ScaleProtocolNames(p.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	var rows []exp.ScaleMachinePoint
-	for _, name := range names {
-		for _, shards := range []int{1, 4, 8} {
-			if shards > p.Nodes {
-				continue
-			}
-			bp := p
-			bp.Shards = shards
-			start := time.Now()
-			pt, err := exp.RunScaleMachineNamed(name, bp, shards)
-			if err != nil {
-				return nil, err
-			}
-			stampHost(&pt.ScalePoint, time.Since(start))
-			rows = append(rows, pt)
-		}
-	}
-	return rows, nil
 }

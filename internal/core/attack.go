@@ -2,6 +2,7 @@ package userdma
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"uldma/internal/dma"
@@ -44,8 +45,9 @@ type AttackOutcome struct {
 	VictimStatus uint64
 	// VictimBelievesSuccess is the victim's conclusion.
 	VictimBelievesSuccess bool
-	// AttackerStatus is what the attacker's completing access returned
-	// (meaningful in the Figure 6 scenario).
+	// AttackerStatus is the attacker program's last load: in the
+	// Figure 6 scenario, what its completing access returned (0 for the
+	// random attacker).
 	AttackerStatus uint64
 
 	// Transfers is (src, dst, size) for every transfer the engine
@@ -68,15 +70,6 @@ type AttackOutcome struct {
 func (o AttackOutcome) String() string {
 	return fmt.Sprintf("transfers=%v victimSuccess=%v hijacked=%v misinformed=%v",
 		o.Transfers, o.VictimBelievesSuccess, o.Hijacked, o.Misinformed)
-}
-
-// attackWorld wires the two-process scenario on a pristine machine
-// checked out of the template pool.
-type attackWorld struct {
-	m                *machine.Machine
-	victim, attacker *proc.Process
-	frames           map[string]phys.Addr // page name -> frame
-	tmpl             *attackTemplate      // returned to the pool by finish
 }
 
 // attackTemplate is a warmed scenario world: the machine, both address
@@ -124,10 +117,9 @@ func checkoutTemplate(seqLen int, shareA bool) (*attackTemplate, error) {
 	return newAttackTemplate(seqLen, shareA)
 }
 
-// newAttackTemplate builds and snapshots one warmed scenario world.
-// The layout reproduces newAttackWorld's original construction order
-// exactly (victim's space before the attacker's, frames A, B, C, FOO)
-// so ASIDs, frame addresses and shadow encodings are unchanged.
+// newAttackTemplate builds and snapshots one warmed scenario world:
+// the victim's space before the attacker's, frames A, B, C, FOO, so
+// ASIDs, frame addresses and shadow encodings are fixed.
 func newAttackTemplate(seqLen int, shareA bool) (*attackTemplate, error) {
 	m, err := machine.New(machine.Alpha3000TC(dma.ModeRepeated, seqLen))
 	if err != nil {
@@ -177,10 +169,147 @@ func newAttackTemplate(seqLen int, shareA bool) (*attackTemplate, error) {
 	return t, nil
 }
 
+// guest is one side of a duel: it runs in its own process and returns
+// the status word it ended on.
+type guest func(c *proc.Context) (uint64, error)
+
+// program runs a straight-line guest program; its status is the value
+// of its last load (DMA_FAILURE if it has none).
+func program(p isa.Program) guest {
+	return func(c *proc.Context) (uint64, error) {
+		last, ok, err := isa.RunLast(c, p)
+		if !ok {
+			return dma.StatusFailure, err
+		}
+		return last, err
+	}
+}
+
+// client is a victim running the Figure 7 library loop: the 5-access
+// sequence A->B, retried as r says.
+func client(r RepeatedPassing) guest {
+	prog := r.sequence(vaA, vaB, duelSize)
+	return func(c *proc.Context) (uint64, error) { return r.retry(c, prog) }
+}
+
+// randomAttacker issues 40 seeded-random accesses, each individually
+// legal: stores and loads on its own pages C and FOO and, with shareA,
+// loads of the public page A.
+func randomAttacker(seed uint64, shareA bool) guest {
+	return func(c *proc.Context) (uint64, error) {
+		rng := sim.NewRand(seed ^ 0xa77ac)
+		targets := []vm.VAddr{shadow(vaC), shadow(vaFoo)}
+		if shareA {
+			targets = append(targets, shadow(vaA))
+		}
+		for i := 0; i < 40; i++ {
+			t := targets[rng.Intn(len(targets))]
+			switch rng.Intn(3) {
+			case 0:
+				if t != shadow(vaA) { // the attacker cannot store to A
+					c.Store(t, phys.Size64, uint64(rng.Intn(256)+1))
+					c.MB()
+				}
+			case 1:
+				c.Load(t, phys.Size64)
+			default:
+				c.Spin(50)
+			}
+		}
+		return 0, nil
+	}
+}
+
+// duelSize is the victim's transfer size in every scenario.
+const duelSize = 64
+
+// duelSlots bounds a duel's scheduler slots; every scenario finishes
+// far below it.
+const duelSlots = 1_000_000
+
+// duel is one run of the standard scenario: a victim and an attacker
+// guest on a pristine template world.
+type duel struct {
+	seqLen           int // engine sequence length: 3, 4 or 5
+	shareA           bool
+	victim, attacker guest
+	// schedule scripts the slots, 'V' or 'A' each (spaces and commas
+	// separate); slots past its end go to the first runnable guest.
+	// With random set, a policy seeded with seed picks every slot.
+	schedule string
+	random   bool
+	seed     uint64
+}
+
+// run checks a template out of the pool, spawns both guests, runs them
+// under the duel's policy, settles in-flight DMA and returns the
+// outcome with the template rewound into the pool.
+func (d duel) run() (AttackOutcome, error) {
+	if d.seqLen < 3 || d.seqLen > 5 {
+		return AttackOutcome{}, fmt.Errorf("userdma: engine sequence length %d (want 3, 4 or 5)", d.seqLen)
+	}
+	var script []bool // true = victim slot
+	for _, r := range d.schedule {
+		switch r {
+		case 'V', 'v':
+			script = append(script, true)
+		case 'A', 'a':
+			script = append(script, false)
+		case ' ', ',':
+		default:
+			return AttackOutcome{}, fmt.Errorf("userdma: schedule char %q (want V or A)", r)
+		}
+	}
+	t, err := checkoutTemplate(d.seqLen, d.shareA)
+	if err != nil {
+		return AttackOutcome{}, err
+	}
+	var victimStatus, attackerStatus uint64
+	spawn := func(name string, as *vm.AddressSpace, g guest, status *uint64) *proc.Process {
+		return t.m.Runner.Spawn(name, as, func(c *proc.Context) error {
+			st, err := g(c)
+			*status = st
+			return err
+		})
+	}
+	victim := spawn("victim", t.vicAS, d.victim, &victimStatus)
+	attacker := spawn("attacker", t.attAS, d.attacker, &attackerStatus)
+	var policy proc.Policy = proc.NewRandom(d.seed)
+	if !d.random {
+		order := make([]proc.PID, len(script))
+		for i, v := range script {
+			order[i] = attacker.PID()
+			if v {
+				order[i] = victim.PID()
+			}
+		}
+		policy = proc.NewScripted(order...)
+	}
+	if err := t.m.Run(policy, duelSlots); err != nil {
+		return AttackOutcome{}, err
+	}
+	t.m.Settle()
+	o := t.outcome(victimStatus, attackerStatus, victim.Err())
+	t.release()
+	return o, nil
+}
+
+// release rewinds the template to its pristine snapshot and returns it
+// to the pool. If the rewind fails (it cannot, short of a bug: the run
+// has completed, so the world is quiescent), the template is dropped
+// and the next run builds a fresh one.
+func (t *attackTemplate) release() {
+	if err := t.m.Restore(t.snap); err == nil {
+		if pi, ok := attackPools.Load(t.key); ok {
+			pi.(*sync.Pool).Put(t)
+		}
+	}
+}
+
 // frameName resolves a physical address to the scenario page holding it.
-func (w *attackWorld) frameName(pa phys.Addr) string {
-	ps := phys.Addr(w.m.Cfg.PageSize)
-	for name, f := range w.frames {
+func (t *attackTemplate) frameName(pa phys.Addr) string {
+	ps := phys.Addr(t.m.Cfg.PageSize)
+	for name, f := range t.frames {
 		if pa >= f && pa < f+ps {
 			return name
 		}
@@ -188,51 +317,18 @@ func (w *attackWorld) frameName(pa phys.Addr) string {
 	return pa.String()
 }
 
-// newAttackWorld checks a pristine template world out of the pool and
-// spawns both processes into its pre-built address spaces. shareA
-// selects the template family with the victim's A page mapped
-// read-only into the attacker (the Figure 6 precondition).
-func newAttackWorld(seqLen int, shareA bool, victimBody, attackerBody proc.Body) (*attackWorld, error) {
-	t, err := checkoutTemplate(seqLen, shareA)
-	if err != nil {
-		return nil, err
-	}
-	w := &attackWorld{m: t.m, frames: t.frames, tmpl: t}
-	w.victim = t.m.Runner.Spawn("victim", t.vicAS, victimBody)
-	w.attacker = t.m.Runner.Spawn("attacker", t.attAS, attackerBody)
-	return w, nil
-}
-
-// finish computes the run's outcome, then rewinds the world to its
-// pristine snapshot and returns the template to the pool. The world
-// must not be used after finish. If the rewind fails (it cannot, short
-// of a bug — the run has completed, so the world is quiescent), the
-// template is simply dropped and the next run builds a fresh one.
-func (w *attackWorld) finish(victimStatus, attackerStatus uint64) AttackOutcome {
-	o := w.outcome(victimStatus, attackerStatus)
-	if t := w.tmpl; t != nil {
-		w.tmpl = nil
-		if err := t.m.Restore(t.snap); err == nil {
-			if pi, ok := attackPools.Load(t.key); ok {
-				pi.(*sync.Pool).Put(t)
-			}
-		}
-	}
-	return o
-}
-
 // outcome inspects the engine's transfer log after a run.
-func (w *attackWorld) outcome(victimStatus, attackerStatus uint64) AttackOutcome {
+func (t *attackTemplate) outcome(victimStatus, attackerStatus uint64, victimErr error) AttackOutcome {
 	o := AttackOutcome{
 		VictimStatus:          victimStatus,
 		VictimBelievesSuccess: victimStatus != dma.StatusFailure,
 		AttackerStatus:        attackerStatus,
-		VictimErr:             w.victim.Err(),
+		VictimErr:             victimErr,
 	}
 	sawAtoB := false
-	for _, t := range w.m.Engine.Transfers() {
-		src, dst := w.frameName(t.Src), w.frameName(t.Dst)
-		o.Transfers = append(o.Transfers, fmt.Sprintf("%s->%s[%d]", src, dst, t.Size))
+	for _, tr := range t.m.Engine.Transfers() {
+		src, dst := t.frameName(tr.Src), t.frameName(tr.Dst)
+		o.Transfers = append(o.Transfers, fmt.Sprintf("%s->%s[%d]", src, dst, tr.Size))
 		if dst == "B" && src != "A" {
 			o.Hijacked = true
 		}
@@ -244,316 +340,6 @@ func (w *attackWorld) outcome(victimStatus, attackerStatus uint64) AttackOutcome
 		o.Misinformed = true
 	}
 	return o
-}
-
-// Figure5 replays the paper's Figure 5 against the 3-access variant:
-// the malicious process transfers its own data (C) into the victim's
-// private page (B), and the victim is told its own DMA succeeded.
-func Figure5() (AttackOutcome, error) {
-	const size = 64
-	var victimStatus uint64
-	victimBody := func(c *proc.Context) error {
-		// Dubnicki's 3-instruction protocol, one attempt, no retry:
-		// LOAD status1, STORE size, MB, LOAD status2.
-		if _, err := c.Load(shadow(vaA), phys.Size64); err != nil {
-			return err
-		}
-		if err := c.Store(shadow(vaB), phys.Size64, size); err != nil {
-			return err
-		}
-		if err := c.MB(); err != nil {
-			return err
-		}
-		st, err := c.Load(shadow(vaA), phys.Size64)
-		victimStatus = st
-		return err
-	}
-	attackerBody := func(c *proc.Context) error {
-		// Only the attacker's own pages are touched — every access is
-		// individually legal.
-		if err := c.Store(shadow(vaFoo), phys.Size64, 1); err != nil {
-			return err
-		}
-		if err := c.MB(); err != nil {
-			return err
-		}
-		if _, err := c.Load(shadow(vaFoo), phys.Size64); err != nil {
-			return err
-		}
-		if _, err := c.Load(shadow(vaC), phys.Size64); err != nil {
-			return err
-		}
-		_, err := c.Load(shadow(vaC), phys.Size64)
-		return err
-	}
-	w, err := newAttackWorld(3, false, victimBody, attackerBody)
-	if err != nil {
-		return AttackOutcome{}, err
-	}
-	V, A := w.victim.PID(), w.attacker.PID()
-	// Figure 5's interleaving, slot by slot:
-	//   V: LOAD shadow(A)            1
-	//   A: STORE shadow(FOO), MB     2-3
-	//   A: LOAD shadow(FOO)          4   <- no DMA (A != FOO)
-	//   A: LOAD shadow(C)            5
-	//   V: STORE shadow(B), MB       6-7
-	//   A: LOAD shadow(C)            8   <- DMA C->B starts!
-	//   V: LOAD shadow(A)            9   <- too late to do anything
-	script := proc.NewScripted(V, A, A, A, A, V, V, A, V)
-	if err := w.m.Run(script, 10_000); err != nil {
-		return AttackOutcome{}, err
-	}
-	w.m.Settle()
-	return w.finish(victimStatus, 0), nil
-}
-
-// Figure6 replays the paper's Figure 6 against the 4-access variant:
-// the attacker (read access to the public page A) completes the
-// victim's sequence, so the DMA starts for the attacker while the
-// victim is told it failed.
-func Figure6() (AttackOutcome, error) {
-	const size = 64
-	var victimStatus, attackerStatus uint64
-	victimBody := func(c *proc.Context) error {
-		// Figure 6's victim: STORE, LOAD, STORE, [attacker], LOAD.
-		if err := c.Store(shadow(vaB), phys.Size64, size); err != nil {
-			return err
-		}
-		if err := c.MB(); err != nil {
-			return err
-		}
-		if _, err := c.Load(shadow(vaA), phys.Size64); err != nil {
-			return err
-		}
-		if err := c.Store(shadow(vaB), phys.Size64, size); err != nil {
-			return err
-		}
-		if err := c.MB(); err != nil {
-			return err
-		}
-		st, err := c.Load(shadow(vaA), phys.Size64)
-		victimStatus = st
-		return err
-	}
-	attackerBody := func(c *proc.Context) error {
-		// One read of public data's shadow — individually legal.
-		st, err := c.Load(shadow(vaA), phys.Size64)
-		attackerStatus = st
-		return err
-	}
-	w, err := newAttackWorld(4, true, victimBody, attackerBody)
-	if err != nil {
-		return AttackOutcome{}, err
-	}
-	V, A := w.victim.PID(), w.attacker.PID()
-	// Victim slots 1-5 (S, MB, L, S, MB), attacker's completing LOAD,
-	// then the victim's final LOAD — Figure 6's interleaving.
-	script := proc.NewScripted(V, V, V, V, V, A, V)
-	if err := w.m.Run(script, 10_000); err != nil {
-		return AttackOutcome{}, err
-	}
-	w.m.Settle()
-	return w.finish(victimStatus, attackerStatus), nil
-}
-
-// Figure8Replay runs the Figure 5 attack schedule against the paper's
-// safe 5-access sequence: the attack must not start any transfer into
-// B, and the victim (which retries per Figure 7) must end with an
-// honest answer.
-func Figure8Replay() (AttackOutcome, error) {
-	const size = 64
-	var victimStatus uint64
-	var victimErr error
-	victimBody := func(c *proc.Context) error {
-		// The real protocol: Figure 7 with retries.
-		// Build a temporary handle-less sequence via RepeatedPassing.
-		r := RepeatedPassing{Len: 5, Barriers: true, MaxRetries: 16}
-		prog := r.sequence(vaA, vaB, size)
-		for attempt := 0; attempt < r.MaxRetries; attempt++ {
-			st, err := runCheckedProgram(c, prog)
-			if err != nil {
-				return err
-			}
-			if st == dma.StatusFailure || st == dma.StatusAccepted {
-				continue // strict client (see RepeatedPassing.LooseStatus)
-			}
-			victimStatus = st
-			return nil
-		}
-		victimStatus = dma.StatusFailure
-		victimErr = ErrRetriesExhausted
-		return nil
-	}
-	attackerBody := func(c *proc.Context) error {
-		for i := 0; i < 4; i++ { // keep interfering across retries
-			c.Store(shadow(vaFoo), phys.Size64, 1)
-			c.MB()
-			c.Load(shadow(vaFoo), phys.Size64)
-			c.Load(shadow(vaC), phys.Size64)
-			c.Load(shadow(vaC), phys.Size64)
-		}
-		return nil
-	}
-	w, err := newAttackWorld(5, false, victimBody, attackerBody)
-	if err != nil {
-		return AttackOutcome{}, err
-	}
-	V, A := w.victim.PID(), w.attacker.PID()
-	// Same adversarial flavour as Figure 5, then free-run to let the
-	// victim's retries finish.
-	script := proc.NewScripted(V, A, A, A, A, V, V, A, V, A, V, A, V)
-	if err := w.m.Run(script, 100_000); err != nil {
-		return AttackOutcome{}, err
-	}
-	w.m.Settle()
-	o := w.finish(victimStatus, 0)
-	if victimErr != nil && o.VictimErr == nil {
-		o.VictimErr = victimErr
-	}
-	return o, nil
-}
-
-// RandomAdversarialRun drives a victim (5-access protocol with retries)
-// against an attacker issuing a seeded-random stream of legal shadow
-// accesses, under a seeded-random scheduler. looseStatus selects the
-// paper's literal Figure 7 client (checks DMA_FAILURE only) instead of
-// the strict one that also retries on ACCEPTED. It returns the outcome;
-// the property test asserts that no run is ever Hijacked.
-func RandomAdversarialRun(seed uint64, shareA, looseStatus bool) (AttackOutcome, error) {
-	const size = 64
-	var victimStatus uint64
-	victimBody := func(c *proc.Context) error {
-		r := RepeatedPassing{Len: 5, Barriers: true, MaxRetries: 32}
-		prog := r.sequence(vaA, vaB, size)
-		for attempt := 0; attempt < r.MaxRetries; attempt++ {
-			st, err := runCheckedProgram(c, prog)
-			if err != nil {
-				return err
-			}
-			if st == dma.StatusFailure {
-				continue
-			}
-			if st == dma.StatusAccepted && !looseStatus {
-				continue // strict client: final load only extended a foreign sequence
-			}
-			victimStatus = st
-			return nil
-		}
-		victimStatus = dma.StatusFailure
-		return nil
-	}
-	attackerBody := func(c *proc.Context) error {
-		rng := sim.NewRand(seed ^ 0xa77ac)
-		targets := []vm.VAddr{shadow(vaC), shadow(vaFoo)}
-		if shareA {
-			targets = append(targets, shadow(vaA)) // read-only share
-		}
-		for i := 0; i < 40; i++ {
-			t := targets[rng.Intn(len(targets))]
-			switch rng.Intn(3) {
-			case 0:
-				if t != shadow(vaA) { // attacker cannot store to A
-					c.Store(t, phys.Size64, uint64(rng.Intn(256)+1))
-					c.MB()
-				}
-			case 1:
-				c.Load(t, phys.Size64)
-			default:
-				c.Spin(50)
-			}
-		}
-		return nil
-	}
-	w, err := newAttackWorld(5, shareA, victimBody, attackerBody)
-	if err != nil {
-		return AttackOutcome{}, err
-	}
-	if err := w.m.Run(proc.NewRandom(seed), 1_000_000); err != nil {
-		return AttackOutcome{}, err
-	}
-	w.m.Settle()
-	return w.finish(victimStatus, 0), nil
-}
-
-// ExhaustiveInterleavings enumerates EVERY interleaving of the victim's
-// single 5-access attempt (with barriers: 7 slots) with an attacker
-// program of up to maxAttacker slots drawn from a fixed adversarial
-// program, running each schedule on a fresh machine. It returns the
-// number of schedules tried and the first hijacking outcome found (nil
-// if none — the paper's §3.3.1 claim).
-func ExhaustiveInterleavings(attackerSlots int) (tried int, hijack *AttackOutcome, err error) {
-	// Victim: S MB L S MB L L = VictimSlots slots. Attacker: first
-	// `attackerSlots` slots of [S(FOO) MB L(FOO) L(C) L(C) S(C) MB L(FOO)].
-	schedules := interleavings(VictimSlots, attackerSlots)
-	for _, sched := range schedules {
-		tried++
-		o, e := runInterleaving(sched)
-		if e != nil {
-			return tried, nil, e
-		}
-		if o.Hijacked {
-			return tried, &o, nil
-		}
-	}
-	return tried, nil, nil
-}
-
-// VictimSlots is the victim's slot count in the exhaustive search: its
-// barriered 5-access attempt occupies S MB L S MB L L = 7 scheduler
-// slots.
-const VictimSlots = 7
-
-// RunInterleaving runs ONE schedule of the exhaustive search — one
-// cell of the "exhaustive" experiment — on a fresh world: the victim's
-// barriered 5-access attempt against the fixed adversarial program,
-// interleaved as sched dictates (true = victim slot). It is shared by
-// the serial search and internal/exp's parallel one.
-func RunInterleaving(sched []bool) (AttackOutcome, error) {
-	return runInterleaving(sched)
-}
-
-// runInterleaving runs ONE schedule of the exhaustive search on a fresh
-// world: the victim's barriered 5-access attempt against the fixed
-// adversarial program, interleaved as sched dictates (true = victim
-// slot). It is shared by the serial and parallel searches.
-func runInterleaving(sched []bool) (AttackOutcome, error) {
-	const size = 64
-	var victimStatus uint64
-	victimBody := func(c *proc.Context) error {
-		r := RepeatedPassing{Len: 5, Barriers: true}
-		st, e := runCheckedProgram(c, r.sequence(vaA, vaB, size))
-		victimStatus = st
-		return e
-	}
-	attackerBody := func(c *proc.Context) error {
-		c.Store(shadow(vaFoo), phys.Size64, 32)
-		c.MB()
-		c.Load(shadow(vaFoo), phys.Size64)
-		c.Load(shadow(vaC), phys.Size64)
-		c.Load(shadow(vaC), phys.Size64)
-		c.Store(shadow(vaC), phys.Size64, 32)
-		c.MB()
-		c.Load(shadow(vaFoo), phys.Size64)
-		return nil
-	}
-	w, e := newAttackWorld(5, false, victimBody, attackerBody)
-	if e != nil {
-		return AttackOutcome{}, e
-	}
-	V, A := w.victim.PID(), w.attacker.PID()
-	order := make([]proc.PID, 0, len(sched))
-	for _, isVictim := range sched {
-		if isVictim {
-			order = append(order, V)
-		} else {
-			order = append(order, A)
-		}
-	}
-	if e := w.m.Run(proc.NewScripted(order...), 100_000); e != nil {
-		return AttackOutcome{}, e
-	}
-	w.m.Settle()
-	return w.finish(victimStatus, 0), nil
 }
 
 // ScenarioSymbols returns the assembler symbol table of the standard
@@ -568,75 +354,141 @@ func ScenarioSymbols() map[string]vm.VAddr {
 	}
 }
 
+// scenarioProgram assembles one of the fixed scenario programs below.
+func scenarioProgram(src string) guest {
+	p, err := isa.Assemble(src, ScenarioSymbols())
+	if err != nil {
+		panic(err)
+	}
+	return program(p)
+}
+
+// The fixed guest programs, in attacksim's -victim/-attacker syntax.
+// Every attacker access is individually legal: it touches only its own
+// pages C and FOO, or reads the public page A when shared.
+var (
+	// Dubnicki's 3-access protocol, one attempt: status1, size, status2.
+	figure5Victim   = scenarioProgram("load A; store B 64; mb; load A")
+	figure5Attacker = scenarioProgram("store FOO 1; mb; load FOO; load C; load C")
+	// The 4-access protocol: STORE, LOAD, STORE, [attacker], LOAD.
+	figure6Victim   = scenarioProgram("store B 64; mb; load A; store B 64; mb; load A")
+	figure6Attacker = scenarioProgram("load A")
+	// Figure 5's attacker, repeated to keep interfering across retries.
+	figure8Attacker = scenarioProgram(strings.Repeat("store FOO 1; mb; load FOO; load C; load C;", 4))
+	// The exhaustive search's fixed adversary.
+	searchAttacker = scenarioProgram("store FOO 32; mb; load FOO; load C; load C; store C 32; mb; load FOO")
+)
+
+// Figure5 replays the paper's Figure 5 against the 3-access variant:
+// the malicious process transfers its own data (C) into the victim's
+// private page (B), and the victim is told its own DMA succeeded.
+func Figure5() (AttackOutcome, error) {
+	// Figure 5's interleaving, slot by slot:
+	//   V: LOAD shadow(A)            1
+	//   A: STORE shadow(FOO), MB     2-3
+	//   A: LOAD shadow(FOO)          4   <- no DMA (A != FOO)
+	//   A: LOAD shadow(C)            5
+	//   V: STORE shadow(B), MB       6-7
+	//   A: LOAD shadow(C)            8   <- DMA C->B starts!
+	//   V: LOAD shadow(A)            9   <- too late to do anything
+	return duel{seqLen: 3, victim: figure5Victim, attacker: figure5Attacker, schedule: "VAAAAVVAV"}.run()
+}
+
+// Figure6 replays the paper's Figure 6 against the 4-access variant:
+// the attacker (read access to the public page A) completes the
+// victim's sequence, so the DMA starts for the attacker while the
+// victim is told it failed.
+func Figure6() (AttackOutcome, error) {
+	// Victim slots 1-5 (S, MB, L, S, MB), the attacker's completing
+	// LOAD, then the victim's final LOAD.
+	return duel{seqLen: 4, shareA: true, victim: figure6Victim, attacker: figure6Attacker, schedule: "VVVVVAV"}.run()
+}
+
+// Figure8Replay runs the Figure 5 attack schedule against the paper's
+// safe 5-access sequence: the attack must not start any transfer into
+// B, and the victim (which retries per Figure 7) must end with an
+// honest answer.
+func Figure8Replay() (AttackOutcome, error) {
+	// Same adversarial flavour as Figure 5, then free-run to let the
+	// victim's retries finish.
+	victim := client(RepeatedPassing{Len: 5, Barriers: true, MaxRetries: 16})
+	return duel{seqLen: 5, victim: victim, attacker: figure8Attacker, schedule: "VAAAAVVAVAVAV"}.run()
+}
+
+// RandomAdversarialRun drives a victim (5-access protocol with retries)
+// against an attacker issuing a seeded-random stream of legal shadow
+// accesses, under a seeded-random scheduler. looseStatus selects the
+// paper's literal Figure 7 client (checks DMA_FAILURE only) instead of
+// the strict one that also retries on ACCEPTED. It returns the outcome;
+// the property test asserts that no run is ever Hijacked.
+func RandomAdversarialRun(seed uint64, shareA, looseStatus bool) (AttackOutcome, error) {
+	victim := client(RepeatedPassing{Len: 5, Barriers: true, MaxRetries: 32, LooseStatus: looseStatus})
+	return duel{seqLen: 5, shareA: shareA, victim: victim, attacker: randomAttacker(seed, shareA), random: true, seed: seed}.run()
+}
+
+// VictimSlots is the victim's slot count in the exhaustive search: its
+// barriered 5-access attempt occupies S MB L S MB L L = 7 scheduler
+// slots.
+const VictimSlots = 7
+
+// searchVictim is the exhaustive search's victim: ONE barriered
+// 5-access attempt, its status taken as read.
+var searchVictim = client(RepeatedPassing{Len: 5, Barriers: true, MaxRetries: 1, LooseStatus: true})
+
+// ExhaustiveInterleavings enumerates EVERY interleaving of the victim's
+// single 5-access attempt (VictimSlots slots) with the first
+// attackerSlots slots of the fixed adversarial program, running each
+// schedule on a fresh machine. It returns the number of schedules
+// tried and the first hijacking outcome found (nil if none — the
+// paper's §3.3.1 claim).
+func ExhaustiveInterleavings(attackerSlots int) (tried int, hijack *AttackOutcome, err error) {
+	for _, sched := range Interleavings(VictimSlots, attackerSlots) {
+		tried++
+		o, e := RunInterleaving(sched)
+		if e != nil {
+			return tried, nil, e
+		}
+		if o.Hijacked {
+			return tried, &o, nil
+		}
+	}
+	return tried, nil, nil
+}
+
+// RunInterleaving runs ONE schedule of the exhaustive search — one
+// cell of the "exhaustive" experiment — on a fresh world: the victim's
+// barriered 5-access attempt against the fixed adversarial program,
+// interleaved as the V/A schedule dictates. It is shared by the serial
+// search and internal/exp's parallel one.
+func RunInterleaving(schedule string) (AttackOutcome, error) {
+	return duel{seqLen: 5, victim: searchVictim, attacker: searchAttacker, schedule: schedule}.run()
+}
+
 // CustomDuel runs researcher-scripted victim and attacker programs in
 // the standard attack scenario under an explicit slot schedule
 // ('V'/'A' per slot; unscheduled slots fall back to spawn order). The
 // victim's status is its program's last load. attacksim's -custom mode
 // is built on this.
 func CustomDuel(seqLen int, shareA bool, victimProg, attackerProg isa.Program, schedule string) (AttackOutcome, error) {
-	if seqLen != 3 && seqLen != 4 && seqLen != 5 {
-		return AttackOutcome{}, fmt.Errorf("userdma: engine sequence length %d (want 3, 4 or 5)", seqLen)
-	}
-	var victimStatus uint64 = dma.StatusFailure
-	victimBody := func(c *proc.Context) error {
-		vals, err := isa.Run(c, victimProg)
-		if err != nil {
-			return err
-		}
-		if len(vals) > 0 {
-			victimStatus = vals[len(vals)-1]
-		}
-		return nil
-	}
-	attackerBody := func(c *proc.Context) error {
-		_, err := isa.Run(c, attackerProg)
-		return err
-	}
-	w, err := newAttackWorld(seqLen, shareA, victimBody, attackerBody)
-	if err != nil {
-		return AttackOutcome{}, err
-	}
-	var order []proc.PID
-	for _, r := range schedule {
-		switch r {
-		case 'V', 'v':
-			order = append(order, w.victim.PID())
-		case 'A', 'a':
-			order = append(order, w.attacker.PID())
-		case ' ', ',':
-		default:
-			return AttackOutcome{}, fmt.Errorf("userdma: schedule char %q (want V or A)", r)
-		}
-	}
-	if err := w.m.Run(proc.NewScripted(order...), 100_000); err != nil {
-		return AttackOutcome{}, err
-	}
-	w.m.Settle()
-	return w.finish(victimStatus, 0), nil
+	return duel{seqLen: seqLen, shareA: shareA, victim: program(victimProg), attacker: program(attackerProg), schedule: schedule}.run()
 }
 
 // Interleavings enumerates all merge orders of v victim slots with a
-// attacker slots, as boolean slices (true = victim slot) — the cell
-// grid of the "exhaustive" experiment.
-func Interleavings(v, a int) [][]bool {
-	return interleavings(v, a)
-}
-
-// interleavings enumerates all merge orders of v victim slots with a
-// attacker slots, as boolean slices (true = victim slot).
-func interleavings(v, a int) [][]bool {
+// attacker slots as V/A schedules — the cell grid of the "exhaustive"
+// experiment.
+func Interleavings(v, a int) []string {
 	if v == 0 && a == 0 {
-		return [][]bool{{}}
+		return []string{""}
 	}
-	var out [][]bool
+	var out []string
 	if v > 0 {
-		for _, rest := range interleavings(v-1, a) {
-			out = append(out, append([]bool{true}, rest...))
+		for _, rest := range Interleavings(v-1, a) {
+			out = append(out, "V"+rest)
 		}
 	}
 	if a > 0 {
-		for _, rest := range interleavings(v, a-1) {
-			out = append(out, append([]bool{false}, rest...))
+		for _, rest := range Interleavings(v, a-1) {
+			out = append(out, "A"+rest)
 		}
 	}
 	return out

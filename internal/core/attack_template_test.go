@@ -25,7 +25,7 @@ func TestAttackTemplateRestoreFidelity(t *testing.T) {
 		{"RandomSeed7ShareA", func() (AttackOutcome, error) { return RandomAdversarialRun(7, true, false) }},
 		{"Interleaving", func() (AttackOutcome, error) {
 			// One fixed schedule from the exhaustive grid.
-			return RunInterleaving([]bool{true, false, false, true, true, false, true, true, true, false})
+			return RunInterleaving("VAAVVAVVVA")
 		}},
 	}
 	for _, sc := range scenarios {

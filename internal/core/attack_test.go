@@ -237,34 +237,13 @@ func TestCustomDuelValidation(t *testing.T) {
 
 // TestInterleavingsEnumerator sanity-checks the merge enumerator.
 func TestInterleavingsEnumerator(t *testing.T) {
-	// C(2+2, 2) = 6 merges.
-	got := interleavings(2, 2)
-	if len(got) != 6 {
-		t.Fatalf("interleavings(2,2) = %d, want 6", len(got))
+	// C(2+2, 2) = 6 merges, in victim-first order.
+	got := strings.Join(Interleavings(2, 2), " ")
+	if want := "VVAA VAVA VAAV AVVA AVAV AAVV"; got != want {
+		t.Fatalf("Interleavings(2, 2) = %s, want %s", got, want)
 	}
-	seen := map[string]bool{}
-	for _, s := range got {
-		key := ""
-		nv, na := 0, 0
-		for _, v := range s {
-			if v {
-				key += "V"
-				nv++
-			} else {
-				key += "A"
-				na++
-			}
-		}
-		if nv != 2 || na != 2 {
-			t.Fatalf("merge %q has wrong slot counts", key)
-		}
-		if seen[key] {
-			t.Fatalf("duplicate merge %q", key)
-		}
-		seen[key] = true
-	}
-	if len(interleavings(0, 0)) != 1 {
-		t.Fatal("empty merge base case wrong")
+	if got := Interleavings(0, 0); len(got) != 1 || got[0] != "" {
+		t.Fatalf("empty merge base case = %q", got)
 	}
 }
 

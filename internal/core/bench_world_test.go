@@ -48,13 +48,13 @@ func BenchmarkCloneWorld(b *testing.B) {
 // cost in steady state: the template pool is warm, so each iteration
 // restores a world instead of building one.
 func BenchmarkInterleavingRun(b *testing.B) {
-	sched := []bool{true, false, false, true, true, false, true, true, true, false}
-	if _, err := runInterleaving(sched); err != nil {
+	const sched = "VAAVVAVVVA"
+	if _, err := RunInterleaving(sched); err != nil {
 		b.Fatal(err) // warm the pool
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runInterleaving(sched); err != nil {
+		if _, err := RunInterleaving(sched); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -81,24 +81,7 @@ func (h *Handle) DirectDMA(d *DirectCPU, src, dst vm.VAddr, size uint64) (uint64
 	}
 	prog := h.compile(src, dst, size)
 	if r, ok := h.method.(RepeatedPassing); ok {
-		retries := r.MaxRetries
-		if retries <= 0 {
-			retries = 64
-		}
-		for attempt := 0; attempt < retries; attempt++ {
-			status, err := runCheckedProgram(d, prog)
-			if err != nil {
-				return dma.StatusFailure, err
-			}
-			if status == dma.StatusFailure {
-				continue
-			}
-			if status == dma.StatusAccepted && !r.LooseStatus {
-				continue
-			}
-			return status, nil
-		}
-		return dma.StatusFailure, ErrRetriesExhausted
+		return r.retry(d, prog)
 	}
 	v, ok, err := isa.RunLast(d, prog)
 	if err != nil {

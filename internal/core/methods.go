@@ -253,33 +253,38 @@ func (r RepeatedPassing) Attach(m *machine.Machine, p *proc.Process) (*Handle, e
 	h.compile = func(src, dst vm.VAddr, size uint64) isa.Program {
 		return r.sequence(src, dst, size)
 	}
+	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
+		return r.retry(c, h.compile(src, dst, size))
+	}
+	return h, nil
+}
+
+// retry runs prog until it starts a transfer, at most MaxRetries
+// times (64 if unset): Figure 7's client loop.
+func (r RepeatedPassing) retry(c isa.Executor, prog isa.Program) (uint64, error) {
 	retries := r.MaxRetries
 	if retries <= 0 {
 		retries = 64
 	}
-	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-		prog := h.compile(src, dst, size)
-		for attempt := 0; attempt < retries; attempt++ {
-			status, err := runCheckedProgram(c, prog)
-			if err != nil {
-				return dma.StatusFailure, err
-			}
-			if status == dma.StatusFailure {
-				// Figure 7: "If (return_status == DMA_FAILURE) goto 1".
-				continue
-			}
-			if status == dma.StatusAccepted && !r.LooseStatus {
-				// The final load extended someone else's sequence
-				// instead of completing ours: no transfer started.
-				// The strict client retries; the paper's literal
-				// client would report success here.
-				continue
-			}
-			return status, nil
+	for attempt := 0; attempt < retries; attempt++ {
+		status, err := runCheckedProgram(c, prog)
+		if err != nil {
+			return dma.StatusFailure, err
 		}
-		return dma.StatusFailure, ErrRetriesExhausted
+		if status == dma.StatusFailure {
+			// Figure 7: "If (return_status == DMA_FAILURE) goto 1".
+			continue
+		}
+		if status == dma.StatusAccepted && !r.LooseStatus {
+			// The final load extended someone else's sequence instead
+			// of completing ours: no transfer started. The strict
+			// client retries; the paper's literal client would report
+			// success here.
+			continue
+		}
+		return status, nil
 	}
-	return h, nil
+	return dma.StatusFailure, ErrRetriesExhausted
 }
 
 // sequence compiles one attempt. The 5-access shape is Figure 7

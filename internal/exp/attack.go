@@ -33,26 +33,12 @@ func init() {
 	})
 }
 
-// scheduleString renders a slot schedule the way the attacksim tool
-// spells them: V for a victim slot, A for an attacker slot.
-func scheduleString(sched []bool) string {
-	var b strings.Builder
-	for _, victim := range sched {
-		if victim {
-			b.WriteByte('V')
-		} else {
-			b.WriteByte('A')
-		}
-	}
-	return b.String()
-}
-
 func exhaustiveCells(p Params) ([]Cell, error) {
 	schedules := userdma.Interleavings(userdma.VictimSlots, p.Slots)
 	cells := make([]Cell, len(schedules))
 	for i := range schedules {
 		i := i
-		cells[i] = Cell{Seed: uint64(i), Config: scheduleString(schedules[i]), Run: func() (Obs, bool, error) {
+		cells[i] = Cell{Seed: uint64(i), Config: schedules[i], Run: func() (Obs, bool, error) {
 			o, err := userdma.RunInterleaving(schedules[i])
 			if err != nil {
 				return nil, false, err
@@ -95,7 +81,7 @@ func campaignCells(p Params) ([]Cell, error) {
 	for i := range cells {
 		i := i
 		cells[i] = Cell{Seed: uint64(i + 1), Run: func() (Obs, bool, error) {
-			o, err := userdma.RandomAdversarialRun(uint64(i+1), p.ShareA, p.LooseStatus)
+			o, err := userdma.RandomAdversarialRun(uint64(i+1), false, false)
 			if err != nil {
 				return nil, false, err
 			}

@@ -42,7 +42,7 @@ func breakEvenCells(p Params) ([]Cell, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, size := range p.sizes() {
+		for _, size := range userdma.DefaultSizes {
 			method, size := method, size
 			cells = append(cells, Cell{Method: method.Name(), Size: size, Run: func() (Obs, bool, error) {
 				pt, err := userdma.BreakEvenCellFrom(snap, method, size)
@@ -64,7 +64,7 @@ type MethodPoints struct {
 
 // breakEvenJSON writes the per-method break-even map the tools emit.
 func breakEvenJSON(r *Result, p Params, d *Doc) {
-	groups := BreakEvenGroups(r, p)
+	groups := BreakEvenGroups(r)
 	d.BreakEven = make(map[string][]userdma.BreakEvenPoint, len(groups))
 	for _, g := range groups {
 		d.BreakEven[g.Method.Name()] = g.Points
@@ -73,11 +73,11 @@ func breakEvenJSON(r *Result, p Params, d *Doc) {
 
 // BreakEvenGroups slices an ordered breakeven result per method, in
 // the method-axis order.
-func BreakEvenGroups(r *Result, p Params) []MethodPoints {
+func BreakEvenGroups(r *Result) []MethodPoints {
 	methods := BreakEvenMethods()
-	per := len(p.sizes())
+	per := len(userdma.DefaultSizes)
 	pts := Collect[userdma.BreakEvenPoint](r)
-	if per == 0 || len(pts) != per*len(methods) {
+	if len(pts) != per*len(methods) {
 		return nil
 	}
 	out := make([]MethodPoints, len(methods))
@@ -103,8 +103,8 @@ func sizeHeaders(sizes []uint64) []string {
 func breakEvenText(r *Result, p Params) string {
 	var b strings.Builder
 	b.WriteString("Break-even sweep (X6) — initiation share of total DMA cost\n")
-	tb := stats.NewTable(append([]string{"DMA algorithm"}, sizeHeaders(p.sizes())...)...)
-	for _, g := range BreakEvenGroups(r, p) {
+	tb := stats.NewTable(append([]string{"DMA algorithm"}, sizeHeaders(userdma.DefaultSizes)...)...)
+	for _, g := range BreakEvenGroups(r) {
 		row := []any{g.Method.Name()}
 		for _, pt := range g.Points {
 			row = append(row, fmt.Sprintf("%.0f%%", 100*pt.InitShare))
@@ -124,16 +124,16 @@ func breakEvenMarkdown(r *Result, p Params) string {
 	var b strings.Builder
 	b.WriteString("\n## X6 — break-even: initiation share of total DMA cost\n")
 	b.WriteString("\n| DMA algorithm |")
-	for _, s := range p.sizes() {
+	for _, s := range userdma.DefaultSizes {
 		fmt.Fprintf(&b, " %dB |", s)
 	}
 	b.WriteString("\n|---|")
-	for range p.sizes() {
+	for range userdma.DefaultSizes {
 		b.WriteString("---|")
 	}
 	b.WriteByte('\n')
 	var crossovers []string
-	for _, g := range BreakEvenGroups(r, p) {
+	for _, g := range BreakEvenGroups(r) {
 		fmt.Fprintf(&b, "| %s |", g.Method.Name())
 		for _, pt := range g.Points {
 			fmt.Fprintf(&b, " %.0f%% |", 100*pt.InitShare)

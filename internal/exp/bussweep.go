@@ -32,7 +32,7 @@ func init() {
 func busSweepCells(p Params) ([]Cell, error) {
 	methods := userdma.Methods()
 	var cells []Cell
-	for _, freq := range p.freqs() {
+	for _, freq := range DefaultFreqs() {
 		for _, method := range methods {
 			freq, method := freq, method
 			cells = append(cells, Cell{Method: method.Name(), Config: freq.String(), Run: func() (Obs, bool, error) {
@@ -63,7 +63,7 @@ type FreqRows struct {
 // encoding/json sorts the keys, and "PCI 33MHz" < "PCI 66MHz" <
 // "TC 12.5MHz" is a fixed order, so the document is deterministic.
 func busSweepJSON(r *Result, p Params, d *Doc) {
-	groups := BusSweepGroups(r, p)
+	groups := BusSweepGroups(r)
 	d.BusSweep = make(map[string][]userdma.InitiationResult, len(groups))
 	for _, g := range groups {
 		d.BusSweep[g.Freq.String()] = g.Rows
@@ -72,9 +72,9 @@ func busSweepJSON(r *Result, p Params, d *Doc) {
 
 // BusSweepGroups slices an ordered bussweep result per frequency, in
 // the frequency-axis order.
-func BusSweepGroups(r *Result, p Params) []FreqRows {
-	freqs := p.freqs()
-	if len(freqs) == 0 || len(r.Cells)%len(freqs) != 0 {
+func BusSweepGroups(r *Result) []FreqRows {
+	freqs := DefaultFreqs()
+	if len(r.Cells)%len(freqs) != 0 {
 		return nil
 	}
 	per := len(r.Cells) / len(freqs)
@@ -98,7 +98,7 @@ func freqHeader(f sim.Hz) string {
 func busSweepText(r *Result, p Params) string {
 	var b strings.Builder
 	b.WriteString("Bus-frequency sweep (X4) — mean initiation (µs)\n")
-	groups := BusSweepGroups(r, p)
+	groups := BusSweepGroups(r)
 	headers := []string{"DMA algorithm"}
 	for _, g := range groups {
 		headers = append(headers, freqHeader(g.Freq))
@@ -121,7 +121,7 @@ func busSweepText(r *Result, p Params) string {
 func busSweepMarkdown(r *Result, p Params) string {
 	var b strings.Builder
 	b.WriteString("\n## X4 — bus-frequency sweep (mean µs)\n")
-	groups := BusSweepGroups(r, p)
+	groups := BusSweepGroups(r)
 	b.WriteString("\n| DMA algorithm |")
 	for _, g := range groups {
 		fmt.Fprintf(&b, " %s |", freqHeader(g.Freq))

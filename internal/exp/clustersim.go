@@ -31,14 +31,14 @@ func init() {
 	})
 }
 
-// ClusterMethods is the NOW comparison's method axis.
+// ClusterMethods is the NOW comparison's method axis: the methods of
+// the scale protocol line-up, in order.
 func ClusterMethods() []userdma.Method {
-	return []userdma.Method{
-		userdma.KernelLevel{},
-		userdma.ExtShadow{},
-		userdma.KeyBased{},
-		userdma.RepeatedPassing{Len: 5, Barriers: true},
+	methods := make([]userdma.Method, len(scaleProtocols))
+	for i, sp := range scaleProtocols {
+		methods[i] = sp.method
 	}
+	return methods
 }
 
 // clusterLink resolves the link preset the params select.

@@ -45,21 +45,17 @@ import (
 
 // Params are the knobs an experiment spec expands under. Scalar counts
 // (Iters, Seeds, Slots, Msgs, ...) are taken as given — the cmd/ tools'
-// flag defaults own their conventional values — while the grid axes
-// (Freqs, Sizes, Methods) fall back to the canonical paper axes when
-// nil, so a zero-value axis always means "the experiment as published".
+// flag defaults own their conventional values — while the Methods axis
+// falls back to the canonical comparators when nil, so a zero value
+// always means "the experiment as published".
 type Params struct {
 	Iters int // initiations per timing cell (the paper's loop: 1000)
 	Procs int // worker goroutines for independent cells (<= 0 = GOMAXPROCS)
 
-	Seeds       int  // campaign: seeded adversarial runs
-	Slots       int  // exhaustive: attacker slots
-	ShareA      bool // campaign: give the attacker read access to page A
-	LooseStatus bool // campaign: paper's literal Figure 7 client
+	Seeds int // campaign: seeded adversarial runs
+	Slots int // exhaustive: attacker slots
 
 	Methods []userdma.Method // comparators: method-axis override (nil = canonical five)
-	Freqs   []sim.Hz         // bussweep: frequency axis (nil = X4's 12.5/33/66 MHz)
-	Sizes   []uint64         // breakeven/trend: size axis (nil = userdma.DefaultSizes)
 
 	Msgs    int    // clustersim: messages per method
 	MsgSize uint64 // clustersim: payload bytes
@@ -80,20 +76,6 @@ type Params struct {
 	// "extshadow", "keybased", "repeated", or ""/"all" for the full
 	// NOW comparison line-up (one cell per protocol).
 	Protocol string
-}
-
-func (p Params) freqs() []sim.Hz {
-	if len(p.Freqs) == 0 {
-		return DefaultFreqs()
-	}
-	return p.Freqs
-}
-
-func (p Params) sizes() []uint64 {
-	if len(p.Sizes) == 0 {
-		return userdma.DefaultSizes
-	}
-	return p.Sizes
 }
 
 // DefaultFreqs is experiment X4's bus-frequency axis.

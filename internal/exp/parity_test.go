@@ -53,7 +53,7 @@ func TestBusSweepParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		groups := BusSweepGroups(r, p)
+		groups := BusSweepGroups(r)
 		if len(groups) != len(freqs) {
 			t.Fatalf("workers=%d: %d frequency groups, want %d", w, len(groups), len(freqs))
 		}
@@ -84,7 +84,7 @@ func TestBreakEvenParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		groups := BreakEvenGroups(r, p)
+		groups := BreakEvenGroups(r)
 		if len(groups) != len(methods) {
 			t.Fatalf("workers=%d: %d method groups, want %d", w, len(groups), len(methods))
 		}
@@ -112,9 +112,9 @@ func TestTrendSweepParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if got := TrendPoints(r, p); !reflect.DeepEqual(got, want) {
+		if got := TrendPoints(r); !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: trend diverged from serial TrendSweep\n got %+v\nwant %+v",
-				w, TrendPoints(r, p), want)
+				w, TrendPoints(r), want)
 		}
 	}
 }

@@ -13,6 +13,10 @@ package exp
 // (mean/p50/p99), plus the engine-side totals (deliveries, events,
 // windows) the host events/sec throughput metric is computed from.
 //
+// The generator (rpcGen) is shared with the scalemachine experiment;
+// each world supplies only a request/serve/complete cost model, here
+// busy-until arithmetic on the client port and the server engine.
+//
 // Everything reported here is layout-invariant: the same (nodes, seed,
 // workload) yields byte-identical results at every shard count and
 // every worker count (TestScaleShardParity), which is what makes the
@@ -121,208 +125,243 @@ func (pt ScalePoint) MarshalJSON() ([]byte, error) {
 	}{fmt.Sprintf("%dn/%ds", pt.Nodes, pt.Shards), scale(pt), fmt.Sprintf("%016x", pt.Fingerprint), pt.Host})
 }
 
-// scaleWorld is the traffic generator's model state. Every slice is
-// indexed by node and touched only by that node's events — the
-// node-local rule the sharded engine's determinism rests on.
-type scaleWorld struct {
-	c        *net.ShardedCluster
-	nodes    int
-	interval sim.Time // mean per-tenant inter-arrival
-	end      sim.Time // arrival window close
-	bytes    uint64
-
-	nextFree  []sim.Time   // client initiation port busy-until
-	srvFree   []sim.Time   // server engine busy-until
-	issueAt   [][]sim.Time // per client: arrival instant of RPC seq i
-	lats      [][]sim.Time // per client: completed RPC latencies
-	issued    []uint64
-	completed []uint64
+// scaleKnobs are the scale knobs of a Params, resolved.
+type scaleKnobs struct {
+	nodes, shards, arrival, tenants int
+	bytes                           uint64
+	dur                             sim.Time
+	seed                            uint64
+	interval                        sim.Time // per-tenant mean inter-arrival
 }
 
-// scaleParams resolves the scale knobs with their conventional
-// defaults (the cmd/clustersim flag defaults mirror these).
-func scaleParams(p Params) (nodes, shards, arrival, tenants int, bytes uint64, dur sim.Time, seed uint64, err error) {
-	nodes, shards, arrival, tenants = p.Nodes, p.Shards, p.Arrival, p.Tenants
-	bytes, dur, seed = p.ScaleBytes, p.ScaleDur, p.ScaleSeed
-	if nodes == 0 {
-		nodes = 32
-	}
-	if shards == 0 {
-		shards = 4
-	}
-	if arrival == 0 {
-		arrival = 20000
-	}
-	if tenants == 0 {
-		tenants = 2
-	}
-	if bytes == 0 {
-		bytes = 64
-	}
-	if dur == 0 {
-		dur = 2 * sim.Millisecond
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	switch {
-	case nodes < 2:
-		err = fmt.Errorf("exp: scale needs at least 2 nodes (RPCs need a remote peer), got %d", nodes)
-	case shards < 1 || shards > nodes:
-		err = fmt.Errorf("exp: scale shard count %d out of range 1..%d (one node per shard minimum)", shards, nodes)
-	case arrival < 0:
-		err = fmt.Errorf("exp: scale arrival rate must be positive, got %d", arrival)
-	case tenants < 1:
-		err = fmt.Errorf("exp: scale needs at least 1 tenant, got %d", tenants)
-	case dur < 0:
-		err = fmt.Errorf("exp: scale duration must be positive, got %v", dur)
-	}
-	return
-}
-
-// RunScale builds one sharded world under p and runs it to completion
-// with the given intra-world worker count (<= 0 selects GOMAXPROCS).
-// The result is identical for every workers value — the sharded
-// engine's contract — so callers choose workers purely for host speed.
-func RunScale(p Params, workers int) (ScalePoint, error) {
-	pt, _, _, err := runScaleWorld(p, workers, nil)
-	return pt, err
-}
-
-// RunScaleFaulted runs the same world with a fault plane attached to
-// the cross-shard links (judged per message in canonical flush order on
-// the coordinator) and additionally returns the plane's drop and
-// duplicate tallies. A nil plane — or one whose plan is empty, like a
-// zero-plan fault.Injector — reproduces RunScale byte for byte.
-func RunScaleFaulted(p Params, workers int, plane net.FaultPlane) (pt ScalePoint, drops, dups uint64, err error) {
-	return runScaleWorld(p, workers, plane)
-}
-
-func runScaleWorld(p Params, workers int, plane net.FaultPlane) (ScalePoint, uint64, uint64, error) {
-	nodes, shards, arrival, tenants, bytes, dur, seed, err := scaleParams(p)
-	if err != nil {
-		return ScalePoint{}, 0, 0, err
-	}
-	c, err := net.NewShardedCluster(net.ShardedConfig{
-		Nodes:     nodes,
-		Shards:    shards,
-		Link:      net.Gigabit(),
-		Seed:      seed,
-		QueueHint: 4 * nodes / shards,
-	})
-	if err != nil {
-		return ScalePoint{}, 0, 0, err
-	}
-	if plane != nil {
-		c.SetFaultPlane(plane)
-	}
-	w := &scaleWorld{
-		c:     c,
-		nodes: nodes,
-		// Per-tenant mean inter-arrival: Tenants streams per node add
-		// up to the per-node rate. Integer picosecond arithmetic only.
-		interval:  sim.Time(uint64(sim.Second) * uint64(tenants) / uint64(arrival)),
-		end:       dur,
-		bytes:     bytes,
-		nextFree:  make([]sim.Time, nodes),
-		srvFree:   make([]sim.Time, nodes),
-		issueAt:   make([][]sim.Time, nodes),
-		lats:      make([][]sim.Time, nodes),
-		issued:    make([]uint64, nodes),
-		completed: make([]uint64, nodes),
-	}
-	if w.interval <= 0 {
-		return ScalePoint{}, 0, 0, fmt.Errorf("exp: scale arrival rate %d/node too high for %d tenants (zero inter-arrival)", arrival, tenants)
-	}
-	c.SetDeliver(w.deliver)
-	// Prime every tenant stream with a jittered first arrival. Draws
-	// happen in fixed (node, tenant) order on each node's own stream,
-	// so priming is layout-invariant by construction.
-	for n := 0; n < nodes; n++ {
-		for t := 0; t < tenants; t++ {
-			w.scheduleArrival(n, w.jitter(n, 0))
+// resolveScale fills p's zero scale knobs with their defaults (the
+// cmd/clustersim flag defaults mirror these) and checks the result; a
+// machine world adds its own bounds on top.
+func resolveScale(p Params, machine bool) (scaleKnobs, error) {
+	def := func(v *int, d int) {
+		if *v == 0 {
+			*v = d
 		}
 	}
-	if err := c.Run(par.Workers(workers), scaleMaxWindows); err != nil {
-		return ScalePoint{}, 0, 0, err
+	def(&p.Nodes, 32)
+	def(&p.Shards, 4)
+	def(&p.Arrival, 20000)
+	def(&p.Tenants, 2)
+	if p.ScaleBytes == 0 {
+		p.ScaleBytes = 64
 	}
-	drops, dups := c.FaultStats()
-	return w.observe(arrival, tenants, dur), drops, dups, nil
+	if p.ScaleDur == 0 {
+		p.ScaleDur = 2 * sim.Millisecond
+	}
+	if p.ScaleSeed == 0 {
+		p.ScaleSeed = 1
+	}
+	return checkScale(p, machine)
+}
+
+// ValidScale checks p's scale knobs as given, zeros included: the tools
+// call it once, with flag-level messages, to exit 2 before any world is
+// built. A non-empty Protocol selects the machine world's bounds too.
+func ValidScale(p Params) error {
+	_, err := checkScale(p, p.Protocol != "")
+	return err
+}
+
+func checkScale(p Params, machine bool) (scaleKnobs, error) {
+	k := scaleKnobs{nodes: p.Nodes, shards: p.Shards, arrival: p.Arrival, tenants: p.Tenants,
+		bytes: p.ScaleBytes, dur: p.ScaleDur, seed: p.ScaleSeed}
+	switch {
+	case k.nodes < 2:
+		return k, fmt.Errorf("-nodes %d: the scale workload needs at least 2 nodes", k.nodes)
+	case k.shards < 1:
+		return k, fmt.Errorf("-shards %d: need at least 1 shard", k.shards)
+	case k.shards > k.nodes:
+		return k, fmt.Errorf("-shards %d exceeds -nodes %d: a shard must own at least one node", k.shards, k.nodes)
+	case k.arrival <= 0:
+		return k, fmt.Errorf("-arrival %d: the RPC arrival rate must be positive", k.arrival)
+	case k.tenants < 1:
+		return k, fmt.Errorf("-tenants %d: need at least 1 tenant stream per node", k.tenants)
+	case k.dur <= 0:
+		return k, fmt.Errorf("-ms %d: the arrival window must be positive", k.dur/sim.Millisecond)
+	}
+	// Tenants streams per node add up to the per-node rate. Integer
+	// picosecond arithmetic only.
+	k.interval = sim.Time(uint64(sim.Second) * uint64(k.tenants) / uint64(k.arrival))
+	if k.interval <= 0 {
+		return k, fmt.Errorf("-arrival %d: too high for %d tenants per node (zero inter-arrival)", k.arrival, k.tenants)
+	}
+	if machine {
+		return k, checkMachine(p)
+	}
+	return k, nil
+}
+
+// rpcModel is what one scale world adds to the shared generator: the
+// cost of issuing a request, serving it, and landing its completion.
+// Each call runs in the event of the node it names and returns the
+// world's first failure.
+type rpcModel interface {
+	request(n, dst int, seq uint64, now sim.Time) error
+	serve(m net.SMsg, now sim.Time) error
+	complete(m net.SMsg, now sim.Time) error
+}
+
+// rpcGen is the open-loop RPC generator both scale worlds share: the
+// jittered arrival streams, uniform peer choice, issue and latency
+// bookkeeping, and the fold into a ScalePoint. Every slice is indexed
+// by node and touched only by that node's events — the node-local rule
+// the sharded engine's determinism rests on.
+type rpcGen struct {
+	c     *net.ShardedCluster
+	model rpcModel
+	k     scaleKnobs
+	boot  sim.Time // arrivals start after it; goodput is over Finish - boot
+	end   sim.Time // arrival window close (boot + dur)
+
+	rpcState
+}
+
+// rpcState is the generator's own state, and its snapshot payload.
+type rpcState struct {
+	issueAt [][]sim.Time // per client: arrival instant of RPC seq i
+	lats    [][]sim.Time // per client: completed RPC latencies
+	errs    []error      // per node: first event-side failure (handlers cannot return one)
+}
+
+func newRPCGen(c *net.ShardedCluster, k scaleKnobs, boot sim.Time, model rpcModel) *rpcGen {
+	g := &rpcGen{c: c, model: model, k: k, boot: boot, end: boot + k.dur, rpcState: rpcState{
+		issueAt: make([][]sim.Time, k.nodes),
+		lats:    make([][]sim.Time, k.nodes),
+		errs:    make([]error, k.nodes),
+	}}
+	c.SetDeliver(g.deliver)
+	return g
+}
+
+// prime schedules every tenant stream's first arrival past boot. Draws
+// happen in fixed (node, tenant) order on each node's own stream, so
+// priming is layout-invariant by construction.
+func (g *rpcGen) prime() {
+	for n := 0; n < g.k.nodes; n++ {
+		for t := 0; t < g.k.tenants; t++ {
+			g.scheduleArrival(n, g.jitter(n, g.boot))
+		}
+	}
+}
+
+// run drives the primed world to completion; a failed node stops
+// issuing and serving, and the first failure in node order is the
+// world's.
+func (g *rpcGen) run(workers int) error {
+	if err := g.c.Run(par.Workers(workers), scaleMaxWindows); err != nil {
+		return err
+	}
+	for _, err := range g.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // jitter draws the next inter-arrival gap for a stream on node n:
 // uniform in [interval/2, 3*interval/2), mean = interval, all-integer.
-func (w *scaleWorld) jitter(n int, now sim.Time) sim.Time {
-	return now + w.interval/2 + sim.Time(w.c.Rand(n).Uint64()%uint64(w.interval))
+func (g *rpcGen) jitter(n int, now sim.Time) sim.Time {
+	return now + g.k.interval/2 + sim.Time(g.c.Rand(n).Uint64()%uint64(g.k.interval))
 }
 
-func (w *scaleWorld) scheduleArrival(n int, at sim.Time) {
-	w.c.At(n, at, func(now sim.Time) { w.arrive(n, now) })
+func (g *rpcGen) scheduleArrival(n int, at sim.Time) {
+	g.c.At(n, at, func(now sim.Time) { g.arrive(n, now) })
 }
 
 // arrive is one RPC arrival on node n: keep the stream alive, pick a
-// uniform remote peer, queue through the client initiation port, send.
-func (w *scaleWorld) arrive(n int, now sim.Time) {
-	rng := w.c.Rand(n)
-	if next := w.jitter(n, now); next < w.end {
-		w.scheduleArrival(n, next)
+// uniform remote peer, record the issue, hand the request to the model.
+func (g *rpcGen) arrive(n int, now sim.Time) {
+	rng := g.c.Rand(n)
+	if next := g.jitter(n, now); next < g.end {
+		g.scheduleArrival(n, next)
 	}
-	dst := rng.Intn(w.nodes - 1)
+	if g.errs[n] != nil {
+		return
+	}
+	dst := rng.Intn(g.k.nodes - 1)
 	if dst >= n {
 		dst++ // uniform over the other nodes, never self
 	}
-	start := now
-	if w.nextFree[n] > start {
-		start = w.nextFree[n]
-	}
-	done := start + scaleInitCost
-	w.nextFree[n] = done
-	seq := uint64(len(w.issueAt[n]))
-	w.issueAt[n] = append(w.issueAt[n], now)
-	w.issued[n]++
-	w.c.Send(n, dst, scaleKindReq, w.bytes, seq, done)
+	seq := uint64(len(g.issueAt[n]))
+	g.issueAt[n] = append(g.issueAt[n], now)
+	g.fail(n, g.model.request(n, dst, seq, now))
 }
 
-// deliver is the receive hook: requests occupy the server engine and
-// return a completion write; completions close the latency sample.
-func (w *scaleWorld) deliver(m net.SMsg, now sim.Time) {
+// deliver is the fabric receive hook: requests go to the server's
+// model; completions close the latency sample first.
+func (g *rpcGen) deliver(m net.SMsg, now sim.Time) {
+	d := m.Dst
+	if g.errs[d] != nil {
+		return
+	}
 	switch m.Kind {
 	case scaleKindReq:
-		d := m.Dst
-		start := now
-		if w.srvFree[d] > start {
-			start = w.srvFree[d]
-		}
-		done := start + scaleSrvCost
-		w.srvFree[d] = done
-		w.c.Send(d, m.Src, scaleKindResp, scaleRespBytes, m.Arg, done)
+		g.fail(d, g.model.serve(m, now))
 	case scaleKindResp:
-		d := m.Dst
-		w.lats[d] = append(w.lats[d], now-w.issueAt[d][m.Arg])
-		w.completed[d]++
+		g.lats[d] = append(g.lats[d], now-g.issueAt[d][m.Arg])
+		g.fail(d, g.model.complete(m, now))
 	}
 }
 
-// observe folds the finished world into a ScalePoint. Per-node samples
+func (g *rpcGen) fail(n int, err error) {
+	if err != nil && g.errs[n] == nil {
+		g.errs[n] = err
+	}
+}
+
+// SnapshotState implements net.ShardState.
+func (g *rpcGen) SnapshotState() any {
+	st := &rpcState{issueAt: make([][]sim.Time, g.k.nodes), lats: make([][]sim.Time, g.k.nodes), errs: append([]error(nil), g.errs...)}
+	for n := range st.issueAt {
+		st.issueAt[n] = append([]sim.Time(nil), g.issueAt[n]...)
+		st.lats[n] = append([]sim.Time(nil), g.lats[n]...)
+	}
+	return st
+}
+
+// RestoreState implements net.ShardState.
+func (g *rpcGen) RestoreState(state any) error {
+	st, ok := state.(*rpcState)
+	if !ok {
+		return fmt.Errorf("exp: scale world: foreign snapshot payload %T", state)
+	}
+	if len(st.issueAt) != g.k.nodes {
+		return fmt.Errorf("exp: scale world: snapshot of %d nodes onto %d", len(st.issueAt), g.k.nodes)
+	}
+	for n := range st.issueAt {
+		g.issueAt[n] = append(g.issueAt[n][:0], st.issueAt[n]...)
+		g.lats[n] = append(g.lats[n][:0], st.lats[n]...)
+	}
+	copy(g.errs, st.errs)
+	return nil
+}
+
+// point folds the finished world into a ScalePoint. Per-node samples
 // concatenate in node order, so the fold is layout-invariant.
-func (w *scaleWorld) observe(arrival, tenants int, dur sim.Time) ScalePoint {
+func (g *rpcGen) point() ScalePoint {
 	var sample stats.Sample
 	var issued, completed uint64
-	for n := 0; n < w.nodes; n++ {
-		issued += w.issued[n]
-		completed += w.completed[n]
-		for _, l := range w.lats[n] {
+	for n := 0; n < g.k.nodes; n++ {
+		issued += uint64(len(g.issueAt[n]))
+		completed += uint64(len(g.lats[n]))
+		for _, l := range g.lats[n] {
 			sample.Add(l)
 		}
 	}
-	t := w.c.Totals()
+	t := g.c.Totals()
 	pt := ScalePoint{
-		Nodes:   w.nodes,
-		Shards:  w.c.Config().Shards,
-		Arrival: arrival,
-		Tenants: tenants,
-		Bytes:   w.bytes,
-		Dur:     dur,
+		Nodes:   g.k.nodes,
+		Shards:  g.k.shards,
+		Arrival: g.k.arrival,
+		Tenants: g.k.tenants,
+		Bytes:   g.k.bytes,
+		Dur:     g.k.dur,
 
 		Issued:    issued,
 		Completed: completed,
@@ -334,26 +373,87 @@ func (w *scaleWorld) observe(arrival, tenants int, dur sim.Time) ScalePoint {
 		Events:      t.Events,
 		Windows:     t.Windows,
 		Finish:      t.Finish,
-		Fingerprint: w.c.Fingerprint(),
+		Fingerprint: g.c.Fingerprint(),
 	}
-	if t.Finish > 0 {
-		secs := float64(t.Finish) / 1e12
-		pt.GoodputMBps = float64(completed) * float64(w.bytes) / secs / 1e6
+	if t.Finish > g.boot {
+		secs := float64(t.Finish-g.boot) / 1e12
+		pt.GoodputMBps = float64(completed) * float64(g.k.bytes) / secs / 1e6
 		pt.GoodputRPCs = float64(completed) / secs
 	}
 	return pt
 }
+
+// scaleWorld is the flat world: the generator over busy-until costs.
+type scaleWorld struct {
+	*rpcGen
+	nextFree []sim.Time // client initiation port busy-until
+	srvFree  []sim.Time // server engine busy-until
+}
+
+// newScaleWorld builds the flat world under p, unprimed.
+func newScaleWorld(p Params) (*scaleWorld, error) {
+	k, err := resolveScale(p, false)
+	if err != nil {
+		return nil, err
+	}
+	c, err := net.NewShardedCluster(net.ShardedConfig{
+		Nodes:     k.nodes,
+		Shards:    k.shards,
+		Link:      net.Gigabit(),
+		Seed:      k.seed,
+		QueueHint: 4 * k.nodes / k.shards,
+	})
+	if err != nil {
+		return nil, err
+	}
+	w := &scaleWorld{nextFree: make([]sim.Time, k.nodes), srvFree: make([]sim.Time, k.nodes)}
+	w.rpcGen = newRPCGen(c, k, 0, w)
+	return w, nil
+}
+
+// RunScale builds one sharded world under p and runs it to completion
+// with the given intra-world worker count (<= 0 selects GOMAXPROCS).
+// The result is identical for every workers value — the sharded
+// engine's contract — so callers choose workers purely for host speed.
+func RunScale(p Params, workers int) (ScalePoint, error) {
+	w, err := newScaleWorld(p)
+	if err != nil {
+		return ScalePoint{}, err
+	}
+	w.prime()
+	if err := w.run(workers); err != nil {
+		return ScalePoint{}, err
+	}
+	return w.point(), nil
+}
+
+// request queues the RPC through the client's initiation port.
+func (w *scaleWorld) request(n, dst int, seq uint64, now sim.Time) error {
+	w.nextFree[n] = max(now, w.nextFree[n]) + scaleInitCost
+	w.c.Send(n, dst, scaleKindReq, w.k.bytes, seq, w.nextFree[n])
+	return nil
+}
+
+// serve occupies the server engine and returns a completion write.
+func (w *scaleWorld) serve(m net.SMsg, now sim.Time) error {
+	d := m.Dst
+	w.srvFree[d] = max(now, w.srvFree[d]) + scaleSrvCost
+	w.c.Send(d, m.Src, scaleKindResp, scaleRespBytes, m.Arg, w.srvFree[d])
+	return nil
+}
+
+func (w *scaleWorld) complete(net.SMsg, sim.Time) error { return nil }
 
 // scaleCells expands the experiment: one cell, one sharded world. The
 // grid stays width-one because the world already spans the whole
 // cluster; p.Procs becomes the INTRA-world worker count instead of the
 // usual cell fan-out (there is nothing else to fan out).
 func scaleCells(p Params) ([]Cell, error) {
-	nodes, shards, _, _, _, _, _, err := scaleParams(p)
+	k, err := resolveScale(p, false)
 	if err != nil {
 		return nil, err
 	}
-	cfg := fmt.Sprintf("%dn/%ds", nodes, shards)
+	cfg := fmt.Sprintf("%dn/%ds", k.nodes, k.shards)
 	return []Cell{{Config: cfg, Run: func() (Obs, bool, error) {
 		pt, err := RunScale(p, p.Procs)
 		if err != nil {

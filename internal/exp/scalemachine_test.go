@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uldma/internal/fault"
+	"uldma/internal/net"
 	"uldma/internal/sim"
 )
 
@@ -24,17 +25,13 @@ func normalizeScaleM(pt ScaleMachinePoint) ScaleMachinePoint {
 // fingerprint) at shards × workers {1,4,8}. The world is small enough
 // to run the full 3×3 grid under the race detector too.
 func TestScaleMachineShardParity(t *testing.T) {
-	method, err := scaleMMethod("extshadow")
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := Params{Nodes: 128, Arrival: 5000, ScaleDur: sim.Millisecond}
 	var ref ScaleMachinePoint
 	have := false
 	for _, shards := range []int{1, 4, 8} {
 		for _, workers := range []int{1, 4, 8} {
 			p.Shards = shards
-			pt, err := RunScaleMachine(method, p, workers)
+			pt, err := RunScaleMachineNamed("extshadow", p, workers)
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 			}
@@ -66,11 +63,7 @@ func TestScaleMachineProtocols(t *testing.T) {
 	p := Params{Nodes: 16, Shards: 4, Arrival: 5000, ScaleDur: sim.Millisecond}
 	p50 := map[string]sim.Time{}
 	for _, name := range []string{"kernel", "extshadow", "keybased", "repeated"} {
-		method, err := scaleMMethod(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt, err := RunScaleMachine(method, p, 2)
+		pt, err := RunScaleMachineNamed(name, p, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -94,10 +87,6 @@ func TestScaleMachineThousandNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-machine world in -short mode")
 	}
-	method, err := scaleMMethod("extshadow")
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := Params{Nodes: 1000, Arrival: 2000, ScaleDur: sim.Millisecond}
 	grid := [][2]int{{1, 1}, {4, 1}, {4, 4}, {8, 8}, {1, 4}, {8, 1}}
 	if raceEnabled {
@@ -107,7 +96,7 @@ func TestScaleMachineThousandNode(t *testing.T) {
 	have := false
 	for _, sw := range grid {
 		p.Shards = sw[0]
-		pt, err := RunScaleMachine(method, p, sw[1])
+		pt, err := RunScaleMachineNamed("extshadow", p, sw[1])
 		if err != nil {
 			t.Fatalf("shards=%d workers=%d: %v", sw[0], sw[1], err)
 		}
@@ -128,10 +117,41 @@ func TestScaleMachineThousandNode(t *testing.T) {
 	}
 }
 
+// scaleProtocolNamed looks one protocol up in the machine world's
+// line-up.
+func scaleProtocolNamed(t *testing.T, name string) scaleProtocol {
+	t.Helper()
+	sps, err := selectProtocols(name)
+	if err != nil || len(sps) != 1 {
+		t.Fatalf("protocol %q: %v", name, err)
+	}
+	return sps[0]
+}
+
+// faultedMachineRun builds the hosted fleet, attaches plane (nil for
+// none) to the cross-shard links, then primes and runs it.
+func faultedMachineRun(t *testing.T, p Params, workers int, plane net.FaultPlane) (pt ScaleMachinePoint, drops, dups uint64) {
+	t.Helper()
+	w, err := newScaleMachineWorld(scaleProtocolNamed(t, "extshadow"), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plane != nil {
+		w.c.SetFaultPlane(plane)
+	}
+	w.prime()
+	if err := w.run(workers); err != nil {
+		t.Fatalf("shards=%d workers=%d: %v", p.Shards, workers, err)
+	}
+	drops, dups = w.c.FaultStats()
+	return w.observe(), drops, dups
+}
+
 // TestScaleMachineFaultParity pins the cross-shard fault injector on
 // the hosted-machine path: the same (plan, seed) perturbs the same
-// world identically at every layout, and the zero plan is byte-equal
-// to no plane at all (the golden-invariance proof).
+// fleet identically at every layout — points, engine counters and
+// machine digest included — and the zero plan is byte-equal to no
+// plane at all (the golden-invariance proof).
 func TestScaleMachineFaultParity(t *testing.T) {
 	p := Params{Nodes: 32, Arrival: 20000, ScaleDur: sim.Millisecond}
 	plan := fault.Plan{Default: fault.LinkFaults{Drop: 0.05, Dup: 0.02}}
@@ -139,20 +159,16 @@ func TestScaleMachineFaultParity(t *testing.T) {
 	if raceEnabled {
 		layouts = [][2]int{{1, 1}, {4, 4}, {8, 8}}
 	}
-	var ref ScalePoint
+	var ref ScaleMachinePoint
 	var refDrops, refDups uint64
-	have := false
-	for _, sw := range layouts {
+	for i, sw := range layouts {
 		p.Shards = sw[0]
-		pt, drops, dups, err := RunScaleFaulted(p, sw[1], fault.New(plan, 77))
-		if err != nil {
-			t.Fatalf("shards=%d workers=%d: %v", sw[0], sw[1], err)
-		}
-		got := normalizeScale(pt)
-		if !have {
-			ref, refDrops, refDups, have = got, drops, dups, true
-			if refDrops == 0 || refDups == 0 {
-				t.Fatalf("plan drew no faults (drops=%d dups=%d) — the parity check is vacuous", refDrops, refDups)
+		pt, drops, dups := faultedMachineRun(t, p, sw[1], fault.New(plan, 77))
+		got := normalizeScaleM(pt)
+		if i == 0 {
+			ref, refDrops, refDups = got, drops, dups
+			if refDrops == 0 || refDups == 0 || ref.Completed == 0 || ref.MachineDigest == 0 {
+				t.Fatalf("degenerate faulted run (drops=%d dups=%d): %+v — the parity check is vacuous", refDrops, refDups, ref)
 			}
 			continue
 		}
@@ -164,14 +180,8 @@ func TestScaleMachineFaultParity(t *testing.T) {
 
 	// Zero plan: provably inert — byte-equal to no plane at all.
 	p.Shards = 4
-	plain, err := RunScale(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroed, drops, dups, err := RunScaleFaulted(p, 4, fault.New(fault.Plan{}, 99))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, _, _ := faultedMachineRun(t, p, 4, nil)
+	zeroed, drops, dups := faultedMachineRun(t, p, 4, fault.New(fault.Plan{}, 99))
 	if zeroed != plain || drops != 0 || dups != 0 {
 		t.Errorf("zero-plan run differs from plain run:\n got %+v (drops=%d dups=%d)\nwant %+v", zeroed, drops, dups, plain)
 	}
@@ -183,12 +193,8 @@ func TestScaleMachineFaultParity(t *testing.T) {
 // the pre-traffic fleet, run it, rewind, run again, and demand the
 // SAME observation both times.
 func TestScaleMachineSnapshotRestore(t *testing.T) {
-	method, err := scaleMMethod("keybased")
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := Params{Nodes: 16, Shards: 4, Arrival: 5000, ScaleDur: sim.Millisecond}
-	w, err := newScaleMachineWorld(method, p)
+	w, err := newScaleMachineWorld(scaleProtocolNamed(t, "keybased"), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +203,10 @@ func TestScaleMachineSnapshotRestore(t *testing.T) {
 		t.Fatalf("pre-traffic snapshot: %v", err)
 	}
 	w.prime()
-	first, err := w.run(2)
-	if err != nil {
+	if err := w.run(2); err != nil {
 		t.Fatal(err)
 	}
+	first := w.observe()
 	if first.Completed == 0 {
 		t.Fatalf("degenerate first run: %+v", first)
 	}
@@ -208,20 +214,16 @@ func TestScaleMachineSnapshotRestore(t *testing.T) {
 		t.Fatalf("restore: %v", err)
 	}
 	w.prime()
-	second, err := w.run(2)
-	if err != nil {
+	if err := w.run(2); err != nil {
 		t.Fatal(err)
 	}
+	second := w.observe()
 	if second != first {
 		t.Errorf("restored world diverges:\n got %+v\nwant %+v", second, first)
 	}
 }
 
 func TestScaleMachineValidation(t *testing.T) {
-	good, err := scaleMMethod("extshadow")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name string
 		p    Params
@@ -233,7 +235,7 @@ func TestScaleMachineValidation(t *testing.T) {
 		{"negative arrival", Params{Arrival: -10}},
 	}
 	for _, tc := range cases {
-		if _, err := RunScaleMachine(good, tc.p, 1); err == nil {
+		if _, err := RunScaleMachineNamed("extshadow", tc.p, 1); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 		// The cell expansion path must reject the same configs, so the
@@ -242,14 +244,16 @@ func TestScaleMachineValidation(t *testing.T) {
 			t.Errorf("%s: scaleMachineCells accepted", tc.name)
 		}
 	}
-	if _, err := scaleMMethod("bogus"); err == nil {
-		t.Error("unknown protocol name accepted")
+	for _, name := range []string{"bogus", "all"} {
+		if _, err := RunScaleMachineNamed(name, Params{Nodes: 8}, 1); err == nil {
+			t.Errorf("RunScaleMachineNamed accepted %q", name)
+		}
 	}
 	if _, err := scaleMachineCells(Params{Protocol: "bogus"}); err == nil {
 		t.Error("scaleMachineCells accepted an unknown protocol")
 	}
 	for _, name := range []string{"", "all"} {
-		ms, err := scaleMProtocols(name)
+		ms, err := selectProtocols(name)
 		if err != nil {
 			t.Fatalf("%q: %v", name, err)
 		}

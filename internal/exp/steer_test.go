@@ -28,7 +28,7 @@ func TestSteerBreakEvenMatchesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := BreakEvenGroups(r, Params{Procs: 2})
+	groups := BreakEvenGroups(r)
 	res, lanes, err := SteeredBreakEven(Params{Procs: 2}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -553,8 +553,8 @@ const steerZoomSplits = 3
 // SteeredBreakEven runs the bisect search. The grid it replaces is the
 // exhaustive breakeven experiment: methods × sizes.
 func SteeredBreakEven(p Params, tr *obs.Trace) (*SteerResult, []FrontierOutcome, error) {
-	pol := NewFrontierPolicy(p.sizes())
-	s := &Steered{Name: "breakeven", GridCells: len(BreakEvenMethods()) * len(p.sizes()), Policy: pol}
+	pol := NewFrontierPolicy(userdma.DefaultSizes)
+	s := &Steered{Name: "breakeven", GridCells: len(BreakEvenMethods()) * len(userdma.DefaultSizes), Policy: pol}
 	res, err := RunSteered(s, p, tr)
 	if err != nil {
 		return nil, nil, err

@@ -23,18 +23,18 @@ func init() {
 			Text:     trendText,
 			Markdown: trendMarkdown,
 		},
-		JSON: func(r *Result, p Params, d *Doc) { d.Trend = TrendPoints(r, p) },
+		JSON: func(r *Result, p Params, d *Doc) { d.Trend = TrendPoints(r) },
 	})
 }
 
 // trendPerEra is the cell count per era: kernel initiation, user
 // initiation, then one break-even cell per size.
-func trendPerEra(p Params) int { return 2 + len(p.sizes()) }
+func trendPerEra() int { return 2 + len(userdma.DefaultSizes) }
 
 func trendCells(p Params) ([]Cell, error) {
 	eras := userdma.TrendEras()
-	sizes := p.sizes()
-	perEra := trendPerEra(p)
+	sizes := userdma.DefaultSizes
+	perEra := trendPerEra()
 	cells := make([]Cell, len(eras)*perEra)
 	for i := range cells {
 		i := i
@@ -71,9 +71,9 @@ func trendCells(p Params) ([]Cell, error) {
 }
 
 // TrendPoints folds an ordered trend result into one point per era.
-func TrendPoints(r *Result, p Params) []userdma.TrendPoint {
-	sizes := p.sizes()
-	perEra := trendPerEra(p)
+func TrendPoints(r *Result) []userdma.TrendPoint {
+	sizes := userdma.DefaultSizes
+	perEra := trendPerEra()
 	var out []userdma.TrendPoint
 	for base := 0; base+perEra <= len(r.Cells); base += perEra {
 		pts := make([]userdma.BreakEvenPoint, len(sizes))
@@ -95,7 +95,7 @@ func trendText(r *Result, p Params) string {
 	var b strings.Builder
 	b.WriteString("Hardware-generation trend (X7) — the motivating §1/§2.2 argument\n")
 	tb := stats.NewTable("era", "kernel init", "ext-shadow init", "ratio", "kernel break-even")
-	for _, pt := range TrendPoints(r, p) {
+	for _, pt := range TrendPoints(r) {
 		tb.AddRow(pt.Era, pt.KernelInit, pt.UserInit,
 			stats.Ratio(pt.KernelInit, pt.UserInit),
 			fmt.Sprintf("%dB", pt.KernelCrossover))
@@ -114,7 +114,7 @@ func trendMarkdown(r *Result, p Params) string {
 	b.WriteString("\n## X7 — hardware-generation trend (the §1 motivation)\n")
 	b.WriteString("\n| era | kernel init | ext-shadow init | ratio | kernel break-even |\n")
 	b.WriteString("|---|---|---|---|---|\n")
-	for _, pt := range TrendPoints(r, p) {
+	for _, pt := range TrendPoints(r) {
 		fmt.Fprintf(&b, "| %s | %v | %v | %.0fx | %dB |\n", pt.Era, pt.KernelInit, pt.UserInit,
 			float64(pt.KernelInit)/float64(pt.UserInit), pt.KernelCrossover)
 	}
