@@ -64,10 +64,11 @@ shardparity:
 # The descriptor-ring contracts, run under the race detector: amortized
 # initiation falls monotonically with depth (2x floor at depth 32),
 # depth/churn measurements are rerun-deterministic, a mid-batch fleet
-# snapshot rewinds byte-identically, and the doorbell->walk->completion
-# hot path stays at 0 allocs/op.
+# snapshot rewinds byte-identically, the doorbell->walk->completion
+# hot path stays at 0 allocs/op, and a zero-size descriptor on a
+# physical or a virtual ring completes exactly once.
 ringparity:
-	$(GO) test -race -run 'TestRingDepthAmortizes|TestRingDepthDeterministic|TestRingChurnPolicies|TestRingSnapshotFidelity|TestRingDoorbellZeroAllocs' ./internal/core ./internal/dma
+	$(GO) test -race -run 'TestRingDepthAmortizes|TestRingDepthDeterministic|TestRingChurnPolicies|TestRingSnapshotFidelity|TestRingDoorbellZeroAllocs|TestRingZeroSizeCompletesOnce' ./internal/core ./internal/dma
 
 # The virtual-address plane's contracts, run under the race detector:
 # a world snapshotted with a transfer PARKED mid-fault rewinds and

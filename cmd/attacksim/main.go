@@ -41,6 +41,17 @@ func main() {
 		fmt.Print(exp.List())
 		return
 	}
+	// Every flag is checked before any world is built or anything is
+	// printed: nonsense exits 2 with a flag-level message.
+	exp.RequireNonNegative("attacksim", exp.Count{Flag: "-slots", N: *attackerSlots}, exp.Count{Flag: "-seeds", N: *seeds})
+	switch *figure {
+	case 0, 5, 6, 8:
+	default:
+		exp.Fail("attacksim", 2, fmt.Errorf("-figure %d: want 5, 6 or 8 (0 = all)", *figure))
+	}
+	if *seqLen < 3 || *seqLen > 5 {
+		exp.Fail("attacksim", 2, fmt.Errorf("-seqlen %d: want 3, 4 or 5", *seqLen))
+	}
 
 	if *victimSrc != "" {
 		if err := custom(*seqLen, *shareA, *victimSrc, *attackerSrc, *schedule); err != nil {
@@ -55,10 +66,8 @@ func main() {
 			return figure5()
 		case 6:
 			return figure6()
-		case 8:
-			return figure8(*attackerSlots, *seeds, *procs)
 		default:
-			return fmt.Errorf("unknown figure %d", f)
+			return figure8(*attackerSlots, *seeds, *procs)
 		}
 	}
 	figures := []int{5, 6, 8}

@@ -60,10 +60,11 @@ func main() {
 		return
 	}
 	// -msgs sizes every faultsweep cell and heads the JSON document, so
-	// it is checked before any world is built.
+	// it is checked before any world is built, like the search counts.
 	if *msgs < 1 {
 		exp.Fail("faultsim", 2, fmt.Errorf("-msgs %d: need at least one message per cell", *msgs))
 	}
+	exp.RequireNonNegative("faultsim", exp.Count{Flag: "-seeds", N: *seeds}, exp.Count{Flag: "-depth", N: *depth})
 	if err := run(*msgs, *seeds, *depth, *procs, *jsonOut); err != nil {
 		exp.Fail("faultsim", 1, err)
 	}

@@ -41,6 +41,11 @@ func main() {
 	if !*steer && *iters < 10 {
 		exp.Fail("oslat", 2, fmt.Errorf("-iters %d: need at least 10 (the PAL-call and uncached-load rows run -iters/10 times)", *iters))
 	}
+	// The steered climb's decision log is text only, so -json cannot
+	// combine with it (as dmabench refuses -tlb without -va).
+	if *steer && *jsonOut {
+		exp.Fail("oslat", 2, fmt.Errorf("-json cannot combine with -steer (its decision log is text only)"))
+	}
 	if *steer {
 		if err := runSteered(*procs); err != nil {
 			exp.Fail("oslat", 1, err)

@@ -49,6 +49,7 @@ func main() {
 	if *iters < 1 {
 		exp.Fail("report", 2, fmt.Errorf("-iters %d: need at least one initiation per measurement", *iters))
 	}
+	exp.RequireNonNegative("report", exp.Count{Flag: "-seeds", N: *seeds})
 	names := defaultSections(*ring, *va, *steer)
 	if *jsonOut {
 		names = jsonSections

@@ -61,13 +61,13 @@ func runTool(t *testing.T, dir, tool string, args ...string) []byte {
 	return stdout.Bytes()
 }
 
-// runToolErr runs a tool expected to FAIL, returning its exit code and
-// stderr. A clean exit is itself a test failure.
-func runToolErr(t *testing.T, dir, tool string, args ...string) (int, string) {
+// runToolErr runs a tool expected to FAIL, returning its exit code,
+// stdout and stderr. A clean exit is itself a test failure.
+func runToolErr(t *testing.T, dir, tool string, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	var stderr bytes.Buffer
+	var out, errOut bytes.Buffer
 	cmd := exec.Command(filepath.Join(dir, tool), args...)
-	cmd.Stderr = &stderr
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
 	if err == nil {
 		t.Fatalf("%s %v: expected a non-zero exit", tool, args)
@@ -76,7 +76,7 @@ func runToolErr(t *testing.T, dir, tool string, args ...string) (int, string) {
 	if !ok {
 		t.Fatalf("%s %v: %v", tool, args, err)
 	}
-	return ee.ExitCode(), stderr.String()
+	return ee.ExitCode(), out.String(), errOut.String()
 }
 
 // goldenCases is the pinned (tool, flags) -> file matrix. The flags
@@ -248,8 +248,11 @@ func TestVAFlagRejection(t *testing.T) {
 
 // TestCountFlagRejection pins the count floors: an -iters or -msgs
 // below 1 would print rows of measurements never made (0.00 µs Table 1
-// rows, a JSON header claiming the count), so each tool dies with exit
-// status 2 before any world is built.
+// rows, a JSON header claiming the count), and a negative -slots,
+// -seeds or -depth would print a verdict over a run of minus N (or
+// silently run the default), so each tool dies with exit status 2
+// before any world is built. attacksim's -figure and -seqlen are
+// checked the same way, before the custom duel prints its banner.
 func TestCountFlagRejection(t *testing.T) {
 	checkFlagRejections(t, "dmabench", []flagCase{
 		{"dmabench-zero-iters", []string{"-iters", "0"}, "-iters 0"},
@@ -265,6 +268,17 @@ func TestCountFlagRejection(t *testing.T) {
 	checkFlagRejections(t, "faultsim", []flagCase{
 		{"faultsim-zero-msgs", []string{"-msgs", "0"}, "-msgs 0"},
 		{"faultsim-zero-msgs-json", []string{"-msgs", "0", "-json"}, "-msgs 0"},
+		{"faultsim-negative-seeds", []string{"-seeds", "-2"}, "-seeds -2"},
+		{"faultsim-negative-depth", []string{"-depth", "-1"}, "-depth -1"},
+	})
+	checkFlagRejections(t, "attacksim", []flagCase{
+		{"attacksim-negative-slots", []string{"-figure", "8", "-slots", "-1"}, "-slots -1"},
+		{"attacksim-negative-seeds", []string{"-seeds", "-3"}, "-seeds -3"},
+		{"attacksim-unknown-figure", []string{"-figure", "7"}, "-figure 7"},
+		{"attacksim-bad-seqlen", []string{"-victim", "load A", "-seqlen", "9"}, "-seqlen 9"},
+	})
+	checkFlagRejections(t, "report", []flagCase{
+		{"report-negative-seeds", []string{"-only", "attacks", "-seeds", "-4"}, "-seeds -4"},
 	})
 }
 
@@ -283,9 +297,12 @@ func checkFlagRejections(t *testing.T, tool string, cases []flagCase) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			code, stderr := runToolErr(t, dir, tool, tc.args...)
+			code, stdout, stderr := runToolErr(t, dir, tool, tc.args...)
 			if code != 2 {
 				t.Fatalf("%s %v exited %d, want 2\n%s", tool, tc.args, code, stderr)
+			}
+			if stdout != "" {
+				t.Fatalf("%s %v printed before rejecting its flags:\n%s", tool, tc.args, stdout)
 			}
 			if !bytes.Contains([]byte(stderr), []byte(tc.want)) {
 				t.Fatalf("%s %v stderr lacks %q:\n%s", tool, tc.args, tc.want, stderr)
@@ -365,11 +382,13 @@ func TestScaleFlagRejection(t *testing.T) {
 // TestOSLatFlagRejection pins oslat's -iters floor: the PAL-call and
 // uncached-load rows run -iters/10 iterations, so a smaller count must
 // die with exit status 2 before any world is built, instead of
-// printing 0ps rows and blaming the model.
+// printing 0ps rows and blaming the model. -steer prints a text
+// decision log, so -steer -json is refused the same way.
 func TestOSLatFlagRejection(t *testing.T) {
 	checkFlagRejections(t, "oslat", []flagCase{
 		{"zero-iters", []string{"-iters", "0"}, "-iters 0"},
 		{"five-iters", []string{"-iters", "5"}, "-iters 5"},
 		{"five-iters-json", []string{"-iters", "5", "-json"}, "-iters 5"},
+		{"steer-json", []string{"-steer", "-json"}, "-json cannot combine with -steer"},
 	})
 }

@@ -101,15 +101,19 @@ func TestBoundsChecksRejectWrap(t *testing.T) {
 
 	v := newVAEngine(t, ModePaired, nil)
 	limit := uint64(1) << v.e.cfg.MemBits
-	if !v.e.validateVA(0, vaSrcVA, vaDstVA, limit-vaDstVA) {
-		t.Error("validateVA: exact fit rejected")
+	admitVA := func(size uint64) bool {
+		_, ok := v.e.admitVA(args{src: phys.Addr(vaSrcVA), dst: phys.Addr(vaDstVA), size: size, virt: true})
+		return ok
 	}
-	if v.e.validateVA(0, vaSrcVA, vaDstVA, limit-vaDstVA+1) {
-		t.Error("validateVA: one byte past the VA space accepted")
+	if !admitVA(limit - vaDstVA) {
+		t.Error("admitVA: exact fit rejected")
+	}
+	if admitVA(limit - vaDstVA + 1) {
+		t.Error("admitVA: one byte past the VA space accepted")
 	}
 	for _, size := range wraps {
-		if v.e.validateVA(0, vaSrcVA, vaDstVA, size) {
-			t.Errorf("validateVA: size %#x accepted", size)
+		if admitVA(size) {
+			t.Errorf("admitVA: size %#x accepted", size)
 		}
 	}
 

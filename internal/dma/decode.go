@@ -113,17 +113,7 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 			e.ctr.Rejected.Inc()
 			return StatusFailure, 0, nil
 		}
-		var t *Transfer
-		var ok bool
-		if p.virt {
-			t, ok = e.startVA(now, p.vctx, uint64(src), uint64(p.dst), p.size)
-		} else {
-			t, ok = e.start(now, src, p.dst, p.size)
-		}
-		if !ok {
-			return StatusFailure, 0, nil
-		}
-		return t.Remaining(now), 0, nil
+		return e.initiate(now, -1, args{src: src, dst: p.dst, size: p.size, virt: p.virt, vctx: p.vctx}), 0, nil
 
 	case ModeKeyed:
 		// Loads from the shadow window are not part of the keyed
@@ -147,17 +137,7 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 			}
 			p := e.pending
 			e.pending.valid = false
-			var t *Transfer
-			var ok bool
-			if p.virt {
-				t, ok = e.startVA(now, p.vctx, uint64(src), uint64(p.dst), p.size)
-			} else {
-				t, ok = e.start(now, src, p.dst, p.size)
-			}
-			if !ok {
-				return StatusFailure, 0, nil
-			}
-			return t.Remaining(now), 0, nil
+			return e.initiate(now, -1, args{src: src, dst: p.dst, size: p.size, virt: p.virt, vctx: p.vctx}), 0, nil
 		}
 		c := &e.ctxs[ctx]
 		if c.haveDst && c.haveSize {
@@ -168,19 +148,8 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 				e.ctr.Rejected.Inc()
 				return StatusFailure, 0, nil
 			}
-			dst, size := c.dst, c.size
 			c.haveDst, c.haveSize = false, false
-			var t *Transfer
-			var ok bool
-			if c.virt {
-				t, ok = e.startCtxVA(now, ctx, c.vctx, uint64(src), uint64(dst), size)
-			} else {
-				t, ok = e.startCtx(now, ctx, src, dst, size)
-			}
-			if !ok {
-				return StatusFailure, 0, nil
-			}
-			return t.Remaining(now), 0, nil
+			return e.initiate(now, ctx, args{src: src, dst: c.dst, size: c.size, virt: c.virt, vctx: c.vctx}), 0, nil
 		}
 		if c.cur != nil {
 			// No half-initiation outstanding: poll the running transfer.
@@ -225,22 +194,11 @@ func (e *Engine) ctxLoad(now sim.Time, off uint64) (uint64, int64, error) {
 	}
 	c := &e.ctxs[ctx]
 	if c.haveDst && c.haveSrc && c.haveSize {
-		src, dst, size := c.src, c.dst, c.size
-		virt, vctx := c.virt, c.vctx
 		c.haveDst, c.haveSrc, c.haveSize = false, false, false
-		var t *Transfer
-		var ok bool
-		if virt {
-			// Keyed-mode arguments collected through the VA window (the
-			// pair rule in shadowStore keeps src/dst in the same window).
-			t, ok = e.startCtxVA(now, ctx, vctx, uint64(src), uint64(dst), size)
-		} else {
-			t, ok = e.startCtx(now, ctx, src, dst, size)
-		}
-		if !ok {
-			return StatusFailure, 0, nil
-		}
-		return t.Remaining(now), 0, nil
+		// Keyed-mode arguments collected through the VA window are
+		// virtual (the pair rule in shadowStore keeps src/dst in the
+		// same window).
+		return e.initiate(now, ctx, args{src: c.src, dst: c.dst, size: c.size, virt: c.virt, vctx: c.vctx}), 0, nil
 	}
 	if c.cur != nil {
 		return c.cur.Remaining(now), 0, nil
@@ -257,7 +215,7 @@ func (e *Engine) controlStore(now sim.Time, off uint64, val uint64) (int64, erro
 		e.regDst = val
 	case RegSize:
 		// Figure 1: writing the size starts the kernel-programmed DMA.
-		e.start(now, phys.Addr(e.regSrc), phys.Addr(e.regDst), val)
+		e.start(now, args{src: phys.Addr(e.regSrc), dst: phys.Addr(e.regDst), size: val})
 	case RegPID:
 		e.SetCurrentPID(int(val))
 	case RegAbort:
@@ -369,11 +327,7 @@ func (e *Engine) mappedOutInitiate(now sim.Time, off uint64, size uint64) (uint6
 		e.ctr.Rejected.Inc()
 		return StatusFailure, 0, nil
 	}
-	t, started := e.start(now, src, dst, size)
-	if !started {
-		return StatusFailure, 0, nil
-	}
-	return t.Remaining(now), 0, nil
+	return e.initiate(now, -1, args{src: src, dst: dst, size: size}), 0, nil
 }
 
 // --- repeated-passing sequence FSM (§3.3) ---
@@ -469,19 +423,8 @@ func (e *Engine) seqAccess(now sim.Time, kind accKind, pa phys.Addr, data uint64
 		return StatusAccepted
 	}
 	// Pattern complete: start the transfer.
-	src, dst := s.srcDst()
-	size := s.size
-	virt, vctx := s.virt, s.vctx
+	a := args{size: s.size, virt: s.virt, vctx: s.vctx}
+	a.src, a.dst = s.srcDst()
 	s.reset()
-	var t *Transfer
-	var started bool
-	if virt {
-		t, started = e.startVA(now, vctx, uint64(src), uint64(dst), size)
-	} else {
-		t, started = e.start(now, src, dst, size)
-	}
-	if !started {
-		return StatusFailure
-	}
-	return t.Remaining(now)
+	return e.initiate(now, -1, a)
 }

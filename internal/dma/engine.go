@@ -442,11 +442,7 @@ type Engine struct {
 
 	// rings holds the per-context descriptor rings (ring.go); the slice
 	// always matches ctxs in length, usable only when RingBase is set.
-	// ringZeroDefer is the startRing<->schedule handshake that lets the
-	// pooled ring completion record double as a zero-size transfer's
-	// finish event.
-	rings         []ringState
-	ringZeroDefer bool
+	rings []ringState
 
 	// Virtual-address DMA state (va.go): the attached translator and
 	// fault resolver, the active recovery policy, transfers parked on a
@@ -597,9 +593,6 @@ func (e *Engine) Remote() RemoteHandler { return e.remote }
 // are skipped, and Snapshot refuses (a snapshot without the log could
 // not restore faithfully). Logging is on by default.
 func (e *Engine) SetLogging(on bool) { e.logging = on }
-
-// Logging reports whether the transfer log is being kept.
-func (e *Engine) Logging() bool { return e.logging }
 
 // SetBusReserver attaches the bus the engine steals cycles from while
 // mastering transfers.

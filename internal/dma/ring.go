@@ -222,7 +222,6 @@ type ringCompletion struct {
 	slot phys.Addr // descriptor slot base the record is written to
 	ctx  int32
 	gen  uint32 // ring generation at acceptance
-	zero bool   // zero-size transfer: this record also delivers finish
 	fire func(sim.Time)
 }
 
@@ -237,15 +236,16 @@ func (e *Engine) getRingC() *ringCompletion {
 	return c
 }
 
-// run lands the completion record. Transfers whose ring was torn down
+// run lands the completion record; for a zero-size transfer it is also
+// the finish event (see schedule). Transfers whose ring was torn down
 // or re-armed since acceptance still write their record (the engine
 // masters the bus; the frames were valid at acceptance) but no longer
 // touch the new ring's bookkeeping.
 func (c *ringCompletion) run(at sim.Time) {
-	e, t, slot, ctx, gen, zero := c.e, c.t, c.slot, c.ctx, c.gen, c.zero
+	e, t, slot, ctx, gen := c.e, c.t, c.slot, c.ctx, c.gen
 	c.t = nil
 	e.freeRingC = append(e.freeRingC, c)
-	if zero && !t.Failed {
+	if t.Size == 0 && !t.Failed {
 		e.finish(t)
 	}
 	status := uint64(0)
@@ -257,9 +257,7 @@ func (c *ringCompletion) run(at sim.Time) {
 	if r.gen == gen && r.inFlight > 0 {
 		r.inFlight--
 	}
-	if !e.logging && t != e.last && t.delivered {
-		e.freeT = append(e.freeT, t)
-	}
+	e.retire(t, e.last)
 }
 
 // writeCompletion stores the (status, timestamp) record into a
@@ -320,14 +318,18 @@ func (e *Engine) ringStore(now sim.Time, off uint64, val uint64) (int64, error) 
 }
 
 // walkDescriptor consumes one slot: fetch the arguments the client left
-// in memory, validate them against the registered extents, start the
-// transfer on the shared channel, and arrange the completion record.
+// in memory, validate them, start the transfer on the shared channel,
+// and arrange the completion record. A physical ring checks the
+// registered extents; on a virtual ring (SetRingVA) Src/Dst are device
+// VAs for the ring's context and the IOMMU's page tables are the
+// registration. A virtual transfer's record rides its walker and fires
+// at the REAL end (penalties, stalls and fix-ups included).
 func (e *Engine) walkDescriptor(now sim.Time, ctx int, r *ringState, slot phys.Addr) {
-	src64, err := e.mem.Read(slot+DescSrc, phys.Size64)
+	src, err := e.mem.Read(slot+DescSrc, phys.Size64)
 	if err != nil {
 		panic(err) // ring base was validated against MemSize at setup
 	}
-	dst64, err := e.mem.Read(slot+DescDst, phys.Size64)
+	dst, err := e.mem.Read(slot+DescDst, phys.Size64)
 	if err != nil {
 		panic(err)
 	}
@@ -335,27 +337,27 @@ func (e *Engine) walkDescriptor(now sim.Time, ctx int, r *ringState, slot phys.A
 	if err != nil {
 		panic(err)
 	}
-	if r.va {
-		e.walkDescriptorVA(now, ctx, r, slot, src64, dst64, size)
-		return
-	}
-	src, dst := phys.Addr(src64), phys.Addr(dst64)
-	remoteDst := e.cfg.RemoteBase != 0 && dst >= e.cfg.RemoteBase
-	if !r.ringAllowed(src, size) || (!remoteDst && !r.ringAllowed(dst, size)) {
+	a := args{src: phys.Addr(src), dst: phys.Addr(dst), size: size, virt: r.va, vctx: ctx, ring: true}
+	remoteDst := e.cfg.RemoteBase != 0 && a.dst >= e.cfg.RemoteBase
+	if !r.va && (!r.ringAllowed(a.src, size) || (!remoteDst && !r.ringAllowed(a.dst, size))) {
 		// Unregistered address: DMA_FAILURE record, immediately.
 		e.ctr.Rejected.Inc()
 		e.writeCompletion(slot, StatusFailure, now)
 		return
 	}
-	t, ok := e.startRing(now, src, dst, size)
+	t, ok := e.start(now, a)
 	if !ok {
 		e.writeCompletion(slot, StatusFailure, now)
 		return
 	}
 	r.inFlight++
 	c := e.getRingC()
-	c.t, c.slot, c.ctx, c.gen, c.zero = t, slot, int32(ctx), r.gen, t.Size == 0
-	e.events.ScheduleFunc(t.End, c.fire)
+	c.t, c.slot, c.ctx, c.gen = t, slot, int32(ctx), r.gen
+	if t.vw != nil {
+		t.vw.comp = c
+	} else {
+		e.events.ScheduleFunc(t.End, c.fire)
+	}
 }
 
 // ringLoad is the doorbell page's read side: the in-flight descriptor
@@ -363,28 +365,4 @@ func (e *Engine) walkDescriptor(now sim.Time, ctx int, r *ringState, slot phys.A
 func (e *Engine) ringLoad(off uint64) (uint64, int64, error) {
 	ctx := int(off / e.cfg.PageSize)
 	return e.rings[ctx].inFlight, 0, nil
-}
-
-// startRing accepts a ring transfer. It shares everything with start()
-// except the zero-size completion event: the ring completion record
-// doubles as the finish event (pooled), so the hot doorbell->walk->
-// completion path schedules nothing extra and stays allocation-free.
-func (e *Engine) startRing(now sim.Time, src, dst phys.Addr, size uint64) (*Transfer, bool) {
-	prev := e.last
-	e.ringZeroDefer = size == 0
-	t, ok := e.start(now, src, dst, size)
-	e.ringZeroDefer = false
-	if !ok {
-		return t, false
-	}
-	t.ring = true
-	// A batch's final transfer is still e.last when its completion
-	// record lands, so run() leaves it alive for last-status polling;
-	// reclaim it here once the next ring start has displaced it. Only
-	// ring-started transfers are safe to take: they are never a register
-	// context's cur record and never in the retained log.
-	if !e.logging && prev != nil && prev != t && prev.ring && prev.delivered {
-		e.freeT = append(e.freeT, prev)
-	}
-	return t, ok
 }

@@ -294,6 +294,51 @@ func TestRingInFlightLoad(t *testing.T) {
 	}
 }
 
+// TestRingZeroSizeCompletesOnce: on a physical ring and on a virtual
+// one, a zero-size descriptor's completion record is also its finish
+// event, so the transfer completes exactly once — one Completed tick,
+// one completion record, nothing left in flight.
+func TestRingZeroSizeCompletesOnce(t *testing.T) {
+	pf := newRingEngine(t, ModePaired)
+	armRing(t, pf, 8)
+	va := newVARingEngine(t, ModePaired)
+	if err := va.e.SetupRing(0, ringDescs, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := va.e.SetRingVA(0, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		f        *engFixture
+		src, dst phys.Addr
+	}{
+		{"physical", pf, ringSrc, ringDst},
+		{"virtual", va.engFixture, phys.Addr(vaSrcVA), phys.Addr(vaDstVA)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.f
+			before := f.e.Counters()
+			post(t, f, 0, tc.src, tc.dst, 0)
+			doorbell(t, f, 0, 1)
+			f.settle()
+			after := f.e.Counters()
+			if got := after.Completed.Value() - before.Completed.Value(); got != 1 {
+				t.Errorf("Completed rose by %d, want 1", got)
+			}
+			if got := after.RingCompletions.Value() - before.RingCompletions.Value(); got != 1 {
+				t.Errorf("%d completion records written, want 1", got)
+			}
+			if status, _ := completion(t, f, 0); status != 0 {
+				t.Errorf("completion status %#x, want 0", status)
+			}
+			if _, _, _, inFlight := f.e.RingState(0); inFlight != 0 {
+				t.Errorf("inFlight = %d after settle, want 0", inFlight)
+			}
+		})
+	}
+}
+
 // ringBatch drives one full doorbell->walk->completion cycle: post
 // depth zero-size descriptors, one doorbell store, drain the completion
 // events. Zero-size isolates the ring machinery itself — payload

@@ -211,7 +211,7 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 		}
 		if ps.hasComp {
 			c := e.getRingC()
-			c.t, c.slot, c.ctx, c.gen, c.zero = nt, ps.compSlot, ps.compCtx, ps.compGen, false
+			c.t, c.slot, c.ctx, c.gen = nt, ps.compSlot, ps.compCtx, ps.compGen
 			w.comp = c
 		}
 		e.vaParked = append(e.vaParked, w)

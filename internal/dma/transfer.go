@@ -39,7 +39,7 @@ type Transfer struct {
 	VCtx int
 
 	delivered bool
-	ring      bool      // started by a descriptor-ring walk (see startRing)
+	ring      bool      // started by a descriptor-ring walk (see args)
 	vw        *vaWalker // in-flight virtual delivery state (nil once done)
 }
 
@@ -89,12 +89,9 @@ func inBounds(addr, size, limit uint64) bool {
 	return addr <= limit && size <= limit-addr
 }
 
-// validateTransfer checks a requested transfer against the engine's
-// limits.
+// validateTransfer checks a physical transfer request against local
+// memory and the fabric (start has already applied MaxTransfer).
 func (e *Engine) validateTransfer(src, dst phys.Addr, size uint64) bool {
-	if e.cfg.MaxTransfer != 0 && size > e.cfg.MaxTransfer {
-		return false
-	}
 	if !inBounds(uint64(src), size, e.cfg.MemSize) {
 		return false // source must be local, fully in memory
 	}
@@ -104,38 +101,63 @@ func (e *Engine) validateTransfer(src, dst phys.Addr, size uint64) bool {
 	return inBounds(uint64(dst), size, e.cfg.MemSize)
 }
 
-// start accepts or rejects a transfer with the given physical
-// arguments. On acceptance the payload is snapshotted, the completion
-// event is scheduled, and the transfer becomes the engine's "last".
-func (e *Engine) start(now sim.Time, src, dst phys.Addr, size uint64) (*Transfer, bool) {
-	if !e.validateTransfer(src, dst, size) {
+// args is one initiation request: what every protocol has collected by
+// the time its completing access asks the engine to move data.
+type args struct {
+	src, dst phys.Addr
+	size     uint64
+	// virt marks src/dst as device VAs for translation context vctx,
+	// translated at walk time through the IOMMU (va.go).
+	virt bool
+	vctx int
+	// ring marks a descriptor-ring start (ring.go): a zero-size transfer
+	// is finished by its pooled completion record, not by an event here.
+	ring bool
+}
+
+// start is the one place a transfer is accepted or refused. Past the
+// MaxTransfer cap, a virtual request is admitted by the IOMMU path
+// (admitVA, whose pin latency precedes engine startup) and a physical
+// one by validateTransfer. On
+// acceptance the completion is scheduled and the transfer becomes the
+// engine's "last"; a refusal leaves a Failed record there instead.
+func (e *Engine) start(now sim.Time, a args) (*Transfer, bool) {
+	if !a.virt {
+		a.vctx = 0
+	}
+	var pinLat sim.Time
+	ok := e.cfg.MaxTransfer == 0 || a.size <= e.cfg.MaxTransfer
+	if ok && a.virt {
+		pinLat, ok = e.admitVA(a)
+	} else if ok {
+		ok = e.validateTransfer(a.src, a.dst, a.size)
+	}
+	if !ok {
 		e.ctr.Rejected.Inc()
-		e.last = &Transfer{Src: src, Dst: dst, Size: size, Failed: true, Start: now, End: now}
+		e.last = &Transfer{Src: a.src, Dst: a.dst, Size: a.size, Failed: true, Start: now, End: now, Virt: a.virt, VCtx: a.vctx}
 		return e.last, false
 	}
-	begin := now
-	if e.xfer.busyUntil > begin {
-		begin = e.xfer.busyUntil
-	}
-	begin += e.cfg.StartupTime
+	begin := max(now+pinLat, e.xfer.busyUntil) + e.cfg.StartupTime
 	duration := sim.Time(0)
-	if size > 0 {
-		duration = sim.Time(uint64(sim.Second) / e.cfg.Bandwidth * size)
-		if duration == 0 {
-			duration = sim.Nanosecond
-		}
+	if a.size > 0 {
+		duration = e.copyDur(a.size)
 	}
+	prev := e.last
 	t := e.newTransfer()
-	t.Src, t.Dst, t.Size, t.Start, t.End = src, dst, size, begin, begin+duration
-	if e.cfg.RemoteBase != 0 && dst >= e.cfg.RemoteBase {
+	t.Src, t.Dst, t.Size, t.Start, t.End = a.src, a.dst, a.size, begin, begin+duration
+	t.Virt, t.VCtx, t.ring = a.virt, a.vctx, a.ring
+	if !a.virt && e.cfg.RemoteBase != 0 && a.dst >= e.cfg.RemoteBase {
 		t.Remote = true
-		off := uint64(dst - e.cfg.RemoteBase)
+		off := uint64(a.dst - e.cfg.RemoteBase)
 		t.Node = int(off >> e.cfg.NodeShift)
 		t.RemoteAddr = phys.Addr(off & (1<<e.cfg.NodeShift - 1))
 		e.ctr.RemoteStarted.Inc()
 	}
 	e.xfer.busyUntil = t.End
 	e.ctr.Started.Inc()
+	if a.virt {
+		e.ctr.VAStarted.Inc()
+	}
 	e.last = t
 	if e.logging {
 		e.log = append(e.log, t)
@@ -145,9 +167,53 @@ func (e *Engine) start(now sim.Time, src, dst phys.Addr, size uint64) (*Transfer
 		// this window pays contention.
 		e.reserver.ReserveDMA(t.Start, t.End)
 	}
-
+	if a.ring && prev != nil && prev.ring {
+		// A batch's final transfer is still e.last when its completion
+		// record lands, so the record leaves it alive for last-status
+		// polling; it is reclaimed once the next ring start displaces it.
+		// Only ring-started transfers are safe to take: they are never a
+		// register context's cur record.
+		e.retire(prev, t)
+	}
 	e.schedule(t)
 	return t, true
+}
+
+// copyDur returns the engine-bandwidth time to move n bytes (at least
+// a nanosecond).
+func (e *Engine) copyDur(n uint64) sim.Time {
+	d := sim.Time(uint64(sim.Second) / e.cfg.Bandwidth * n)
+	if d == 0 {
+		d = sim.Nanosecond
+	}
+	return d
+}
+
+// initiate starts the transfer a completing access asks for and returns
+// the status that access reads: the bytes still to move, or
+// StatusFailure. reg >= 0 names the register context the arguments were
+// collected in; an accepted transfer becomes its cur record, and the
+// record it displaces is retired.
+func (e *Engine) initiate(now sim.Time, reg int, a args) uint64 {
+	t, ok := e.start(now, a)
+	if ok && reg >= 0 {
+		c := &e.ctxs[reg]
+		old := c.cur
+		c.cur = t
+		e.retire(old, t)
+	}
+	return t.Remaining(now)
+}
+
+// retire is the one place a Transfer record is recycled: with logging
+// off, old goes back to the free list once t has displaced it and its
+// delivery has landed. By then nothing can reach old any more — e.last
+// and the context's cur point elsewhere, and a delivered transfer has no
+// pending events.
+func (e *Engine) retire(old, t *Transfer) {
+	if !e.logging && old != nil && old != t && old.delivered {
+		e.freeT = append(e.freeT, old)
+	}
 }
 
 // newTransfer returns a Transfer record: fresh while the log is kept
@@ -191,23 +257,6 @@ func (e *Engine) getBuf(n uint64) []byte {
 
 // putBuf returns a payload buffer to the pool.
 func (e *Engine) putBuf(b []byte) { e.freeBuf = append(e.freeBuf, b) }
-
-// startCtx starts a transfer on behalf of register context ctx. With
-// logging off, the context's previous transfer is recycled here: once a
-// context moves on, nothing can reach the old record any more (e.last
-// already points at the new one, status polls go through ctxs[ctx].cur,
-// and delivered transfers have no pending events).
-func (e *Engine) startCtx(now sim.Time, ctx int, src, dst phys.Addr, size uint64) (*Transfer, bool) {
-	old := e.ctxs[ctx].cur
-	t, ok := e.start(now, src, dst, size)
-	if ok {
-		e.ctxs[ctx].cur = t
-		if !e.logging && old != nil && old != t && old.delivered {
-			e.freeT = append(e.freeT, old)
-		}
-	}
-	return t, ok
-}
 
 // transferChunk is the engine's burst size: local transfers become
 // visible in destination memory chunk by chunk as the stream
@@ -302,7 +351,9 @@ func (w *localWalker) step(sim.Time) {
 	}
 }
 
-// schedule arranges delivery of the payload. Local transfers land in
+// schedule arranges delivery of the payload. A zero-size transfer only
+// finishes at End; a virtual one is walked through the IOMMU
+// (scheduleVA). Local transfers land in
 // transferChunk-sized pieces spread across [Start, End], each chunk
 // read from the source at its burst time. Remote payloads are
 // snapshotted at acceptance and handed to the fabric as one message at
@@ -310,17 +361,19 @@ func (w *localWalker) step(sim.Time) {
 // scheduled up front at acceptance, preserving the queue's FIFO
 // tie-break order across overlapping transfers.
 func (e *Engine) schedule(t *Transfer) {
-	if t.Size == 0 {
-		if e.ringZeroDefer {
-			// Ring path: the pooled completion record (ring.go) delivers
-			// finish at t.End, so nothing is scheduled here and the
-			// doorbell hot path stays allocation-free.
-			return
+	switch {
+	case t.Size == 0:
+		if !t.ring {
+			e.events.ScheduleFunc(t.End, func(sim.Time) { e.finish(t) })
 		}
-		e.events.ScheduleFunc(t.End, func(sim.Time) { e.finish(t) })
+		// A ring start's pooled completion record (ring.go) delivers
+		// finish at t.End, which keeps the doorbell hot path
+		// allocation-free.
 		return
-	}
-	if t.Remote {
+	case t.Virt:
+		e.scheduleVA(t)
+		return
+	case t.Remote:
 		// Snapshot the whole payload at acceptance and ship it when the
 		// engine finishes streaming it out. The ship record (and its one
 		// fire closure) is pooled, so a steady stream of remote transfers

@@ -198,112 +198,41 @@ func (e *Engine) vaLoad(now sim.Time, off uint64) (uint64, int64, error) {
 	return v, lat, err
 }
 
-// validateVA checks a virtual transfer request. Addresses are device
-// VAs; residency is NOT checked here — that is what the walker's fault
-// path is for.
-func (e *Engine) validateVA(ctx int, srcVA, dstVA, size uint64) bool {
-	if e.iommu == nil {
-		return false
+// admitVA checks a virtual transfer request (start has already applied
+// MaxTransfer) and returns the latency that precedes engine startup.
+// Addresses are device VAs; residency is NOT checked — that is what the
+// walker's fault path is for — except under RecoverPin, which pre-faults
+// and pins both extents here, so a refused destination pin releases the
+// source pin it follows.
+func (e *Engine) admitVA(a args) (sim.Time, bool) {
+	if e.iommu == nil || a.vctx < 0 || a.vctx >= e.iommu.IOContexts() {
+		return 0, false
 	}
-	if ctx < 0 || ctx >= e.iommu.IOContexts() {
-		return false
+	src, dst, limit := uint64(a.src), uint64(a.dst), uint64(1)<<e.cfg.MemBits
+	if !inBounds(src, a.size, limit) || !inBounds(dst, a.size, limit) {
+		return 0, false
 	}
-	if e.cfg.MaxTransfer != 0 && size > e.cfg.MaxTransfer {
-		return false
+	if e.policy != RecoverPin {
+		return 0, true
 	}
-	limit := uint64(1) << e.cfg.MemBits
-	if !inBounds(srcVA, size, limit) || !inBounds(dstVA, size, limit) {
-		return false
+	if e.resolver == nil {
+		return 0, false
 	}
-	if e.policy == RecoverPin && e.resolver == nil {
-		return false
+	srcLat, err := e.resolver.PinRange(a.vctx, src, a.size, false)
+	if err != nil {
+		return 0, false
 	}
-	return true
-}
-
-// startVA accepts or rejects a virtual transfer. Acceptance mirrors
-// start(): the nominal schedule is the same bandwidth line; delivery is
-// a vaWalker that translates every burst. Under RecoverPin both extents
-// are pinned first and the pin latency precedes engine startup.
-func (e *Engine) startVA(now sim.Time, ctx int, srcVA, dstVA, size uint64) (*Transfer, bool) {
-	if !e.validateVA(ctx, srcVA, dstVA, size) {
-		e.ctr.Rejected.Inc()
-		e.last = &Transfer{Src: phys.Addr(srcVA), Dst: phys.Addr(dstVA), Size: size,
-			Failed: true, Start: now, End: now, Virt: true, VCtx: ctx}
-		return e.last, false
+	dstLat, err := e.resolver.PinRange(a.vctx, dst, a.size, true)
+	if err != nil {
+		e.resolver.UnpinRange(a.vctx, src, a.size)
+		return 0, false
 	}
-	var pinLat sim.Time
-	if e.policy == RecoverPin {
-		lat, err := e.resolver.PinRange(ctx, srcVA, size, false)
-		if err != nil {
-			e.ctr.Rejected.Inc()
-			e.last = &Transfer{Src: phys.Addr(srcVA), Dst: phys.Addr(dstVA), Size: size,
-				Failed: true, Start: now, End: now, Virt: true, VCtx: ctx}
-			return e.last, false
-		}
-		pinLat = lat
-		if lat, err = e.resolver.PinRange(ctx, dstVA, size, true); err != nil {
-			e.resolver.UnpinRange(ctx, srcVA, size)
-			e.ctr.Rejected.Inc()
-			e.last = &Transfer{Src: phys.Addr(srcVA), Dst: phys.Addr(dstVA), Size: size,
-				Failed: true, Start: now, End: now, Virt: true, VCtx: ctx}
-			return e.last, false
-		}
-		pinLat += lat
-		e.ctr.VAPins.Inc()
-	}
-	begin := now + pinLat
-	if e.xfer.busyUntil > begin {
-		begin = e.xfer.busyUntil
-	}
-	begin += e.cfg.StartupTime
-	duration := sim.Time(0)
-	if size > 0 {
-		duration = sim.Time(uint64(sim.Second) / e.cfg.Bandwidth * size)
-		if duration == 0 {
-			duration = sim.Nanosecond
-		}
-	}
-	t := e.newTransfer()
-	t.Src, t.Dst, t.Size, t.Start, t.End = phys.Addr(srcVA), phys.Addr(dstVA), size, begin, begin+duration
-	t.Virt, t.VCtx = true, ctx
-	e.xfer.busyUntil = t.End
-	e.ctr.Started.Inc()
-	e.ctr.VAStarted.Inc()
-	e.last = t
-	if e.logging {
-		e.log = append(e.log, t)
-	}
-	if e.reserver != nil && t.End > t.Start {
-		e.reserver.ReserveDMA(t.Start, t.End)
-	}
-	e.scheduleVA(t)
-	return t, true
-}
-
-// startCtxVA is startCtx for virtual transfers: reg is the register
-// context holding the arguments, ctx the translation context.
-func (e *Engine) startCtxVA(now sim.Time, reg, ctx int, srcVA, dstVA, size uint64) (*Transfer, bool) {
-	old := e.ctxs[reg].cur
-	t, ok := e.startVA(now, ctx, srcVA, dstVA, size)
-	if ok {
-		e.ctxs[reg].cur = t
-		if !e.logging && old != nil && old != t && old.delivered {
-			e.freeT = append(e.freeT, old)
-		}
-	}
-	return t, ok
+	e.ctr.VAPins.Inc()
+	return srcLat + dstLat, true
 }
 
 // scheduleVA arranges delivery of a virtual transfer.
 func (e *Engine) scheduleVA(t *Transfer) {
-	if t.Size == 0 {
-		if e.ringZeroDefer {
-			return // the pooled ring completion record delivers finish
-		}
-		e.events.ScheduleFunc(t.End, func(sim.Time) { e.finish(t) })
-		return
-	}
 	w := e.getVW()
 	w.t, w.ctx = t, t.VCtx
 	w.srcVA, w.dstVA = uint64(t.Src), uint64(t.Dst)
@@ -521,15 +450,6 @@ func (e *Engine) removeParked(w *vaWalker) {
 	e.vaParked = kept
 }
 
-// copyDur returns the engine-bandwidth time to move n bytes.
-func (e *Engine) copyDur(n uint64) sim.Time {
-	d := sim.Time(uint64(sim.Second) / e.cfg.Bandwidth * n)
-	if d == 0 {
-		d = sim.Nanosecond
-	}
-	return d
-}
-
 // bounceOut redirects a faulting destination page into a free bounce
 // frame so the stream keeps moving, and schedules the fix-up copy for
 // when the kernel has the real frame resident. Returns (bouncePA, true)
@@ -711,33 +631,4 @@ func (w *vaWalker) fail(at sim.Time) {
 		return
 	}
 	e.releaseVW(w)
-}
-
-// walkDescriptorVA consumes one descriptor slot of a ring switched to
-// virtual addressing (SetRingVA): Src/Dst are device VAs for the ring's
-// context and validation is the IOMMU's page tables themselves — the
-// mapping IS the registration, so ringAllowed extents are not
-// consulted. The completion record rides the walker and fires at the
-// transfer's REAL end (penalties, stalls and fix-ups included).
-func (e *Engine) walkDescriptorVA(now sim.Time, ctx int, r *ringState, slot phys.Addr, srcVA, dstVA, size uint64) {
-	prev := e.last
-	e.ringZeroDefer = size == 0
-	t, ok := e.startVA(now, ctx, srcVA, dstVA, size)
-	e.ringZeroDefer = false
-	if !ok {
-		e.writeCompletion(slot, StatusFailure, now)
-		return
-	}
-	t.ring = true
-	if !e.logging && prev != nil && prev != t && prev.ring && prev.delivered {
-		e.freeT = append(e.freeT, prev)
-	}
-	r.inFlight++
-	c := e.getRingC()
-	c.t, c.slot, c.ctx, c.gen, c.zero = t, slot, int32(ctx), r.gen, t.Size == 0
-	if t.vw != nil {
-		t.vw.comp = c
-	} else {
-		e.events.ScheduleFunc(t.End, c.fire)
-	}
 }

@@ -79,3 +79,21 @@ func Fail(tool string, code int, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 	Exit(code)
 }
+
+// Count is one count flag: its name and parsed value.
+type Count struct {
+	Flag string
+	N    int
+}
+
+// RequireNonNegative fails tool with exit status 2 on the first count
+// below zero. A negative count is a flag error, never a run of that
+// many; zero keeps each flag's own meaning. Tools call it before any
+// world is built.
+func RequireNonNegative(tool string, counts ...Count) {
+	for _, c := range counts {
+		if c.N < 0 {
+			Fail(tool, 2, fmt.Errorf("%s %d: need zero or more", c.Flag, c.N))
+		}
+	}
+}

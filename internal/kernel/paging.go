@@ -98,12 +98,6 @@ func (k *Kernel) EnablePager(budget int, pageInTime sim.Time) error {
 	return nil
 }
 
-// PagerEnabled reports whether the eviction model is on.
-func (k *Kernel) PagerEnabled() bool { return k.pager.enabled }
-
-// ResidentPages returns the pager's resident count (0 when disabled).
-func (k *Kernel) ResidentPages() int { return k.pager.resident }
-
 // RegisterPagerMetrics registers the pager's cells. The machine calls
 // this only on IOMMU-equipped worlds, keeping other registry dumps
 // byte-identical.

@@ -65,7 +65,3 @@ func (m *Machine) AttachTracer(tr *obs.Trace) {
 	m.Runner.SetTracer(tr, node)
 	m.Kernel.SetTracer(tr, node)
 }
-
-// DisableTrace detaches the trace spine; emission sites fall back to
-// the nil fast path.
-func (m *Machine) DisableTrace() { m.AttachTracer(nil) }

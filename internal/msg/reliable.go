@@ -162,13 +162,9 @@ func (r *RReceiver) Counters() RCounters { return r.ctr }
 // MaxPayload returns the largest message the channel accepts.
 func (s *RSender) MaxPayload() int { return s.cfg.SlotPayload }
 
-// Sent and Credited expose the sender's ring bookkeeping (tests and
-// experiments read them host-side).
-func (s *RSender) Sent() uint64     { return s.sent }
-func (s *RSender) Credited() uint64 { return s.credited }
-
-// Consumed returns how many messages the receiver has delivered.
-func (r *RReceiver) Consumed() uint64 { return r.consumed }
+// Sent returns how many messages the sender has posted (tests and
+// experiments read it host-side).
+func (s *RSender) Sent() uint64 { return s.sent }
 
 // NewReliableChannel wires a unidirectional reliable channel from
 // senderProc (on sm) to receiverProc (on rm, cluster node rxNode). The

@@ -194,14 +194,6 @@ func (m *Memory) Restore(s *Snapshot) error {
 	return nil
 }
 
-// FromSnapshot builds a fresh Memory whose initial contents are the
-// snapshot's, sharing the frozen chunks copy-on-write.
-func FromSnapshot(s *Snapshot) *Memory {
-	m := New(s.size)
-	m.Restore(s) // same size by construction
-	return m
-}
-
 // Counters returns the access counters.
 func (m *Memory) Counters() Counters { return m.ctr }
 

@@ -105,9 +105,6 @@ func (p *Process) Wake(t sim.Time) {
 	}
 }
 
-// BlockedUntil returns the wakeup time (zero when runnable).
-func (p *Process) BlockedUntil() sim.Time { return p.blockedUntil }
-
 // PID returns the process id.
 func (p *Process) PID() PID { return p.pid }
 
