@@ -27,7 +27,12 @@ var (
 	buildErr  error
 )
 
-// buildTools compiles every cmd/ binary once per test process.
+// goldenExamples are the examples pinned by TestGoldenExamples: each
+// reaches Handle.Wait, directly or through internal/msg.
+var goldenExamples = []string{"quickstart", "nowtransfer", "interrupts", "msgring", "bsp"}
+
+// buildTools compiles every cmd/ binary, and each pinned example as
+// example-<name>, once per test process.
 func buildTools(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
@@ -35,8 +40,15 @@ func buildTools(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
+		pkgs := map[string]string{}
 		for _, tool := range []string{"dmabench", "report", "oslat", "clustersim", "attacksim", "faultsim", "benchdiff"} {
-			cmd := exec.Command("go", "build", "-o", filepath.Join(buildDir, tool), "./cmd/"+tool)
+			pkgs[tool] = "./cmd/" + tool
+		}
+		for _, ex := range goldenExamples {
+			pkgs["example-"+ex] = "./examples/" + ex
+		}
+		for bin, pkg := range pkgs {
+			cmd := exec.Command("go", "build", "-o", filepath.Join(buildDir, bin), pkg)
 			if out, err := cmd.CombinedOutput(); err != nil {
 				buildErr = err
 				buildDir = string(out)
@@ -174,6 +186,32 @@ func TestGolden(t *testing.T) {
 				if !bytes.Equal(again, want) {
 					t.Fatalf("%s %v -procs %s diverged from the golden", tc.tool, tc.args, procs)
 				}
+			}
+		})
+	}
+}
+
+// TestGoldenExamples pins the stdout of the examples that reach
+// Handle.Wait, byte for byte. The examples take no flags.
+func TestGoldenExamples(t *testing.T) {
+	dir := buildTools(t)
+	for _, ex := range goldenExamples {
+		ex := ex
+		t.Run(ex, func(t *testing.T) {
+			path := filepath.Join("testdata", "golden", "example_"+ex+".txt")
+			got := runTool(t, dir, "example-"+ex)
+			if *updateGolden {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden (run make golden): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("example %s drifted from %s (run make golden to accept)", ex, path)
 			}
 		})
 	}
