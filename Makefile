@@ -75,10 +75,15 @@ ringparity:
 # replays byte-identically (machine level and engine level), Table 1's
 # ordering survives IOMMU-translated initiation, the three recovery
 # policies diverge under oversubscription yet replay exactly, the
-# vasweep/paging grids are worker-count invariant, and the warm VA
-# translate path stays at 0 allocs/op.
+# vasweep/paging grids are worker-count invariant, the warm VA
+# translate path stays at 0 allocs/op, and the completion-poll skip
+# leaves PagingBench and MeasureIOTLB results, the registry, the clock
+# and the TLB stamps exactly as the full poll loop does — also when
+# maxPolls or the slot budget runs out mid-wait — refuses beside a
+# second live process and on a syscall poll, and allocates nothing in a
+# warm Wait.
 iommuparity:
-	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity' ./internal/core ./internal/dma ./internal/exp
+	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipZeroAllocs' ./internal/core ./internal/dma ./internal/exp
 
 # The steered loop's contracts, run under the race detector: the live
 # obs feed costs 0 simulated time and 0 allocations (byte-identical

@@ -232,6 +232,21 @@ func (b *Bus) contended(now sim.Time) bool {
 	return hit
 }
 
+// NextWindowEdge returns the earliest DMA-window start or end at or
+// after from, or sim.Never: before it, every transaction contends
+// exactly as one starting at from does.
+func (b *Bus) NextWindowEdge(from sim.Time) sim.Time {
+	next := sim.Never
+	for _, w := range b.dmaWindows {
+		for _, t := range [2]sim.Time{w.start, w.end} {
+			if t >= from {
+				next = min(next, t)
+			}
+		}
+	}
+	return next
+}
+
 func (b *Bus) charge(cycles int64) {
 	if b.contended(b.clock.Now()) {
 		b.ctr.StolenCycles.Add(cycles)

@@ -578,3 +578,18 @@ func TestNewBusNilClockPanics(t *testing.T) {
 	}()
 	New(nil, tcFreq, tcCost)
 }
+
+// TestNextWindowEdge: the earliest DMA-window start or end at or after
+// the given time.
+func TestNextWindowEdge(t *testing.T) {
+	b, _ := newTestBus()
+	b.ReserveDMA(10, 20)
+	b.ReserveDMA(15, 30)
+	for _, tc := range []struct{ from, want sim.Time }{
+		{0, 10}, {10, 10}, {12, 15}, {16, 20}, {21, 30}, {31, sim.Never},
+	} {
+		if got := b.NextWindowEdge(tc.from); got != tc.want {
+			t.Errorf("NextWindowEdge(%d) = %d, want %d", tc.from, got, tc.want)
+		}
+	}
+}

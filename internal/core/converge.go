@@ -14,11 +14,28 @@ package userdma
 // it synthesizes the remaining samples and advances the clock
 // analytically. Results are byte-identical to the full run; only
 // wall-clock time changes.
+//
+// The same switch gates a second skip, in Handle.Wait's completion
+// poll. While a transfer is queued, walking or parked on a page-in,
+// each poll (one uncached status load, then Spin(200)) repeats the
+// last one exactly until an event fires or a bus-mastering window
+// opens or closes. pollSkip confirms that with one registry-bracketed
+// poll and charges the k polls that fit before that horizon in one
+// step: every registry cell, the clock, the CPU TLB's tick and LRU
+// stamps, and the runner's slot accounting end where the full loop
+// leaves them. Wait only tests the status for 0 or StatusFailure, and
+// no skipped load can see either: a transfer's status changes only at
+// an event. The skip refuses (polls for real) when a tracer is
+// attached, the write buffer holds a store, the CPU pumps no event
+// queue (shard-hosted machines), the guest runs outside Run or under
+// a policy other than RoundRobin, another process is live, or the poll
+// changes state outside the registry (a syscall poll counts a trap).
 
 import (
 	"sync/atomic"
 
 	"uldma/internal/machine"
+	"uldma/internal/proc"
 	"uldma/internal/sim"
 )
 
@@ -28,15 +45,16 @@ import (
 // out any offset-periodic variation.
 const ConvergeK = 70
 
-// fastForward gates the convergence fast-forward globally. On by
-// default; the equivalence tests switch it off to obtain full-run
-// references.
+// fastForward gates the convergence fast-forward and the poll skip
+// globally. On by default; the equivalence tests switch it off to
+// obtain full-run references.
 var fastForward = true
 
-// SetFastForward enables or disables steady-state fast-forwarding and
-// returns the previous setting. Measurements are byte-identical either
-// way (that is the detector's contract — and the equivalence tests'
-// subject); only wall-clock time differs.
+// SetFastForward enables or disables steady-state fast-forwarding of
+// the measurement loops and the quiet-stretch skip of Handle.Wait's
+// poll, and returns the previous setting. Measurements and world state
+// are byte-identical either way (that is both detectors' contract —
+// and the equivalence tests' subject); only wall-clock time differs.
 func SetFastForward(on bool) (prev bool) {
 	prev = fastForward
 	fastForward = on
@@ -87,4 +105,95 @@ func (c *convergence) observe(f machine.Fingerprint) bool {
 // of the delta vector).
 func (c *convergence) clockDelta() sim.Time {
 	return sim.Time(c.delta[0])
+}
+
+// pollSkipCells bounds the registry a poll skip can scale; a machine
+// with more metrics runs every poll for real.
+const pollSkipCells = 96
+
+// pollSkips counts the quiet stretches Handle.Wait has charged in one
+// step since process start, so the equivalence tests can assert the
+// skip engaged (ffEngagements counts the measurement loops' skips).
+var pollSkips atomic.Int64
+
+// pollSkip is Handle.Wait's quiet-stretch detector, kept on Wait's
+// stack. Two polls with equal clock advances arm it; it then reads the
+// registry and the held state (pollHeld) around the next poll, B. If B
+// left the held state as it found it and no event was due before B
+// ended, every poll before the horizon — the next event or bus-window
+// edge — starts from the same state and repeats B exactly, so skipBy
+// charges k of them at once.
+type pollSkip struct {
+	armed             bool
+	last, dt, horizon sim.Time // clock after the last poll, that poll's advance, and B's horizon
+	start             pollHeld // held state at B's start
+	tick, instrs      uint64   // TLB tick and guest instruction count at B's start
+	reg               [pollSkipCells]uint64
+}
+
+// pollHeld is the state outside the registry that a poll must leave
+// unchanged to repeat: the CPU TLB's entries, the engine's decode
+// state, the event queue and the kernel's trap count. The rest moves
+// only in events, traps and transfer starts (which schedule events):
+// the engine's channel clocks, the IOMMU and the pager.
+type pollHeld struct {
+	tlb, decode, seq, traps uint64
+	next                    sim.Time
+}
+
+func heldOf(m *machine.Machine) pollHeld {
+	return pollHeld{tlb: m.CPU.TLB().StateHash(), decode: m.Engine.DecodeHash(), seq: m.Events.SnapshotSeq(),
+		traps: m.Kernel.Counters().Syscalls.Value(), next: m.Events.NextAt()}
+}
+
+// after runs at the end of each poll; left is how many more polls Wait
+// allows. It returns how many polls it charged.
+func (s *pollSkip) after(m *machine.Machine, c *proc.Context, left int) int {
+	now := m.Clock.Now()
+	steady := now-s.last == s.dt
+	s.dt, s.last = now-s.last, now
+	armed := s.armed
+	s.armed = false
+	if !steady || !fastForward || m.Tracer != nil || m.WB.Pending() != 0 ||
+		m.CPU.Events() == nil || m.Obs.Len() > pollSkipCells {
+		return 0
+	}
+	room, ok := c.SkipRoom()
+	if !ok {
+		return 0
+	}
+	if armed {
+		if heldOf(m) == s.start && s.horizon > now {
+			return s.skipBy(m, c, left, room)
+		}
+		return 0
+	}
+	s.start = heldOf(m)
+	s.horizon = min(s.start.next, m.Bus.NextWindowEdge(now))
+	if s.horizon-now > 3*s.dt {
+		s.armed = true
+		s.tick, s.instrs = m.CPU.TLB().Tick(), c.Process().Instructions()
+		m.Obs.Read(s.reg[:])
+	}
+	return 0
+}
+
+// skipBy charges k more copies of poll B: k ends short of the horizon,
+// of Wait's last poll, and of the slot budget and quantum (room).
+func (s *pollSkip) skipBy(m *machine.Machine, c *proc.Context, left int, room uint64) int {
+	now := m.Clock.Now()
+	ds := c.Process().Instructions() - s.instrs
+	if left < 2 || ds == 0 {
+		return 0
+	}
+	k := min(uint64(s.horizon-now-1)/uint64(s.dt), uint64(left-1), room/ds)
+	if k == 0 {
+		return 0
+	}
+	m.Obs.Extrapolate(s.reg[:], k)
+	m.CPU.TLB().Skip(s.tick, k*(m.CPU.TLB().Tick()-s.tick))
+	c.SkipSlots(k*ds, sim.Time(k)*s.dt)
+	m.Clock.Advance(sim.Time(k) * s.dt)
+	pollSkips.Add(1)
+	return int(k)
 }

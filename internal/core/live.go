@@ -22,6 +22,7 @@ package userdma
 
 import (
 	"fmt"
+	"slices"
 
 	"uldma/internal/dma"
 	"uldma/internal/machine"
@@ -49,18 +50,24 @@ type LiveSample struct {
 // PagingBench, fingerprint included: watch reads are closure calls
 // into live component state, not simulated activity.
 func PagingBenchLive(policy dma.RecoveryPolicy, pages, budget, transfers int, observe func(LiveSample) bool) (PagingResult, error) {
+	res, _, err := pagingBench(policy, pages, budget, transfers, observe)
+	return res, err
+}
+
+// pagingBench is PagingBenchLive, also returning the finished world.
+func pagingBench(policy dma.RecoveryPolicy, pages, budget, transfers int, observe func(LiveSample) bool) (PagingResult, *machine.Machine, error) {
 	method := ExtShadow{}
 	cfg := VAConfigFor(method, 0)
 	m, err := machine.New(cfg)
 	if err != nil {
-		return PagingResult{}, err
+		return PagingResult{}, nil, err
 	}
 	m.Engine.SetRecoveryPolicy(policy)
 	// The loop never reads the transfer log: dropping it lets the engine
 	// recycle Transfer records instead of retaining one per transfer.
 	m.Engine.SetLogging(false)
 	if err := m.Kernel.EnablePager(budget, pagingPageIn); err != nil {
-		return PagingResult{}, err
+		return PagingResult{}, m, err
 	}
 	res := PagingResult{
 		Policy:    policy.String(),
@@ -71,17 +78,19 @@ func PagingBenchLive(policy dma.RecoveryPolicy, pages, budget, transfers int, ob
 	}
 	wFaults, ok := m.Obs.Watch("dma.va_faults")
 	if !ok {
-		return res, fmt.Errorf("userdma: dma.va_faults not registered")
+		return res, m, fmt.Errorf("userdma: dma.va_faults not registered")
 	}
 	wEvict, ok := m.Obs.Watch("kernel.pager_evictions")
 	if !ok {
-		return res, fmt.Errorf("userdma: kernel.pager_evictions not registered")
+		return res, m, fmt.Errorf("userdma: kernel.pager_evictions not registered")
 	}
 
 	ps := vm.VAddr(cfg.PageSize)
 	const srcBase, dstBase = vm.VAddr(0x100000), vm.VAddr(0x80000)
 	var h *Handle
-	var sample stats.Sample
+	// One latency per transfer, sorted in place for the percentiles
+	// (stats.Sample would sort a copy).
+	var lat []sim.Time
 	var elapsed sim.Time
 	completed := 0
 	p := m.NewProcess("paging", func(c *proc.Context) error {
@@ -99,7 +108,7 @@ func PagingBenchLive(policy dma.RecoveryPolicy, pages, budget, transfers int, ob
 			if err := h.Wait(c, 1<<20); err != nil {
 				return err
 			}
-			sample.Add(m.Clock.Now() - start)
+			lat = append(lat, m.Clock.Now()-start)
 			completed = i + 1
 			if observe != nil {
 				res.LiveSamples++
@@ -116,21 +125,21 @@ func PagingBenchLive(policy dma.RecoveryPolicy, pages, budget, transfers int, ob
 	})
 	h, err = method.Attach(m, p)
 	if err != nil {
-		return res, err
+		return res, m, err
 	}
 	// Setup registers every device page with the pager; the ones past
 	// the budget are registered non-resident and page in on first use.
 	if _, err := SetupVAPages(m, p, h.Context(), srcBase, pages, vm.Read|vm.Write); err != nil {
-		return res, err
+		return res, m, err
 	}
 	if _, err := SetupVAPages(m, p, h.Context(), dstBase, 1, vm.Read|vm.Write); err != nil {
-		return res, err
+		return res, m, err
 	}
 	if err := m.Run(proc.NewRoundRobin(1<<20), 1<<32); err != nil {
-		return res, err
+		return res, m, err
 	}
 	if p.Err() != nil {
-		return res, p.Err()
+		return res, m, p.Err()
 	}
 	m.Settle()
 
@@ -139,7 +148,8 @@ func PagingBenchLive(policy dma.RecoveryPolicy, pages, budget, transfers int, ob
 	if elapsed > 0 {
 		res.GoodputMBps = moved * float64(sim.Second) / float64(elapsed) / 1e6
 	}
-	res.P50, res.P99 = sample.Percentile(50), sample.Percentile(99)
+	slices.Sort(lat)
+	res.P50, res.P99 = stats.Percentile(lat, 50), stats.Percentile(lat, 99)
 	get := func(name string) uint64 {
 		v, _ := m.Obs.Get(name)
 		return v
@@ -152,5 +162,5 @@ func PagingBenchLive(policy dma.RecoveryPolicy, pages, budget, transfers int, ob
 	res.PageIns = get("kernel.pager_page_ins")
 	res.Elapsed = elapsed
 	res.Fingerprint = fingerprintDigest(m.Fingerprint())
-	return res, nil
+	return res, m, nil
 }

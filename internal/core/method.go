@@ -160,7 +160,9 @@ func (h *Handle) WaitBlocking(c *proc.Context) error {
 }
 
 // Wait polls until the transfer completes or maxPolls is exhausted.
+// Quiet stretches of identical polls are charged in one step (pollSkip).
 func (h *Handle) Wait(c *proc.Context, maxPolls int) error {
+	var skip pollSkip
 	for i := 0; i < maxPolls; i++ {
 		rem, err := h.Poll(c)
 		if err != nil {
@@ -173,6 +175,7 @@ func (h *Handle) Wait(c *proc.Context, maxPolls int) error {
 			return fmt.Errorf("userdma: transfer failed while waiting")
 		}
 		c.Spin(200) // back off before re-polling
+		i += skip.after(h.m, c, maxPolls-i-1)
 	}
 	return fmt.Errorf("userdma: transfer still running after %d polls", maxPolls)
 }

@@ -29,7 +29,6 @@ import (
 	"uldma/internal/phys"
 	"uldma/internal/proc"
 	"uldma/internal/sim"
-	"uldma/internal/stats"
 	"uldma/internal/vm"
 )
 
@@ -157,11 +156,17 @@ func (p IOTLBPoint) MarshalJSON() ([]byte, error) {
 // the hit rate collapses once the working set outgrows the IOTLB — the
 // knee the sweep is after.
 func MeasureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, error) {
+	res, _, err := measureIOTLB(pages, tlbEntries, transfers)
+	return res, err
+}
+
+// measureIOTLB is MeasureIOTLB, also returning the finished world.
+func measureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, *machine.Machine, error) {
 	method := ExtShadow{}
 	cfg := VAConfigFor(method, tlbEntries)
 	m, err := machine.New(cfg)
 	if err != nil {
-		return IOTLBPoint{}, err
+		return IOTLBPoint{}, nil, err
 	}
 	m.Engine.SetLogging(false) // see PagingBenchLive
 	res := IOTLBPoint{Pages: pages, TLBEntries: tlbEntries, Transfers: transfers}
@@ -169,7 +174,7 @@ func MeasureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, error) {
 	ps := vm.VAddr(cfg.PageSize)
 	const srcBase, dstBase = vm.VAddr(0x100000), vm.VAddr(0x80000)
 	var h *Handle
-	var sample stats.Sample
+	var sum sim.Time
 	p := m.NewProcess("iotlb", func(c *proc.Context) error {
 		for i := 0; i < transfers; i++ {
 			src := srcBase + vm.VAddr(i%pages)*ps
@@ -186,25 +191,25 @@ func MeasureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, error) {
 			if err := h.Wait(c, 1<<20); err != nil {
 				return err
 			}
-			sample.Add(m.Clock.Now() - start)
+			sum += m.Clock.Now() - start
 		}
 		return nil
 	})
 	h, err = method.Attach(m, p)
 	if err != nil {
-		return res, err
+		return res, m, err
 	}
 	if _, err := SetupVAPages(m, p, h.Context(), srcBase, pages, vm.Read|vm.Write); err != nil {
-		return res, err
+		return res, m, err
 	}
 	if _, err := SetupVAPages(m, p, h.Context(), dstBase, 1, vm.Read|vm.Write); err != nil {
-		return res, err
+		return res, m, err
 	}
 	if err := m.Run(proc.NewRoundRobin(1<<20), 1<<32); err != nil {
-		return res, err
+		return res, m, err
 	}
 	if p.Err() != nil {
-		return res, p.Err()
+		return res, m, p.Err()
 	}
 	m.Settle()
 	tc := m.IOMMU.IOTLB().Counters()
@@ -212,9 +217,9 @@ func MeasureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, error) {
 	if total := res.Hits + res.Misses; total > 0 {
 		res.HitRate = float64(res.Hits) / float64(total)
 	}
-	res.PerTransfer = sample.Mean()
+	res.PerTransfer = sum / sim.Time(max(transfers, 1))
 	res.Fingerprint = fingerprintDigest(m.Fingerprint())
-	return res, nil
+	return res, m, nil
 }
 
 // PagingResult is one (policy, oversubscription) cell of the paging

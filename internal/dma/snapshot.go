@@ -251,7 +251,14 @@ func (e *Engine) FingerprintLinear() (busyUntil, lastBounds, ctxBounds sim.Time)
 // size write that consumes them, so values carried across iterations
 // are dead for those workloads (see internal/core/converge.go for the
 // contract).
-func (e *Engine) StateHash() uint64 {
+func (e *Engine) StateHash() uint64 { return e.stateHash(true) }
+
+// DecodeHash is StateHash without the virtual-address state: the state
+// a device access decodes against. Only walks (events) and
+// initiations, never a status read, move the virtual-address part.
+func (e *Engine) DecodeHash() uint64 { return e.stateHash(false) }
+
+func (e *Engine) stateHash(withVA bool) uint64 {
 	h := uint64(0x243f6a8885a308d3)
 	mix := func(v uint64) {
 		h ^= v
@@ -310,7 +317,7 @@ func (e *Engine) StateHash() uint64 {
 			mix(ext.size)
 		}
 	}
-	if e.iommu != nil {
+	if withVA && e.iommu != nil {
 		// Virtual-address state, gated on the IOMMU so engines without
 		// one hash exactly as before. Note the IOMMU hash includes
 		// monotonic words (IOTLB stats): measurement loops that move VA

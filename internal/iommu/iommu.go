@@ -23,6 +23,7 @@
 package iommu
 
 import (
+	"errors"
 	"fmt"
 
 	"uldma/internal/obs"
@@ -184,9 +185,21 @@ func (io *IOMMU) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("iommu.faults", &io.ctr.Faults)
 }
 
+// errNotMapped is TranslateIO's fault for a device page its table does
+// not map. The engine only needs to know that the walk faulted, so the
+// page-out fault of every paged transfer allocates nothing.
+var errNotMapped = errors.New("iommu: device page not mapped")
+
 // TranslateIO implements dma.Translator: a device access is a store
-// (write) or load, mapped onto vm's access kinds.
+// (write) or load, mapped onto vm's access kinds. An unmapped page is
+// counted exactly as Translate counts it — an IOTLB miss (vm.TLB.Miss)
+// and a fault — but returns errNotMapped, not a fresh *vm.Fault.
 func (io *IOMMU) TranslateIO(ctx int, va uint64, write bool) (phys.Addr, bool, error) {
+	if _, ok := io.Lookup(ctx, va); !ok && ctx >= 0 && ctx < len(io.tables) {
+		io.tlb.Miss()
+		io.ctr.Faults.Inc()
+		return 0, false, errNotMapped
+	}
 	access := vm.AccessLoad
 	if write {
 		access = vm.AccessStore

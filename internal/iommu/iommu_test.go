@@ -2,6 +2,7 @@ package iommu
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"uldma/internal/obs"
@@ -218,5 +219,37 @@ func BenchmarkIOTLBHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pa, _, _ := io.Translate(0, 0x2008, vm.AccessLoad)
 		sinkPA = pa
+	}
+}
+
+// TestTranslateIOUnmappedMatchesTranslate: an unmapped device page
+// faults through TranslateIO with the same IOTLB state and counters as
+// through Translate, and without allocating.
+func TestTranslateIOUnmappedMatchesTranslate(t *testing.T) {
+	var ios [2]*IOMMU
+	for i := range ios {
+		ios[i] = newTestIOMMU(t)
+		if err := ios[i].Map(1, 0x10000, 0x4000, vm.Read|vm.Write); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ios[i].Translate(1, 0x10000, vm.AccessLoad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := ios[0].Translate(1, 0x20000, vm.AccessStore); err == nil {
+		t.Fatal("Translate of an unmapped page succeeded")
+	}
+	if _, _, err := ios[1].TranslateIO(1, 0x20000, true); err == nil {
+		t.Fatal("TranslateIO of an unmapped page succeeded")
+	}
+	if a, b := ios[0].IOTLB().Snapshot(), ios[1].IOTLB().Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("IOTLB differs:\n Translate   %+v\n TranslateIO %+v", *a, *b)
+	}
+	if a, b := ios[0].Counters(), ios[1].Counters(); a != b {
+		t.Fatalf("counters differ: Translate %+v, TranslateIO %+v", a, b)
+	}
+	allocs := testing.AllocsPerRun(100, func() { ios[1].TranslateIO(1, 0x20000, false) })
+	if allocs != 0 {
+		t.Fatalf("an unmapped TranslateIO allocates %.1f times, want 0", allocs)
 	}
 }

@@ -181,3 +181,23 @@ func BenchmarkTraceEmit(b *testing.B) {
 		tr.Instant(sim.Time(i), CatBus, "load", 0, 0, 1, 2, 3)
 	}
 }
+
+// TestRegistryExtrapolate: Extrapolate adds k times each cell's change
+// since an earlier Read, counters and gauges alike.
+func TestRegistryExtrapolate(t *testing.T) {
+	r := NewRegistry()
+	var c Counter
+	var g Gauge
+	r.RegisterCounter("c", &c)
+	r.RegisterGauge("g", &g)
+	c.Add(7)
+	g.Add(100)
+	base := make([]uint64, r.Len())
+	r.Read(base)
+	c.Add(2)
+	g.Add(-3)
+	r.Extrapolate(base, 4)
+	if c != 7+2*5 || g != 100-3*5 {
+		t.Fatalf("after Extrapolate: counter %d, gauge %d; want %d, %d", c, g, 7+2*5, 100-3*5)
+	}
+}

@@ -8,6 +8,7 @@
 package phys
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -88,13 +89,22 @@ const (
 	chunkMask  = chunkSize - 1
 )
 
+// chunk is one page of backing store. The table holds a pointer per
+// chunk, a third of a slice header, so a 4 MiB memory's table is 4 KiB.
+// Offsets past a short final chunk are never addressed: every access
+// is checked against the memory's size first.
+type chunk [chunkSize]byte
+
+// zeroChunk is compared against, never written.
+var zeroChunk chunk
+
 // Memory is a flat physical memory of fixed size. The zero value is not
 // usable; construct with New. Memory is not safe for concurrent use: the
 // simulator is single-threaded by design (determinism), so no locking is
 // needed or wanted.
 type Memory struct {
 	size   int
-	chunks [][]byte // lazily allocated; nil chunk reads as zeros
+	chunks []*chunk // lazily allocated; nil chunk reads as zeros
 	shared []bool   // chunk is owned by a snapshot: copy before write
 	ctr    Counters
 }
@@ -108,7 +118,7 @@ func New(size int) *Memory {
 		panic(fmt.Sprintf("phys: invalid memory size %d", size))
 	}
 	nChunks := (size + chunkSize - 1) >> chunkShift
-	return &Memory{size: size, chunks: make([][]byte, nChunks)}
+	return &Memory{size: size, chunks: make([]*chunk, nChunks)}
 }
 
 // Size returns the memory size in bytes.
@@ -116,7 +126,12 @@ func (m *Memory) Size() int { return m.size }
 
 // chunkRO returns the chunk containing addr for reading (nil means the
 // chunk was never written: all zeros).
-func (m *Memory) chunkRO(addr Addr) []byte { return m.chunks[addr>>chunkShift] }
+func (m *Memory) chunkRO(addr Addr) []byte {
+	if c := m.chunks[addr>>chunkShift]; c != nil {
+		return c[:]
+	}
+	return nil
+}
 
 // chunkRW returns the chunk containing addr, materializing it on first
 // write. Chunks owned by a snapshot (copy-on-write) are cloned on the
@@ -129,20 +144,15 @@ func (m *Memory) chunkRW(addr Addr) []byte {
 	i := addr >> chunkShift
 	c := m.chunks[i]
 	if c == nil {
-		n := chunkSize
-		if rem := m.size - int(i)<<chunkShift; rem < n {
-			n = rem
-		}
-		c = make([]byte, n)
+		c = new(chunk)
 		m.chunks[i] = c
 	} else if m.shared != nil && m.shared[i] {
-		dup := make([]byte, len(c))
-		copy(dup, c)
-		m.chunks[i] = dup
+		dup := *c
+		c = &dup
+		m.chunks[i] = c
 		m.shared[i] = false
-		c = dup
 	}
-	return c
+	return c[:]
 }
 
 // Snapshot is an O(#materialized chunks) copy-on-write capture of a
@@ -154,7 +164,7 @@ func (m *Memory) chunkRW(addr Addr) []byte {
 // goroutines, without copies of the untouched majority of RAM.
 type Snapshot struct {
 	size   int
-	chunks [][]byte
+	chunks []*chunk
 	ctr    Counters
 }
 
@@ -165,7 +175,7 @@ func (m *Memory) Snapshot() *Snapshot {
 	if m.shared == nil {
 		m.shared = make([]bool, len(m.chunks))
 	}
-	s := &Snapshot{size: m.size, chunks: make([][]byte, len(m.chunks)), ctr: m.ctr}
+	s := &Snapshot{size: m.size, chunks: make([]*chunk, len(m.chunks)), ctr: m.ctr}
 	for i, c := range m.chunks {
 		if c != nil {
 			m.shared[i] = true
@@ -328,7 +338,11 @@ func (m *Memory) WriteBytes(addr Addr, b []byte) error {
 		if span > len(b)-off {
 			span = len(b) - off
 		}
-		copy(m.chunkRW(a)[a&chunkMask:], b[off:off+span])
+		// Zeros written to a never-written chunk leave it reading as
+		// zeros: nothing to materialize (a DMA of an untouched page).
+		if m.chunks[a>>chunkShift] != nil || !bytes.Equal(b[off:off+span], zeroChunk[:span]) {
+			copy(m.chunkRW(a)[a&chunkMask:], b[off:off+span])
+		}
 		off += span
 	}
 	m.ctr.BytesWrote.Add(uint64(len(b)))

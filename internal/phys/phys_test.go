@@ -218,3 +218,37 @@ func TestReadAfterWriteProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteZerosToUntouchedChunk: zeros written to a never-written
+// chunk materialize nothing (the chunk already reads as zeros), while
+// zeros written over data still clear it.
+func TestWriteZerosToUntouchedChunk(t *testing.T) {
+	m := New(4 * chunkSize)
+	zeros := make([]byte, chunkSize+16)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := m.WriteBytes(chunkSize-8, zeros); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("zero write to untouched chunks allocated %.1f times", allocs)
+	}
+	if m.chunks[0] != nil || m.chunks[1] != nil || m.chunks[2] != nil {
+		t.Fatal("a zero write materialized a chunk")
+	}
+	if err := m.WriteBytes(chunkSize, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteBytes(chunkSize-8, zeros); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.ReadBytes(chunkSize-8, len(zeros))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, zeros) {
+		t.Fatal("zeros written over data did not clear it")
+	}
+	if c := m.Counters(); c.BytesWrote.Value() != uint64(3+12*len(zeros)) {
+		t.Fatalf("BytesWrote = %d, want every written byte counted", c.BytesWrote)
+	}
+}

@@ -593,6 +593,36 @@ func (c *Context) handOff() {
 	}
 }
 
+// SkipRoom reports how many more slots the guest can take in place
+// (Runner.regrant) with every scheduling decision as it is now: before
+// the slot budget runs out or its round-robin quantum would turn over.
+// ok is false when slots cannot be charged in bulk: outside Run, under
+// any policy but RoundRobin, or with another process live.
+func (c *Context) SkipRoom() (slots uint64, ok bool) {
+	rr, isRR := c.r.policy.(*RoundRobin)
+	if !isRR || c.r.current != c.p || rr.used > rr.Quantum {
+		return 0, false
+	}
+	for _, p := range c.r.procs {
+		if p != c.p && p.state != Done {
+			return 0, false
+		}
+	}
+	return min(c.r.maxSlots-c.r.granted, uint64(rr.Quantum-rr.used)), true
+}
+
+// SkipSlots charges n in-place slots lasting d in all, within SkipRoom,
+// as n regrant calls would: the slot budget, the round-robin position,
+// the instruction count and the guest's CPU time. The proc.slots cell
+// is left to the caller's registry charge (obs.Registry.Extrapolate).
+func (c *Context) SkipSlots(n uint64, d sim.Time) {
+	c.r.granted += n
+	c.r.policy.(*RoundRobin).used += int(n)
+	c.p.instrs += n
+	c.p.cpuTime += d
+	c.r.slotStart += d
+}
+
 // Load issues a user-mode load.
 func (c *Context) Load(va vm.VAddr, size phys.AccessSize) (uint64, error) {
 	c.begin()

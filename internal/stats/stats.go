@@ -77,14 +77,19 @@ func (s *Sample) Max() sim.Time {
 // nearest-rank. The sorted order is computed once and cached until the
 // next Add, so asking one sample for several percentiles sorts once.
 func (s *Sample) Percentile(p float64) sim.Time {
-	if len(s.values) == 0 {
-		return 0
+	if s.sorted == nil {
+		s.sorted = append([]sim.Time(nil), s.values...)
+		sort.Slice(s.sorted, func(i, j int) bool { return s.sorted[i] < s.sorted[j] })
 	}
-	sorted := s.sorted
-	if sorted == nil {
-		sorted = append([]sim.Time(nil), s.values...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		s.sorted = sorted
+	return Percentile(s.sorted, p)
+}
+
+// Percentile returns the p-th percentile (0 <= p <= 100) of an
+// ascending slice by nearest-rank, as Sample.Percentile does (0 when
+// empty).
+func Percentile(sorted []sim.Time, p float64) sim.Time {
+	if len(sorted) == 0 {
+		return 0
 	}
 	if p <= 0 {
 		return sorted[0]

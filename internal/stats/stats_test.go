@@ -28,8 +28,10 @@ func TestSampleBasics(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	var s Sample
+	var sorted []sim.Time
 	for i := 1; i <= 100; i++ {
-		s.Add(sim.Time(i))
+		s.Add(sim.Time(101 - i))
+		sorted = append(sorted, sim.Time(i))
 	}
 	cases := []struct {
 		p    float64
@@ -39,9 +41,12 @@ func TestPercentile(t *testing.T) {
 		if got := s.Percentile(c.p); got != c.want {
 			t.Errorf("P%.0f = %v, want %v", c.p, got, c.want)
 		}
+		if got := Percentile(sorted, c.p); got != c.want {
+			t.Errorf("Percentile(sorted, %.0f) = %v, want %v", c.p, got, c.want)
+		}
 	}
 	var empty Sample
-	if empty.Percentile(50) != 0 {
+	if empty.Percentile(50) != 0 || Percentile(nil, 50) != 0 {
 		t.Fatal("empty percentile")
 	}
 }

@@ -126,6 +126,27 @@ func (t *TLB) Translate(as *AddressSpace, va VAddr, access Access) (pa phys.Addr
 	return pte.Frame + phys.Addr(uint64(va)%as.PageSize()), false, nil
 }
 
+// Miss counts a translation of an address the page table does not map,
+// as Translate does before returning its *Fault: the tick advances and
+// a miss is counted. No entry can hit such an address (Map and Unmap
+// bump the space's generation), so nothing else changes.
+func (t *TLB) Miss() {
+	t.tick++
+	t.ctr.Misses.Inc()
+}
+
+// Skip advances the LRU tick by n and shifts by n the stamp of every
+// entry touched after tick since: the state n more ticks of touching
+// the same entries in the same order would leave.
+func (t *TLB) Skip(since, n uint64) {
+	for i := range t.entries {
+		if t.entries[i].used > since {
+			t.entries[i].used += n
+		}
+	}
+	t.tick += n
+}
+
 func (t *TLB) insert(as *AddressSpace, vpn uint64, pte PTE) {
 	victim := 0
 	oldest := ^uint64(0)
