@@ -28,8 +28,10 @@ var (
 )
 
 // goldenExamples are the examples pinned by TestGoldenExamples: each
-// reaches Handle.Wait, directly or through internal/msg.
-var goldenExamples = []string{"quickstart", "nowtransfer", "interrupts", "msgring", "bsp"}
+// reaches Handle.Wait, directly or through internal/msg, except atomics
+// (the engine's atomic window) and attacks, which prints the transfers
+// the engine started under each adversarial schedule.
+var goldenExamples = []string{"quickstart", "nowtransfer", "interrupts", "msgring", "bsp", "atomics", "attacks"}
 
 // buildTools compiles every cmd/ binary, and each pinned example as
 // example-<name>, once per test process.
