@@ -66,9 +66,12 @@ shardparity:
 # depth/churn measurements are rerun-deterministic, a mid-batch fleet
 # snapshot rewinds byte-identically, the doorbell->walk->completion
 # hot path stays at 0 allocs/op, and a zero-size descriptor on a
-# physical or a virtual ring completes exactly once.
+# physical or a virtual ring completes exactly once. The pooled
+# Transfer records' contracts ride along: a record displaced before its
+# delivery lands stays out of the pool, two clones of one snapshot each
+# match a fresh world, and a warm initiation allocates nothing.
 ringparity:
-	$(GO) test -race -run 'TestRingDepthAmortizes|TestRingDepthDeterministic|TestRingChurnPolicies|TestRingSnapshotFidelity|TestRingDoorbellZeroAllocs|TestRingZeroSizeCompletesOnce' ./internal/core ./internal/dma
+	$(GO) test -race -run 'TestRingDepthAmortizes|TestRingDepthDeterministic|TestRingChurnPolicies|TestRingSnapshotFidelity|TestRingDoorbellZeroAllocs|TestRingZeroSizeCompletesOnce|TestPoolHoldsRecordsUntilDelivered|TestSnapshotClonesDoNotShareRecords|TestInitiationZeroAllocs|TestBackToBackAllocsTrackBacklog' ./internal/core ./internal/dma
 
 # The virtual-address plane's contracts, run under the race detector:
 # a world snapshotted with a transfer PARKED mid-fault rewinds and
@@ -81,9 +84,10 @@ ringparity:
 # and the TLB stamps exactly as the full poll loop does — also when
 # maxPolls or the slot budget runs out mid-wait — refuses beside a
 # second live process and on a syscall poll, and allocates nothing in a
-# warm Wait.
+# warm Wait. A world configured like PagingBench snapshots, and its
+# clone and rewound origin replay a faulting stream byte-identically.
 iommuparity:
-	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipZeroAllocs' ./internal/core ./internal/dma ./internal/exp
+	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipZeroAllocs|TestPagingWorldSnapshotReplays' ./internal/core ./internal/dma ./internal/exp
 
 # The steered loop's contracts, run under the race detector: the live
 # obs feed costs 0 simulated time and 0 allocations (byte-identical

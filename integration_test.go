@@ -12,6 +12,7 @@ import (
 
 	userdma "uldma/internal/core"
 	"uldma/internal/dma"
+	"uldma/internal/dma/dmatest"
 	"uldma/internal/msg"
 	"uldma/internal/net"
 	"uldma/internal/phys"
@@ -44,6 +45,7 @@ func soakSingleNode(t *testing.T, seed uint64) {
 	t.Helper()
 	method := userdma.ExtShadow{}
 	m := userdma.Machine(method)
+	accepted := dmatest.Accepted(m.Engine)
 	pageSize := m.Cfg.PageSize
 
 	const nProcs = 4
@@ -166,7 +168,7 @@ func soakSingleNode(t *testing.T, seed uint64) {
 	}
 	// Invariant: no transfer outside the legal page set.
 	ps := phys.Addr(pageSize)
-	for _, tr := range m.Engine.Transfers() {
+	for _, tr := range *accepted {
 		if !legalFrames[tr.Src&^(ps-1)] || !legalFrames[tr.Dst&^(ps-1)] {
 			t.Fatalf("stray transfer %v -> %v", tr.Src, tr.Dst)
 		}
@@ -215,6 +217,7 @@ func TestSoakRepeatedPassingMultiprogrammed(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		method := userdma.RepeatedPassing{Len: 5, Barriers: true, MaxRetries: 512}
 		m := userdma.Machine(method)
+		accepted := dmatest.Accepted(m.Engine)
 		pageSize := m.Cfg.PageSize
 		type job struct {
 			h          *userdma.Handle
@@ -272,7 +275,7 @@ func TestSoakRepeatedPassingMultiprogrammed(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		ps := phys.Addr(pageSize)
-		for _, tr := range m.Engine.Transfers() {
+		for _, tr := range *accepted {
 			if !legal[[2]phys.Addr{tr.Src &^ (ps - 1), tr.Dst &^ (ps - 1)}] {
 				t.Fatalf("seed %d: misdirected transfer %v->%v", seed, tr.Src, tr.Dst)
 			}
@@ -299,6 +302,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() fingerprint {
 		method := userdma.KeyBased{}
 		m := userdma.Machine(method)
+		accepted := dmatest.Accepted(m.Engine)
 		type job struct{ h *userdma.Handle }
 		for i := 0; i < 3; i++ {
 			j := &job{}
@@ -327,7 +331,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		m.Settle()
 		var log string
-		for _, tr := range m.Engine.Transfers() {
+		for _, tr := range *accepted {
 			log += fmt.Sprintf("%v>%v#%d@%v;", tr.Src, tr.Dst, tr.Size, tr.Start)
 		}
 		return fingerprint{

@@ -88,6 +88,9 @@ type attackTemplate struct {
 	snap         *machine.Snapshot
 	vicAS, attAS *vm.AddressSpace
 	frames       map[string]phys.Addr
+	// accepted collects, through the engine's accept hook, every
+	// transfer the current run started, in start order.
+	accepted []dma.Transfer
 }
 
 // scenarioKey identifies a template family: two worlds are
@@ -132,6 +135,7 @@ func newAttackTemplate(seqLen int, shareA bool) (*attackTemplate, error) {
 		attAS:  m.Kernel.NewAddressSpace(),
 		frames: map[string]phys.Addr{},
 	}
+	m.Engine.SetAcceptHook(func(tr dma.Transfer) { t.accepted = append(t.accepted, tr) })
 	alloc := func(as *vm.AddressSpace, name string, va vm.VAddr) error {
 		frame, err := m.Kernel.AllocPage(as, va, vm.Read|vm.Write)
 		if err != nil {
@@ -188,7 +192,7 @@ func program(p isa.Program) guest {
 // client is a victim running the Figure 7 library loop: the 5-access
 // sequence A->B, retried as r says.
 func client(r RepeatedPassing) guest {
-	prog := r.sequence(vaA, vaB, duelSize)
+	prog := r.sequence(nil, vaA, vaB, duelSize)
 	return func(c *proc.Context) (uint64, error) { return r.retry(c, prog) }
 }
 
@@ -299,6 +303,7 @@ func (d duel) run() (AttackOutcome, error) {
 // has completed, so the world is quiescent), the template is dropped
 // and the next run builds a fresh one.
 func (t *attackTemplate) release() {
+	t.accepted = t.accepted[:0]
 	if err := t.m.Restore(t.snap); err == nil {
 		if pi, ok := attackPools.Load(t.key); ok {
 			pi.(*sync.Pool).Put(t)
@@ -317,7 +322,7 @@ func (t *attackTemplate) frameName(pa phys.Addr) string {
 	return pa.String()
 }
 
-// outcome inspects the engine's transfer log after a run.
+// outcome inspects the transfers the run started.
 func (t *attackTemplate) outcome(victimStatus, attackerStatus uint64, victimErr error) AttackOutcome {
 	o := AttackOutcome{
 		VictimStatus:          victimStatus,
@@ -326,7 +331,7 @@ func (t *attackTemplate) outcome(victimStatus, attackerStatus uint64, victimErr 
 		VictimErr:             victimErr,
 	}
 	sawAtoB := false
-	for _, tr := range t.m.Engine.Transfers() {
+	for _, tr := range t.accepted {
 		src, dst := t.frameName(tr.Src), t.frameName(tr.Dst)
 		o.Transfers = append(o.Transfers, fmt.Sprintf("%s->%s[%d]", src, dst, tr.Size))
 		if dst == "B" && src != "A" {

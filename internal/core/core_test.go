@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uldma/internal/dma"
+	"uldma/internal/dma/dmatest"
 	"uldma/internal/machine"
 	"uldma/internal/phys"
 	"uldma/internal/proc"
@@ -341,6 +342,7 @@ func TestMethodMetadata(t *testing.T) {
 func TestPairedRaceUnsafeVsKernelMod(t *testing.T) {
 	raceyRun := func(method Method, seed uint64) (misdirected int, failed int) {
 		m := Machine(method)
+		accepted := dmatest.Accepted(m.Engine)
 		type job struct {
 			p        *proc.Process
 			h        *Handle
@@ -392,7 +394,7 @@ func TestPairedRaceUnsafeVsKernelMod(t *testing.T) {
 		for _, j := range jobs {
 			legal[[2]phys.Addr{j.srcF, j.dstF}] = true
 		}
-		for _, tr := range m.Engine.Transfers() {
+		for _, tr := range *accepted {
 			ps := phys.Addr(m.Cfg.PageSize)
 			pair := [2]phys.Addr{tr.Src &^ (ps - 1), tr.Dst &^ (ps - 1)}
 			if !legal[pair] {
@@ -438,6 +440,7 @@ func TestUserMethodsSafeUnderPreemption(t *testing.T) {
 		t.Run(method.Name(), func(t *testing.T) {
 			for seed := uint64(1); seed <= 10; seed++ {
 				m := Machine(method)
+				accepted := dmatest.Accepted(m.Engine)
 				type job struct {
 					h    *Handle
 					srcF phys.Addr
@@ -484,7 +487,7 @@ func TestUserMethodsSafeUnderPreemption(t *testing.T) {
 					legal[[2]phys.Addr{j.srcF, j.dstF}] = true
 				}
 				ps := phys.Addr(m.Cfg.PageSize)
-				for _, tr := range m.Engine.Transfers() {
+				for _, tr := range *accepted {
 					pair := [2]phys.Addr{tr.Src &^ (ps - 1), tr.Dst &^ (ps - 1)}
 					if !legal[pair] {
 						t.Fatalf("seed %d: misdirected transfer %v->%v", seed, tr.Src, tr.Dst)
@@ -529,6 +532,7 @@ func TestExtShadowNoContextsVariant(t *testing.T) {
 	// Two-process preemption storm: same invariant as the full variant.
 	for seed := uint64(1); seed <= 8; seed++ {
 		m := Machine(method)
+		accepted := dmatest.Accepted(m.Engine)
 		if !m.Engine.Config().NoRegContexts {
 			t.Fatal("ConfigFor did not apply the engine tweak")
 		}
@@ -577,7 +581,7 @@ func TestExtShadowNoContextsVariant(t *testing.T) {
 			legal[[2]phys.Addr{j.srcF, j.dstF}] = true
 		}
 		ps := phys.Addr(m.Cfg.PageSize)
-		for _, tr := range m.Engine.Transfers() {
+		for _, tr := range *accepted {
 			pair := [2]phys.Addr{tr.Src &^ (ps - 1), tr.Dst &^ (ps - 1)}
 			if !legal[pair] {
 				t.Fatalf("seed %d: misdirected transfer %v->%v", seed, tr.Src, tr.Dst)

@@ -34,6 +34,11 @@ import (
 type DirectCPU struct {
 	M *machine.Machine
 	P *proc.Process
+
+	// prog is the buffer DirectDMA compiles into. It lives here, not on
+	// the Handle, because one handle may drive many machines at once (a
+	// hosted cluster shares its template's handle across shards).
+	prog isa.Program
 }
 
 // Load implements isa.Executor.
@@ -79,7 +84,8 @@ func (h *Handle) DirectDMA(d *DirectCPU, src, dst vm.VAddr, size uint64) (uint64
 		}
 		return dma.StatusFailure, fmt.Errorf("userdma: %s cannot initiate outside a scheduler context", h.method.Name())
 	}
-	prog := h.compile(src, dst, size)
+	d.prog = h.compile(d.prog[:0], src, dst, size)
+	prog := d.prog
 	if r, ok := h.method.(RepeatedPassing); ok {
 		return r.retry(d, prog)
 	}

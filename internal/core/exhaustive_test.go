@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uldma/internal/dma"
+	"uldma/internal/dma/dmatest"
 	"uldma/internal/phys"
 	"uldma/internal/proc"
 	"uldma/internal/vm"
@@ -29,6 +30,7 @@ func twoDMAFactory(t *testing.T, method Method, wantSuccess bool) proc.WorldFact
 	t.Helper()
 	return func() (*proc.World, error) {
 		m := Machine(method)
+		accepted := dmatest.Accepted(m.Engine)
 		type job struct {
 			h      *Handle
 			srcF   phys.Addr
@@ -66,7 +68,7 @@ func twoDMAFactory(t *testing.T, method Method, wantSuccess bool) proc.WorldFact
 				legal[[2]phys.Addr{j.srcF, j.dstF}] = true
 			}
 			ps := phys.Addr(m.Cfg.PageSize)
-			for _, tr := range m.Engine.Transfers() {
+			for _, tr := range *accepted {
 				pair := [2]phys.Addr{tr.Src &^ (ps - 1), tr.Dst &^ (ps - 1)}
 				if !legal[pair] {
 					return fmt.Errorf("misdirected transfer %v->%v", tr.Src, tr.Dst)
@@ -81,8 +83,8 @@ func twoDMAFactory(t *testing.T, method Method, wantSuccess bool) proc.WorldFact
 						return fmt.Errorf("p%d initiation refused", i)
 					}
 				}
-				if len(m.Engine.Transfers()) != 2 {
-					return fmt.Errorf("%d transfers started, want 2", len(m.Engine.Transfers()))
+				if len(*accepted) != 2 {
+					return fmt.Errorf("%d transfers started, want 2", len(*accepted))
 				}
 			}
 			return nil

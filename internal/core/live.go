@@ -63,9 +63,6 @@ func pagingBench(policy dma.RecoveryPolicy, pages, budget, transfers int, observ
 		return PagingResult{}, nil, err
 	}
 	m.Engine.SetRecoveryPolicy(policy)
-	// The loop never reads the transfer log: dropping it lets the engine
-	// recycle Transfer records instead of retaining one per transfer.
-	m.Engine.SetLogging(false)
 	if err := m.Kernel.EnablePager(budget, pagingPageIn); err != nil {
 		return PagingResult{}, m, err
 	}

@@ -93,9 +93,12 @@ type Handle struct {
 	ctx    int
 	key    uint64
 
-	// compile produces the straight-line instruction sequence of one
-	// initiation attempt; nil for call-based methods (kernel, PAL).
-	compile func(src, dst vm.VAddr, size uint64) isa.Program
+	// compile appends the straight-line instruction sequence of one
+	// initiation attempt to buf and returns it; nil for call-based
+	// methods (kernel, PAL).
+	compile func(buf isa.Program, src, dst vm.VAddr, size uint64) isa.Program
+	// prog is the buffer initiations compile into (see program).
+	prog isa.Program
 	// initiate performs one full initiation (including any retry loop)
 	// from guest code.
 	initiate func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error)
@@ -121,7 +124,17 @@ func (h *Handle) Program(src, dst vm.VAddr, size uint64) (isa.Program, bool) {
 	if h.compile == nil {
 		return nil, false
 	}
-	return h.compile(src, dst, size), true
+	return h.compile(nil, src, dst, size), true
+}
+
+// program compiles one initiation attempt into the handle's own buffer;
+// the result is valid until the next call. Every runner of an attempt
+// (runProgram, RepeatedPassing.retry) executes the program and keeps
+// none of it, so one buffer serves every initiation of the handle's
+// process.
+func (h *Handle) program(src, dst vm.VAddr, size uint64) isa.Program {
+	h.prog = h.compile(h.prog[:0], src, dst, size)
+	return h.prog
 }
 
 // DMA initiates a transfer of size bytes from virtual address src to

@@ -56,8 +56,13 @@ func (KernelLevel) RequiresKernelMod() bool { return false }
 // Attach implements Method.
 func (k KernelLevel) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
 	h := &Handle{method: k, m: m, p: p}
+	// One argument buffer per handle: the syscall handler reads the
+	// arguments and keeps none, and a fresh variadic slice would escape
+	// through the handler interface on every initiation.
+	var args [3]uint64
 	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-		return c.Syscall(kernel.SysDMA, uint64(src), uint64(dst), size)
+		args = [3]uint64{uint64(src), uint64(dst), size}
+		return c.Syscall(kernel.SysDMA, args[:]...)
 	}
 	h.poll = func(c *proc.Context) (uint64, error) {
 		// Completion polling costs a full trap each time — part of why
@@ -112,25 +117,20 @@ func (e ExtShadow) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) 
 		return nil, fmt.Errorf("userdma: %s: %w", e.Name(), err)
 	}
 	h := &Handle{method: e, m: m, p: p, ctx: ctx}
-	h.compile = func(src, dst vm.VAddr, size uint64) isa.Program {
-		return isa.Program{
+	h.compile = func(buf isa.Program, src, dst vm.VAddr, size uint64) isa.Program {
+		return append(buf,
 			isa.Store(shadow(dst), phys.Size64, size, "pass size; shadow(vdst) carries pdst+ctx"),
 			isa.Load(shadow(src), phys.Size64, "pass psrc; starts DMA; returns status"),
-		}
+		)
 	}
 	retries := e.MaxRetries
 	if retries <= 0 {
 		retries = 64
 	}
 	var lastSrc vm.VAddr
-	// Reuse one instruction buffer across initiations: the per-call
-	// Program literal was one heap allocation per message send.
-	var seq [2]isa.Instr
 	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
 		lastSrc = src
-		seq[0] = isa.Store(shadow(dst), phys.Size64, size, "pass size; shadow(vdst) carries pdst+ctx")
-		seq[1] = isa.Load(shadow(src), phys.Size64, "pass psrc; starts DMA; returns status")
-		prog := isa.Program(seq[:])
+		prog := h.program(src, dst, size)
 		if !e.NoContexts {
 			return runProgram(c, prog)
 		}
@@ -183,8 +183,8 @@ func (k KeyBased) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
 	}
 	h := &Handle{method: k, m: m, p: p, ctx: ctx, key: key}
 	packed := dma.PackKey(key, ctx)
-	h.compile = func(src, dst vm.VAddr, size uint64) isa.Program {
-		return isa.Program{
+	h.compile = func(buf isa.Program, src, dst vm.VAddr, size uint64) isa.Program {
+		return append(buf,
 			isa.Store(shadow(dst), phys.Size64, packed, "KEY#CTX to shadow(vdst): pass destination"),
 			isa.Store(shadow(src), phys.Size64, packed, "KEY#CTX to shadow(vsrc): pass source"),
 			isa.Store(kernel.CtxPageVA, phys.Size64, size, "size to register context"),
@@ -193,10 +193,10 @@ func (k KeyBased) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
 			// the engine never sees the sequence (§3.4, footnote 6).
 			isa.MB("flush write buffer before status read (§3.4)"),
 			isa.Load(kernel.CtxPageVA, phys.Size64, "initiate; read status"),
-		}
+		)
 	}
 	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-		return runProgram(c, h.compile(src, dst, size))
+		return runProgram(c, h.program(src, dst, size))
 	}
 	h.poll = func(c *proc.Context) (uint64, error) {
 		return c.Load(kernel.CtxPageVA, phys.Size64)
@@ -249,12 +249,9 @@ func (RepeatedPassing) RequiresKernelMod() bool { return false }
 
 // Attach implements Method.
 func (r RepeatedPassing) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
-	h := &Handle{method: r, m: m, p: p}
-	h.compile = func(src, dst vm.VAddr, size uint64) isa.Program {
-		return r.sequence(src, dst, size)
-	}
+	h := &Handle{method: r, m: m, p: p, compile: r.sequence}
 	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-		return r.retry(c, h.compile(src, dst, size))
+		return r.retry(c, h.program(src, dst, size))
 	}
 	return h, nil
 }
@@ -287,38 +284,39 @@ func (r RepeatedPassing) retry(c isa.Executor, prog isa.Program) (uint64, error)
 	return dma.StatusFailure, ErrRetriesExhausted
 }
 
-// sequence compiles one attempt. The 5-access shape is Figure 7
+// sequence appends one attempt to p. The 5-access shape is Figure 7
 // verbatim: STORE, LOAD, STORE, LOAD, LOAD with barriers after each
 // store so the write buffer cannot collapse the repeated stores (§3.4).
-func (r RepeatedPassing) sequence(src, dst vm.VAddr, size uint64) isa.Program {
-	mb := func(p isa.Program) isa.Program {
-		if r.Barriers {
-			return append(p, isa.MB("flush write buffer (§3.4)"))
-		}
-		return p
-	}
-	var p isa.Program
+func (r RepeatedPassing) sequence(p isa.Program, src, dst vm.VAddr, size uint64) isa.Program {
 	switch r.SeqLen() {
 	case 3: // Dubnicki's original proposal.
-		p = isa.Program{isa.Load(shadow(src), phys.Size64, "status1 from shadow(vsrc)")}
+		p = append(p, isa.Load(shadow(src), phys.Size64, "status1 from shadow(vsrc)"))
 		p = append(p, isa.Store(shadow(dst), phys.Size64, size, "size to shadow(vdst)"))
-		p = mb(p)
+		p = r.barrier(p)
 		p = append(p, isa.Load(shadow(src), phys.Size64, "status2 from shadow(vsrc); starts DMA"))
 	case 4:
-		p = isa.Program{isa.Store(shadow(dst), phys.Size64, size, "size to shadow(vdst)")}
-		p = mb(p)
+		p = append(p, isa.Store(shadow(dst), phys.Size64, size, "size to shadow(vdst)"))
+		p = r.barrier(p)
 		p = append(p, isa.Load(shadow(src), phys.Size64, "status1 from shadow(vsrc)"))
 		p = append(p, isa.Store(shadow(dst), phys.Size64, size, "size to shadow(vdst) again"))
-		p = mb(p)
+		p = r.barrier(p)
 		p = append(p, isa.Load(shadow(src), phys.Size64, "status2; starts DMA"))
 	default: // 5: Figure 7.
-		p = isa.Program{isa.Store(shadow(dst), phys.Size64, size, "1: size to shadow(vdst)")}
-		p = mb(p)
+		p = append(p, isa.Store(shadow(dst), phys.Size64, size, "1: size to shadow(vdst)"))
+		p = r.barrier(p)
 		p = append(p, isa.Load(shadow(src), phys.Size64, "2: status from shadow(vsrc)"))
 		p = append(p, isa.Store(shadow(dst), phys.Size64, size, "3: size to shadow(vdst) again"))
-		p = mb(p)
+		p = r.barrier(p)
 		p = append(p, isa.Load(shadow(src), phys.Size64, "4: status from shadow(vsrc) again"))
 		p = append(p, isa.Load(shadow(dst), phys.Size64, "5: status from shadow(vdst); starts DMA"))
+	}
+	return p
+}
+
+// barrier appends the §3.4 write-buffer flush when Barriers is set.
+func (r RepeatedPassing) barrier(p isa.Program) isa.Program {
+	if r.Barriers {
+		return append(p, isa.MB("flush write buffer (§3.4)"))
 	}
 	return p
 }
@@ -375,10 +373,8 @@ func (SHRIMP1) RequiresKernelMod() bool { return false }
 // MapOutPage before use; DMA ignores its dst argument.
 func (s SHRIMP1) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
 	h := &Handle{method: s, m: m, p: p}
-	h.compile = func(src, _ vm.VAddr, size uint64) isa.Program {
-		return isa.Program{
-			isa.Swap(shadow(src), phys.Size64, size, "compare&exchange: size in, status out"),
-		}
+	h.compile = func(buf isa.Program, src, _ vm.VAddr, size uint64) isa.Program {
+		return append(buf, isa.Swap(shadow(src), phys.Size64, size, "compare&exchange: size in, status out"))
 	}
 	h.initiate = func(c *proc.Context, src, _ vm.VAddr, size uint64) (uint64, error) {
 		return c.Swap(shadow(src), phys.Size64, size)
@@ -461,17 +457,17 @@ func (f FLASH) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
 // and FLASH, with a retry loop for hook-induced aborts.
 func pairedHandle(method Method, m *machine.Machine, p *proc.Process, maxRetries int) *Handle {
 	h := &Handle{method: method, m: m, p: p}
-	h.compile = func(src, dst vm.VAddr, size uint64) isa.Program {
-		return isa.Program{
+	h.compile = func(buf isa.Program, src, dst vm.VAddr, size uint64) isa.Program {
+		return append(buf,
 			isa.Store(shadow(dst), phys.Size64, size, "pass pdst and size"),
 			isa.Load(shadow(src), phys.Size64, "pass psrc; starts DMA; returns status"),
-		}
+		)
 	}
 	if maxRetries <= 0 {
 		maxRetries = 64
 	}
 	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-		prog := h.compile(src, dst, size)
+		prog := h.program(src, dst, size)
 		for attempt := 0; attempt < maxRetries; attempt++ {
 			status, err := runProgram(c, prog)
 			if err != nil {

@@ -104,7 +104,6 @@ func pollWorld(t *testing.T, skip bool, transfers, maxPolls int, maxSlots uint64
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Engine.SetLogging(false)
 		if err := m.Kernel.EnablePager(2, pagingPageIn); err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +248,6 @@ func TestPollSkipZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Engine.SetLogging(false)
 	const src, dst = vm.VAddr(0x10000), vm.VAddr(0x20000)
 	size := m.Cfg.PageSize
 	var h *Handle

@@ -168,7 +168,6 @@ func measureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, *machine.Machin
 	if err != nil {
 		return IOTLBPoint{}, nil, err
 	}
-	m.Engine.SetLogging(false) // see PagingBenchLive
 	res := IOTLBPoint{Pages: pages, TLBEntries: tlbEntries, Transfers: transfers}
 
 	ps := vm.VAddr(cfg.PageSize)

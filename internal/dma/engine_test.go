@@ -61,6 +61,14 @@ func newEngine(t *testing.T, mode Mode, mut func(*Config)) *engFixture {
 	return &engFixture{e: e, mem: mem, events: events}
 }
 
+// accepted subscribes to the engine's accept hook: the returned list
+// grows by every transfer accepted from now on, in start order.
+func (f *engFixture) accepted() *[]Transfer {
+	var log []Transfer
+	f.e.SetAcceptHook(func(t Transfer) { log = append(log, t) })
+	return &log
+}
+
 // settle runs all pending delivery events and returns the final time.
 func (f *engFixture) settle() sim.Time { return f.events.Drain(0) }
 
@@ -80,13 +88,6 @@ func (f *engFixture) expectMoved(t *testing.T, dst phys.Addr, n int, v byte) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("destination bytes = %v..., want all %#x", got[:min(8, len(got))], v)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- configuration ---

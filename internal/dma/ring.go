@@ -212,39 +212,13 @@ func (r *ringState) ringAllowed(addr phys.Addr, size uint64) bool {
 	return false
 }
 
-// ringCompletion is one accepted descriptor waiting for its transfer's
-// End event, pooled like remoteShip: the fire closure is built once per
-// record and captures only the record, so a steady stream of ring
-// transfers schedules completions allocation-free.
-type ringCompletion struct {
-	e    *Engine
-	t    *Transfer
-	slot phys.Addr // descriptor slot base the record is written to
-	ctx  int32
-	gen  uint32 // ring generation at acceptance
-	fire func(sim.Time)
-}
-
-func (e *Engine) getRingC() *ringCompletion {
-	if n := len(e.freeRingC); n > 0 {
-		c := e.freeRingC[n-1]
-		e.freeRingC = e.freeRingC[:n-1]
-		return c
-	}
-	c := &ringCompletion{e: e}
-	c.fire = func(at sim.Time) { c.run(at) }
-	return c
-}
-
-// run lands the completion record; for a zero-size transfer it is also
-// the finish event (see schedule). Transfers whose ring was torn down
-// or re-armed since acceptance still write their record (the engine
-// masters the bus; the frames were valid at acceptance) but no longer
-// touch the new ring's bookkeeping.
-func (c *ringCompletion) run(at sim.Time) {
-	e, t, slot, ctx, gen := c.e, c.t, c.slot, c.ctx, c.gen
-	c.t = nil
-	e.freeRingC = append(e.freeRingC, c)
+// completeRing lands a ring transfer's completion record; for a
+// zero-size transfer it is also the finish (see schedule). It runs as
+// the record's last event at End, or from the VA walker at the REAL
+// end. Transfers whose ring was torn down or re-armed since acceptance
+// still write their record (the engine masters the bus; the frames were
+// valid at acceptance) but no longer touch the new ring's bookkeeping.
+func (e *Engine) completeRing(t *Transfer, at sim.Time) {
 	if t.Size == 0 && !t.Failed {
 		e.finish(t)
 	}
@@ -252,12 +226,11 @@ func (c *ringCompletion) run(at sim.Time) {
 	if t.Failed {
 		status = StatusFailure
 	}
-	e.writeCompletion(slot, status, at)
-	r := &e.rings[ctx]
-	if r.gen == gen && r.inFlight > 0 {
+	e.writeCompletion(t.slot, status, at)
+	r := &e.rings[t.rctx]
+	if r.gen == t.gen && r.inFlight > 0 {
 		r.inFlight--
 	}
-	e.retire(t, e.last)
 }
 
 // writeCompletion stores the (status, timestamp) record into a
@@ -322,8 +295,8 @@ func (e *Engine) ringStore(now sim.Time, off uint64, val uint64) (int64, error) 
 // and arrange the completion record. A physical ring checks the
 // registered extents; on a virtual ring (SetRingVA) Src/Dst are device
 // VAs for the ring's context and the IOMMU's page tables are the
-// registration. A virtual transfer's record rides its walker and fires
-// at the REAL end (penalties, stalls and fix-ups included).
+// registration. A virtual transfer's walker completes it at the REAL
+// end (penalties, stalls and fix-ups included).
 func (e *Engine) walkDescriptor(now sim.Time, ctx int, r *ringState, slot phys.Addr) {
 	src, err := e.mem.Read(slot+DescSrc, phys.Size64)
 	if err != nil {
@@ -351,12 +324,10 @@ func (e *Engine) walkDescriptor(now sim.Time, ctx int, r *ringState, slot phys.A
 		return
 	}
 	r.inFlight++
-	c := e.getRingC()
-	c.t, c.slot, c.ctx, c.gen = t, slot, int32(ctx), r.gen
-	if t.vw != nil {
-		t.vw.comp = c
-	} else {
-		e.events.ScheduleFunc(t.End, c.fire)
+	t.slot, t.rctx, t.gen = slot, int32(ctx), r.gen
+	if t.vw == nil {
+		t.refs++
+		e.events.ScheduleFunc(t.End, t.fire)
 	}
 }
 

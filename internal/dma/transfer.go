@@ -1,6 +1,8 @@
 package dma
 
 import (
+	"fmt"
+
 	"uldma/internal/phys"
 	"uldma/internal/sim"
 )
@@ -39,8 +41,28 @@ type Transfer struct {
 	VCtx int
 
 	delivered bool
-	ring      bool      // started by a descriptor-ring walk (see args)
 	vw        *vaWalker // in-flight virtual delivery state (nil once done)
+
+	// A transfer started by a descriptor-ring walk (see args) writes its
+	// completion record into descriptor slot of ring rctx, if the ring is
+	// still at generation gen (ring.go).
+	ring bool
+	rctx int32
+	gen  uint32
+	slot phys.Addr
+
+	// Pool bookkeeping (see Engine.drop). refs counts what can still
+	// reach the record: e.last, a register context's cur, each pending
+	// event and a VA walker. bursts counts the pending data events; off
+	// is the next local burst to land, data a remote payload awaiting its
+	// ship, and fire the record's one completion method value (deliver),
+	// bound when the record is first allocated.
+	e      *Engine
+	refs   int32
+	bursts int32
+	off    uint64
+	data   []byte
+	fire   func(sim.Time)
 }
 
 // Remaining returns the bytes still to move at time now: the paper's
@@ -111,16 +133,16 @@ type args struct {
 	virt bool
 	vctx int
 	// ring marks a descriptor-ring start (ring.go): a zero-size transfer
-	// is finished by its pooled completion record, not by an event here.
+	// is finished by its ring completion, not by an event here.
 	ring bool
 }
 
 // start is the one place a transfer is accepted or refused. Past the
 // MaxTransfer cap, a virtual request is admitted by the IOMMU path
 // (admitVA, whose pin latency precedes engine startup) and a physical
-// one by validateTransfer. On
-// acceptance the completion is scheduled and the transfer becomes the
-// engine's "last"; a refusal leaves a Failed record there instead.
+// one by validateTransfer. Either way the record becomes the engine's
+// "last": a refusal is a Failed record, an acceptance is announced to
+// the accept hook and has its delivery scheduled.
 func (e *Engine) start(now sim.Time, a args) (*Transfer, bool) {
 	if !a.virt {
 		a.vctx = 0
@@ -132,20 +154,20 @@ func (e *Engine) start(now sim.Time, a args) (*Transfer, bool) {
 	} else if ok {
 		ok = e.validateTransfer(a.src, a.dst, a.size)
 	}
+	t := e.newTransfer()
+	t.Src, t.Dst, t.Size, t.Virt, t.VCtx = a.src, a.dst, a.size, a.virt, a.vctx
 	if !ok {
 		e.ctr.Rejected.Inc()
-		e.last = &Transfer{Src: a.src, Dst: a.dst, Size: a.size, Failed: true, Start: now, End: now, Virt: a.virt, VCtx: a.vctx}
-		return e.last, false
+		t.Failed, t.Start, t.End = true, now, now
+		e.point(&e.last, t)
+		return t, false
 	}
 	begin := max(now+pinLat, e.xfer.busyUntil) + e.cfg.StartupTime
 	duration := sim.Time(0)
 	if a.size > 0 {
 		duration = e.copyDur(a.size)
 	}
-	prev := e.last
-	t := e.newTransfer()
-	t.Src, t.Dst, t.Size, t.Start, t.End = a.src, a.dst, a.size, begin, begin+duration
-	t.Virt, t.VCtx, t.ring = a.virt, a.vctx, a.ring
+	t.Start, t.End, t.ring = begin, begin+duration, a.ring
 	if !a.virt && e.cfg.RemoteBase != 0 && a.dst >= e.cfg.RemoteBase {
 		t.Remote = true
 		off := uint64(a.dst - e.cfg.RemoteBase)
@@ -158,22 +180,18 @@ func (e *Engine) start(now sim.Time, a args) (*Transfer, bool) {
 	if a.virt {
 		e.ctr.VAStarted.Inc()
 	}
-	e.last = t
-	if e.logging {
-		e.log = append(e.log, t)
+	if t.Start < e.audit.lastStart {
+		e.violate(fmt.Errorf("dma: transfer starts (%v) before its predecessor (%v)", t.Start, e.audit.lastStart))
+	}
+	e.audit.lastStart = t.Start
+	e.point(&e.last, t)
+	if e.onAccept != nil {
+		e.onAccept(*t)
 	}
 	if e.reserver != nil && t.End > t.Start {
 		// The engine masters the bus while it streams: CPU traffic in
 		// this window pays contention.
 		e.reserver.ReserveDMA(t.Start, t.End)
-	}
-	if a.ring && prev != nil && prev.ring {
-		// A batch's final transfer is still e.last when its completion
-		// record lands, so the record leaves it alive for last-status
-		// polling; it is reclaimed once the next ring start displaces it.
-		// Only ring-started transfers are safe to take: they are never a
-		// register context's cur record.
-		e.retire(prev, t)
 	}
 	e.schedule(t)
 	return t, true
@@ -192,47 +210,63 @@ func (e *Engine) copyDur(n uint64) sim.Time {
 // initiate starts the transfer a completing access asks for and returns
 // the status that access reads: the bytes still to move, or
 // StatusFailure. reg >= 0 names the register context the arguments were
-// collected in; an accepted transfer becomes its cur record, and the
-// record it displaces is retired.
+// collected in; an accepted transfer becomes its cur record.
 func (e *Engine) initiate(now sim.Time, reg int, a args) uint64 {
 	t, ok := e.start(now, a)
 	if ok && reg >= 0 {
-		c := &e.ctxs[reg]
-		old := c.cur
-		c.cur = t
-		e.retire(old, t)
+		e.point(&e.ctxs[reg].cur, t)
 	}
 	return t.Remaining(now)
 }
 
-// retire is the one place a Transfer record is recycled: with logging
-// off, old goes back to the free list once t has displaced it and its
-// delivery has landed. By then nothing can reach old any more — e.last
-// and the context's cur point elsewhere, and a delivered transfer has no
-// pending events.
-func (e *Engine) retire(old, t *Transfer) {
-	if !e.logging && old != nil && old != t && old.delivered {
-		e.freeT = append(e.freeT, old)
+// point makes *ref name t (which may be nil), holding t and dropping
+// the record *ref named before.
+func (e *Engine) point(ref **Transfer, t *Transfer) {
+	if t != nil {
+		t.refs++
 	}
+	if old := *ref; old != nil {
+		e.drop(old)
+	}
+	*ref = t
 }
 
-// newTransfer returns a Transfer record: fresh while the log is kept
-// (records are retained forever), recycled from the free list once
-// logging is off (see Engine.SetLogging).
-func (e *Engine) newTransfer() *Transfer {
-	if !e.logging {
-		if n := len(e.freeT); n > 0 {
-			t := e.freeT[n-1]
-			e.freeT = e.freeT[:n-1]
-			*t = Transfer{}
-			return t
-		}
+// drop releases one reference to t. The last one retires the record:
+// by then it has been displaced from e.last and its context's cur, and
+// whichever path delivers it has finished with it. The retire-time
+// audit runs, and the record goes back to the free list.
+func (e *Engine) drop(t *Transfer) {
+	if t.refs--; t.refs > 0 {
+		return
 	}
-	return &Transfer{}
+	if t.refs < 0 {
+		panic("dma: transfer record released twice")
+	}
+	if !t.Failed {
+		if err := e.auditRecord(t); err != nil {
+			e.violate(err)
+		}
+		e.audit.retired += t.Size
+	}
+	e.freeT = append(e.freeT, t)
+}
+
+// newTransfer pops a zeroed record from the free list, or allocates one
+// and binds its completion method value.
+func (e *Engine) newTransfer() *Transfer {
+	if n := len(e.freeT); n > 0 {
+		t := e.freeT[n-1]
+		e.freeT = e.freeT[:n-1]
+		*t = Transfer{e: e, fire: t.fire}
+		return t
+	}
+	t := &Transfer{e: e}
+	t.fire = t.deliver
+	return t
 }
 
 // snapshot reads the whole payload at acceptance time into a pooled
-// buffer (returned to the pool by remoteShip.run via putBuf). Only
+// buffer (returned to the pool by deliver via putBuf). Only
 // remote transfers need it; local transfers re-read each burst at its
 // burst time, so they never allocate a copy of the full payload.
 func (e *Engine) snapshot(t *Transfer) []byte {
@@ -270,90 +304,66 @@ func (e *Engine) finish(t *Transfer) {
 	e.ctr.BytesMoved.Add(t.Size)
 }
 
-// remoteShip is one in-flight remote payload waiting for its End event:
-// the pooled replacement for a per-transfer closure. The fire closure is
-// built once per record and captures only the record, so scheduling the
-// ship rides the event queue's pooled no-handle path allocation-free.
-type remoteShip struct {
-	e    *Engine
-	t    *Transfer
-	data []byte
-	fire func(sim.Time)
-}
-
-func (e *Engine) getShip() *remoteShip {
-	if n := len(e.freeShip); n > 0 {
-		s := e.freeShip[n-1]
-		e.freeShip = e.freeShip[:n-1]
-		return s
-	}
-	s := &remoteShip{e: e}
-	s.fire = func(at sim.Time) { s.run(at) }
-	return s
-}
-
-// run hands the payload to the fabric. The fabric copies what it keeps
-// (RemoteHandler contract), so the payload buffer goes straight back to
-// the pool, as does the ship record itself.
-func (s *remoteShip) run(at sim.Time) {
-	e, t, data := s.e, s.t, s.data
-	s.t, s.data = nil, nil
-	e.freeShip = append(e.freeShip, s)
-	err := e.remote.Deliver(t.Node, t.RemoteAddr, data, at)
-	e.putBuf(data)
-	if err != nil {
-		t.Failed = true
-		return
-	}
-	e.finish(t)
-}
-
-// localWalker is the delivery state of one local transfer. A single
-// walker replaces the old one-closure-per-chunk scheme: every burst
-// event shares the walker's one bound step method and one reusable
-// chunk buffer, and rides the event queue's pooled ScheduleFunc path —
-// so an N-chunk stream costs one walker allocation instead of N event
-// + N closure + N chunk-slice allocations.
-type localWalker struct {
-	e   *Engine
-	t   *Transfer
-	off uint64 // start of the next burst to land
-	buf []byte // reusable burst buffer
-}
-
-// step lands the next burst: read the source AT BURST TIME (so a CPU
-// store to a not-yet-read part of the source is picked up, exactly as
-// on real hardware — and why well-behaved clients don't touch
-// in-flight buffers), then write it to the destination. Bursts fire in
+// deliver is every physical delivery event, bound once per record as
+// t.fire; each scheduled event holds one reference. Once the data
+// events are spent, the event left is a ring transfer's completion
+// (scheduled after them, at End). Otherwise a zero-size transfer
+// finishes, a remote payload is handed to the fabric, and a local
+// transfer lands its next burst: the source is read AT BURST TIME (so a
+// CPU store to a not-yet-read part of the source is picked up, exactly
+// as on real hardware — and why well-behaved clients don't touch
+// in-flight buffers), then written to the destination. Bursts fire in
 // (At, seq) order, so off advances monotonically.
-func (w *localWalker) step(sim.Time) {
-	t := w.t
-	if t.Failed {
-		return
+func (t *Transfer) deliver(at sim.Time) {
+	e := t.e
+	t.bursts--
+	switch {
+	case t.bursts < 0:
+		e.completeRing(t, at)
+	case t.Size == 0:
+		e.finish(t)
+	case t.Remote:
+		// The fabric copies what it keeps (RemoteHandler contract), so the
+		// payload buffer goes straight back to the pool.
+		data := t.data
+		t.data = nil
+		err := e.remote.Deliver(t.Node, t.RemoteAddr, data, at)
+		e.putBuf(data)
+		if err != nil {
+			e.failAccepted(t, err)
+		} else {
+			e.finish(t)
+		}
+	case !t.Failed:
+		lo := t.off
+		hi := min(lo+transferChunk, t.Size)
+		t.off = hi
+		if e.chunk == nil {
+			e.chunk = make([]byte, transferChunk)
+		}
+		buf := e.chunk[:hi-lo]
+		if err := e.mem.ReadInto(t.Src+phys.Addr(lo), buf); err != nil {
+			e.failAccepted(t, err)
+		} else if err := e.mem.WriteBytes(t.Dst+phys.Addr(lo), buf); err != nil {
+			e.failAccepted(t, err)
+		} else if hi == t.Size {
+			e.finish(t)
+		}
 	}
-	lo := w.off
-	hi := lo + transferChunk
-	if hi > t.Size {
-		hi = t.Size
-	}
-	w.off = hi
-	buf := w.buf[:hi-lo]
-	if err := w.e.mem.ReadInto(t.Src+phys.Addr(lo), buf); err != nil {
-		t.Failed = true
-		return
-	}
-	if err := w.e.mem.WriteBytes(t.Dst+phys.Addr(lo), buf); err != nil {
-		t.Failed = true
-		return
-	}
-	if hi == t.Size {
-		w.e.finish(t)
-	}
+	e.drop(t)
 }
 
-// schedule arranges delivery of the payload. A zero-size transfer only
-// finishes at End; a virtual one is walked through the IOMMU
-// (scheduleVA). Local transfers land in
+// failAccepted fails a physical transfer after acceptance. Validation
+// bounds-checked both extents, so this is a model bug: the audit
+// latches it.
+func (e *Engine) failAccepted(t *Transfer, err error) {
+	t.Failed = true
+	e.violate(fmt.Errorf("dma: accepted transfer %v->%v failed in delivery: %w", t.Src, t.Dst, err))
+}
+
+// schedule arranges delivery of the payload, holding t once per
+// pending event. A zero-size transfer only finishes at End; a virtual
+// one is walked through the IOMMU (scheduleVA). Local transfers land in
 // transferChunk-sized pieces spread across [Start, End], each chunk
 // read from the source at its burst time. Remote payloads are
 // snapshotted at acceptance and handed to the fabric as one message at
@@ -363,40 +373,33 @@ func (w *localWalker) step(sim.Time) {
 func (e *Engine) schedule(t *Transfer) {
 	switch {
 	case t.Size == 0:
+		// A ring start's completion (ring.go) finishes it at t.End
+		// instead.
 		if !t.ring {
-			e.events.ScheduleFunc(t.End, func(sim.Time) { e.finish(t) })
+			t.refs++
+			t.bursts++
+			e.events.ScheduleFunc(t.End, t.fire)
 		}
-		// A ring start's pooled completion record (ring.go) delivers
-		// finish at t.End, which keeps the doorbell hot path
-		// allocation-free.
 		return
 	case t.Virt:
 		e.scheduleVA(t)
 		return
 	case t.Remote:
 		// Snapshot the whole payload at acceptance and ship it when the
-		// engine finishes streaming it out. The ship record (and its one
-		// fire closure) is pooled, so a steady stream of remote transfers
-		// allocates nothing here.
-		s := e.getShip()
-		s.t, s.data = t, e.snapshot(t)
-		e.events.ScheduleFunc(t.End, s.fire)
+		// engine finishes streaming it out.
+		t.data = e.snapshot(t)
+		t.refs++
+		t.bursts++
+		e.events.ScheduleFunc(t.End, t.fire)
 		return
 	}
 	chunks := int((t.Size + transferChunk - 1) / transferChunk)
-	bufN := uint64(transferChunk)
-	if t.Size < bufN {
-		bufN = t.Size
-	}
-	w := &localWalker{e: e, t: t, buf: make([]byte, bufN)}
-	step := w.step // one bound closure shared by every burst
 	span := t.End - t.Start
+	t.refs += int32(chunks)
+	t.bursts += int32(chunks)
 	for i := 0; i < chunks; i++ {
-		hi := uint64(i)*transferChunk + transferChunk
-		if hi > t.Size {
-			hi = t.Size
-		}
+		hi := min(uint64(i)*transferChunk+transferChunk, t.Size)
 		// Chunk i lands when its last byte has streamed.
-		e.events.ScheduleFunc(t.Start+sim.Time(uint64(span)*hi/t.Size), step)
+		e.events.ScheduleFunc(t.Start+sim.Time(uint64(span)*hi/t.Size), t.fire)
 	}
 }

@@ -235,6 +235,7 @@ func (e *Engine) admitVA(a args) (sim.Time, bool) {
 func (e *Engine) scheduleVA(t *Transfer) {
 	w := e.getVW()
 	w.t, w.ctx = t, t.VCtx
+	t.refs++
 	w.srcVA, w.dstVA = uint64(t.Src), uint64(t.Dst)
 	w.span = t.End - t.Start
 	w.end0 = t.End
@@ -248,8 +249,9 @@ func (e *Engine) scheduleVA(t *Transfer) {
 }
 
 // vaWalker is the delivery state of one in-flight virtual transfer,
-// pooled like localWalker. Bursts are split on device-page boundaries
-// so every piece translates exactly once per side.
+// pooled, and holding one reference to its transfer until released.
+// Bursts are split on device-page boundaries so every piece translates
+// exactly once per side.
 type vaWalker struct {
 	e   *Engine
 	t   *Transfer
@@ -274,8 +276,7 @@ type vaWalker struct {
 	maxFaults int
 	fixups    int // outstanding bounce fix-up copies
 
-	buf  []byte          // reusable piece buffer (transferChunk bytes)
-	comp *ringCompletion // ring completion to deliver at the REAL end
+	buf  []byte // reusable piece buffer (transferChunk bytes)
 	fire func(sim.Time)
 }
 
@@ -297,11 +298,13 @@ func (e *Engine) putVW(w *vaWalker) {
 	e.freeVW = append(e.freeVW, w)
 }
 
-// releaseVW detaches the walker from its transfer and pools it.
+// releaseVW detaches the walker from its transfer, drops the walker's
+// reference, and pools it.
 func (e *Engine) releaseVW(w *vaWalker) {
-	if w.t != nil {
-		w.t.vw = nil
+	if t := w.t; t != nil {
+		t.vw = nil
 		w.t = nil
+		e.drop(t)
 	}
 	e.putVW(w)
 }
@@ -482,7 +485,7 @@ func (e *Engine) bounceOut(w *vaWalker, at sim.Time, va, n uint64) (phys.Addr, b
 
 // vaFixup is one outstanding bounce fix-up: copy the piece from its
 // bounce frame to the real (now resident) destination page, then free
-// the frame. Records are pooled like remoteShip: the fire closure is
+// the frame. Records are pooled like walkers: the fire closure is
 // built once per record, so a warm bounce schedules without allocating.
 type vaFixup struct {
 	w     *vaWalker
@@ -601,9 +604,8 @@ func (w *vaWalker) finishAt(end sim.Time) {
 		e.resolver.UnpinRange(w.ctx, w.dstVA, t.Size)
 	}
 	e.finish(t)
-	if c := w.comp; c != nil {
-		w.comp = nil
-		c.run(end)
+	if t.ring {
+		e.completeRing(t, end)
 	}
 	e.releaseVW(w)
 }
@@ -622,9 +624,8 @@ func (w *vaWalker) fail(at sim.Time) {
 		e.resolver.UnpinRange(w.ctx, w.srcVA, t.Size)
 		e.resolver.UnpinRange(w.ctx, w.dstVA, t.Size)
 	}
-	if c := w.comp; c != nil {
-		w.comp = nil
-		c.run(at)
+	if t.ring {
+		e.completeRing(t, at)
 	}
 	if w.fixups > 0 {
 		w.dead = true

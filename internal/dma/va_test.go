@@ -873,13 +873,12 @@ func vaRingBatch(f *vaFixture, now sim.Time, depth uint64) sim.Time {
 	return f.events.Drain(0)
 }
 
-// TestVATranslateZeroAllocs is the satellite pin: with logging off, a
+// TestVATranslateZeroAllocs is the satellite pin: with a
 // warm IOTLB and no faults, the descriptor->translate->stream->complete
 // path allocates nothing — walkers, buffers, completion records and
 // events are all pooled.
 func TestVATranslateZeroAllocs(t *testing.T) {
 	f := newVARingEngine(t, ModePaired)
-	f.e.SetLogging(false)
 	if err := f.e.SetupRing(0, ringDescs, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -909,7 +908,6 @@ func TestVATranslateZeroAllocs(t *testing.T) {
 func faultedTransferAllocs(t *testing.T, policy RecoveryPolicy) float64 {
 	t.Helper()
 	f := newVAEngine(t, ModeExtended, nil)
-	f.e.SetLogging(false)
 	f.e.SetRecoveryPolicy(policy)
 	f.res.pageIn = 20 * sim.Microsecond
 	const ctx = 1
@@ -978,7 +976,6 @@ func TestVABounceFixupZeroAllocs(t *testing.T) {
 // VA kick: 8 device-VA descriptors per doorbell, IOTLB warm.
 func BenchmarkVARingDoorbell(b *testing.B) {
 	f := newVARingEngine(b, ModePaired)
-	f.e.SetLogging(false)
 	if err := f.e.SetupRing(0, ringDescs, 8); err != nil {
 		b.Fatal(err)
 	}
@@ -1001,7 +998,6 @@ func BenchmarkVARingDoorbell(b *testing.B) {
 // through the VA window.
 func BenchmarkVATranslateHit(b *testing.B) {
 	f := newVAEngine(b, ModePaired, nil)
-	f.e.SetLogging(false)
 	f.mapVA(b, 0, 1)
 	now := sim.Time(0)
 	b.ReportAllocs()

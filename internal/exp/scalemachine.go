@@ -265,6 +265,7 @@ type scaleMWorld struct {
 	hm       *net.HostedMachines
 	h        *userdma.Handle
 	p        *proc.Process
+	cpus     []userdma.DirectCPU // node n's CPU, owning its program buffer
 	reqPA    phys.Addr
 	respPA   phys.Addr
 }
@@ -430,7 +431,10 @@ func newScaleMachineWorld(sp scaleProtocol, p Params) (*scaleMWorld, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &scaleMWorld{protocol: sp.name, hm: hm, h: tpl.h, p: tpl.p, reqPA: tpl.reqPA, respPA: tpl.respPA}
+	w := &scaleMWorld{protocol: sp.name, hm: hm, h: tpl.h, p: tpl.p, cpus: make([]userdma.DirectCPU, k.nodes), reqPA: tpl.reqPA, respPA: tpl.respPA}
+	for n, mm := range fleet {
+		w.cpus[n] = userdma.DirectCPU{M: mm, P: tpl.p}
+	}
 	// Arrivals start after the template's snapshot time: clone
 	// substrates carry template-era timestamps.
 	w.rpcGen = newRPCGen(c, k, tpl.boot, w)
@@ -460,7 +464,7 @@ var errRefused = errors.New("refused")
 // per-node resource). The engine ships the payload to the fabric at its
 // computed End.
 func (w *scaleMWorld) initiate(n int, m *machine.Machine, src, dst vm.VAddr, size uint64) error {
-	st, err := w.h.DirectDMA(&userdma.DirectCPU{M: m, P: w.p}, src, dst, size)
+	st, err := w.h.DirectDMA(&w.cpus[n], src, dst, size)
 	w.hm.Leave(n)
 	if t := m.Engine.LastTransfer(); t != nil {
 		w.hm.Bump(n, t.End)

@@ -74,12 +74,6 @@ func TestSendBlockingWakesOncePerCredit(t *testing.T) {
 func mallocsForStream(t *testing.T, total int) uint64 {
 	t.Helper()
 	w := newChannelWorld(t, Config{Slots: 4, SlotPayload: 64})
-	// The engine's transfer log is a debugging aid that grows one record
-	// per send; high-rate channels turn it off, which is part of the
-	// allocation-free steady-state contract this test pins.
-	for _, m := range w.cluster.Nodes {
-		m.Engine.SetLogging(false)
-	}
 	payload := bytes.Repeat([]byte{0xab}, 64)
 	w.sendBody = func(c *proc.Context, tx *Sender) error {
 		for i := 0; i < total; i++ {
