@@ -3,6 +3,7 @@ package userdma
 import (
 	"testing"
 
+	"uldma/internal/dma"
 	"uldma/internal/machine"
 	"uldma/internal/phys"
 	"uldma/internal/proc"
@@ -15,8 +16,17 @@ import (
 // with a transfer PARKED on a mid-transfer device page fault (the
 // walker's position, the faulting VA, the IOMMU's tables and the ring
 // of not-yet-moved bytes all live state) rewinds and replays
-// byte-identically — restored origin and hydrated clone both.
+// byte-identically — restored origin and hydrated clone both. The
+// pager-on case configures the parked world as PagingBench does
+// (stall policy, a two-frame pager): a fault parks only while the pager
+// is off, so the pager is enabled once the transfer has parked, and the
+// recovery's re-map then goes through it.
 func TestVAMidFaultSnapshotFidelity(t *testing.T) {
+	t.Run("pager-off", func(t *testing.T) { vaMidFaultSnapshotFidelity(t, false) })
+	t.Run("pager-on", func(t *testing.T) { vaMidFaultSnapshotFidelity(t, true) })
+}
+
+func vaMidFaultSnapshotFidelity(t *testing.T, pager bool) {
 	method := ExtShadow{}
 	cfg := VAConfigFor(method, 0)
 	const (
@@ -72,6 +82,12 @@ func TestVAMidFaultSnapshotFidelity(t *testing.T) {
 		m.Settle()
 		if got := m.Engine.ParkedTransfers(); got != 1 {
 			t.Fatalf("ParkedTransfers = %d, want 1", got)
+		}
+		if pager {
+			m.Engine.SetRecoveryPolicy(dma.RecoverStall)
+			if err := m.Kernel.EnablePager(2, pagingPageIn); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return m, srcFrames[0], dstFrames[0]
 	}
