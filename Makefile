@@ -54,12 +54,16 @@ bench:
 # observation for every shard count and worker count — for the abstract
 # RPC world (uniform links and a two-rack latency matrix) AND the
 # hosted-machine world (full machine.Machine per node, real protocol
-# initiation, fault planes, snapshot/restore).
+# initiation, fault planes, snapshot/restore). The window barrier rides
+# along: Run leaves no helper goroutine behind, on a normal return and
+# on the window-budget error, and a world whose windows outlast the
+# spin budget — so a helper or the coordinator parks and is woken —
+# keeps the 1-worker fingerprint.
 # `race` covers these too via ./...; the named target keeps the
 # contract visible and lets CI fail fast on the one invariant the whole
 # PR hangs off.
 shardparity:
-	$(GO) test -race -run 'TestShardEquivalence|TestShardSnapshotRestore|TestRackShardParity|TestRackSnapshotRestore|TestScaleShardParity|TestScaleFaultParity|TestScaleMachineShardParity|TestScaleMachineFaultParity|TestScaleMachineSnapshotRestore' ./internal/net ./internal/exp
+	$(GO) test -race -run 'TestShardEquivalence|TestShardRunBarrier|TestShardSnapshotRestore|TestRackShardParity|TestRackSnapshotRestore|TestScaleShardParity|TestScaleFaultParity|TestScaleMachineShardParity|TestScaleMachineFaultParity|TestScaleMachineSnapshotRestore' ./internal/net ./internal/exp
 
 # The descriptor-ring contracts, run under the race detector: amortized
 # initiation falls monotonically with depth (2x floor at depth 32),

@@ -218,6 +218,8 @@ type rpcGen struct {
 	boot  sim.Time // arrivals start after it; goodput is over Finish - boot
 	end   sim.Time // arrival window close (boot + dur)
 
+	arrivals []func(now sim.Time) // per node: its arrival event, bound once
+
 	rpcState
 }
 
@@ -234,6 +236,10 @@ func newRPCGen(c *net.ShardedCluster, k scaleKnobs, boot sim.Time, model rpcMode
 		lats:    make([][]sim.Time, k.nodes),
 		errs:    make([]error, k.nodes),
 	}}
+	g.arrivals = make([]func(sim.Time), k.nodes)
+	for n := range g.arrivals {
+		g.arrivals[n] = func(now sim.Time) { g.arrive(n, now) }
+	}
 	c.SetDeliver(g.deliver)
 	return g
 }
@@ -271,7 +277,7 @@ func (g *rpcGen) jitter(n int, now sim.Time) sim.Time {
 }
 
 func (g *rpcGen) scheduleArrival(n int, at sim.Time) {
-	g.c.At(n, at, func(now sim.Time) { g.arrive(n, now) })
+	g.c.At(n, at, g.arrivals[n])
 }
 
 // arrive is one RPC arrival on node n: keep the stream alive, pick a

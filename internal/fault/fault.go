@@ -21,7 +21,7 @@ package fault
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"uldma/internal/net"
 	"uldma/internal/sim"
@@ -126,9 +126,8 @@ func New(plan Plan, seed uint64) *Injector {
 			lk := Link{s.Src, s.Dst}
 			in.scripts[lk] = append(in.scripts[lk], s.Nth)
 		}
-		for lk := range in.scripts {
-			ns := in.scripts[lk]
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		for _, ns := range in.scripts {
+			slices.Sort(ns)
 		}
 	}
 	return in

@@ -3,7 +3,9 @@ package net
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"uldma/internal/obs"
 	"uldma/internal/sim"
@@ -97,7 +99,8 @@ func (g *gossip) run(t *testing.T, workers int) (uint64, ShardedTotals, []uint64
 // TestShardEquivalence is the tentpole pin: the sharded run is
 // byte-identical to the single-queue run (shards=1) for every shard
 // and worker count — same fingerprint, same totals, same per-node
-// receive counts, same merged trace events.
+// receive counts, same merged trace events. Workers 2 and 3 give the
+// coordinator a share beside one or two helpers over 4 and 8 shards.
 func TestShardEquivalence(t *testing.T) {
 	const nodes, seed = 24, 99
 	ref, refC := newGossip(nodes, 1, seed)
@@ -108,8 +111,12 @@ func TestShardEquivalence(t *testing.T) {
 		t.Fatalf("degenerate reference run: %+v", refTotals)
 	}
 
+	// Run caps its goroutines at GOMAXPROCS; lift the cap so every
+	// coordinator/helper split in the grid runs as written on any host,
+	// the uneven ones (3 workers over 4 or 8 shards) included.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, shards := range []int{2, 4, 8} {
-		for _, workers := range []int{1, 4, 8} {
+		for _, workers := range []int{1, 2, 3, 4, 8} {
 			name := fmt.Sprintf("shards=%d/workers=%d", shards, workers)
 			g, c := newGossip(nodes, shards, seed)
 			c.EnableTrace(1 << 14)
@@ -236,5 +243,83 @@ func TestShardedRunNeedsDeliver(t *testing.T) {
 	}
 	if err := c.Run(1, 100); err == nil {
 		t.Fatal("Run without SetDeliver succeeded")
+	}
+}
+
+// TestShardRunBarrier pins the window barrier's lifecycle: Run leaves
+// no helper goroutine behind, after a normal return and after the
+// maxWindows error return, and a world whose events stay on one shard
+// for longer than the spin budget — so that a helper, and in a second
+// world the coordinator, parks and must be woken — still reproduces
+// the 1-worker fingerprint.
+func TestShardRunBarrier(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	base := runtime.NumGoroutine()
+	settled := func(phase string) {
+		t.Helper()
+		// A helper has reported its exit when Run returns; give it the
+		// moment it needs to leave the scheduler's count.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, baseline %d", phase, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// peak samples the goroutine count from inside node 0's events,
+	// which shows the helpers were running at all.
+	peak := 0
+	world := func(slow int) *gossip {
+		g, c := newGossip(8, 2, 3)
+		g.prime()
+		c.At(0, 0, func(sim.Time) { peak = max(peak, runtime.NumGoroutine()) })
+		if slow >= 0 {
+			// Three long events on node slow's shard, in three windows.
+			for i := 1; i <= 3; i++ {
+				c.At(slow, sim.Time(i)*sim.Millisecond, func(sim.Time) { time.Sleep(10 * time.Millisecond) })
+			}
+		}
+		return g
+	}
+
+	g := world(-1)
+	if err := g.c.Run(2, 1<<20); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if peak <= base {
+		t.Fatalf("goroutine count inside the run %d, baseline %d: no helper ran", peak, base)
+	}
+	settled("after a complete Run")
+
+	g = world(-1)
+	if err := g.c.Run(2, 3); err == nil {
+		t.Fatal("Run within a 3-window budget succeeded")
+	}
+	settled("after the window-budget error")
+
+	for _, tc := range []struct {
+		name  string
+		slow  int // node whose events run long: 0 is on the coordinator's shard, 7 on the helper's
+		parks func(c *ShardedCluster) uint64
+	}{
+		{"helper parks", 0, func(c *ShardedCluster) uint64 { return c.helperParks }},
+		{"coordinator parks", 7, func(c *ShardedCluster) uint64 { return c.coordParks }},
+	} {
+		ref := world(tc.slow)
+		if err := ref.c.Run(1, 1<<20); err != nil {
+			t.Fatalf("%s: 1-worker run: %v", tc.name, err)
+		}
+		g := world(tc.slow)
+		if err := g.c.Run(2, 1<<20); err != nil {
+			t.Fatalf("%s: 2-worker run: %v", tc.name, err)
+		}
+		if n := tc.parks(g.c); n == 0 {
+			t.Errorf("%s: no park recorded — the long events did not outlast the spin budget", tc.name)
+		}
+		if fp, want := g.c.Fingerprint(), ref.c.Fingerprint(); fp != want {
+			t.Errorf("%s: fingerprint %016x, 1-worker run %016x", tc.name, fp, want)
+		}
+		settled(tc.name)
 	}
 }

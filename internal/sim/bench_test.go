@@ -4,19 +4,19 @@ import "testing"
 
 // The event queue is the hottest object in the simulator: every DMA
 // burst, packet arrival and timer goes through it. The benchmarks pin
-// its allocation behaviour: ScheduleFunc recycles fired events through
-// the queue's free list and must reach zero allocs/op once the pool is
-// warm.
+// its allocation behaviour: ScheduleFunc stores entries by value in the
+// heap's backing slice and must reach zero allocs/op once that slice
+// has grown to its high-water mark.
 
-// TestScheduleFuncSteadyStateZeroAlloc pins the free-list contract as a
-// plain test (it runs in every `go test`, not only under -bench): once
-// the pool is warm and the heap has reached its high-water mark, the
-// pooled schedule/fire cycle must not allocate at all. A regression
-// here multiplies across every simulated DMA burst in every world.
+// TestScheduleFuncSteadyStateZeroAlloc pins the value-heap contract as
+// a plain test (it runs in every `go test`, not only under -bench):
+// once the heap has reached its high-water mark, the schedule/fire
+// cycle must not allocate at all. A regression here multiplies across
+// every simulated DMA burst in every world.
 func TestScheduleFuncSteadyStateZeroAlloc(t *testing.T) {
 	q := NewEventQueueSize(16)
 	fire := func(Time) {}
-	// Warm: one full burst materializes the pooled Events.
+	// Warm: one full burst grows the heap to its high-water mark.
 	for i := 0; i < 16; i++ {
 		q.ScheduleFunc(Time(i), fire)
 	}
@@ -32,19 +32,30 @@ func TestScheduleFuncSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEventQueueSizeHint verifies the constructor reserves capacity
-// without allocating Event objects up front, and that a zero or
-// negative hint degrades to the plain empty queue.
+// TestEventQueueSizeHint verifies the constructor reserves capacity up
+// front — filling a fresh hinted queue to its hint allocates nothing —
+// and that a zero or negative hint degrades to the plain empty queue.
 func TestEventQueueSizeHint(t *testing.T) {
 	q := NewEventQueueSize(8)
 	if got := cap(q.h); got < 8 {
 		t.Errorf("heap capacity %d, want >= 8", got)
 	}
-	if got := cap(q.free); got < 8 {
-		t.Errorf("free-list capacity %d, want >= 8", got)
+	const runs = 10
+	fresh := make([]*EventQueue, runs+1) // AllocsPerRun calls f runs+1 times
+	for i := range fresh {
+		fresh[i] = NewEventQueueSize(8)
 	}
-	if got := len(q.h) + len(q.free); got != 0 {
-		t.Errorf("pre-allocated %d events, want lazy construction", got)
+	fire := func(Time) {}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		q := fresh[next]
+		next++
+		for k := 0; k < 8; k++ {
+			q.ScheduleFunc(Time(8-k), fire)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("filling a fresh hinted queue: %v allocs/op, want 0", allocs)
 	}
 	for _, hint := range []int{0, -3} {
 		q := NewEventQueueSize(hint)
@@ -57,8 +68,8 @@ func TestEventQueueSizeHint(t *testing.T) {
 func BenchmarkScheduleFunc(b *testing.B) {
 	q := NewEventQueue()
 	fire := func(Time) {}
-	// Warm the pool: the first round allocates the one Event that is
-	// recycled forever after.
+	// Warm the heap: the first round grows the backing slice to the one
+	// slot reused forever after.
 	q.ScheduleFunc(0, fire)
 	q.RunUntil(1)
 	b.ReportAllocs()
@@ -75,7 +86,7 @@ func BenchmarkScheduleFuncBurst(b *testing.B) {
 	q := NewEventQueue()
 	fire := func(Time) {}
 	const batch = 16
-	// Warm the pool to batch size.
+	// Warm the heap to batch size.
 	for i := 0; i < batch; i++ {
 		q.ScheduleFunc(Time(i), fire)
 	}

@@ -1,50 +1,51 @@
 package sim
 
-import "container/heap"
-
-// Event is a deferred action scheduled on an EventQueue. Events model
-// asynchronous hardware activity — a DMA transfer chunk completing, a
-// network packet arriving — that must happen at a precise simulated time
-// regardless of what the CPU is doing.
-type Event struct {
-	// At is the simulated time the event fires.
-	At Time
-	// Fire performs the event's effect. It runs with the clock already
-	// advanced to at least At.
-	Fire func(now Time)
-
-	seq uint64 // tie-breaker: FIFO among events with equal At
-}
-
-// EventQueue is a deterministic time-ordered queue of events. Events with
-// the same timestamp fire in the order they were scheduled, which keeps
+// EventQueue is a deterministic time-ordered queue of deferred actions.
+// Events model asynchronous hardware activity — a DMA transfer chunk
+// completing, a network packet arriving — that must happen at a precise
+// simulated time regardless of what the CPU is doing. Events with the
+// same timestamp fire in the order they were scheduled, which keeps
 // whole-simulation behaviour reproducible.
+//
+// The queue is a binary min-heap of value entries ordered by
+// (at, seq). Entries hold no pointers of their own beyond the fire
+// closure, so scheduling allocates nothing once the backing slice has
+// reached its high-water mark, and sifting compares adjacent words
+// instead of chasing one pointer per comparison.
 //
 // The queue does not own a clock; the machine drives it by calling
 // RunUntil with the clock's current time after every modelled cost.
 type EventQueue struct {
-	h    eventHeap
+	h   []event
+	seq uint64
+}
+
+// event is one pending entry: fire runs at simulated time at, with seq
+// breaking ties FIFO among entries of equal at. (at, seq) is strictly
+// total — seq is unique per queue — so the firing order never depends
+// on how the heap happens to be laid out.
+type event struct {
+	at   Time
 	seq  uint64
-	free []*Event // fired events, recycled by ScheduleFunc
+	fire func(now Time)
+}
+
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // NewEventQueue returns an empty queue.
 func NewEventQueue() *EventQueue { return &EventQueue{} }
 
-// NewEventQueueSize returns an empty queue whose heap and free list are
-// pre-sized for roughly hint simultaneously pending events. Only
-// capacity is reserved — no Event objects are allocated up front — so
-// construction stays cheap while the first hint schedules avoid the
-// append-growth reallocations that would otherwise show up as steady-
-// state allocations in tight device loops.
+// NewEventQueueSize returns an empty queue whose heap is pre-sized for
+// roughly hint simultaneously pending events, so the first hint
+// schedules avoid the append-growth reallocations that would otherwise
+// show up as steady-state allocations in tight device loops.
 func NewEventQueueSize(hint int) *EventQueue {
 	if hint <= 0 {
 		return &EventQueue{}
 	}
-	return &EventQueue{
-		h:    make(eventHeap, 0, hint),
-		free: make([]*Event, 0, hint),
-	}
+	return &EventQueue{h: make([]event, 0, hint)}
 }
 
 // SnapshotSeq returns the queue's scheduling tie-break counter, for
@@ -54,39 +55,62 @@ func (q *EventQueue) SnapshotSeq() uint64 { return q.seq }
 
 // Reset discards every pending event without firing it and rewinds the
 // tie-break counter to seq, as part of restoring a world snapshot.
-// Discarded events return to the free list.
 func (q *EventQueue) Reset(seq uint64) {
-	for i, e := range q.h {
-		q.release(e)
-		q.h[i] = nil
-	}
+	clear(q.h) // drop the closures eagerly
 	q.h = q.h[:0]
 	q.seq = seq
 }
 
-// ScheduleFunc enqueues fire at time at. No handle escapes, so the
-// Event object is recycled through an internal free list once it
-// fires, making repeated scheduling allocation-free. This is the hot
-// path used by DMA transfer walkers and other device activity.
+// ScheduleFunc enqueues fire at time at. No handle escapes and the
+// entry is stored by value, so repeated scheduling is allocation-free
+// once the heap has grown to its high-water mark. This is the hot path
+// used by DMA transfer walkers and other device activity.
 func (q *EventQueue) ScheduleFunc(at Time, fire func(now Time)) {
 	q.seq++
-	var e *Event
-	if n := len(q.free); n > 0 {
-		e = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-	} else {
-		e = &Event{}
+	e := event{at: at, seq: q.seq, fire: fire}
+	h := append(q.h, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	e.At, e.Fire, e.seq = at, fire, q.seq
-	heap.Push(&q.h, e)
+	h[i] = e
+	q.h = h
 }
 
-// release returns an event to the free list. Called after the event
-// has been popped and its Fire/At copied out.
-func (q *EventQueue) release(e *Event) {
-	e.Fire = nil // drop the closure eagerly
-	q.free = append(q.free, e)
+// pop removes and returns the earliest entry. The queue must be
+// non-empty.
+func (q *EventQueue) pop() event {
+	h := q.h
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the closure eagerly
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	q.h = h
+	return top
 }
 
 // Len reports how many events are pending.
@@ -98,7 +122,7 @@ func (q *EventQueue) NextAt() Time {
 	if len(q.h) == 0 {
 		return Never
 	}
-	return q.h[0].At
+	return q.h[0].at
 }
 
 // Step pops and fires exactly the earliest pending event, returning
@@ -110,22 +134,18 @@ func (q *EventQueue) Step() (Time, bool) {
 	if len(q.h) == 0 {
 		return Never, false
 	}
-	e := heap.Pop(&q.h).(*Event)
-	fire, at := e.Fire, e.At
-	q.release(e) // recycle before firing: fire may reschedule
-	fire(at)
-	return at, true
+	e := q.pop() // pop before firing: fire may reschedule
+	e.fire(e.at)
+	return e.at, true
 }
 
 // RunUntil fires, in order, every event with At <= t. Events fired may
 // schedule further events; those are honoured within the same call if
 // they also fall at or before t.
 func (q *EventQueue) RunUntil(t Time) {
-	for len(q.h) > 0 && q.h[0].At <= t {
-		e := heap.Pop(&q.h).(*Event)
-		fire, at := e.Fire, e.At
-		q.release(e) // recycle before firing: fire may reschedule
-		fire(at)
+	for len(q.h) > 0 && q.h[0].at <= t {
+		e := q.pop()
+		e.fire(e.at)
 	}
 }
 
@@ -135,34 +155,11 @@ func (q *EventQueue) RunUntil(t Time) {
 func (q *EventQueue) Drain(start Time) Time {
 	last := start
 	for len(q.h) > 0 {
-		e := heap.Pop(&q.h).(*Event)
-		fire, at := e.Fire, e.At
-		if at > last {
-			last = at
+		e := q.pop()
+		if e.at > last {
+			last = e.at
 		}
-		q.release(e)
-		fire(at)
+		e.fire(e.at)
 	}
 	return last
-}
-
-// eventHeap implements heap.Interface ordered by (At, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
 }

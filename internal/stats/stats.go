@@ -7,7 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"uldma/internal/sim"
@@ -79,7 +79,7 @@ func (s *Sample) Max() sim.Time {
 func (s *Sample) Percentile(p float64) sim.Time {
 	if s.sorted == nil {
 		s.sorted = append([]sim.Time(nil), s.values...)
-		sort.Slice(s.sorted, func(i, j int) bool { return s.sorted[i] < s.sorted[j] })
+		slices.Sort(s.sorted)
 	}
 	return Percentile(s.sorted, p)
 }
