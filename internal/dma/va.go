@@ -25,10 +25,10 @@ package dma
 //     (pre-fault + pin the whole extent at initiation — the RDMA
 //     memory-registration baseline, which can never fault mid-flight).
 //
-// Determinism: walkers and fix-ups are ordinary pooled event-queue
-// work; parked walkers are pure data and snapshot/restore with the
-// engine (snapshot.go), so a faulted transfer replays byte-identically
-// from (seed, plan).
+// Determinism: walkers and fix-ups are ordinary event-queue work;
+// parked walkers are pure data and snapshot/restore with the engine
+// (snapshot.go), so a faulted transfer replays byte-identically from
+// (seed, plan).
 //
 // Timing model: a virtual transfer's nominal schedule is the same
 // bandwidth line a physical transfer follows; IOTLB misses and fault

@@ -241,9 +241,9 @@ func (m *Machine) Hosted() bool { return m.hosted }
 
 // EventQueueHint is the event-queue capacity pre-sized for a
 // standalone machine: a single node rarely has more than a handful of
-// DMA completions in flight, and pre-sizing keeps the queue's heap and
-// free list from reallocating in steady state (the sim bench asserts
-// 0 allocs/op on the pooled scheduling path).
+// DMA completions in flight, and pre-sizing keeps the queue's heap
+// from reallocating in steady state (the sim bench asserts 0 allocs/op
+// on the scheduling path).
 const EventQueueHint = 16
 
 // New assembles a machine from cfg. The engine's windows are mapped on
