@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt test race bench ci loc snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity schedparity golden trace-golden statslint benchdiff perfbench profile
+.PHONY: all build vet fmt test race bench ci loc snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity schedparity golden trace-golden statslint reachlint benchdiff perfbench profile
 
 all: ci
 
@@ -45,6 +45,19 @@ trace-golden:
 # has no allowlist: any *Stats struct outside internal/obs fails it.
 statslint:
 	sh scripts/statslint.sh
+
+# Nothing only tests reach: every exported func, method, type or var in
+# internal/ needs a user among the non-test files (cmd/, examples/,
+# internal/, the root, perfbench/). The check is go/types over the
+# source tree (reach_test.go; `go test ./...` runs it too). A finding is
+# deleted with the tests that only it serves, or moved into its
+# package's export_test.go or the one _test.go file that uses it. The
+# in-file allowlist (reachAllow, at most 10 entries, each with its
+# reason) takes only invariant checkers and reference models that
+# another package's tests need, and hooks DESIGN's experiment tables
+# name as evidence.
+reachlint:
+	$(GO) test -count=1 -run 'TestNoTestOnlyExports|TestReachFixture' .
 
 bench:
 	$(GO) test -bench . -benchmem -run XXX ./internal/sim ./internal/vm ./internal/bus ./internal/machine ./...
@@ -95,13 +108,12 @@ iommuparity:
 
 # The steered loop's contracts, run under the race detector: the live
 # obs feed costs 0 simulated time and 0 allocations (byte-identical
-# PagingResult and world fingerprint with an observer attached), the
-# trace ring serves a streaming reader a consistent prefix across
-# wraparound, and the steered searches land on the exhaustive grids'
-# exact answers while probing strictly fewer cells — byte-identically
-# at every worker count.
+# PagingResult and world fingerprint with an observer attached), and
+# the steered searches land on the exhaustive grids' exact answers
+# while probing strictly fewer cells — byte-identically at every worker
+# count.
 steerparity:
-	$(GO) test -race -run 'TestSteerBreakEvenMatchesExhaustive|TestSteerWorkerParity|TestSteerPagingDominated|TestSteerZoomDeterministic|TestSteerOSLatConverges|TestSteerDecisionTrace|TestLiveFeedZeroDelta|TestLiveFeedVeto|TestLiveWatchZeroAllocs|TestTraceReader|TestSnapshotAt|TestWatchZeroAllocs|TestReaderFromNowSkipsHistory' ./internal/exp ./internal/core ./internal/obs
+	$(GO) test -race -run 'TestSteerBreakEvenMatchesExhaustive|TestSteerWorkerParity|TestSteerPagingDominated|TestSteerZoomDeterministic|TestSteerOSLatConverges|TestSteerDecisionTrace|TestLiveFeedZeroDelta|TestLiveFeedVeto|TestLiveWatchZeroAllocs|TestWatchZeroAllocs' ./internal/exp ./internal/core ./internal/obs
 
 # The scheduler's contracts, run under the race detector: Run, where
 # the running guest makes each next-slot decision itself and re-grants
@@ -113,7 +125,7 @@ steerparity:
 schedparity:
 	$(GO) test -race -run 'TestRunMatchesReferenceLoop|TestSelfRegrantZeroAllocs|TestSlotHandoffZeroAllocs|TestStepDrivesSingleSlots|TestExplore|TestVABounceFixupZeroAllocs|TestWindowOfMatchesDecode' ./internal/proc ./internal/dma
 
-ci: build vet fmt statslint snapshots shardparity ringparity iommuparity steerparity schedparity race perfbench benchdiff
+ci: build vet fmt statslint reachlint snapshots shardparity ringparity iommuparity steerparity schedparity race perfbench benchdiff
 
 # Regenerate the five exact snapshots into a temp dir and byte-compare
 # each against the committed file, so wire-format drift in any of them

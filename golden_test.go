@@ -29,9 +29,8 @@ var (
 
 // goldenExamples are the examples pinned by TestGoldenExamples: each
 // reaches Handle.Wait, directly or through internal/msg, except atomics
-// (the engine's atomic window) and attacks, which prints the transfers
-// the engine started under each adversarial schedule.
-var goldenExamples = []string{"quickstart", "nowtransfer", "interrupts", "msgring", "bsp", "atomics", "attacks"}
+// (the engine's atomic window).
+var goldenExamples = []string{"quickstart", "nowtransfer", "interrupts", "msgring", "bsp", "atomics"}
 
 // buildTools compiles every cmd/ binary, and each pinned example as
 // example-<name>, once per test process.

@@ -352,7 +352,10 @@ func TestDeterminism(t *testing.T) {
 // while node 2 and node 1 bump a shared counter in node 1's memory.
 func TestSoakClusterCombined(t *testing.T) {
 	method := userdma.ExtShadow{}
-	cluster := net.MustNewCluster(3, userdma.ConfigFor(method), net.Gigabit())
+	cluster, err := net.NewCluster(3, userdma.ConfigFor(method), net.Gigabit())
+	if err != nil {
+		t.Fatal(err)
+	}
 	n0, n1, n2 := cluster.Nodes[0], cluster.Nodes[1], cluster.Nodes[2]
 
 	const msgs = 12

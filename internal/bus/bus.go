@@ -132,12 +132,6 @@ func New(clock *sim.Clock, freq sim.Hz, cost CostConfig) *Bus {
 	return &Bus{clock: clock, freq: freq, cost: cost}
 }
 
-// Freq returns the bus clock frequency.
-func (b *Bus) Freq() sim.Hz { return b.freq }
-
-// Cost returns the transaction cost table.
-func (b *Bus) Cost() CostConfig { return b.cost }
-
 // Counters returns the traffic counters.
 func (b *Bus) Counters() Counters { return b.ctr }
 

@@ -1,5 +1,5 @@
-// Package coll provides NOW collective operations — barrier, all-reduce,
-// broadcast — built exclusively on the paper's user-level primitives:
+// Package coll provides NOW collective operations — barrier and
+// all-reduce sum — built exclusively on the paper's user-level primitives:
 // fetch_and_add on a coordinator cell (atomic over the fabric, §3.5)
 // for arrival counting, and single-word remote writes for release
 // notification and result distribution. After setup there are no kernel
@@ -40,7 +40,7 @@ const (
 // Notify page offsets (per rank, local).
 const (
 	noteEpoch  = 0 // completed-collective epoch
-	noteResult = 8 // all-reduce / broadcast payload
+	noteResult = 8 // all-reduce result
 )
 
 // Comm is one rank's handle on the communicator.
@@ -49,12 +49,6 @@ type Comm struct {
 	pageSize   uint64
 	epoch      uint64
 }
-
-// Rank returns this communicator handle's rank.
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the number of ranks.
-func (c *Comm) Size() int { return c.size }
 
 // New wires a communicator over the cluster: procs[i] must live on
 // cluster node i (one rank per node). It performs all setup-time kernel
@@ -186,98 +180,6 @@ func (c *Comm) reduceInternal(ctx *proc.Context, v uint64, withResult bool) (uin
 	}
 	if !withResult {
 		return 0, nil
-	}
-	return ctx.Load(vaNotify+noteResult, phys.Size64)
-}
-
-// AllReduceMax returns the maximum of the ranks' 32-bit contributions.
-// The combine step is a compare_and_swap loop on the coordinator cell —
-// the canonical lock-free maximum, exercising the third §3.5 primitive.
-func (c *Comm) AllReduceMax(ctx *proc.Context, v uint32) (uint32, error) {
-	// Raise the shared cell to at least v.
-	for {
-		old, swapped, err := userdma.CompareSwap(ctx, vaCoord+cellAccum, 0, v)
-		if err != nil {
-			return 0, err
-		}
-		if swapped || old >= v {
-			break
-		}
-		// Cell holds a smaller non-zero value: try to replace it.
-		if _, swapped, err = userdma.CompareSwap(ctx, vaCoord+cellAccum, old, v); err != nil {
-			return 0, err
-		} else if swapped {
-			break
-		}
-		ctx.Spin(100) // lost the race; re-read and retry
-	}
-	// Synchronize and distribute like a sum-reduce, but the releaser
-	// reads the max with a swap-to-zero (which also resets the cell).
-	c.epoch++
-	old, err := userdma.FetchAdd(ctx, vaCoord+cellArrived, 1)
-	if err != nil {
-		return 0, err
-	}
-	if int(old) == c.size-1 {
-		max, err := userdma.FetchStore(ctx, vaCoord+cellAccum, 0)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := userdma.FetchStore(ctx, vaCoord+cellArrived, 0); err != nil {
-			return 0, err
-		}
-		for j := 0; j < c.size; j++ {
-			if err := ctx.Store(peerNote(j, noteResult, c.pageSize), phys.Size64, max); err != nil {
-				return 0, err
-			}
-			if err := ctx.Store(peerNote(j, noteEpoch, c.pageSize), phys.Size64, c.epoch); err != nil {
-				return 0, err
-			}
-		}
-		if err := ctx.MB(); err != nil {
-			return 0, err
-		}
-	}
-	for {
-		e, err := ctx.Load(vaNotify+noteEpoch, phys.Size64)
-		if err != nil {
-			return 0, err
-		}
-		if e >= c.epoch {
-			break
-		}
-		ctx.Spin(400)
-	}
-	out, err := ctx.Load(vaNotify+noteResult, phys.Size64)
-	return uint32(out), err
-}
-
-// Broadcast distributes v from rank 0 to every rank (returned by all).
-// Non-root callers pass any value; the root's value wins.
-func (c *Comm) Broadcast(ctx *proc.Context, v uint64) (uint64, error) {
-	c.epoch++
-	if c.rank == 0 {
-		for j := 0; j < c.size; j++ {
-			if err := ctx.Store(peerNote(j, noteResult, c.pageSize), phys.Size64, v); err != nil {
-				return 0, err
-			}
-			if err := ctx.Store(peerNote(j, noteEpoch, c.pageSize), phys.Size64, c.epoch); err != nil {
-				return 0, err
-			}
-		}
-		if err := ctx.MB(); err != nil {
-			return 0, err
-		}
-	}
-	for {
-		e, err := ctx.Load(vaNotify+noteEpoch, phys.Size64)
-		if err != nil {
-			return 0, err
-		}
-		if e >= c.epoch {
-			break
-		}
-		ctx.Spin(400)
 	}
 	return ctx.Load(vaNotify+noteResult, phys.Size64)
 }

@@ -112,121 +112,9 @@ func TestAllReduceSum(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	const n = 3
-	w := newWorld(t, n)
-	got := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		i := i
-		w.bodies[i] = func(c *proc.Context, comm *Comm) error {
-			v := uint64(0xdead) // ignored except at the root
-			if comm.Rank() == 0 {
-				v = 0x5eed
-			}
-			out, err := comm.Broadcast(c, v)
-			if err != nil {
-				return err
-			}
-			got[i] = out
-			// Then a second broadcast to prove epochs advance.
-			if comm.Rank() == 0 {
-				v = 0xf00d
-			}
-			out, err = comm.Broadcast(c, v)
-			if err != nil {
-				return err
-			}
-			if out != 0xf00d {
-				return fmt.Errorf("second broadcast = %#x", out)
-			}
-			return nil
-		}
-	}
-	w.run(t)
-	for i, v := range got {
-		if v != 0x5eed {
-			t.Fatalf("rank %d received %#x", i, v)
-		}
-	}
-	if w.comms[0].Rank() != 0 || w.comms[0].Size() != n {
-		t.Fatal("comm accessors wrong")
-	}
-}
-
-func TestAllReduceMax(t *testing.T) {
-	const n, rounds = 4, 3
-	w := newWorld(t, n)
-	results := make([][]uint32, n)
-	for i := 0; i < n; i++ {
-		i := i
-		w.bodies[i] = func(c *proc.Context, comm *Comm) error {
-			for r := 0; r < rounds; r++ {
-				// Rotate which rank holds the max each round.
-				v := uint32(10*i + 1)
-				if (i+r)%n == 0 {
-					v = uint32(1000 + r)
-				}
-				max, err := comm.AllReduceMax(c, v)
-				if err != nil {
-					return err
-				}
-				results[i] = append(results[i], max)
-			}
-			return nil
-		}
-	}
-	w.run(t)
-	for r := 0; r < rounds; r++ {
-		want := uint32(1000 + r)
-		for i := 0; i < n; i++ {
-			if results[i][r] != want {
-				t.Fatalf("rank %d round %d: max %d, want %d", i, r, results[i][r], want)
-			}
-		}
-	}
-}
-
-// TestAllReduceMaxContended: eight ranks race ascending contributions
-// under single-slot round-robin, forcing the CAS-raise loop through its
-// lost-race retries.
-func TestAllReduceMaxContended(t *testing.T) {
-	const n = 8
-	cluster, err := net.NewCluster(n, userdma.ConfigFor(userdma.ExtShadow{}), net.Gigabit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var comms []*Comm
-	procs := make([]*proc.Process, n)
-	results := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		i := i
-		procs[i] = cluster.Nodes[i].NewProcess(fmt.Sprintf("rank%d", i), func(c *proc.Context) error {
-			max, err := comms[i].AllReduceMax(c, uint32(100+i))
-			if err != nil {
-				return err
-			}
-			results[i] = max
-			return nil
-		})
-	}
-	if comms, err = New(cluster, procs); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.RunRoundRobin(1, 1<<62); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range procs {
-		if p.Err() != nil {
-			t.Fatalf("rank %d: %v", i, p.Err())
-		}
-		if results[i] != 100+n-1 {
-			t.Fatalf("rank %d max = %d, want %d", i, results[i], 100+n-1)
-		}
-	}
-}
-
-// TestMixedCollectiveSequence interleaves barriers, reductions and
-// broadcasts in one program — the epoch machinery must stay in step.
+// TestMixedCollectiveSequence interleaves barriers and reductions in
+// one program, a reduction only rank 0 contributes to among them — the
+// epoch machinery must stay in step.
 func TestMixedCollectiveSequence(t *testing.T) {
 	const n = 3
 	w := newWorld(t, n)
@@ -242,10 +130,10 @@ func TestMixedCollectiveSequence(t *testing.T) {
 				return err
 			}
 			v := uint64(0)
-			if comm.Rank() == 0 {
-				v = sum * 10 // root rebroadcasts the scaled sum
+			if i == 0 {
+				v = sum * 10 // rank 0 alone distributes the scaled sum
 			}
-			out, err := comm.Broadcast(c, v)
+			out, err := comm.AllReduceSum(c, v)
 			if err != nil {
 				return err
 			}

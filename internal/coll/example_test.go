@@ -14,7 +14,10 @@ import (
 // with a user-level all-reduce (fetch_and_add over the fabric + remote
 // writes for the release).
 func Example() {
-	cluster := net.MustNewCluster(3, userdma.ConfigFor(userdma.ExtShadow{}), net.Gigabit())
+	cluster, err := net.NewCluster(3, userdma.ConfigFor(userdma.ExtShadow{}), net.Gigabit())
+	if err != nil {
+		log.Fatal(err)
+	}
 	var comms []*coll.Comm
 	procs := make([]*proc.Process, 3)
 	for i := 0; i < 3; i++ {
@@ -31,7 +34,6 @@ func Example() {
 				return nil
 			})
 	}
-	var err error
 	if comms, err = coll.New(cluster, procs); err != nil {
 		log.Fatal(err)
 	}

@@ -440,31 +440,11 @@ const VictimSlots = 7
 // 5-access attempt, its status taken as read.
 var searchVictim = client(RepeatedPassing{Len: 5, Barriers: true, MaxRetries: 1, LooseStatus: true})
 
-// ExhaustiveInterleavings enumerates EVERY interleaving of the victim's
-// single 5-access attempt (VictimSlots slots) with the first
-// attackerSlots slots of the fixed adversarial program, running each
-// schedule on a fresh machine. It returns the number of schedules
-// tried and the first hijacking outcome found (nil if none — the
-// paper's §3.3.1 claim).
-func ExhaustiveInterleavings(attackerSlots int) (tried int, hijack *AttackOutcome, err error) {
-	for _, sched := range Interleavings(VictimSlots, attackerSlots) {
-		tried++
-		o, e := RunInterleaving(sched)
-		if e != nil {
-			return tried, nil, e
-		}
-		if o.Hijacked {
-			return tried, &o, nil
-		}
-	}
-	return tried, nil, nil
-}
-
 // RunInterleaving runs ONE schedule of the exhaustive search — one
 // cell of the "exhaustive" experiment — on a fresh world: the victim's
 // barriered 5-access attempt against the fixed adversarial program,
-// interleaved as the V/A schedule dictates. It is shared by the serial
-// search and internal/exp's parallel one.
+// interleaved as the V/A schedule dictates. internal/exp's parallel
+// search runs it per schedule.
 func RunInterleaving(schedule string) (AttackOutcome, error) {
 	return duel{seqLen: 5, victim: searchVictim, attacker: searchAttacker, schedule: schedule}.run()
 }

@@ -103,14 +103,15 @@ func TestFigure8Exhaustive(t *testing.T) {
 	}
 	total := 0
 	for _, attackerSlots := range []int{1, 2, 3, 4, 5} {
-		tried, hijack, err := ExhaustiveInterleavings(attackerSlots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += tried
-		if hijack != nil {
-			t.Fatalf("hijacking interleaving found with %d attacker slots: %v",
-				attackerSlots, *hijack)
+		for _, sched := range Interleavings(VictimSlots, attackerSlots) {
+			total++
+			o, err := RunInterleaving(sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.Hijacked {
+				t.Fatalf("hijacking interleaving found with %d attacker slots: %v", attackerSlots, o)
+			}
 		}
 	}
 	if total < 1000 {

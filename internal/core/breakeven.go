@@ -101,14 +101,6 @@ func breakEvenOnWorld(snap *machine.Snapshot, method Method, size uint64) (Break
 	return breakEvenOn(m, method, size)
 }
 
-func breakEvenOneCfg(method Method, cfg machine.Config, size uint64) (BreakEvenPoint, error) {
-	m, err := machine.New(cfg)
-	if err != nil {
-		return BreakEvenPoint{}, err
-	}
-	return breakEvenOn(m, method, size)
-}
-
 func breakEvenOn(m *machine.Machine, method Method, size uint64) (BreakEvenPoint, error) {
 	pageSize := m.Cfg.PageSize
 	pages := int((size + pageSize - 1) / pageSize)
@@ -183,9 +175,9 @@ func Crossover(points []BreakEvenPoint) (uint64, bool) {
 // Experiment X7: the paper's motivating trend. "Operating Systems do
 // not get faster as fast as hardware does ... the operating system
 // overhead keeps getting an ever-increasing percentage of the DMA
-// transfer time." TrendSweep measures kernel and extended-shadow
-// initiation across three hardware generations and the break-even size
-// of the kernel path in each.
+// transfer time." The trend experiment measures kernel and
+// extended-shadow initiation across three hardware generations and the
+// break-even size of the kernel path in each.
 
 // Era is one hardware generation in the trend sweep.
 type Era struct {
@@ -209,52 +201,4 @@ type TrendPoint struct {
 	KernelInit      sim.Time `json:"KernelInitPs"`
 	UserInit        sim.Time `json:"UserInitPs"` // extended shadow addressing
 	KernelCrossover uint64   // bytes where the wire outweighs the kernel trap
-}
-
-// TrendSweep runs experiment X7.
-func TrendSweep(iters int) ([]TrendPoint, error) {
-	var out []TrendPoint
-	for _, era := range TrendEras() {
-		kCfg := era.Config(dma.ModePaired, 0)
-		kRes, err := MeasureMethod(KernelLevel{}, kCfg, iters)
-		if err != nil {
-			return nil, fmt.Errorf("%s/kernel: %w", era.Name, err)
-		}
-		uCfg := era.Config(dma.ModeExtended, 0)
-		uRes, err := MeasureMethod(ExtShadow{}, uCfg, iters)
-		if err != nil {
-			return nil, fmt.Errorf("%s/user: %w", era.Name, err)
-		}
-		pts, err := breakEvenEra(era, DefaultSizes)
-		if err != nil {
-			return nil, err
-		}
-		cross, _ := Crossover(pts)
-		out = append(out, TrendPoint{
-			Era:             era.Name,
-			KernelInit:      kRes.Mean,
-			UserInit:        uRes.Mean,
-			KernelCrossover: cross,
-		})
-	}
-	return out, nil
-}
-
-// breakEvenEra runs the kernel-path break-even sweep on an era's
-// machine (BreakEven always uses the 1997 preset, so the trend needs
-// its own variant). One world per era, rewound between sizes.
-func breakEvenEra(era Era, sizes []uint64) ([]BreakEvenPoint, error) {
-	snap, err := NewWorld(era.Config(dma.ModePaired, 0))
-	if err != nil {
-		return nil, err
-	}
-	var out []BreakEvenPoint
-	for _, size := range sizes {
-		pt, err := breakEvenOnWorld(snap, KernelLevel{}, size)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-	}
-	return out, nil
 }

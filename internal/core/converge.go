@@ -46,20 +46,9 @@ import (
 const ConvergeK = 70
 
 // fastForward gates the convergence fast-forward and the poll skip
-// globally. On by default; the equivalence tests switch it off to
-// obtain full-run references.
+// globally. On by default; the equivalence tests switch it off
+// (SetFastForward, export_test.go) to obtain full-run references.
 var fastForward = true
-
-// SetFastForward enables or disables steady-state fast-forwarding of
-// the measurement loops and the quiet-stretch skip of Handle.Wait's
-// poll, and returns the previous setting. Measurements and world state
-// are byte-identical either way (that is both detectors' contract —
-// and the equivalence tests' subject); only wall-clock time differs.
-func SetFastForward(on bool) (prev bool) {
-	prev = fastForward
-	fastForward = on
-	return prev
-}
 
 // ffEngagements counts fast-forward activations across all measurement
 // cells (cells run on parallel worker goroutines, hence atomic). It

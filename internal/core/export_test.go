@@ -3,8 +3,32 @@ package userdma
 import (
 	"fmt"
 
+	"uldma/internal/dma"
 	"uldma/internal/machine"
+	"uldma/internal/phys"
+	"uldma/internal/proc"
 )
+
+// SetFastForward enables or disables steady-state fast-forwarding of
+// the measurement loops and the quiet-stretch skip of Handle.Wait's
+// poll, and returns the previous setting. Measurements and world state
+// are byte-identical either way (that is both detectors' contract —
+// and the equivalence tests' subject); only wall-clock time differs.
+func SetFastForward(on bool) (prev bool) {
+	prev = fastForward
+	fastForward = on
+	return prev
+}
+
+// PostPending is Post plus a RingPending pre-write into the status
+// word, for clients that poll per-descriptor completion records
+// instead of the doorbell's in-flight count.
+func (h *RingHandle) PostPending(c *proc.Context, slot uint64, src, dst phys.Addr, size uint64) error {
+	if err := h.Post(c, slot, src, dst, size); err != nil {
+		return err
+	}
+	return c.Store(h.slotVA(slot)+dma.DescStatus, phys.Size64, dma.RingPending)
+}
 
 // tlbStamps renders the CPU TLB's entries with their LRU stamps, its
 // tick and its scan hint: the state the TLB's StateHash (and so the

@@ -142,44 +142,6 @@ func measureInitiations(method Method, cfg machine.Config, iters int, name strin
 	return res, nil
 }
 
-// Table1 measures the paper's four rows on their calibrated preset and
-// returns them in the paper's order.
-func Table1(iters int) ([]InitiationResult, error) {
-	var out []InitiationResult
-	for _, method := range Methods() {
-		cfg := ConfigFor(method)
-		r, err := MeasureMethod(method, cfg, iters)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", method.Name(), err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// BusSweep measures every Table 1 method across bus frequencies —
-// experiment X4, quantifying §3.4's "user-level DMA can achieve quite
-// better performance in modern systems, that use faster buses".
-func BusSweep(iters int, freqs []sim.Hz) (map[sim.Hz][]InitiationResult, error) {
-	out := make(map[sim.Hz][]InitiationResult)
-	for _, f := range freqs {
-		for _, method := range Methods() {
-			var cfg machine.Config
-			if f == 12_500_000 {
-				cfg = ConfigFor(method)
-			} else {
-				cfg = machine.PCI(method.EngineMode(), method.SeqLen(), f)
-			}
-			r, err := MeasureMethod(method, cfg, iters)
-			if err != nil {
-				return nil, fmt.Errorf("%v/%s: %w", f, method.Name(), err)
-			}
-			out[f] = append(out[f], r)
-		}
-	}
-	return out, nil
-}
-
 // ContextContention measures mean initiation time under multiprogramming
 // for a context-carrying method: procs processes share the machine; the
 // ones that cannot get a register context fall back to kernel-level DMA

@@ -1,9 +1,12 @@
 package userdma
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"uldma/internal/dma"
+	"uldma/internal/machine"
 	"uldma/internal/sim"
 )
 
@@ -26,21 +29,25 @@ func TestMeasureMethodComparators(t *testing.T) {
 
 func TestBusSweepFasterBusFasterInitiation(t *testing.T) {
 	freqs := []sim.Hz{12_500_000, 33 * sim.MHz, 66 * sim.MHz}
-	sweep, err := BusSweep(50, freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// For every user-level method, initiation time strictly improves
 	// with bus frequency; the kernel path barely moves (it is dominated
 	// by trap cost, not bus cycles) — §3.4's projection.
 	means := func(f sim.Hz) map[string]sim.Time {
 		out := map[string]sim.Time{}
-		for _, r := range sweep[f] {
+		for _, method := range Methods() {
+			cfg := ConfigFor(method)
+			if f != 12_500_000 {
+				cfg = machine.PCI(method.EngineMode(), method.SeqLen(), f)
+			}
+			r, err := MeasureMethod(method, cfg, 50)
+			if err != nil {
+				t.Fatal(err)
+			}
 			out[r.Method] = r.Mean
 		}
 		return out
 	}
-	tc, pci33, pci66 := means(12_500_000), means(33*sim.MHz), means(66*sim.MHz)
+	tc, pci33, pci66 := means(freqs[0]), means(freqs[1]), means(freqs[2])
 	for name := range tc {
 		if name == "Kernel-level DMA" {
 			continue
@@ -101,7 +108,7 @@ func TestPaperTable1Complete(t *testing.T) {
 // trap eats relatively more of every transfer) while user-level
 // initiation keeps shrinking with the hardware.
 func TestTrendSweep(t *testing.T) {
-	pts, err := TrendSweep(50)
+	pts, err := trendSweep(50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,4 +180,53 @@ func TestBreakEvenCrossovers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// trendSweep runs experiment X7 serially, rewinding one world per era
+// between break-even sizes.
+func trendSweep(iters int) ([]TrendPoint, error) {
+	var out []TrendPoint
+	for _, era := range TrendEras() {
+		kCfg := era.Config(dma.ModePaired, 0)
+		kRes, err := MeasureMethod(KernelLevel{}, kCfg, iters)
+		if err != nil {
+			return nil, fmt.Errorf("%s/kernel: %w", era.Name, err)
+		}
+		uCfg := era.Config(dma.ModeExtended, 0)
+		uRes, err := MeasureMethod(ExtShadow{}, uCfg, iters)
+		if err != nil {
+			return nil, fmt.Errorf("%s/user: %w", era.Name, err)
+		}
+		pts, err := breakEvenEra(era, DefaultSizes)
+		if err != nil {
+			return nil, err
+		}
+		cross, _ := Crossover(pts)
+		out = append(out, TrendPoint{
+			Era:             era.Name,
+			KernelInit:      kRes.Mean,
+			UserInit:        uRes.Mean,
+			KernelCrossover: cross,
+		})
+	}
+	return out, nil
+}
+
+// breakEvenEra runs the kernel-path break-even sweep on an era's
+// machine (BreakEven always uses the 1997 preset, so the trend needs
+// its own variant). One world per era, rewound between sizes.
+func breakEvenEra(era Era, sizes []uint64) ([]BreakEvenPoint, error) {
+	snap, err := NewWorld(era.Config(dma.ModePaired, 0))
+	if err != nil {
+		return nil, err
+	}
+	var out []BreakEvenPoint
+	for _, size := range sizes {
+		pt, err := breakEvenOnWorld(snap, KernelLevel{}, size)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pt)
+	}
+	return out, nil
 }

@@ -106,15 +106,9 @@ type Handle struct {
 	poll func(c *proc.Context) (uint64, error)
 }
 
-// Method returns the scheme this handle instantiates.
-func (h *Handle) Method() Method { return h.method }
-
 // Context returns the register context assigned to the process (0 when
 // the method does not use contexts).
 func (h *Handle) Context() int { return h.ctx }
-
-// Key returns the process's DMA protection key (KeyBased only).
-func (h *Handle) Key() uint64 { return h.key }
 
 // Program returns the user-level instruction sequence of one initiation
 // attempt, for disassembly and instruction counting. ok is false for

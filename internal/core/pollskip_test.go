@@ -22,7 +22,7 @@ type worldState struct {
 }
 
 func stateOf(m *machine.Machine) worldState {
-	return worldState{render: m.Obs.Render(), now: int64(m.Clock.Now()), tlb: tlbStamps(m)}
+	return worldState{render: fmt.Sprint(m.Obs.Snapshot()), now: int64(m.Clock.Now()), tlb: tlbStamps(m)}
 }
 
 // withSkip runs f with the fast-forward switch set to on, restoring it

@@ -6,6 +6,7 @@ package userdma
 // record another world (or the snapshot itself) still names.
 
 import (
+	"fmt"
 	"testing"
 
 	"uldma/internal/dma"
@@ -128,7 +129,7 @@ func TestSnapshotClonesDoNotShareRecords(t *testing.T) {
 		if got, want := clone.Fingerprint(), fresh.Fingerprint(); got != want {
 			t.Fatalf("clone %d diverged from a fresh world:\n  clone %v\n  fresh %v", i, got, want)
 		}
-		if got, want := clone.Obs.Render(), fresh.Obs.Render(); got != want {
+		if got, want := fmt.Sprint(clone.Obs.Snapshot()), fmt.Sprint(fresh.Obs.Snapshot()); got != want {
 			t.Fatalf("clone %d registry diverged from a fresh world:\n%s\nwant\n%s", i, got, want)
 		}
 		if err := clone.Engine.CheckInvariants(clone.Clock.Now()); err != nil {
@@ -206,7 +207,7 @@ func TestPagingWorldSnapshotReplays(t *testing.T) {
 		if err := m.Engine.CheckInvariants(m.Clock.Now()); err != nil {
 			t.Fatal(err)
 		}
-		return end{m.Fingerprint(), m.Obs.Render()}
+		return end{m.Fingerprint(), fmt.Sprint(m.Obs.Snapshot())}
 	}
 
 	fresh, fh, fp := build()

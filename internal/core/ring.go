@@ -108,13 +108,6 @@ func (h *RingHandle) Armed() bool {
 	return depth == h.depth
 }
 
-// Context returns the register context the ring is armed on (-1 when
-// un-armed).
-func (h *RingHandle) Context() int { return h.ctx }
-
-// Depth returns the ring's slot count.
-func (h *RingHandle) Depth() uint64 { return h.depth }
-
 // Frames returns buffer buf's physical frames (valid after Arm) — the
 // addresses descriptors name in their Src/Dst slots.
 func (h *RingHandle) Frames(buf int) []phys.Addr { return h.bufs[buf].frames }
@@ -135,16 +128,6 @@ func (h *RingHandle) Post(c *proc.Context, slot uint64, src, dst phys.Addr, size
 		return err
 	}
 	return c.Store(va+dma.DescSize, phys.Size64, size)
-}
-
-// PostPending is Post plus a RingPending pre-write into the status
-// word, for clients that poll per-descriptor completion records
-// instead of the doorbell's in-flight count.
-func (h *RingHandle) PostPending(c *proc.Context, slot uint64, src, dst phys.Addr, size uint64) error {
-	if err := h.Post(c, slot, src, dst, size); err != nil {
-		return err
-	}
-	return c.Store(h.slotVA(slot)+dma.DescStatus, phys.Size64, dma.RingPending)
 }
 
 // Doorbell flushes the write buffer (so every descriptor store has
@@ -187,17 +170,4 @@ func (h *RingHandle) WaitDrain(c *proc.Context, maxPolls int) error {
 		c.Spin(200) // back off before re-polling
 	}
 	return fmt.Errorf("userdma: ring still draining after %d polls", maxPolls)
-}
-
-// Status reads slot's completion record (status word, completion
-// timestamp) with cached loads from the descriptor page.
-func (h *RingHandle) Status(c *proc.Context, slot uint64) (status, stamp uint64, err error) {
-	va := h.slotVA(slot)
-	if status, err = c.Load(va+dma.DescStatus, phys.Size64); err != nil {
-		return 0, 0, err
-	}
-	if stamp, err = c.Load(va+dma.DescStamp, phys.Size64); err != nil {
-		return 0, 0, err
-	}
-	return status, stamp, nil
 }

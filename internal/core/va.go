@@ -93,21 +93,6 @@ type VACompareRow struct {
 	PaperMean  sim.Time `json:"PaperMeanPs,omitempty"`
 }
 
-// VATable1 measures the paper's four rows shadow- and VA-initiated, in
-// the paper's order — the "does Table 1's ordering survive the IOMMU"
-// half of the vasweep experiment.
-func VATable1(iters int) ([]VACompareRow, error) {
-	var out []VACompareRow
-	for _, method := range Methods() {
-		row, err := MeasureVACompare(method, iters)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
 // MeasureVACompare measures one Table 1 row both ways, each on its
 // method's calibrated preset.
 func MeasureVACompare(method Method, iters int) (VACompareRow, error) {

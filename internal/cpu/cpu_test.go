@@ -46,7 +46,7 @@ type fixture struct {
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	clock := sim.NewClock()
-	events := sim.NewEventQueue()
+	events := new(sim.EventQueue)
 	mem := phys.New(1 << 20)
 	b := bus.New(clock, busFreq, bus.CostConfig{StoreCycles: 6, LoadRequestCycles: 4, LoadReplyCycles: 4})
 	dev := &echoDev{regs: map[phys.Addr]uint64{}}

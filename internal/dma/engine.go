@@ -638,9 +638,6 @@ func (e *Engine) SetCurrentPID(pid int) {
 	e.curPID = pid
 }
 
-// CurrentPID returns the engine's view of the running process.
-func (e *Engine) CurrentPID() int { return e.curPID }
-
 // LastTransfer returns the most recently started transfer, if any. The
 // record is pooled: read it before the engine starts another transfer,
 // and keep none of it.

@@ -53,7 +53,7 @@ func newEngine(t *testing.T, mode Mode, mut func(*Config)) *engFixture {
 		mut(&cfg)
 	}
 	mem := phys.New(testMemSize)
-	events := sim.NewEventQueue()
+	events := new(sim.EventQueue)
 	e, err := New(cfg, sim.NewClock(), events, mem)
 	if err != nil {
 		t.Fatal(err)
@@ -113,11 +113,11 @@ func TestConfigValidation(t *testing.T) {
 	for _, c := range cases {
 		cfg := base
 		c.mut(&cfg)
-		if _, err := New(cfg, sim.NewClock(), sim.NewEventQueue(), phys.New(testMemSize)); err == nil {
+		if _, err := New(cfg, sim.NewClock(), new(sim.EventQueue), phys.New(testMemSize)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := New(base, sim.NewClock(), sim.NewEventQueue(), phys.New(testMemSize)); err != nil {
+	if _, err := New(base, sim.NewClock(), new(sim.EventQueue), phys.New(testMemSize)); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	if _, err := New(base, sim.NewClock(), nil, phys.New(testMemSize)); err == nil {
@@ -262,8 +262,8 @@ func TestPairedPIDTracking(t *testing.T) {
 	if st == StatusFailure {
 		t.Fatal("same-PID pair rejected")
 	}
-	if f.e.CurrentPID() != 1 {
-		t.Fatal("CurrentPID wrong")
+	if f.e.curPID != 1 {
+		t.Fatal("current PID wrong")
 	}
 }
 

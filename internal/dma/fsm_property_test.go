@@ -113,7 +113,7 @@ func TestRepeatedFSMMatchesReferenceModel(t *testing.T) {
 			engXfers := f.accepted()
 			for step := 0; step < 200; step++ {
 				addr := addrAlphabet[rng.Intn(len(addrAlphabet))]
-				if rng.Bool() {
+				if rng.Uint64()&1 == 1 {
 					size := sizeAlphabet[rng.Intn(len(sizeAlphabet))]
 					refSt, _ := ref.feed(accStore, addr, size)
 					_ = refSt // stores return nothing to the issuer

@@ -64,7 +64,7 @@ type ringState struct {
 	head     uint64    // next slot index the walk consumes
 	inFlight uint64    // descriptors kicked whose completion has not landed
 	gen      uint32    // bumped on SetupRing/TeardownRing; stale completions no-op
-	va       bool      // descriptors carry device VAs (SetRingVA; see va.go)
+	va       bool      // descriptors carry device VAs (SetRingVA, a test hook)
 	allow    []ringExtent
 }
 
@@ -145,26 +145,6 @@ func (e *Engine) TeardownRing(ctx int) {
 	r.base, r.depth, r.head, r.inFlight = 0, 0, 0, 0
 	r.gen++
 	r.allow = r.allow[:0]
-}
-
-// SetRingVA switches ring ctx between physical descriptors (validated
-// against RingAllow extents) and virtual descriptors (device VAs for
-// translation context ctx, validated by the IOMMU's page tables — the
-// mapping IS the registration). Kernel setup-time operation; requires a
-// ring installed, and an attached IOMMU to turn on.
-func (e *Engine) SetRingVA(ctx int, on bool) error {
-	if ctx < 0 || ctx >= len(e.rings) {
-		return fmt.Errorf("dma: ring context %d out of range", ctx)
-	}
-	r := &e.rings[ctx]
-	if r.depth == 0 {
-		return fmt.Errorf("dma: ring context %d has no ring installed", ctx)
-	}
-	if on && e.iommu == nil {
-		return fmt.Errorf("dma: virtual ring needs an attached IOMMU")
-	}
-	r.va = on
-	return nil
 }
 
 // RingAllow registers [base, base+size) as a buffer extent descriptors

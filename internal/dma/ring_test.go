@@ -23,7 +23,7 @@ func newRingEngine(tb testing.TB, mode Mode) *engFixture {
 	cfg := testConfig(mode)
 	cfg.RingBase = ringBase
 	mem := phys.New(testMemSize)
-	events := sim.NewEventQueue()
+	events := new(sim.EventQueue)
 	e, err := New(cfg, sim.NewClock(), events, mem)
 	if err != nil {
 		tb.Fatal(err)

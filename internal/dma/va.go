@@ -110,20 +110,6 @@ func (p RecoveryPolicy) String() string {
 	}
 }
 
-// ParseRecoveryPolicy maps a policy name to its value.
-func ParseRecoveryPolicy(s string) (RecoveryPolicy, error) {
-	switch s {
-	case "stall":
-		return RecoverStall, nil
-	case "bounce":
-		return RecoverBounce, nil
-	case "pin":
-		return RecoverPin, nil
-	default:
-		return 0, fmt.Errorf("dma: unknown recovery policy %q (want stall, bounce or pin)", s)
-	}
-}
-
 // RegisterVAMetrics publishes the virtual-address counters (the VA*
 // cells of Counters). The machine calls this only when an IOMMU is
 // configured.
@@ -150,22 +136,12 @@ func (e *Engine) AttachIOMMU(io Translator) error {
 	return nil
 }
 
-// IOMMU returns the attached translator (nil when the engine runs pure
-// shadow addressing).
-func (e *Engine) IOMMU() Translator { return e.iommu }
-
 // SetFaultResolver attaches the kernel's fault/pin service.
 func (e *Engine) SetFaultResolver(fr FaultResolver) { e.resolver = fr }
 
 // SetRecoveryPolicy selects the mid-transfer fault policy. RecoverPin
 // requires a resolver at initiation time.
 func (e *Engine) SetRecoveryPolicy(p RecoveryPolicy) { e.policy = p }
-
-// Policy returns the active recovery policy.
-func (e *Engine) Policy() RecoveryPolicy { return e.policy }
-
-// ParkedTransfers returns how many transfers are parked on a fault.
-func (e *Engine) ParkedTransfers() int { return len(e.vaParked) }
 
 // decodeVA splits a VA-window offset into (ctx, device VA) — the same
 // ctx<<MemBits | va layout the extended shadow window uses.

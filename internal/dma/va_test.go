@@ -90,7 +90,7 @@ func newVAEngine(tb testing.TB, mode Mode, mut func(*Config)) *vaFixture {
 		mut(&cfg)
 	}
 	mem := phys.New(testMemSize)
-	events := sim.NewEventQueue()
+	events := new(sim.EventQueue)
 	e, err := New(cfg, sim.NewClock(), events, mem)
 	if err != nil {
 		tb.Fatal(err)
@@ -162,7 +162,7 @@ func TestVAConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := testConfig(ModePaired)
 		tc.mut(&cfg)
-		if _, err := New(cfg, sim.NewClock(), sim.NewEventQueue(), phys.New(testMemSize)); err == nil {
+		if _, err := New(cfg, sim.NewClock(), new(sim.EventQueue), phys.New(testMemSize)); err == nil {
 			t.Errorf("%s: config accepted", tc.name)
 		}
 	}
@@ -675,18 +675,6 @@ func TestVAValidateRejects(t *testing.T) {
 	f.e.SetRecoveryPolicy(RecoverPin)
 	if v := f.initiatePaired(t, 0, 0, vaSrcVA, vaDstVA, 256); v != StatusFailure {
 		t.Error("pin policy accepted without a resolver")
-	}
-}
-
-func TestVARecoveryPolicyParse(t *testing.T) {
-	for _, p := range []RecoveryPolicy{RecoverStall, RecoverBounce, RecoverPin} {
-		got, err := ParseRecoveryPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParseRecoveryPolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParseRecoveryPolicy("eager"); err == nil {
-		t.Error("ParseRecoveryPolicy accepted an unknown name")
 	}
 }
 

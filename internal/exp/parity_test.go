@@ -2,18 +2,96 @@ package exp
 
 // The experiment runner promises byte-identical results to the serial
 // measurement loops for ANY worker count. These tests pin that promise
-// against the core package's serial counterparts: every cell builds its
-// own machine, so parallelising over cells must not perturb a single
-// simulated picosecond. They run under -race in CI.
+// against serial counterparts — table1, busSweep and trendSweep below,
+// and the core package's BreakEven, which rewinds one world in place:
+// every cell builds its own machine, so parallelising over cells must
+// not perturb a single simulated picosecond. They run under -race in
+// CI.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	userdma "uldma/internal/core"
+	"uldma/internal/dma"
+	"uldma/internal/machine"
+	"uldma/internal/sim"
 )
 
 var parityWorkers = []int{1, 2, 3, 4, 8}
+
+// table1 measures the paper's four rows on their calibrated preset,
+// one after another, in the paper's order.
+func table1(iters int) ([]userdma.InitiationResult, error) {
+	var out []userdma.InitiationResult
+	for _, method := range userdma.Methods() {
+		r, err := userdma.MeasureMethod(method, userdma.ConfigFor(method), iters)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", method.Name(), err)
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// trendSweep runs experiment X7 one measurement after another: each
+// era's kernel and extended-shadow initiation, then the kernel path's
+// break-even sweep on clones of one pristine world of that era.
+func trendSweep(iters int) ([]userdma.TrendPoint, error) {
+	var out []userdma.TrendPoint
+	for _, era := range userdma.TrendEras() {
+		kRes, err := userdma.MeasureMethod(userdma.KernelLevel{}, era.Config(dma.ModePaired, 0), iters)
+		if err != nil {
+			return nil, fmt.Errorf("%s/kernel: %w", era.Name, err)
+		}
+		uRes, err := userdma.MeasureMethod(userdma.ExtShadow{}, era.Config(dma.ModeExtended, 0), iters)
+		if err != nil {
+			return nil, fmt.Errorf("%s/user: %w", era.Name, err)
+		}
+		snap, err := userdma.NewWorld(era.Config(dma.ModePaired, 0))
+		if err != nil {
+			return nil, err
+		}
+		var pts []userdma.BreakEvenPoint
+		for _, size := range userdma.DefaultSizes {
+			pt, err := userdma.BreakEvenCellFrom(snap, userdma.KernelLevel{}, size)
+			if err != nil {
+				return nil, err
+			}
+			pts = append(pts, pt)
+		}
+		cross, _ := userdma.Crossover(pts)
+		out = append(out, userdma.TrendPoint{
+			Era:             era.Name,
+			KernelInit:      kRes.Mean,
+			UserInit:        uRes.Mean,
+			KernelCrossover: cross,
+		})
+	}
+	return out, nil
+}
+
+// busSweep measures every Table 1 method at each bus frequency, one
+// after another: the calibrated TurboChannel preset at 12.5 MHz, the
+// PCI preset at any other frequency.
+func busSweep(iters int, freqs []sim.Hz) (map[sim.Hz][]userdma.InitiationResult, error) {
+	out := make(map[sim.Hz][]userdma.InitiationResult)
+	for _, f := range freqs {
+		for _, method := range userdma.Methods() {
+			cfg := userdma.ConfigFor(method)
+			if f != 12_500_000 {
+				cfg = machine.PCI(method.EngineMode(), method.SeqLen(), f)
+			}
+			r, err := userdma.MeasureMethod(method, cfg, iters)
+			if err != nil {
+				return nil, fmt.Errorf("%v/%s: %w", f, method.Name(), err)
+			}
+			out[f] = append(out[f], r)
+		}
+	}
+	return out, nil
+}
 
 // runRows runs the named experiment and collects its T rows in cell
 // order.
@@ -28,14 +106,14 @@ func runRows[T any](t *testing.T, name string, p Params) []T {
 
 func TestTable1Parity(t *testing.T) {
 	const iters = 50
-	want, err := userdma.Table1(iters)
+	want, err := table1(iters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range parityWorkers {
 		got := runRows[userdma.InitiationResult](t, "table1", Params{Iters: iters, Procs: w})
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: table1 diverged from serial Table1\n got %+v\nwant %+v", w, got, want)
+			t.Errorf("workers=%d: table1 diverged from serial table1\n got %+v\nwant %+v", w, got, want)
 		}
 	}
 }
@@ -43,7 +121,7 @@ func TestTable1Parity(t *testing.T) {
 func TestBusSweepParity(t *testing.T) {
 	const iters = 30
 	freqs := DefaultFreqs()
-	want, err := userdma.BusSweep(iters, freqs)
+	want, err := busSweep(iters, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +140,7 @@ func TestBusSweepParity(t *testing.T) {
 				t.Errorf("workers=%d: group %d is %v, want %v", w, i, g.Freq, freqs[i])
 			}
 			if !reflect.DeepEqual(g.Rows, want[g.Freq]) {
-				t.Errorf("workers=%d freq=%v: bussweep diverged from serial BusSweep", w, g.Freq)
+				t.Errorf("workers=%d freq=%v: bussweep diverged from serial busSweep", w, g.Freq)
 			}
 		}
 	}
@@ -102,7 +180,7 @@ func TestBreakEvenParity(t *testing.T) {
 
 func TestTrendSweepParity(t *testing.T) {
 	const iters = 20
-	want, err := userdma.TrendSweep(iters)
+	want, err := trendSweep(iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +191,31 @@ func TestTrendSweepParity(t *testing.T) {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		if got := TrendPoints(r); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: trend diverged from serial TrendSweep\n got %+v\nwant %+v",
+			t.Errorf("workers=%d: trend diverged from serial trendSweep\n got %+v\nwant %+v",
 				w, TrendPoints(r), want)
 		}
 	}
 }
 
+// exhaustiveInterleavings runs the exhaustive search one schedule after
+// another, stopping at the first hijack.
+func exhaustiveInterleavings(attackerSlots int) (tried int, hijack *userdma.AttackOutcome, err error) {
+	for _, sched := range userdma.Interleavings(userdma.VictimSlots, attackerSlots) {
+		tried++
+		o, err := userdma.RunInterleaving(sched)
+		if err != nil {
+			return tried, nil, err
+		}
+		if o.Hijacked {
+			return tried, &o, nil
+		}
+	}
+	return tried, nil, nil
+}
+
 func TestExhaustiveInterleavingsParity(t *testing.T) {
 	for _, slots := range []int{1, 2, 3} {
-		wantTried, wantHijack, wantErr := userdma.ExhaustiveInterleavings(slots)
+		wantTried, wantHijack, wantErr := exhaustiveInterleavings(slots)
 		if wantErr != nil {
 			t.Fatal(wantErr)
 		}

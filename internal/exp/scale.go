@@ -25,6 +25,7 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"uldma/internal/net"
@@ -348,17 +349,27 @@ func (g *rpcGen) RestoreState(state any) error {
 	return nil
 }
 
-// point folds the finished world into a ScalePoint. Per-node samples
-// concatenate in node order, so the fold is layout-invariant.
+// point folds the finished world into a ScalePoint. Every node's
+// latencies land in one slice, which is sorted in place for the
+// percentiles; the mean is stats.Sample's (integer division of the
+// sum), so the fold is layout-invariant.
 func (g *rpcGen) point() ScalePoint {
-	var sample stats.Sample
 	var issued, completed uint64
 	for n := 0; n < g.k.nodes; n++ {
 		issued += uint64(len(g.issueAt[n]))
 		completed += uint64(len(g.lats[n]))
-		for _, l := range g.lats[n] {
-			sample.Add(l)
-		}
+	}
+	lats := make([]sim.Time, 0, completed)
+	for n := 0; n < g.k.nodes; n++ {
+		lats = append(lats, g.lats[n]...)
+	}
+	slices.Sort(lats)
+	var mean, sum sim.Time
+	for _, l := range lats {
+		sum += l
+	}
+	if len(lats) > 0 {
+		mean = sum / sim.Time(len(lats))
 	}
 	t := g.c.Totals()
 	pt := ScalePoint{
@@ -371,9 +382,9 @@ func (g *rpcGen) point() ScalePoint {
 
 		Issued:    issued,
 		Completed: completed,
-		Mean:      sample.Mean(),
-		P50:       sample.Percentile(50),
-		P99:       sample.Percentile(99),
+		Mean:      mean,
+		P50:       stats.Percentile(lats, 50),
+		P99:       stats.Percentile(lats, 99),
 
 		Deliveries:  t.Delivered,
 		Events:      t.Events,

@@ -90,6 +90,23 @@ func TestScaleThousandNode(t *testing.T) {
 	}
 }
 
+// countingPlane passes a fault plane's verdicts through and counts the
+// messages it deleted and the extra copies it injected.
+type countingPlane struct {
+	net.FaultPlane
+	drops, dups uint64
+}
+
+func (p *countingPlane) Judge(src, dst int, at sim.Time) net.Verdict {
+	v := p.FaultPlane.Judge(src, dst, at)
+	if v.N == 0 {
+		p.drops++
+	} else {
+		p.dups += uint64(v.N - 1)
+	}
+	return v
+}
+
 // faultedScaleRun builds the flat world, attaches plane (nil for none)
 // to the cross-shard links (judged per message in canonical flush order
 // on the coordinator), then primes and runs it.
@@ -99,14 +116,18 @@ func faultedScaleRun(t *testing.T, p Params, workers int, plane net.FaultPlane) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cp *countingPlane
 	if plane != nil {
-		w.c.SetFaultPlane(plane)
+		cp = &countingPlane{FaultPlane: plane}
+		w.c.SetFaultPlane(cp)
 	}
 	w.prime()
 	if err := w.run(workers); err != nil {
 		t.Fatalf("shards=%d workers=%d: %v", p.Shards, workers, err)
 	}
-	drops, dups = w.c.FaultStats()
+	if cp != nil {
+		drops, dups = cp.drops, cp.dups
+	}
 	return w.point(), drops, dups
 }
 

@@ -136,14 +136,18 @@ func faultedMachineRun(t *testing.T, p Params, workers int, plane net.FaultPlane
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cp *countingPlane
 	if plane != nil {
-		w.c.SetFaultPlane(plane)
+		cp = &countingPlane{FaultPlane: plane}
+		w.c.SetFaultPlane(cp)
 	}
 	w.prime()
 	if err := w.run(workers); err != nil {
 		t.Fatalf("shards=%d workers=%d: %v", p.Shards, workers, err)
 	}
-	drops, dups = w.c.FaultStats()
+	if cp != nil {
+		drops, dups = cp.drops, cp.dups
+	}
 	return w.observe(), drops, dups
 }
 

@@ -164,19 +164,18 @@ func TestSteerOSLatConverges(t *testing.T) {
 }
 
 // TestSteerDecisionTrace pins the trace mirroring: every decision of a
-// steered run lands on the obs spine as a CatSteer instant, readable
-// through a streaming Reader while the searches run.
+// steered run lands on the obs spine as a CatSteer instant, in
+// decision order.
 func TestSteerDecisionTrace(t *testing.T) {
 	tr := obs.NewTrace(4096, obs.Ring)
-	rd := tr.NewReader()
 	res, _, err := SteeredBreakEven(Params{Procs: 2}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, skipped := rd.Poll(nil)
-	if skipped != 0 {
-		t.Fatalf("reader skipped %d events under a 4096 cap", skipped)
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("trace dropped %d events under a 4096 cap", d)
 	}
+	events := tr.Events()
 	decisions := res.Log.Decisions()
 	if len(events) != len(decisions) {
 		t.Fatalf("trace carries %d steer events, log has %d decisions", len(events), len(decisions))

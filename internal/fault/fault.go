@@ -103,7 +103,6 @@ func (p Plan) Zero() bool {
 // it belongs to that world's one goroutine.
 type Injector struct {
 	plan    Plan
-	seed    uint64
 	zero    bool
 	rng     *sim.Rand
 	sent    map[Link]uint64
@@ -115,7 +114,6 @@ type Injector struct {
 func New(plan Plan, seed uint64) *Injector {
 	in := &Injector{
 		plan: plan,
-		seed: seed,
 		zero: plan.Zero(),
 		rng:  sim.NewRand(seed),
 		sent: make(map[Link]uint64),
@@ -132,10 +130,6 @@ func New(plan Plan, seed uint64) *Injector {
 	}
 	return in
 }
-
-// Seed returns the seed the injector was built with — print it next to
-// any failure so the run can be replayed.
-func (in *Injector) Seed() uint64 { return in.seed }
 
 // float returns a uniform draw in [0, 1) from the seeded stream.
 func (in *Injector) float() float64 {

@@ -81,15 +81,6 @@ func New(cfg Config) (*IOMMU, error) {
 	return io, nil
 }
 
-// Config returns the construction parameters (TLBEntries resolved).
-func (io *IOMMU) Config() Config { return io.cfg }
-
-// Contexts returns the number of device contexts.
-func (io *IOMMU) Contexts() int { return len(io.tables) }
-
-// PageSize returns the device page size.
-func (io *IOMMU) PageSize() uint64 { return io.cfg.PageSize }
-
 func (io *IOMMU) table(ctx int) (*vm.AddressSpace, error) {
 	if ctx < 0 || ctx >= len(io.tables) {
 		return nil, fmt.Errorf("iommu: context %d out of range [0,%d)", ctx, len(io.tables))
@@ -126,12 +117,6 @@ func (io *IOMMU) Unmap(ctx int, va uint64) error {
 	return nil
 }
 
-// Flush invalidates the whole IOTLB (every context).
-func (io *IOMMU) Flush() {
-	io.tlb.Flush()
-	io.ctr.Flushes.Inc()
-}
-
 // Translate resolves a device virtual address for ctx. hit reports an
 // IOTLB hit; the engine charges its miss penalty when false. A fault
 // (*vm.Fault: unmapped or protection) is the caller's signal to run a
@@ -157,18 +142,6 @@ func (io *IOMMU) Lookup(ctx int, va uint64) (vm.PTE, bool) {
 	}
 	return as.Lookup(vm.VAddr(va))
 }
-
-// MappedPages returns the number of resident translations for ctx.
-func (io *IOMMU) MappedPages(ctx int) int {
-	as, err := io.table(ctx)
-	if err != nil {
-		return 0
-	}
-	return as.MappedPages()
-}
-
-// Counters returns the management-plane counters.
-func (io *IOMMU) Counters() Counters { return io.ctr }
 
 // IOTLB exposes the translation cache, whose counters are the IOTLB
 // hits and misses.

@@ -52,7 +52,7 @@ func TestTranslateHitMissFault(t *testing.T) {
 	if !errors.As(err, &f) || f.Kind != vm.FaultUnmapped {
 		t.Fatalf("unmapped VA: err=%v, want *vm.Fault{FaultUnmapped}", err)
 	}
-	if got := io.Counters().Faults; got != 2 {
+	if got := io.ctr.Faults; got != 2 {
 		t.Fatalf("faults = %d, want 2", got)
 	}
 }
@@ -71,7 +71,7 @@ func TestUnmapInvalidates(t *testing.T) {
 	if err := io.Unmap(0, 0x2000); err != nil {
 		t.Fatal(err)
 	}
-	if got := io.Counters().Flushes; got != 1 {
+	if got := io.ctr.Flushes; got != 1 {
 		t.Fatalf("flushes = %d, want 1", got)
 	}
 	// The generation bump must make the cached entry stale.
@@ -245,7 +245,7 @@ func TestTranslateIOUnmappedMatchesTranslate(t *testing.T) {
 	if a, b := ios[0].IOTLB().Snapshot(), ios[1].IOTLB().Snapshot(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("IOTLB differs:\n Translate   %+v\n TranslateIO %+v", *a, *b)
 	}
-	if a, b := ios[0].Counters(), ios[1].Counters(); a != b {
+	if a, b := ios[0].ctr, ios[1].ctr; a != b {
 		t.Fatalf("counters differ: Translate %+v, TranslateIO %+v", a, b)
 	}
 	allocs := testing.AllocsPerRun(100, func() { ios[1].TranslateIO(1, 0x20000, false) })

@@ -25,9 +25,9 @@ func TestAssembleFigure7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.BusAccesses() != 5 || prog.Stores() != 2 || prog.Loads() != 3 {
+	if prog.BusAccesses() != 5 || opCount(prog, OpStore) != 2 || opCount(prog, OpLoad) != 3 {
 		t.Fatalf("shape: %d accesses, %d stores, %d loads",
-			prog.BusAccesses(), prog.Stores(), prog.Loads())
+			prog.BusAccesses(), opCount(prog, OpStore), opCount(prog, OpLoad))
 	}
 	if prog[0].Addr != testSymbols["B"] || prog[0].Val != 64 {
 		t.Fatalf("first instruction: %v", prog[0])

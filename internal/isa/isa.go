@@ -131,28 +131,6 @@ func (p Program) BusAccesses() int {
 	return n
 }
 
-// Loads returns the number of load instructions.
-func (p Program) Loads() int {
-	n := 0
-	for _, i := range p {
-		if i.Op == OpLoad {
-			n++
-		}
-	}
-	return n
-}
-
-// Stores returns the number of store instructions.
-func (p Program) Stores() int {
-	n := 0
-	for _, i := range p {
-		if i.Op == OpStore {
-			n++
-		}
-	}
-	return n
-}
-
 // Disassemble renders the whole program, one instruction per line,
 // numbered from 1 like the paper's listings.
 func (p Program) Disassemble() string {
@@ -205,38 +183,4 @@ func RunLast(x Executor, p Program) (last uint64, ok bool, err error) {
 		}
 	}
 	return last, ok, nil
-}
-
-// Run executes p on x and returns the values produced by the program's
-// load instructions, in program order. Execution stops at the first
-// instruction error.
-func Run(x Executor, p Program) ([]uint64, error) {
-	var loads []uint64
-	for n, i := range p {
-		switch i.Op {
-		case OpLoad:
-			v, err := x.Load(i.Addr, i.Size)
-			if err != nil {
-				return loads, fmt.Errorf("isa: instruction %d (%s): %w", n+1, i, err)
-			}
-			loads = append(loads, v)
-		case OpStore:
-			if err := x.Store(i.Addr, i.Size, i.Val); err != nil {
-				return loads, fmt.Errorf("isa: instruction %d (%s): %w", n+1, i, err)
-			}
-		case OpMB:
-			if err := x.MB(); err != nil {
-				return loads, fmt.Errorf("isa: instruction %d (%s): %w", n+1, i, err)
-			}
-		case OpSwap:
-			v, err := x.Swap(i.Addr, i.Size, i.Val)
-			if err != nil {
-				return loads, fmt.Errorf("isa: instruction %d (%s): %w", n+1, i, err)
-			}
-			loads = append(loads, v)
-		default:
-			return loads, fmt.Errorf("isa: instruction %d: unknown opcode %v", n+1, i.Op)
-		}
-	}
-	return loads, nil
 }

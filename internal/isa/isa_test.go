@@ -93,6 +93,17 @@ func rep5Program() Program {
 	}
 }
 
+// opCount returns how many of p's instructions have opcode op.
+func opCount(p Program, op Op) int {
+	n := 0
+	for _, i := range p {
+		if i.Op == op {
+			n++
+		}
+	}
+	return n
+}
+
 func TestProgramCounts(t *testing.T) {
 	p := rep5Program()
 	if p.Len() != 7 {
@@ -101,8 +112,8 @@ func TestProgramCounts(t *testing.T) {
 	if p.BusAccesses() != 5 {
 		t.Fatalf("BusAccesses = %d, want 5 (the paper's 5-instruction sequence)", p.BusAccesses())
 	}
-	if p.Loads() != 3 || p.Stores() != 2 {
-		t.Fatalf("Loads=%d Stores=%d, want 3/2", p.Loads(), p.Stores())
+	if opCount(p, OpLoad) != 3 || opCount(p, OpStore) != 2 {
+		t.Fatalf("Loads=%d Stores=%d, want 3/2", opCount(p, OpLoad), opCount(p, OpStore))
 	}
 }
 

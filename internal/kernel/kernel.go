@@ -254,9 +254,6 @@ func syscallName(num int) string {
 // state the delta per iteration is constant.
 func (k *Kernel) RNGState() uint64 { return k.rng.State() }
 
-// Engine returns the DMA engine the kernel manages.
-func (k *Kernel) Engine() *dma.Engine { return k.engine }
-
 // PageSize returns the system page size.
 func (k *Kernel) PageSize() uint64 { return k.engine.Config().PageSize }
 

@@ -110,9 +110,15 @@ func TestMapAtomicNeedsReadWrite(t *testing.T) {
 	if err := m.Kernel.MapAtomic(p, 0x99990000); err == nil {
 		t.Fatal("MapAtomic on unmapped page succeeded")
 	}
-	// Three aliases + 2 data pages mapped.
-	if got := p.AddressSpace().MappedPages(); got != 5 {
-		t.Fatalf("mapped pages = %d, want 5", got)
+	// Three aliases of the writable page, none of the read-only one.
+	as := p.AddressSpace()
+	for _, op := range []int{dma.AtomicAdd, dma.AtomicSwap, dma.AtomicCAS} {
+		if _, ok := as.Lookup(kernel.AtomicVA(0x20000, op)); !ok {
+			t.Fatalf("atomic op %d alias of the writable page not mapped", op)
+		}
+		if _, ok := as.Lookup(kernel.AtomicVA(0x10000, op)); ok {
+			t.Fatalf("atomic op %d alias of the read-only page mapped", op)
+		}
 	}
 	m.Run(proc.NewRoundRobin(1), 10)
 }
@@ -436,9 +442,6 @@ func TestSyscallValidation(t *testing.T) {
 func TestMapRemoteValidation(t *testing.T) {
 	m := newMachine(t, dma.ModeExtended)
 	p := m.NewProcess("u", idle)
-	if m.Kernel.Engine() != m.Engine {
-		t.Fatal("Engine accessor wrong")
-	}
 	// Unaligned remote offset.
 	if err := m.Kernel.MapRemote(p, 0x20000, 1, 0x80004); err == nil {
 		t.Fatal("unaligned MapRemote accepted")

@@ -79,9 +79,6 @@ func (k *Kernel) SetIOMMU(io *iommu.IOMMU) {
 	}
 }
 
-// IOMMU returns the attached IOMMU, or nil.
-func (k *Kernel) IOMMU() *iommu.IOMMU { return k.iommu }
-
 // EnablePager turns on the paging/eviction model: at most budget device
 // pages resident, page-ins charged pageInTime. Must be called before
 // traffic; enabling it re-registers already-mapped pages as resident.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uldma/internal/dma"
+	"uldma/internal/kernel"
 	"uldma/internal/phys"
 	"uldma/internal/proc"
 	"uldma/internal/sim"
@@ -169,8 +170,14 @@ func TestSetupPages(t *testing.T) {
 		t.Fatalf("frames = %v", frames)
 	}
 	// Each page is mapped twice: data + shadow.
-	if got := p.AddressSpace().MappedPages(); got != 6 {
-		t.Fatalf("mapped pages = %d, want 6", got)
+	as := p.AddressSpace()
+	for i := 0; i < 3; i++ {
+		va := vm.VAddr(0x10000 + uint64(i)*m.Cfg.PageSize)
+		for _, alias := range []vm.VAddr{va, kernel.ShadowVA(va)} {
+			if _, ok := as.Lookup(alias); !ok {
+				t.Fatalf("page %d: %v not mapped", i, alias)
+			}
+		}
 	}
 	m.Run(proc.NewRoundRobin(1), 10)
 }

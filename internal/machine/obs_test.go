@@ -7,12 +7,21 @@ import (
 	"uldma/internal/obs"
 )
 
+// metricNames lists r's metric names in registration order.
+func metricNames(r *obs.Registry) []string {
+	var out []string
+	for _, mv := range r.Snapshot() {
+		out = append(out, mv.Name)
+	}
+	return out
+}
+
 // TestRegistryCoversEveryComponent pins the registry's shape: a fixed,
 // deterministic registration order spanning every component, identical
 // across identically built machines.
 func TestRegistryCoversEveryComponent(t *testing.T) {
 	m := MustNew(Alpha3000TC(dma.ModeExtended, 0))
-	names := m.Obs.Names()
+	names := metricNames(m.Obs)
 	if len(names) == 0 {
 		t.Fatal("empty registry")
 	}
@@ -33,7 +42,7 @@ func TestRegistryCoversEveryComponent(t *testing.T) {
 	// Deterministic order: a second identically built machine renders
 	// the identical name sequence.
 	m2 := MustNew(Alpha3000TC(dma.ModeExtended, 0))
-	names2 := m2.Obs.Names()
+	names2 := metricNames(m2.Obs)
 	if len(names) != len(names2) {
 		t.Fatalf("registries differ in size: %d vs %d", len(names), len(names2))
 	}
@@ -132,8 +141,8 @@ func TestTraceRewindWithWorld(t *testing.T) {
 	if clone.Tracer == tr {
 		t.Fatal("clone shares the origin's trace; must have its own")
 	}
-	if clone.Tracer.Cap() != 128 {
-		t.Fatalf("clone trace cap = %d, want 128", clone.Tracer.Cap())
+	if clone.Tracer.State().Cap() != 128 {
+		t.Fatalf("clone trace cap = %d, want 128", clone.Tracer.State().Cap())
 	}
 	if clone.Tracer.Emitted() != wantEmitted || clone.Tracer.Dropped() != wantDropped {
 		t.Fatalf("clone trace emitted/dropped = %d/%d, want %d/%d",

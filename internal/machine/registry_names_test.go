@@ -7,6 +7,7 @@ import (
 	"uldma/internal/dma"
 	"uldma/internal/machine"
 	"uldma/internal/net"
+	"uldma/internal/obs"
 )
 
 // tableOneNames is the registry of every Table-1 machine, in
@@ -101,14 +102,25 @@ var clusterNames = []string{
 // machine, and a two-node cluster.
 func TestRegistryNames(t *testing.T) {
 	cfg := machine.Alpha3000TC(dma.ModeExtended, 0)
+	cluster, err := net.NewCluster(2, cfg, net.Gigabit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(r *obs.Registry) []string {
+		var out []string
+		for _, mv := range r.Snapshot() {
+			out = append(out, mv.Name)
+		}
+		return out
+	}
 	for _, tc := range []struct {
 		name string
 		got  []string
 		want []string
 	}{
-		{"table1", machine.MustNew(cfg).Obs.Names(), tableOneNames},
-		{"iommu", machine.MustNew(machine.EnableVirtualDMA(cfg)).Obs.Names(), slices.Concat(tableOneNames, vaNames)},
-		{"cluster", net.MustNewCluster(2, cfg, net.Gigabit()).Obs.Names(), clusterNames},
+		{"table1", names(machine.MustNew(cfg).Obs), tableOneNames},
+		{"iommu", names(machine.MustNew(machine.EnableVirtualDMA(cfg)).Obs), slices.Concat(tableOneNames, vaNames)},
+		{"cluster", names(cluster.Obs), clusterNames},
 	} {
 		if !slices.Equal(tc.got, tc.want) {
 			t.Errorf("%s registry:\n got %q\nwant %q", tc.name, tc.got, tc.want)

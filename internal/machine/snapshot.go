@@ -50,9 +50,6 @@ type Snapshot struct {
 	origin *Machine
 }
 
-// Config returns the configuration of the snapshot's origin machine.
-func (s *Snapshot) Config() Config { return s.cfg }
-
 // Time returns the simulated time the snapshot was taken at.
 func (s *Snapshot) Time() sim.Time { return s.time }
 

@@ -15,7 +15,10 @@ import (
 // writes — no kernel crossing after setup.
 func Example() {
 	method := userdma.ExtShadow{}
-	cluster := net.MustNewCluster(2, userdma.ConfigFor(method), net.Gigabit())
+	cluster, err := net.NewCluster(2, userdma.ConfigFor(method), net.Gigabit())
+	if err != nil {
+		log.Fatal(err)
+	}
 	n0, n1 := cluster.Nodes[0], cluster.Nodes[1]
 
 	var tx *msg.Sender

@@ -31,7 +31,6 @@ import (
 
 	userdma "uldma/internal/core"
 	"uldma/internal/dma"
-	"uldma/internal/kernel"
 	"uldma/internal/machine"
 	"uldma/internal/obs"
 	"uldma/internal/phys"
@@ -153,12 +152,6 @@ type Counters struct {
 	FlowStalls obs.Counter // sender waits on a full ring
 }
 
-// Counters returns the sender's counters.
-func (s *Sender) Counters() Counters { return s.ctr }
-
-// Counters returns the receiver's counters.
-func (r *Receiver) Counters() Counters { return r.ctr }
-
 // NewChannel wires a unidirectional channel from senderProc (on sender
 // machine sm) to receiverProc (on rm, cluster node rxNode). It performs
 // all the setup-time kernel work on both nodes: mailbox and credit
@@ -232,11 +225,8 @@ func NewChannel(sm *machine.Machine, senderProc *proc.Process, h *userdma.Handle
 	return s, r, nil
 }
 
-// MaxPayload returns the largest message the channel accepts.
-func (s *Sender) MaxPayload() int { return s.cfg.SlotPayload }
-
-// Send transmits data (len <= MaxPayload) and blocks until the payload
-// has left the node. It runs entirely in user mode.
+// Send transmits data (at most the slot payload) and blocks until the
+// payload has left the node. It runs entirely in user mode.
 func (s *Sender) Send(c *proc.Context, data []byte) error {
 	if len(data) > s.cfg.SlotPayload {
 		return fmt.Errorf("msg: message of %d bytes exceeds slot payload %d", len(data), s.cfg.SlotPayload)
@@ -253,41 +243,6 @@ func (s *Sender) Send(c *proc.Context, data []byte) error {
 		s.ctr.FlowStalls.Inc()
 		c.Spin(500)
 	}
-	return s.sendBody(c, data)
-}
-
-// SendBlocking is Send with the flow-control spin replaced by a kernel
-// sleep: when the ring is full, the sender traps SysWaitWrite on its
-// credit page and sleeps until the receiver's next credit write lands
-// (the NIC receive interrupt wakes it). Exactly one wakeup per credit
-// write, no event-queue busy-looping — the send side of the poll-vs-
-// interrupt trade (one trap per stall instead of a busy CPU).
-func (s *Sender) SendBlocking(c *proc.Context, data []byte) error {
-	if len(data) > s.cfg.SlotPayload {
-		return fmt.Errorf("msg: message of %d bytes exceeds slot payload %d", len(data), s.cfg.SlotPayload)
-	}
-	for {
-		credited, err := c.Load(s.va.credit, phys.Size64)
-		if err != nil {
-			return err
-		}
-		if s.sent-credited < uint64(s.cfg.Slots) {
-			break
-		}
-		s.ctr.FlowStalls.Inc()
-		// Sleep until a credit word lands. A spurious wakeup (nothing
-		// freed) just loops back into the trap.
-		if _, err := c.Syscall(kernel.SysWaitWrite, uint64(s.va.credit)); err != nil {
-			return err
-		}
-	}
-	return s.sendBody(c, data)
-}
-
-// sendBody stages, DMAs and commits one message — the shared tail of
-// Send and SendBlocking. The instruction sequence is exactly the
-// pre-split Send tail, so timing-pinned experiments are unaffected.
-func (s *Sender) sendBody(c *proc.Context, data []byte) error {
 	// Stage the payload (word stores into the local staging page).
 	for off := 0; off < len(data); off += 8 {
 		var word uint64
@@ -330,50 +285,6 @@ func (s *Sender) sendBody(c *proc.Context, data []byte) error {
 	s.ctr.Messages.Inc()
 	s.ctr.Bytes.Add(uint64(len(data)))
 	return nil
-}
-
-// TryRecv checks for a pending message without blocking: it returns
-// (0, false, nil) when the next slot has not been committed yet. One
-// slot-header load; use it to multiplex several channels in one loop.
-func (r *Receiver) TryRecv(c *proc.Context, buf []byte) (int, bool, error) {
-	slot := r.consumed % uint64(r.cfg.Slots)
-	slotVA := r.va.mailboxR + vm.VAddr(slot)*vm.VAddr(r.cfg.stride())
-	seq, err := c.Load(slotVA, phys.Size64)
-	if err != nil {
-		return 0, false, err
-	}
-	if seq != r.consumed+1 {
-		if seq > r.consumed+1 {
-			return 0, false, fmt.Errorf("msg: slot %d skipped to seq %d (want %d)", slot, seq, r.consumed+1)
-		}
-		return 0, false, nil
-	}
-	n, err := r.Recv(c, buf) // the header is committed; this cannot block
-	return n, err == nil, err
-}
-
-// RecvBlocking is Recv without the spin: when the mailbox is empty, the
-// process sleeps in the kernel until the NIC's receive interrupt for
-// the mailbox page fires (SysWaitWrite), then re-checks. One trap per
-// sleep instead of a busy CPU — the receive side of the poll-vs-
-// interrupt trade.
-func (r *Receiver) RecvBlocking(c *proc.Context, buf []byte) (int, error) {
-	slot := r.consumed % uint64(r.cfg.Slots)
-	slotVA := r.va.mailboxR + vm.VAddr(slot)*vm.VAddr(r.cfg.stride())
-	for {
-		n, ok, err := r.TryRecv(c, buf)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return n, nil
-		}
-		// Sleep until something lands in the mailbox page. Spurious
-		// wakeups (a different slot, a header half) just loop.
-		if _, err := c.Syscall(kernel.SysWaitWrite, uint64(slotVA)); err != nil {
-			return 0, err
-		}
-	}
 }
 
 // Recv blocks (polling) until the next message arrives, copies it into

@@ -159,13 +159,6 @@ func (s *RSender) Counters() RCounters { return s.ctr }
 // Counters returns the receiver's counters.
 func (r *RReceiver) Counters() RCounters { return r.ctr }
 
-// MaxPayload returns the largest message the channel accepts.
-func (s *RSender) MaxPayload() int { return s.cfg.SlotPayload }
-
-// Sent returns how many messages the sender has posted (tests and
-// experiments read it host-side).
-func (s *RSender) Sent() uint64 { return s.sent }
-
 // NewReliableChannel wires a unidirectional reliable channel from
 // senderProc (on sm) to receiverProc (on rm, cluster node rxNode). The
 // setup-time kernel work mirrors NewChannel, with one difference: the

@@ -142,15 +142,6 @@ func NewCluster(n int, cfg machine.Config, link LinkConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// MustNewCluster is NewCluster that panics on error.
-func MustNewCluster(n int, cfg machine.Config, link LinkConfig) *Cluster {
-	c, err := NewCluster(n, cfg, link)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // EnableTrace turns on the structured trace spine cluster-wide: ONE
 // shared trace (max <= 0 means obs.DefaultTraceCap) attached to every
 // node's bus/scheduler/kernel and to the fabric, so syscalls, bus
@@ -278,10 +269,6 @@ func (f *Fabric) SetTracer(t *obs.Trace) { f.tr = t }
 // identical to a fabric without the hook: same arrival times, same
 // event-queue scheduling order. The fault path is pay-for-what-you-use.
 func (f *Fabric) SetFaultPlane(p FaultPlane) { f.plane = p }
-
-// FaultPlane returns the attached plane (nil when none) so cluster
-// snapshots can capture and rewind its state.
-func (f *Fabric) FaultPlane() FaultPlane { return f.plane }
 
 // nodePort is the per-node face of the fabric: each node's DMA engine
 // gets its own port so the fabric learns the SOURCE of every payload

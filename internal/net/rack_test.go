@@ -44,7 +44,7 @@ func TestRackShardParity(t *testing.T) {
 	const nodes, seed = 24, 7
 	ref, _ := newRackGossip(nodes, 1, seed)
 	ref.prime()
-	refFP, refTotals, refGot, _ := ref.run(t, 1)
+	refFP, refTotals, refGot := ref.run(t, 1)
 	if refTotals.Delivered == 0 {
 		t.Fatalf("degenerate reference run: %+v", refTotals)
 	}
@@ -54,7 +54,7 @@ func TestRackShardParity(t *testing.T) {
 			name := fmt.Sprintf("shards=%d/workers=%d", shards, workers)
 			g, _ := newRackGossip(nodes, shards, seed)
 			g.prime()
-			fp, totals, got, _ := g.run(t, workers)
+			fp, totals, got := g.run(t, workers)
 			if fp != refFP {
 				t.Errorf("%s: fingerprint %016x, reference %016x", name, fp, refFP)
 			}
@@ -85,7 +85,7 @@ func TestRackSnapshotRestore(t *testing.T) {
 	second := func() {
 		for n := 0; n < nodes; n++ {
 			n := n
-			c.At(n, c.Now(n)+sim.Millisecond, func(now sim.Time) { g.burst(n, now) })
+			c.At(n, c.shards[c.nodeShard[n]].Clock.Now()+sim.Millisecond, func(now sim.Time) { g.burst(n, now) })
 		}
 		if err := c.Run(1, 1<<20); err != nil {
 			t.Fatal(err)

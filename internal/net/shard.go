@@ -12,9 +12,9 @@ package net
 //
 // The load-bearing property is BYTE-DETERMINISM ACROSS LAYOUTS: the
 // same (nodes, seed, workload) produces an identical run — identical
-// fingerprint, totals and merged trace — at ANY shard count and ANY
-// worker count. Four disciplines buy that invariance, and each is
-// relied on by TestShardEquivalence/TestScaleShardParity:
+// fingerprint and totals — at ANY shard count and ANY worker count.
+// Four disciplines buy that invariance, and each is relied on by
+// TestShardEquivalence/TestScaleShardParity:
 //
 //  1. Per-NODE random streams, split from the world seed by node ID
 //     (sim.SplitSeed), never per-shard — re-partitioning must not
@@ -169,7 +169,6 @@ type ShardedCluster struct {
 	outbox [][]SMsg       // messages sent during the shard's window
 	free   [][]*sdelivery // pooled delivery records, per dst shard
 	ctr    []shardCtr
-	traces []*obs.Trace // nil until EnableTrace
 
 	pending []SMsg // flush scratch: gathered + sorted outboxes
 
@@ -182,9 +181,7 @@ type ShardedCluster struct {
 	// barrier and its sort are layout-invariant, so the injector's draw
 	// sequence (and therefore any (plan, seed) replay) is byte-identical
 	// at every shard and worker count.
-	plane      FaultPlane
-	faultDrops uint64 // messages the plane deleted
-	faultDups  uint64 // extra copies the plane injected
+	plane FaultPlane
 
 	// pairMin[i][j] is the minimum wire latency from any node of shard i
 	// to any node of shard j (nil when ShardedConfig.Latency is unset —
@@ -304,9 +301,6 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	return c, nil
 }
 
-// Config returns the configuration the cluster was built with.
-func (c *ShardedCluster) Config() ShardedConfig { return c.cfg }
-
 // Lookahead returns the synchronizer lookahead in effect.
 func (c *ShardedCluster) Lookahead() sim.Time { return c.lookahead }
 
@@ -323,21 +317,10 @@ func (c *ShardedCluster) LatencyBounds() (min, max sim.Time) { return c.latMin, 
 // copy before drawing) leaves the run bit-for-bit unchanged.
 func (c *ShardedCluster) SetFaultPlane(p FaultPlane) { c.plane = p }
 
-// FaultStats reports how many messages the fault plane deleted and how
-// many extra copies it injected (both zero when no plane is attached).
-func (c *ShardedCluster) FaultStats() (drops, dups uint64) { return c.faultDrops, c.faultDups }
-
-// ShardOf returns the shard owning node n.
-func (c *ShardedCluster) ShardOf(n int) int { return int(c.nodeShard[n]) }
-
 // Rand returns node n's private random stream. Split per node from the
 // world seed, so it is identical under every shard layout. Must only
 // be used from node n's own events (or before Run).
 func (c *ShardedCluster) Rand(n int) *sim.Rand { return &c.rng[n] }
-
-// Now returns the clock of the shard owning node n — the only notion
-// of "current time" a node-local event may consult.
-func (c *ShardedCluster) Now(n int) sim.Time { return c.shards[c.nodeShard[n]].Clock.Now() }
 
 // NodeEnv returns the clock and event queue of the shard owning node n
 // — what machine.NewHosted / NewFromSnapshotHosted mount a shard-hosted
@@ -408,19 +391,12 @@ func (c *ShardedCluster) getDelivery(ds int) *sdelivery {
 }
 
 // land fires on the destination shard when a flushed message arrives:
-// counters, optional trace span, return the record, then the model's
-// receive hook.
+// counters, return the record, then the model's receive hook.
 func (c *ShardedCluster) land(d *sdelivery, now sim.Time) {
 	m := d.m
 	ctr := &c.ctr[d.shard]
 	ctr.delivered.Inc()
 	ctr.bytes.Add(m.Bytes)
-	if tr := c.traces; tr != nil {
-		if t := tr[d.shard]; t != nil {
-			t.Span(m.Sent, m.Arrive-m.Sent, obs.CatLink, "deliver",
-				int32(m.Dst), -1, uint64(int64(m.Src)), m.Bytes, m.Seq)
-		}
-	}
 	c.free[d.shard] = append(c.free[d.shard], d)
 	c.deliver(m, now)
 }
@@ -470,11 +446,7 @@ func (c *ShardedCluster) flush() {
 			verdict = c.plane.Judge(m.Src, m.Dst, m.Sent)
 		}
 		if verdict.N == 0 {
-			c.faultDrops++
 			continue
-		}
-		if verdict.N > 1 {
-			c.faultDups += uint64(verdict.N - 1)
 		}
 		for k := 0; k < verdict.N; k++ {
 			cm := m
@@ -682,43 +654,6 @@ func (b *barrier) done() {
 	}
 }
 
-// EnableTrace attaches one trace spine per shard (capPerShard <= 0
-// selects obs.DefaultTraceCap) and returns them. For a merged timeline
-// that is byte-identical across shard layouts the caps must be large
-// enough that no ring wraps: which events a full ring retains depends
-// on how many landed on that shard, which IS layout-dependent.
-func (c *ShardedCluster) EnableTrace(capPerShard int) []*obs.Trace {
-	c.traces = make([]*obs.Trace, len(c.shards))
-	for i := range c.traces {
-		c.traces[i] = obs.NewTrace(capPerShard, obs.Ring)
-	}
-	return c.traces
-}
-
-// MergedEvents merges the per-shard trace spines into one canonical
-// timeline (obs.MergeEvents). Empty when tracing is disabled.
-func (c *ShardedCluster) MergedEvents() []obs.Event {
-	if c.traces == nil {
-		return nil
-	}
-	streams := make([][]obs.Event, len(c.traces))
-	for i, t := range c.traces {
-		streams[i] = t.Events()
-	}
-	return obs.MergeEvents(streams...)
-}
-
-// TraceEmitted sums the per-shard linear emission counters.
-func (c *ShardedCluster) TraceEmitted() uint64 {
-	var n uint64
-	for _, t := range c.traces {
-		if t != nil {
-			n += t.Emitted()
-		}
-	}
-	return n
-}
-
 // Totals rolls up the per-shard counters. Call at a barrier (between
 // Run calls); every component of the result is layout-invariant.
 func (c *ShardedCluster) Totals() ShardedTotals {
@@ -753,8 +688,9 @@ func fpMix(h, v uint64) uint64 {
 
 // Fingerprint digests the cluster's layout-INVARIANT state: per-node
 // stream positions, egress points and send sequences (in node order),
-// summed counters, total events fired, windows, finish time and trace
-// emission count. Deliberately excluded: per-queue scheduling
+// summed counters, total events fired, windows and finish time, then a
+// zero where a per-shard trace count once went, so fingerprints stay
+// what they were. Deliberately excluded: per-queue scheduling
 // sequence numbers and per-shard clocks, which depend on the partition
 // without affecting any observable result. Equal fingerprints across
 // shard×worker layouts are the engine's determinism pin.
@@ -772,12 +708,12 @@ func (c *ShardedCluster) Fingerprint() uint64 {
 	h = fpMix(h, t.Events)
 	h = fpMix(h, t.Windows)
 	h = fpMix(h, uint64(t.Finish))
-	h = fpMix(h, c.TraceEmitted())
+	h = fpMix(h, 0)
 	return h
 }
 
 // ShardedSnapshot is a quiescent capture of a sharded cluster, in the
-// settle-then-capture discipline of ClusterSnapshot: every queue
+// settle-then-capture discipline of machine.Snapshot: every queue
 // drained, every outbox flushed. Restoring onto a cluster built with
 // the SAME config rewinds it to the captured instant, so a template
 // world can be constructed once and re-primed per measurement cell.
@@ -798,11 +734,9 @@ type ShardedSnapshot struct {
 	horizon sim.Time
 	windows uint64
 
-	faultDrops, faultDups uint64
-	plane                 any // FaultPlane state payload
+	plane any // FaultPlane state payload
 
-	traces []*obs.TraceState // nil when tracing disabled
-	model  any               // ShardState hook payload
+	model any // ShardState hook payload
 }
 
 // Snapshot captures the cluster. It refuses a non-quiescent world:
@@ -821,20 +755,18 @@ func (c *ShardedCluster) Snapshot() (*ShardedSnapshot, error) {
 	}
 	sn := &ShardedSnapshot{
 		nodes: c.cfg.Nodes, shards: c.cfg.Shards,
-		rngState:   make([]uint64, len(c.rng)),
-		egress:     append([]sim.Time(nil), c.egress...),
-		eseq:       append([]uint64(nil), c.eseq...),
-		clocks:     make([]sim.Time, len(c.shards)),
-		seqs:       make([]uint64, len(c.shards)),
-		fired:      make([]uint64, len(c.shards)),
-		reached:    make([]sim.Time, len(c.shards)),
-		sent:       make([]uint64, len(c.shards)),
-		delivered:  make([]uint64, len(c.shards)),
-		bytes:      make([]uint64, len(c.shards)),
-		horizon:    c.horizon,
-		windows:    c.windows,
-		faultDrops: c.faultDrops,
-		faultDups:  c.faultDups,
+		rngState:  make([]uint64, len(c.rng)),
+		egress:    append([]sim.Time(nil), c.egress...),
+		eseq:      append([]uint64(nil), c.eseq...),
+		clocks:    make([]sim.Time, len(c.shards)),
+		seqs:      make([]uint64, len(c.shards)),
+		fired:     make([]uint64, len(c.shards)),
+		reached:   make([]sim.Time, len(c.shards)),
+		sent:      make([]uint64, len(c.shards)),
+		delivered: make([]uint64, len(c.shards)),
+		bytes:     make([]uint64, len(c.shards)),
+		horizon:   c.horizon,
+		windows:   c.windows,
 	}
 	for n := range c.rng {
 		sn.rngState[n] = c.rng[n].State()
@@ -851,12 +783,6 @@ func (c *ShardedCluster) Snapshot() (*ShardedSnapshot, error) {
 	if c.plane != nil {
 		sn.plane = c.plane.SnapshotState()
 	}
-	if c.traces != nil {
-		sn.traces = make([]*obs.TraceState, len(c.traces))
-		for i, t := range c.traces {
-			sn.traces[i] = t.State()
-		}
-	}
 	if c.state != nil {
 		sn.model = c.state.SnapshotState()
 	}
@@ -870,9 +796,6 @@ func (c *ShardedCluster) Restore(sn *ShardedSnapshot) error {
 	if sn.nodes != c.cfg.Nodes || sn.shards != c.cfg.Shards {
 		return fmt.Errorf("net: restore: snapshot of %d nodes/%d shards onto %d nodes/%d shards",
 			sn.nodes, sn.shards, c.cfg.Nodes, c.cfg.Shards)
-	}
-	if sn.traces != nil && c.traces == nil {
-		return fmt.Errorf("net: restore: snapshot has traces but tracing is disabled")
 	}
 	for n := range c.rng {
 		c.rng[n].SetState(sn.rngState[n])
@@ -891,18 +814,9 @@ func (c *ShardedCluster) Restore(sn *ShardedSnapshot) error {
 	}
 	c.horizon = sn.horizon
 	c.windows = sn.windows
-	c.faultDrops = sn.faultDrops
-	c.faultDups = sn.faultDups
 	if c.plane != nil && sn.plane != nil {
 		if err := c.plane.RestoreState(sn.plane); err != nil {
 			return fmt.Errorf("net: restore fault plane: %w", err)
-		}
-	}
-	if sn.traces != nil {
-		for i, ts := range sn.traces {
-			if err := c.traces[i].RestoreState(ts); err != nil {
-				return fmt.Errorf("net: restore shard %d trace: %w", i, err)
-			}
 		}
 	}
 	if c.state != nil && sn.model != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"uldma/internal/obs"
 	"uldma/internal/sim"
 )
 
@@ -86,27 +85,25 @@ func (g *gossip) RestoreState(state any) error {
 }
 
 // run executes the gossip to quiescence and returns the world's
-// observable outcome: fingerprint, totals, per-node receive counts and
-// the merged trace.
-func (g *gossip) run(t *testing.T, workers int) (uint64, ShardedTotals, []uint64, []obs.Event) {
+// observable outcome: fingerprint, totals and per-node receive counts.
+func (g *gossip) run(t *testing.T, workers int) (uint64, ShardedTotals, []uint64) {
 	t.Helper()
 	if err := g.c.Run(workers, 1<<20); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return g.c.Fingerprint(), g.c.Totals(), g.got, g.c.MergedEvents()
+	return g.c.Fingerprint(), g.c.Totals(), g.got
 }
 
 // TestShardEquivalence is the tentpole pin: the sharded run is
 // byte-identical to the single-queue run (shards=1) for every shard
 // and worker count — same fingerprint, same totals, same per-node
-// receive counts, same merged trace events. Workers 2 and 3 give the
+// receive counts. Workers 2 and 3 give the
 // coordinator a share beside one or two helpers over 4 and 8 shards.
 func TestShardEquivalence(t *testing.T) {
 	const nodes, seed = 24, 99
-	ref, refC := newGossip(nodes, 1, seed)
-	refC.EnableTrace(1 << 14) // big enough that no ring wraps
+	ref, _ := newGossip(nodes, 1, seed)
 	ref.prime()
-	refFP, refTotals, refGot, refTrace := ref.run(t, 1)
+	refFP, refTotals, refGot := ref.run(t, 1)
 	if refTotals.Delivered == 0 || refTotals.Windows == 0 {
 		t.Fatalf("degenerate reference run: %+v", refTotals)
 	}
@@ -118,10 +115,9 @@ func TestShardEquivalence(t *testing.T) {
 	for _, shards := range []int{2, 4, 8} {
 		for _, workers := range []int{1, 2, 3, 4, 8} {
 			name := fmt.Sprintf("shards=%d/workers=%d", shards, workers)
-			g, c := newGossip(nodes, shards, seed)
-			c.EnableTrace(1 << 14)
+			g, _ := newGossip(nodes, shards, seed)
 			g.prime()
-			fp, totals, got, trace := g.run(t, workers)
+			fp, totals, got := g.run(t, workers)
 			if fp != refFP {
 				t.Errorf("%s: fingerprint %016x, reference %016x", name, fp, refFP)
 			}
@@ -130,10 +126,6 @@ func TestShardEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, refGot) {
 				t.Errorf("%s: per-node receive counts diverge from reference", name)
-			}
-			if !reflect.DeepEqual(trace, refTrace) {
-				t.Errorf("%s: merged trace (%d events) diverges from reference (%d events)",
-					name, len(trace), len(refTrace))
 			}
 		}
 	}
@@ -146,7 +138,6 @@ func TestShardEquivalence(t *testing.T) {
 func TestShardSnapshotRestore(t *testing.T) {
 	const nodes, shards, seed = 16, 4, 7
 	g, c := newGossip(nodes, shards, seed)
-	c.EnableTrace(1 << 14)
 	g.prime()
 	if err := c.Run(4, 1<<20); err != nil {
 		t.Fatalf("phase 1: %v", err)
@@ -160,7 +151,7 @@ func TestShardSnapshotRestore(t *testing.T) {
 	phase2 := func(workers int) uint64 {
 		for n := 0; n < nodes; n += 2 {
 			n := n
-			c.At(n, c.Now(n)+sim.Microsecond, func(now sim.Time) { g.burst(n, now) })
+			c.At(n, c.shards[c.nodeShard[n]].Clock.Now()+sim.Microsecond, func(now sim.Time) { g.burst(n, now) })
 		}
 		if err := c.Run(workers, 1<<20); err != nil {
 			t.Fatalf("phase 2: %v", err)
@@ -224,13 +215,13 @@ func TestShardPartition(t *testing.T) {
 	}
 	prev := 0
 	for n := 0; n < 10; n++ {
-		s := c.ShardOf(n)
+		s := int(c.nodeShard[n])
 		if s < prev || s > prev+1 || s >= 3 {
 			t.Fatalf("node %d on shard %d after shard %d — not a contiguous partition", n, s, prev)
 		}
 		prev = s
 	}
-	if c.ShardOf(0) != 0 || c.ShardOf(9) != 2 {
+	if int(c.nodeShard[0]) != 0 || int(c.nodeShard[9]) != 2 {
 		t.Fatalf("partition does not span the shard range")
 	}
 }

@@ -69,9 +69,6 @@ func NewHostedMachines(c *ShardedCluster, nodes []*machine.Machine) (*HostedMach
 // Machine returns node n's hosted machine.
 func (h *HostedMachines) Machine(n int) *machine.Machine { return h.nodes[n] }
 
-// Nodes returns the fleet size.
-func (h *HostedMachines) Nodes() int { return len(h.nodes) }
-
 // Floor prepares node n's machine to execute at event time at: the
 // shard clock is reset to max(at, the node's own high-water mark), so
 // the machine's substrates never observe time moving backwards even

@@ -4,8 +4,8 @@
 // iommu, net).
 //
 // Every component keeps its counts in one exported struct of typed
-// Counter/Gauge cells (bus.Counters, dma.Counters, ...); the msg and
-// coll endpoints do too, though they register none. That struct is
+// Counter/Gauge cells (bus.Counters, dma.Counters, ...); the msg
+// endpoints do too, though they register none. That struct is
 // the live storage the hot paths increment, the state a snapshot copies
 // by value, and what callers read through the component's Counters()
 // accessor. A Registry holds pointers to those same cells under dotted
@@ -17,11 +17,10 @@
 // Two invariants the rest of the repo builds on:
 //
 //   - Rewind-with-the-world: every registered metric and the trace
-//     spine's state are captured by machine.Snapshot /
-//     net.Cluster.Snapshot and rewound by Restore/NewFromSnapshot,
-//     exactly like the architectural state they describe. A clone
-//     hydrated from a snapshot reports the counters AS OF the
-//     snapshot — never the origin's later activity
+//     spine's state are captured by machine.Snapshot and rewound by
+//     Restore/NewFromSnapshot, exactly like the architectural state
+//     they describe. A clone hydrated from a snapshot reports the
+//     counters AS OF the snapshot — never the origin's later activity
 //     (TestCounterRewindRule).
 //
 //   - Pay-for-what-you-use: a nil *Trace is the disabled state; every
@@ -32,11 +31,6 @@
 //     TestObsZeroMarginalAllocDelta, TestObsTracingNoCycleDelta in
 //     internal/core).
 package obs
-
-import (
-	"fmt"
-	"strings"
-)
 
 // Counter is a monotonically increasing event count. Increment is a
 // plain machine add — no atomics (the simulator is single-threaded per
@@ -60,9 +54,6 @@ type Gauge int64
 
 // Add accumulates d.
 func (g *Gauge) Add(d int64) { *g += Gauge(d) }
-
-// Set overwrites the value.
-func (g *Gauge) Set(v int64) { *g = Gauge(v) }
 
 // Max raises the gauge to v if v is larger.
 func (g *Gauge) Max(v int64) {
@@ -152,13 +143,6 @@ func (r *Registry) RegisterGauge(name string, g *Gauge) {
 // Len reports how many metrics are registered.
 func (r *Registry) Len() int { return len(r.names) }
 
-// Names returns the metric names in registration order.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
-}
-
 // Get reads one metric by name.
 func (r *Registry) Get(name string) (uint64, bool) {
 	i, ok := r.index[name]
@@ -202,17 +186,21 @@ func (r *Registry) Extrapolate(base []uint64, k uint64) {
 	}
 }
 
-// Render formats the snapshot as an aligned name/value listing.
-func (r *Registry) Render() string {
-	var b strings.Builder
-	width := 0
-	for _, n := range r.names {
-		if len(n) > width {
-			width = len(n)
-		}
+// Watch is a live read handle on one registered metric: Value reads
+// the registered cell directly — no map lookup, no allocation. The
+// handle stays valid for the life of the world and tracks rewound
+// state exactly like Get (reads always reflect live component state).
+type Watch struct{ cell cell }
+
+// Value reads the metric.
+func (w Watch) Value() uint64 { return w.cell.read() }
+
+// Watch resolves name to a read handle, paying the map lookup once so
+// per-sample reads don't.
+func (r *Registry) Watch(name string) (Watch, bool) {
+	i, ok := r.index[name]
+	if !ok {
+		return Watch{}, false
 	}
-	for _, mv := range r.Snapshot() {
-		fmt.Fprintf(&b, "%-*s %d\n", width, mv.Name, mv.Value)
-	}
-	return b.String()
+	return Watch{cell: r.cells[i]}, true
 }

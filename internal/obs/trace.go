@@ -125,9 +125,6 @@ func NewTrace(max int, policy Policy) *Trace {
 	return &Trace{max: max, policy: policy}
 }
 
-// Cap returns the trace's event capacity.
-func (t *Trace) Cap() int { return t.max }
-
 // Emit records one event. Steady state is allocation-free: the event
 // slice grows to max once, then the ring reuses slots (Ring) or the
 // overflow is counted (DropNewest).
@@ -159,9 +156,6 @@ func (t *Trace) Span(at, dur sim.Time, cat Category, name string, node, pid int3
 	t.Emit(Event{At: at, Dur: dur, Cat: cat, Name: name, Node: node, PID: pid, A0: a0, A1: a1, A2: a2})
 }
 
-// Len reports how many events are currently stored.
-func (t *Trace) Len() int { return len(t.events) }
-
 // Emitted reports the total number of events offered to the trace —
 // a linear counter suitable for fingerprinting.
 func (t *Trace) Emitted() uint64 { return t.emitted }
@@ -177,15 +171,6 @@ func (t *Trace) Events() []Event {
 	out = append(out, t.events[t.start:]...)
 	out = append(out, t.events[:t.start]...)
 	return out
-}
-
-// Reset discards all recorded events and zeroes the counters. Capacity
-// and policy are kept.
-func (t *Trace) Reset() {
-	t.events = t.events[:0]
-	t.start = 0
-	t.emitted = 0
-	t.dropped = 0
 }
 
 // TraceState is a Trace's complete mutable state, captured for world

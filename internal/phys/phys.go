@@ -349,47 +349,6 @@ func (m *Memory) WriteBytes(addr Addr, b []byte) error {
 	return nil
 }
 
-// Copy moves n bytes from src to dst inside this memory, handling
-// overlap like memmove. It is the data-movement primitive used by the
-// local DMA transfer engine.
-func (m *Memory) Copy(dst, src Addr, n int) error {
-	if n < 0 {
-		return &Error{Op: "copy", Addr: src, Size: AccessSize(n), Why: "negative length"}
-	}
-	if uint64(src)+uint64(n) > uint64(m.size) || uint64(src) > uint64(m.size) {
-		return &Error{Op: "copy", Addr: src, Size: AccessSize(n), Why: "source out of bounds"}
-	}
-	if uint64(dst)+uint64(n) > uint64(m.size) || uint64(dst) > uint64(m.size) {
-		return &Error{Op: "copy", Addr: dst, Size: AccessSize(n), Why: "destination out of bounds"}
-	}
-	// Snapshot the source run first: chunk-wise copies cannot preserve
-	// memmove overlap semantics directly.
-	tmp := make([]byte, n)
-	for off := 0; off < n; {
-		a := src + Addr(off)
-		span := chunkSize - int(a&chunkMask)
-		if span > n-off {
-			span = n - off
-		}
-		if c := m.chunkRO(a); c != nil {
-			copy(tmp[off:off+span], c[a&chunkMask:])
-		}
-		off += span
-	}
-	for off := 0; off < n; {
-		a := dst + Addr(off)
-		span := chunkSize - int(a&chunkMask)
-		if span > n-off {
-			span = n - off
-		}
-		copy(m.chunkRW(a)[a&chunkMask:], tmp[off:off+span])
-		off += span
-	}
-	m.ctr.BytesRead.Add(uint64(n))
-	m.ctr.BytesWrote.Add(uint64(n))
-	return nil
-}
-
 // Fill sets n bytes starting at addr to v. Convenience for tests and
 // workload setup. Zero fills of never-written chunks are free.
 func (m *Memory) Fill(addr Addr, n int, v byte) error {

@@ -127,38 +127,6 @@ func TestByteRangeOps(t *testing.T) {
 	}
 }
 
-func TestCopy(t *testing.T) {
-	m := New(256)
-	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := m.WriteBytes(0, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Copy(100, 0, len(payload)); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := m.ReadBytes(100, len(payload))
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("Copy result = %v, want %v", got, payload)
-	}
-	// Overlapping forward copy must behave like memmove.
-	if err := m.Copy(2, 0, len(payload)); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = m.ReadBytes(2, len(payload))
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("overlapping Copy = %v, want %v", got, payload)
-	}
-	if err := m.Copy(0, 250, 16); err == nil {
-		t.Fatal("out-of-bounds source Copy did not error")
-	}
-	if err := m.Copy(250, 0, 16); err == nil {
-		t.Fatal("out-of-bounds destination Copy did not error")
-	}
-	if err := m.Copy(0, 0, -1); err == nil {
-		t.Fatal("negative-length Copy did not error")
-	}
-}
-
 func TestFill(t *testing.T) {
 	m := New(64)
 	if err := m.Fill(8, 16, 0xee); err != nil {

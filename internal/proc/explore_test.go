@@ -22,7 +22,7 @@ func exploreFactory(t *testing.T, guarded bool) WorldFactory {
 		b := bus.New(clock, 12_500_000, bus.CostConfig{StoreCycles: 6, LoadRequestCycles: 4, LoadReplyCycles: 3})
 		wb := bus.NewWriteBuffer(b, 8, true)
 		c := cpu.New(cpu.Config{Freq: 150 * sim.MHz, IssueCycles: 1, CacheHitCycles: 2, TLBEntries: 8},
-			clock, sim.NewEventQueue(), mem, b, wb)
+			clock, new(sim.EventQueue), mem, b, wb)
 		r := NewRunner(c, RunnerConfig{})
 		// Both processes share one frame read-write.
 		mkAS := func(asid int) *vm.AddressSpace {
@@ -134,7 +134,7 @@ func TestExploreCountsSchedules(t *testing.T) {
 		b := bus.New(clock, 12_500_000, bus.CostConfig{StoreCycles: 6, LoadRequestCycles: 4, LoadReplyCycles: 3})
 		wb := bus.NewWriteBuffer(b, 8, true)
 		c := cpu.New(cpu.Config{Freq: 150 * sim.MHz, IssueCycles: 1, CacheHitCycles: 2, TLBEntries: 8},
-			clock, sim.NewEventQueue(), mem, b, wb)
+			clock, new(sim.EventQueue), mem, b, wb)
 		r := NewRunner(c, RunnerConfig{})
 		as := vm.NewAddressSpace(1, 8192)
 		body := func(ctx *Context) error {

@@ -92,6 +92,3 @@ func (s *Scripted) Next(runnable []*Process, _ *Process) *Process {
 	}
 	return runnable[0]
 }
-
-// Exhausted reports whether the script has been fully consumed.
-func (s *Scripted) Exhausted() bool { return s.pos >= len(s.Order) }

@@ -214,9 +214,6 @@ func NewRunner(c *cpu.CPU, cfg RunnerConfig) *Runner {
 	}
 }
 
-// CPU returns the processor the runner schedules onto.
-func (r *Runner) CPU() *cpu.CPU { return r.cpu }
-
 // Counters returns the scheduler counters.
 func (r *Runner) Counters() Counters { return r.ctr }
 
@@ -253,9 +250,6 @@ func (r *Runner) SetSyscallHandler(h SyscallHandler) { r.syscalls = h }
 // InstallPAL registers a PAL routine under name. Conceptually a
 // super-user operation performed once at boot.
 func (r *Runner) InstallPAL(name string, fn PALFunc) { r.pal[name] = fn }
-
-// Current returns the running process (nil before the first slot).
-func (r *Runner) Current() *Process { return r.current }
 
 // Processes returns all spawned processes.
 func (r *Runner) Processes() []*Process { return r.procs }

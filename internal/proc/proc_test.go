@@ -30,7 +30,7 @@ func newFixture(t testing.TB, cfg RunnerConfig) *fixture {
 	mem := phys.New(1 << 20)
 	b := bus.New(clock, 12_500_000, bus.CostConfig{StoreCycles: 6, LoadRequestCycles: 4, LoadReplyCycles: 4})
 	wb := bus.NewWriteBuffer(b, 8, true)
-	c := cpu.New(cpu.Config{Freq: 150 * sim.MHz, IssueCycles: 1, CacheHitCycles: 2, TLBEntries: 16}, clock, sim.NewEventQueue(), mem, b, wb)
+	c := cpu.New(cpu.Config{Freq: 150 * sim.MHz, IssueCycles: 1, CacheHitCycles: 2, TLBEntries: 16}, clock, new(sim.EventQueue), mem, b, wb)
 	return &fixture{r: NewRunner(c, cfg), clock: clock, mem: mem}
 }
 
@@ -155,7 +155,7 @@ func TestScriptedSchedule(t *testing.T) {
 	if got := strings.Join(order, " "); got != want {
 		t.Fatalf("scripted order = %q, want %q", got, want)
 	}
-	if !script.Exhausted() {
+	if script.pos < len(script.Order) {
 		t.Fatal("script not exhausted")
 	}
 }
@@ -281,14 +281,14 @@ func TestTLBFlushOnSwitchOption(t *testing.T) {
 	}
 	// Alternating single-instruction quanta with flushes: every load
 	// misses.
-	if misses := f.r.CPU().TLB().Counters().Misses; misses != 4 {
+	if misses := f.r.cpu.TLB().Counters().Misses; misses != 4 {
 		t.Fatalf("TLB misses = %d, want 4 (flush per switch)", misses)
 	}
 }
 
 func TestSyscallRunsUninterrupted(t *testing.T) {
 	f := newFixture(t, RunnerConfig{})
-	handler := &recordingSyscalls{cpu: f.r.CPU()}
+	handler := &recordingSyscalls{cpu: f.r.cpu}
 	f.r.SetSyscallHandler(handler)
 	var observed []string
 	f.r.Spawn("A", f.space(t, 1, ramPage), func(ctx *Context) error {
@@ -313,7 +313,7 @@ func TestSyscallRunsUninterrupted(t *testing.T) {
 	if handler.sawMode != cpu.Kernel {
 		t.Fatalf("handler ran in %v mode", handler.sawMode)
 	}
-	if f.r.CPU().Mode() != cpu.User {
+	if f.r.cpu.Mode() != cpu.User {
 		t.Fatal("mode not restored after syscall")
 	}
 	if handler.num != 7 || len(handler.args) != 2 || handler.args[0] != 10 {
@@ -360,7 +360,7 @@ func TestSyscallWithoutHandler(t *testing.T) {
 func TestPALCall(t *testing.T) {
 	f := newFixture(t, RunnerConfig{PALCallCycles: 30})
 	f.r.InstallPAL("user_level_dma", func(p *Process, args []uint64) (uint64, error) {
-		if f.r.CPU().Mode() != cpu.PAL {
+		if f.r.cpu.Mode() != cpu.PAL {
 			return 0, errors.New("not in PAL mode")
 		}
 		return args[0] * 2, nil
@@ -378,7 +378,7 @@ func TestPALCall(t *testing.T) {
 	if err != nil || ret != 42 {
 		t.Fatalf("PAL ret=%d err=%v", ret, err)
 	}
-	if f.r.CPU().Mode() != cpu.User {
+	if f.r.cpu.Mode() != cpu.User {
 		t.Fatal("mode not restored after PAL call")
 	}
 	if f.clock.Now()-start < (150 * sim.MHz).Cycles(30) {
@@ -477,7 +477,7 @@ func (h *blockingSyscalls) Syscall(p *Process, num int, args []uint64) (uint64, 
 // time billed to the process that actually ran.
 func TestBlockingFreesCPU(t *testing.T) {
 	f := newFixture(t, RunnerConfig{})
-	f.r.SetSyscallHandler(&blockingSyscalls{c: f.r.CPU(), dur: 100 * sim.Microsecond})
+	f.r.SetSyscallHandler(&blockingSyscalls{c: f.r.cpu, dur: 100 * sim.Microsecond})
 	var wokeAt, workerDone sim.Time
 	sleeper := f.r.Spawn("sleeper", f.space(t, 1, ramPage), func(ctx *Context) error {
 		if _, err := ctx.Syscall(0); err != nil {
@@ -515,7 +515,7 @@ func TestBlockingFreesCPU(t *testing.T) {
 // scheduler advances the clock to the wakeup instead of deadlocking.
 func TestAllBlockedAdvancesIdleTime(t *testing.T) {
 	f := newFixture(t, RunnerConfig{})
-	f.r.SetSyscallHandler(&blockingSyscalls{c: f.r.CPU(), dur: 250 * sim.Microsecond})
+	f.r.SetSyscallHandler(&blockingSyscalls{c: f.r.cpu, dur: 250 * sim.Microsecond})
 	p := f.r.Spawn("solo", f.space(t, 1, ramPage), func(ctx *Context) error {
 		_, err := ctx.Syscall(0)
 		return err
@@ -535,9 +535,9 @@ func TestAllBlockedAdvancesIdleTime(t *testing.T) {
 // idles toward a wakeup.
 func TestEventsFireDuringIdleAdvance(t *testing.T) {
 	f := newFixture(t, RunnerConfig{})
-	f.r.SetSyscallHandler(&blockingSyscalls{c: f.r.CPU(), dur: 300 * sim.Microsecond})
+	f.r.SetSyscallHandler(&blockingSyscalls{c: f.r.cpu, dur: 300 * sim.Microsecond})
 	fired := false
-	f.r.CPU().Events().ScheduleFunc(150*sim.Microsecond, func(sim.Time) { fired = true })
+	f.r.cpu.Events().ScheduleFunc(150*sim.Microsecond, func(sim.Time) { fired = true })
 	f.r.Spawn("solo", f.space(t, 1, ramPage), func(ctx *Context) error {
 		_, err := ctx.Syscall(0)
 		return err
@@ -566,7 +566,7 @@ func TestEventBlockAndWake(t *testing.T) {
 	})
 	// The "device interrupt": an event at 80µs wakes the process with a
 	// 5µs dispatch overhead.
-	f.r.CPU().Events().ScheduleFunc(80*sim.Microsecond, func(now sim.Time) {
+	f.r.cpu.Events().ScheduleFunc(80*sim.Microsecond, func(now sim.Time) {
 		p.Wake(now + 5*sim.Microsecond)
 	})
 	if err := f.r.Run(NewRoundRobin(1), 1000); err != nil {
@@ -615,7 +615,7 @@ func TestDeadlockDetected(t *testing.T) {
 // TestStepBlockedPanics: manual stepping refuses blocked processes.
 func TestStepBlockedPanics(t *testing.T) {
 	f := newFixture(t, RunnerConfig{})
-	f.r.SetSyscallHandler(&blockingSyscalls{c: f.r.CPU(), dur: sim.Millisecond})
+	f.r.SetSyscallHandler(&blockingSyscalls{c: f.r.cpu, dur: sim.Millisecond})
 	p := f.r.Spawn("solo", f.space(t, 1, ramPage), func(ctx *Context) error {
 		_, err := ctx.Syscall(0)
 		return err

@@ -78,7 +78,7 @@ func runParityWorld(t *testing.T, policy Policy, budget uint64, run func(*Runner
 	t.Helper()
 	f := newFixture(t, RunnerConfig{SwitchCycles: 600})
 	defer f.r.Shutdown()
-	f.r.SetSyscallHandler(&parityKernel{c: f.r.CPU()})
+	f.r.SetSyscallHandler(&parityKernel{c: f.r.cpu})
 	var out parityOutcome
 	f.r.AddSwitchHook(func(_, to *Process) { out.switches = append(out.switches, slotRec{to.PID(), f.clock.Now()}) })
 	body := func(kind, n int) Body {

@@ -66,7 +66,7 @@ func TestEventQueueSizeHint(t *testing.T) {
 }
 
 func BenchmarkScheduleFunc(b *testing.B) {
-	q := NewEventQueue()
+	q := new(EventQueue)
 	fire := func(Time) {}
 	// Warm the heap: the first round grows the backing slice to the one
 	// slot reused forever after.
@@ -83,7 +83,7 @@ func BenchmarkScheduleFunc(b *testing.B) {
 // BenchmarkScheduleFuncBurst models a DMA transfer: a batch of events
 // scheduled up front, then drained in order.
 func BenchmarkScheduleFuncBurst(b *testing.B) {
-	q := NewEventQueue()
+	q := new(EventQueue)
 	fire := func(Time) {}
 	const batch = 16
 	// Warm the heap to batch size.

@@ -7,10 +7,7 @@
 // output is bit-for-bit reproducible across runs and hosts.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point in simulated time, measured in integer picoseconds from
 // the start of the simulation. Picosecond resolution lets us represent a
@@ -37,10 +34,6 @@ func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
 // Microseconds returns t as a float64 count of microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
-
-// Duration converts t to a time.Duration (nanosecond resolution,
-// truncating sub-nanosecond remainder). Useful for human-readable output.
-func (t Time) Duration() time.Duration { return time.Duration(t / Nanosecond) }
 
 // String formats t with an adaptive unit, e.g. "18.6µs" or "640ns".
 func (t Time) String() string {

@@ -34,9 +34,6 @@ func (a *event) before(b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// NewEventQueue returns an empty queue.
-func NewEventQueue() *EventQueue { return &EventQueue{} }
-
 // NewEventQueueSize returns an empty queue whose heap is pre-sized for
 // roughly hint simultaneously pending events, so the first hint
 // schedules avoid the append-growth reallocations that would otherwise

@@ -12,7 +12,7 @@ import (
 // order, and recycling across RunUntil calls reuses the same backing
 // objects without breaking FIFO ties.
 func TestScheduleFuncOrderingAndReuse(t *testing.T) {
-	q := NewEventQueue()
+	q := new(EventQueue)
 	var fired []string
 	for round := 0; round < 3; round++ {
 		base := Time(round * 100)
@@ -37,7 +37,7 @@ func TestScheduleFuncOrderingAndReuse(t *testing.T) {
 // next event (the DMA walker pattern) reuses the slot its own pop freed,
 // so a warm walker chain never allocates.
 func TestScheduleFuncRescheduleFromFire(t *testing.T) {
-	q := NewEventQueue()
+	q := new(EventQueue)
 	var hops int
 	var step func(now Time)
 	step = func(now Time) {

@@ -32,9 +32,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Bool returns a pseudo-random boolean.
-func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }
-
 // State returns the generator's internal state so a snapshot can pin
 // the exact position in the stream. Restoring with SetState replays the
 // identical remaining sequence.
@@ -43,14 +40,3 @@ func (r *Rand) State() uint64 { return r.state }
 // SetState overwrites the generator's internal state. Used by world
 // snapshot/restore; pair with State.
 func (r *Rand) SetState(s uint64) { r.state = s }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

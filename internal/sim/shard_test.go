@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestStepFiresEarliestOnly(t *testing.T) {
-	q := NewEventQueue()
+	q := new(EventQueue)
 	var got []Time
 	q.ScheduleFunc(30, func(now Time) { got = append(got, now) })
 	q.ScheduleFunc(10, func(now Time) { got = append(got, now) })

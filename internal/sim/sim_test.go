@@ -98,7 +98,7 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 }
 
 func TestEventQueueOrdering(t *testing.T) {
-	q := NewEventQueue()
+	q := new(EventQueue)
 	var got []int
 	q.ScheduleFunc(30, func(Time) { got = append(got, 3) })
 	q.ScheduleFunc(10, func(Time) { got = append(got, 1) })
@@ -117,7 +117,7 @@ func TestEventQueueOrdering(t *testing.T) {
 }
 
 func TestEventQueueFIFOAtSameTime(t *testing.T) {
-	q := NewEventQueue()
+	q := new(EventQueue)
 	var got []int
 	for i := 0; i < 8; i++ {
 		i := i
@@ -132,7 +132,7 @@ func TestEventQueueFIFOAtSameTime(t *testing.T) {
 }
 
 func TestEventQueueRescheduleDuringFire(t *testing.T) {
-	q := NewEventQueue()
+	q := new(EventQueue)
 	var got []Time
 	q.ScheduleFunc(10, func(now Time) {
 		got = append(got, now)
@@ -149,7 +149,7 @@ func TestEventQueueRescheduleDuringFire(t *testing.T) {
 }
 
 func TestEventQueueDrain(t *testing.T) {
-	q := NewEventQueue()
+	q := new(EventQueue)
 	n := 0
 	q.ScheduleFunc(100, func(Time) { n++ })
 	q.ScheduleFunc(900, func(Time) { n++ })
@@ -163,7 +163,7 @@ func TestEventQueueDrain(t *testing.T) {
 }
 
 func TestEventQueueNextAtEmpty(t *testing.T) {
-	if NewEventQueue().NextAt() != Never {
+	if new(EventQueue).NextAt() != Never {
 		t.Fatal("empty queue NextAt should be Never")
 	}
 }
@@ -210,27 +210,6 @@ func TestRandIntnPanics(t *testing.T) {
 		}
 	}()
 	NewRand(1).Intn(0)
-}
-
-func TestRandPermIsPermutation(t *testing.T) {
-	err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%32) + 1
-		p := NewRand(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Property: clock time after a sequence of Advance calls equals the sum of

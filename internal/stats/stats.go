@@ -104,21 +104,6 @@ func Percentile(sorted []sim.Time, p float64) sim.Time {
 	return sorted[rank]
 }
 
-// StdDev returns the population standard deviation in picoseconds.
-func (s *Sample) StdDev() sim.Time {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(s.Mean())
-	var ss float64
-	for _, v := range s.values {
-		d := float64(v) - mean
-		ss += d * d
-	}
-	return sim.Time(math.Sqrt(ss / float64(n)))
-}
-
 // Histogram renders the sample's distribution as an ASCII bar chart
 // with n equal-width buckets between min and max. Empty samples render
 // as a note.

@@ -73,15 +73,6 @@ func (t *TLB) Flush() {
 	}
 }
 
-// FlushASID invalidates entries belonging to one address space.
-func (t *TLB) FlushASID(asid int) {
-	for i := range t.entries {
-		if t.entries[i].asid == asid {
-			t.entries[i].valid = false
-		}
-	}
-}
-
 // Translate resolves va in as, filling from the page table on a miss.
 // hit reports whether the translation was served from the TLB; the CPU
 // charges its page-table-walk cost when hit is false. Protection is

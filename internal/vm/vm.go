@@ -200,9 +200,6 @@ func (as *AddressSpace) Lookup(va VAddr) (PTE, bool) {
 	return pte, ok
 }
 
-// MappedPages returns the number of mapped pages.
-func (as *AddressSpace) MappedPages() int { return len(as.pages) }
-
 // Translate performs a full software page-table walk with protection
 // check: this is the virtual_to_physical routine of Figure 1 when called
 // by the kernel, and the reference the TLB is checked against.

@@ -55,10 +55,6 @@ type MaterializedTable struct {
 	root phys.Addr
 }
 
-// Root returns the physical address of the level-1 table (what the
-// hardware's page-table base register would hold).
-func (t *MaterializedTable) Root() phys.Addr { return t.root }
-
 // Materialize encodes every mapping of as into freshly allocated table
 // pages in mem. The encoding is a snapshot: remapping the AddressSpace
 // afterwards does not update it (the kernel re-materializes, the way a

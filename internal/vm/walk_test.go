@@ -33,7 +33,7 @@ func TestMaterializeAndWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Root() == 0 {
+	if tbl.root == 0 {
 		t.Fatal("no root")
 	}
 	pa, reads, err := tbl.Walk(0x10008, AccessLoad)

@@ -1,0 +1,14 @@
+package lib_test
+
+import (
+	"testing"
+
+	"fixture/internal/lib"
+	"fixture/internal/libtest"
+)
+
+func TestLib(t *testing.T) {
+	if lib.OnlyTested()+lib.Hook() != libtest.Helper() {
+		t.Fatal("fixture arithmetic")
+	}
+}
