@@ -3,6 +3,7 @@ package userdma
 import (
 	"testing"
 
+	"uldma/internal/machine"
 	"uldma/internal/proc"
 	"uldma/internal/vm"
 )
@@ -16,8 +17,9 @@ const allocRuns = 64
 // returns the host allocations of allocRuns warm initiations of size
 // bytes between two mapped pages, measured inside the guest. Each
 // initiation is followed by spin cycles of computation. ok reports
-// whether every initiation was accepted; pending is how many events the
-// world's queue gained across the measured loop.
+// whether every initiation was accepted; pending is how many more
+// accepted transfers await delivery after the measured loop than
+// before it.
 func initiationAllocs(t *testing.T, method Method, size uint64, spin int64) (allocs float64, ok bool, pending int) {
 	t.Helper()
 	m := Machine(method)
@@ -34,11 +36,11 @@ func initiationAllocs(t *testing.T, method Method, size uint64, spin int64) (all
 			c.Spin(spin)
 		}
 		loop := func() {
-			before := m.Events.Len()
+			before := undelivered(m)
 			for i := 0; i < allocRuns; i++ {
 				initiate()
 			}
-			pending = m.Events.Len() - before
+			pending = undelivered(m) - before
 		}
 		// AllocsPerRun runs the loop once unmeasured first: that warms the
 		// TLB, the record pool and the event free list.
@@ -100,6 +102,13 @@ func TestInitiationZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// undelivered counts the transfers m's engine accepted and has not yet
+// delivered.
+func undelivered(m *machine.Machine) int {
+	ctr := m.Engine.Counters()
+	return int(ctr.Started.Value() - ctr.Completed.Value())
 }
 
 // TestBackToBackAllocsTrackBacklog bounds the BenchmarkObsDisabled

@@ -67,7 +67,7 @@ func vaMidFaultSnapshotFidelity(t *testing.T, pager bool) {
 		// and parks (pager disabled, so the fault is unresolvable until
 		// the host maps the page back).
 		devDst := uint64(dstBase) &^ (cfg.PageSize - 1) & (uint64(1)<<cfg.Engine.MemBits - 1)
-		if err := m.Kernel.UnmapIO(h.Context(), devDst); err != nil {
+		if err := m.IOMMU.Unmap(h.Context(), devDst); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Mem.Fill(srcFrames[0], int(cfg.PageSize), 0xAD); err != nil {

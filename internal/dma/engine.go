@@ -596,13 +596,6 @@ func (e *Engine) MapOut(srcPage, dst phys.Addr) error {
 // SetRemoteHandler attaches the cluster fabric.
 func (e *Engine) SetRemoteHandler(h RemoteHandler) { e.remote = h }
 
-// Remote returns the attached cluster fabric handler (nil when the
-// engine is standalone). Shard-hosted snapshots use it to detach the
-// fabric around Snapshot — at a quiescent cluster barrier no link
-// traffic is in flight, so the engine's no-fabric snapshot rule can be
-// satisfied by unplugging the port and plugging it back in.
-func (e *Engine) Remote() RemoteHandler { return e.remote }
-
 // SetAcceptHook subscribes fn to every accepted transfer, called in
 // start order with the record as accepted (a virtual transfer's End is
 // still nominal). The attack studies use it as the ground truth of what

@@ -64,7 +64,6 @@ type ringState struct {
 	head     uint64    // next slot index the walk consumes
 	inFlight uint64    // descriptors kicked whose completion has not landed
 	gen      uint32    // bumped on SetupRing/TeardownRing; stale completions no-op
-	va       bool      // descriptors carry device VAs (SetRingVA, a test hook)
 	allow    []ringExtent
 }
 
@@ -194,10 +193,10 @@ func (r *ringState) ringAllowed(addr phys.Addr, size uint64) bool {
 
 // completeRing lands a ring transfer's completion record; for a
 // zero-size transfer it is also the finish (see schedule). It runs as
-// the record's last event at End, or from the VA walker at the REAL
-// end. Transfers whose ring was torn down or re-armed since acceptance
-// still write their record (the engine masters the bus; the frames were
-// valid at acceptance) but no longer touch the new ring's bookkeeping.
+// the record's last event at End. Transfers whose ring was torn down
+// or re-armed since acceptance still write their record (the engine
+// masters the bus; the frames were valid at acceptance) but no longer
+// touch the new ring's bookkeeping.
 func (e *Engine) completeRing(t *Transfer, at sim.Time) {
 	if t.Size == 0 && !t.Failed {
 		e.finish(t)
@@ -271,12 +270,8 @@ func (e *Engine) ringStore(now sim.Time, off uint64, val uint64) (int64, error) 
 }
 
 // walkDescriptor consumes one slot: fetch the arguments the client left
-// in memory, validate them, start the transfer on the shared channel,
-// and arrange the completion record. A physical ring checks the
-// registered extents; on a virtual ring (SetRingVA) Src/Dst are device
-// VAs for the ring's context and the IOMMU's page tables are the
-// registration. A virtual transfer's walker completes it at the REAL
-// end (penalties, stalls and fix-ups included).
+// in memory, validate them against the registered extents, start the
+// transfer on the shared channel, and arrange the completion record.
 func (e *Engine) walkDescriptor(now sim.Time, ctx int, r *ringState, slot phys.Addr) {
 	src, err := e.mem.Read(slot+DescSrc, phys.Size64)
 	if err != nil {
@@ -290,9 +285,9 @@ func (e *Engine) walkDescriptor(now sim.Time, ctx int, r *ringState, slot phys.A
 	if err != nil {
 		panic(err)
 	}
-	a := args{src: phys.Addr(src), dst: phys.Addr(dst), size: size, virt: r.va, vctx: ctx, ring: true}
+	a := args{src: phys.Addr(src), dst: phys.Addr(dst), size: size, ring: true}
 	remoteDst := e.cfg.RemoteBase != 0 && a.dst >= e.cfg.RemoteBase
-	if !r.va && (!r.ringAllowed(a.src, size) || (!remoteDst && !r.ringAllowed(a.dst, size))) {
+	if !r.ringAllowed(a.src, size) || (!remoteDst && !r.ringAllowed(a.dst, size)) {
 		// Unregistered address: DMA_FAILURE record, immediately.
 		e.ctr.Rejected.Inc()
 		e.writeCompletion(slot, StatusFailure, now)
@@ -305,10 +300,8 @@ func (e *Engine) walkDescriptor(now sim.Time, ctx int, r *ringState, slot phys.A
 	}
 	r.inFlight++
 	t.slot, t.rctx, t.gen = slot, int32(ctx), r.gen
-	if t.vw == nil {
-		t.refs++
-		e.events.ScheduleFunc(t.End, t.fire)
-	}
+	t.refs++
+	e.events.ScheduleFunc(t.End, t.fire)
 }
 
 // ringLoad is the doorbell page's read side: the in-flight descriptor

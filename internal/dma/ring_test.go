@@ -31,6 +31,13 @@ func newRingEngine(tb testing.TB, mode Mode) *engFixture {
 	return &engFixture{e: e, mem: mem, events: events}
 }
 
+// newVARingEngine is newRingEngine with an IOMMU attached (va_test.go's
+// fixture).
+func newVARingEngine(tb testing.TB, mode Mode) *vaFixture {
+	tb.Helper()
+	return newVAEngine(tb, mode, func(c *Config) { c.RingBase = ringBase })
+}
+
 // armRing installs a depth-slot ring on context 0 with the src and dst
 // test buffers registered.
 func armRing(t *testing.T, f *engFixture, depth uint64) {
@@ -183,29 +190,41 @@ func TestRingHeadWrap(t *testing.T) {
 
 // TestRingRejectsUnregistered pins the protection contract: a
 // descriptor naming an address outside the registered extents gets a
-// DMA_FAILURE completion record and moves no data.
+// DMA_FAILURE completion record and moves no data — also on an engine
+// with an IOMMU attached, whose rings are checked against the same
+// extents.
 func TestRingRejectsUnregistered(t *testing.T) {
-	f := newRingEngine(t, ModePaired)
-	armRing(t, f, 8)
-	forged := phys.Addr(0x50000) // valid memory, never registered
-	f.fillSrc(forged, 64, 0xEE)
-	post(t, f, 0, forged, ringDst, 64)
-	doorbell(t, f, 0, 1)
-	f.settle()
+	for _, tc := range []struct {
+		name string
+		f    *engFixture
+	}{
+		{"plain", newRingEngine(t, ModePaired)},
+		{"iommu", newVARingEngine(t, ModePaired).engFixture},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.f
+			armRing(t, f, 8)
+			forged := phys.Addr(0x50000) // valid memory, never registered
+			f.fillSrc(forged, 64, 0xEE)
+			post(t, f, 0, forged, ringDst, 64)
+			doorbell(t, f, 0, 1)
+			f.settle()
 
-	status, _ := completion(t, f, 0)
-	if status != StatusFailure {
-		t.Errorf("status = %#x, want DMA_FAILURE", status)
-	}
-	got, err := f.mem.Read(ringDst, phys.Size64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Errorf("destination written (%#x) despite rejection", got)
-	}
-	if s := f.e.Counters(); s.Rejected == 0 || s.RingCompletions != 1 {
-		t.Errorf("rejected %d completions %d, want >0/1", s.Rejected, s.RingCompletions)
+			status, _ := completion(t, f, 0)
+			if status != StatusFailure {
+				t.Errorf("status = %#x, want DMA_FAILURE", status)
+			}
+			got, err := f.mem.Read(ringDst, phys.Size64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != 0 {
+				t.Errorf("destination written (%#x) despite rejection", got)
+			}
+			if s := f.e.Counters(); s.Rejected == 0 || s.RingCompletions != 1 {
+				t.Errorf("rejected %d completions %d, want >0/1", s.Rejected, s.RingCompletions)
+			}
+		})
 	}
 }
 
@@ -294,32 +313,26 @@ func TestRingInFlightLoad(t *testing.T) {
 	}
 }
 
-// TestRingZeroSizeCompletesOnce: on a physical ring and on a virtual
-// one, a zero-size descriptor's completion record is also its finish
-// event, so the transfer completes exactly once — one Completed tick,
-// one completion record, nothing left in flight.
+// TestRingZeroSizeCompletesOnce: on a plain engine and on one with an
+// IOMMU attached, a zero-size descriptor's completion record is also
+// its finish event, so the transfer completes exactly once — one
+// Completed tick, one completion record, nothing left in flight.
 func TestRingZeroSizeCompletesOnce(t *testing.T) {
 	pf := newRingEngine(t, ModePaired)
 	armRing(t, pf, 8)
 	va := newVARingEngine(t, ModePaired)
-	if err := va.e.SetupRing(0, ringDescs, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := va.e.SetRingVA(0, true); err != nil {
-		t.Fatal(err)
-	}
+	armRing(t, va.engFixture, 8)
 	for _, tc := range []struct {
-		name     string
-		f        *engFixture
-		src, dst phys.Addr
+		name string
+		f    *engFixture
 	}{
-		{"physical", pf, ringSrc, ringDst},
-		{"virtual", va.engFixture, phys.Addr(vaSrcVA), phys.Addr(vaDstVA)},
+		{"physical", pf},
+		{"iommu", va.engFixture},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := tc.f
 			before := f.e.Counters()
-			post(t, f, 0, tc.src, tc.dst, 0)
+			post(t, f, 0, ringSrc, ringDst, 0)
 			doorbell(t, f, 0, 1)
 			f.settle()
 			after := f.e.Counters()

@@ -304,13 +304,9 @@ func (e *Engine) stateHash(withVA bool) uint64 {
 		mix(e.iommu.IOStateHash())
 		mix(uint64(e.policy))
 		mix(uint64(len(e.bounceFree)))
-		var vaRings uint64
-		for i := range e.rings {
-			if e.rings[i].va {
-				vaRings |= 1 << uint(i&63)
-			}
-		}
-		mix(vaRings)
+		// A zero where the virtual-ring bitmap was: it keeps every IOMMU
+		// fingerprint byte-identical.
+		mix(0)
 		mix(uint64(len(e.vaParked)))
 		for _, w := range e.vaParked {
 			mix(uint64(w.ctx))

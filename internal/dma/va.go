@@ -564,8 +564,7 @@ func (w *vaWalker) tryFinish(eff sim.Time) {
 
 // finishAt completes the transfer at its REAL end: the End register
 // moves to cover miss penalties, stalls and fix-ups, the channel and
-// bus reservations extend with it, pins release, and a ring completion
-// (if any) fires now rather than at the nominal End.
+// bus reservations extend with it, and pins release.
 func (w *vaWalker) finishAt(end sim.Time) {
 	e, t := w.e, w.t
 	t.End = end
@@ -580,9 +579,6 @@ func (w *vaWalker) finishAt(end sim.Time) {
 		e.resolver.UnpinRange(w.ctx, w.dstVA, t.Size)
 	}
 	e.finish(t)
-	if t.ring {
-		e.completeRing(t, end)
-	}
 	e.releaseVW(w)
 }
 
@@ -599,9 +595,6 @@ func (w *vaWalker) fail(at sim.Time) {
 	if e.policy == RecoverPin && e.resolver != nil {
 		e.resolver.UnpinRange(w.ctx, w.srcVA, t.Size)
 		e.resolver.UnpinRange(w.ctx, w.dstVA, t.Size)
-	}
-	if t.ring {
-		e.completeRing(t, at)
 	}
 	if w.fixups > 0 {
 		w.dead = true

@@ -589,29 +589,6 @@ func TestVABounceFixupRefusedWhileParked(t *testing.T) {
 	f.expectVAFailed(t, last)
 }
 
-// TestVARingFaultRefused: on a VA ring, the refused page's descriptor
-// gets a DMA_FAILURE completion record and leaves nothing in flight.
-func TestVARingFaultRefused(t *testing.T) {
-	f := newVARingEngine(t, ModePaired)
-	if err := f.e.SetupRing(0, ringDescs, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.e.SetRingVA(0, true); err != nil {
-		t.Fatal(err)
-	}
-	size := f.twoPageTransfer(t)
-	f.res.refused[vaDstVA+testPageSize] = true
-	post(t, f.engFixture, 0, phys.Addr(vaSrcVA), phys.Addr(vaDstVA), size)
-	doorbell(t, f.engFixture, 0, 1)
-	f.expectVAFailed(t, f.e.LastTransfer())
-	if status, _ := completion(t, f.engFixture, 0); status != StatusFailure {
-		t.Errorf("completion status %#x, want DMA_FAILURE", status)
-	}
-	if _, _, _, inFlight := f.e.RingState(0); inFlight != 0 {
-		t.Errorf("inFlight = %d, want 0", inFlight)
-	}
-}
-
 func TestVAPinPolicy(t *testing.T) {
 	f := newVAEngine(t, ModePaired, nil)
 	f.e.SetRecoveryPolicy(RecoverPin)
@@ -759,127 +736,30 @@ func TestVAParkedSnapshotRestore(t *testing.T) {
 	}
 }
 
-// --- ring descriptors over device VAs ---
-
-func newVARingEngine(tb testing.TB, mode Mode) *vaFixture {
-	tb.Helper()
-	f := newVAEngine(tb, mode, func(c *Config) { c.RingBase = ringBase })
-	return f
-}
-
-func TestVARingDescriptors(t *testing.T) {
-	f := newVARingEngine(t, ModePaired)
-	if err := f.e.SetupRing(0, ringDescs, 8); err != nil {
-		t.Fatal(err)
+// vaPairedHit drives one paired initiation through the VA window and
+// drains its walk.
+func vaPairedHit(tb testing.TB, f *vaFixture, now sim.Time) sim.Time {
+	if _, err := f.e.Store(now, vaOff(0, vaDstVA), phys.Size64, 2048); err != nil {
+		tb.Fatal(err)
 	}
-	// SetRingVA flips the ring to device addressing; the IOMMU mapping
-	// IS the registration, so no RingAllow extents are needed.
-	if err := f.e.SetRingVA(0, true); err != nil {
-		t.Fatal(err)
-	}
-	f.mapVA(t, 0, 1)
-	f.fillSrc(vaSrcPA, 1024, 0x66)
-	post(t, f.engFixture, 0, phys.Addr(vaSrcVA), phys.Addr(vaDstVA), 1024)
-	doorbell(t, f.engFixture, 0, 1)
-	f.settle()
-	status, stamp := completion(t, f.engFixture, 0)
-	if status != 0 {
-		t.Fatalf("completion status %#x, want 0", status)
-	}
-	f.expectMoved(t, vaDstPA, 1024, 0x66)
-	// The stamp is the transfer's REAL end (cold-IOTLB misses included),
-	// not the nominal acceptance-time End.
-	last := f.e.LastTransfer()
-	if sim.Time(stamp) != last.End {
-		t.Fatalf("completion stamp %v != real end %v", sim.Time(stamp), last.End)
-	}
-	if f.io.IOTLB().Counters().Misses == 0 {
-		t.Fatal("cold ring walk took no IOTLB misses")
-	}
-}
-
-func TestVARingValidation(t *testing.T) {
-	// SetRingVA without an IOMMU attached must refuse.
-	bare := newRingEngine(t, ModePaired)
-	if err := bare.e.SetupRing(0, ringDescs, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := bare.e.SetRingVA(0, true); err == nil {
-		t.Error("SetRingVA accepted with no IOMMU attached")
-	}
-	// And with one: out-of-range context, missing ring.
-	f := newVARingEngine(t, ModePaired)
-	if err := f.e.SetRingVA(0, true); err == nil {
-		t.Error("SetRingVA accepted before SetupRing")
-	}
-	if err := f.e.SetupRing(0, ringDescs, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.e.SetRingVA(99, true); err == nil {
-		t.Error("SetRingVA accepted an out-of-range context")
-	}
-	// An unmapped destination under stall policy parks the descriptor's
-	// transfer; the completion waits for the real end.
-	if err := f.e.SetRingVA(0, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.io.Map(0, vaSrcVA, vaSrcPA, vm.Read); err != nil {
-		t.Fatal(err)
-	}
-	f.fillSrc(vaSrcPA, 512, 0x21)
-	post(t, f.engFixture, 0, phys.Addr(vaSrcVA), phys.Addr(vaDstVA), 512)
-	doorbell(t, f.engFixture, 0, 1)
-	now := f.settle()
-	if f.e.ParkedTransfers() != 1 {
-		t.Fatal("ring transfer did not park on the unmapped destination")
-	}
-	if status, _ := completion(t, f.engFixture, 0); status != RingPending {
-		t.Fatal("completion delivered while parked")
-	}
-	if err := f.io.Map(0, vaDstVA, vaDstPA, vm.Read|vm.Write); err != nil {
-		t.Fatal(err)
-	}
-	f.e.ResumeFaulted(-1, now+sim.Microsecond)
-	f.settle()
-	if status, _ := completion(t, f.engFixture, 0); status != 0 {
-		t.Fatalf("completion status %#x after resume, want 0", status)
-	}
-	f.expectMoved(t, vaDstPA, 512, 0x21)
-}
-
-// vaRingBatch posts depth VA descriptors and rings the doorbell once.
-func vaRingBatch(f *vaFixture, now sim.Time, depth uint64) sim.Time {
-	for slot := uint64(0); slot < depth; slot++ {
-		base := ringDescs + phys.Addr(slot%8*DescBytes)
-		_ = f.mem.Write(base+DescSrc, phys.Size64, vaSrcVA)
-		_ = f.mem.Write(base+DescDst, phys.Size64, vaDstVA)
-		_ = f.mem.Write(base+DescSize, phys.Size64, 2048)
-	}
-	if _, err := f.e.Store(now, ringBase, phys.Size64, depth); err != nil {
-		panic(err)
+	if _, _, err := f.e.Load(now, vaOff(0, vaSrcVA), phys.Size64); err != nil {
+		tb.Fatal(err)
 	}
 	return f.events.Drain(0)
 }
 
-// TestVATranslateZeroAllocs is the satellite pin: with a
-// warm IOTLB and no faults, the descriptor->translate->stream->complete
-// path allocates nothing — walkers, buffers, completion records and
-// events are all pooled.
+// TestVATranslateZeroAllocs: with a warm IOTLB and no faults, the
+// initiate->translate->stream->complete path allocates nothing —
+// walkers, buffers, transfer records and events are all pooled.
 func TestVATranslateZeroAllocs(t *testing.T) {
-	f := newVARingEngine(t, ModePaired)
-	if err := f.e.SetupRing(0, ringDescs, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.e.SetRingVA(0, true); err != nil {
-		t.Fatal(err)
-	}
+	f := newVAEngine(t, ModePaired, nil)
 	f.mapVA(t, 0, 1)
 	now := sim.Time(0)
 	for i := 0; i < 4; i++ { // warm the pools and the IOTLB
-		now = vaRingBatch(f, now, 8)
+		now = vaPairedHit(t, f, now)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		now = vaRingBatch(f, now, 8)
+		now = vaPairedHit(t, f, now)
 	})
 	if allocs > 0 {
 		t.Fatalf("no-fault VA translate path allocates %.1f/op, want 0", allocs)
@@ -960,28 +840,6 @@ func TestVABounceFixupZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkVARingDoorbell measures the engine-side cost of one batched
-// VA kick: 8 device-VA descriptors per doorbell, IOTLB warm.
-func BenchmarkVARingDoorbell(b *testing.B) {
-	f := newVARingEngine(b, ModePaired)
-	if err := f.e.SetupRing(0, ringDescs, 8); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.e.SetRingVA(0, true); err != nil {
-		b.Fatal(err)
-	}
-	f.mapVA(b, 0, 1)
-	now := sim.Time(0)
-	for i := 0; i < 4; i++ {
-		now = vaRingBatch(f, now, 8)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = vaRingBatch(f, now, 8)
-	}
-}
-
 // BenchmarkVATranslateHit measures one warm paired initiation + walk
 // through the VA window.
 func BenchmarkVATranslateHit(b *testing.B) {
@@ -991,12 +849,6 @@ func BenchmarkVATranslateHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.e.Store(now, vaOff(0, vaDstVA), phys.Size64, 2048); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := f.e.Load(now, vaOff(0, vaSrcVA), phys.Size64); err != nil {
-			b.Fatal(err)
-		}
-		now = f.events.Drain(0)
+		now = vaPairedHit(b, f, now)
 	}
 }

@@ -220,23 +220,17 @@ type rpcGen struct {
 	end   sim.Time // arrival window close (boot + dur)
 
 	arrivals []func(now sim.Time) // per node: its arrival event, bound once
-
-	rpcState
-}
-
-// rpcState is the generator's own state, and its snapshot payload.
-type rpcState struct {
-	issueAt [][]sim.Time // per client: arrival instant of RPC seq i
-	lats    [][]sim.Time // per client: completed RPC latencies
-	errs    []error      // per node: first event-side failure (handlers cannot return one)
+	issueAt  [][]sim.Time         // per client: arrival instant of RPC seq i
+	lats     [][]sim.Time         // per client: completed RPC latencies
+	errs     []error              // per node: first event-side failure (handlers cannot return one)
 }
 
 func newRPCGen(c *net.ShardedCluster, k scaleKnobs, boot sim.Time, model rpcModel) *rpcGen {
-	g := &rpcGen{c: c, model: model, k: k, boot: boot, end: boot + k.dur, rpcState: rpcState{
+	g := &rpcGen{c: c, model: model, k: k, boot: boot, end: boot + k.dur,
 		issueAt: make([][]sim.Time, k.nodes),
 		lats:    make([][]sim.Time, k.nodes),
 		errs:    make([]error, k.nodes),
-	}}
+	}
 	g.arrivals = make([]func(sim.Time), k.nodes)
 	for n := range g.arrivals {
 		g.arrivals[n] = func(now sim.Time) { g.arrive(n, now) }
@@ -320,33 +314,6 @@ func (g *rpcGen) fail(n int, err error) {
 	if err != nil && g.errs[n] == nil {
 		g.errs[n] = err
 	}
-}
-
-// SnapshotState implements net.ShardState.
-func (g *rpcGen) SnapshotState() any {
-	st := &rpcState{issueAt: make([][]sim.Time, g.k.nodes), lats: make([][]sim.Time, g.k.nodes), errs: append([]error(nil), g.errs...)}
-	for n := range st.issueAt {
-		st.issueAt[n] = append([]sim.Time(nil), g.issueAt[n]...)
-		st.lats[n] = append([]sim.Time(nil), g.lats[n]...)
-	}
-	return st
-}
-
-// RestoreState implements net.ShardState.
-func (g *rpcGen) RestoreState(state any) error {
-	st, ok := state.(*rpcState)
-	if !ok {
-		return fmt.Errorf("exp: scale world: foreign snapshot payload %T", state)
-	}
-	if len(st.issueAt) != g.k.nodes {
-		return fmt.Errorf("exp: scale world: snapshot of %d nodes onto %d", len(st.issueAt), g.k.nodes)
-	}
-	for n := range st.issueAt {
-		g.issueAt[n] = append(g.issueAt[n][:0], st.issueAt[n]...)
-		g.lats[n] = append(g.lats[n][:0], st.lats[n]...)
-	}
-	copy(g.errs, st.errs)
-	return nil
 }
 
 // point folds the finished world into a ScalePoint. Every node's

@@ -385,9 +385,9 @@ func runScaleMachine(sp scaleProtocol, p Params, workers int) (ScaleMachinePoint
 }
 
 // newScaleMachineWorld assembles the full hosted fleet — template,
-// clones, ports, state hook, deliver hook — but does not prime arrivals
-// or run; the split is what lets the snapshot and fault tests reach the
-// quiescent pre-traffic world through the cluster's own machinery.
+// clones, ports, deliver hook — but does not prime arrivals or run; the
+// split is what lets the fault tests attach a plane to the pre-traffic
+// world.
 func newScaleMachineWorld(sp scaleProtocol, p Params) (*scaleMWorld, error) {
 	k, err := resolveScale(p, true)
 	if err != nil {
@@ -438,10 +438,6 @@ func newScaleMachineWorld(sp scaleProtocol, p Params) (*scaleMWorld, error) {
 	// Arrivals start after the template's snapshot time: clone
 	// substrates carry template-era timestamps.
 	w.rpcGen = newRPCGen(c, k, tpl.boot, w)
-	// Chain the generator's bookkeeping behind the fleet snapshot: a
-	// cluster Snapshot/Restore must rewind issue times and latency
-	// samples with the machines, or a restored world double-counts.
-	hm.Inner = w.rpcGen
 	return w, nil
 }
 

@@ -191,42 +191,6 @@ func TestScaleMachineFaultParity(t *testing.T) {
 	}
 }
 
-// TestScaleMachineSnapshotRestore drives the whole quiescent-state
-// chain — ShardedCluster.Snapshot → HostedMachines.SnapshotState →
-// machine.SnapshotHosted, plus the world's own Inner payload: capture
-// the pre-traffic fleet, run it, rewind, run again, and demand the
-// SAME observation both times.
-func TestScaleMachineSnapshotRestore(t *testing.T) {
-	p := Params{Nodes: 16, Shards: 4, Arrival: 5000, ScaleDur: sim.Millisecond}
-	w, err := newScaleMachineWorld(scaleProtocolNamed(t, "keybased"), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := w.c.Snapshot()
-	if err != nil {
-		t.Fatalf("pre-traffic snapshot: %v", err)
-	}
-	w.prime()
-	if err := w.run(2); err != nil {
-		t.Fatal(err)
-	}
-	first := w.observe()
-	if first.Completed == 0 {
-		t.Fatalf("degenerate first run: %+v", first)
-	}
-	if err := w.c.Restore(sn); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	w.prime()
-	if err := w.run(2); err != nil {
-		t.Fatal(err)
-	}
-	second := w.observe()
-	if second != first {
-		t.Errorf("restored world diverges:\n got %+v\nwant %+v", second, first)
-	}
-}
-
 func TestScaleMachineValidation(t *testing.T) {
 	cases := []struct {
 		name string

@@ -8,10 +8,7 @@
 // draw order per judgement (down-window check, scripted check, drop
 // draw, dup draw, then per-copy jitter and reorder draws), so a (Plan,
 // seed) pair replays byte-identically: a counterexample seed printed by
-// a failing property test reproduces the exact fault schedule. The
-// plane's mutable state (RNG position, per-link delivery counters) is
-// captured by SnapshotState/RestoreState so net.Cluster snapshots can
-// rewind it together with the nodes.
+// a failing property test reproduces the exact fault schedule.
 //
 // Faults model the LINK, not the endpoints: a verdict never corrupts
 // payload bytes (Telegraphos links are CRC-protected; a damaged packet
@@ -20,7 +17,6 @@
 package fault
 
 import (
-	"fmt"
 	"slices"
 
 	"uldma/internal/net"
@@ -183,35 +179,4 @@ func (in *Injector) Judge(src, dst int, at sim.Time) net.Verdict {
 		v.Copies[i] = a
 	}
 	return v
-}
-
-// injectorState is the opaque snapshot payload.
-type injectorState struct {
-	rng  uint64
-	sent map[Link]uint64
-}
-
-// SnapshotState implements net.FaultPlane: it captures the RNG position
-// and the per-link delivery counters.
-func (in *Injector) SnapshotState() any {
-	sent := make(map[Link]uint64, len(in.sent))
-	for k, v := range in.sent {
-		sent[k] = v
-	}
-	return injectorState{rng: in.rng.State(), sent: sent}
-}
-
-// RestoreState implements net.FaultPlane: it rewinds to a state
-// captured by SnapshotState on the same injector type.
-func (in *Injector) RestoreState(state any) error {
-	st, ok := state.(injectorState)
-	if !ok {
-		return fmt.Errorf("fault: restore: state %T is not an injector snapshot", state)
-	}
-	in.rng.SetState(st.rng)
-	in.sent = make(map[Link]uint64, len(st.sent))
-	for k, v := range st.sent {
-		in.sent[k] = v
-	}
-	return nil
 }

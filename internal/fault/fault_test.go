@@ -82,7 +82,8 @@ func TestZeroPlanIsInert(t *testing.T) {
 }
 
 // TestSnapshotRestoreReplays: restoring mid-stream replays the exact
-// post-snapshot verdicts — the property net.Cluster snapshots stand on.
+// post-snapshot verdicts — the plane's whole state is its RNG position
+// and per-link counters.
 func TestSnapshotRestoreReplays(t *testing.T) {
 	in := New(lossy(), 99)
 	judgeStream(in, 137) // advance to an arbitrary point

@@ -51,23 +51,6 @@ const (
 	// reschedule overhead. Returns 0, or StatusFailure when there is
 	// nothing to wait on.
 	SysDMAWait
-	// SysWaitWrite blocks the calling process until remote data arrives
-	// in the page containing the given virtual address (the NIC's
-	// receive interrupt). Args: vaddr. The caller re-checks its mailbox
-	// on return — spurious wakeups are allowed, lost wakeups are not.
-	SysWaitWrite
-	// SysIOMap installs a device translation for the caller's DMA
-	// context: the user page at vaddr becomes device-addressable at
-	// devva (see paging.go). Args: devva, vaddr.
-	SysIOMap
-	// SysIOUnmap removes a device translation. Args: devva.
-	SysIOUnmap
-	// SysIOPin pre-faults and pins [devva, devva+size) so the pager
-	// cannot evict it mid-transfer. Args: devva, size. The caller sleeps
-	// through any page-in latency.
-	SysIOPin
-	// SysIOUnpin releases a SysIOPin. Args: devva, size.
-	SysIOUnpin
 )
 
 // InterruptWakeupCycles models completion-interrupt delivery plus the
@@ -157,7 +140,6 @@ type Kernel struct {
 	shrimp2Hook bool
 	flashHook   bool
 	palDMA      bool
-	watches     []writeWatch
 	ctr         Counters
 
 	// Virtual-address DMA (paging.go): the machine's IOMMU, if one is
@@ -167,13 +149,6 @@ type Kernel struct {
 
 	tr   *obs.Trace
 	node int32
-}
-
-// writeWatch is one process sleeping until remote data lands in a
-// physical range.
-type writeWatch struct {
-	lo, hi phys.Addr
-	p      *proc.Process
 }
 
 // New boots a kernel on the given hardware. It installs itself as the
@@ -235,16 +210,6 @@ func syscallName(num int) string {
 		return "sys_dma_status"
 	case SysDMAWait:
 		return "sys_dma_wait"
-	case SysWaitWrite:
-		return "sys_wait_write"
-	case SysIOMap:
-		return "sys_io_map"
-	case SysIOUnmap:
-		return "sys_io_unmap"
-	case SysIOPin:
-		return "sys_io_pin"
-	case SysIOUnpin:
-		return "sys_io_unpin"
 	}
 	return "sys_unknown"
 }
@@ -534,31 +499,6 @@ func (k *Kernel) dispatch(p *proc.Process, num int, args []uint64) (uint64, erro
 		return k.cpu.PhysLoad(k.engine.Config().ControlBase+dma.RegStatus, phys.Size64)
 	case SysDMAWait:
 		return k.sysDMAWait(p)
-	case SysWaitWrite:
-		if len(args) != 1 {
-			return 0, fmt.Errorf("kernel: SysWaitWrite wants (vaddr)")
-		}
-		return k.sysWaitWrite(p, vm.VAddr(args[0]))
-	case SysIOMap:
-		if len(args) != 2 {
-			return dma.StatusFailure, fmt.Errorf("kernel: SysIOMap wants (devva, vaddr)")
-		}
-		return k.sysIOMap(p, args[0], vm.VAddr(args[1]))
-	case SysIOUnmap:
-		if len(args) != 1 {
-			return dma.StatusFailure, fmt.Errorf("kernel: SysIOUnmap wants (devva)")
-		}
-		return k.sysIOUnmap(p, args[0])
-	case SysIOPin:
-		if len(args) != 2 {
-			return dma.StatusFailure, fmt.Errorf("kernel: SysIOPin wants (devva, size)")
-		}
-		return k.sysIOPin(p, args[0], args[1])
-	case SysIOUnpin:
-		if len(args) != 2 {
-			return dma.StatusFailure, fmt.Errorf("kernel: SysIOUnpin wants (devva, size)")
-		}
-		return k.sysIOUnpin(p, args[0], args[1])
 	default:
 		return 0, fmt.Errorf("kernel: unknown syscall %d", num)
 	}
@@ -630,47 +570,6 @@ func (k *Kernel) sysDMAWait(p *proc.Process) (uint64, error) {
 	wake := t.End + k.cpu.Config().Freq.Cycles(InterruptWakeupCycles)
 	p.BlockUntil(wake)
 	return 0, nil
-}
-
-// sysWaitWrite registers a receive-interrupt watch on the page holding
-// va and puts the caller to sleep until the fabric delivers into it.
-func (k *Kernel) sysWaitWrite(p *proc.Process, va vm.VAddr) (uint64, error) {
-	as := p.AddressSpace()
-	base := as.PageBase(va)
-	pte, ok := as.Lookup(base)
-	if !ok {
-		k.ctr.Faults.Inc()
-		return dma.StatusFailure, &vm.Fault{VA: va, Access: vm.AccessLoad, Kind: vm.FaultUnmapped, ASID: as.ASID()}
-	}
-	k.watches = append(k.watches, writeWatch{
-		lo: pte.Frame,
-		hi: pte.Frame + phys.Addr(k.PageSize()),
-		p:  p,
-	})
-	p.BlockUntil(sim.Never)
-	return 0, nil
-}
-
-// NotifyRemoteWrite is the NIC receive-interrupt path: the fabric calls
-// it after delivering payload into [addr, addr+n). Every watcher of an
-// overlapping range is woken (after interrupt + reschedule overhead)
-// and its watch removed.
-func (k *Kernel) NotifyRemoteWrite(addr phys.Addr, n int) {
-	if len(k.watches) == 0 {
-		return
-	}
-	now := k.cpu.Clock().Now()
-	wake := now + k.cpu.Config().Freq.Cycles(InterruptWakeupCycles)
-	end := addr + phys.Addr(n)
-	kept := k.watches[:0]
-	for _, w := range k.watches {
-		if addr < w.hi && end > w.lo {
-			w.p.Wake(wake)
-			continue
-		}
-		kept = append(kept, w)
-	}
-	k.watches = kept
 }
 
 // sysAtomic performs an engine atomic operation from kernel mode — the

@@ -10,7 +10,6 @@ import (
 	"uldma/internal/machine"
 	"uldma/internal/phys"
 	"uldma/internal/proc"
-	"uldma/internal/sim"
 	"uldma/internal/vm"
 )
 
@@ -517,77 +516,6 @@ func TestSysDMAWaitPaths(t *testing.T) {
 	tr := m.Engine.LastTransfer()
 	if tr == nil || !tr.Done(m.Clock.Now()) {
 		t.Fatal("transfer not completed by the blocking wait")
-	}
-}
-
-func TestSysWaitWriteValidation(t *testing.T) {
-	m := newMachine(t, dma.ModePaired)
-	var gotErr error
-	m.NewProcess("u", func(ctx *proc.Context) error {
-		_, gotErr = ctx.Syscall(kernel.SysWaitWrite, 0xdead0000) // unmapped
-		return nil
-	})
-	if err := m.Run(proc.NewRoundRobin(4), 10_000); err != nil {
-		t.Fatal(err)
-	}
-	var fault *vm.Fault
-	if !errors.As(gotErr, &fault) || fault.Kind != vm.FaultUnmapped {
-		t.Fatalf("SysWaitWrite on unmapped page: %v", gotErr)
-	}
-	// Bad arity.
-	m2 := newMachine(t, dma.ModePaired)
-	var arityErr error
-	m2.NewProcess("u", func(ctx *proc.Context) error {
-		_, arityErr = ctx.Syscall(kernel.SysWaitWrite)
-		return nil
-	})
-	if err := m2.Run(proc.NewRoundRobin(4), 10_000); err != nil {
-		t.Fatal(err)
-	}
-	if arityErr == nil {
-		t.Fatal("SysWaitWrite with no args accepted")
-	}
-}
-
-func TestNotifyRemoteWriteWakesOnlyOverlaps(t *testing.T) {
-	m := newMachine(t, dma.ModePaired)
-	sleeperA := m.NewProcess("a", func(ctx *proc.Context) error {
-		_, err := ctx.Syscall(kernel.SysWaitWrite, 0x10000)
-		return err
-	})
-	sleeperB := m.NewProcess("b", func(ctx *proc.Context) error {
-		_, err := ctx.Syscall(kernel.SysWaitWrite, 0x10000)
-		return err
-	})
-	frameA, err := m.Kernel.AllocPage(sleeperA.AddressSpace(), 0x10000, vm.Read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frameB, err := m.Kernel.AllocPage(sleeperB.AddressSpace(), 0x10000, vm.Read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An arrival into frame B (scheduled as an event so the scheduler's
-	// idle advance finds it) must wake only B; A would deadlock, so a
-	// second event wakes A's page later.
-	m.Events.ScheduleFunc(50*sim.Microsecond, func(sim.Time) {
-		m.Kernel.NotifyRemoteWrite(frameB+128, 8)
-	})
-	m.Events.ScheduleFunc(200*sim.Microsecond, func(sim.Time) {
-		m.Kernel.NotifyRemoteWrite(frameA, 8)
-	})
-	if err := m.Run(proc.NewRoundRobin(1), 10_000); err != nil {
-		t.Fatal(err)
-	}
-	if sleeperA.Err() != nil || sleeperB.Err() != nil {
-		t.Fatalf("a=%v b=%v", sleeperA.Err(), sleeperB.Err())
-	}
-	// B woke from the 50µs arrival; A needed the 200µs one.
-	if sleeperB.CPUTime() >= sleeperA.CPUTime() && m.Clock.Now() < 200*sim.Microsecond {
-		t.Fatal("wakeup attribution wrong")
-	}
-	if m.Clock.Now() < 200*sim.Microsecond {
-		t.Fatalf("finished at %v; sleeper A must have waited for its own arrival", m.Clock.Now())
 	}
 }
 

@@ -2,10 +2,10 @@ package kernel
 
 // Virtual-address DMA support: the kernel side of internal/iommu. The
 // kernel owns the device page tables — user code never maps a device
-// translation directly; it asks via the SysIOMap/SysIOUnmap/SysIOPin
-// syscalls (kernel.go) or the warmed-template helpers below — and it
-// implements dma.FaultResolver, the service the engine calls when a
-// transfer faults mid-flight.
+// translation directly; the world builders map each page through
+// MapIOAS below, outside the timed loop — and it implements
+// dma.FaultResolver, the service the engine calls when a transfer
+// faults mid-flight.
 //
 // Two regimes:
 //
@@ -21,9 +21,10 @@ package kernel
 //     evict the least-recently-used unpinned resident page
 //     (iommu.Unmap — which also invalidates its IOTLB entries).
 //     ResolveFault pages the victim's frame back in after a fixed
-//     page-in latency. Pins (SysIOPin / the engine's pin policy) make
-//     pages ineligible for eviction. Eviction order is deterministic:
-//     strictly (lastUse, seq)-minimal among unpinned residents.
+//     page-in latency. Pins (PinRange, which the engine's RecoverPin
+//     policy calls) make pages ineligible for eviction. Eviction order
+//     is deterministic: strictly (lastUse, seq)-minimal among unpinned
+//     residents.
 //
 // All pager state is pure data keyed by (ctx, deviceVA) — no pointers
 // into process address spaces — so it snapshots by value and folds into
@@ -36,7 +37,6 @@ import (
 	"uldma/internal/iommu"
 	"uldma/internal/obs"
 	"uldma/internal/phys"
-	"uldma/internal/proc"
 	"uldma/internal/sim"
 	"uldma/internal/vm"
 )
@@ -129,28 +129,6 @@ func (k *Kernel) MapIO(ctx int, va uint64, frame phys.Addr, prot vm.Prot) error 
 		return k.iommu.Map(ctx, base, frame, prot)
 	}
 	return k.makeResident(key, pg)
-}
-
-// UnmapIO removes a device translation (and, pager enabled, forgets the
-// page entirely). Unmapping a pinned page is refused.
-func (k *Kernel) UnmapIO(ctx int, va uint64) error {
-	if k.iommu == nil {
-		return fmt.Errorf("kernel: UnmapIO: no IOMMU attached")
-	}
-	base := va &^ (k.PageSize() - 1)
-	if k.pager.enabled {
-		key := pagerKey{ctx: ctx, va: base}
-		if pg := k.pager.pages[key]; pg != nil {
-			if pg.pinned > 0 {
-				return fmt.Errorf("kernel: UnmapIO: device page ctx=%d va=%#x is pinned", ctx, base)
-			}
-			if pg.resident {
-				k.pager.resident--
-			}
-			delete(k.pager.pages, key)
-		}
-	}
-	return k.iommu.Unmap(ctx, base)
 }
 
 // MapIOAS is the virtual-address analogue of MapShadowAS: it wires the
@@ -333,87 +311,6 @@ func (k *Kernel) unpinOne(ctx int, base uint64) {
 	if pg := k.pager.pages[pagerKey{ctx: ctx, va: base}]; pg != nil && pg.pinned > 0 {
 		pg.pinned--
 	}
-}
-
-// --- syscall bodies (dispatched from kernel.go) ---
-
-// sysIOMap: the caller asks the kernel to make its user page at va
-// device-addressable at devva, under its own DMA context. The kernel
-// translates va through the process table (one software
-// virtual_to_physical, same cost as Figure 1's) and installs the
-// device PTE — the once-per-page setup cost of virtual-address DMA,
-// analogous to MapShadow for the physical schemes.
-func (k *Kernel) sysIOMap(p *proc.Process, devva uint64, va vm.VAddr) (uint64, error) {
-	if k.iommu == nil {
-		return dma.StatusFailure, fmt.Errorf("kernel: SysIOMap: machine has no IOMMU")
-	}
-	ctx := 0
-	if c, ok := k.procCtx[p.PID()]; ok {
-		ctx = c
-	}
-	k.cpu.Spin(k.cfg.TranslateCycles)
-	as := p.AddressSpace()
-	base := as.PageBase(va)
-	pte, ok := as.Lookup(base)
-	if !ok {
-		k.ctr.Faults.Inc()
-		return dma.StatusFailure, &vm.Fault{VA: va, Access: vm.AccessLoad, Kind: vm.FaultUnmapped, ASID: as.ASID()}
-	}
-	if err := k.MapIO(ctx, devva, pte.Frame, pte.Prot); err != nil {
-		return dma.StatusFailure, err
-	}
-	return 0, nil
-}
-
-// sysIOUnmap removes the caller's device translation at devva.
-func (k *Kernel) sysIOUnmap(p *proc.Process, devva uint64) (uint64, error) {
-	if k.iommu == nil {
-		return dma.StatusFailure, fmt.Errorf("kernel: SysIOUnmap: machine has no IOMMU")
-	}
-	ctx := 0
-	if c, ok := k.procCtx[p.PID()]; ok {
-		ctx = c
-	}
-	if err := k.UnmapIO(ctx, devva); err != nil {
-		return dma.StatusFailure, err
-	}
-	return 0, nil
-}
-
-// sysIOPin pins [devva, devva+size) for the caller's context. Page-in
-// latency puts the caller to sleep (the kernel-assisted-pin policy's
-// up-front cost) rather than spinning the CPU.
-func (k *Kernel) sysIOPin(p *proc.Process, devva, size uint64) (uint64, error) {
-	if k.iommu == nil {
-		return dma.StatusFailure, fmt.Errorf("kernel: SysIOPin: machine has no IOMMU")
-	}
-	ctx := 0
-	if c, ok := k.procCtx[p.PID()]; ok {
-		ctx = c
-	}
-	// write=false: a pin guarantees residency; direction-specific
-	// protection is still enforced at translate time.
-	lat, err := k.PinRange(ctx, devva, size, false)
-	if err != nil {
-		return dma.StatusFailure, err
-	}
-	if lat > 0 {
-		p.BlockUntil(k.cpu.Clock().Now() + lat)
-	}
-	return 0, nil
-}
-
-// sysIOUnpin releases a SysIOPin.
-func (k *Kernel) sysIOUnpin(p *proc.Process, devva, size uint64) (uint64, error) {
-	if k.iommu == nil {
-		return dma.StatusFailure, fmt.Errorf("kernel: SysIOUnpin: machine has no IOMMU")
-	}
-	ctx := 0
-	if c, ok := k.procCtx[p.PID()]; ok {
-		ctx = c
-	}
-	k.UnpinRange(ctx, devva, size)
-	return 0, nil
 }
 
 // PagerStateHash folds the pager's complete state into one word.

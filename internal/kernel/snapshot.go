@@ -55,12 +55,9 @@ func (s *Snapshot) FLASHHook() bool { return s.flash }
 func (s *Snapshot) PALDMAInstalled() bool { return s.palDMA }
 
 // Snapshot captures the kernel's bookkeeping. It fails if any process
-// is asleep on a receive-interrupt watch: a watch holds a blocked
-// process, which contradicts the quiescence a snapshot requires.
+// is queued for a register context: the queue holds a blocked process,
+// which contradicts the quiescence a snapshot requires.
 func (k *Kernel) Snapshot() (*Snapshot, error) {
-	if len(k.watches) != 0 {
-		return nil, fmt.Errorf("kernel: cannot snapshot with %d processes blocked on remote-write watches", len(k.watches))
-	}
 	if len(k.ctxWaiters) != 0 {
 		return nil, fmt.Errorf("kernel: cannot snapshot with %d processes queued for a register context", len(k.ctxWaiters))
 	}
@@ -122,7 +119,6 @@ func (k *Kernel) Restore(s *Snapshot) error {
 	k.shrimp2Hook = s.shrimp2
 	k.flashHook = s.flash
 	k.palDMA = s.palDMA
-	k.watches = k.watches[:0]
 	k.ctxWaiters = k.ctxWaiters[:0]
 	k.ctr = s.ctr
 	k.pager.enabled = s.pagerOn

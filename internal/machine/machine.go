@@ -230,8 +230,7 @@ type Machine struct {
 	// hosted marks a machine that runs on a shard's clock and event
 	// queue (NewHosted): it never owns them, so the whole-queue
 	// operations (Settle, Snapshot) are forbidden — the shard barrier
-	// drives quiescence and SnapshotHosted/RestoreHosted capture the
-	// machine's own state only.
+	// drives quiescence.
 	hosted bool
 }
 

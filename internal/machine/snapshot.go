@@ -56,11 +56,11 @@ func (s *Snapshot) Time() sim.Time { return s.time }
 // Snapshot settles the machine (fires outstanding events, advancing the
 // clock past the last of them) and captures its complete state. It
 // fails if the world cannot be quiesced: a process still live, a
-// process blocked on a remote-write watch, or the engine attached to a
+// process queued for a register context, or the engine attached to a
 // cluster fabric (in-flight link traffic lives outside the machine).
 func (m *Machine) Snapshot() (*Snapshot, error) {
 	if m.hosted {
-		return nil, fmt.Errorf("machine: Snapshot on a shard-hosted machine (use SnapshotHosted at a quiescent cluster barrier)")
+		return nil, fmt.Errorf("machine: Snapshot on a shard-hosted machine (its shard owns the clock and event queue)")
 	}
 	m.Settle()
 	runner, err := m.Runner.Snapshot()
@@ -247,70 +247,4 @@ func NewFromSnapshotHosted(s *Snapshot, clock *sim.Clock, events *sim.EventQueue
 		return nil, err
 	}
 	return m, nil
-}
-
-// SnapshotHosted captures a shard-hosted machine's own state. The
-// caller must hold the cluster at a quiescent barrier (no pending
-// events anywhere), which is what lets the snapshot skip Settle and
-// detach the engine's fabric port for the duration — with no link
-// traffic in flight the no-fabric snapshot rule holds trivially. The
-// event-queue sequence is recorded as zero: hosted restores never touch
-// the shared queue.
-func (m *Machine) SnapshotHosted() (*Snapshot, error) {
-	if !m.hosted {
-		return nil, fmt.Errorf("machine: SnapshotHosted on a standalone machine (use Snapshot)")
-	}
-	port := m.Engine.Remote()
-	if port != nil {
-		m.Engine.SetRemoteHandler(nil)
-		defer m.Engine.SetRemoteHandler(port)
-	}
-	runner, err := m.Runner.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	engine, err := m.Engine.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	kern, err := m.Kernel.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	s := &Snapshot{
-		cfg:    m.Cfg,
-		time:   m.Clock.Now(),
-		mem:    m.Mem.Snapshot(),
-		bus:    m.Bus.Snapshot(),
-		wb:     m.WB.Snapshot(),
-		cpu:    m.CPU.Snapshot(),
-		engine: engine,
-		kern:   kern,
-		runner: runner,
-		origin: m,
-	}
-	if m.IOMMU != nil {
-		s.iommuS = m.IOMMU.Snapshot()
-	}
-	if m.Tracer != nil {
-		s.trace = m.Tracer.State()
-	}
-	return s, nil
-}
-
-// RestoreHosted rewinds a shard-hosted machine in place to a snapshot
-// taken by SnapshotHosted on the same machine. Like SnapshotHosted it
-// requires a quiescent barrier; the shard clock and queue are left to
-// the cluster's own snapshot machinery.
-func (m *Machine) RestoreHosted(s *Snapshot) error {
-	if !m.hosted {
-		return fmt.Errorf("machine: RestoreHosted on a standalone machine (use Restore)")
-	}
-	if s.origin != m {
-		return fmt.Errorf("machine: RestoreHosted: not the snapshot's origin machine")
-	}
-	if err := m.Runner.Restore(s.runner); err != nil {
-		return err
-	}
-	return m.restoreSubstrates(s)
 }

@@ -53,48 +53,6 @@ func memSum(t *testing.T, c *net.Cluster) uint64 {
 	return h
 }
 
-// TestClusterSnapshotRestoreFidelity: snapshot a quiescent faulted
-// cluster mid-history, keep running, rewind, re-run the same schedule —
-// the replay must match byte-for-byte: same fabric counters, same
-// memory contents, same fault verdicts (the plane's RNG position and
-// per-link counters rewound with the nodes).
-func TestClusterSnapshotRestoreFidelity(t *testing.T) {
-	c := net.MustNewCluster(2, cfg(), net.Gigabit())
-	plan := fault.Plan{Default: fault.LinkFaults{
-		Drop:      0.25,
-		Dup:       0.2,
-		Reorder:   0.2,
-		ReorderBy: 15 * sim.Microsecond,
-		Jitter:    3 * sim.Microsecond,
-	}}
-	c.Fabric.SetFaultPlane(fault.New(plan, 21))
-
-	driveSchedule(t, c, 40) // phase A: arbitrary history before the snapshot
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	driveSchedule(t, c, 60) // phase B, first run
-	stats1, sum1 := c.Fabric.Counters(), memSum(t, c)
-
-	if err := c.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	driveSchedule(t, c, 60) // phase B, replayed
-	stats2, sum2 := c.Fabric.Counters(), memSum(t, c)
-
-	if stats1 != stats2 {
-		t.Fatalf("fabric stats diverged after restore:\n first %+v\nreplay %+v", stats1, stats2)
-	}
-	if sum1 != sum2 {
-		t.Fatalf("node memory diverged after restore: %#x vs %#x", sum1, sum2)
-	}
-	if stats1.FaultDropped == 0 || stats1.Duplicated == 0 || stats1.Reordered == 0 {
-		t.Fatalf("fault plane never fired (stats %+v) — fidelity not exercised", stats1)
-	}
-}
-
 // TestZeroFaultPlaneByteIdentity: a fabric carrying a zero-fault plane
 // is bit-for-bit identical to a fabric with no plane at all — same
 // memory contents, same counters, same settle time. This is the

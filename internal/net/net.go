@@ -82,9 +82,7 @@ type Verdict struct {
 // once per remote payload at send time with the source and destination
 // node ids and the simulated send instant; it must be deterministic
 // (any randomness seeded, never host state) because the fabric replays
-// byte-identically from a seed. Snapshot/RestoreState capture whatever
-// the plane needs (RNG position, per-link counters) so net.Cluster
-// snapshots can rewind the plane along with the nodes.
+// byte-identically from a seed.
 //
 // Remote atomics (RMWRemote) are deliberately NOT judged: they model
 // Telegraphos' synchronous locked transactions, which either complete
@@ -93,8 +91,6 @@ type Verdict struct {
 // stand on.
 type FaultPlane interface {
 	Judge(src, dst int, at sim.Time) Verdict
-	SnapshotState() any
-	RestoreState(state any) error
 }
 
 // Cluster is a set of machines on a shared clock, connected by a
@@ -319,8 +315,6 @@ func (f *Fabric) land(d *delivery) {
 		panic(err)
 	}
 	f.ctr.Delivered.Inc()
-	// Receive interrupt: wake any process sleeping on this range.
-	dst.Kernel.NotifyRemoteWrite(d.addr, len(d.buf))
 	d.buf = d.buf[:0]
 	f.free = append(f.free, d)
 }

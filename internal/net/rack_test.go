@@ -32,7 +32,6 @@ func newRackGossip(nodes, shards int, seed uint64) (*gossip, *ShardedCluster) {
 	}
 	g := &gossip{c: c, nodes: nodes, got: make([]uint64, nodes)}
 	c.SetDeliver(g.deliver)
-	c.SetStateHook(g)
 	return g, c
 }
 
@@ -65,47 +64,5 @@ func TestRackShardParity(t *testing.T) {
 				t.Errorf("%s: totals %+v, reference %+v", name, totals, refTotals)
 			}
 		}
-	}
-}
-
-// TestRackSnapshotRestore rewinds a rack-topology world mid-life and
-// requires a byte-identical rerun.
-func TestRackSnapshotRestore(t *testing.T) {
-	const nodes, seed, shards = 24, 7, 4
-	g, c := newRackGossip(nodes, shards, seed)
-	g.prime()
-	if err := c.Run(1, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	sn, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second life from the captured instant.
-	second := func() {
-		for n := 0; n < nodes; n++ {
-			n := n
-			c.At(n, c.shards[c.nodeShard[n]].Clock.Now()+sim.Millisecond, func(now sim.Time) { g.burst(n, now) })
-		}
-		if err := c.Run(1, 1<<20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	second()
-	fp1, totals1 := c.Fingerprint(), c.Totals()
-	got1 := append([]uint64(nil), g.got...)
-
-	if err := c.Restore(sn); err != nil {
-		t.Fatal(err)
-	}
-	second()
-	if fp2 := c.Fingerprint(); fp2 != fp1 {
-		t.Errorf("rewound rerun fingerprint %016x != %016x", fp2, fp1)
-	}
-	if totals2 := c.Totals(); totals2 != totals1 {
-		t.Errorf("rewound rerun totals %+v != %+v", totals2, totals1)
-	}
-	if !reflect.DeepEqual(g.got, got1) {
-		t.Error("rewound rerun receive counts diverged")
 	}
 }

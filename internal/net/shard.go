@@ -110,14 +110,6 @@ type SMsg struct {
 // via Send/At.
 type SDeliver func(m SMsg, now sim.Time)
 
-// ShardState lets a model participate in Snapshot/Restore: whatever it
-// returns from SnapshotState is handed back to RestoreState. Same
-// contract as the fault-plane hook on the machine-accurate cluster.
-type ShardState interface {
-	SnapshotState() any
-	RestoreState(state any) error
-}
-
 // shardCtr is one shard's private traffic counters. Each shard's cells
 // are touched only by that shard's goroutine during windows (delivered,
 // bytes on the destination; sent on the source) and read only at
@@ -173,7 +165,6 @@ type ShardedCluster struct {
 	pending []SMsg // flush scratch: gathered + sorted outboxes
 
 	deliver SDeliver
-	state   ShardState // optional model snapshot hook
 
 	// plane is the optional fault injector on cross-shard links. Every
 	// flushed message is judged exactly once, in the canonical
@@ -333,9 +324,6 @@ func (c *ShardedCluster) NodeEnv(n int) (*sim.Clock, *sim.EventQueue) {
 
 // SetDeliver installs the model's receive hook.
 func (c *ShardedCluster) SetDeliver(fn SDeliver) { c.deliver = fn }
-
-// SetStateHook installs the model's snapshot/restore participant.
-func (c *ShardedCluster) SetStateHook(h ShardState) { c.state = h }
 
 // At schedules a node-local model event for node n at time at, on n's
 // shard queue. Call only from n's own events (or from the coordinator
@@ -710,119 +698,4 @@ func (c *ShardedCluster) Fingerprint() uint64 {
 	h = fpMix(h, uint64(t.Finish))
 	h = fpMix(h, 0)
 	return h
-}
-
-// ShardedSnapshot is a quiescent capture of a sharded cluster, in the
-// settle-then-capture discipline of machine.Snapshot: every queue
-// drained, every outbox flushed. Restoring onto a cluster built with
-// the SAME config rewinds it to the captured instant, so a template
-// world can be constructed once and re-primed per measurement cell.
-type ShardedSnapshot struct {
-	nodes, shards int
-
-	rngState []uint64
-	egress   []sim.Time
-	eseq     []uint64
-
-	clocks  []sim.Time
-	seqs    []uint64
-	fired   []uint64
-	reached []sim.Time
-
-	sent, delivered, bytes []uint64
-
-	horizon sim.Time
-	windows uint64
-
-	plane any // FaultPlane state payload
-
-	model any // ShardState hook payload
-}
-
-// Snapshot captures the cluster. It refuses a non-quiescent world:
-// pending events or unflushed outboxes mean in-flight closures that no
-// snapshot can re-create.
-func (c *ShardedCluster) Snapshot() (*ShardedSnapshot, error) {
-	for _, s := range c.shards {
-		if s.Events.Len() != 0 {
-			return nil, fmt.Errorf("net: sharded snapshot with %d pending events on shard %d", s.Events.Len(), s.ID)
-		}
-	}
-	for i, ob := range c.outbox {
-		if len(ob) != 0 {
-			return nil, fmt.Errorf("net: sharded snapshot with %d unflushed messages on shard %d", len(ob), i)
-		}
-	}
-	sn := &ShardedSnapshot{
-		nodes: c.cfg.Nodes, shards: c.cfg.Shards,
-		rngState:  make([]uint64, len(c.rng)),
-		egress:    append([]sim.Time(nil), c.egress...),
-		eseq:      append([]uint64(nil), c.eseq...),
-		clocks:    make([]sim.Time, len(c.shards)),
-		seqs:      make([]uint64, len(c.shards)),
-		fired:     make([]uint64, len(c.shards)),
-		reached:   make([]sim.Time, len(c.shards)),
-		sent:      make([]uint64, len(c.shards)),
-		delivered: make([]uint64, len(c.shards)),
-		bytes:     make([]uint64, len(c.shards)),
-		horizon:   c.horizon,
-		windows:   c.windows,
-	}
-	for n := range c.rng {
-		sn.rngState[n] = c.rng[n].State()
-	}
-	for i, s := range c.shards {
-		sn.clocks[i] = s.Clock.Now()
-		sn.seqs[i] = s.Events.SnapshotSeq()
-		sn.fired[i] = s.Fired
-		sn.reached[i] = s.Reached
-		sn.sent[i] = c.ctr[i].sent.Value()
-		sn.delivered[i] = c.ctr[i].delivered.Value()
-		sn.bytes[i] = c.ctr[i].bytes.Value()
-	}
-	if c.plane != nil {
-		sn.plane = c.plane.SnapshotState()
-	}
-	if c.state != nil {
-		sn.model = c.state.SnapshotState()
-	}
-	return sn, nil
-}
-
-// Restore rewinds the cluster to a snapshot taken from a cluster of
-// the same shape (nodes and shards must match; the snapshot stores
-// per-shard state positionally).
-func (c *ShardedCluster) Restore(sn *ShardedSnapshot) error {
-	if sn.nodes != c.cfg.Nodes || sn.shards != c.cfg.Shards {
-		return fmt.Errorf("net: restore: snapshot of %d nodes/%d shards onto %d nodes/%d shards",
-			sn.nodes, sn.shards, c.cfg.Nodes, c.cfg.Shards)
-	}
-	for n := range c.rng {
-		c.rng[n].SetState(sn.rngState[n])
-	}
-	copy(c.egress, sn.egress)
-	copy(c.eseq, sn.eseq)
-	for i, s := range c.shards {
-		s.Clock.Reset(sn.clocks[i])
-		s.Events.Reset(sn.seqs[i])
-		s.Fired = sn.fired[i]
-		s.Reached = sn.reached[i]
-		c.ctr[i].sent = obs.Counter(sn.sent[i])
-		c.ctr[i].delivered = obs.Counter(sn.delivered[i])
-		c.ctr[i].bytes = obs.Counter(sn.bytes[i])
-		c.outbox[i] = c.outbox[i][:0]
-	}
-	c.horizon = sn.horizon
-	c.windows = sn.windows
-	if c.plane != nil && sn.plane != nil {
-		if err := c.plane.RestoreState(sn.plane); err != nil {
-			return fmt.Errorf("net: restore fault plane: %w", err)
-		}
-	}
-	if c.state != nil && sn.model != nil {
-		if err := c.state.RestoreState(sn.model); err != nil {
-			return fmt.Errorf("net: restore model state: %w", err)
-		}
-	}
-	return nil
 }

@@ -31,7 +31,6 @@ func newGossip(nodes, shards int, seed uint64) (*gossip, *ShardedCluster) {
 	}
 	g := &gossip{c: c, nodes: nodes, got: make([]uint64, nodes)}
 	c.SetDeliver(g.deliver)
-	c.SetStateHook(g)
 	return g, c
 }
 
@@ -69,19 +68,6 @@ func (g *gossip) deliver(m SMsg, now sim.Time) {
 		dst++
 	}
 	g.c.Send(m.Dst, dst, 1, m.Bytes, m.Arg-1, now)
-}
-
-func (g *gossip) SnapshotState() any {
-	return append([]uint64(nil), g.got...)
-}
-
-func (g *gossip) RestoreState(state any) error {
-	s, ok := state.([]uint64)
-	if !ok || len(s) != len(g.got) {
-		return fmt.Errorf("gossip: bad state")
-	}
-	copy(g.got, s)
-	return nil
 }
 
 // run executes the gossip to quiescence and returns the world's
@@ -128,57 +114,6 @@ func TestShardEquivalence(t *testing.T) {
 				t.Errorf("%s: per-node receive counts diverge from reference", name)
 			}
 		}
-	}
-}
-
-// TestShardSnapshotRestore pins cross-shard snapshot/restore fidelity:
-// capture a quiescent mid-run world, run a second phase, rewind, run
-// the second phase again — both passes must be byte-identical, and the
-// restored world must not leak post-snapshot state.
-func TestShardSnapshotRestore(t *testing.T) {
-	const nodes, shards, seed = 16, 4, 7
-	g, c := newGossip(nodes, shards, seed)
-	g.prime()
-	if err := c.Run(4, 1<<20); err != nil {
-		t.Fatalf("phase 1: %v", err)
-	}
-	sn, err := c.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	fpAtSnap := c.Fingerprint()
-
-	phase2 := func(workers int) uint64 {
-		for n := 0; n < nodes; n += 2 {
-			n := n
-			c.At(n, c.shards[c.nodeShard[n]].Clock.Now()+sim.Microsecond, func(now sim.Time) { g.burst(n, now) })
-		}
-		if err := c.Run(workers, 1<<20); err != nil {
-			t.Fatalf("phase 2: %v", err)
-		}
-		return c.Fingerprint()
-	}
-	first := phase2(1)
-	if first == fpAtSnap {
-		t.Fatal("phase 2 changed nothing — test is vacuous")
-	}
-	if err := c.Restore(sn); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if fp := c.Fingerprint(); fp != fpAtSnap {
-		t.Fatalf("restored fingerprint %016x, snapshot had %016x", fp, fpAtSnap)
-	}
-	if second := phase2(4); second != first {
-		t.Fatalf("replayed phase 2 fingerprint %016x, first pass %016x", second, first)
-	}
-}
-
-// Snapshot must refuse a non-quiescent world.
-func TestShardSnapshotRefusesInFlight(t *testing.T) {
-	g, c := newGossip(8, 2, 1)
-	g.prime()
-	if _, err := c.Snapshot(); err == nil {
-		t.Fatal("Snapshot() accepted a world with pending events")
 	}
 }
 

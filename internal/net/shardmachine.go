@@ -8,13 +8,6 @@ package net
 // transactions and DMA-engine completions all ride the window
 // synchronizer like any other event.
 //
-// The bundle implements ShardState, which is what makes the cluster's
-// quiescent Snapshot/Restore cover the whole fleet: at a barrier every
-// machine is captured with SnapshotHosted (which detaches the engine's
-// fabric port for the duration — no link traffic is in flight at a
-// barrier) and rewound with RestoreHosted. A model's own bookkeeping
-// chains through Inner.
-//
 // Time discipline: shard clocks are shared scratch (sim.Shard.RunWindow
 // resets the clock per event), but each MACHINE's substrates — bus
 // busy-until, write-buffer slots — must only ever see monotonic time.
@@ -33,20 +26,8 @@ import (
 // HostedMachines is a per-node fleet of shard-hosted machines mounted
 // on a sharded cluster.
 type HostedMachines struct {
-	c     *ShardedCluster
 	nodes []*machine.Machine
 	busy  []sim.Time // per-node monotonic CPU high-water mark
-	// Inner optionally chains a model's own snapshot hook behind the
-	// fleet's (set before the first Snapshot).
-	Inner ShardState
-}
-
-// hostedState is the ShardState payload: one hosted snapshot per node
-// plus the time floors and the chained model payload.
-type hostedState struct {
-	machines []*machine.Snapshot
-	busy     []sim.Time
-	inner    any
 }
 
 // NewHostedMachines mounts one shard-hosted machine per cluster node.
@@ -61,9 +42,7 @@ func NewHostedMachines(c *ShardedCluster, nodes []*machine.Machine) (*HostedMach
 			return nil, fmt.Errorf("net: node %d machine is not shard-hosted (use machine.NewHosted)", n)
 		}
 	}
-	h := &HostedMachines{c: c, nodes: nodes, busy: make([]sim.Time, len(nodes))}
-	c.SetStateHook(h)
-	return h, nil
+	return &HostedMachines{nodes: nodes, busy: make([]sim.Time, len(nodes))}, nil
 }
 
 // Machine returns node n's hosted machine.
@@ -107,48 +86,4 @@ func (h *HostedMachines) Bump(n int, at sim.Time) {
 	if at > h.busy[n] {
 		h.busy[n] = at
 	}
-}
-
-// SnapshotState implements ShardState: a hosted snapshot of every
-// machine, in node order. The cluster has already verified quiescence
-// (no pending events, no unflushed outboxes) before calling, so a
-// failure here means a machine broke its own invariants — that is a
-// model bug, and it panics like the engine's causality checks do.
-func (h *HostedMachines) SnapshotState() any {
-	st := &hostedState{
-		machines: make([]*machine.Snapshot, len(h.nodes)),
-		busy:     append([]sim.Time(nil), h.busy...),
-	}
-	for n, m := range h.nodes {
-		s, err := m.SnapshotHosted()
-		if err != nil {
-			panic(fmt.Sprintf("net: hosted snapshot of node %d at a quiescent barrier: %v", n, err))
-		}
-		st.machines[n] = s
-	}
-	if h.Inner != nil {
-		st.inner = h.Inner.SnapshotState()
-	}
-	return st
-}
-
-// RestoreState implements ShardState.
-func (h *HostedMachines) RestoreState(state any) error {
-	st, ok := state.(*hostedState)
-	if !ok {
-		return fmt.Errorf("net: hosted machines: foreign snapshot payload %T", state)
-	}
-	if len(st.machines) != len(h.nodes) {
-		return fmt.Errorf("net: hosted machines: snapshot of %d nodes onto %d", len(st.machines), len(h.nodes))
-	}
-	for n, m := range h.nodes {
-		if err := m.RestoreHosted(st.machines[n]); err != nil {
-			return fmt.Errorf("net: hosted machines: node %d: %w", n, err)
-		}
-	}
-	copy(h.busy, st.busy)
-	if h.Inner != nil && st.inner != nil {
-		return h.Inner.RestoreState(st.inner)
-	}
-	return nil
 }

@@ -110,9 +110,6 @@ func (q *EventQueue) pop() event {
 	return top
 }
 
-// Len reports how many events are pending.
-func (q *EventQueue) Len() int { return len(q.h) }
-
 // NextAt returns the timestamp of the earliest pending event, or Never if
 // the queue is empty.
 func (q *EventQueue) NextAt() Time {

@@ -98,18 +98,13 @@ type FaultKind uint8
 const (
 	FaultUnmapped   FaultKind = iota // no page-table entry
 	FaultProtection                  // entry exists, rights insufficient
-	FaultAlignment                   // access not naturally aligned
 )
 
 func (k FaultKind) String() string {
-	switch k {
-	case FaultUnmapped:
+	if k == FaultUnmapped {
 		return "unmapped"
-	case FaultProtection:
-		return "protection"
-	default:
-		return "alignment"
 	}
+	return "protection"
 }
 
 // Fault is the error returned for a failed translation. The kernel's DMA

@@ -3,18 +3,22 @@ package uldma_test
 // The reachability check: every exported func, method, type or var in
 // internal/ must have a user among the non-test files of the tree (the
 // mains under cmd/ and examples/, the internal packages themselves, the
-// root, and perfbench/). An export only tests reach is surface nothing
-// ships; each finding is deleted with the tests that only it serves,
-// moved into its package's export_test.go or the one _test.go file that
-// uses it, or listed in reachAllow with its reason. The check uses only
-// go/build, go/parser and go/types: the tree's packages are type-checked
-// from source, the standard library through the "source" importer.
+// root, and perfbench/). So must every non-zero member of a named
+// constant type, and a Sys* syscall number needs its user outside its
+// own package: the kernel's dispatch switch is not an issuer. An export
+// only tests reach is surface nothing ships; each finding is deleted
+// with the tests that only it serves, moved into its package's
+// export_test.go or the one _test.go file that uses it, or listed in
+// reachAllow with its reason. The check uses only go/build, go/parser,
+// go/constant and go/types: the tree's packages are type-checked from
+// source, the standard library through the "source" importer.
 
 import (
 	"bufio"
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -41,8 +45,6 @@ var reachAllow = map[string]string{
 	"kernel.(*Kernel).KernelModified":       "invariant checker for the paper's claim: core's preemption test asserts the user-level methods leave the kernel unmodified",
 	"kernel.(*Kernel).MaterializeTable":     "reference model: lays a process's mappings out as hardware page tables for vm's Walk; in kernel's export_test.go it would strand vm.Materialize instead",
 	"net.(*ShardedCluster).SetFaultPlane":   "SC1/SC2 evidence (DESIGN §5): exp's scale fault-parity tests attach a fault plane to the sharded worlds",
-	"net.(*ShardedCluster).Snapshot":        "SC2 evidence (DESIGN §5): exp's scalemachine snapshot test and net's shard tests rewind quiescent sharded worlds",
-	"net.(*ShardedCluster).Restore":         "SC2 evidence (DESIGN §5): the restore half of the quiescent sharded snapshot",
 	"vm.(*MaterializedTable).Walk":          "reference model: the hardware page walk that kernel's and vm's tests check against the software map (DESIGN §4 vm row)",
 }
 
@@ -57,10 +59,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if _, ok := reachAllow[f.name]; ok {
 			continue
 		}
-		t.Errorf("%s: %s is exported but no non-test file uses it; delete it "+
+		t.Errorf("%s: %s is exported but %s; delete it "+
 			"with the tests that only it serves, move it into its package's "+
 			"export_test.go or the one _test.go file that uses it, or list it "+
-			"in reachAllow (reach_test.go) with its reason", f.pos, f.name)
+			"in reachAllow (reach_test.go) with its reason", f.pos, f.name, f.rule)
 	}
 	if len(reachAllow) > 10 {
 		t.Errorf("reachAllow has %d entries; it holds at most 10", len(reachAllow))
@@ -83,7 +85,11 @@ func TestReachFixture(t *testing.T) {
 	for _, f := range findings {
 		got = append(got, f.pos+" "+f.name)
 	}
-	want := []string{"internal/lib/lib.go:9:6 lib.OnlyTested"}
+	want := []string{
+		"internal/lib/lib.go:30:2 lib.SysX",
+		"internal/lib/lib.go:49:2 lib.Blue",
+		"internal/lib/lib.go:9:6 lib.OnlyTested",
+	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
@@ -92,14 +98,17 @@ func TestReachFixture(t *testing.T) {
 type reachFinding struct {
 	pos  string // file:line:col, relative to the scanned root
 	name string // pkg.Name or pkg.(*T).Name, pkg relative to internal/
+	rule string // the use it lacks
 }
 
 // testOnlyExports type-checks every package under root (nested modules
 // included, each under the module path its go.mod names) and reports
 // each exported object declared in a non-test file of a package under
-// internal/ that no non-test file uses. Constants, String/Error/
-// MarshalJSON methods, methods that satisfy a used interface method,
-// and packages whose name ends in "test" are exempt.
+// internal/ that no non-test file uses — for a Sys* constant, no
+// non-test file outside its package. Untyped constants other than Sys*,
+// the zero member of a named constant type, String/Error/MarshalJSON
+// methods, methods that satisfy a used interface method, and packages
+// whose name ends in "test" are exempt.
 func testOnlyExports(root string) ([]reachFinding, error) {
 	dirs := map[string]string{} // import path -> directory
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -134,7 +143,7 @@ func testOnlyExports(root string) ([]reachFinding, error) {
 
 	fset := token.NewFileSet()
 	imp := &treeImporter{fset: fset, dirs: dirs, std: importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*types.Package{}, used: map[types.Object]bool{}}
+		pkgs: map[string]*types.Package{}, used: map[types.Object]bool{}, usedOutside: map[types.Object]bool{}}
 	var paths []string
 	for p := range dirs {
 		paths = append(paths, p)
@@ -157,7 +166,11 @@ func testOnlyExports(root string) ([]reachFinding, error) {
 		}
 		short := p[i+len("/internal/"):]
 		report := func(obj types.Object, name string) {
-			if !obj.Exported() || imp.used[obj] {
+			reached, rule := imp.used[obj], "no non-test file uses it"
+			if _, ok := obj.(*types.Const); ok && strings.HasPrefix(name, "Sys") {
+				reached, rule = imp.usedOutside[obj], "no non-test file outside its package uses it"
+			}
+			if !obj.Exported() || reached {
 				return
 			}
 			pos := fset.Position(obj.Pos())
@@ -165,6 +178,7 @@ func testOnlyExports(root string) ([]reachFinding, error) {
 			out = append(out, reachFinding{
 				pos:  fmt.Sprintf("%s:%d:%d", filepath.ToSlash(file), pos.Line, pos.Column),
 				name: short + "." + name,
+				rule: rule,
 			})
 		}
 		scope := pkg.Scope()
@@ -172,6 +186,10 @@ func testOnlyExports(root string) ([]reachFinding, error) {
 			switch obj := scope.Lookup(n).(type) {
 			case *types.Func, *types.Var:
 				report(obj, n)
+			case *types.Const:
+				if _, named := obj.Type().(*types.Named); strings.HasPrefix(n, "Sys") || named && !zeroConst(obj.Val()) {
+					report(obj, n)
+				}
 			case *types.TypeName:
 				report(obj, n)
 				named, ok := obj.Type().(*types.Named)
@@ -204,11 +222,12 @@ func testOnlyExports(root string) ([]reachFinding, error) {
 // files, memoized, and records every object those files use; anything
 // else comes from the standard library's source importer.
 type treeImporter struct {
-	fset *token.FileSet
-	dirs map[string]string
-	std  types.Importer
-	pkgs map[string]*types.Package
-	used map[types.Object]bool
+	fset        *token.FileSet
+	dirs        map[string]string
+	std         types.Importer
+	pkgs        map[string]*types.Package
+	used        map[types.Object]bool
+	usedOutside map[types.Object]bool // used by a package other than its own
 }
 
 func (imp *treeImporter) Import(path string) (*types.Package, error) {
@@ -248,6 +267,9 @@ func (imp *treeImporter) Import(path string) (*types.Package, error) {
 				if id, ok := n.(*ast.Ident); ok {
 					if obj := origin(info.Uses[id]); obj != nil && obj != self {
 						imp.used[obj] = true
+						if obj.Pkg() != pkg {
+							imp.usedOutside[obj] = true
+						}
 					}
 				}
 				return true
@@ -277,6 +299,17 @@ func (imp *treeImporter) satisfiesUsedInterface(named *types.Named, m *types.Fun
 		}
 	}
 	return false
+}
+
+// zeroConst reports whether v is its type's zero value.
+func zeroConst(v constant.Value) bool {
+	switch v.Kind() {
+	case constant.String:
+		return constant.StringVal(v) == ""
+	case constant.Bool:
+		return !constant.BoolVal(v)
+	}
+	return constant.Sign(v) == 0
 }
 
 // origin maps an instantiated generic func or var to its declaration.

@@ -8,5 +8,5 @@ import (
 )
 
 func main() {
-	fmt.Println(lib.Used(), lib.NewSquare(3).Area())
+	fmt.Println(lib.Used(), lib.NewSquare(3).Area(), lib.SysIssued, lib.Green)
 }

@@ -21,3 +21,30 @@ func (s Square) Area() int { return s.Side * s.Side }
 func NewSquare(side int) Shape { return Square{Side: side} }
 
 func hook() int { return 3 }
+
+// Syscall numbers need an issuer outside their own package.
+const (
+	// SysIssued is issued by the main: not flagged.
+	SysIssued = iota
+	// SysX is named only by dispatch, in its own package: flagged.
+	SysX
+)
+
+func dispatch(num int) int {
+	switch num {
+	case SysIssued, SysX:
+		return num
+	}
+	return -1
+}
+
+// Color is a named constant type: a member no non-test file uses is
+// flagged, except the zero member every zero value holds.
+type Color uint8
+
+// Colors.
+const (
+	Red   Color = iota // zero: not flagged
+	Green              // used by the main: not flagged
+	Blue               // unused: flagged
+)
