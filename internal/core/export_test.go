@@ -20,14 +20,20 @@ func SetFastForward(on bool) (prev bool) {
 	return prev
 }
 
-// PostPending is Post plus a RingPending pre-write into the status
+// ringPending is the "posted, not yet completed" marker PostPending
+// pre-writes into a descriptor's status word; the engine only ever
+// overwrites it with the completion record. (dma's ring tests keep the
+// same value; a core test cannot import dma's test files.)
+const ringPending = ^uint64(2)
+
+// PostPending is Post plus a ringPending pre-write into the status
 // word, for clients that poll per-descriptor completion records
 // instead of the doorbell's in-flight count.
 func (h *RingHandle) PostPending(c *proc.Context, slot uint64, src, dst phys.Addr, size uint64) error {
 	if err := h.Post(c, slot, src, dst, size); err != nil {
 		return err
 	}
-	return c.Store(h.slotVA(slot)+dma.DescStatus, phys.Size64, dma.RingPending)
+	return c.Store(h.slotVA(slot)+dma.DescStatus, phys.Size64, ringPending)
 }
 
 // tlbStamps renders the CPU TLB's entries with their LRU stamps, its

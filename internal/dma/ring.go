@@ -43,14 +43,6 @@ const (
 	DescBytes  = 64
 )
 
-// RingPending is the client-side convention for "posted, not yet
-// completed" in a descriptor's status slot. The engine never reads the
-// status word (the doorbell count alone says how many slots to walk);
-// it only overwrites it with the completion record, so a client that
-// pre-writes RingPending can poll its descriptors for completion
-// without a doorbell load.
-const RingPending = ^uint64(2)
-
 // ringExtent is one registered buffer range descriptors may reference.
 type ringExtent struct {
 	base phys.Addr

@@ -52,6 +52,13 @@ func armRing(t *testing.T, f *engFixture, depth uint64) {
 	}
 }
 
+// ringPending marks a descriptor "posted, not yet completed" in its
+// status slot. The engine never reads the status word (the doorbell
+// count alone says how many slots to walk); it only overwrites it with
+// the completion record, so a status still holding ringPending shows
+// the engine has not walked that slot.
+const ringPending = ^uint64(2)
+
 // post writes one descriptor into slot (cached-store side of the
 // protocol: plain memory writes, the engine only sees the doorbell).
 func post(t *testing.T, f *engFixture, slot uint64, src, dst phys.Addr, size uint64) {
@@ -64,7 +71,7 @@ func post(t *testing.T, f *engFixture, slot uint64, src, dst phys.Addr, size uin
 		{DescSrc, uint64(src)},
 		{DescDst, uint64(dst)},
 		{DescSize, size},
-		{DescStatus, RingPending},
+		{DescStatus, ringPending},
 	} {
 		if err := f.mem.Write(base+phys.Addr(w.off), phys.Size64, w.val); err != nil {
 			t.Fatal(err)
@@ -246,7 +253,7 @@ func TestRingKeyedDoorbell(t *testing.T) {
 	if s := f.e.Counters(); s.KeyMismatches != 1 || s.RingPosted != 0 {
 		t.Fatalf("forged key: mismatches %d posted %d, want 1/0", s.KeyMismatches, s.RingPosted)
 	}
-	if status, _ := completion(t, f, 0); status != RingPending {
+	if status, _ := completion(t, f, 0); status != ringPending {
 		t.Fatalf("forged doorbell walked the ring: status %#x", status)
 	}
 

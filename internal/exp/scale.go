@@ -381,11 +381,10 @@ func newScaleWorld(p Params) (*scaleWorld, error) {
 		return nil, err
 	}
 	c, err := net.NewShardedCluster(net.ShardedConfig{
-		Nodes:     k.nodes,
-		Shards:    k.shards,
-		Link:      net.Gigabit(),
-		Seed:      k.seed,
-		QueueHint: 4 * k.nodes / k.shards,
+		Nodes:  k.nodes,
+		Shards: k.shards,
+		Link:   net.Gigabit(),
+		Seed:   k.seed,
 	})
 	if err != nil {
 		return nil, err

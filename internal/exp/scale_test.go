@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"uldma/internal/fault"
-	"uldma/internal/net"
 	"uldma/internal/sim"
 )
 
@@ -87,85 +85,6 @@ func TestScaleThousandNode(t *testing.T) {
 		if got != ref {
 			t.Errorf("shards=%d workers=%d diverges at 1000 nodes:\n got %+v\nwant %+v", sw[0], sw[1], got, ref)
 		}
-	}
-}
-
-// countingPlane passes a fault plane's verdicts through and counts the
-// messages it deleted and the extra copies it injected.
-type countingPlane struct {
-	net.FaultPlane
-	drops, dups uint64
-}
-
-func (p *countingPlane) Judge(src, dst int, at sim.Time) net.Verdict {
-	v := p.FaultPlane.Judge(src, dst, at)
-	if v.N == 0 {
-		p.drops++
-	} else {
-		p.dups += uint64(v.N - 1)
-	}
-	return v
-}
-
-// faultedScaleRun builds the flat world, attaches plane (nil for none)
-// to the cross-shard links (judged per message in canonical flush order
-// on the coordinator), then primes and runs it.
-func faultedScaleRun(t *testing.T, p Params, workers int, plane net.FaultPlane) (pt ScalePoint, drops, dups uint64) {
-	t.Helper()
-	w, err := newScaleWorld(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cp *countingPlane
-	if plane != nil {
-		cp = &countingPlane{FaultPlane: plane}
-		w.c.SetFaultPlane(cp)
-	}
-	w.prime()
-	if err := w.run(workers); err != nil {
-		t.Fatalf("shards=%d workers=%d: %v", p.Shards, workers, err)
-	}
-	if cp != nil {
-		drops, dups = cp.drops, cp.dups
-	}
-	return w.point(), drops, dups
-}
-
-// TestScaleFaultParity pins the cross-shard fault injector on the flat
-// world: the same (plan, seed) perturbs the same world identically at
-// every layout, and the zero plan is byte-equal to no plane at all.
-func TestScaleFaultParity(t *testing.T) {
-	p := Params{Nodes: 32, Arrival: 20000, ScaleDur: sim.Millisecond}
-	plan := fault.Plan{Default: fault.LinkFaults{Drop: 0.05, Dup: 0.02}}
-	layouts := [][2]int{{1, 1}, {4, 4}, {8, 8}, {1, 8}, {8, 1}}
-	if raceEnabled {
-		layouts = [][2]int{{1, 1}, {4, 4}, {8, 8}}
-	}
-	var ref ScalePoint
-	var refDrops, refDups uint64
-	for i, sw := range layouts {
-		p.Shards = sw[0]
-		pt, drops, dups := faultedScaleRun(t, p, sw[1], fault.New(plan, 77))
-		got := normalizeScale(pt)
-		if i == 0 {
-			ref, refDrops, refDups = got, drops, dups
-			if refDrops == 0 || refDups == 0 {
-				t.Fatalf("plan drew no faults (drops=%d dups=%d) — the parity check is vacuous", refDrops, refDups)
-			}
-			continue
-		}
-		if got != ref || drops != refDrops || dups != refDups {
-			t.Errorf("shards=%d workers=%d diverges under faults:\n got %+v (drops=%d dups=%d)\nwant %+v (drops=%d dups=%d)",
-				sw[0], sw[1], got, drops, dups, ref, refDrops, refDups)
-		}
-	}
-
-	// Zero plan: provably inert — byte-equal to no plane at all.
-	p.Shards = 4
-	plain, _, _ := faultedScaleRun(t, p, 4, nil)
-	zeroed, drops, dups := faultedScaleRun(t, p, 4, fault.New(fault.Plan{}, 99))
-	if zeroed != plain || drops != 0 || dups != 0 {
-		t.Errorf("zero-plan run differs from plain run:\n got %+v (drops=%d dups=%d)\nwant %+v", zeroed, drops, dups, plain)
 	}
 }
 

@@ -399,11 +399,10 @@ func newScaleMachineWorld(sp scaleProtocol, p Params) (*scaleMWorld, error) {
 	}
 	base := net.Gigabit()
 	c, err := net.NewShardedCluster(net.ShardedConfig{
-		Nodes:     k.nodes,
-		Shards:    k.shards,
-		Link:      base,
-		Seed:      k.seed,
-		QueueHint: 4 * k.nodes / k.shards,
+		Nodes:  k.nodes,
+		Shards: k.shards,
+		Link:   base,
+		Seed:   k.seed,
 		// Rack topology: racks of scaleMRackSize nodes, cross-rack
 		// wires 3x the base latency. A pure function of the node ids,
 		// so identical under every shard layout.

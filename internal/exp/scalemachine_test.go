@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"uldma/internal/fault"
-	"uldma/internal/net"
 	"uldma/internal/sim"
 )
 
@@ -114,80 +112,6 @@ func TestScaleMachineThousandNode(t *testing.T) {
 		if got != ref {
 			t.Errorf("shards=%d workers=%d diverges at 1000 machines:\n got %+v\nwant %+v", sw[0], sw[1], got, ref)
 		}
-	}
-}
-
-// scaleProtocolNamed looks one protocol up in the machine world's
-// line-up.
-func scaleProtocolNamed(t *testing.T, name string) scaleProtocol {
-	t.Helper()
-	sps, err := selectProtocols(name)
-	if err != nil || len(sps) != 1 {
-		t.Fatalf("protocol %q: %v", name, err)
-	}
-	return sps[0]
-}
-
-// faultedMachineRun builds the hosted fleet, attaches plane (nil for
-// none) to the cross-shard links, then primes and runs it.
-func faultedMachineRun(t *testing.T, p Params, workers int, plane net.FaultPlane) (pt ScaleMachinePoint, drops, dups uint64) {
-	t.Helper()
-	w, err := newScaleMachineWorld(scaleProtocolNamed(t, "extshadow"), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cp *countingPlane
-	if plane != nil {
-		cp = &countingPlane{FaultPlane: plane}
-		w.c.SetFaultPlane(cp)
-	}
-	w.prime()
-	if err := w.run(workers); err != nil {
-		t.Fatalf("shards=%d workers=%d: %v", p.Shards, workers, err)
-	}
-	if cp != nil {
-		drops, dups = cp.drops, cp.dups
-	}
-	return w.observe(), drops, dups
-}
-
-// TestScaleMachineFaultParity pins the cross-shard fault injector on
-// the hosted-machine path: the same (plan, seed) perturbs the same
-// fleet identically at every layout — points, engine counters and
-// machine digest included — and the zero plan is byte-equal to no
-// plane at all (the golden-invariance proof).
-func TestScaleMachineFaultParity(t *testing.T) {
-	p := Params{Nodes: 32, Arrival: 20000, ScaleDur: sim.Millisecond}
-	plan := fault.Plan{Default: fault.LinkFaults{Drop: 0.05, Dup: 0.02}}
-	layouts := [][2]int{{1, 1}, {4, 4}, {8, 8}, {1, 8}, {8, 1}}
-	if raceEnabled {
-		layouts = [][2]int{{1, 1}, {4, 4}, {8, 8}}
-	}
-	var ref ScaleMachinePoint
-	var refDrops, refDups uint64
-	for i, sw := range layouts {
-		p.Shards = sw[0]
-		pt, drops, dups := faultedMachineRun(t, p, sw[1], fault.New(plan, 77))
-		got := normalizeScaleM(pt)
-		if i == 0 {
-			ref, refDrops, refDups = got, drops, dups
-			if refDrops == 0 || refDups == 0 || ref.Completed == 0 || ref.MachineDigest == 0 {
-				t.Fatalf("degenerate faulted run (drops=%d dups=%d): %+v — the parity check is vacuous", refDrops, refDups, ref)
-			}
-			continue
-		}
-		if got != ref || drops != refDrops || dups != refDups {
-			t.Errorf("shards=%d workers=%d diverges under faults:\n got %+v (drops=%d dups=%d)\nwant %+v (drops=%d dups=%d)",
-				sw[0], sw[1], got, drops, dups, ref, refDrops, refDups)
-		}
-	}
-
-	// Zero plan: provably inert — byte-equal to no plane at all.
-	p.Shards = 4
-	plain, _, _ := faultedMachineRun(t, p, 4, nil)
-	zeroed, drops, dups := faultedMachineRun(t, p, 4, fault.New(fault.Plan{}, 99))
-	if zeroed != plain || drops != 0 || dups != 0 {
-		t.Errorf("zero-plan run differs from plain run:\n got %+v (drops=%d dups=%d)\nwant %+v", zeroed, drops, dups, plain)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // rackLatency is a two-rack topology: cheap wires inside a rack, a
 // 10x more expensive hop across. The global lookahead is pinned to the
-// 2µs intra-rack floor, and every flushed message is checked against
+// 2µs intra-rack floor, and every sent message is checked against
 // its shard pair's floor.
 func rackLatency(nodes int) func(src, dst int) sim.Time {
 	half := nodes / 2

@@ -20,13 +20,17 @@ package net
 //     (sim.SplitSeed), never per-shard — re-partitioning must not
 //     re-deal anyone's dice.
 //  2. ALL inter-node messages — even between two nodes of the same
-//     shard — are buffered into per-shard outboxes and exchanged only
-//     at window barriers, where they are sorted by the canonical key
-//     (Arrive, Src, per-source Seq) before being scheduled. Delivery
-//     interleaving is therefore a pure function of message content.
+//     shard — are buffered in outboxes indexed by source and
+//     destination shard, and a destination shard takes its inbound
+//     messages only at the start of the next window, sorted by the
+//     canonical key (Arrive, Src, per-source Seq) before it schedules
+//     them. Each shard queue thus receives the global canonical order
+//     restricted to its own nodes, and delivery interleaving is a pure
+//     function of message content.
 //  3. The window horizon is computed from the GLOBAL earliest pending
-//     event (min over every shard queue), so the window sequence — and
-//     with it flush chronology — does not depend on the partition.
+//     event (min over every shard queue and every unscheduled
+//     arrival), so the window sequence does not depend on the
+//     partition.
 //  4. Model events must be node-local: an event on node n may touch
 //     only n's state and send messages. Cross-node interaction happens
 //     exclusively through Send, which is what makes same-instant
@@ -63,18 +67,11 @@ type ShardedConfig struct {
 	// Shards is the partition width. Nodes are dealt contiguously:
 	// shard i owns [i*Nodes/Shards, (i+1)*Nodes/Shards).
 	Shards int
-	// Link is the interconnect; Link.Latency is the default lookahead.
+	// Link is the interconnect; Link.Latency is the lookahead unless
+	// Latency is set.
 	Link LinkConfig
 	// Seed is the world seed; per-node streams are split from it.
 	Seed uint64
-	// QueueHint pre-sizes each shard's event queue (<= 0: a default).
-	QueueHint int
-	// Lookahead overrides the synchronizer lookahead. Zero selects the
-	// minimum link latency (Link.Latency, or the matrix minimum when
-	// Latency is set); larger values are rejected because a window wider
-	// than the true minimum message delay would let a cross-shard
-	// message land inside an already-running window.
-	Lookahead sim.Time
 	// Latency, when non-nil, gives each ordered node pair its own
 	// one-way wire latency (a pure function of (src, dst): topology,
 	// never state). Link.Latency is ignored for the wire when set;
@@ -83,7 +80,7 @@ type ShardedConfig struct {
 	// synchronizer lookahead — the window formula deliberately stays
 	// global so the window sequence, which is part of the fingerprint,
 	// remains layout-invariant) and a per-shard-pair minimum matrix
-	// used as a causality floor on every flushed message.
+	// used as a causality floor on every sent message.
 	Latency func(src, dst int) sim.Time
 }
 
@@ -98,8 +95,8 @@ type SMsg struct {
 	Sent     sim.Time
 	Arrive   sim.Time
 	// Seq is the per-SOURCE send sequence number. (Arrive, Src, Seq)
-	// is the canonical flush sort key: strictly total (Seq is unique
-	// per source) and computed from message content only, so barrier
+	// is the canonical inbound sort key: strictly total (Seq is unique
+	// per source) and computed from message content only, so delivery
 	// scheduling order cannot depend on shard layout.
 	Seq uint64
 }
@@ -120,11 +117,10 @@ type shardCtr struct {
 	bytes     obs.Counter
 }
 
-// sdelivery is one in-flight flushed message: a pooled record whose
+// sdelivery is one scheduled inbound message: a pooled record whose
 // fire closure is built once. Records are taken from the destination
-// shard's free list by the coordinator during flush and returned by
-// the destination shard's goroutine when they land — safe without
-// locks because coordinator and shard phases strictly alternate.
+// shard's free list when it takes its inbound and returned when they
+// land, both on that shard's goroutine, so the pool needs no lock.
 type sdelivery struct {
 	c     *ShardedCluster
 	shard int // destination shard (owner of the pool slot)
@@ -145,8 +141,7 @@ type ShardedTotals struct {
 
 // ShardedCluster is the sharded engine instance.
 type ShardedCluster struct {
-	cfg       ShardedConfig
-	lookahead sim.Time
+	cfg ShardedConfig
 
 	shards    []*sim.Shard
 	nodeShard []int32 // node -> owning shard
@@ -157,32 +152,29 @@ type ShardedCluster struct {
 	egress []sim.Time // per-source NIC serialization point
 	eseq   []uint64   // per-source send sequence
 
-	// Per-shard state.
-	outbox [][]SMsg       // messages sent during the shard's window
+	// Per-shard state. out[p][s][d] holds the messages source shard s
+	// sent to destination shard d in a window of parity p (windows&1
+	// while it ran), and outMin[p][s] the earliest arrival among
+	// everything s queued in it. Shard s writes its rows during the
+	// window; shard d takes column d at the start of the next window,
+	// whose parity differs, so no slice is touched by two goroutines.
+	out    [2][][][]SMsg
+	outMin [2][]sim.Time
+	inbox  [][]SMsg       // per dst shard: its gathered, sorted column
 	free   [][]*sdelivery // pooled delivery records, per dst shard
 	ctr    []shardCtr
 
-	pending []SMsg // flush scratch: gathered + sorted outboxes
-
 	deliver SDeliver
-
-	// plane is the optional fault injector on cross-shard links. Every
-	// flushed message is judged exactly once, in the canonical
-	// (Arrive, Src, Seq) order, on the coordinator — the flushed set per
-	// barrier and its sort are layout-invariant, so the injector's draw
-	// sequence (and therefore any (plan, seed) replay) is byte-identical
-	// at every shard and worker count.
-	plane FaultPlane
 
 	// pairMin[i][j] is the minimum wire latency from any node of shard i
 	// to any node of shard j (nil when ShardedConfig.Latency is unset —
 	// then every pair floors at Link.Latency). latMin/latMax bound the
-	// whole matrix; latMin is the synchronizer lookahead default.
+	// whole matrix; latMin is the synchronizer lookahead.
 	pairMin        [][]sim.Time
 	latMin, latMax sim.Time
 
-	// horizon is the last window's inclusive bound: no flushed arrival
-	// may land before it.
+	// horizon is the running (or last) window's inclusive bound: no
+	// message sent may arrive before it.
 	horizon sim.Time
 	windows uint64
 
@@ -210,10 +202,6 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	if cfg.Link.Latency <= 0 {
 		return nil, fmt.Errorf("net: sharded cluster needs positive link latency (it is the synchronizer lookahead)")
 	}
-	hint := cfg.QueueHint
-	if hint <= 0 {
-		hint = 256
-	}
 	c := &ShardedCluster{
 		cfg:       cfg,
 		shards:    make([]*sim.Shard, cfg.Shards),
@@ -222,12 +210,21 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		rng:       make([]sim.Rand, cfg.Nodes),
 		egress:    make([]sim.Time, cfg.Nodes),
 		eseq:      make([]uint64, cfg.Nodes),
-		outbox:    make([][]SMsg, cfg.Shards),
+		inbox:     make([][]SMsg, cfg.Shards),
 		free:      make([][]*sdelivery, cfg.Shards),
 		ctr:       make([]shardCtr, cfg.Shards),
 	}
+	for p := range c.out {
+		c.out[p] = make([][][]SMsg, cfg.Shards)
+		c.outMin[p] = make([]sim.Time, cfg.Shards)
+		for s := range c.out[p] {
+			c.out[p][s] = make([][]SMsg, cfg.Shards)
+			c.outMin[p][s] = sim.Never
+		}
+	}
 	for s := 0; s < cfg.Shards; s++ {
-		c.shards[s] = sim.NewShard(s, hint)
+		// Room for four pending events per owned node.
+		c.shards[s] = sim.NewShard(s, 4*cfg.Nodes/cfg.Shards)
 		c.first[s] = s * cfg.Nodes / cfg.Shards
 	}
 	c.first[cfg.Shards] = cfg.Nodes
@@ -242,10 +239,10 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	c.latMin, c.latMax = cfg.Link.Latency, cfg.Link.Latency
 	if cfg.Latency != nil {
 		// One full pair scan at construction: the global minimum becomes
-		// the lookahead, the per-shard-pair minima become flush-time
+		// the lookahead, the per-shard-pair minima become send-time
 		// causality floors. The scan is O(nodes²) of a pure function —
 		// amortized over the whole run, and the only place the matrix is
-		// ever materialized (flush keeps just the Shards×Shards minima).
+		// ever materialized (Send checks just the Shards×Shards minima).
 		c.pairMin = make([][]sim.Time, cfg.Shards)
 		for i := range c.pairMin {
 			row := make([]sim.Time, cfg.Shards)
@@ -281,32 +278,17 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 			c.latMin, c.latMax = cfg.Link.Latency, cfg.Link.Latency
 		}
 	}
-	la := cfg.Lookahead
-	if la == 0 {
-		la = c.latMin
-	}
-	if la < 0 || la > c.latMin {
-		return nil, fmt.Errorf("net: lookahead %v exceeds minimum link latency %v", la, c.latMin)
-	}
-	c.lookahead = la
 	return c, nil
 }
 
-// Lookahead returns the synchronizer lookahead in effect.
-func (c *ShardedCluster) Lookahead() sim.Time { return c.lookahead }
+// Lookahead returns the synchronizer lookahead: the minimum one-way
+// wire latency, below which no message can arrive after it is sent.
+func (c *ShardedCluster) Lookahead() sim.Time { return c.latMin }
 
 // LatencyBounds returns the minimum and maximum one-way wire latency
 // over all ordered node pairs (equal to Link.Latency twice when no
 // latency matrix is configured).
 func (c *ShardedCluster) LatencyBounds() (min, max sim.Time) { return c.latMin, c.latMax }
-
-// SetFaultPlane attaches a fault injector to the cluster's links. Every
-// message is judged once at outbox flush, in canonical order, on the
-// coordinator — see the plane field for why that replays byte-
-// identically at every layout. Install before Run; a nil plane (or one
-// whose plan is empty — fault.Injector short-circuits to one clean
-// copy before drawing) leaves the run bit-for-bit unchanged.
-func (c *ShardedCluster) SetFaultPlane(p FaultPlane) { c.plane = p }
 
 // Rand returns node n's private random stream. Split per node from the
 // world seed, so it is identical under every shard layout. Must only
@@ -341,9 +323,10 @@ func (c *ShardedCluster) At(n int, at sim.Time, fn func(now sim.Time)) {
 // what the synchronizer's lookahead guarantee rests on.
 //
 // Send must be called from src's own events (or before Run). The
-// message is buffered in the executing shard's outbox and scheduled at
-// the next barrier — even when dst shares src's shard, so that
-// delivery interleaving is identical under every layout.
+// message is buffered in the executing shard's outbox and dst's shard
+// schedules it at the start of the next window — even when dst shares
+// src's shard, so that delivery interleaving is identical under every
+// layout.
 func (c *ShardedCluster) Send(src, dst int, kind uint8, bytes, arg uint64, now sim.Time) {
 	dep := now
 	if c.egress[src] > dep {
@@ -356,16 +339,33 @@ func (c *ShardedCluster) Send(src, dst int, kind uint8, bytes, arg uint64, now s
 	if c.cfg.Latency != nil {
 		lat = c.cfg.Latency(src, dst)
 	}
-	sh := c.nodeShard[src]
-	c.ctr[sh].sent.Inc()
-	c.outbox[sh] = append(c.outbox[sh], SMsg{
+	arrive := dep + lat
+	if arrive < c.horizon {
+		// The lookahead contract was violated: a message would land
+		// inside a window that already ran. Always a model bug (a Send
+		// from another node's event, or a latency floor beaten).
+		panic(fmt.Sprintf("net: sharded causality violation: arrival %v before horizon %v (src %d dst %d)",
+			arrive, c.horizon, src, dst))
+	}
+	ss, ds := c.nodeShard[src], c.nodeShard[dst]
+	if c.pairMin != nil && arrive-now < c.pairMin[ss][ds] {
+		// A message beat the latency matrix's own floor for its shard
+		// pair: the Latency function returned inconsistent values (it
+		// must be pure).
+		panic(fmt.Sprintf("net: sharded latency-floor violation: wire time %v under shard-pair floor %v (src %d dst %d)",
+			arrive-now, c.pairMin[ss][ds], src, dst))
+	}
+	c.ctr[ss].sent.Inc()
+	p := c.windows & 1
+	c.out[p][ss][ds] = append(c.out[p][ss][ds], SMsg{
 		Src: src, Dst: dst, Kind: kind, Bytes: bytes, Arg: arg,
-		Sent: now, Arrive: dep + lat, Seq: c.eseq[src],
+		Sent: now, Arrive: arrive, Seq: c.eseq[src],
 	})
+	c.outMin[p][ss] = min(c.outMin[p][ss], arrive)
 }
 
 // getDelivery takes a pooled record for destination shard ds. Called
-// only by the coordinator during flush.
+// only on ds's goroutine, from inbound.
 func (c *ShardedCluster) getDelivery(ds int) *sdelivery {
 	pool := c.free[ds]
 	if n := len(pool); n > 0 {
@@ -378,7 +378,7 @@ func (c *ShardedCluster) getDelivery(ds int) *sdelivery {
 	return d
 }
 
-// land fires on the destination shard when a flushed message arrives:
+// land fires on the destination shard when a message arrives:
 // counters, return the record, then the model's receive hook.
 func (c *ShardedCluster) land(d *sdelivery, now sim.Time) {
 	m := d.m
@@ -389,21 +389,21 @@ func (c *ShardedCluster) land(d *sdelivery, now sim.Time) {
 	c.deliver(m, now)
 }
 
-// flush is the barrier exchange: gather every shard's outbox in fixed
-// shard-index order, sort by the canonical content key, and schedule
-// each message on its destination shard. Runs on the coordinator with
-// every shard parked.
-func (c *ShardedCluster) flush() {
-	c.pending = c.pending[:0]
-	for s := range c.outbox {
-		c.pending = append(c.pending, c.outbox[s]...)
-		c.outbox[s] = c.outbox[s][:0]
+// inbound starts shard d's window: it resets d's earliest-arrival
+// mark for the parity the window writes, gathers column d of the
+// previous parity in source-shard order, sorts it by the canonical
+// content key and schedules each message on d's queue. Runs on the
+// goroutine that runs d's window.
+func (c *ShardedCluster) inbound(d int) {
+	prev, cur := (c.windows-1)&1, c.windows&1
+	c.outMin[cur][d] = sim.Never
+	in := c.inbox[d][:0]
+	for s := range c.out[prev] {
+		in = append(in, c.out[prev][s][d]...)
+		c.out[prev][s][d] = c.out[prev][s][d][:0]
 	}
-	if len(c.pending) == 0 {
-		return
-	}
-	p := c.pending
-	slices.SortFunc(p, func(a, b SMsg) int {
+	c.inbox[d] = in
+	slices.SortFunc(in, func(a, b SMsg) int {
 		if c := cmp.Compare(a.Arrive, b.Arrive); c != 0 {
 			return c
 		}
@@ -412,37 +412,11 @@ func (c *ShardedCluster) flush() {
 		}
 		return cmp.Compare(a.Seq, b.Seq)
 	})
-	for i := range p {
-		m := p[i]
-		ss, ds := int(c.nodeShard[m.Src]), int(c.nodeShard[m.Dst])
-		if m.Arrive < c.horizon {
-			// The lookahead contract was violated: a message would land
-			// inside a window that already ran. Always a model bug (a
-			// Send from another node's event, or a latency floor beaten).
-			panic(fmt.Sprintf("net: sharded causality violation: arrival %v before horizon %v (src %d dst %d)",
-				m.Arrive, c.horizon, m.Src, m.Dst))
-		}
-		if c.pairMin != nil && m.Arrive-m.Sent < c.pairMin[ss][ds] {
-			// A message beat the latency matrix's own floor for its shard
-			// pair: the Latency function returned inconsistent values (it
-			// must be pure) or a model bypassed Send.
-			panic(fmt.Sprintf("net: sharded latency-floor violation: wire time %v under shard-pair floor %v (src %d dst %d)",
-				m.Arrive-m.Sent, c.pairMin[ss][ds], m.Src, m.Dst))
-		}
-		verdict := Verdict{N: 1}
-		if c.plane != nil {
-			verdict = c.plane.Judge(m.Src, m.Dst, m.Sent)
-		}
-		if verdict.N == 0 {
-			continue
-		}
-		for k := 0; k < verdict.N; k++ {
-			cm := m
-			cm.Arrive += verdict.Copies[k].Delay
-			d := c.getDelivery(ds)
-			d.m = cm
-			c.shards[ds].Events.ScheduleFunc(cm.Arrive, d.fire)
-		}
+	ev := c.shards[d].Events
+	for i := range in {
+		dl := c.getDelivery(d)
+		dl.m = in[i]
+		ev.ScheduleFunc(dl.m.Arrive, dl.fire)
 	}
 }
 
@@ -474,15 +448,14 @@ func (c *ShardedCluster) Run(workers int, maxWindows uint64) error {
 	}()
 
 	for {
-		c.flush()
-		// The bound depends only on the union of pending events, not on
-		// how nodes were dealt to shards, which is what makes the window
-		// sequence (and the whole run) invariant under shard count.
+		// The bound depends only on the union of pending events and
+		// unscheduled arrivals, not on how nodes were dealt to shards,
+		// which is what makes the window sequence (and the whole run)
+		// invariant under shard count.
+		p := c.windows & 1
 		earliest := sim.Never
-		for _, s := range c.shards {
-			if at := s.Events.NextAt(); at < earliest {
-				earliest = at
-			}
+		for s, sh := range c.shards {
+			earliest = min(earliest, sh.Events.NextAt(), c.outMin[p][s])
 		}
 		if earliest == sim.Never {
 			return nil
@@ -490,17 +463,21 @@ func (c *ShardedCluster) Run(workers int, maxWindows uint64) error {
 		if c.windows >= maxWindows {
 			return fmt.Errorf("net: sharded window budget (%d) exhausted", maxWindows)
 		}
-		c.horizon = earliest + c.lookahead
+		c.horizon = earliest + c.latMin
+		// The window's Sends write the other parity than the one its
+		// shards take their inbound from, which is parity p.
+		c.windows++
 		b.release()
 		c.runShare(0, w)
 		b.join()
-		c.windows++
 	}
 }
 
-// runShare runs the current window on every shard idx ≡ first (mod w).
+// runShare runs the current window on every shard idx ≡ first (mod w),
+// each after it takes its inbound messages.
 func (c *ShardedCluster) runShare(first, w int) {
 	for idx := first; idx < len(c.shards); idx += w {
+		c.inbound(idx)
 		c.shards[idx].RunWindow(c.horizon)
 	}
 }
@@ -537,7 +514,7 @@ const (
 // horizon is written before, so a helper that sees the new generation
 // sees the horizon), and helpers report completion by counting left
 // down to zero (their shard writes happen before, so the coordinator's
-// flush sees them). Each side spins on its signal and then parks on a
+// horizon scan and the next window's inbound see them). Each side spins on its signal and then parks on a
 // condition variable; the other side takes the lock and wakes it only
 // when a parked count says someone is asleep. A helper cannot miss a
 // generation: the next release waits for its done.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,7 +132,6 @@ func TestShardedConfigValidation(t *testing.T) {
 		{"more shards than nodes", func(c *ShardedConfig) { c.Shards = 9 }},
 		{"zero bandwidth", func(c *ShardedConfig) { c.Link.Bandwidth = 0 }},
 		{"zero latency", func(c *ShardedConfig) { c.Link.Latency = 0 }},
-		{"lookahead above latency", func(c *ShardedConfig) { c.Lookahead = c.Link.Latency + 1 }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -140,6 +140,60 @@ func TestShardedConfigValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+}
+
+// mustPanic runs f and fails unless it panics with a message that
+// contains want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg, _ := recover().(string); !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	f()
+}
+
+// TestShardedSendPanics pins Send's two model-bug checks. Each world
+// runs on one worker, so a panic inside a window unwinds through Run to
+// the test's recover.
+func TestShardedSendPanics(t *testing.T) {
+	// A Send stamped before the last window's horizon would land in a
+	// window that already ran.
+	c, err := NewShardedCluster(ShardedConfig{Nodes: 4, Shards: 2, Link: Gigabit(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDeliver(func(SMsg, sim.Time) {})
+	c.At(0, sim.Millisecond, func(now sim.Time) { c.Send(0, 3, 1, 16, 0, now) })
+	if err := c.Run(1, 100); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic(t, "sharded causality violation", func() { c.Send(1, 2, 1, 16, 0, 0) })
+
+	// A Latency func that returns less than it did at construction beats
+	// the shard pair's floor: across the racks the floor is 20µs, and a
+	// 5µs wire still arrives after the 3µs horizon of the first window.
+	rack, shrunk := rackLatency(4), false
+	c, err = NewShardedCluster(ShardedConfig{
+		Nodes: 4, Shards: 2, Link: Gigabit(), Seed: 1,
+		Latency: func(src, dst int) sim.Time {
+			if shrunk {
+				return min(rack(src, dst), 5*sim.Microsecond)
+			}
+			return rack(src, dst)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDeliver(func(SMsg, sim.Time) {})
+	c.At(0, sim.Microsecond, func(now sim.Time) {
+		shrunk = true
+		c.Send(0, 3, 1, 0, 0, now)
+	})
+	mustPanic(t, "latency-floor violation", func() { c.Run(1, 100) })
 }
 
 // The partition must cover every node exactly once, contiguously.

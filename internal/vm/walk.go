@@ -38,12 +38,6 @@ const (
 	// The frame number occupies the bits above the page offset.
 )
 
-// DRAMReadCycles is the modelled latency of one memory read that misses
-// the caches — what each level of a page-table walk costs. Three levels
-// at this latency reproduce (within one cycle) the CPU preset's
-// TLBMissCycles constant.
-const DRAMReadCycles = 13
-
 // FrameAlloc hands out zeroed page frames for table nodes (the kernel's
 // physical allocator implements it).
 type FrameAlloc func() (phys.Addr, error)
@@ -125,7 +119,7 @@ func (t *MaterializedTable) insert(va VAddr, pte PTE, alloc FrameAlloc) error {
 
 // Walk resolves va through the materialized table with real memory
 // reads, returning the physical address and the number of PTE reads
-// performed (multiply by DRAMReadCycles for the time cost). Faults
+// performed (each a DRAM read that misses the caches). Faults
 // carry the same classification the software path produces.
 func (t *MaterializedTable) Walk(va VAddr, access Access) (pa phys.Addr, reads int, err error) {
 	if uint64(va) >= 1<<walkVABits {

@@ -48,3 +48,6 @@ const (
 	Green              // used by the main: not flagged
 	Blue               // unused: flagged
 )
+
+// Width is an untyped constant only lib_test.go uses: flagged.
+const Width = 4

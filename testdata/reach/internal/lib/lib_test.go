@@ -8,7 +8,7 @@ import (
 )
 
 func TestLib(t *testing.T) {
-	if lib.OnlyTested()+lib.Hook() != libtest.Helper() {
+	if lib.OnlyTested()+lib.Hook() != libtest.Helper() || lib.Width != 4 {
 		t.Fatal("fixture arithmetic")
 	}
 }
