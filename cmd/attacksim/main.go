@@ -7,10 +7,13 @@
 //	                       interleaving search and a seeded random
 //	                       adversarial campaign
 //	attacksim              all of the above
+//
+// Every flag is declared once, with its range and relations, in
+// internal/exp's flag table (tools.go); a value out of range, or a flag
+// the chosen mode would ignore, exits 2 before anything runs.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"strings"
 
@@ -20,69 +23,26 @@ import (
 )
 
 func main() {
-	figure := flag.Int("figure", 0, "which figure to replay (5, 6 or 8; 0 = all)")
-	attackerSlots := flag.Int("slots", 4, "attacker slots for the exhaustive search")
-	seeds := flag.Int("seeds", 25, "random adversarial campaigns for figure 8")
-	procs := flag.Int("procs", 0, "worker goroutines for the figure-8 searches (0 = GOMAXPROCS)")
-	victimSrc := flag.String("victim", "", "custom victim sequence (assembler syntax; symbols A B C FOO)")
-	attackerSrc := flag.String("attacker", "", "custom attacker sequence")
-	schedule := flag.String("schedule", "", "custom slot schedule, e.g. VAAAVVAV")
-	seqLen := flag.Int("seqlen", 5, "engine sequence length for -victim mode (3, 4 or 5)")
-	shareA := flag.Bool("share-a", false, "give the attacker read access to page A")
-	list := flag.Bool("list", false, "list the registered experiments and exit")
-	flag.Parse()
-	stop, err := exp.StartProfiles()
-	if err != nil {
-		exp.Fail("attacksim", 2, err)
-	}
-	defer stop()
-
-	if *list {
-		fmt.Print(exp.List())
-		return
-	}
-	// Every flag is checked before any world is built or anything is
-	// printed: nonsense exits 2 with a flag-level message.
-	exp.RequireNonNegative("attacksim", exp.Count{Flag: "-slots", N: *attackerSlots}, exp.Count{Flag: "-seeds", N: *seeds})
-	switch *figure {
-	case 0, 5, 6, 8:
-	default:
-		exp.Fail("attacksim", 2, fmt.Errorf("-figure %d: want 5, 6 or 8 (0 = all)", *figure))
-	}
-	if *seqLen < 3 || *seqLen > 5 {
-		exp.Fail("attacksim", 2, fmt.Errorf("-seqlen %d: want 3, 4 or 5", *seqLen))
-	}
-
-	if *victimSrc != "" {
-		if err := custom(*seqLen, *shareA, *victimSrc, *attackerSrc, *schedule); err != nil {
-			exp.Fail("attacksim", 1, err)
-		}
+	fs := exp.Bind("attacksim")
+	if victim := fs.Str("victim"); victim != "" {
+		fs.Finish(custom(fs.Int("seqlen"), fs.Bool("share-a"), victim, fs.Str("attacker"), fs.Str("schedule")))
 		return
 	}
 
-	run := func(f int) error {
-		switch f {
-		case 5:
-			return figure5()
-		case 6:
-			return figure6()
-		default:
-			return figure8(*attackerSlots, *seeds, *procs)
-		}
-	}
+	run := map[int]func() error{5: figure5, 6: figure6, 8: func() error {
+		return figure8(fs.Int("slots"), fs.Int("seeds"), fs.Int("procs"))
+	}}
 	figures := []int{5, 6, 8}
-	if *figure != 0 {
-		figures = []int{*figure}
+	if f := fs.Int("figure"); f != 0 {
+		figures = []int{f}
 	}
 	for _, f := range figures {
-		if err := run(f); err != nil {
+		if err := run[f](); err != nil {
 			exp.Fail("attacksim", 1, err)
 		}
 		fmt.Println()
 	}
-	if err := exp.FlushTrace(); err != nil {
-		exp.Fail("attacksim", 1, err)
-	}
+	fs.Finish(nil)
 }
 
 // custom runs researcher-scripted sequences in the standard scenario.

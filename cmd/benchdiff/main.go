@@ -27,12 +27,15 @@
 // "Host" (HostNs, HostEventsPerSec, HostCPUs — the wall-clock shard
 // ladder from `clustersim -scale -bench`) are informational: printed
 // when they move, never flagged, never fatal.
+//
+// Every flag is declared once, with its range and relations, in
+// internal/exp's flag table (tools.go); a value out of range, or a flag
+// the chosen mode would ignore, exits 2 before anything runs.
 package main
 
 import (
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -48,28 +51,12 @@ import (
 var errRegression = errors.New("regression threshold exceeded")
 
 func main() {
-	iters := flag.Int("iters", 1000, "initiations per measurement when regenerating")
-	procs := flag.Int("procs", 0, "worker goroutines when regenerating (0 = GOMAXPROCS)")
-	tol := flag.Float64("tol", 0, "percent delta beyond which a leaf is flagged")
-	fatal := flag.Bool("fatal", false, "exit 1 when any leaf is flagged")
-	fatalThreshold := flag.Float64("fatal-threshold", -1,
-		"exit 1 when any model leaf moves by at least this percent (Host* leaves stay exempt; negative = off)")
-	flag.Parse()
-
-	// The regeneration count is checked before any world is built.
-	if *iters < 1 {
-		exp.Fail("benchdiff", 2, fmt.Errorf("-iters %d: need at least one initiation per measurement", *iters))
-	}
-	if err := run(flag.Args(), *iters, *procs, *tol, *fatal, *fatalThreshold); err != nil {
-		code := 2
-		if errors.Is(err, errRegression) {
-			code = 1
-		}
-		exp.Fail("benchdiff", code, err)
-	}
-	if err := exp.FlushTrace(); err != nil {
+	fs := exp.Bind("benchdiff")
+	err := run(fs.Args(), fs.Int("iters"), fs.Int("procs"), fs.Float("tol"), fs.Bool("fatal"), fs.Float("fatal-threshold"))
+	if err != nil && !errors.Is(err, errRegression) {
 		exp.Fail("benchdiff", 2, err)
 	}
+	fs.Finish(err) // a regression exits 1
 }
 
 func run(args []string, iters, procs int, tol float64, fatal bool, fatalThreshold float64) error {

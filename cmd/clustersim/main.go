@@ -27,13 +27,14 @@
 // kernel, extshadow, keybased, repeated, or "all" for the whole Table-1
 // line-up (one world per protocol). With -bench, the host-timed shard
 // ladder runs per protocol.
+//
+// Every flag is declared once, with its range and relations, in
+// internal/exp's flag table (tools.go); a value out of range, or a flag
+// the chosen mode would ignore, exits 2 before anything runs.
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"time"
@@ -43,59 +44,21 @@ import (
 )
 
 func main() {
-	msgs := flag.Int("msgs", 50, "messages per method")
-	size := flag.Uint64("size", 256, "message payload bytes")
-	gigabit := flag.Bool("gigabit", true, "use the Gigabit link preset (else ATM-155)")
-	hist := flag.Bool("hist", false, "print per-method latency histograms")
-	procs := flag.Int("procs", 0, "worker goroutines (cell fan-out; with -scale: intra-world shard workers; 0 = GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "emit results as one JSON document (raw simulated picoseconds)")
-	list := flag.Bool("list", false, "list the registered experiments and exit")
-
-	scale := flag.Bool("scale", false, "run the sharded NOW scale experiment instead of the two-node comparison")
-	nodes := flag.Int("nodes", 32, "scale: cluster size (>= 2)")
-	shards := flag.Int("shards", 4, "scale: shard count (1..nodes)")
-	arrival := flag.Int("arrival", 20000, "scale: per-node RPC arrival rate, RPCs/s (> 0)")
-	tenants := flag.Int("tenants", 2, "scale: arrival streams per node (> 0)")
-	bytes := flag.Uint64("bytes", 64, "scale: request payload bytes")
-	ms := flag.Int("ms", 2, "scale: arrival-window length, simulated milliseconds (> 0)")
-	seed := flag.Uint64("seed", 1, "scale: world seed")
-	bench := flag.Bool("bench", false, "scale: time the world at shards {1,4,8} and report host events/sec (JSON)")
-	protocol := flag.String("protocol", "", "scale: run FULL machines with this initiation protocol (kernel, extshadow, keybased, repeated, all)")
-	flag.Parse()
-	stop, err := exp.StartProfiles()
-	if err != nil {
-		exp.Fail("clustersim", 2, err)
-	}
-	defer stop()
-	if *list {
-		fmt.Print(exp.List())
+	fs := exp.Bind("clustersim")
+	procs, jsonOut := fs.Int("procs"), fs.Bool("json")
+	if !fs.Bool("scale") {
+		fs.Finish(run(fs.Int("msgs"), fs.Uint("size"), !fs.Bool("gigabit"), fs.Bool("hist"), procs, jsonOut))
 		return
 	}
-	if *scale {
-		// -ms in picoseconds; a window the clock cannot hold wraps, so
-		// it is refused before the conversion.
-		if *ms > int(math.MaxInt64/sim.Millisecond) {
-			exp.Fail("clustersim", 2, fmt.Errorf("-ms %d: the arrival window overflows the picosecond clock", *ms))
-		}
-		p := exp.Params{
-			Nodes: *nodes, Shards: *shards, Arrival: *arrival, Tenants: *tenants,
-			ScaleBytes: *bytes, ScaleDur: sim.Time(*ms) * sim.Millisecond,
-			ScaleSeed: *seed, Procs: *procs, Protocol: *protocol,
-		}
-		if err := exp.ValidScale(p); err != nil {
-			exp.Fail("clustersim", 2, err)
-		}
-		if err := runScale(p, *jsonOut, *bench); err != nil {
-			exp.Fail("clustersim", 1, err)
-		}
-	} else if *protocol != "" {
-		exp.Fail("clustersim", 2, errors.New("-protocol selects the machine-world scale experiment and needs -scale"))
-	} else if err := run(*msgs, *size, !*gigabit, *hist, *procs, *jsonOut); err != nil {
-		exp.Fail("clustersim", 1, err)
+	p := exp.Params{
+		Nodes: fs.Int("nodes"), Shards: fs.Int("shards"), Arrival: fs.Int("arrival"), Tenants: fs.Int("tenants"),
+		ScaleBytes: fs.Uint("bytes"), ScaleDur: sim.Time(fs.Int("ms")) * sim.Millisecond,
+		ScaleSeed: fs.Uint("seed"), Procs: procs, Protocol: fs.Str("protocol"),
 	}
-	if err := exp.FlushTrace(); err != nil {
-		exp.Fail("clustersim", 1, err)
+	if err := exp.ValidScale(p); err != nil {
+		exp.Fail("clustersim", 2, err)
 	}
+	fs.Finish(runScale(p, jsonOut, fs.Bool("bench")))
 }
 
 // clusterJSON is the -json document.

@@ -22,11 +22,15 @@
 // cluster-wide tracing enabled, runs it straight-line under the
 // search's finish policy, and writes a Perfetto trace_event document
 // to -trace-out (stdout when unset) — the visual companion to a
-// faultsearch verdict or violation line.
+// faultsearch verdict or violation line. It takes none of -msgs,
+// -seeds, -depth or -json.
+//
+// Every flag is declared once, with its range and relations, in
+// internal/exp's flag table (tools.go); a value out of range, or a flag
+// the chosen mode would ignore, exits 2 before anything runs.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
@@ -34,43 +38,18 @@ import (
 )
 
 func main() {
-	msgs := flag.Int("msgs", 24, "messages per faultsweep cell")
-	seeds := flag.Int("seeds", 4, "faultsearch: seeded fault plans to model-check")
-	depth := flag.Int("depth", 4, "faultsearch: explicit scheduling decisions per schedule")
-	replay := flag.Uint64("replay", 0, "rebuild the faultsearch world for this seed and write its cluster-wide Perfetto trace to -trace-out (stdout when unset)")
-	procs := flag.Int("procs", 0, "worker goroutines for independent worlds (0 = GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "emit results as one JSON document (raw simulated picoseconds)")
-	list := flag.Bool("list", false, "list the registered experiments and exit")
-	flag.Parse()
-	stop, err := exp.StartProfiles()
-	if err != nil {
-		exp.Fail("faultsim", 2, err)
-	}
-	defer stop()
-	if *list {
-		fmt.Print(exp.List())
-		return
-	}
-	if *replay != 0 {
-		verdict, err := exp.FaultReplay(*replay, 3)
+	fs := exp.Bind("faultsim")
+	if seed := fs.Uint("replay"); seed != 0 {
+		// The replay writes its own trace document; Finish would write
+		// the default scenario's over it.
+		verdict, err := exp.FaultReplay(seed, 3)
 		if err != nil {
 			exp.Fail("faultsim", 1, err)
 		}
-		fmt.Fprintf(os.Stderr, "faultsim: seed %d replayed: %s\n", *replay, verdict)
-		return
+		fmt.Fprintf(os.Stderr, "faultsim: seed %d replayed: %s\n", seed, verdict)
+		exp.Exit(0)
 	}
-	// -msgs sizes every faultsweep cell and heads the JSON document, so
-	// it is checked before any world is built, like the search counts.
-	if *msgs < 1 {
-		exp.Fail("faultsim", 2, fmt.Errorf("-msgs %d: need at least one message per cell", *msgs))
-	}
-	exp.RequireNonNegative("faultsim", exp.Count{Flag: "-seeds", N: *seeds}, exp.Count{Flag: "-depth", N: *depth})
-	if err := run(*msgs, *seeds, *depth, *procs, *jsonOut); err != nil {
-		exp.Fail("faultsim", 1, err)
-	}
-	if err := exp.FlushTrace(); err != nil {
-		exp.Fail("faultsim", 1, err)
-	}
+	fs.Finish(run(fs.Int("msgs"), fs.Int("seeds"), fs.Int("depth"), fs.Int("procs"), fs.Bool("json")))
 }
 
 // faultJSON is the -json document.

@@ -8,10 +8,13 @@
 // registry: three independent simulated worlds that fan out on -procs
 // worker goroutines with byte-identical output for any worker count.
 // -json emits the table as raw simulated picoseconds.
+//
+// Every flag is declared once, with its range and relations, in
+// internal/exp's flag table (tools.go); a value out of range, or a flag
+// the chosen mode would ignore, exits 2 before anything runs.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
@@ -19,42 +22,11 @@ import (
 )
 
 func main() {
-	iters := flag.Int("iters", 10_000, "iterations per microbenchmark")
-	steer := flag.Bool("steer", false, "converge the iteration count on a steered ladder instead of paying -iters up front")
-	procs := flag.Int("procs", 0, "worker goroutines for independent benchmark worlds (0 = GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "emit results as one JSON document (raw simulated picoseconds)")
-	list := flag.Bool("list", false, "list the registered experiments and exit")
-	flag.Parse()
-	stop, err := exp.StartProfiles()
-	if err != nil {
-		exp.Fail("oslat", 2, err)
-	}
-	defer stop()
-	if *list {
-		fmt.Print(exp.List())
-		return
-	}
-	// The PAL-call and uncached-load rows run -iters/10 iterations, so
-	// below 10 they would report measurements never made. Reject before
-	// any world is built, like dmabench's and clustersim's flag checks.
-	// -steer ignores -iters: its ladder starts at 250.
-	if !*steer && *iters < 10 {
-		exp.Fail("oslat", 2, fmt.Errorf("-iters %d: need at least 10 (the PAL-call and uncached-load rows run -iters/10 times)", *iters))
-	}
-	// The steered climb's decision log is text only, so -json cannot
-	// combine with it (as dmabench refuses -tlb without -va).
-	if *steer && *jsonOut {
-		exp.Fail("oslat", 2, fmt.Errorf("-json cannot combine with -steer (its decision log is text only)"))
-	}
-	if *steer {
-		if err := runSteered(*procs); err != nil {
-			exp.Fail("oslat", 1, err)
-		}
-	} else if err := run(*iters, *procs, *jsonOut); err != nil {
-		exp.Fail("oslat", 1, err)
-	}
-	if err := exp.FlushTrace(); err != nil {
-		exp.Fail("oslat", 1, err)
+	fs := exp.Bind("oslat")
+	if fs.Bool("steer") {
+		fs.Finish(runSteered(fs.Int("procs")))
+	} else {
+		fs.Finish(run(fs.Int("iters"), fs.Int("procs"), fs.Bool("json")))
 	}
 }
 

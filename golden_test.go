@@ -303,6 +303,7 @@ func TestCountFlagRejection(t *testing.T) {
 	})
 	checkFlagRejections(t, "benchdiff", []flagCase{
 		{"benchdiff-zero-iters", []string{"-iters", "0"}, "-iters 0"},
+		{"benchdiff-nan-tol", []string{"-tol", "NaN"}, "-tol NaN"},
 	})
 	checkFlagRejections(t, "faultsim", []flagCase{
 		{"faultsim-zero-msgs", []string{"-msgs", "0"}, "-msgs 0"},
@@ -318,6 +319,37 @@ func TestCountFlagRejection(t *testing.T) {
 	})
 	checkFlagRejections(t, "report", []flagCase{
 		{"report-negative-seeds", []string{"-only", "attacks", "-seeds", "-4"}, "-seeds -4"},
+	})
+	// Below one message the two-node study printed 0 rows with a NaN%
+	// init share.
+	checkFlagRejections(t, "clustersim", []flagCase{
+		{"clustersim-zero-msgs", []string{"-msgs", "0"}, "-msgs 0"},
+		{"clustersim-negative-msgs", []string{"-msgs", "-1"}, "-msgs -1"},
+	})
+}
+
+// TestIgnoredFlagRejection pins flags the selected mode would ignore:
+// each used to run as if it were not there, and now exits 2 before
+// anything is printed.
+func TestIgnoredFlagRejection(t *testing.T) {
+	checkFlagRejections(t, "clustersim", []flagCase{
+		{"scale-knobs-without-scale", []string{"-nodes", "4", "-shards", "2"}, "-nodes needs -scale"},
+	})
+	checkFlagRejections(t, "faultsim", []flagCase{
+		{"replay-with-msgs", []string{"-replay", "3", "-msgs", "8"}, "-msgs cannot combine with -replay"},
+	})
+	checkFlagRejections(t, "oslat", []flagCase{
+		{"steer-with-iters", []string{"-steer", "-iters", "30"}, "-iters cannot combine with -steer"},
+	})
+	checkFlagRejections(t, "attacksim", []flagCase{
+		{"schedule-without-victim", []string{"-figure", "5", "-schedule", "VVV"}, "-schedule needs -victim"},
+	})
+	checkFlagRejections(t, "report", []flagCase{
+		{"json-with-ring", []string{"-json", "-ring"}, "-json cannot combine with -ring"},
+	})
+	checkFlagRejections(t, "dmabench", []flagCase{
+		{"negative-trace-cap", []string{"-trace-cap", "-1"}, "-trace-cap -1"},
+		{"trace-cap-without-trace-out", []string{"-trace-cap", "8"}, "-trace-cap needs -trace-out"},
 	})
 }
 
@@ -403,7 +435,7 @@ func TestScaleFlagRejection(t *testing.T) {
 		{"shards-above-nodes", []string{"-scale", "-nodes", "8", "-shards", "9"}, "-shards 9 exceeds -nodes 8"},
 		{"zero-arrival", []string{"-scale", "-arrival", "0"}, "-arrival 0"},
 		{"negative-arrival", []string{"-scale", "-arrival", "-5"}, "-arrival -5"},
-		{"one-node", []string{"-scale", "-nodes", "1"}, "at least 2 nodes"},
+		{"one-node", []string{"-scale", "-nodes", "1"}, "-nodes 1: need at least 2"},
 		{"zero-shards", []string{"-scale", "-shards", "0"}, "-shards 0"},
 		{"zero-tenants", []string{"-scale", "-tenants", "0"}, "-tenants 0"},
 		{"zero-window", []string{"-scale", "-ms", "0"}, "-ms 0"},

@@ -28,7 +28,8 @@
 //     cell in grid order, not the first found on the wall clock.
 //
 // Adding a workload is one spec plus one Register call; the registry
-// (Lookup, Names, List) is what the tools' -list flag enumerates.
+// (Lookup, Names, List) is what the tools' -list flag enumerates. The
+// tools' flags are one table too (Tools), which Bind parses and checks.
 package exp
 
 import (

@@ -243,11 +243,20 @@ func reliableStream(plan fault.Plan, seed uint64, cfg msg.ReliableConfig,
 	return res, nil
 }
 
+// The fault studies' default sizes: cmd/faultsim's flag defaults, the
+// sizes cmd/report runs the studies at, and what faultsweep and
+// faultsearch run for a zero count.
+const (
+	FaultMsgs  = 24 // messages per faultsweep cell
+	FaultSeeds = 4  // faultsearch: seeded fault plans
+	FaultDepth = 4  // faultsearch: scheduling decisions per schedule
+)
+
 func faultMsgs(p Params) int {
 	if p.Msgs > 0 {
 		return p.Msgs
 	}
-	return 24
+	return FaultMsgs
 }
 
 func faultSweepCells(p Params) ([]Cell, error) {
@@ -412,11 +421,11 @@ func faultSearchFactory(seed uint64, total int) proc.WorldFactory {
 func faultSearchCells(p Params) ([]Cell, error) {
 	seeds := p.Seeds
 	if seeds <= 0 {
-		seeds = 4
+		seeds = FaultSeeds
 	}
 	depth := p.Slots
 	if depth <= 0 {
-		depth = 4
+		depth = FaultDepth
 	}
 	const total = 3
 	cells := make([]Cell, seeds)

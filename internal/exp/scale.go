@@ -25,6 +25,7 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -135,34 +136,63 @@ type scaleKnobs struct {
 	interval                        sim.Time // per-tenant mean inter-arrival
 }
 
-// resolveScale fills p's zero scale knobs with their defaults (the
-// cmd/clustersim flag defaults mirror these) and checks the result; a
-// machine world adds its own bounds on top.
+// The scale knobs' defaults, which are cmd/clustersim's flag defaults
+// and what resolveScale puts in a zero knob.
+const (
+	scaleNodes   = 32
+	scaleShards  = 4
+	scaleArrival = 20000
+	scaleTenants = 2
+	scaleBytes   = 64
+	scaleMs      = 2
+	scaleSeed    = 1
+)
+
+// Bounds of the scale knobs in clustersim's flag table: checkScale
+// shares the first; the others keep the knobs inside 64-bit picosecond
+// arithmetic.
+const (
+	// scaleMinNodes: every RPC goes to another node.
+	scaleMinNodes = 2
+	// scaleMaxMs is the longest arrival window, in milliseconds, that
+	// the picosecond clock holds.
+	scaleMaxMs = float64(math.MaxInt64 / sim.Millisecond)
+	// scaleMaxPerSecond is the largest count that, multiplied by one
+	// simulated second in picoseconds, fits a uint64: the ceiling of
+	// -bytes (net.ShardedCluster.Send's wire time) and -tenants
+	// (checkScale's inter-arrival).
+	scaleMaxPerSecond = float64(math.MaxUint64 / uint64(sim.Second))
+)
+
+// resolveScale fills p's zero scale knobs with their defaults and
+// checks the result; a machine world adds its own bounds on top.
 func resolveScale(p Params, machine bool) (scaleKnobs, error) {
 	def := func(v *int, d int) {
 		if *v == 0 {
 			*v = d
 		}
 	}
-	def(&p.Nodes, 32)
-	def(&p.Shards, 4)
-	def(&p.Arrival, 20000)
-	def(&p.Tenants, 2)
+	def(&p.Nodes, scaleNodes)
+	def(&p.Shards, scaleShards)
+	def(&p.Arrival, scaleArrival)
+	def(&p.Tenants, scaleTenants)
 	if p.ScaleBytes == 0 {
-		p.ScaleBytes = 64
+		p.ScaleBytes = scaleBytes
 	}
 	if p.ScaleDur == 0 {
-		p.ScaleDur = 2 * sim.Millisecond
+		p.ScaleDur = scaleMs * sim.Millisecond
 	}
 	if p.ScaleSeed == 0 {
-		p.ScaleSeed = 1
+		p.ScaleSeed = scaleSeed
 	}
 	return checkScale(p, machine)
 }
 
-// ValidScale checks p's scale knobs as given, zeros included: the tools
-// call it once, with flag-level messages, to exit 2 before any world is
-// built. A non-empty Protocol selects the machine world's bounds too.
+// ValidScale checks p's scale knobs as given, zeros included: after
+// Bind has checked each flag alone, cmd/clustersim calls it for the
+// rules between knobs (shards within nodes, a nonzero inter-arrival,
+// and, with a Protocol, the machine world's bounds) to exit 2 before
+// any world is built.
 func ValidScale(p Params) error {
 	_, err := checkScale(p, p.Protocol != "")
 	return err
@@ -172,8 +202,8 @@ func checkScale(p Params, machine bool) (scaleKnobs, error) {
 	k := scaleKnobs{nodes: p.Nodes, shards: p.Shards, arrival: p.Arrival, tenants: p.Tenants,
 		bytes: p.ScaleBytes, dur: p.ScaleDur, seed: p.ScaleSeed}
 	switch {
-	case k.nodes < 2:
-		return k, fmt.Errorf("-nodes %d: the scale workload needs at least 2 nodes", k.nodes)
+	case k.nodes < scaleMinNodes:
+		return k, fmt.Errorf("-nodes %d: the scale workload needs at least %d nodes", k.nodes, scaleMinNodes)
 	case k.shards < 1:
 		return k, fmt.Errorf("-shards %d: need at least 1 shard", k.shards)
 	case k.shards > k.nodes:

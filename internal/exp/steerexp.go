@@ -746,7 +746,7 @@ func (s *SteerSuite) SteerRows() []SteerRow {
 // what `dmabench -steer -trace-out` exports: the search itself on a
 // timeline.
 func SteerTraceScenario() ([]obs.PerfettoProcess, error) {
-	tr := obs.NewTrace(*traceCap, obs.Ring)
+	tr := obs.NewTrace(traceCap, obs.Ring)
 	if _, err := RunSteerSuite(Params{Procs: 1}, tr); err != nil {
 		return nil, err
 	}

@@ -1,10 +1,10 @@
 package exp
 
-// Shared trace-export support for the cmd/ tools. Importing this
-// package gives every tool a -trace-out flag (the profile.go pattern):
-// when set, the tool runs a small traced scenario on the obs spine and
-// writes a Chrome/Perfetto trace_event JSON document there ("-" means
-// stdout). The document loads directly in ui.perfetto.dev.
+// Shared trace-export support for the cmd/ tools. Every tool takes a
+// -trace-out flag (tools.go): when set, the tool runs a small traced
+// scenario on the obs spine and writes a Chrome/Perfetto trace_event
+// JSON document there ("-" means stdout). The document loads directly
+// in ui.perfetto.dev.
 //
 // The default scenario is one Table-1 initiation world per method —
 // four process rows whose tracks show the syscall spans, uncached bus
@@ -19,7 +19,6 @@ package exp
 // file (TestTraceGolden).
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -28,24 +27,25 @@ import (
 	"uldma/internal/obs"
 )
 
+// defaultTraceCap is -trace-cap's default.
+const defaultTraceCap = 1 << 16
+
+// The -trace-out and -trace-cap values, which Bind records.
 var (
-	traceOut = flag.String("trace-out", "", "write a Perfetto trace_event JSON document of a traced scenario to this file (\"-\" = stdout)")
-	traceCap = flag.Int("trace-cap", 1<<16, "trace ring capacity (events) for -trace-out scenarios")
+	traceOut string
+	traceCap = defaultTraceCap
 
 	traceScenario func() ([]obs.PerfettoProcess, error)
 )
 
-// TraceRequested reports whether -trace-out was given.
-func TraceRequested() bool { return *traceOut != "" }
-
 // SetTraceScenario replaces the default traced scenario for this tool.
 func SetTraceScenario(fn func() ([]obs.PerfettoProcess, error)) { traceScenario = fn }
 
-// FlushTrace runs the traced scenario and writes the Perfetto document
+// flushTrace runs the traced scenario and writes the Perfetto document
 // to the -trace-out destination. It is a no-op when -trace-out was not
-// given; the tools call it on their success paths.
-func FlushTrace() error {
-	if *traceOut == "" {
+// given; Finish calls it on a tool's success path.
+func flushTrace() error {
+	if traceOut == "" {
 		return nil
 	}
 	fn := traceScenario
@@ -56,18 +56,14 @@ func FlushTrace() error {
 	if err != nil {
 		return fmt.Errorf("trace-out: %w", err)
 	}
-	return writeTraceDoc(procs)
+	return writeTraceTo(traceOut, procs)
 }
 
-func writeTraceDoc(procs []obs.PerfettoProcess) error {
-	return writeTraceTo(*traceOut, procs)
-}
-
-// writeTraceTo renders procs as a Perfetto document at dest ("-" means
-// stdout).
+// writeTraceTo renders procs as a Perfetto document at dest ("-" or ""
+// means stdout).
 func writeTraceTo(dest string, procs []obs.PerfettoProcess) error {
 	var w io.Writer = os.Stdout
-	if dest != "-" {
+	if dest != "-" && dest != "" {
 		f, err := os.Create(dest)
 		if err != nil {
 			return fmt.Errorf("trace-out: %w", err)
@@ -101,7 +97,7 @@ func DefaultTraceScenario() ([]obs.PerfettoProcess, error) {
 // stream as one Perfetto process.
 func tracedInitiations(method userdma.Method, pid int) (obs.PerfettoProcess, error) {
 	m := userdma.Machine(method)
-	tr := m.EnableTrace(*traceCap, obs.Ring)
+	tr := m.EnableTrace(traceCap, obs.Ring)
 	if err := dmaBurst(m, method, "init", 4); err != nil {
 		return obs.PerfettoProcess{}, err
 	}
@@ -120,7 +116,7 @@ func FaultReplay(seed uint64, total int) (verdict string, err error) {
 	if err != nil {
 		return "", err
 	}
-	tr := cluster.EnableTrace(*traceCap, obs.Ring)
+	tr := cluster.EnableTrace(traceCap, obs.Ring)
 	if err := cluster.RunRoundRobin(8, 1<<62); err != nil {
 		return "", err
 	}
@@ -134,8 +130,5 @@ func FaultReplay(seed uint64, total int) (verdict string, err error) {
 		Name:   fmt.Sprintf("faultsearch seed=%d plan=%+v", seed, FaultPlanForSeed(seed).Default),
 		Events: tr.Events(),
 	}}
-	if *traceOut == "" {
-		return verdict, obs.WritePerfetto(os.Stdout, procs)
-	}
-	return verdict, writeTraceDoc(procs)
+	return verdict, writeTraceTo(traceOut, procs)
 }

@@ -116,9 +116,9 @@ func TestDefaultTraceScenarioSchema(t *testing.T) {
 // present, and the search's verdict restated.
 func TestFaultReplaySchema(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "replay.json")
-	old := *traceOut
-	*traceOut = out
-	defer func() { *traceOut = old }()
+	old := traceOut
+	traceOut = out
+	defer func() { traceOut = old }()
 
 	verdict, err := FaultReplay(1, 3)
 	if err != nil {
