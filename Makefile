@@ -87,9 +87,12 @@ shardparity:
 # exactly once, with or without an IOMMU attached. The pooled
 # Transfer records' contracts ride along: a record displaced before its
 # delivery lands stays out of the pool, two clones of one snapshot each
-# match a fresh world, and a warm initiation allocates nothing.
+# match a fresh world, and a warm initiation allocates nothing. The
+# hosted path rides along too: DirectDMA makes the same attempts and
+# returns the same status and error as DMA for every method, and its
+# warm initiations allocate nothing either.
 ringparity:
-	$(GO) test -race -run 'TestRingDepthAmortizes|TestRingDepthDeterministic|TestRingChurnPolicies|TestRingSnapshotFidelity|TestRingDoorbellZeroAllocs|TestRingZeroSizeCompletesOnce|TestPoolHoldsRecordsUntilDelivered|TestSnapshotClonesDoNotShareRecords|TestInitiationZeroAllocs|TestBackToBackAllocsTrackBacklog' ./internal/core ./internal/dma
+	$(GO) test -race -run 'TestRingDepthAmortizes|TestRingDepthDeterministic|TestRingChurnPolicies|TestRingSnapshotFidelity|TestRingDoorbellZeroAllocs|TestRingZeroSizeCompletesOnce|TestPoolHoldsRecordsUntilDelivered|TestSnapshotClonesDoNotShareRecords|TestInitiationZeroAllocs|TestDirectMatchesScheduled|TestBackToBackAllocsTrackBacklog' ./internal/core ./internal/dma
 
 # The virtual-address plane's contracts, run under the race detector:
 # a world snapshotted with a transfer PARKED mid-fault rewinds and

@@ -45,9 +45,9 @@ const (
 
 // Comm is one rank's handle on the communicator.
 type Comm struct {
-	rank, size int
-	pageSize   uint64
-	epoch      uint64
+	size     int
+	pageSize uint64
+	epoch    uint64
 }
 
 // New wires a communicator over the cluster: procs[i] must live on
@@ -104,7 +104,7 @@ func New(cluster *net.Cluster, procs []*proc.Process) ([]*Comm, error) {
 
 	comms := make([]*Comm, size)
 	for i := range comms {
-		comms[i] = &Comm{rank: i, size: size, pageSize: pageSize}
+		comms[i] = &Comm{size: size, pageSize: pageSize}
 	}
 	return comms, nil
 }

@@ -15,36 +15,39 @@ const allocRuns = 64
 
 // initiationAllocs attaches method to a fresh machine of its preset and
 // returns the host allocations of allocRuns warm initiations of size
-// bytes between two mapped pages, measured inside the guest. Each
-// initiation is followed by spin cycles of computation. ok reports
-// whether every initiation was accepted; pending is how many more
-// accepted transfers await delivery after the measured loop than
-// before it.
-func initiationAllocs(t *testing.T, method Method, size uint64, spin int64) (allocs float64, ok bool, pending int) {
+// bytes between two mapped pages, measured inside the guest through
+// DMA or, with direct, through DirectDMA with no scheduler run.
+// Each initiation is followed by spin cycles of computation (direct
+// also delivers every pending transfer). ok reports whether every
+// initiation was accepted; pending is how many more accepted transfers
+// await delivery after the measured loop than before it.
+func initiationAllocs(t *testing.T, method Method, size uint64, spin int64, direct bool) (allocs float64, ok bool, pending int) {
 	t.Helper()
 	m := Machine(method)
 	const src, dst = vm.VAddr(0x10000), vm.VAddr(0x20000)
 	var h *Handle
 	ok = true
-	p := m.NewProcess("init", func(c *proc.Context) error {
-		initiate := func() {
-			st, err := h.DMA(c, src, dst, size)
-			if err != nil {
-				t.Error(err)
-			}
-			ok = ok && st != StatusFailure
-			c.Spin(spin)
-		}
+	measure := func(initiate func() (uint64, error), after func()) {
 		loop := func() {
 			before := undelivered(m)
 			for i := 0; i < allocRuns; i++ {
-				initiate()
+				st, err := initiate()
+				if err != nil {
+					t.Error(err)
+				}
+				ok = ok && st != StatusFailure
+				after()
 			}
 			pending = undelivered(m) - before
 		}
 		// AllocsPerRun runs the loop once unmeasured first: that warms the
 		// TLB, the record pool and the event free list.
 		allocs = testing.AllocsPerRun(1, loop)
+	}
+	p := m.NewProcess("init", func(c *proc.Context) error {
+		if !direct {
+			measure(func() (uint64, error) { return h.DMA(c, src, dst, size) }, func() { c.Spin(spin) })
+		}
 		return nil
 	})
 	var err error
@@ -55,6 +58,14 @@ func initiationAllocs(t *testing.T, method Method, size uint64, spin int64) (all
 		if _, err := m.SetupPages(p, base, 1, vm.Read|vm.Write); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if direct {
+		d := &DirectCPU{M: m, P: p}
+		measure(func() (uint64, error) { return h.DirectDMA(d, src, dst, size) }, func() {
+			m.CPU.Spin(spin)
+			m.Settle()
+		})
+		return allocs, ok, pending
 	}
 	if err := m.Run(proc.NewRoundRobin(1<<20), 1<<30); err != nil {
 		t.Fatal(err)
@@ -75,9 +86,9 @@ const drainSpin = 2000
 // allocations: a zero-length extended-shadow initiation (the
 // BenchmarkObsDisabled sequence), a zero-length kernel-level one, the
 // key-based and repeated-passing sequences, and an initiation the
-// engine refuses. Transfer records, their completion events, the
-// handle's compiled program and the kernel's syscall arguments are all
-// reused.
+// engine refuses; each through DMA in a guest and through DirectDMA on
+// the bare CPU. Transfer records, their completion events, the caller's
+// compiled program and the kernel's syscall arguments are all reused.
 func TestInitiationZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -92,15 +103,21 @@ func TestInitiationZeroAllocs(t *testing.T) {
 		// Past the end of memory: the engine answers DMA_FAILURE.
 		{"refused", ExtShadow{}, 1 << 40, false},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			allocs, ok, _ := initiationAllocs(t, tc.method, tc.size, drainSpin)
-			if ok != tc.accept {
-				t.Fatalf("initiations accepted = %v, want %v", ok, tc.accept)
+		for _, direct := range []bool{false, true} {
+			name := tc.name
+			if direct {
+				name += "_direct"
 			}
-			if allocs != 0 {
-				t.Fatalf("%d warm initiations allocate %.0f times, want 0", allocRuns, allocs)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				allocs, ok, _ := initiationAllocs(t, tc.method, tc.size, drainSpin, direct)
+				if ok != tc.accept {
+					t.Fatalf("initiations accepted = %v, want %v", ok, tc.accept)
+				}
+				if allocs != 0 {
+					t.Fatalf("%d warm initiations allocate %.0f times, want 0", allocRuns, allocs)
+				}
+			})
+		}
 	}
 }
 
@@ -121,7 +138,7 @@ func undelivered(m *machine.Machine) int {
 // bound completion method) and a new event are the loop's only
 // allocations.
 func TestBackToBackAllocsTrackBacklog(t *testing.T) {
-	allocs, ok, pending := initiationAllocs(t, ExtShadow{}, 0, 0)
+	allocs, ok, pending := initiationAllocs(t, ExtShadow{}, 0, 0, false)
 	if !ok {
 		t.Fatal("an initiation was refused")
 	}

@@ -192,8 +192,13 @@ func program(p isa.Program) guest {
 // client is a victim running the Figure 7 library loop: the 5-access
 // sequence A->B, retried as r says.
 func client(r RepeatedPassing) guest {
-	prog := r.sequence(nil, vaA, vaB, duelSize)
-	return func(c *proc.Context) (uint64, error) { return r.retry(c, prog) }
+	h := r.handle(nil)
+	return func(c *proc.Context) (uint64, error) {
+		// A guest's own scratch: the exhaustive search runs one client
+		// in many worlds at once.
+		var s scratch
+		return h.initiate(c, &s, vaA, vaB, duelSize)
+	}
 }
 
 // randomAttacker issues 40 seeded-random accesses, each individually

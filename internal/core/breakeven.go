@@ -181,17 +181,16 @@ func Crossover(points []BreakEvenPoint) (uint64, bool) {
 
 // Era is one hardware generation in the trend sweep.
 type Era struct {
-	Name     string
-	Config   func(mode dma.Mode, seqLen int) machine.Config
-	WireSize uint64 // reference message size for the share column
+	Name   string
+	Config func(mode dma.Mode, seqLen int) machine.Config
 }
 
 // TrendEras returns the three generations of experiment X7.
 func TrendEras() []Era {
 	return []Era{
-		{Name: "1994 (100MHz, TC, 1.5k-cycle trap)", Config: machine.Workstation1994, WireSize: 1024},
-		{Name: "1997 (150MHz, TC, 2.2k-cycle trap)", Config: machine.Alpha3000TC, WireSize: 1024},
-		{Name: "2000 (500MHz, PCI-66, 4.3k-cycle trap)", Config: machine.Workstation2000, WireSize: 1024},
+		{Name: "1994 (100MHz, TC, 1.5k-cycle trap)", Config: machine.Workstation1994},
+		{Name: "1997 (150MHz, TC, 2.2k-cycle trap)", Config: machine.Alpha3000TC},
+		{Name: "2000 (500MHz, PCI-66, 4.3k-cycle trap)", Config: machine.Workstation2000},
 	}
 }
 

@@ -15,14 +15,15 @@ package userdma
 // other guest code (there is none in a hosted world — each node runs
 // one library). The attack studies, which are ABOUT preemption, keep
 // using the scheduler path.
+//
+// Nothing else differs: DirectDMA and DMA run the same Handle.initiate,
+// so every method makes the same attempts, retries a refusal the same
+// number of times and returns the same status and error on either path
+// (TestDirectMatchesScheduled). Only PALCode, whose CALL_PAL needs a
+// guest context, refuses to run here.
 
 import (
-	"fmt"
-
 	"uldma/internal/cpu"
-	"uldma/internal/dma"
-	"uldma/internal/isa"
-	"uldma/internal/kernel"
 	"uldma/internal/machine"
 	"uldma/internal/phys"
 	"uldma/internal/proc"
@@ -35,10 +36,8 @@ type DirectCPU struct {
 	M *machine.Machine
 	P *proc.Process
 
-	// prog is the buffer DirectDMA compiles into. It lives here, not on
-	// the Handle, because one handle may drive many machines at once (a
-	// hosted cluster shares its template's handle across shards).
-	prog isa.Program
+	// s is DirectDMA's per-call scratch.
+	s scratch
 }
 
 // Load implements isa.Executor.
@@ -73,28 +72,8 @@ func (d *DirectCPU) Syscall(num int, args ...uint64) (uint64, error) {
 
 // DirectDMA initiates a transfer by running the method's real
 // instruction sequence (or kernel trap) on the bare CPU — the hosted-
-// cluster analogue of DMA. Retry semantics match the scheduler path:
-// repeated passing re-runs its Figure 7 attempt on DMA_FAILURE (and,
-// strictly, on ACCEPTED); single-attempt methods return their status
-// word as-is.
+// cluster analogue of DMA, through the same initiation path: a refused
+// attempt is retried exactly as DMA retries it.
 func (h *Handle) DirectDMA(d *DirectCPU, src, dst vm.VAddr, size uint64) (uint64, error) {
-	if h.compile == nil {
-		if _, ok := h.method.(KernelLevel); ok {
-			return d.Syscall(kernel.SysDMA, uint64(src), uint64(dst), size)
-		}
-		return dma.StatusFailure, fmt.Errorf("userdma: %s cannot initiate outside a scheduler context", h.method.Name())
-	}
-	d.prog = h.compile(d.prog[:0], src, dst, size)
-	prog := d.prog
-	if r, ok := h.method.(RepeatedPassing); ok {
-		return r.retry(d, prog)
-	}
-	v, ok, err := isa.RunLast(d, prog)
-	if err != nil {
-		return dma.StatusFailure, err
-	}
-	if !ok {
-		return dma.StatusFailure, fmt.Errorf("userdma: sequence produced no status")
-	}
-	return v, nil
+	return h.initiate(d, &d.s, src, dst, size)
 }

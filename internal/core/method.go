@@ -89,21 +89,49 @@ func Machine(m Method) *machine.Machine {
 type Handle struct {
 	method Method
 	m      *machine.Machine
-	p      *proc.Process
 	ctx    int
 	key    uint64
 
 	// compile appends the straight-line instruction sequence of one
 	// initiation attempt to buf and returns it; nil for call-based
-	// methods (kernel, PAL).
+	// methods (kernel, PAL), which set call instead.
 	compile func(buf isa.Program, src, dst vm.VAddr, size uint64) isa.Program
-	// prog is the buffer initiations compile into (see program).
-	prog isa.Program
-	// initiate performs one full initiation (including any retry loop)
-	// from guest code.
-	initiate func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error)
+	// tries bounds Figure 7's client loop around a compiled attempt: 0
+	// runs one attempt and returns its status as is; otherwise an
+	// attempt answered DMA_FAILURE (or, with strict, ACCEPTED) runs
+	// again, at most tries times.
+	tries  int
+	strict bool
+	// call performs one initiation of a call-based method.
+	call func(x executor, s *scratch, src, dst vm.VAddr, size uint64) (uint64, error)
 	// poll reads the remaining-bytes status from guest code, or nil.
 	poll func(c *proc.Context) (uint64, error)
+	// s is DMA's scratch: on the scheduled path the handle belongs to
+	// the one guest that calls it.
+	s scratch
+}
+
+// executor is what an initiation runs on: the guest's proc.Context on
+// the scheduled path, a DirectCPU on the hosted one.
+type executor interface {
+	isa.Executor
+	Syscall(num int, args ...uint64) (uint64, error)
+}
+
+// scratch is one caller's per-call initiation state: the Handle's own
+// for DMA, the DirectCPU's for DirectDMA. A hosted cluster shares its
+// template's handle across shards on different goroutines, so the
+// hosted path must not write to the handle.
+type scratch struct {
+	// prog is the buffer attempts compile into; every attempt executes
+	// it and keeps none of it.
+	prog isa.Program
+	// args is KernelLevel's syscall argument array: through the
+	// executor interface a fresh variadic slice would escape.
+	args [3]uint64
+	// src is the last initiation's source, which ExtShadow's poll
+	// re-reads.
+	src vm.VAddr
 }
 
 // Context returns the register context assigned to the process (0 when
@@ -121,23 +149,42 @@ func (h *Handle) Program(src, dst vm.VAddr, size uint64) (isa.Program, bool) {
 	return h.compile(nil, src, dst, size), true
 }
 
-// program compiles one initiation attempt into the handle's own buffer;
-// the result is valid until the next call. Every runner of an attempt
-// (runProgram, RepeatedPassing.retry) executes the program and keeps
-// none of it, so one buffer serves every initiation of the handle's
-// process.
-func (h *Handle) program(src, dst vm.VAddr, size uint64) isa.Program {
-	h.prog = h.compile(h.prog[:0], src, dst, size)
-	return h.prog
-}
-
 // DMA initiates a transfer of size bytes from virtual address src to
 // virtual address dst, from user level (except KernelLevel, which
 // traps). It returns the initiation status word: StatusFailure for a
 // refused initiation, otherwise the bytes remaining (the transfer
 // continues in the background; see Poll).
 func (h *Handle) DMA(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-	return h.initiate(c, src, dst, size)
+	return h.initiate(c, &h.s, src, dst, size)
+}
+
+// initiate is the one initiation path of every method, scheduled or
+// hosted: a call-based method's call, or the compiled attempt run under
+// Figure 7's client loop.
+func (h *Handle) initiate(x executor, s *scratch, src, dst vm.VAddr, size uint64) (uint64, error) {
+	if h.call != nil {
+		return h.call(x, s, src, dst, size)
+	}
+	s.src = src
+	s.prog = h.compile(s.prog[:0], src, dst, size)
+	if h.tries == 0 {
+		return runCheckedProgram(x, s.prog)
+	}
+	for attempt := 0; attempt < h.tries; attempt++ {
+		status, err := runCheckedProgram(x, s.prog)
+		if err != nil {
+			return dma.StatusFailure, err
+		}
+		// Figure 7: "If (return_status == DMA_FAILURE) goto 1". A
+		// strict client also retries ACCEPTED: the final load extended
+		// someone else's sequence instead of completing ours, so no
+		// transfer started.
+		if status == dma.StatusFailure || (h.strict && status == dma.StatusAccepted) {
+			continue
+		}
+		return status, nil
+	}
+	return dma.StatusFailure, ErrRetriesExhausted
 }
 
 // Poll reads the remaining-byte count of the process's most recent

@@ -54,15 +54,12 @@ func (KernelLevel) SeqLen() int { return 0 }
 func (KernelLevel) RequiresKernelMod() bool { return false }
 
 // Attach implements Method.
-func (k KernelLevel) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
-	h := &Handle{method: k, m: m, p: p}
-	// One argument buffer per handle: the syscall handler reads the
-	// arguments and keeps none, and a fresh variadic slice would escape
-	// through the handler interface on every initiation.
-	var args [3]uint64
-	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-		args = [3]uint64{uint64(src), uint64(dst), size}
-		return c.Syscall(kernel.SysDMA, args[:]...)
+func (k KernelLevel) Attach(m *machine.Machine, _ *proc.Process) (*Handle, error) {
+	h := &Handle{method: k, m: m}
+	h.call = func(x executor, s *scratch, src, dst vm.VAddr, size uint64) (uint64, error) {
+		// The handler reads the arguments and keeps none.
+		s.args = [3]uint64{uint64(src), uint64(dst), size}
+		return x.Syscall(kernel.SysDMA, s.args[:]...)
 	}
 	h.poll = func(c *proc.Context) (uint64, error) {
 		// Completion polling costs a full trap each time — part of why
@@ -81,12 +78,11 @@ func (k KernelLevel) Attach(m *machine.Machine, p *proc.Process) (*Handle, error
 // NoContexts selects the §3.2 low-cost engine variant without register
 // contexts: the engine pair-matches a STORE with the next LOAD and only
 // starts the DMA when their context ids agree. An initiation interrupted
-// by another context's initiation fails cleanly and is retried
-// (MaxRetries bounds the loop). Polling is unavailable in this variant
+// by another context's initiation fails cleanly and is retried, like
+// Figure 7, up to 64 times. Polling is unavailable in this variant
 // (there is no per-context status register).
 type ExtShadow struct {
 	NoContexts bool
-	MaxRetries int
 }
 
 // Name implements Method.
@@ -116,42 +112,22 @@ func (e ExtShadow) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) 
 	if err != nil {
 		return nil, fmt.Errorf("userdma: %s: %w", e.Name(), err)
 	}
-	h := &Handle{method: e, m: m, p: p, ctx: ctx}
+	h := &Handle{method: e, m: m, ctx: ctx}
 	h.compile = func(buf isa.Program, src, dst vm.VAddr, size uint64) isa.Program {
 		return append(buf,
 			isa.Store(shadow(dst), phys.Size64, size, "pass size; shadow(vdst) carries pdst+ctx"),
 			isa.Load(shadow(src), phys.Size64, "pass psrc; starts DMA; returns status"),
 		)
 	}
-	retries := e.MaxRetries
-	if retries <= 0 {
-		retries = 64
-	}
-	var lastSrc vm.VAddr
-	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-		lastSrc = src
-		prog := h.program(src, dst, size)
-		if !e.NoContexts {
-			return runProgram(c, prog)
-		}
+	if e.NoContexts {
 		// Pair-matching engine: another context's interleaved pair makes
-		// the load fail; retry like Figure 7.
-		for attempt := 0; attempt < retries; attempt++ {
-			status, err := runProgram(c, prog)
-			if err != nil {
-				return dma.StatusFailure, err
-			}
-			if status != dma.StatusFailure {
-				return status, nil
-			}
-		}
-		return dma.StatusFailure, ErrRetriesExhausted
-	}
-	if !e.NoContexts {
+		// the load fail.
+		h.tries = defaultTries
+	} else {
 		h.poll = func(c *proc.Context) (uint64, error) {
 			// A shadow load with no half-initiation pending polls the
 			// context's running transfer.
-			return c.Load(shadow(lastSrc), phys.Size64)
+			return c.Load(shadow(h.s.src), phys.Size64)
 		}
 	}
 	return h, nil
@@ -181,7 +157,7 @@ func (k KeyBased) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("userdma: %s: %w", k.Name(), err)
 	}
-	h := &Handle{method: k, m: m, p: p, ctx: ctx, key: key}
+	h := &Handle{method: k, m: m, ctx: ctx, key: key}
 	packed := dma.PackKey(key, ctx)
 	h.compile = func(buf isa.Program, src, dst vm.VAddr, size uint64) isa.Program {
 		return append(buf,
@@ -194,9 +170,6 @@ func (k KeyBased) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
 			isa.MB("flush write buffer before status read (§3.4)"),
 			isa.Load(kernel.CtxPageVA, phys.Size64, "initiate; read status"),
 		)
-	}
-	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-		return runProgram(c, h.program(src, dst, size))
 	}
 	h.poll = func(c *proc.Context) (uint64, error) {
 		return c.Load(kernel.CtxPageVA, phys.Size64)
@@ -248,40 +221,14 @@ func (r RepeatedPassing) SeqLen() int {
 func (RepeatedPassing) RequiresKernelMod() bool { return false }
 
 // Attach implements Method.
-func (r RepeatedPassing) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
-	h := &Handle{method: r, m: m, p: p, compile: r.sequence}
-	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-		return r.retry(c, h.program(src, dst, size))
-	}
-	return h, nil
+func (r RepeatedPassing) Attach(m *machine.Machine, _ *proc.Process) (*Handle, error) {
+	return r.handle(m), nil
 }
 
-// retry runs prog until it starts a transfer, at most MaxRetries
-// times (64 if unset): Figure 7's client loop.
-func (r RepeatedPassing) retry(c isa.Executor, prog isa.Program) (uint64, error) {
-	retries := r.MaxRetries
-	if retries <= 0 {
-		retries = 64
-	}
-	for attempt := 0; attempt < retries; attempt++ {
-		status, err := runCheckedProgram(c, prog)
-		if err != nil {
-			return dma.StatusFailure, err
-		}
-		if status == dma.StatusFailure {
-			// Figure 7: "If (return_status == DMA_FAILURE) goto 1".
-			continue
-		}
-		if status == dma.StatusAccepted && !r.LooseStatus {
-			// The final load extended someone else's sequence instead
-			// of completing ours: no transfer started. The strict
-			// client retries; the paper's literal client would report
-			// success here.
-			continue
-		}
-		return status, nil
-	}
-	return dma.StatusFailure, ErrRetriesExhausted
+// handle builds the Figure 7 client: the sequence, retried at most
+// MaxRetries times (64 if unset), strictly unless LooseStatus.
+func (r RepeatedPassing) handle(m *machine.Machine) *Handle {
+	return &Handle{method: r, m: m, compile: r.sequence, tries: triesOr(r.MaxRetries), strict: !r.LooseStatus}
 }
 
 // sequence appends one attempt to p. The 5-access shape is Figure 7
@@ -341,10 +288,14 @@ func (PALCode) SeqLen() int { return 0 }
 func (PALCode) RequiresKernelMod() bool { return false }
 
 // Attach implements Method.
-func (pc PALCode) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
+func (pc PALCode) Attach(m *machine.Machine, _ *proc.Process) (*Handle, error) {
 	m.Kernel.InstallPALDMA()
-	h := &Handle{method: pc, m: m, p: p}
-	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
+	h := &Handle{method: pc, m: m}
+	h.call = func(x executor, _ *scratch, src, dst vm.VAddr, size uint64) (uint64, error) {
+		c, ok := x.(*proc.Context)
+		if !ok {
+			return dma.StatusFailure, fmt.Errorf("userdma: %s cannot initiate outside a scheduler context", pc.Name())
+		}
 		return c.PALCall(kernel.PALUserDMA, uint64(src), uint64(dst), size)
 	}
 	return h, nil
@@ -371,13 +322,10 @@ func (SHRIMP1) RequiresKernelMod() bool { return false }
 
 // Attach implements Method. Destinations are fixed per page with
 // MapOutPage before use; DMA ignores its dst argument.
-func (s SHRIMP1) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
-	h := &Handle{method: s, m: m, p: p}
+func (s SHRIMP1) Attach(m *machine.Machine, _ *proc.Process) (*Handle, error) {
+	h := &Handle{method: s, m: m}
 	h.compile = func(buf isa.Program, src, _ vm.VAddr, size uint64) isa.Program {
 		return append(buf, isa.Swap(shadow(src), phys.Size64, size, "compare&exchange: size in, status out"))
-	}
-	h.initiate = func(c *proc.Context, src, _ vm.VAddr, size uint64) (uint64, error) {
-		return c.Swap(shadow(src), phys.Size64, size)
 	}
 	return h, nil
 }
@@ -420,20 +368,18 @@ func (SHRIMP2) SeqLen() int { return 0 }
 func (s SHRIMP2) RequiresKernelMod() bool { return s.WithKernelMod }
 
 // Attach implements Method.
-func (s SHRIMP2) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
+func (s SHRIMP2) Attach(m *machine.Machine, _ *proc.Process) (*Handle, error) {
 	if s.WithKernelMod {
 		m.Kernel.EnableSHRIMP2Hook()
 	}
-	return pairedHandle(s, m, p, s.MaxRetries), nil
+	return pairedHandle(s, m, s.MaxRetries), nil
 }
 
 // --- FLASH (§2.6) ---
 
 // FLASH is the paired sequence made safe by telling the engine which
 // process runs at every context switch — a kernel modification.
-type FLASH struct {
-	MaxRetries int
-}
+type FLASH struct{}
 
 // Name implements Method.
 func (FLASH) Name() string { return "FLASH (PID tracking)" }
@@ -448,62 +394,47 @@ func (FLASH) SeqLen() int { return 0 }
 func (FLASH) RequiresKernelMod() bool { return true }
 
 // Attach implements Method.
-func (f FLASH) Attach(m *machine.Machine, p *proc.Process) (*Handle, error) {
+func (f FLASH) Attach(m *machine.Machine, _ *proc.Process) (*Handle, error) {
 	m.Kernel.EnableFLASHHook()
-	return pairedHandle(f, m, p, f.MaxRetries), nil
+	return pairedHandle(f, m, 0), nil
 }
 
 // pairedHandle builds the Figure 2 two-access handle shared by SHRIMP2
-// and FLASH, with a retry loop for hook-induced aborts.
-func pairedHandle(method Method, m *machine.Machine, p *proc.Process, maxRetries int) *Handle {
-	h := &Handle{method: method, m: m, p: p}
-	h.compile = func(buf isa.Program, src, dst vm.VAddr, size uint64) isa.Program {
+// and FLASH, retried (at most tries times, 64 if unset) when a hook
+// aborts an attempt.
+func pairedHandle(method Method, m *machine.Machine, maxRetries int) *Handle {
+	return &Handle{method: method, m: m, tries: triesOr(maxRetries), compile: func(buf isa.Program, src, dst vm.VAddr, size uint64) isa.Program {
 		return append(buf,
 			isa.Store(shadow(dst), phys.Size64, size, "pass pdst and size"),
 			isa.Load(shadow(src), phys.Size64, "pass psrc; starts DMA; returns status"),
 		)
-	}
-	if maxRetries <= 0 {
-		maxRetries = 64
-	}
-	h.initiate = func(c *proc.Context, src, dst vm.VAddr, size uint64) (uint64, error) {
-		prog := h.program(src, dst, size)
-		for attempt := 0; attempt < maxRetries; attempt++ {
-			status, err := runProgram(c, prog)
-			if err != nil {
-				return dma.StatusFailure, err
-			}
-			if status != dma.StatusFailure {
-				return status, nil
-			}
-		}
-		return dma.StatusFailure, ErrRetriesExhausted
-	}
-	return h
+	}}
 }
 
 // --- shared execution helpers ---
 
-// runProgram executes prog on the guest context and returns the LAST
-// load's value (the status word). It uses the allocation-free isa
-// entry point: this sits on the per-message send path.
-func runProgram(c *proc.Context, prog isa.Program) (uint64, error) {
-	v, ok, err := isa.RunLast(c, prog)
-	if err != nil {
-		return dma.StatusFailure, err
+// defaultTries bounds Figure 7's client loop for a method that sets no
+// MaxRetries of its own.
+const defaultTries = 64
+
+// triesOr returns maxRetries, or defaultTries if it is unset.
+func triesOr(maxRetries int) int {
+	if maxRetries <= 0 {
+		return defaultTries
 	}
-	if !ok {
-		return dma.StatusFailure, fmt.Errorf("userdma: sequence produced no status")
-	}
-	return v, nil
+	return maxRetries
 }
 
-// runCheckedProgram executes prog but aborts the attempt as soon as any
-// intermediate load reports DMA_FAILURE — Figure 7's per-step
-// "if (return_status == DMA_FAILURE) goto 1". It takes any executor so
-// the scheduler path (proc.Context) and the hosted direct path
-// (DirectCPU) share one attempt semantics.
-func runCheckedProgram(c isa.Executor, prog isa.Program) (uint64, error) {
+// runCheckedProgram executes prog, the one runner of every compiled
+// attempt, and returns its last load's (or swap's) value, the status
+// word. It aborts the attempt as soon as any intermediate load reports
+// DMA_FAILURE — Figure 7's per-step "if (return_status == DMA_FAILURE)
+// goto 1"; every other method's program ends in its one status read.
+// It takes the executor interface itself, not isa.Executor: converting
+// one interface to another at run time goes through a per-call-site
+// type cache the runtime now and then reallocates, which would be an
+// allocation on the initiation path.
+func runCheckedProgram(c executor, prog isa.Program) (uint64, error) {
 	var last uint64 = dma.StatusFailure
 	for _, ins := range prog {
 		switch ins.Op {

@@ -415,7 +415,6 @@ type pendingPair struct {
 // Engine is the DMA engine device.
 type Engine struct {
 	cfg    Config
-	clock  *sim.Clock
 	events *sim.EventQueue
 	mem    *phys.Memory
 
@@ -509,7 +508,7 @@ type BusReserver interface {
 // New builds an engine. mem is the node's local memory the engine
 // masters transfers on; events is the queue every delivery is
 // scheduled on.
-func New(cfg Config, clock *sim.Clock, events *sim.EventQueue, mem *phys.Memory) (*Engine, error) {
+func New(cfg Config, events *sim.EventQueue, mem *phys.Memory) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -520,7 +519,6 @@ func New(cfg Config, clock *sim.Clock, events *sim.EventQueue, mem *phys.Memory)
 	e := &Engine{
 		cfg:     cfg,
 		wins:    cfg.windows(),
-		clock:   clock,
 		events:  events,
 		mem:     mem,
 		ctxs:    make([]regContext, nCtx),

@@ -54,7 +54,7 @@ func newEngine(t *testing.T, mode Mode, mut func(*Config)) *engFixture {
 	}
 	mem := phys.New(testMemSize)
 	events := new(sim.EventQueue)
-	e, err := New(cfg, sim.NewClock(), events, mem)
+	e, err := New(cfg, events, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +113,14 @@ func TestConfigValidation(t *testing.T) {
 	for _, c := range cases {
 		cfg := base
 		c.mut(&cfg)
-		if _, err := New(cfg, sim.NewClock(), new(sim.EventQueue), phys.New(testMemSize)); err == nil {
+		if _, err := New(cfg, new(sim.EventQueue), phys.New(testMemSize)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := New(base, sim.NewClock(), new(sim.EventQueue), phys.New(testMemSize)); err != nil {
+	if _, err := New(base, new(sim.EventQueue), phys.New(testMemSize)); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if _, err := New(base, sim.NewClock(), nil, phys.New(testMemSize)); err == nil {
+	if _, err := New(base, nil, phys.New(testMemSize)); err == nil {
 		t.Error("engine without an event queue accepted")
 	}
 }

@@ -24,7 +24,7 @@ func newRingEngine(tb testing.TB, mode Mode) *engFixture {
 	cfg.RingBase = ringBase
 	mem := phys.New(testMemSize)
 	events := new(sim.EventQueue)
-	e, err := New(cfg, sim.NewClock(), events, mem)
+	e, err := New(cfg, events, mem)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func newVAEngine(tb testing.TB, mode Mode, mut func(*Config)) *vaFixture {
 	}
 	mem := phys.New(testMemSize)
 	events := new(sim.EventQueue)
-	e, err := New(cfg, sim.NewClock(), events, mem)
+	e, err := New(cfg, events, mem)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestVAConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := testConfig(ModePaired)
 		tc.mut(&cfg)
-		if _, err := New(cfg, sim.NewClock(), new(sim.EventQueue), phys.New(testMemSize)); err == nil {
+		if _, err := New(cfg, new(sim.EventQueue), phys.New(testMemSize)); err == nil {
 			t.Errorf("%s: config accepted", tc.name)
 		}
 	}

@@ -38,7 +38,7 @@ func TestWindowOfMatchesDecode(t *testing.T) {
 
 	for _, l := range layouts {
 		c := l.cfg
-		e, err := dma.New(c, sim.NewClock(), new(sim.EventQueue), phys.New(int(c.MemSize)))
+		e, err := dma.New(c, new(sim.EventQueue), phys.New(int(c.MemSize)))
 		if err != nil {
 			t.Fatalf("%s: %v", l.name, err)
 		}

@@ -49,7 +49,16 @@ func clusterLink(p Params) (net.LinkConfig, string) {
 	return net.Gigabit(), "Gigabit"
 }
 
+// clusterFlagSlot is the byte offset of the doorbell flag word near the
+// end of the receiver's 8 KiB mailbox page; the payload lands below it.
+const clusterFlagSlot = 8160
+
 func clusterCells(p Params) ([]Cell, error) {
+	if p.MsgSize > clusterFlagSlot {
+		// A larger payload would overwrite the flag word, and past the
+		// page the engine refuses the send while the receiver polls on.
+		return nil, fmt.Errorf("clustersim: %d-byte payload overruns the mailbox flag word at byte %d", p.MsgSize, clusterFlagSlot)
+	}
 	link, linkName := clusterLink(p)
 	methods := ClusterMethods()
 	cells := make([]Cell, len(methods))
@@ -122,11 +131,10 @@ func oneWayLatency(method userdma.Method, link net.LinkConfig, msgs int, size ui
 	n0, n1 := cluster.Nodes[0], cluster.Nodes[1]
 
 	const (
-		srcVA    = vm.VAddr(0x10000) // sender payload page
-		remVA    = vm.VAddr(0x20000) // sender's window into the receiver
-		boxVA    = vm.VAddr(0x30000) // receiver's local mailbox
-		mailbox  = phys.Addr(0x80000)
-		flagSlot = 8160 // flag word near the end of the mailbox page
+		srcVA   = vm.VAddr(0x10000) // sender payload page
+		remVA   = vm.VAddr(0x20000) // sender's window into the receiver
+		boxVA   = vm.VAddr(0x30000) // receiver's local mailbox
+		mailbox = phys.Addr(0x80000)
 	)
 
 	var sendTimes []sim.Time
@@ -146,7 +154,7 @@ func oneWayLatency(method userdma.Method, link net.LinkConfig, msgs int, size ui
 			initSample.Add(n0.Clock.Now() - start)
 			sendTimes = append(sendTimes, start)
 			// Doorbell: remote-write the sequence number after the data.
-			if err := c.Store(remVA+flagSlot, phys.Size64, uint64(i+1)); err != nil {
+			if err := c.Store(remVA+clusterFlagSlot, phys.Size64, uint64(i+1)); err != nil {
 				return err
 			}
 			if err := c.MB(); err != nil {
@@ -163,7 +171,7 @@ func oneWayLatency(method userdma.Method, link net.LinkConfig, msgs int, size ui
 	receiver := n1.NewProcess("receiver", func(c *proc.Context) error {
 		for i := 0; i < msgs; i++ {
 			for {
-				v, err := c.Load(boxVA+flagSlot, phys.Size64)
+				v, err := c.Load(boxVA+clusterFlagSlot, phys.Size64)
 				if err != nil {
 					return err
 				}

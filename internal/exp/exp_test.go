@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // gridExperiment builds a synthetic n-cell experiment whose cells
@@ -174,5 +175,29 @@ func TestDocumentWorkerParity(t *testing.T) {
 	}
 	if _, err := Document(20, []Section{{Name: "oslat"}}); err == nil {
 		t.Error("Document must fail for an experiment without a JSON section")
+	}
+}
+
+// TestClusterSizeBeyondFlagSlot: a clustersim payload that would reach
+// the mailbox's doorbell flag word is refused before any world is
+// built — at 8193 B the engine refuses the send and the receiver would
+// otherwise poll a flag that never arrives — while one that ends just
+// below the flag word runs.
+func TestClusterSizeBeyondFlagSlot(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunNamed("clustersim", Params{Msgs: 1, MsgSize: 8193})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "flag word") {
+			t.Fatalf("8193-byte clustersim: err = %v, want the flag-word refusal", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("8193-byte clustersim still running after 10s")
+	}
+	if _, err := RunNamed("clustersim", Params{Msgs: 1, MsgSize: clusterFlagSlot}); err != nil {
+		t.Fatalf("%d-byte clustersim: %v", clusterFlagSlot, err)
 	}
 }

@@ -55,7 +55,7 @@ var Tools = []Tool{
 	}},
 	{Name: "clustersim", Flags: []*Flag{
 		{Name: "msgs", Kind: IntFlag, Def: 50, Min: 1, NoMax: countNoMax, Usage: "messages per method"},
-		{Name: "size", Kind: UintFlag, Def: 256, Min: 0, Max: 8192, Why: "a message is one 8 KiB mailbox page; a larger one never lands", Usage: "message payload bytes"},
+		{Name: "size", Kind: UintFlag, Def: 256, Min: 0, Max: clusterFlagSlot, Why: "the payload must end below the doorbell flag word at byte 8160 of the 8 KiB mailbox page", Usage: "message payload bytes"},
 		{Name: "gigabit", Kind: BoolFlag, Def: 1, Usage: "use the Gigabit link preset (else ATM-155)"},
 		{Name: "hist", Kind: BoolFlag, Excludes: []string{"json"}, Usage: "print per-method latency histograms (text only)"},
 		{Name: "scale", Kind: BoolFlag, Excludes: []string{"msgs", "size", "gigabit", "hist"}, Usage: "run the sharded NOW scale experiment instead of the two-node comparison"},

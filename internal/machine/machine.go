@@ -279,7 +279,7 @@ func assemble(cfg Config, clock *sim.Clock, events, cpuEvents *sim.EventQueue, h
 	wb := bus.NewWriteBuffer(b, cfg.WriteBufferEntries, cfg.WriteBufferCoalesce)
 	c := cpu.New(cfg.CPU, clock, cpuEvents, mem, b, wb)
 
-	engine, err := dma.New(cfg.Engine, clock, events, mem)
+	engine, err := dma.New(cfg.Engine, events, mem)
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}

@@ -104,9 +104,6 @@ type Cluster struct {
 	// counters under "net.*". Per-node counters live in each node's own
 	// registry (Nodes[i].Obs).
 	Obs *obs.Registry
-	// Tracer is the cluster-wide trace spine shared by every node and
-	// the fabric; nil until EnableTrace.
-	Tracer *obs.Trace
 }
 
 // NewCluster builds n nodes from cfg and wires their engines to a
@@ -152,7 +149,6 @@ func (c *Cluster) EnableTrace(max int, policy obs.Policy) *obs.Trace {
 // AttachTracer attaches an existing trace to every node and the
 // fabric, or detaches with nil.
 func (c *Cluster) AttachTracer(tr *obs.Trace) {
-	c.Tracer = tr
 	for _, m := range c.Nodes {
 		m.AttachTracer(tr)
 	}

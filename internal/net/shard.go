@@ -92,7 +92,6 @@ type SMsg struct {
 	Kind     uint8  // model-defined message class
 	Bytes    uint64 // modelled payload size (serialization + accounting)
 	Arg      uint64 // model-defined tag (e.g. RPC sequence number)
-	Sent     sim.Time
 	Arrive   sim.Time
 	// Seq is the per-SOURCE send sequence number. (Arrive, Src, Seq)
 	// is the canonical inbound sort key: strictly total (Seq is unique
@@ -224,7 +223,7 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		// Room for four pending events per owned node.
-		c.shards[s] = sim.NewShard(s, 4*cfg.Nodes/cfg.Shards)
+		c.shards[s] = sim.NewShard(4 * cfg.Nodes / cfg.Shards)
 		c.first[s] = s * cfg.Nodes / cfg.Shards
 	}
 	c.first[cfg.Shards] = cfg.Nodes
@@ -359,7 +358,7 @@ func (c *ShardedCluster) Send(src, dst int, kind uint8, bytes, arg uint64, now s
 	p := c.windows & 1
 	c.out[p][ss][ds] = append(c.out[p][ss][ds], SMsg{
 		Src: src, Dst: dst, Kind: kind, Bytes: bytes, Arg: arg,
-		Sent: now, Arrive: arrive, Seq: c.eseq[src],
+		Arrive: arrive, Seq: c.eseq[src],
 	})
 	c.outMin[p][ss] = min(c.outMin[p][ss], arrive)
 }

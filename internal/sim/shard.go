@@ -7,17 +7,16 @@ package sim
 // cluster simulation use every host core while each shard stays
 // single-goroutine and bit-for-bit deterministic.
 //
+// A shard has no identity of its own: nothing about a run may depend
+// on which shard fired an event, so the sharded world orders every
+// cross-shard message by its content (arrival, source, per-source
+// sequence), never by shard.
+//
 // Shard deliberately does NOT own an RNG: random streams must be
 // per-NODE (split from the world seed by node index), never per-shard,
 // or re-partitioning the same world across a different shard count
 // would re-deal the streams and break shard-count invariance.
 type Shard struct {
-	// ID is the shard's index in the world's fixed shard order. Barriers
-	// drain shard outboxes in ascending ID, which is one of the two
-	// orderings (with per-source sequence numbers) that make the merged
-	// run independent of worker scheduling.
-	ID int
-
 	Clock  *Clock
 	Events *EventQueue
 
@@ -39,8 +38,8 @@ type Shard struct {
 
 // NewShard returns a shard with a fresh clock at time zero and an event
 // queue pre-sized for hint pending events.
-func NewShard(id, hint int) *Shard {
-	return &Shard{ID: id, Clock: NewClock(), Events: NewEventQueueSize(hint)}
+func NewShard(hint int) *Shard {
+	return &Shard{Clock: NewClock(), Events: NewEventQueueSize(hint)}
 }
 
 // RunWindow fires, in timestamp order, every pending event with

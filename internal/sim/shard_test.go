@@ -30,10 +30,7 @@ func TestStepFiresEarliestOnly(t *testing.T) {
 }
 
 func TestShardRunWindow(t *testing.T) {
-	s := NewShard(3, 8)
-	if s.ID != 3 {
-		t.Fatalf("ID = %d, want 3", s.ID)
-	}
+	s := NewShard(8)
 	var fired []Time
 	record := func(now Time) { fired = append(fired, now) }
 	s.Events.ScheduleFunc(5, record)
