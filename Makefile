@@ -103,12 +103,16 @@ ringparity:
 # translate path stays at 0 allocs/op, and the completion-poll skip
 # leaves PagingBench and MeasureIOTLB results, the registry, the clock
 # and the TLB stamps exactly as the full poll loop does — also when
-# maxPolls or the slot budget runs out mid-wait — refuses beside a
-# second live process and on a syscall poll, and allocates nothing in a
-# warm Wait. A world configured like PagingBench snapshots, and its
+# maxPolls or the slot budget runs out mid-wait — within a bound on
+# real polls per transfer, refuses beside a second live process, on a
+# syscall poll and on a poll that fills the CPU TLB, and allocates
+# nothing in a warm Wait. The TLB's mutation version moves on every
+# fill, flush and restore and never on a hit, and the pager's LRU list
+# evicts the victim a scan of every page would, across a mid-stream
+# restore too. A world configured like PagingBench snapshots, and its
 # clone and rewound origin replay a faulting stream byte-identically.
 iommuparity:
-	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipZeroAllocs|TestPagingWorldSnapshotReplays' ./internal/core ./internal/dma ./internal/exp
+	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipRefusesTLBFill|TestPollSkipZeroAllocs|TestPagingWorldSnapshotReplays|TestTLBVersion|TestPagerEvictionOrder' ./internal/core ./internal/dma ./internal/exp ./internal/vm ./internal/kernel
 
 # The steered loop's contracts, run under the race detector: the live
 # obs feed costs 0 simulated time and 0 allocations (byte-identical

@@ -29,7 +29,16 @@ package userdma
 // attached, the write buffer holds a store, the CPU pumps no event
 // queue (shard-hosted machines), the guest runs outside Run or under
 // a policy other than RoundRobin, another process is live, or the poll
-// changes state outside the registry (a syscall poll counts a trap).
+// changes state outside the registry (a syscall poll counts a trap, a
+// TLB fill moves the TLB's version).
+//
+// Every real poll costs O(1) in the size of the world: the held-state
+// check compares counters (the TLB's mutation version, the event
+// queue's sequence) rather than hashing tables, and the registry is
+// read and extrapolated once per stretch. The clock at Wait's entry
+// and the clock a skip leaves are both taken as the last poll's end,
+// so a stretch spends exactly two real polls arming and one bracketed
+// poll before it skips.
 
 import (
 	"sync/atomic"
@@ -103,35 +112,46 @@ const pollSkipCells = 96
 // pollSkips counts the quiet stretches Handle.Wait has charged in one
 // step since process start, so the equivalence tests can assert the
 // skip engaged (ffEngagements counts the measurement loops' skips).
-var pollSkips atomic.Int64
+// realPolls counts the polls Wait ran for real and skippedPolls the
+// ones it charged without running.
+var pollSkips, realPolls, skippedPolls atomic.Int64
 
 // pollSkip is Handle.Wait's quiet-stretch detector, kept on Wait's
-// stack. Two polls with equal clock advances arm it; it then reads the
-// registry and the held state (pollHeld) around the next poll, B. If B
-// left the held state as it found it and no event was due before B
-// ended, every poll before the horizon — the next event or bus-window
-// edge — starts from the same state and repeats B exactly, so skipBy
-// charges k of them at once.
+// stack; newPollSkip starts it at the clock on Wait's entry. Two polls
+// with equal clock advances arm it; it then reads the registry and the
+// held state (pollHeld) around the next poll, B. If B left the held
+// state as it found it and no event was due before B ended, every
+// poll before the horizon — the next event or bus-window edge — starts
+// from the same state and repeats B exactly, so skipBy charges k of
+// them at once. polls counts Wait's real polls for realPolls.
 type pollSkip struct {
 	armed             bool
 	last, dt, horizon sim.Time // clock after the last poll, that poll's advance, and B's horizon
 	start             pollHeld // held state at B's start
 	tick, instrs      uint64   // TLB tick and guest instruction count at B's start
+	polls             int64
 	reg               [pollSkipCells]uint64
 }
 
+func newPollSkip(m *machine.Machine) pollSkip { return pollSkip{last: m.Clock.Now()} }
+
+// done publishes the Wait's real-poll count.
+func (s *pollSkip) done() { realPolls.Add(s.polls) }
+
 // pollHeld is the state outside the registry that a poll must leave
-// unchanged to repeat: the CPU TLB's entries, the engine's decode
-// state, the event queue and the kernel's trap count. The rest moves
-// only in events, traps and transfer starts (which schedule events):
-// the engine's channel clocks, the IOMMU and the pager.
+// unchanged to repeat: the CPU TLB's entries (by its mutation version:
+// equal versions imply identical entries, and a version that moves
+// where the entries did not only makes the skip refuse), the engine's
+// decode state, the event queue and the kernel's trap count. The rest
+// moves only in events, traps and transfer starts (which schedule
+// events): the engine's channel clocks, the IOMMU and the pager.
 type pollHeld struct {
 	tlb, decode, seq, traps uint64
 	next                    sim.Time
 }
 
 func heldOf(m *machine.Machine) pollHeld {
-	return pollHeld{tlb: m.CPU.TLB().StateHash(), decode: m.Engine.DecodeHash(), seq: m.Events.SnapshotSeq(),
+	return pollHeld{tlb: m.CPU.TLB().Version(), decode: m.Engine.DecodeHash(), seq: m.Events.SnapshotSeq(),
 		traps: m.Kernel.Counters().Syscalls.Value(), next: m.Events.NextAt()}
 }
 
@@ -183,6 +203,8 @@ func (s *pollSkip) skipBy(m *machine.Machine, c *proc.Context, left int, room ui
 	m.CPU.TLB().Skip(s.tick, k*(m.CPU.TLB().Tick()-s.tick))
 	c.SkipSlots(k*ds, sim.Time(k)*s.dt)
 	m.Clock.Advance(sim.Time(k) * s.dt)
+	s.last = m.Clock.Now() // the k-th copy of B ends here: the next poll may arm at once
 	pollSkips.Add(1)
+	skippedPolls.Add(int64(k))
 	return int(k)
 }

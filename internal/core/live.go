@@ -87,7 +87,7 @@ func pagingBench(policy dma.RecoveryPolicy, pages, budget, transfers int, observ
 	var h *Handle
 	// One latency per transfer, sorted in place for the percentiles
 	// (stats.Sample would sort a copy).
-	var lat []sim.Time
+	lat := make([]sim.Time, 0, transfers)
 	var elapsed sim.Time
 	completed := 0
 	p := m.NewProcess("paging", func(c *proc.Context) error {

@@ -216,8 +216,10 @@ func (h *Handle) WaitBlocking(c *proc.Context) error {
 // Wait polls until the transfer completes or maxPolls is exhausted.
 // Quiet stretches of identical polls are charged in one step (pollSkip).
 func (h *Handle) Wait(c *proc.Context, maxPolls int) error {
-	var skip pollSkip
+	skip := newPollSkip(h.m)
+	defer skip.done()
 	for i := 0; i < maxPolls; i++ {
+		skip.polls++
 		rem, err := h.Poll(c)
 		if err != nil {
 			return err

@@ -34,33 +34,50 @@ func withSkip(on bool, f func()) int64 {
 	return pollSkips.Load() - before
 }
 
+// maxRealPollsPerTransfer bounds the polls the stall and bounce cells
+// of TestPollSkipEquivalence run for real per transfer. A Wait spends
+// two polls arming and one bracketed poll before its first skip, and
+// two after each skip; wasting one more on Wait's entry and after
+// every skip would run 19.
+const maxRealPollsPerTransfer = 14.5
+
 // TestPollSkipEquivalence: PagingBench under every recovery policy and
 // MeasureIOTLB across the IOTLB knee produce the identical result
 // struct (fingerprint included), registry, clock and TLB stamps with
-// the poll skip on and off, and the skip engages in every cell.
+// the poll skip on and off, and the skip engages in every cell. The
+// stall and bounce cells run at most maxRealPollsPerTransfer real
+// polls per transfer.
 func TestPollSkipEquivalence(t *testing.T) {
+	const transfers = 48
 	type cell struct {
-		name string
-		run  func() (any, *machine.Machine, error)
+		name      string
+		run       func() (any, *machine.Machine, error)
+		realBound float64 // real polls per transfer with the skip on; 0: unchecked
 	}
 	var cells []cell
 	for _, pol := range []dma.RecoveryPolicy{dma.RecoverStall, dma.RecoverBounce, dma.RecoverPin} {
 		pol := pol
+		var bound float64
+		if pol != dma.RecoverPin {
+			bound = maxRealPollsPerTransfer
+		}
 		cells = append(cells, cell{"paging/" + pol.String(), func() (any, *machine.Machine, error) {
-			return pagingBench(pol, 16, 4, 48, nil)
-		}})
+			return pagingBench(pol, 16, 4, transfers, nil)
+		}, bound})
 	}
 	for _, pages := range []int{4, 8, 16} {
 		pages := pages
 		cells = append(cells, cell{fmt.Sprintf("iotlb/%d", pages), func() (any, *machine.Machine, error) {
-			return measureIOTLB(pages, 8, 48)
-		}})
+			return measureIOTLB(pages, 8, transfers)
+		}, 0})
 	}
 	for _, c := range cells {
 		var res [2]any
 		var st [2]worldState
 		var skips [2]int64
+		var real int64
 		for i, on := range []bool{false, true} {
+			before := realPolls.Load()
 			skips[i] = withSkip(on, func() {
 				r, m, err := c.run()
 				if err != nil {
@@ -68,9 +85,13 @@ func TestPollSkipEquivalence(t *testing.T) {
 				}
 				res[i], st[i] = r, stateOf(m)
 			})
+			real = realPolls.Load() - before
 		}
 		if skips[0] != 0 || skips[1] == 0 {
 			t.Errorf("%s: %d skips with the switch off, %d with it on; want none, then some", c.name, skips[0], skips[1])
+		}
+		if perTransfer := float64(real) / transfers; c.realBound > 0 && perTransfer > c.realBound {
+			t.Errorf("%s: %.2f real polls per transfer with the skip on; want at most %.2f", c.name, perTransfer, c.realBound)
 		}
 		if !reflect.DeepEqual(res[0], res[1]) {
 			t.Errorf("%s: result differs with the skip on:\n off %+v\n on  %+v", c.name, res[0], res[1])
@@ -288,4 +309,85 @@ func TestPollSkipZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a skipping Wait allocates %.1f times per transfer, want 0", allocs)
 	}
+}
+
+// TestPollSkipRefusesTLBFill: when every poll misses in the CPU TLB
+// (the guest's page table changes between polls, so each status load
+// walks and refills), the armed poll moves the TLB's version and the
+// skip refuses; the same polls without the page-table change skip.
+func TestPollSkipRefusesTLBFill(t *testing.T) {
+	defer SetFastForward(SetFastForward(true))
+	for _, fill := range []bool{false, true} {
+		method := ExtShadow{}
+		m, err := machine.New(VAConfigFor(method, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const src, dst, spare = vm.VAddr(0x10000), vm.VAddr(0x20000), vm.VAddr(0x900000)
+		var h *Handle
+		var armed, skipped int
+		p := m.NewProcess("poller", func(c *proc.Context) error {
+			if _, err := h.DMA(c, src, dst, m.Cfg.PageSize); err != nil {
+				return err
+			}
+			s := newPollSkip(m)
+			for i := 0; i < 12 && skipped == 0; i++ {
+				if fill {
+					if err := c.Process().AddressSpace().Map(spare, 0, vm.Read); err != nil {
+						return err
+					}
+				}
+				if rem, err := h.Poll(c); err != nil || rem == 0 || rem == StatusFailure {
+					return fmt.Errorf("poll %d: status %d, %v; want the transfer still running", i, rem, err)
+				}
+				c.Spin(200)
+				if s.armed {
+					armed++
+				}
+				if s.after(m, c, 1<<20) > 0 {
+					skipped++
+				}
+			}
+			return h.Wait(c, 1<<20)
+		})
+		if h, err = method.Attach(m, p); err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range []vm.VAddr{src, dst} {
+			if _, err := SetupVAPages(m, p, h.Context(), base, 1, vm.Read|vm.Write); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Run(proc.NewRoundRobin(1<<20), 1<<32); err != nil || p.Err() != nil {
+			t.Fatalf("fill %v: run %v, guest %v", fill, err, p.Err())
+		}
+		switch {
+		case fill && (armed == 0 || skipped != 0):
+			t.Fatalf("with a TLB fill per poll: %d polls ran armed and %d skipped; want some armed and none skipped", armed, skipped)
+		case !fill && skipped == 0:
+			t.Fatal("without the fills the skip never engaged, so the refusal shows nothing")
+		}
+	}
+}
+
+// BenchmarkWaitPaging times one PagingBench stall cell at the size the
+// va_paging benchmark runs (32 pages over an 8-page budget, 1024
+// transfers), where nearly all host time is Handle.Wait's poll loop,
+// and reports it per transfer with the real and skipped polls and the
+// quiet stretches skipped.
+func BenchmarkWaitPaging(b *testing.B) {
+	defer SetFastForward(SetFastForward(true))
+	const transfers = 1024
+	b.ReportAllocs()
+	real, skipped, skips := realPolls.Load(), skippedPolls.Load(), pollSkips.Load()
+	for i := 0; i < b.N; i++ {
+		if _, err := PagingBench(dma.RecoverStall, 32, 8, transfers); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(b.N * transfers)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/transfer")
+	b.ReportMetric(float64(realPolls.Load()-real)/n, "real_polls/transfer")
+	b.ReportMetric(float64(skippedPolls.Load()-skipped)/n, "skipped_polls/transfer")
+	b.ReportMetric(float64(pollSkips.Load()-skips)/n, "stretches/transfer")
 }

@@ -261,12 +261,36 @@ func newRPCGen(c *net.ShardedCluster, k scaleKnobs, boot sim.Time, model rpcMode
 		lats:    make([][]sim.Time, k.nodes),
 		errs:    make([]error, k.nodes),
 	}
+	// Each node's issue and latency slices are cap-limited windows of
+	// one backing array each, sized by arrivalBound: no node's append
+	// regrows, and none can reach a neighbour's window.
+	per := arrivalBound(k)
+	issueAt, lats := make([]sim.Time, k.nodes*per), make([]sim.Time, k.nodes*per)
+	for n := 0; n < k.nodes; n++ {
+		g.issueAt[n] = issueAt[n*per : n*per : (n+1)*per]
+		g.lats[n] = lats[n*per : n*per : (n+1)*per]
+	}
 	g.arrivals = make([]func(sim.Time), k.nodes)
 	for n := range g.arrivals {
 		g.arrivals[n] = func(now sim.Time) { g.arrive(n, now) }
 	}
 	c.SetDeliver(g.deliver)
 	return g
+}
+
+// rpcReserveMax caps the elements newRPCGen reserves per slice across
+// all nodes; a node past its share appends into a fresh array.
+const rpcReserveMax = 1 << 22
+
+// arrivalBound is the most RPCs a node can issue in k's window: every
+// gap jitter draws is at least interval/2, the first arrival comes one
+// gap past boot, and later ones only before the window closes, so each
+// tenant stream sees at most dur/(interval/2)+1. It is capped so that
+// nodes·bound stays within rpcReserveMax.
+func arrivalBound(k scaleKnobs) int {
+	gap := max(uint64(k.interval/2), 1)
+	per := min(uint64(k.dur)/gap+1, uint64(rpcReserveMax/k.nodes))
+	return int(min(per*uint64(k.tenants), uint64(rpcReserveMax/k.nodes)))
 }
 
 // prime schedules every tenant stream's first arrival past boot. Draws

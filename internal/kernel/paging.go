@@ -24,11 +24,15 @@ package kernel
 //     page-in latency. Pins (PinRange, which the engine's RecoverPin
 //     policy calls) make pages ineligible for eviction. Eviction order
 //     is deterministic: strictly (lastUse, seq)-minimal among unpinned
-//     residents.
+//     residents. The resident pages sit on an intrusive LRU list in
+//     that order, so a victim is the first unpinned page from its head
+//     rather than the result of a scan over every registered page.
 //
 // All pager state is pure data keyed by (ctx, deviceVA) — no pointers
 // into process address spaces — so it snapshots by value and folds into
-// machine.Fingerprint through PagerStateHash.
+// machine.Fingerprint through PagerStateHash. The list links are the
+// one exception: they are derived from (lastUse, seq), left out of both,
+// and rebuilt by Restore.
 
 import (
 	"fmt"
@@ -50,12 +54,49 @@ type pagerKey struct {
 
 // pagerPage is the pager's record of one registered device page.
 type pagerPage struct {
+	key      pagerKey
 	frame    phys.Addr
-	prot     vm.Prot
-	resident bool
-	pinned   int    // pin count; >0 blocks eviction
 	lastUse  uint64 // pager tick of last touch (resident pages only)
 	seq      uint64 // registration order, the lastUse tiebreak
+	pinned   int32  // pin count; >0 blocks eviction
+	prot     vm.Prot
+	resident bool
+
+	prev, next *pagerPage // resident LRU list links (nil when not resident)
+}
+
+// pagerLRU is the intrusive list of resident pages, least recently used
+// at the head. touch moves a page to the tail, so the list stays sorted
+// by (lastUse, seq) without a scan; the records are the map's, so the
+// list allocates nothing.
+type pagerLRU struct {
+	head, tail *pagerPage
+}
+
+func (l *pagerLRU) linked(pg *pagerPage) bool { return pg.prev != nil || l.head == pg }
+
+func (l *pagerLRU) remove(pg *pagerPage) {
+	if pg.prev != nil {
+		pg.prev.next = pg.next
+	} else {
+		l.head = pg.next
+	}
+	if pg.next != nil {
+		pg.next.prev = pg.prev
+	} else {
+		l.tail = pg.prev
+	}
+	pg.prev, pg.next = nil, nil
+}
+
+func (l *pagerLRU) pushBack(pg *pagerPage) {
+	pg.prev, pg.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = pg
+	} else {
+		l.head = pg
+	}
+	l.tail = pg
 }
 
 // pagerState is the kernel's paging/eviction model. Its counters are
@@ -68,6 +109,7 @@ type pagerState struct {
 	resident int
 	tick     uint64 // LRU clock
 	seq      uint64 // registration counter
+	lru      pagerLRU
 }
 
 // SetIOMMU attaches the machine's IOMMU. The machine layer calls it
@@ -120,7 +162,7 @@ func (k *Kernel) MapIO(ctx int, va uint64, frame phys.Addr, prot vm.Prot) error 
 	pg := k.pager.pages[key]
 	if pg == nil {
 		k.pager.seq++
-		pg = &pagerPage{seq: k.pager.seq}
+		pg = &pagerPage{key: key, seq: k.pager.seq}
 		k.pager.pages[key] = pg
 	}
 	pg.frame, pg.prot = frame, prot
@@ -179,34 +221,42 @@ func (k *Kernel) makeResident(key pagerKey, pg *pagerPage) error {
 	return nil
 }
 
-// evictOne removes the (lastUse, seq)-minimal unpinned resident page.
-func (k *Kernel) evictOne() error {
-	var vk pagerKey
-	var victim *pagerPage
-	for key, pg := range k.pager.pages {
-		if !pg.resident || pg.pinned > 0 {
-			continue
-		}
-		if victim == nil || pg.lastUse < victim.lastUse ||
-			(pg.lastUse == victim.lastUse && pg.seq < victim.seq) {
-			vk, victim = key, pg
+// victim returns the (lastUse, seq)-minimal unpinned resident page, or
+// nil: the first unpinned page from the LRU list's head.
+func (k *Kernel) victim() *pagerPage {
+	for pg := k.pager.lru.head; pg != nil; pg = pg.next {
+		if pg.pinned == 0 {
+			return pg
 		}
 	}
+	return nil
+}
+
+// evictOne removes the (lastUse, seq)-minimal unpinned resident page.
+func (k *Kernel) evictOne() error {
+	victim := k.victim()
 	if victim == nil {
 		return fmt.Errorf("kernel: pager: all %d resident device pages pinned", k.pager.resident)
 	}
-	if err := k.iommu.Unmap(vk.ctx, vk.va); err != nil {
+	if err := k.iommu.Unmap(victim.key.ctx, victim.key.va); err != nil {
 		return err
 	}
+	k.pager.lru.remove(victim)
 	victim.resident = false
 	k.pager.resident--
 	k.ctr.PagerEvictions.Inc()
 	return nil
 }
 
+// touch stamps pg, a resident page, as the most recently used: it
+// moves to the LRU list's tail.
 func (k *Kernel) touch(pg *pagerPage) {
 	k.pager.tick++
 	pg.lastUse = k.pager.tick
+	if k.pager.lru.linked(pg) {
+		k.pager.lru.remove(pg)
+	}
+	k.pager.lru.pushBack(pg)
 }
 
 // ResolveFault implements dma.FaultResolver: make (ctx, va) resident.

@@ -8,7 +8,9 @@ package kernel
 // engine rather than sharing closures bound to the origin.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"uldma/internal/phys"
 	"uldma/internal/proc"
@@ -87,7 +89,9 @@ func (k *Kernel) Snapshot() (*Snapshot, error) {
 	if len(k.pager.pages) > 0 {
 		s.pagerPages = make(map[pagerKey]pagerPage, len(k.pager.pages))
 		for key, pg := range k.pager.pages {
-			s.pagerPages[key] = *pg
+			cp := *pg
+			cp.prev, cp.next = nil, nil // Restore relinks from (lastUse, seq)
+			s.pagerPages[key] = cp
 		}
 	}
 	return s, nil
@@ -130,12 +134,26 @@ func (k *Kernel) Restore(s *Snapshot) error {
 	for key := range k.pager.pages {
 		delete(k.pager.pages, key)
 	}
+	k.pager.lru = pagerLRU{}
+	if len(s.pagerPages) == 0 {
+		return nil
+	}
+	if k.pager.pages == nil {
+		k.pager.pages = make(map[pagerKey]*pagerPage, len(s.pagerPages))
+	}
+	resident := make([]*pagerPage, 0, s.pagerResident)
 	for key, pg := range s.pagerPages {
 		cp := pg
-		if k.pager.pages == nil {
-			k.pager.pages = make(map[pagerKey]*pagerPage, len(s.pagerPages))
-		}
 		k.pager.pages[key] = &cp
+		if cp.resident {
+			resident = append(resident, &cp)
+		}
+	}
+	slices.SortFunc(resident, func(a, b *pagerPage) int {
+		return cmp.Or(cmp.Compare(a.lastUse, b.lastUse), cmp.Compare(a.seq, b.seq))
+	})
+	for _, pg := range resident {
+		k.pager.lru.pushBack(pg)
 	}
 	return nil
 }

@@ -81,8 +81,11 @@ type MetricValue struct {
 // Reads dereference the registered cells, so the registry always
 // reflects live component state (including state rewound by
 // machine.Restore) without the components writing through it.
-// Registration happens once per world at construction; nothing on any
-// hot path touches the registry.
+// Registration happens once per world at construction. Components
+// never write through the registry; the one hot-path reader is
+// Handle.Wait's quiet-stretch poll skip (internal/core), which Reads
+// every cell and Extrapolates them once per skipped stretch, not once
+// per poll.
 type Registry struct {
 	names []string
 	cells []cell

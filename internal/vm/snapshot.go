@@ -69,6 +69,7 @@ func (t *TLB) Restore(s *TLBSnapshot) error {
 	}
 	copy(t.entries, s.entries)
 	t.tick, t.ctr, t.last = s.tick, s.ctr, s.last
+	t.ver++
 	return nil
 }
 

@@ -28,6 +28,10 @@ type TLB struct {
 	// index is only a hint — every use re-validates the full
 	// (asid, vpn, gen) tag, so stale hints are harmless.
 	last int
+	// ver moves on every change to the entries' translations: a fill,
+	// a Flush, a Restore. Hits and Skip only restamp LRU times, so they
+	// leave it alone. Equal versions imply identical entries.
+	ver uint64
 }
 
 type tlbEntry struct {
@@ -71,7 +75,14 @@ func (t *TLB) Flush() {
 	for i := range t.entries {
 		t.entries[i].valid = false
 	}
+	t.ver++
 }
+
+// Version returns the mutation counter: it moves on every fill, Flush
+// and Restore and never on a hit, so two reads that agree bracket a
+// stretch in which no entry's translation changed. It is not part of a
+// snapshot; a Restore moves it forward like any other change.
+func (t *TLB) Version() uint64 { return t.ver }
 
 // Translate resolves va in as, filling from the page table on a miss.
 // hit reports whether the translation was served from the TLB; the CPU
@@ -157,4 +168,5 @@ func (t *TLB) insert(as *AddressSpace, vpn uint64, pte PTE) {
 		pte: pte, used: t.tick, valid: true,
 	}
 	t.last = victim
+	t.ver++
 }

@@ -397,3 +397,35 @@ func TestTLBSkipMatchesRepeats(t *testing.T) {
 		t.Fatalf("skipped TLB differs from the repeated one:\n repeated %+v\n skipped  %+v", *a, *b)
 	}
 }
+
+// TestTLBVersion: the mutation version moves on a fill, a Flush and a
+// Restore, and stays put on a hit, a Skip and an unmapped Miss, none of
+// which change an entry's translation.
+func TestTLBVersion(t *testing.T) {
+	as := NewAddressSpace(1, pageSize)
+	as.Map(0, 0x40000, Read)
+	as.Map(pageSize, 0x42000, Read)
+	tlb := NewTLB(4)
+	step := func(what string, moves bool, f func()) {
+		t.Helper()
+		before := tlb.Version()
+		f()
+		if got := tlb.Version() != before; got != moves {
+			t.Fatalf("%s: version moved = %v, want %v", what, got, moves)
+		}
+	}
+	step("fill", true, func() { tlb.Translate(as, 0, AccessLoad) })
+	step("hit", false, func() { tlb.Translate(as, 8, AccessLoad) })
+	step("protection fault on a hit", false, func() { tlb.Translate(as, 0, AccessStore) })
+	step("skip", false, func() { tlb.Skip(0, 3) })
+	step("unmapped miss", false, tlb.Miss)
+	snap := tlb.Snapshot()
+	step("second fill", true, func() { tlb.Translate(as, pageSize, AccessLoad) })
+	step("flush", true, tlb.Flush)
+	step("restore", true, func() {
+		if err := tlb.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("hit after restore", false, func() { tlb.Translate(as, 0, AccessLoad) })
+}
