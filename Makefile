@@ -111,8 +111,12 @@ ringparity:
 # evicts the victim a scan of every page would, across a mid-stream
 # restore too. A world configured like PagingBench snapshots, and its
 # clone and rewound origin replay a faulting stream byte-identically.
+# The engine's memory-to-memory copy (phys Move) ends exactly where a
+# buffered read and write would, the registry's extrapolation moves
+# gauges down as well as up and writes no cell that did not move, and
+# the scale worlds reject an inter-arrival their jitter rounds to zero.
 iommuparity:
-	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipRefusesTLBFill|TestPollSkipZeroAllocs|TestPagingWorldSnapshotReplays|TestTLBVersion|TestPagerEvictionOrder' ./internal/core ./internal/dma ./internal/exp ./internal/vm ./internal/kernel
+	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipRefusesTLBFill|TestPollSkipZeroAllocs|TestPagingWorldSnapshotReplays|TestTLBVersion|TestPagerEvictionOrder|TestMoveMatchesReadWrite|TestRegistryExtrapolateGauge|TestScaleValidation' ./internal/core ./internal/dma ./internal/exp ./internal/vm ./internal/kernel ./internal/phys ./internal/obs
 
 # The steered loop's contracts, run under the race detector: the live
 # obs feed costs 0 simulated time and 0 allocations (byte-identical

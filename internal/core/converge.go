@@ -35,10 +35,13 @@ package userdma
 // Every real poll costs O(1) in the size of the world: the held-state
 // check compares counters (the TLB's mutation version, the event
 // queue's sequence) rather than hashing tables, and the registry is
-// read and extrapolated once per stretch. The clock at Wait's entry
-// and the clock a skip leaves are both taken as the last poll's end,
-// so a stretch spends exactly two real polls arming and one bracketed
-// poll before it skips.
+// one pointer per cell. The end of every real poll is the start of the
+// next, so the poll that ends one stretch arms the next and a stretch
+// spends one bracketed poll before it skips. No test of equal clock
+// advances is needed: the CPU and the bus charge cycle counts that do
+// not depend on the clock's phase, contention depends on time only
+// through DMA windows, and the horizon stops at their edges, so the
+// held-state check and the registry bracket carry the whole proof.
 
 import (
 	"sync/atomic"
@@ -117,20 +120,20 @@ const pollSkipCells = 96
 var pollSkips, realPolls, skippedPolls atomic.Int64
 
 // pollSkip is Handle.Wait's quiet-stretch detector, kept on Wait's
-// stack; newPollSkip starts it at the clock on Wait's entry. Two polls
-// with equal clock advances arm it; it then reads the registry and the
-// held state (pollHeld) around the next poll, B. If B left the held
-// state as it found it and no event was due before B ended, every
-// poll before the horizon — the next event or bus-window edge — starts
+// stack; newPollSkip starts it at the clock on Wait's entry. The end of
+// every real poll arms it: it records the held state (pollHeld), the
+// horizon — the next event or bus-window edge — and the registry, as
+// the start of the next poll, B. If B leaves the held state as it found
+// it and ends before the horizon, every poll until the horizon starts
 // from the same state and repeats B exactly, so skipBy charges k of
 // them at once. polls counts Wait's real polls for realPolls.
 type pollSkip struct {
-	armed             bool
-	last, dt, horizon sim.Time // clock after the last poll, that poll's advance, and B's horizon
-	start             pollHeld // held state at B's start
-	tick, instrs      uint64   // TLB tick and guest instruction count at B's start
-	polls             int64
-	reg               [pollSkipCells]uint64
+	armed         bool
+	last, horizon sim.Time // clock at the last poll's end (B's start when armed), and B's horizon
+	start         pollHeld // held state at B's start
+	tick, instrs  uint64   // TLB tick and guest instruction count at B's start
+	polls         int64
+	reg           [pollSkipCells]uint64
 }
 
 func newPollSkip(m *machine.Machine) pollSkip { return pollSkip{last: m.Clock.Now()} }
@@ -159,11 +162,11 @@ func heldOf(m *machine.Machine) pollHeld {
 // allows. It returns how many polls it charged.
 func (s *pollSkip) after(m *machine.Machine, c *proc.Context, left int) int {
 	now := m.Clock.Now()
-	steady := now-s.last == s.dt
-	s.dt, s.last = now-s.last, now
+	dt := now - s.last
+	s.last = now
 	armed := s.armed
 	s.armed = false
-	if !steady || !fastForward || m.Tracer != nil || m.WB.Pending() != 0 ||
+	if !fastForward || m.Tracer != nil || m.WB.Pending() != 0 ||
 		m.CPU.Events() == nil || m.Obs.Len() > pollSkipCells {
 		return 0
 	}
@@ -171,39 +174,41 @@ func (s *pollSkip) after(m *machine.Machine, c *proc.Context, left int) int {
 	if !ok {
 		return 0
 	}
-	if armed {
-		if heldOf(m) == s.start && s.horizon > now {
-			return s.skipBy(m, c, left, room)
+	held := heldOf(m)
+	if armed && held == s.start && s.horizon > now {
+		if k := s.skipBy(m, c, left, room, dt); k > 0 {
+			return k
 		}
-		return 0
 	}
-	s.start = heldOf(m)
-	s.horizon = min(s.start.next, m.Bus.NextWindowEdge(now))
-	if s.horizon-now > 3*s.dt {
-		s.armed = true
+	// This poll's end is the next poll's start: arm on it when the
+	// horizon leaves room to skip a few polls of this one's length.
+	s.horizon = min(held.next, m.Bus.NextWindowEdge(now))
+	if s.horizon-now > 3*dt {
+		s.armed, s.start = true, held
 		s.tick, s.instrs = m.CPU.TLB().Tick(), c.Process().Instructions()
 		m.Obs.Read(s.reg[:])
 	}
 	return 0
 }
 
-// skipBy charges k more copies of poll B: k ends short of the horizon,
-// of Wait's last poll, and of the slot budget and quantum (room).
-func (s *pollSkip) skipBy(m *machine.Machine, c *proc.Context, left int, room uint64) int {
+// skipBy charges k more copies of poll B, which took dt: k ends short
+// of the horizon, of Wait's last poll, and of the slot budget and
+// quantum (room).
+func (s *pollSkip) skipBy(m *machine.Machine, c *proc.Context, left int, room uint64, dt sim.Time) int {
 	now := m.Clock.Now()
 	ds := c.Process().Instructions() - s.instrs
-	if left < 2 || ds == 0 {
+	if left < 2 || ds == 0 || dt == 0 {
 		return 0
 	}
-	k := min(uint64(s.horizon-now-1)/uint64(s.dt), uint64(left-1), room/ds)
+	k := min(uint64(s.horizon-now-1)/uint64(dt), uint64(left-1), room/ds)
 	if k == 0 {
 		return 0
 	}
 	m.Obs.Extrapolate(s.reg[:], k)
 	m.CPU.TLB().Skip(s.tick, k*(m.CPU.TLB().Tick()-s.tick))
-	c.SkipSlots(k*ds, sim.Time(k)*s.dt)
-	m.Clock.Advance(sim.Time(k) * s.dt)
-	s.last = m.Clock.Now() // the k-th copy of B ends here: the next poll may arm at once
+	c.SkipSlots(k*ds, sim.Time(k)*dt)
+	m.Clock.Advance(sim.Time(k) * dt)
+	s.last = m.Clock.Now()
 	pollSkips.Add(1)
 	skippedPolls.Add(int64(k))
 	return int(k)

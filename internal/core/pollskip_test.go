@@ -35,11 +35,12 @@ func withSkip(on bool, f func()) int64 {
 }
 
 // maxRealPollsPerTransfer bounds the polls the stall and bounce cells
-// of TestPollSkipEquivalence run for real per transfer. A Wait spends
-// two polls arming and one bracketed poll before its first skip, and
-// two after each skip; wasting one more on Wait's entry and after
-// every skip would run 19.
-const maxRealPollsPerTransfer = 14.5
+// of TestPollSkipEquivalence run for real per transfer. Every real
+// poll arms the skip for the next, so a stretch costs the poll that
+// ends the last one plus one bracketed poll; spending a separate
+// arming poll per stretch, as a rule that waits for two equal advances
+// does, would run 14.25.
+const maxRealPollsPerTransfer = 10.5
 
 // TestPollSkipEquivalence: PagingBench under every recovery policy and
 // MeasureIOTLB across the IOTLB knee produce the identical result

@@ -458,11 +458,10 @@ type Engine struct {
 	vaCtx      int
 
 	// Allocation control for the per-message hot path. wordBuf carries
-	// single-word remote writes and chunk every local burst; freeT,
-	// freeBuf, freeVW and freeFx pool Transfer records, remote payload
-	// buffers, VA walkers and bounce fix-ups.
+	// single-word remote writes; freeT, freeBuf, freeVW and freeFx pool
+	// Transfer records, remote payload buffers, VA walkers and bounce
+	// fix-ups.
 	wordBuf [8]byte
-	chunk   []byte
 	freeT   []*Transfer
 	freeBuf [][]byte
 	freeVW  []*vaWalker

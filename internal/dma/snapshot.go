@@ -118,7 +118,7 @@ func (e *Engine) Snapshot() (*EngineSnapshot, error) {
 			return nil, fmt.Errorf("dma: cannot snapshot with bounce fix-ups in flight")
 		}
 		ps := vaParkedSnap{w: *w, rec: index(w.t)}
-		ps.w.e, ps.w.t, ps.w.buf, ps.w.fire = nil, nil, nil, nil
+		ps.w.e, ps.w.t, ps.w.fire = nil, nil, nil
 		s.parked = append(s.parked, ps)
 	}
 	return s, nil
@@ -186,9 +186,9 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 	}
 	for _, ps := range s.parked {
 		w := e.getVW()
-		buf, fire := w.buf, w.fire
+		fire := w.fire
 		*w = ps.w
-		w.e, w.t, w.buf, w.fire = e, recs[ps.rec], buf, fire
+		w.e, w.t, w.fire = e, recs[ps.rec], fire
 		w.t.vw = w
 		w.t.refs++
 		e.vaParked = append(e.vaParked, w)

@@ -338,13 +338,7 @@ func (t *Transfer) deliver(at sim.Time) {
 		lo := t.off
 		hi := min(lo+transferChunk, t.Size)
 		t.off = hi
-		if e.chunk == nil {
-			e.chunk = make([]byte, transferChunk)
-		}
-		buf := e.chunk[:hi-lo]
-		if err := e.mem.ReadInto(t.Src+phys.Addr(lo), buf); err != nil {
-			e.failAccepted(t, err)
-		} else if err := e.mem.WriteBytes(t.Dst+phys.Addr(lo), buf); err != nil {
+		if err := e.mem.Move(t.Dst+phys.Addr(lo), t.Src+phys.Addr(lo), int(hi-lo)); err != nil {
 			e.failAccepted(t, err)
 		} else if hi == t.Size {
 			e.finish(t)

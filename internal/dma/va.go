@@ -252,7 +252,6 @@ type vaWalker struct {
 	maxFaults int
 	fixups    int // outstanding bounce fix-up copies
 
-	buf  []byte // reusable piece buffer (transferChunk bytes)
 	fire func(sim.Time)
 }
 
@@ -262,15 +261,15 @@ func (e *Engine) getVW() *vaWalker {
 		e.freeVW = e.freeVW[:n-1]
 		return w
 	}
-	w := &vaWalker{e: e, buf: make([]byte, transferChunk)}
+	w := &vaWalker{e: e}
 	w.fire = func(at sim.Time) { w.step(at) }
 	return w
 }
 
 func (e *Engine) putVW(w *vaWalker) {
-	buf, fire := w.buf, w.fire
+	fire := w.fire
 	*w = vaWalker{}
-	w.e, w.buf, w.fire = e, buf, fire
+	w.e, w.fire = e, fire
 	e.freeVW = append(e.freeVW, w)
 }
 
@@ -339,12 +338,7 @@ func (w *vaWalker) step(at sim.Time) {
 		} else if !dhit {
 			extra += e.cfg.IOTLBMissTime
 		}
-		buf := w.buf[:n]
-		if err := e.mem.ReadInto(spa, buf); err != nil {
-			w.fail(at + extra)
-			return
-		}
-		if err := e.mem.WriteBytes(dpa, buf); err != nil {
+		if err := e.mem.Move(dpa, spa, int(n)); err != nil {
 			w.fail(at + extra)
 			return
 		}
@@ -526,13 +520,9 @@ func (fx *vaFixup) run(at sim.Time) {
 		w.fail(at)
 		return
 	}
-	// The copy goes through the walker's piece buffer: a piece is at most
-	// transferChunk bytes, and step never holds the buffer across events.
-	buf := w.buf[:fx.n]
-	if rerr := e.mem.ReadInto(fx.bpa, buf); rerr != nil {
-		panic(rerr) // bounce region was validated against MemSize
-	}
-	werr := e.mem.WriteBytes(dpa, buf)
+	// The bounce region was validated against MemSize, so only the
+	// destination side of the copy can fail.
+	werr := e.mem.Move(dpa, fx.bpa, int(fx.n))
 	fx.release()
 	if werr != nil {
 		w.fail(at)

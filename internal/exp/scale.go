@@ -216,10 +216,13 @@ func checkScale(p Params, machine bool) (scaleKnobs, error) {
 		return k, fmt.Errorf("-ms %d: the arrival window must be positive", k.dur/sim.Millisecond)
 	}
 	// Tenants streams per node add up to the per-node rate. Integer
-	// picosecond arithmetic only.
+	// picosecond arithmetic only. rpcGen.jitter draws each gap from
+	// [interval/2, interval/2+interval), which is 0 below 2 ps: the
+	// world would never leave its first instant.
 	k.interval = sim.Time(uint64(sim.Second) * uint64(k.tenants) / uint64(k.arrival))
-	if k.interval <= 0 {
-		return k, fmt.Errorf("-arrival %d: too high for %d tenants per node (zero inter-arrival)", k.arrival, k.tenants)
+	if k.interval < 2 {
+		return k, fmt.Errorf("-arrival %d: too high for -tenants %d (zero inter-arrival: a %d ps mean gap, below the 2 ps the jitter needs)",
+			k.arrival, k.tenants, k.interval)
 	}
 	if machine {
 		return k, checkMachine(p)

@@ -92,23 +92,33 @@ func TestScaleValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		p    Params
+		msg  string // the error names this
 	}{
-		{"one node", Params{Nodes: 1}},
-		{"negative nodes", Params{Nodes: -3}},
-		{"shards above nodes", Params{Nodes: 4, Shards: 5}},
-		{"negative shards", Params{Shards: -1}},
-		{"negative arrival", Params{Arrival: -10}},
-		{"negative tenants", Params{Tenants: -1}},
-		{"negative duration", Params{ScaleDur: -sim.Millisecond}},
+		{"one node", Params{Nodes: 1}, "-nodes 1"},
+		{"negative nodes", Params{Nodes: -3}, "-nodes -3"},
+		{"shards above nodes", Params{Nodes: 4, Shards: 5}, "-shards 5"},
+		{"negative shards", Params{Shards: -1}, "-shards -1"},
+		{"negative arrival", Params{Arrival: -10}, "-arrival -10"},
+		{"negative tenants", Params{Tenants: -1}, "-tenants -1"},
+		{"negative duration", Params{ScaleDur: -sim.Millisecond}, "-ms -1"},
+		{"zero inter-arrival", Params{Arrival: 3000000000000, Tenants: 2}, "-tenants 2"},
+		// A 1 ps mean gap jitters to 0: the world would never advance.
+		{"1 ps inter-arrival", Params{Arrival: 2000000000000, Tenants: 2}, "-arrival 2000000000000: too high for -tenants 2"},
 	}
 	for _, tc := range cases {
+		// The cell expansion path must reject the same configs, so the
+		// tools fail before spinning up a runner; an accepted config is
+		// not run, as it may never finish.
+		_, err := scaleCells(tc.p)
+		if err == nil {
+			t.Errorf("%s: scaleCells accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.msg)
+		}
 		if _, err := RunScale(tc.p, 1); err == nil {
 			t.Errorf("%s: accepted", tc.name)
-		}
-		// The cell expansion path must reject the same configs, so the
-		// tools fail before spinning up a runner.
-		if _, err := scaleCells(tc.p); err == nil {
-			t.Errorf("%s: scaleCells accepted", tc.name)
 		}
 	}
 }

@@ -49,15 +49,18 @@ func (c *Counter) Add(n uint64) { *c += Counter(n) }
 func (c Counter) Value() uint64 { return uint64(c) }
 
 // Gauge is a signed accumulator for cycle/time tallies and
-// level-style values (e.g. the highest node id addressed).
-type Gauge int64
+// level-style values (e.g. the highest node id addressed). It is a
+// Counter cell read as two's complement: adding d as uint64 leaves the
+// same bits as an int64 add, so the registry stores and extrapolates
+// gauges and counters alike.
+type Gauge Counter
 
 // Add accumulates d.
 func (g *Gauge) Add(d int64) { *g += Gauge(d) }
 
 // Max raises the gauge to v if v is larger.
 func (g *Gauge) Max(v int64) {
-	if Gauge(v) > *g {
+	if v > int64(*g) {
 		*g = Gauge(v)
 	}
 }
@@ -80,30 +83,18 @@ type MetricValue struct {
 //
 // Reads dereference the registered cells, so the registry always
 // reflects live component state (including state rewound by
-// machine.Restore) without the components writing through it.
+// machine.Restore) without the components writing through it. Each
+// cell is one *Counter (a gauge registers its Counter view), so Read
+// and Extrapolate walk one pointer slice with no branch on the kind.
 // Registration happens once per world at construction. Components
-// never write through the registry; the one hot-path reader is
+// never write through the registry; the one hot-path user is
 // Handle.Wait's quiet-stretch poll skip (internal/core), which Reads
-// every cell and Extrapolates them once per skipped stretch, not once
-// per poll.
+// every cell once per armed poll and Extrapolates them once per skipped
+// stretch.
 type Registry struct {
 	names []string
-	cells []cell
+	cells []*Counter
 	index map[string]int
-}
-
-// cell is one registered metric: exactly one of c and g is set.
-type cell struct {
-	c *Counter
-	g *Gauge
-}
-
-// read returns the cell's value; gauges are widened to uint64.
-func (c cell) read() uint64 {
-	if c.c != nil {
-		return uint64(*c.c)
-	}
-	return uint64(*c.g)
 }
 
 // NewRegistry creates an empty registry, sized for a machine's 50 to 63
@@ -112,12 +103,15 @@ func (c cell) read() uint64 {
 // per-transfer allocation).
 func NewRegistry() *Registry {
 	const n = 64
-	return &Registry{names: make([]string, 0, n), cells: make([]cell, 0, n), index: make(map[string]int, n)}
+	return &Registry{names: make([]string, 0, n), cells: make([]*Counter, 0, n), index: make(map[string]int, n)}
 }
 
 // register adds a cell. Names must be unique; duplicates are a wiring
 // bug and panic.
-func (r *Registry) register(name string, c cell) {
+func (r *Registry) register(name string, c *Counter) {
+	if c == nil {
+		panic("obs: nil cell for metric " + name)
+	}
 	if _, dup := r.index[name]; dup {
 		panic("obs: duplicate metric " + name)
 	}
@@ -127,21 +121,10 @@ func (r *Registry) register(name string, c cell) {
 }
 
 // RegisterCounter registers a Counter cell.
-func (r *Registry) RegisterCounter(name string, c *Counter) {
-	if c == nil {
-		panic("obs: nil counter for metric " + name)
-	}
-	r.register(name, cell{c: c})
-}
+func (r *Registry) RegisterCounter(name string, c *Counter) { r.register(name, c) }
 
-// RegisterGauge registers a Gauge cell (widened to uint64 in
-// snapshots).
-func (r *Registry) RegisterGauge(name string, g *Gauge) {
-	if g == nil {
-		panic("obs: nil gauge for metric " + name)
-	}
-	r.register(name, cell{g: g})
-}
+// RegisterGauge registers a Gauge cell (read as its uint64 bits).
+func (r *Registry) RegisterGauge(name string, g *Gauge) { r.register(name, (*Counter)(g)) }
 
 // Len reports how many metrics are registered.
 func (r *Registry) Len() int { return len(r.names) }
@@ -152,7 +135,7 @@ func (r *Registry) Get(name string) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return r.cells[i].read(), true
+	return uint64(*r.cells[i]), true
 }
 
 // Snapshot reads every metric, in registration order. The order is a
@@ -161,7 +144,7 @@ func (r *Registry) Get(name string) (uint64, bool) {
 func (r *Registry) Snapshot() []MetricValue {
 	out := make([]MetricValue, len(r.names))
 	for i, name := range r.names {
-		out[i] = MetricValue{Name: name, Value: r.cells[i].read()}
+		out[i] = MetricValue{Name: name, Value: uint64(*r.cells[i])}
 	}
 	return out
 }
@@ -169,22 +152,22 @@ func (r *Registry) Snapshot() []MetricValue {
 // Read copies every metric's value into dst, in registration order,
 // without allocating. dst must hold at least Len() values.
 func (r *Registry) Read(dst []uint64) {
+	dst = dst[:len(r.cells)]
 	for i, c := range r.cells {
-		dst[i] = c.read()
+		dst[i] = uint64(*c)
 	}
 }
 
 // Extrapolate adds to every cell k times its change since base, an
 // earlier Read: the values k more repeats of the activity in between
 // would leave. Every cell must accumulate (Inc or Add), as each
-// machine metric does; gauges wrap like counters.
+// machine metric does; a gauge's negative change wraps to the same
+// bits an int64 add leaves. Cells that did not move are not written.
 func (r *Registry) Extrapolate(base []uint64, k uint64) {
+	base = base[:len(r.cells)]
 	for i, c := range r.cells {
-		d := k * (c.read() - base[i])
-		if c.c != nil {
-			*c.c += Counter(d)
-		} else {
-			*c.g += Gauge(d)
+		if d := uint64(*c) - base[i]; d != 0 {
+			*c += Counter(k * d)
 		}
 	}
 }
@@ -193,10 +176,10 @@ func (r *Registry) Extrapolate(base []uint64, k uint64) {
 // the registered cell directly — no map lookup, no allocation. The
 // handle stays valid for the life of the world and tracks rewound
 // state exactly like Get (reads always reflect live component state).
-type Watch struct{ cell cell }
+type Watch struct{ c *Counter }
 
 // Value reads the metric.
-func (w Watch) Value() uint64 { return w.cell.read() }
+func (w Watch) Value() uint64 { return uint64(*w.c) }
 
 // Watch resolves name to a read handle, paying the map lookup once so
 // per-sample reads don't.
@@ -205,5 +188,5 @@ func (r *Registry) Watch(name string) (Watch, bool) {
 	if !ok {
 		return Watch{}, false
 	}
-	return Watch{cell: r.cells[i]}, true
+	return Watch{c: r.cells[i]}, true
 }

@@ -137,7 +137,7 @@ func (m *Memory) chunkRO(addr Addr) []byte {
 // write. Chunks owned by a snapshot (copy-on-write) are cloned on the
 // first write after Snapshot/Restore, so snapshot contents are immutable
 // and worlds restored from the same snapshot never see each other's
-// writes. Every mutating path (Write, WriteBytes, Copy, Fill) funnels
+// writes. Every mutating path (Write, WriteBytes, Move, Fill) funnels
 // through here, which is what makes the single shared-flag check a
 // complete COW barrier.
 func (m *Memory) chunkRW(addr Addr) []byte {
@@ -297,9 +297,7 @@ func (m *Memory) ReadBytes(addr Addr, n int) ([]byte, error) {
 }
 
 // ReadInto copies len(dst) bytes starting at addr into dst without
-// allocating. It is the burst-read primitive for the DMA transfer
-// walker, which reuses one chunk buffer across an entire stream.
-// Never-written source chunks read as zeros.
+// allocating. Never-written source chunks read as zeros.
 func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 	n := len(dst)
 	if uint64(addr)+uint64(n) > uint64(m.size) || uint64(addr) > uint64(m.size) {
@@ -347,6 +345,57 @@ func (m *Memory) WriteBytes(addr Addr, b []byte) error {
 	}
 	m.ctr.BytesWrote.Add(uint64(len(b)))
 	return nil
+}
+
+// Move copies n bytes from src to dst with memmove semantics: memory,
+// counters and error end exactly as ReadInto(src) into a buffer
+// followed by WriteBytes(dst) leave them, for any overlap, but the
+// bytes go chunk to chunk with no buffer between. A never-written
+// source over a never-written destination costs nothing; a
+// never-written source over a written destination clears it.
+func (m *Memory) Move(dst, src Addr, n int) error {
+	if n < 0 || uint64(src)+uint64(n) > uint64(m.size) || uint64(src) > uint64(m.size) {
+		return &Error{Op: "read", Addr: src, Size: AccessSize(n), Why: "byte range out of bounds"}
+	}
+	m.ctr.BytesRead.Add(uint64(n))
+	if uint64(dst)+uint64(n) > uint64(m.size) || uint64(dst) > uint64(m.size) {
+		return &Error{Op: "write", Addr: dst, Size: AccessSize(n), Why: "byte range out of bounds"}
+	}
+	if dst > src && dst < src+Addr(n) {
+		// The destination overlaps the source's tail: copy from the end
+		// so no source byte is overwritten before it is read.
+		for end := n; end > 0; {
+			span := min(end, int((src+Addr(end)-1)&chunkMask)+1, int((dst+Addr(end)-1)&chunkMask)+1)
+			end -= span
+			m.moveSpan(dst+Addr(end), src+Addr(end), span)
+		}
+	} else {
+		for off := 0; off < n; {
+			span := min(n-off, chunkSize-int((src+Addr(off))&chunkMask), chunkSize-int((dst+Addr(off))&chunkMask))
+			m.moveSpan(dst+Addr(off), src+Addr(off), span)
+			off += span
+		}
+	}
+	m.ctr.BytesWrote.Add(uint64(n))
+	return nil
+}
+
+// moveSpan copies n bytes that lie inside one source chunk and one
+// destination chunk, materializing the destination only where
+// WriteBytes would: when it is written already or the bytes are not
+// all zero.
+func (m *Memory) moveSpan(dst, src Addr, n int) {
+	s := m.chunkRO(src)
+	switch {
+	case s == nil && m.chunkRO(dst) == nil:
+	case s == nil:
+		clear(m.chunkRW(dst)[dst&chunkMask:][:n])
+	default:
+		s = s[src&chunkMask:][:n]
+		if m.chunkRO(dst) != nil || !bytes.Equal(s, zeroChunk[:n]) {
+			copy(m.chunkRW(dst)[dst&chunkMask:], s)
+		}
+	}
 }
 
 // Fill sets n bytes starting at addr to v. Convenience for tests and
