@@ -115,8 +115,12 @@ ringparity:
 # buffered read and write would, the registry's extrapolation moves
 # gauges down as well as up and writes no cell that did not move, and
 # the scale worlds reject an inter-arrival their jitter rounds to zero.
+# The poll's held state is counters: the engine's decode version moves
+# whenever its decode state does (and not on a status read), and the
+# TLB's packed-key scan and one-entry Skip match a linear-scan
+# reference TLB step for step.
 iommuparity:
-	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipRefusesTLBFill|TestPollSkipZeroAllocs|TestPagingWorldSnapshotReplays|TestTLBVersion|TestPagerEvictionOrder|TestMoveMatchesReadWrite|TestRegistryExtrapolateGauge|TestScaleValidation' ./internal/core ./internal/dma ./internal/exp ./internal/vm ./internal/kernel ./internal/phys ./internal/obs
+	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipRefusesTLBFill|TestPollSkipZeroAllocs|TestPagingWorldSnapshotReplays|TestTLBVersion|TestPagerEvictionOrder|TestMoveMatchesReadWrite|TestRegistryExtrapolateGauge|TestScaleValidation|TestDecodeVersionCoversHash|TestTLBMatchesReference' ./internal/core ./internal/dma ./internal/exp ./internal/vm ./internal/kernel ./internal/phys ./internal/obs
 
 # The steered loop's contracts, run under the race detector: the live
 # obs feed costs 0 simulated time and 0 allocations (byte-identical
@@ -130,7 +134,9 @@ steerparity:
 # The scheduler's contracts, run under the race detector: Run, where
 # the running guest makes each next-slot decision itself and re-grants
 # its own slot in place, matches the one-yield-per-slot reference loop
-# slot for slot under every policy (budget exhaustion included); a
+# slot for slot under every policy (budget exhaustion included, and a
+# round-robin guest blocked by an interrupt or out of budget in the
+# middle of its quantum, the two ends of the in-place keep); a
 # self-regrant and a warm bounce fix-up allocate nothing; WindowOf names
 # the window the engine decodes; and Step and Explore, which keep one
 # yield per slot, still drive exact interleavings.

@@ -106,7 +106,7 @@ type mapping struct {
 // transaction it carries.
 type Bus struct {
 	clock    *sim.Clock
-	freq     sim.Hz
+	period   sim.Time // one bus cycle: the frequency's Period, computed once
 	cost     CostConfig
 	mappings []mapping // sorted by base
 	ctr      Counters
@@ -129,7 +129,10 @@ func New(clock *sim.Clock, freq sim.Hz, cost CostConfig) *Bus {
 	if clock == nil {
 		panic("bus: nil clock")
 	}
-	return &Bus{clock: clock, freq: freq, cost: cost}
+	if freq == 0 {
+		panic("bus: zero frequency")
+	}
+	return &Bus{clock: clock, period: freq.Period(), cost: cost}
 }
 
 // Counters returns the traffic counters.
@@ -249,7 +252,7 @@ func (b *Bus) charge(cycles int64) {
 		cycles *= 2
 	}
 	b.ctr.BusyCycles.Add(cycles)
-	b.clock.Advance(b.freq.Cycles(cycles))
+	b.clock.Advance(sim.Time(cycles) * b.period)
 }
 
 // Load performs an uncached read transaction. The clock is advanced by

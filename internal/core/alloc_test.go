@@ -86,9 +86,11 @@ const drainSpin = 2000
 // allocations: a zero-length extended-shadow initiation (the
 // BenchmarkObsDisabled sequence), a zero-length kernel-level one, the
 // key-based and repeated-passing sequences, and an initiation the
-// engine refuses; each through DMA in a guest and through DirectDMA on
-// the bare CPU. Transfer records, their completion events, the caller's
-// compiled program and the kernel's syscall arguments are all reused.
+// engine refuses, each through DMA in a guest and through DirectDMA on
+// the bare CPU; and a zero-length PAL-code initiation, through DMA
+// only. Transfer records, their completion events, the caller's
+// compiled program and the syscall and CALL_PAL arguments are all
+// reused.
 func TestInitiationZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -102,8 +104,13 @@ func TestInitiationZeroAllocs(t *testing.T) {
 		{"repeated", RepeatedPassing{Len: 5, Barriers: true}, 0, true},
 		// Past the end of memory: the engine answers DMA_FAILURE.
 		{"refused", ExtShadow{}, 1 << 40, false},
+		// CALL_PAL needs a proc.Context: the hosted path refuses PAL.
+		{"pal", PALCode{}, 0, true},
 	} {
 		for _, direct := range []bool{false, true} {
+			if direct && tc.method == (PALCode{}) {
+				continue
+			}
 			name := tc.name
 			if direct {
 				name += "_direct"

@@ -33,15 +33,16 @@ package userdma
 // TLB fill moves the TLB's version).
 //
 // Every real poll costs O(1) in the size of the world: the held-state
-// check compares counters (the TLB's mutation version, the event
-// queue's sequence) rather than hashing tables, and the registry is
-// one pointer per cell. The end of every real poll is the start of the
-// next, so the poll that ends one stretch arms the next and a stretch
-// spends one bracketed poll before it skips. No test of equal clock
-// advances is needed: the CPU and the bus charge cycle counts that do
-// not depend on the clock's phase, contention depends on time only
-// through DMA windows, and the horizon stops at their edges, so the
-// held-state check and the registry bracket carry the whole proof.
+// check compares counters (the TLB's mutation version, the engine's
+// decode version, the event queue's sequence) rather than hashing
+// tables, and the registry is one pointer per cell. The end of every
+// real poll is the start of the next, so the poll that ends one
+// stretch arms the next and a stretch spends one bracketed poll before
+// it skips. No test of equal clock advances is needed: the CPU and the
+// bus charge cycle counts that do not depend on the clock's phase,
+// contention depends on time only through DMA windows, and the horizon
+// stops at their edges, so the held-state check and the registry
+// bracket carry the whole proof.
 
 import (
 	"sync/atomic"
@@ -142,11 +143,11 @@ func newPollSkip(m *machine.Machine) pollSkip { return pollSkip{last: m.Clock.No
 func (s *pollSkip) done() { realPolls.Add(s.polls) }
 
 // pollHeld is the state outside the registry that a poll must leave
-// unchanged to repeat: the CPU TLB's entries (by its mutation version:
-// equal versions imply identical entries, and a version that moves
-// where the entries did not only makes the skip refuse), the engine's
-// decode state, the event queue and the kernel's trap count. The rest
-// moves only in events, traps and transfer starts (which schedule
+// unchanged to repeat: the CPU TLB's entries and the engine's decode
+// state (by their mutation versions: equal versions imply identical
+// state, and a version that moves where the state did not only makes
+// the skip refuse), the event queue and the kernel's trap count. The
+// rest moves only in events, traps and transfer starts (which schedule
 // events): the engine's channel clocks, the IOMMU and the pager.
 type pollHeld struct {
 	tlb, decode, seq, traps uint64
@@ -154,7 +155,7 @@ type pollHeld struct {
 }
 
 func heldOf(m *machine.Machine) pollHeld {
-	return pollHeld{tlb: m.CPU.TLB().Version(), decode: m.Engine.DecodeHash(), seq: m.Events.SnapshotSeq(),
+	return pollHeld{tlb: m.CPU.TLB().Version(), decode: m.Engine.DecodeVersion(), seq: m.Events.SnapshotSeq(),
 		traps: m.Kernel.Counters().Syscalls.Value(), next: m.Events.NextAt()}
 }
 

@@ -126,8 +126,9 @@ type scratch struct {
 	// prog is the buffer attempts compile into; every attempt executes
 	// it and keeps none of it.
 	prog isa.Program
-	// args is KernelLevel's syscall argument array: through the
-	// executor interface a fresh variadic slice would escape.
+	// args is the argument array of KernelLevel's syscall and
+	// PALCode's CALL_PAL: a fresh variadic slice would escape, through
+	// the executor interface or into the installed PAL routine.
 	args [3]uint64
 	// src is the last initiation's source, which ExtShadow's poll
 	// re-reads.

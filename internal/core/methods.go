@@ -291,12 +291,13 @@ func (PALCode) RequiresKernelMod() bool { return false }
 func (pc PALCode) Attach(m *machine.Machine, _ *proc.Process) (*Handle, error) {
 	m.Kernel.InstallPALDMA()
 	h := &Handle{method: pc, m: m}
-	h.call = func(x executor, _ *scratch, src, dst vm.VAddr, size uint64) (uint64, error) {
+	h.call = func(x executor, s *scratch, src, dst vm.VAddr, size uint64) (uint64, error) {
 		c, ok := x.(*proc.Context)
 		if !ok {
 			return dma.StatusFailure, fmt.Errorf("userdma: %s cannot initiate outside a scheduler context", pc.Name())
 		}
-		return c.PALCall(kernel.PALUserDMA, uint64(src), uint64(dst), size)
+		s.args = [3]uint64{uint64(src), uint64(dst), size}
+		return c.PALCall(kernel.PALUserDMA, s.args[:]...)
 	}
 	return h, nil
 }

@@ -102,6 +102,7 @@ func (e *PrivilegeError) Error() string {
 // machine.
 type CPU struct {
 	cfg    Config
+	period sim.Time // one core cycle: cfg.Freq's Period, computed once
 	clock  *sim.Clock
 	events *sim.EventQueue
 	mem    *phys.Memory
@@ -122,6 +123,7 @@ func New(cfg Config, clock *sim.Clock, events *sim.EventQueue, mem *phys.Memory,
 	}
 	return &CPU{
 		cfg:    cfg,
+		period: cfg.Freq.Period(),
 		clock:  clock,
 		events: events,
 		mem:    mem,
@@ -177,7 +179,7 @@ func (c *CPU) WriteBuffer() *bus.WriteBuffer { return c.wb }
 // (in-flight DMA transfers progress while the CPU computes).
 func (c *CPU) charge(n int64) {
 	if n > 0 {
-		c.clock.Advance(c.cfg.Freq.Cycles(n))
+		c.clock.Advance(sim.Time(n) * c.period)
 	}
 	c.pump()
 }

@@ -24,6 +24,7 @@ func (e *Engine) shadowStore(now sim.Time, off uint64, val uint64) (int64, error
 	case ModePaired:
 		_, pa := e.decodeShadow(off)
 		e.pending = pendingPair{dst: pa, size: val, pid: e.curPID, valid: true, virt: e.vaAcc, vctx: e.vaCtx}
+		e.decodeVer++
 		return 0, nil
 
 	case ModeKeyed:
@@ -38,6 +39,7 @@ func (e *Engine) shadowStore(now sim.Time, off uint64, val uint64) (int64, error
 			e.ctr.KeyMismatches.Inc()
 			return e.cfg.KeyCheckCycles, nil
 		}
+		e.decodeVer++
 		c := &e.ctxs[ctx]
 		switch {
 		case !c.haveDst:
@@ -64,6 +66,7 @@ func (e *Engine) shadowStore(now sim.Time, off uint64, val uint64) (int64, error
 		if ctx >= 1<<e.cfg.CtxBits {
 			return 0, fmt.Errorf("dma: shadow context %d out of range", ctx)
 		}
+		e.decodeVer++
 		if e.cfg.NoRegContexts {
 			// Cheap variant: one global pending slot tagged with the
 			// context id; the load's context must match.
@@ -97,6 +100,7 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 			e.ctr.Rejected.Inc()
 			return StatusFailure, 0, nil
 		}
+		e.decodeVer++ // every branch below consumes the pair
 		if e.pidTrk && e.pending.pid != e.curPID {
 			// FLASH: arguments belong to a process that is no longer
 			// running; refuse rather than mix.
@@ -128,19 +132,22 @@ func (e *Engine) shadowLoad(now sim.Time, off uint64) (uint64, int64, error) {
 			return StatusFailure, 0, fmt.Errorf("dma: shadow context %d out of range", ctx)
 		}
 		if e.cfg.NoRegContexts {
-			if !e.pending.valid || e.pending.pid != ctx || e.pending.virt != e.vaAcc {
+			p := e.pending
+			if p.valid {
+				e.pending.valid = false
+				e.decodeVer++
+			}
+			if !p.valid || p.pid != ctx || p.virt != e.vaAcc {
 				// Mismatched or missing pair: "the DMA operation is not
 				// started and an error code is returned".
-				e.pending.valid = false
 				e.ctr.Rejected.Inc()
 				return StatusFailure, 0, nil
 			}
-			p := e.pending
-			e.pending.valid = false
 			return e.initiate(now, -1, args{src: src, dst: p.dst, size: p.size, virt: p.virt, vctx: p.vctx}), 0, nil
 		}
 		c := &e.ctxs[ctx]
 		if c.haveDst && c.haveSize {
+			e.decodeVer++
 			if c.virt != e.vaAcc {
 				// The store and load straddled the VA window: refuse and
 				// consume the half-initiation.
@@ -180,6 +187,7 @@ func (e *Engine) ctxStore(_ sim.Time, off uint64, val uint64) (int64, error) {
 	}
 	c := &e.ctxs[ctx]
 	c.size, c.haveSize = val, true
+	e.decodeVer++
 	return 0, nil
 }
 
@@ -195,6 +203,7 @@ func (e *Engine) ctxLoad(now sim.Time, off uint64) (uint64, int64, error) {
 	c := &e.ctxs[ctx]
 	if c.haveDst && c.haveSrc && c.haveSize {
 		c.haveDst, c.haveSrc, c.haveSize = false, false, false
+		e.decodeVer++
 		// Keyed-mode arguments collected through the VA window are
 		// virtual (the pair rule in shadowStore keeps src/dst in the
 		// same window).
@@ -389,6 +398,7 @@ func (s *seqFSM) srcDst() (src, dst phys.Addr) {
 // result is ignored by the caller).
 func (e *Engine) seqAccess(now sim.Time, kind accKind, pa phys.Addr, data uint64) uint64 {
 	s := &e.seq
+	e.decodeVer++
 	ok := kind == s.pattern[s.idx] &&
 		(s.idx == 0 || s.virt == e.vaAcc) &&
 		(s.idx < 2 || pa == s.addrs[s.idx-2]) &&

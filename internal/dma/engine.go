@@ -425,6 +425,10 @@ type Engine struct {
 	pidTrk  bool // FLASH-style PID tracking on the pending slot
 	curPID  int
 
+	// decodeVer moves on every write to the decode state (see
+	// DecodeVersion); a status read leaves it alone.
+	decodeVer uint64
+
 	seq seqFSM // ModeRepeated
 
 	pageMap map[phys.Addr]phys.Addr // ModeMappedOut: src page -> dst base
@@ -445,17 +449,17 @@ type Engine struct {
 	rings []ringState
 
 	// Virtual-address DMA state (va.go): the attached translator and
-	// fault resolver, the active recovery policy, transfers parked on a
-	// fault, the bounce-frame free list, and the transient window tag
+	// fault resolver, transfers parked on a fault, the bounce-frame free
+	// list, the active recovery policy, and the transient window tag
 	// (vaAcc/vaCtx) set around a VA-window access so the shared decode
 	// FSMs know the collected argument is virtual.
 	iommu      Translator
 	resolver   FaultResolver
-	policy     RecoveryPolicy
 	vaParked   []*vaWalker
 	bounceFree []int32
-	vaAcc      bool
 	vaCtx      int
+	policy     RecoveryPolicy
+	vaAcc      bool
 
 	// Allocation control for the per-message hot path. wordBuf carries
 	// single-word remote writes; freeT, freeBuf, freeVW and freeFx pool
@@ -611,10 +615,12 @@ func (e *Engine) AbortPending() {
 	if e.pending.valid {
 		e.pending.valid = false
 		e.ctr.AbortedPending.Inc()
+		e.decodeVer++
 	}
 	if e.seq.idx != 0 {
 		e.seq.reset()
 		e.ctr.SeqResets.Inc()
+		e.decodeVer++
 	}
 }
 
@@ -624,9 +630,24 @@ func (e *Engine) SetCurrentPID(pid int) {
 	if e.pidTrk && e.pending.valid && e.pending.pid != pid {
 		e.pending.valid = false
 		e.ctr.AbortedPending.Inc()
+		e.decodeVer++
 	}
-	e.curPID = pid
+	if e.curPID != pid {
+		e.curPID = pid
+		e.decodeVer++
+	}
 }
+
+// DecodeVersion returns the decode-state version: it moves on every
+// write to the state a device access decodes against, the part of
+// StateHash outside the virtual-address state (register-context
+// arguments, the pending pair, the repeated-passing FSM, the current
+// PID, ring geometry and progress), and never on a status read. Two
+// reads that agree bracket a stretch in which that state did not
+// change; a bump where nothing changed only makes a caller's
+// comparison refuse. It is not part of a snapshot; a Restore moves it
+// forward.
+func (e *Engine) DecodeVersion() uint64 { return e.decodeVer }
 
 // LastTransfer returns the most recently started transfer, if any. The
 // record is pooled: read it before the engine starts another transfer,

@@ -120,6 +120,7 @@ func (e *Engine) SetupRing(ctx int, base phys.Addr, depth uint64) error {
 	r.base, r.depth, r.head, r.inFlight = base, depth, 0, 0
 	r.gen++
 	r.allow = r.allow[:0]
+	e.decodeVer++
 	return nil
 }
 
@@ -136,6 +137,7 @@ func (e *Engine) TeardownRing(ctx int) {
 	r.base, r.depth, r.head, r.inFlight = 0, 0, 0, 0
 	r.gen++
 	r.allow = r.allow[:0]
+	e.decodeVer++
 }
 
 // RingAllow registers [base, base+size) as a buffer extent descriptors
@@ -158,6 +160,7 @@ func (e *Engine) RingAllow(ctx int, base phys.Addr, size uint64) error {
 		return fmt.Errorf("dma: ring context %d extent table full (%d)", ctx, maxRingExtents)
 	}
 	r.allow = append(r.allow, ringExtent{base: base, size: size})
+	e.decodeVer++
 	return nil
 }
 
@@ -201,6 +204,7 @@ func (e *Engine) completeRing(t *Transfer, at sim.Time) {
 	r := &e.rings[t.rctx]
 	if r.gen == t.gen && r.inFlight > 0 {
 		r.inFlight--
+		e.decodeVer++
 	}
 }
 
@@ -248,6 +252,7 @@ func (e *Engine) ringStore(now sim.Time, off uint64, val uint64) (int64, error) 
 	if n > r.depth {
 		n = r.depth
 	}
+	e.decodeVer++ // the walk below moves head and inFlight
 	e.ctr.RingDoorbells.Inc()
 	for i := uint64(0); i < n; i++ {
 		slot := r.base + phys.Addr(r.head*DescBytes)

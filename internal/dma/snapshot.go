@@ -148,6 +148,7 @@ func (e *Engine) Restore(s *EngineSnapshot) error {
 	e.pidTrk = s.pidTrk
 	e.curPID = s.curPID
 	e.seq = s.seq
+	e.decodeVer++
 	for k := range e.pageMap {
 		delete(e.pageMap, k)
 	}
@@ -230,11 +231,9 @@ func (e *Engine) FingerprintLinear() (busyUntil, lastBounds, ctxBounds sim.Time)
 // contract).
 func (e *Engine) StateHash() uint64 { return e.stateHash(true) }
 
-// DecodeHash is StateHash without the virtual-address state: the state
-// a device access decodes against. Only walks (events) and
+// stateHash is StateHash, or with withVA false the decode state alone
+// (the state DecodeVersion versions): only walks (events) and
 // initiations, never a status read, move the virtual-address part.
-func (e *Engine) DecodeHash() uint64 { return e.stateHash(false) }
-
 func (e *Engine) stateHash(withVA bool) uint64 {
 	h := uint64(0x243f6a8885a308d3)
 	mix := func(v uint64) {

@@ -2,9 +2,11 @@ package proc
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"uldma/internal/phys"
 	"uldma/internal/sim"
 )
 
@@ -176,6 +178,24 @@ func BenchmarkSelfRegrant(b *testing.B) {
 	f.r.Spawn("A", f.space(b, 1, ramPage), spinner)
 	defer f.r.Shutdown()
 	policy := NewRoundRobin(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := f.r.Run(policy, uint64(b.N)); !errors.Is(err, ErrSlotBudget) {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSelfRegrantMix: twelve spinning processes on RoundRobin(9)
+// under Run, the initiate workload's shape, so every op is one slot
+// and eight of nine keep the running guest with eleven live peers —
+// the per-slot cost BenchmarkSelfRegrant measures without peers.
+func BenchmarkSelfRegrantMix(b *testing.B) {
+	f := newFixture(b, RunnerConfig{})
+	for i := 0; i < 12; i++ {
+		f.r.Spawn(fmt.Sprint("P", i), f.space(b, i+1, ramPage+phys.Addr(i)*pageSize), spinner)
+	}
+	defer f.r.Shutdown()
+	policy := NewRoundRobin(9)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := f.r.Run(policy, uint64(b.N)); !errors.Is(err, ErrSlotBudget) {

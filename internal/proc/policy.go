@@ -27,6 +27,26 @@ func NewRoundRobin(quantum int) *RoundRobin {
 	return &RoundRobin{Quantum: quantum}
 }
 
+// holds reports whether r's running guest is p and p could keep the
+// CPU under rr: it is live, not blocked, and has not overrun its
+// quantum.
+func (rr *RoundRobin) holds(r *Runner, p *Process) bool {
+	return r.current == p && p.state != Done && p.blockedUntil <= r.cpu.Clock().Now() && rr.used <= rr.Quantum
+}
+
+// keepRoom returns how many more slots Next would grant the running
+// guest p in a row under Run, with every scheduling decision as it is
+// now: none unless holds, else the slots left in p's quantum and in
+// Run's slot budget. A positive room is exactly the case in which Next
+// returns current and counts one more used slot; Runner.regrant takes
+// that case in place and Context.SkipRoom bounds a bulk charge by it.
+func (rr *RoundRobin) keepRoom(r *Runner, p *Process) uint64 {
+	if !rr.holds(r, p) {
+		return 0
+	}
+	return min(r.maxSlots-r.granted, uint64(rr.Quantum-rr.used))
+}
+
 // Next implements Policy.
 func (rr *RoundRobin) Next(runnable []*Process, current *Process) *Process {
 	if current != nil && current.State() != Done && rr.used < rr.Quantum {

@@ -15,7 +15,9 @@
 // Where the per-slot decision runs depends on who drives. Under Run,
 // the running guest makes it itself at its next instruction boundary
 // (Context.begin): the same runnable set, slot-budget check and
-// Policy.Next that Run would make. When the policy picks the guest
+// Policy.Next that Run would make, except that a RoundRobin policy
+// keeping the guest within its quantum is recognised without building
+// the runnable set. When the policy picks the guest
 // again, the slot is re-granted in place without a coroutine switch;
 // when it picks another process, the guest records the pick and yields,
 // and Run dispatches it without consulting the policy twice. Step and
@@ -351,7 +353,10 @@ func (r *Runner) endRun() {
 
 // regrant makes the next slot's scheduling decision on the running
 // guest p's own coroutine, exactly as Run's loop would: the runnable
-// set, the slot-budget check, then Policy.Next. It reports whether the
+// set, the slot-budget check, then Policy.Next. When a RoundRobin
+// policy would keep p (RoundRobin.keepRoom), it skips the runnable set
+// and the scan and charges that pick directly, so a kept slot costs
+// the same however many processes the runner holds. It reports whether the
 // policy picked p again, in which case the finished slot is closed and
 // the new one opened in place, with no yield. Otherwise p must yield:
 // with a pick of another process recorded in pending, or with no pick
@@ -362,6 +367,15 @@ func (r *Runner) regrant(p *Process) bool {
 	if r.policy == nil {
 		return false
 	}
+	if rr, ok := r.policy.(*RoundRobin); ok && rr.keepRoom(r, p) > 0 {
+		// The pick Next would make, without building the runnable set:
+		// the running guest keeps the CPU for one more slot of its
+		// quantum.
+		r.granted++
+		rr.used++
+		r.reslot(p)
+		return true
+	}
 	runnable := r.runnable()
 	if len(runnable) == 0 || r.granted >= r.maxSlots {
 		return false
@@ -371,11 +385,17 @@ func (r *Runner) regrant(p *Process) bool {
 		r.pending = next
 		return false
 	}
+	r.reslot(p)
+	return true
+}
+
+// reslot closes the running guest p's finished slot and opens the next
+// one in place.
+func (r *Runner) reslot(p *Process) {
 	now := r.cpu.Clock().Now()
 	p.cpuTime += now - r.slotStart
 	r.ctr.Slots.Inc()
 	r.slotStart = now
-	return true
 }
 
 // pick asks the policy for the next slot's process, falling back to
@@ -594,7 +614,7 @@ func (c *Context) handOff() {
 // any policy but RoundRobin, or with another process live.
 func (c *Context) SkipRoom() (slots uint64, ok bool) {
 	rr, isRR := c.r.policy.(*RoundRobin)
-	if !isRR || c.r.current != c.p || rr.used > rr.Quantum {
+	if !isRR || !rr.holds(c.r, c.p) {
 		return 0, false
 	}
 	for _, p := range c.r.procs {
@@ -602,7 +622,7 @@ func (c *Context) SkipRoom() (slots uint64, ok bool) {
 			return 0, false
 		}
 	}
-	return min(c.r.maxSlots-c.r.granted, uint64(rr.Quantum-rr.used)), true
+	return rr.keepRoom(c.r, c.p), true
 }
 
 // SkipSlots charges n in-place slots lasting d in all, within SkipRoom,

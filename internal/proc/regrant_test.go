@@ -69,11 +69,17 @@ type parityOutcome struct {
 	ctr      Counters
 	instrs   []uint64
 	cpuTimes []sim.Time
+	// midBlocks counts the interrupts that blocked the spinner while it
+	// held the CPU.
+	midBlocks int
 }
 
 // runParityWorld builds a four-process world — a spinner, a timed
 // sleeper, an event-woken waiter and a short job — runs it with run
-// under a fresh policy and budget, and records the outcome.
+// under a fresh policy and budget, and records the outcome. After its
+// 30th instruction the spinner arms an interrupt that fires inside its
+// next instruction and blocks it for 10µs: the running guest turns
+// unrunnable in the middle of its quantum, with no syscall or yield.
 func runParityWorld(t *testing.T, policy Policy, budget uint64, run func(*Runner, Policy, uint64) error) parityOutcome {
 	t.Helper()
 	f := newFixture(t, RunnerConfig{SwitchCycles: 600})
@@ -101,6 +107,15 @@ func runParityWorld(t *testing.T, policy Policy, budget uint64, run func(*Runner
 					ctx.Spin(int64(1 + (i*7+kind*13)%50))
 				}
 				out.slots = append(out.slots, slotRec{ctx.Process().PID(), f.clock.Now()})
+				if kind == 0 && i == 30 {
+					p := ctx.Process()
+					f.r.cpu.Events().ScheduleFunc(f.clock.Now()+sim.Nanosecond, func(at sim.Time) {
+						if f.r.current == p {
+							out.midBlocks++
+						}
+						p.BlockUntil(at + 10*sim.Microsecond)
+					})
+				}
 			}
 			return nil
 		}
@@ -124,7 +139,12 @@ func runParityWorld(t *testing.T, policy Policy, budget uint64, run func(*Runner
 // slot, produces exactly what the one-yield-per-slot loop produces,
 // under every policy: the same slot and switch sequences, clock,
 // counters and per-process instructions and CPU time, and the same
-// ErrSlotBudget at the same slot when the budget runs out.
+// ErrSlotBudget at the same slot when the budget runs out. Two cases
+// pin the conditions of RoundRobin's in-place keep: the interrupt that
+// blocks the running spinner mid-quantum (RoundRobin(1<<20) keeps the
+// spinner until then, so it must see the block), and budgets of 5 and
+// 23 slots, which end inside the first and third guests' quanta under
+// RoundRobin(9) and inside the spinner's under RoundRobin(1<<20).
 func TestRunMatchesReferenceLoop(t *testing.T) {
 	policies := []struct {
 		name string
@@ -145,8 +165,11 @@ func TestRunMatchesReferenceLoop(t *testing.T) {
 				t.Fatalf("reference run failed: %s", want.err)
 			}
 			compareOutcomes(t, "full run", got, want)
+			if pc.name == "RoundRobin(1<<20)" && want.midBlocks == 0 {
+				t.Fatal("the interrupt never blocked the running spinner")
+			}
 			total := want.ctr.Slots.Value()
-			for _, budget := range []uint64{1, total / 3, total - 1} {
+			for _, budget := range []uint64{1, 5, 23, total / 3, total - 1} {
 				want := runParityWorld(t, pc.mk(), budget, referenceRun)
 				got := runParityWorld(t, pc.mk(), budget, (*Runner).Run)
 				if !strings.HasPrefix(want.err, ErrSlotBudget.Error()) {
@@ -168,6 +191,9 @@ func compareOutcomes(t *testing.T, what string, got, want parityOutcome) {
 	}
 	if !reflect.DeepEqual(got.switches, want.switches) {
 		t.Fatalf("%s: switch sequence diverges at %d (%d vs %d switches)", what, firstDiff(got.switches, want.switches), len(got.switches), len(want.switches))
+	}
+	if got.midBlocks != want.midBlocks {
+		t.Fatalf("%s: %d mid-quantum blocks, reference %d", what, got.midBlocks, want.midBlocks)
 	}
 	if got.clock != want.clock || got.ctr != want.ctr {
 		t.Fatalf("%s: clock %v counters %+v, reference %v %+v", what, got.clock, got.ctr, want.clock, want.ctr)

@@ -51,7 +51,7 @@ type TLBSnapshot struct {
 	entries []tlbEntry
 	tick    uint64
 	ctr     TLBCounters
-	last    int
+	last    int32
 }
 
 // Snapshot captures every entry, the LRU clock and the counters.
@@ -69,6 +69,7 @@ func (t *TLB) Restore(s *TLBSnapshot) error {
 	}
 	copy(t.entries, s.entries)
 	t.tick, t.ctr, t.last = s.tick, s.ctr, s.last
+	t.lastAt = t.tick
 	t.ver++
 	return nil
 }
@@ -85,7 +86,7 @@ func (t *TLB) StateHash() uint64 {
 	var h uint64
 	for i := range t.entries {
 		e := &t.entries[i]
-		if !e.valid {
+		if e.key == 0 {
 			continue
 		}
 		x := uint64(e.asid)*0x9e3779b97f4a7c15 ^ e.vpn*0xbf58476d1ce4e5b9 ^

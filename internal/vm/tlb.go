@@ -11,6 +11,10 @@ import (
 // replacement. Entries are tagged by (ASID, VPN) — like the Alpha's
 // address-space numbers — so a context switch does not require a flush,
 // though Flush is provided for machines configured without ASN tagging.
+// A lookup checks the L0 hint (last) first; the scan behind it compares
+// one packed (ASID, VPN) key per entry and confirms the full tag only
+// on a key match, so many address spaces sharing the same pages (the
+// multiprogrammed worlds' guests) cost one compare per entry.
 //
 // The TLB exists in the model because translation cost is part of the
 // paper's argument: the kernel-level DMA path pays a software
@@ -20,6 +24,12 @@ type TLB struct {
 	entries []tlbEntry
 	tick    uint64
 	ctr     TLBCounters
+	// lastAt bounds every LRU stamp but last's: it is the tick at
+	// which last last changed (a fill, a scan hit, a Restore) or at
+	// which Skip last shifted more than one entry. Every touch since
+	// then hit entry last through the L0, so when Skip's window starts
+	// at or after lastAt, last is the one entry it must shift.
+	lastAt uint64
 	// last is the index of the most recently hit or filled entry: a
 	// one-entry L0 in front of the associative scan. Guest code streams
 	// through buffers page by page, so the vast majority of lookups hit
@@ -27,20 +37,36 @@ type TLB struct {
 	// common case from an O(entries) scan into one tag compare. The
 	// index is only a hint — every use re-validates the full
 	// (asid, vpn, gen) tag, so stale hints are harmless.
-	last int
+	last int32
 	// ver moves on every change to the entries' translations: a fill,
 	// a Flush, a Restore. Hits and Skip only restamp LRU times, so they
-	// leave it alone. Equal versions imply identical entries.
-	ver uint64
+	// leave it alone. Two reads fewer than 2^32 changes apart are equal
+	// only if no entry changed between them.
+	ver uint32
 }
 
+// tlbEntry is one cached translation. key packs (asid, vpn) into the
+// one word the scan compares (tlbKey); a key match is confirmed on the
+// full (asid, vpn, gen) tag, since distinct tags can share a key. The
+// zero key marks an empty entry.
 type tlbEntry struct {
-	asid  int
-	vpn   uint64
-	gen   uint64 // address-space generation when cached
-	pte   PTE
-	used  uint64 // LRU timestamp
-	valid bool
+	asid int
+	vpn  uint64
+	gen  uint64 // address-space generation when cached
+	pte  PTE
+	used uint64 // LRU timestamp
+	key  uint64
+}
+
+// tlbKey packs (asid, vpn) into a non-zero word, exact for ASIDs below
+// 2^15 and VPNs below 2^48: every address space and page the presets
+// build. Wider values may collide, which the full-tag check absorbs.
+func tlbKey(asid int, vpn uint64) uint64 { return uint64(asid)<<48 ^ vpn | 1<<63 }
+
+// holds reports whether e caches the translation tagged (asid, vpn,
+// gen), whose packed key is key.
+func (e *tlbEntry) holds(key uint64, asid int, vpn, gen uint64) bool {
+	return e.key == key && e.vpn == vpn && e.asid == asid && e.gen == gen
 }
 
 // TLBCounters counts hit/miss traffic: the TLB's live obs cells,
@@ -73,16 +99,17 @@ func (t *TLB) RegisterMetrics(r *obs.Registry, prefix string) {
 // Flush invalidates every entry.
 func (t *TLB) Flush() {
 	for i := range t.entries {
-		t.entries[i].valid = false
+		t.entries[i].key = 0
 	}
 	t.ver++
 }
 
 // Version returns the mutation counter: it moves on every fill, Flush
-// and Restore and never on a hit, so two reads that agree bracket a
-// stretch in which no entry's translation changed. It is not part of a
-// snapshot; a Restore moves it forward like any other change.
-func (t *TLB) Version() uint64 { return t.ver }
+// and Restore and never on a hit, so two reads that agree (and are
+// fewer than 2^32 changes apart) bracket a stretch in which no entry's
+// translation changed. It is not part of a snapshot; a Restore moves
+// it forward like any other change.
+func (t *TLB) Version() uint64 { return uint64(t.ver) }
 
 // Translate resolves va in as, filling from the page table on a miss.
 // hit reports whether the translation was served from the TLB; the CPU
@@ -90,40 +117,44 @@ func (t *TLB) Version() uint64 { return t.ver }
 // checked on every access (rights live in the PTE, cached or not).
 func (t *TLB) Translate(as *AddressSpace, va VAddr, access Access) (pa phys.Addr, hit bool, err error) {
 	t.tick++
+	asid, gen := as.ASID(), as.Generation()
 	vpn := uint64(va) / as.PageSize()
+	key := tlbKey(asid, vpn)
 	// L0 fast path: re-check the last entry used before scanning. The
 	// outcome (entry found, counters, LRU stamp) is identical to the scan
 	// finding the same entry — at most one entry can carry a given
 	// (asid, vpn, gen) tag, because fills happen only on misses.
-	if e := &t.entries[t.last]; e.valid && e.vpn == vpn && e.asid == as.ASID() && e.gen == as.Generation() {
+	i := t.last
+	if !t.entries[i].holds(key, asid, vpn, gen) {
+		i = -1
+		for j := range t.entries {
+			if t.entries[j].holds(key, asid, vpn, gen) {
+				i = int32(j)
+				break
+			}
+		}
+	}
+	if i >= 0 {
+		e := &t.entries[i]
 		if !e.pte.Prot.Can(access.Need()) {
-			return 0, true, &Fault{VA: va, Access: access, Kind: FaultProtection, ASID: as.ASID()}
+			return 0, true, &Fault{VA: va, Access: access, Kind: FaultProtection, ASID: asid}
 		}
 		e.used = t.tick
 		t.ctr.Hits.Inc()
-		return e.pte.Frame + phys.Addr(uint64(va)%as.PageSize()), true, nil
-	}
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.asid == as.ASID() && e.vpn == vpn && e.gen == as.Generation() {
-			if !e.pte.Prot.Can(access.Need()) {
-				return 0, true, &Fault{VA: va, Access: access, Kind: FaultProtection, ASID: as.ASID()}
-			}
-			e.used = t.tick
-			t.ctr.Hits.Inc()
-			t.last = i
-			return e.pte.Frame + phys.Addr(uint64(va)%as.PageSize()), true, nil
+		if i != t.last {
+			t.last, t.lastAt = i, t.tick
 		}
+		return e.pte.Frame + phys.Addr(uint64(va)%as.PageSize()), true, nil
 	}
 	// Miss: walk the page table.
 	t.ctr.Misses.Inc()
 	pte, ok := as.Lookup(va)
 	if !ok {
-		return 0, false, &Fault{VA: va, Access: access, Kind: FaultUnmapped, ASID: as.ASID()}
+		return 0, false, &Fault{VA: va, Access: access, Kind: FaultUnmapped, ASID: asid}
 	}
-	t.insert(as, vpn, pte)
+	t.insert(key, asid, vpn, gen, pte)
 	if !pte.Prot.Can(access.Need()) {
-		return 0, false, &Fault{VA: va, Access: access, Kind: FaultProtection, ASID: as.ASID()}
+		return 0, false, &Fault{VA: va, Access: access, Kind: FaultProtection, ASID: asid}
 	}
 	return pte.Frame + phys.Addr(uint64(va)%as.PageSize()), false, nil
 }
@@ -139,22 +170,30 @@ func (t *TLB) Miss() {
 
 // Skip advances the LRU tick by n and shifts by n the stamp of every
 // entry touched after tick since: the state n more ticks of touching
-// the same entries in the same order would leave.
+// the same entries in the same order would leave. When no entry but
+// last can carry a stamp above since (lastAt), only last is shifted.
 func (t *TLB) Skip(since, n uint64) {
+	t.tick += n
+	if t.lastAt <= since {
+		if e := &t.entries[t.last]; e.used > since {
+			e.used += n
+		}
+		return
+	}
 	for i := range t.entries {
 		if t.entries[i].used > since {
 			t.entries[i].used += n
 		}
 	}
-	t.tick += n
+	t.lastAt = t.tick
 }
 
-func (t *TLB) insert(as *AddressSpace, vpn uint64, pte PTE) {
+func (t *TLB) insert(key uint64, asid int, vpn, gen uint64, pte PTE) {
 	victim := 0
 	oldest := ^uint64(0)
 	for i := range t.entries {
 		e := &t.entries[i]
-		if !e.valid {
+		if e.key == 0 {
 			victim = i
 			break
 		}
@@ -163,10 +202,7 @@ func (t *TLB) insert(as *AddressSpace, vpn uint64, pte PTE) {
 			victim = i
 		}
 	}
-	t.entries[victim] = tlbEntry{
-		asid: as.ASID(), vpn: vpn, gen: as.Generation(),
-		pte: pte, used: t.tick, valid: true,
-	}
-	t.last = victim
+	t.entries[victim] = tlbEntry{asid: asid, vpn: vpn, gen: gen, pte: pte, used: t.tick, key: key}
+	t.last, t.lastAt = int32(victim), t.tick
 	t.ver++
 }
