@@ -118,9 +118,15 @@ ringparity:
 # The poll's held state is counters: the engine's decode version moves
 # whenever its decode state does (and not on a status read), and the
 # TLB's packed-key scan and one-entry Skip match a linear-scan
-# reference TLB step for step.
+# reference TLB step for step. TranslateIO, which reads the device page
+# table only on an IOTLB miss, matches a lookup-then-translate
+# reference; the bus's last-range decode hint matches a binary search
+# over its windows; and physical memory's line-granular copy on write
+# keeps two clones of one snapshot, writing one page concurrently, out
+# of each other's bytes and the snapshot's, copying at most a page
+# header and one line per first write.
 iommuparity:
-	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipRefusesTLBFill|TestPollSkipZeroAllocs|TestPagingWorldSnapshotReplays|TestTLBVersion|TestPagerEvictionOrder|TestMoveMatchesReadWrite|TestRegistryExtrapolateGauge|TestScaleValidation|TestDecodeVersionCoversHash|TestTLBMatchesReference' ./internal/core ./internal/dma ./internal/exp ./internal/vm ./internal/kernel ./internal/phys ./internal/obs
+	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipRefusesTLBFill|TestPollSkipZeroAllocs|TestPagingWorldSnapshotReplays|TestTLBVersion|TestPagerEvictionOrder|TestMoveMatchesReadWrite|TestRegistryExtrapolateGauge|TestScaleValidation|TestDecodeVersionCoversHash|TestTLBMatchesReference|TestTranslateIOMatchesTwoStep|TestDeviceAtMatchesSearch|TestSnapshotLinesIsolated|TestSharedPageWriteAllocs' ./internal/core ./internal/dma ./internal/exp ./internal/vm ./internal/kernel ./internal/phys ./internal/obs ./internal/iommu ./internal/bus
 
 # The steered loop's contracts, run under the race detector: the live
 # obs feed costs 0 simulated time and 0 allocations (byte-identical

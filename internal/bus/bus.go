@@ -110,6 +110,12 @@ type Bus struct {
 	cost     CostConfig
 	mappings []mapping // sorted by base
 	ctr      Counters
+	// hint is the decode of the last DeviceAt: the address range
+	// [lo, hi] that one mapping covers (dev) or that lies in the gap
+	// between two (dev nil). Every use re-checks addr against the
+	// bounds, and Map resets it, so it can only answer what the search
+	// would.
+	hint decodeHint
 
 	// tr is the obs trace spine (nil = tracing disabled, the zero-cost
 	// fast path); node is the cluster node id stamped on events.
@@ -123,6 +129,15 @@ type Bus struct {
 }
 
 type stealWindow struct{ start, end sim.Time }
+
+// decodeHint is one decoded address range, bounds inclusive so that a
+// gap running to the top of the address space fits. The zero hint
+// covers only address 0, as a gap, which is right while nothing is
+// mapped.
+type decodeHint struct {
+	lo, hi uint64
+	dev    Device
+}
 
 // New creates a bus in the given clock domain.
 func New(clock *sim.Clock, freq sim.Hz, cost CostConfig) *Bus {
@@ -177,20 +192,37 @@ func (b *Bus) Map(dev Device, base phys.Addr, size uint64) error {
 	}
 	b.mappings = append(b.mappings, mapping{base: base, size: size, dev: dev})
 	slices.SortFunc(b.mappings, func(x, y mapping) int { return cmp.Compare(x.base, y.base) })
+	b.hint = decodeHint{lo: 1} // empty: lo > hi
 	return nil
 }
 
 // DeviceAt returns the device mapped at addr, if any. The CPU uses this
 // to classify a physical address as an uncached device access versus a
-// plain memory access.
+// plain memory access, and the bus decodes the same address again to
+// carry the access, so consecutive calls mostly land in the range the
+// last one decoded: that range is checked first.
 func (b *Bus) DeviceAt(addr phys.Addr) (Device, bool) {
-	i := sort.Search(len(b.mappings), func(i int) bool {
-		return uint64(b.mappings[i].base)+b.mappings[i].size > uint64(addr)
-	})
-	if i < len(b.mappings) && addr >= b.mappings[i].base {
-		return b.mappings[i].dev, true
+	a := uint64(addr)
+	if h := &b.hint; a >= h.lo && a <= h.hi {
+		return h.dev, h.dev != nil
 	}
-	return nil, false
+	i := sort.Search(len(b.mappings), func(i int) bool {
+		return uint64(b.mappings[i].base)+b.mappings[i].size > a
+	})
+	h := decodeHint{hi: ^uint64(0)}
+	if i > 0 {
+		h.lo = uint64(b.mappings[i-1].base) + b.mappings[i-1].size
+	}
+	if i < len(b.mappings) {
+		m := b.mappings[i]
+		if a >= uint64(m.base) {
+			h = decodeHint{lo: uint64(m.base), hi: uint64(m.base) + m.size - 1, dev: m.dev}
+		} else {
+			h.hi = uint64(m.base) - 1
+		}
+	}
+	b.hint = h
+	return h.dev, h.dev != nil
 }
 
 // IsDevice reports whether addr decodes to a mapped device window.

@@ -1,7 +1,12 @@
 package bus
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -591,5 +596,71 @@ func TestNextWindowEdge(t *testing.T) {
 		if got := b.NextWindowEdge(tc.from); got != tc.want {
 			t.Errorf("NextWindowEdge(%d) = %d, want %d", tc.from, got, tc.want)
 		}
+	}
+}
+
+// TestDeviceAtMatchesSearch: DeviceAt, which first checks the range it
+// decoded last, answers what a binary search over the sorted windows
+// answers, for seeded streams of addresses at every window's edges, in
+// the gaps between windows (adjacent windows have none), below the
+// first and above the last window up to the top of the address space,
+// before and after more windows are mapped.
+func TestDeviceAtMatchesSearch(t *testing.T) {
+	windows := []mapping{
+		{base: 0x2000, size: 0x100}, {base: 0x2100, size: 0x100}, // adjacent
+		{base: 0x4000, size: 1},
+		{base: 0x1_0000_0000, size: 0x1000},
+		// Mapped after the first probes: below the first window, near
+		// the top of the address space, and two more adjacent ones.
+		{base: 0x10, size: 8},
+		{base: 0xffff_ffff_ffff_0000, size: 0xf000},
+		{base: 0x8000, size: 0x800}, {base: 0x8800, size: 0x800},
+	}
+	probes := []phys.Addr{0, 1, ^phys.Addr(0), ^phys.Addr(0) - 1}
+	for _, w := range windows {
+		end := w.base + phys.Addr(w.size)
+		probes = append(probes, w.base-1, w.base, w.base+1, end-1, end, end+1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		b, _ := newTestBus()
+		var mapped []mapping // the reference, sorted by base
+		mapWindows := func(ws []mapping) {
+			for _, w := range ws {
+				w.dev = newFakeDev(fmt.Sprintf("at %v", w.base), 0)
+				if err := b.Map(w.dev, w.base, w.size); err != nil {
+					t.Fatal(err)
+				}
+				mapped = append(mapped, w)
+			}
+			slices.SortFunc(mapped, func(x, y mapping) int { return cmp.Compare(x.base, y.base) })
+		}
+		search := func(addr phys.Addr) Device {
+			i := sort.Search(len(mapped), func(i int) bool { return uint64(mapped[i].base)+mapped[i].size > uint64(addr) })
+			if i < len(mapped) && addr >= mapped[i].base {
+				return mapped[i].dev
+			}
+			return nil
+		}
+		check := func() {
+			for i := 0; i < 500; i++ {
+				addr := probes[rng.Intn(len(probes))]
+				if rng.Intn(4) == 0 {
+					addr += phys.Addr(rng.Intn(16)) - 8
+				}
+				dev, ok := b.DeviceAt(addr)
+				if want := search(addr); dev != want || ok != (want != nil) {
+					t.Fatalf("trial %d, %d windows: DeviceAt(%v) = %v, %v; the search finds %v", trial, len(mapped), addr, dev, ok, want)
+				}
+				if b.IsDevice(addr) != ok {
+					t.Fatalf("trial %d: IsDevice(%v) disagrees with DeviceAt", trial, addr)
+				}
+			}
+		}
+		check() // nothing mapped
+		mapWindows(windows[:4])
+		check()
+		mapWindows(windows[4:])
+		check()
 	}
 }

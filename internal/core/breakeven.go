@@ -59,7 +59,7 @@ func BreakEven(method Method, sizes []uint64) ([]BreakEvenPoint, error) {
 // number of independent clones with machine.NewFromSnapshot (cells
 // running in parallel), or rewind the origin in place between serial
 // runs. Memory is shared copy-on-write, so clones of a pristine world
-// cost a chunk-pointer table, not a memory image.
+// cost a page-pointer table, not a memory image.
 func NewWorld(cfg machine.Config) (*machine.Snapshot, error) {
 	m, err := machine.New(cfg)
 	if err != nil {

@@ -117,22 +117,6 @@ func (io *IOMMU) Unmap(ctx int, va uint64) error {
 	return nil
 }
 
-// Translate resolves a device virtual address for ctx. hit reports an
-// IOTLB hit; the engine charges its miss penalty when false. A fault
-// (*vm.Fault: unmapped or protection) is the caller's signal to run a
-// recovery policy. The hit path allocates nothing.
-func (io *IOMMU) Translate(ctx int, va uint64, access vm.Access) (phys.Addr, bool, error) {
-	as, err := io.table(ctx)
-	if err != nil {
-		return 0, false, err
-	}
-	pa, hit, err := io.tlb.Translate(as, vm.VAddr(va), access)
-	if err != nil {
-		io.ctr.Faults.Inc()
-	}
-	return pa, hit, err
-}
-
 // Lookup probes ctx's page table without touching the IOTLB or any
 // counter — the kernel pager's residency check.
 func (io *IOMMU) Lookup(ctx int, va uint64) (vm.PTE, bool) {
@@ -164,20 +148,31 @@ func (io *IOMMU) RegisterMetrics(r *obs.Registry) {
 var errNotMapped = errors.New("iommu: device page not mapped")
 
 // TranslateIO implements dma.Translator: a device access is a store
-// (write) or load, mapped onto vm's access kinds. An unmapped page is
-// counted exactly as Translate counts it — an IOTLB miss (vm.TLB.Miss)
-// and a fault — but returns errNotMapped, not a fresh *vm.Fault.
+// (write) or load, mapped onto vm's access kinds, resolved through one
+// IOTLB probe that reads ctx's page table only on a miss. hit reports
+// an IOTLB hit; the engine charges its miss penalty when false. A
+// fault, counted in the fault counter, is the caller's signal to run a
+// recovery policy: an unmapped page returns errNotMapped, so the
+// page-out fault of every paged transfer allocates nothing, and a
+// protection fault a *vm.Fault.
 func (io *IOMMU) TranslateIO(ctx int, va uint64, write bool) (phys.Addr, bool, error) {
-	if _, ok := io.Lookup(ctx, va); !ok && ctx >= 0 && ctx < len(io.tables) {
-		io.tlb.Miss()
-		io.ctr.Faults.Inc()
-		return 0, false, errNotMapped
+	as, err := io.table(ctx)
+	if err != nil {
+		return 0, false, err
 	}
 	access := vm.AccessLoad
 	if write {
 		access = vm.AccessStore
 	}
-	return io.Translate(ctx, va, access)
+	pa, hit, kind, ok := io.tlb.Probe(as, vm.VAddr(va), access)
+	if !ok {
+		io.ctr.Faults.Inc()
+		if kind == vm.FaultUnmapped {
+			return 0, false, errNotMapped
+		}
+		return 0, hit, &vm.Fault{VA: vm.VAddr(va), Access: access, Kind: kind, ASID: as.ASID()}
+	}
+	return pa, hit, nil
 }
 
 // IOPageSize implements dma.Translator.

@@ -2,6 +2,8 @@ package iommu
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -251,5 +253,110 @@ func TestTranslateIOUnmappedMatchesTranslate(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { ios[1].TranslateIO(1, 0x20000, false) })
 	if allocs != 0 {
 		t.Fatalf("an unmapped TranslateIO allocates %.1f times, want 0", allocs)
+	}
+}
+
+// Translate resolves a device virtual address for ctx through the
+// IOTLB, as TranslateIO does, but reports every fault as a *vm.Fault
+// (unmapped or protection). hit reports an IOTLB hit. The hit path
+// allocates nothing.
+func (io *IOMMU) Translate(ctx int, va uint64, access vm.Access) (phys.Addr, bool, error) {
+	as, err := io.table(ctx)
+	if err != nil {
+		return 0, false, err
+	}
+	pa, hit, err := io.tlb.Translate(as, vm.VAddr(va), access)
+	if err != nil {
+		io.ctr.Faults.Inc()
+	}
+	return pa, hit, err
+}
+
+// twoStepTranslateIO is the reference TranslateIO: a page-table lookup
+// before every translation, counting an unmapped page as a tick, an
+// IOTLB miss and a fault (what Translate counts for it) without the
+// *vm.Fault reaching the caller.
+func twoStepTranslateIO(io *IOMMU, ctx int, va uint64, write bool) (phys.Addr, bool, error) {
+	access := vm.AccessLoad
+	if write {
+		access = vm.AccessStore
+	}
+	if _, ok := io.Lookup(ctx, va); !ok && ctx >= 0 && ctx < len(io.tables) {
+		io.Translate(ctx, va, access)
+		return 0, false, errNotMapped
+	}
+	return io.Translate(ctx, va, access)
+}
+
+// TestTranslateIOMatchesTwoStep: TranslateIO, which reads the page
+// table only on an IOTLB miss, returns what the two-step reference
+// returns and leaves the IOTLB (entries, stamps, tick) and every
+// counter as it does, over seeded streams of hits, misses, unmapped
+// pages, protection faults on read-only pages, contexts out of range,
+// and maps and unmaps between them.
+func TestTranslateIOMatchesTwoStep(t *testing.T) {
+	const pageSize = 8192
+	rng := rand.New(rand.NewSource(1))
+	var got, want *IOMMU
+	mapBoth := func(ctx int, va uint64, prot vm.Prot) {
+		for _, io := range []*IOMMU{got, want} {
+			if err := io.Map(ctx, va, phys.Addr(0x100000+va), prot); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var faults, prot, badCtx int
+	for trial := 0; trial < 20; trial++ {
+		got, want = newTestIOMMU(t), newTestIOMMU(t)
+		for ctx := 0; ctx < 4; ctx++ {
+			for p := uint64(0); p < 12; p++ {
+				switch rng.Intn(3) {
+				case 0:
+					mapBoth(ctx, p*pageSize, vm.Read|vm.Write)
+				case 1:
+					mapBoth(ctx, p*pageSize, vm.Read)
+				}
+			}
+		}
+		for step := 0; step < 500; step++ {
+			ctx, va, write := rng.Intn(6)-1, uint64(rng.Intn(16))*pageSize+uint64(rng.Intn(pageSize)), rng.Intn(2) == 0
+			switch rng.Intn(20) {
+			case 0:
+				if ctx >= 0 && ctx < 4 {
+					mapBoth(ctx, va&^(pageSize-1), vm.Read|vm.Write)
+				}
+				continue
+			case 1:
+				if ctx >= 0 && ctx < 4 {
+					got.Unmap(ctx, va&^(pageSize-1))
+					want.Unmap(ctx, va&^(pageSize-1))
+				}
+				continue
+			}
+			pa, hit, err := got.TranslateIO(ctx, va, write)
+			wpa, whit, werr := twoStepTranslateIO(want, ctx, va, write)
+			if pa != wpa || hit != whit || fmt.Sprint(err) != fmt.Sprint(werr) || (err == errNotMapped) != (werr == errNotMapped) {
+				t.Fatalf("trial %d step %d TranslateIO(%d, %#x, %v) = (%v, %v, %v), two-step (%v, %v, %v)",
+					trial, step, ctx, va, write, pa, hit, err, wpa, whit, werr)
+			}
+			if f := (*vm.Fault)(nil); errors.As(err, &f) && f.Kind == vm.FaultProtection {
+				prot++
+			}
+			switch {
+			case err == errNotMapped:
+				faults++
+			case ctx < 0 || ctx >= 4:
+				badCtx++
+			}
+			if a, b := got.IOTLB().Snapshot(), want.IOTLB().Snapshot(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("trial %d step %d: IOTLB differs:\n TranslateIO %+v\n two-step    %+v", trial, step, *a, *b)
+			}
+			if a, b := got.ctr, want.ctr; a != b {
+				t.Fatalf("trial %d step %d: counters differ: TranslateIO %+v, two-step %+v", trial, step, a, b)
+			}
+		}
+	}
+	if faults < 500 || prot < 500 || badCtx < 500 {
+		t.Fatalf("%d unmapped, %d protection and %d bad-context translations; the draw no longer covers them", faults, prot, badCtx)
 	}
 }

@@ -10,10 +10,11 @@ package machine
 // goroutines, so a snapshot is only taken when every process is Done
 // and the event queue has been settled — then every mutable structure
 // is plain data. The expensive structure, physical memory, is captured
-// copy-on-write: Snapshot marks the origin's chunks shared, and the
-// first post-snapshot write to a chunk (by the origin or any clone)
-// clones just that chunk. Snapshots of warmed-but-idle worlds therefore
-// cost a chunk-pointer table, not a memory image.
+// copy-on-write: Snapshot marks the origin's pages shared, and the
+// first post-snapshot write to a page (by the origin or any clone)
+// copies that page's 64-byte header and the 1 KiB line written.
+// Snapshots of warmed-but-idle worlds therefore cost a page-pointer
+// table, not a memory image.
 
 import (
 	"fmt"

@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// moveMemSize is five full chunks and a short final one, so ranges
-// straddle chunk boundaries and the memory's end.
-const moveMemSize = 5*chunkSize + chunkSize/2
+// moveMemSize is five full pages and a short final one, so ranges
+// straddle line and page boundaries and the memory's end.
+const moveMemSize = 5*pageSize + pageSize/2 + lineSize/2
 
-// moveWorld builds one memory from seed: each chunk is left never
-// written, filled with random bytes, written then zeroed (materialized
-// zeros), or given a few random words. With snap set it is snapshotted
-// and some chunks are written again, so some chunks are shared with the
-// snapshot and some are private clones.
+// moveWorld builds one memory from seed: a page is left never written,
+// or each of its lines is left never written, filled with random
+// bytes, written then zeroed (materialized zeros), or given a few
+// random words. With snap set it is snapshotted and some words are
+// written again, so some pages and lines are shared with the snapshot
+// and some are private copies.
 func moveWorld(t *testing.T, seed int64, snap bool) (*Memory, *Snapshot) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -24,8 +25,12 @@ func moveWorld(t *testing.T, seed int64, snap bool) (*Memory, *Snapshot) {
 			t.Fatal(err)
 		}
 	}
-	for base := 0; base < moveMemSize; base += chunkSize {
-		n := min(chunkSize, moveMemSize-base)
+	for base := 0; base < moveMemSize; base += lineSize {
+		if base%pageSize == 0 && rng.Intn(4) == 0 {
+			base += pageSize - lineSize
+			continue
+		}
+		n := min(lineSize, moveMemSize-base)
 		switch rng.Intn(4) {
 		case 1:
 			b := make([]byte, n)
@@ -50,17 +55,19 @@ func moveWorld(t *testing.T, seed int64, snap bool) (*Memory, *Snapshot) {
 	return m, s
 }
 
-// moveCase draws (dst, src, n): small, chunk-sized and multi-chunk
-// lengths, overlap in both directions, and ranges that run past the
+// moveCase draws (dst, src, n): small, line-sized, page-sized and
+// multi-page lengths, overlap in both directions, and ranges that run past the
 // end of memory on either side.
 func moveCase(rng *rand.Rand) (dst, src Addr, n int) {
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		n = rng.Intn(64)
 	case 1:
-		n = chunkSize
+		n = lineSize
+	case 2:
+		n = pageSize
 	default:
-		n = rng.Intn(3 * chunkSize)
+		n = rng.Intn(3 * pageSize)
 	}
 	src = Addr(rng.Intn(moveMemSize + 1))
 	switch rng.Intn(5) {
@@ -79,17 +86,38 @@ func moveCase(rng *rand.Rand) (dst, src Addr, n int) {
 	return dst, src, n
 }
 
+// ownership is page i's ownership word: which of the page header and
+// its lines the memory holds alone (all of them before any snapshot).
+func ownership(m *Memory, i int) uint16 {
+	if m.own == nil {
+		return pageOwned | 1<<pageLines - 1
+	}
+	return m.own[i]
+}
+
 // sameMemory reports the first difference a move may leave between
-// two memories: which chunks exist and their bytes, which are shared
-// with a snapshot, and the counters.
+// two memories: which pages and lines exist and the lines' bytes,
+// which page headers and lines are shared with a snapshot, and the
+// counters.
 func sameMemory(a, b *Memory) error {
-	for i := range a.chunks {
-		ca, cb := a.chunks[i], b.chunks[i]
-		if (ca == nil) != (cb == nil) || ca != nil && *ca != *cb {
-			return fmt.Errorf("chunk %d differs (written %v, %v)", i, ca != nil, cb != nil)
+	for i := range a.pages {
+		pa, pb := a.pages[i], b.pages[i]
+		if (pa == nil) != (pb == nil) {
+			return fmt.Errorf("page %d written %v, %v", i, pa != nil, pb != nil)
 		}
-		if sa, sb := a.shared != nil && a.shared[i], b.shared != nil && b.shared[i]; sa != sb {
-			return fmt.Errorf("chunk %d shared %v, %v", i, sa, sb)
+		for j := 0; pa != nil && j < pageLines; j++ {
+			la, lb := pa[j], pb[j]
+			if (la == nil) != (lb == nil) || la != nil && *la != *lb {
+				return fmt.Errorf("page %d line %d differs (written %v, %v)", i, j, la != nil, lb != nil)
+			}
+		}
+		if pa == nil {
+			continue
+		}
+		if oa, ob := ownership(a, i), ownership(b, i); oa&pageOwned != ob&pageOwned {
+			return fmt.Errorf("page %d shared %v, %v", i, oa&pageOwned == 0, ob&pageOwned == 0)
+		} else if oa != ob {
+			return fmt.Errorf("page %d owned lines %08b, %08b", i, oa&^pageOwned, ob&^pageOwned)
 		}
 	}
 	if a.ctr != b.ctr {
@@ -98,12 +126,12 @@ func sameMemory(a, b *Memory) error {
 	return nil
 }
 
-// TestMoveMatchesReadWrite: Move leaves memory (contents, which chunks
-// are materialized, which stay shared with a snapshot), the counters
-// and the error exactly as ReadInto into a buffer followed by
+// TestMoveMatchesReadWrite: Move leaves memory (contents, which pages
+// and lines are materialized, which stay shared with a snapshot), the
+// counters and the error exactly as ReadInto into a buffer followed by
 // WriteBytes do, over seeded moves that overlap in both directions,
-// straddle chunks, read and write never-written chunks, touch chunks
-// shared with a snapshot, and run out of range on either side; and the
+// straddle lines and pages, read and write never-written lines and
+// pages, touch pages and lines shared with a snapshot, and run out of range on either side; and the
 // snapshot itself never changes.
 func TestMoveMatchesReadWrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"uldma/internal/obs"
 )
@@ -67,139 +68,177 @@ type Counters struct {
 	BytesWrote obs.Counter
 }
 
-// Chunked backing store: physical memory is materialized lazily in
-// chunkSize pieces. A fresh Memory allocates only a chunk-pointer table;
-// chunks spring into existence on first write. Reads of never-written
-// chunks return zeros without allocating, which is exactly the semantics
-// of zero-filled RAM.
+// Two-level backing store: physical memory is materialized lazily, a
+// page at a time and, inside a page, a line at a time. The table holds
+// one pointer per 8 KiB page; a page is a 64-byte header of eight
+// pointers to 1 KiB lines. A fresh Memory allocates only the table. A
+// nil page or a nil line reads as zeros without allocating, which is
+// exactly the semantics of zero-filled RAM.
 //
 // Why it matters: the exploration and measurement harnesses build
 // thousands of disposable worlds, each with multi-MiB memories of which
 // a handful of pages are ever touched. Eagerly allocating (and zeroing)
 // the flat array dominated the whole simulator's host-CPU profile
-// (~70% in memclr); lazy chunks cut the fixed per-world cost to a
-// small pointer table. Chunks are page-sized (8 KiB) so that the
-// snapshot machinery's copy-on-write granularity matches the unit the
-// workloads actually touch: restoring a world after a run re-shares
-// whole chunks, and the first post-snapshot write to a page clones
-// exactly that page.
+// (~70% in memclr); lazy materialization cuts the fixed per-world cost
+// to a small pointer table.
+//
+// Why lines: the workloads write a few words per page, not pages. A
+// node of the hosted-machine cluster world writes 8-byte RPC tags into
+// its request and response frames and two landing pages, plus DMA
+// payloads of at most 80 B, about four pages per pass; ring
+// descriptors are 64 B. Copying or zeroing the whole 8 KiB page on
+// each such first write after a restore measured 96.5 of the 174 MB
+// that six passes of that world allocate (55%), and 38% of the
+// initiation loop's bytes. With 1 KiB lines the write copies the
+// 64-byte page header once and one line; 512 B lines save only 6%
+// more bytes and raise the peak heap.
 const (
-	chunkShift = 13 // 8 KiB chunks: one simulated page per chunk
-	chunkSize  = 1 << chunkShift
-	chunkMask  = chunkSize - 1
+	pageShift = 13 // 8 KiB pages: one simulated page per table slot
+	pageSize  = 1 << pageShift
+	lineShift = 10 // 1 KiB lines: the unit of materialization and copy
+	lineSize  = 1 << lineShift
+	lineMask  = lineSize - 1
+	pageLines = pageSize / lineSize
 )
 
-// chunk is one page of backing store. The table holds a pointer per
-// chunk, a third of a slice header, so a 4 MiB memory's table is 4 KiB.
-// Offsets past a short final chunk are never addressed: every access
-// is checked against the memory's size first.
-type chunk [chunkSize]byte
+// line is one unit of backing store. Offsets past a short final page
+// are never addressed: every access is checked against the memory's
+// size first.
+type line [lineSize]byte
 
-// zeroChunk is compared against, never written.
-var zeroChunk chunk
+// page is one table slot: its lines, nil where never written. The
+// table holds a pointer per page, a third of a slice header, so a
+// 4 MiB memory's table is 4 KiB.
+type page [pageLines]*line
+
+// pageOwned is the bit of an ownership word (Memory.own) that marks
+// the page header as the memory's own; bit j marks line j.
+const pageOwned = 1 << pageLines
+
+// zeroLine is compared against, never written.
+var zeroLine line
 
 // Memory is a flat physical memory of fixed size. The zero value is not
 // usable; construct with New. Memory is not safe for concurrent use: the
 // simulator is single-threaded by design (determinism), so no locking is
 // needed or wanted.
 type Memory struct {
-	size   int
-	chunks []*chunk // lazily allocated; nil chunk reads as zeros
-	shared []bool   // chunk is owned by a snapshot: copy before write
-	ctr    Counters
+	size  int
+	pages []*page // lazily allocated; a nil page or line reads as zeros
+	// own is nil until the first Snapshot or Restore, while the memory
+	// holds every page and line it points at. From then on own[i] has
+	// pageOwned set when pages[i] is this memory's own header and bit
+	// j when its line j is; a header or line without its bit is shared
+	// with a snapshot and is copied before its first write.
+	own []uint16
+	ctr Counters
 }
 
 // New allocates a physical memory of size bytes, zero-filled. Size must
 // be a positive multiple of 8 so that aligned 64-bit accesses cannot
 // straddle the end. Backing storage is materialized lazily on first
-// write, chunk by chunk.
+// write, line by line.
 func New(size int) *Memory {
 	if size <= 0 || size%8 != 0 {
 		panic(fmt.Sprintf("phys: invalid memory size %d", size))
 	}
-	nChunks := (size + chunkSize - 1) >> chunkShift
-	return &Memory{size: size, chunks: make([]*chunk, nChunks)}
+	nPages := (size + pageSize - 1) >> pageShift
+	return &Memory{size: size, pages: make([]*page, nPages)}
 }
 
 // Size returns the memory size in bytes.
 func (m *Memory) Size() int { return m.size }
 
-// chunkRO returns the chunk containing addr for reading (nil means the
-// chunk was never written: all zeros).
-func (m *Memory) chunkRO(addr Addr) []byte {
-	if c := m.chunks[addr>>chunkShift]; c != nil {
-		return c[:]
+// lineRO returns the line containing addr for reading (nil means the
+// line was never written: all zeros).
+func (m *Memory) lineRO(addr Addr) []byte {
+	if p := m.pages[addr>>pageShift]; p != nil {
+		if l := p[addr>>lineShift&(pageLines-1)]; l != nil {
+			return l[:]
+		}
 	}
 	return nil
 }
 
-// chunkRW returns the chunk containing addr, materializing it on first
-// write. Chunks owned by a snapshot (copy-on-write) are cloned on the
-// first write after Snapshot/Restore, so snapshot contents are immutable
+// lineRW returns the line containing addr, materializing it on first
+// write. A page header shared with a snapshot is copied, with no line
+// owned, on the first write to the page after Snapshot/Restore; a line
+// shared with a snapshot is copied on the first write to it, and a nil
+// line is allocated zeroed. Snapshot contents are therefore immutable,
 // and worlds restored from the same snapshot never see each other's
 // writes. Every mutating path (Write, WriteBytes, Move, Fill) funnels
-// through here, which is what makes the single shared-flag check a
-// complete COW barrier.
-func (m *Memory) chunkRW(addr Addr) []byte {
-	i := addr >> chunkShift
-	c := m.chunks[i]
-	if c == nil {
-		c = new(chunk)
-		m.chunks[i] = c
-	} else if m.shared != nil && m.shared[i] {
-		dup := *c
-		c = &dup
-		m.chunks[i] = c
-		m.shared[i] = false
+// through here, which is what makes the ownership check a complete
+// copy-on-write barrier.
+func (m *Memory) lineRW(addr Addr) []byte {
+	i, j := addr>>pageShift, addr>>lineShift&(pageLines-1)
+	p := m.pages[i]
+	if p != nil && p[j] != nil && (m.own == nil || m.own[i]&(pageOwned|1<<j) == pageOwned|1<<j) {
+		return p[j][:]
 	}
-	return c[:]
-}
-
-// Snapshot is an O(#materialized chunks) copy-on-write capture of a
-// Memory's contents and access counters. The byte slices it references
-// are frozen: after Snapshot(), the first write to a captured chunk —
-// by the original memory or by any memory restored from the snapshot —
-// clones that chunk first. A snapshot can therefore back any number of
-// worlds, including worlds running concurrently on different
-// goroutines, without copies of the untouched majority of RAM.
-type Snapshot struct {
-	size   int
-	chunks []*chunk
-	ctr    Counters
-}
-
-// Snapshot captures the current contents. It marks every materialized
-// chunk copy-on-write in m, so m's subsequent writes cannot leak into
-// the snapshot.
-func (m *Memory) Snapshot() *Snapshot {
-	if m.shared == nil {
-		m.shared = make([]bool, len(m.chunks))
-	}
-	s := &Snapshot{size: m.size, chunks: make([]*chunk, len(m.chunks)), ctr: m.ctr}
-	for i, c := range m.chunks {
-		if c != nil {
-			m.shared[i] = true
+	if p == nil {
+		p = new(page)
+		m.pages[i] = p
+		if m.own != nil {
+			m.own[i] = pageOwned
 		}
-		s.chunks[i] = c
+	} else if m.own != nil && m.own[i]&pageOwned == 0 {
+		dup := *p
+		p = &dup
+		m.pages[i] = p
+		m.own[i] = pageOwned
 	}
-	return s
+	l := new(line)
+	if p[j] != nil {
+		*l = *p[j] // shared with a snapshot: copy before the write
+	}
+	p[j] = l
+	if m.own != nil {
+		m.own[i] |= 1 << j
+	}
+	return l[:]
+}
+
+// disown marks every page header and line shared: after it, any write
+// copies what it touches first.
+func (m *Memory) disown() {
+	if m.own == nil {
+		m.own = make([]uint16, len(m.pages))
+	} else {
+		clear(m.own)
+	}
+}
+
+// Snapshot is an O(#pages) copy-on-write capture of a Memory's
+// contents and access counters. The pages and lines it references are
+// frozen: after Snapshot(), the first write to a captured page — by the
+// original memory or by any memory restored from the snapshot — copies
+// that page's header and the one line written. A snapshot can
+// therefore back any number of worlds, including worlds running
+// concurrently on different goroutines, which only read what they
+// share, without copies of the untouched majority of RAM.
+type Snapshot struct {
+	size  int
+	pages []*page
+	ctr   Counters
+}
+
+// Snapshot captures the current contents. It marks every page and line
+// shared in m, so m's subsequent writes cannot leak into the snapshot.
+func (m *Memory) Snapshot() *Snapshot {
+	m.disown()
+	return &Snapshot{size: m.size, pages: slices.Clone(m.pages), ctr: m.ctr}
 }
 
 // Restore rewinds m to the snapshot's contents and counters, in
-// O(#chunks): it re-points the chunk table at the snapshot's frozen
-// chunks and re-marks them copy-on-write. The snapshot must come from a
-// memory of the same size.
+// O(#pages): it re-points the table at the snapshot's frozen pages and
+// marks them shared. The snapshot must come from a memory of the same
+// size.
 func (m *Memory) Restore(s *Snapshot) error {
 	if s.size != m.size {
 		return &Error{Op: "restore", Addr: 0, Size: 0, Why: "snapshot is from a different-sized memory"}
 	}
-	if m.shared == nil {
-		m.shared = make([]bool, len(m.chunks))
-	}
-	for i, c := range s.chunks {
-		m.chunks[i] = c
-		m.shared[i] = c != nil
-	}
+	copy(m.pages, s.pages)
+	m.disown()
 	m.ctr = s.ctr
 	return nil
 }
@@ -243,12 +282,12 @@ func (m *Memory) Read(addr Addr, size AccessSize) (uint64, error) {
 	}
 	m.ctr.Reads.Inc()
 	m.ctr.BytesRead.Add(uint64(size))
-	c := m.chunkRO(addr)
+	c := m.lineRO(addr)
 	if c == nil {
-		return 0, nil // never-written chunk: zero-filled RAM
+		return 0, nil // never-written line: zero-filled RAM
 	}
-	// A naturally aligned access of <= 8 bytes never straddles a chunk.
-	b := c[addr&chunkMask:]
+	// A naturally aligned access of <= 8 bytes never straddles a line.
+	b := c[addr&lineMask:]
 	switch size {
 	case Size8:
 		return uint64(b[0]), nil
@@ -269,7 +308,7 @@ func (m *Memory) Write(addr Addr, size AccessSize, val uint64) error {
 	}
 	m.ctr.Writes.Inc()
 	m.ctr.BytesWrote.Add(uint64(size))
-	b := m.chunkRW(addr)[addr&chunkMask:]
+	b := m.lineRW(addr)[addr&lineMask:]
 	switch size {
 	case Size8:
 		b[0] = byte(val)
@@ -297,7 +336,7 @@ func (m *Memory) ReadBytes(addr Addr, n int) ([]byte, error) {
 }
 
 // ReadInto copies len(dst) bytes starting at addr into dst without
-// allocating. Never-written source chunks read as zeros.
+// allocating. Never-written source lines read as zeros.
 func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 	n := len(dst)
 	if uint64(addr)+uint64(n) > uint64(m.size) || uint64(addr) > uint64(m.size) {
@@ -305,14 +344,14 @@ func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 	}
 	for off := 0; off < n; {
 		a := addr + Addr(off)
-		span := chunkSize - int(a&chunkMask)
+		span := lineSize - int(a&lineMask)
 		if span > n-off {
 			span = n - off
 		}
-		if c := m.chunkRO(a); c != nil {
-			copy(dst[off:off+span], c[a&chunkMask:])
+		if c := m.lineRO(a); c != nil {
+			copy(dst[off:off+span], c[a&lineMask:])
 		} else {
-			// Never-written chunk: the destination must read as zeros
+			// Never-written line: the destination must read as zeros
 			// even when dst is a dirty reused buffer.
 			z := dst[off : off+span]
 			for i := range z {
@@ -332,14 +371,14 @@ func (m *Memory) WriteBytes(addr Addr, b []byte) error {
 	}
 	for off := 0; off < len(b); {
 		a := addr + Addr(off)
-		span := chunkSize - int(a&chunkMask)
+		span := lineSize - int(a&lineMask)
 		if span > len(b)-off {
 			span = len(b) - off
 		}
-		// Zeros written to a never-written chunk leave it reading as
+		// Zeros written to a never-written line leave it reading as
 		// zeros: nothing to materialize (a DMA of an untouched page).
-		if m.chunks[a>>chunkShift] != nil || !bytes.Equal(b[off:off+span], zeroChunk[:span]) {
-			copy(m.chunkRW(a)[a&chunkMask:], b[off:off+span])
+		if m.lineRO(a) != nil || !bytes.Equal(b[off:off+span], zeroLine[:span]) {
+			copy(m.lineRW(a)[a&lineMask:], b[off:off+span])
 		}
 		off += span
 	}
@@ -350,7 +389,7 @@ func (m *Memory) WriteBytes(addr Addr, b []byte) error {
 // Move copies n bytes from src to dst with memmove semantics: memory,
 // counters and error end exactly as ReadInto(src) into a buffer
 // followed by WriteBytes(dst) leave them, for any overlap, but the
-// bytes go chunk to chunk with no buffer between. A never-written
+// bytes go line to line with no buffer between. A never-written
 // source over a never-written destination costs nothing; a
 // never-written source over a written destination clears it.
 func (m *Memory) Move(dst, src Addr, n int) error {
@@ -365,13 +404,13 @@ func (m *Memory) Move(dst, src Addr, n int) error {
 		// The destination overlaps the source's tail: copy from the end
 		// so no source byte is overwritten before it is read.
 		for end := n; end > 0; {
-			span := min(end, int((src+Addr(end)-1)&chunkMask)+1, int((dst+Addr(end)-1)&chunkMask)+1)
+			span := min(end, int((src+Addr(end)-1)&lineMask)+1, int((dst+Addr(end)-1)&lineMask)+1)
 			end -= span
 			m.moveSpan(dst+Addr(end), src+Addr(end), span)
 		}
 	} else {
 		for off := 0; off < n; {
-			span := min(n-off, chunkSize-int((src+Addr(off))&chunkMask), chunkSize-int((dst+Addr(off))&chunkMask))
+			span := min(n-off, lineSize-int((src+Addr(off))&lineMask), lineSize-int((dst+Addr(off))&lineMask))
 			m.moveSpan(dst+Addr(off), src+Addr(off), span)
 			off += span
 		}
@@ -380,41 +419,41 @@ func (m *Memory) Move(dst, src Addr, n int) error {
 	return nil
 }
 
-// moveSpan copies n bytes that lie inside one source chunk and one
-// destination chunk, materializing the destination only where
+// moveSpan copies n bytes that lie inside one source line and one
+// destination line, materializing the destination only where
 // WriteBytes would: when it is written already or the bytes are not
 // all zero.
 func (m *Memory) moveSpan(dst, src Addr, n int) {
-	s := m.chunkRO(src)
+	s := m.lineRO(src)
 	switch {
-	case s == nil && m.chunkRO(dst) == nil:
+	case s == nil && m.lineRO(dst) == nil:
 	case s == nil:
-		clear(m.chunkRW(dst)[dst&chunkMask:][:n])
+		clear(m.lineRW(dst)[dst&lineMask:][:n])
 	default:
-		s = s[src&chunkMask:][:n]
-		if m.chunkRO(dst) != nil || !bytes.Equal(s, zeroChunk[:n]) {
-			copy(m.chunkRW(dst)[dst&chunkMask:], s)
+		s = s[src&lineMask:][:n]
+		if m.lineRO(dst) != nil || !bytes.Equal(s, zeroLine[:n]) {
+			copy(m.lineRW(dst)[dst&lineMask:], s)
 		}
 	}
 }
 
 // Fill sets n bytes starting at addr to v. Convenience for tests and
-// workload setup. Zero fills of never-written chunks are free.
+// workload setup. Zero fills of never-written lines are free.
 func (m *Memory) Fill(addr Addr, n int, v byte) error {
-	if uint64(addr)+uint64(n) > uint64(m.size) || n < 0 {
+	if n < 0 || uint64(addr)+uint64(n) > uint64(m.size) || uint64(addr) > uint64(m.size) {
 		return &Error{Op: "write", Addr: addr, Size: AccessSize(n), Why: "fill out of bounds"}
 	}
 	for off := 0; off < n; {
 		a := addr + Addr(off)
-		span := chunkSize - int(a&chunkMask)
+		span := lineSize - int(a&lineMask)
 		if span > n-off {
 			span = n - off
 		}
-		if v == 0 && m.chunkRO(a) == nil {
+		if v == 0 && m.lineRO(a) == nil {
 			off += span
-			continue // never-written chunk is already zero
+			continue // never-written line is already zero
 		}
-		c := m.chunkRW(a)[a&chunkMask:]
+		c := m.lineRW(a)[a&lineMask:]
 		for i := 0; i < span; i++ {
 			c[i] = v
 		}

@@ -147,6 +147,11 @@ func TestFill(t *testing.T) {
 	if err := m.Fill(60, 16, 1); err == nil {
 		t.Fatal("out-of-bounds Fill did not error")
 	}
+	// A range that wraps past 2^64 ends inside memory; it must be
+	// refused, not indexed.
+	if err := New(16384).Fill(^Addr(7), 16, 1); err == nil {
+		t.Fatal("a Fill wrapping past 2^64 did not error")
+	}
 }
 
 func TestStats(t *testing.T) {
@@ -188,35 +193,44 @@ func TestReadAfterWriteProperty(t *testing.T) {
 }
 
 // TestWriteZerosToUntouchedChunk: zeros written to a never-written
-// chunk materialize nothing (the chunk already reads as zeros), while
-// zeros written over data still clear it.
+// line materialize nothing (the line already reads as zeros), also
+// when its page holds other lines, while zeros written over data still
+// clear it.
 func TestWriteZerosToUntouchedChunk(t *testing.T) {
-	m := New(4 * chunkSize)
-	zeros := make([]byte, chunkSize+16)
+	m := New(4 * pageSize)
+	if err := m.Write(pageSize+3*lineSize, Size64, 7); err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, pageSize+16)
 	if allocs := testing.AllocsPerRun(10, func() {
-		if err := m.WriteBytes(chunkSize-8, zeros); err != nil {
+		if err := m.WriteBytes(pageSize-8, zeros); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("zero write to untouched chunks allocated %.1f times", allocs)
+		t.Fatalf("zero write to untouched lines allocated %.1f times", allocs)
 	}
-	if m.chunks[0] != nil || m.chunks[1] != nil || m.chunks[2] != nil {
-		t.Fatal("a zero write materialized a chunk")
+	if m.pages[0] != nil || m.pages[2] != nil {
+		t.Fatal("a zero write materialized a page")
 	}
-	if err := m.WriteBytes(chunkSize, []byte{1, 2, 3}); err != nil {
+	for j, l := range m.pages[1] {
+		if (l != nil) != (j == 3) {
+			t.Fatalf("after a zero write, line %d of page 1 is materialized %v", j, l != nil)
+		}
+	}
+	if err := m.WriteBytes(pageSize, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteBytes(chunkSize-8, zeros); err != nil {
+	if err := m.WriteBytes(pageSize-8, zeros); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadBytes(chunkSize-8, len(zeros))
+	got, err := m.ReadBytes(pageSize-8, len(zeros))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, zeros) {
 		t.Fatal("zeros written over data did not clear it")
 	}
-	if c := m.Counters(); c.BytesWrote.Value() != uint64(3+12*len(zeros)) {
+	if c := m.Counters(); c.BytesWrote.Value() != uint64(8+3+12*len(zeros)) {
 		t.Fatalf("BytesWrote = %d, want every written byte counted", c.BytesWrote)
 	}
 }

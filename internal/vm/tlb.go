@@ -116,6 +116,17 @@ func (t *TLB) Version() uint64 { return uint64(t.ver) }
 // charges its page-table-walk cost when hit is false. Protection is
 // checked on every access (rights live in the PTE, cached or not).
 func (t *TLB) Translate(as *AddressSpace, va VAddr, access Access) (pa phys.Addr, hit bool, err error) {
+	pa, hit, kind, ok := t.Probe(as, va, access)
+	if !ok {
+		return 0, hit, &Fault{VA: va, Access: access, Kind: kind, ASID: as.ASID()}
+	}
+	return pa, hit, nil
+}
+
+// Probe is Translate without the error value: the same tick, counters,
+// LRU stamps and fills, but a failed translation comes back as its
+// fault kind with ok false, so a fault allocates nothing.
+func (t *TLB) Probe(as *AddressSpace, va VAddr, access Access) (pa phys.Addr, hit bool, kind FaultKind, ok bool) {
 	t.tick++
 	asid, gen := as.ASID(), as.Generation()
 	vpn := uint64(va) / as.PageSize()
@@ -137,35 +148,26 @@ func (t *TLB) Translate(as *AddressSpace, va VAddr, access Access) (pa phys.Addr
 	if i >= 0 {
 		e := &t.entries[i]
 		if !e.pte.Prot.Can(access.Need()) {
-			return 0, true, &Fault{VA: va, Access: access, Kind: FaultProtection, ASID: asid}
+			return 0, true, FaultProtection, false
 		}
 		e.used = t.tick
 		t.ctr.Hits.Inc()
 		if i != t.last {
 			t.last, t.lastAt = i, t.tick
 		}
-		return e.pte.Frame + phys.Addr(uint64(va)%as.PageSize()), true, nil
+		return e.pte.Frame + phys.Addr(uint64(va)%as.PageSize()), true, 0, true
 	}
 	// Miss: walk the page table.
 	t.ctr.Misses.Inc()
-	pte, ok := as.Lookup(va)
-	if !ok {
-		return 0, false, &Fault{VA: va, Access: access, Kind: FaultUnmapped, ASID: asid}
+	pte, mapped := as.Lookup(va)
+	if !mapped {
+		return 0, false, FaultUnmapped, false
 	}
 	t.insert(key, asid, vpn, gen, pte)
 	if !pte.Prot.Can(access.Need()) {
-		return 0, false, &Fault{VA: va, Access: access, Kind: FaultProtection, ASID: asid}
+		return 0, false, FaultProtection, false
 	}
-	return pte.Frame + phys.Addr(uint64(va)%as.PageSize()), false, nil
-}
-
-// Miss counts a translation of an address the page table does not map,
-// as Translate does before returning its *Fault: the tick advances and
-// a miss is counted. No entry can hit such an address (Map and Unmap
-// bump the space's generation), so nothing else changes.
-func (t *TLB) Miss() {
-	t.tick++
-	t.ctr.Misses.Inc()
+	return pte.Frame + phys.Addr(uint64(va)%as.PageSize()), false, 0, true
 }
 
 // Skip advances the LRU tick by n and shifts by n the stamp of every

@@ -186,10 +186,13 @@ func TestTLBMatchesReference(t *testing.T) {
 						tlb.Flush()
 						ref.flush()
 					case op < 86:
-						what = "unmapped miss"
-						tlb.Miss()
-						ref.tick++
-						ref.misses++
+						acc := accesses[rng.IntN(len(accesses))]
+						what = fmt.Sprintf("probe %v asid %d va %v", acc, as.ASID(), va)
+						pa, hit, kind, ok := tlb.Probe(as, va, acc)
+						wpa, whit, werr := ref.translate(as, va, acc)
+						if f, _ := werr.(*Fault); pa != wpa || hit != whit || ok != (werr == nil) || !ok && kind != f.Kind {
+							t.Fatalf("step %d %s: (%v, %v, %v, %v), reference (%v, %v, %v)", step, what, pa, hit, kind, ok, wpa, whit, werr)
+						}
 					case op < 88:
 						what = "snapshot"
 						snap = tlb.Snapshot()

@@ -399,8 +399,8 @@ func TestTLBSkipMatchesRepeats(t *testing.T) {
 }
 
 // TestTLBVersion: the mutation version moves on a fill, a Flush and a
-// Restore, and stays put on a hit, a Skip and an unmapped Miss, none of
-// which change an entry's translation.
+// Restore, and stays put on a hit, a Skip and an unmapped probe, none
+// of which change an entry's translation.
 func TestTLBVersion(t *testing.T) {
 	as := NewAddressSpace(1, pageSize)
 	as.Map(0, 0x40000, Read)
@@ -418,7 +418,7 @@ func TestTLBVersion(t *testing.T) {
 	step("hit", false, func() { tlb.Translate(as, 8, AccessLoad) })
 	step("protection fault on a hit", false, func() { tlb.Translate(as, 0, AccessStore) })
 	step("skip", false, func() { tlb.Skip(0, 3) })
-	step("unmapped miss", false, tlb.Miss)
+	step("unmapped probe", false, func() { tlb.Probe(as, 4*pageSize, AccessLoad) })
 	snap := tlb.Snapshot()
 	step("second fill", true, func() { tlb.Translate(as, pageSize, AccessLoad) })
 	step("flush", true, tlb.Flush)
