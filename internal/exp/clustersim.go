@@ -7,6 +7,7 @@ package exp
 // faster (§1, §2.2).
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -120,8 +121,9 @@ func ClusterRows(r *Result) []ClusterRow {
 }
 
 // oneWayLatency measures mean send-to-receive latency: sender DMAs the
-// payload into the receiver's mailbox and remote-writes a sequence flag;
-// the receiver polls the flag.
+// payload into the receiver's mailbox, polls the transfer to
+// completion and then remote-writes a sequence flag; the receiver polls
+// the flag.
 func oneWayLatency(method userdma.Method, link net.LinkConfig, msgs int, size uint64) (lat, initCost sim.Time, latencies *stats.Sample, err error) {
 	cfg := userdma.ConfigFor(method)
 	cluster, err := net.NewCluster(2, cfg, link)
@@ -153,6 +155,17 @@ func oneWayLatency(method userdma.Method, link net.LinkConfig, msgs int, size ui
 			}
 			initSample.Add(n0.Clock.Now() - start)
 			sendTimes = append(sendTimes, start)
+			// The DMA is asynchronous: wait for it to complete so the
+			// doorbell cannot overtake the payload. Repeated passing has
+			// no user-level status to poll, so it sleeps on the
+			// completion interrupt instead.
+			err = h.Wait(c, 1_000_000)
+			if errors.Is(err, userdma.ErrNoPoll) {
+				err = h.WaitBlocking(c)
+			}
+			if err != nil {
+				return err
+			}
 			// Doorbell: remote-write the sequence number after the data.
 			if err := c.Store(remVA+clusterFlagSlot, phys.Size64, uint64(i+1)); err != nil {
 				return err
