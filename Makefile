@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmt test race bench ci loc snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu baseline-steer shardparity ringparity iommuparity steerparity schedparity golden trace-golden statslint reachlint benchdiff perfbench profile
+.PHONY: all build vet fmt test race bench ci loc snapshots baseline baseline-fault baseline-scale baseline-ring baseline-iommu shardparity ringparity iommuparity schedparity golden trace-golden statslint reachlint benchdiff perfbench profile
 
 all: ci
 
@@ -128,15 +128,6 @@ ringparity:
 iommuparity:
 	$(GO) test -race -run 'TestVAMidFaultSnapshotFidelity|TestVAParkedSnapshotRestore|TestVATranslateZeroAllocs|TestVATable1Ordering|TestPagingBenchPoliciesDiverge|TestVASweepParity|TestPagingParity|TestPollSkipEquivalence|TestPollSkipMaxPollsParity|TestPollSkipSlotBudgetParity|TestPollSkipRefusesLivePeer|TestPollSkipRefusesTrappingPoll|TestPollSkipRefusesTLBFill|TestPollSkipZeroAllocs|TestPagingWorldSnapshotReplays|TestTLBVersion|TestPagerEvictionOrder|TestMoveMatchesReadWrite|TestRegistryExtrapolateGauge|TestScaleValidation|TestDecodeVersionCoversHash|TestTLBMatchesReference|TestTranslateIOMatchesTwoStep|TestDeviceAtMatchesSearch|TestSnapshotLinesIsolated|TestSharedPageWriteAllocs' ./internal/core ./internal/dma ./internal/exp ./internal/vm ./internal/kernel ./internal/phys ./internal/obs ./internal/iommu ./internal/bus
 
-# The steered loop's contracts, run under the race detector: the live
-# obs feed costs 0 simulated time and 0 allocations (byte-identical
-# PagingResult and world fingerprint with an observer attached), and
-# the steered searches land on the exhaustive grids' exact answers
-# while probing strictly fewer cells — byte-identically at every worker
-# count.
-steerparity:
-	$(GO) test -race -run 'TestSteerBreakEvenMatchesExhaustive|TestSteerWorkerParity|TestSteerPagingDominated|TestSteerZoomDeterministic|TestSteerOSLatConverges|TestSteerDecisionTrace|TestLiveFeedZeroDelta|TestLiveFeedVeto|TestLiveWatchZeroAllocs|TestWatchZeroAllocs' ./internal/exp ./internal/core ./internal/obs
-
 # The scheduler's contracts, run under the race detector: Run, where
 # the running guest makes each next-slot decision itself and re-grants
 # its own slot in place, matches the one-yield-per-slot reference loop
@@ -149,16 +140,16 @@ steerparity:
 schedparity:
 	$(GO) test -race -run 'TestRunMatchesReferenceLoop|TestSelfRegrantZeroAllocs|TestSlotHandoffZeroAllocs|TestStepDrivesSingleSlots|TestExplore|TestVABounceFixupZeroAllocs|TestWindowOfMatchesDecode' ./internal/proc ./internal/dma
 
-ci: build vet fmt statslint reachlint snapshots shardparity ringparity iommuparity steerparity schedparity race perfbench benchdiff
+ci: build vet fmt statslint reachlint snapshots shardparity ringparity iommuparity schedparity race perfbench benchdiff
 
-# Regenerate the five exact snapshots into a temp dir and byte-compare
+# Regenerate the four exact snapshots into a temp dir and byte-compare
 # each against the committed file, so wire-format drift in any of them
 # fails ci like a golden does. BENCH_scale*.json carry Host* wall-clock
 # leaves and are left out.
 snapshots:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(MAKE) -s --no-print-directory SNAPDIR="$$tmp/" baseline baseline-fault baseline-ring baseline-iommu baseline-steer && \
-	for f in baseline fault ring iommu steer; do cmp "$$tmp/BENCH_$$f.json" "BENCH_$$f.json" || exit 1; done
+	$(MAKE) -s --no-print-directory SNAPDIR="$$tmp/" baseline baseline-fault baseline-ring baseline-iommu && \
+	for f in baseline fault ring iommu; do cmp "$$tmp/BENCH_$$f.json" "BENCH_$$f.json" || exit 1; done
 
 # Regenerate the perf-trajectory snapshot (raw simulated picoseconds;
 # byte-identical for any -procs value).
@@ -200,15 +191,6 @@ baseline-ring:
 # as added, never as failures.
 baseline-iommu:
 	$(GO) run ./cmd/dmabench -json -va -paging > $(SNAPDIR)BENCH_iommu.json
-
-# Regenerate the steered-sweep snapshot: per search, the probed-vs-grid
-# cell counts, decision tallies and the verdicts (crossover sizes,
-# surviving recovery policy, p99 knee bracket, converged iteration
-# count). The probed counts are part of the contract: a steered search
-# probing as many cells as its grid is a regression benchdiff will
-# show.
-baseline-steer:
-	$(GO) run ./cmd/dmabench -json -steer > $(SNAPDIR)BENCH_steer.json
 
 # Build and test the repository benchmark (perfbench/, its own module
 # reaching the simulator through `replace uldma => ../`). Nothing else

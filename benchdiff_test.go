@@ -75,7 +75,7 @@ func TestBenchdiffFatalThreshold(t *testing.T) {
 		{
 			// Added leaves are deliberate surface growth, never fatal.
 			name:     "added-leaves-not-fatal",
-			current:  `{"Table1":[{"Method":"Kernel-level DMA","MeanPs":1000}],"Steer":[{"Name":"breakeven","Probed":6}],"HostNs":100}`,
+			current:  `{"Table1":[{"Method":"Kernel-level DMA","MeanPs":1000}],"Paging":[{"Policy":"stall","Transfers":6}],"HostNs":100}`,
 			args:     []string{"-fatal-threshold", "0"},
 			wantExit: 0,
 			want:     "(added)",

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dmabench [-iters N] [-sweep] [-contention] [-comparators] [-ring] [-ringchurn] [-va [-tlb E]] [-paging] [-steer] [-trace | -json [-metrics]] [-procs W]
+//	dmabench [-iters N] [-sweep] [-contention] [-comparators] [-ring] [-ringchurn] [-va [-tlb E]] [-paging] [-trace | -json [-metrics]] [-procs W]
 //
 // The default -iters 1000 matches the paper's measurement loop. Every
 // section is one experiment from the internal/exp registry (-list
@@ -31,12 +31,6 @@ func main() {
 	fs := exp.Bind("dmabench")
 	iters := fs.Int("iters")
 
-	// With -steer the traced scenario becomes the search itself: the
-	// decision track (probe/split/abort/accept) on a Perfetto timeline.
-	if fs.Bool("steer") && fs.Str("trace-out") != "" {
-		exp.SetTraceScenario(exp.SteerTraceScenario)
-	}
-
 	// One list in print order, each section under the flag that adds
 	// it ("" = always); each format keeps the sections it can print
 	// (the overview is text-only).
@@ -45,7 +39,7 @@ func main() {
 		{"trend", "trend"}, {"trace", "bustrace"}, {"", "overview"}, {"", "table1"},
 		{"comparators", "comparators"}, {"sweep", "bussweep"}, {"breakeven", "breakeven"},
 		{"contention", "contention"}, {"ring", "ringdepth"}, {"ringchurn", "ringchurn"},
-		{"va", "vasweep"}, {"paging", "paging"}, {"steer", "steer"}, {"metrics", "metrics"},
+		{"va", "vasweep"}, {"paging", "paging"}, {"metrics", "metrics"},
 	} {
 		if sec[0] == "" || fs.Bool(sec[0]) {
 			names = append(names, sec[1])

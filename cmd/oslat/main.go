@@ -23,11 +23,7 @@ import (
 
 func main() {
 	fs := exp.Bind("oslat")
-	if fs.Bool("steer") {
-		fs.Finish(runSteered(fs.Int("procs")))
-	} else {
-		fs.Finish(run(fs.Int("iters"), fs.Int("procs"), fs.Bool("json")))
-	}
+	fs.Finish(run(fs.Int("iters"), fs.Int("procs"), fs.Bool("json")))
 }
 
 // oslatJSON is the -json document.
@@ -35,23 +31,6 @@ type oslatJSON struct {
 	Machine string
 	Iters   int
 	Rows    []exp.OSLatRow
-}
-
-// runSteered climbs the convergence ladder instead of running the full
-// microbenchmark grid: rungs of increasing iteration counts, stopped
-// at the first whose null-syscall mean is stable, then the standard
-// table at the converged count. The decision trace shows the climb.
-func runSteered(procs int) error {
-	res, pol, err := exp.SteeredOSLat(exp.Params{Procs: procs}, nil)
-	if err != nil {
-		return err
-	}
-	iters, _ := pol.Converged()
-	fmt.Printf("Steered oslat — converged at %d iterations (probed %d of %d rungs):\n",
-		iters, res.Probed(), res.GridCells)
-	fmt.Print(res.Log.Render())
-	fmt.Println()
-	return run(iters, procs, false)
 }
 
 func run(iters, procs int, jsonOut bool) error {

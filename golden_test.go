@@ -118,14 +118,8 @@ var goldenCases = []struct {
 	{"dmabench_va.txt", "dmabench", []string{"-iters", "60", "-va", "-paging"}},
 	{"dmabench_va.json", "dmabench", []string{"-iters", "60", "-json", "-va", "-paging"}},
 	{"report_va.md", "report", []string{"-iters", "60", "-seeds", "2", "-va"}},
-	// The steered sweeps: adaptive policies replacing the exhaustive
-	// grids, text + JSON + markdown, plus the -only registry subset.
-	// All opt-in, so the earlier goldens stay byte-identical.
-	{"dmabench_steer.txt", "dmabench", []string{"-iters", "60", "-steer"}},
-	{"dmabench_steer.json", "dmabench", []string{"-iters", "60", "-json", "-steer"}},
-	{"report_steer.md", "report", []string{"-iters", "60", "-seeds", "2", "-steer"}},
+	// The -only registry subset.
 	{"report_only.md", "report", []string{"-iters", "60", "-only", "table1,breakeven,oslat"}},
-	{"oslat_steer.txt", "oslat", []string{"-steer"}},
 	{"report.md", "report", []string{"-iters", "100", "-seeds", "8"}},
 	{"report.json", "report", []string{"-iters", "100", "-json"}},
 	{"oslat.txt", "oslat", []string{"-iters", "1000"}},
@@ -234,17 +228,13 @@ func TestSmoke(t *testing.T) {
 		{"dmabench-va", "dmabench", []string{"-iters", "5", "-va", "-tlb", "4"}, "IOTLB hit rate"},
 		{"dmabench-paging", "dmabench", []string{"-iters", "5", "-paging"}, "Device paging"},
 		{"dmabench-va-json", "dmabench", []string{"-iters", "5", "-json", "-va", "-paging", "-procs", "2"}, "\"Paging\""},
-		{"dmabench-steer", "dmabench", []string{"-iters", "30", "-steer", "-procs", "2"}, "Steered sweeps"},
-		{"dmabench-steer-json", "dmabench", []string{"-iters", "30", "-json", "-steer", "-procs", "2"}, "\"Steer\""},
 		{"dmabench-list-va", "dmabench", []string{"-list"}, "vasweep"},
 		{"report", "report", []string{"-iters", "10", "-seeds", "2"}, "## F5/F6/F8"},
 		{"report-va", "report", []string{"-iters", "10", "-seeds", "2", "-va"}, "Device paging"},
 		{"report-list", "report", []string{"-list"}, "breakeven"},
 		{"report-json", "report", []string{"-iters", "10", "-json"}, "\"BusSweep\""},
 		{"oslat", "oslat", []string{"-iters", "200"}, "WITHIN BAND"},
-		{"oslat-steer", "oslat", []string{"-steer", "-procs", "2"}, "converged at"},
 		{"report-only", "report", []string{"-iters", "10", "-only", "oslat"}, "null syscall"},
-		{"report-steer", "report", []string{"-iters", "10", "-seeds", "2", "-steer"}, "Online steering"},
 		{"oslat-json", "oslat", []string{"-iters", "200", "-json", "-procs", "2"}, "\"CPUCycles\""},
 		{"oslat-list", "oslat", []string{"-list"}, "oslat"},
 		{"clustersim", "clustersim", []string{"-msgs", "4"}, "init share"},
@@ -328,6 +318,17 @@ func TestCountFlagRejection(t *testing.T) {
 	})
 }
 
+// TestRetiredFlagRejection pins -steer's removal: the steered sweeps
+// are gone, so dmabench, report and oslat refuse the flag as unknown,
+// naming it, instead of running without it.
+func TestRetiredFlagRejection(t *testing.T) {
+	for _, tool := range []string{"dmabench", "report", "oslat"} {
+		checkFlagRejections(t, tool, []flagCase{
+			{tool + "-steer", []string{"-steer"}, "flag provided but not defined: -steer"},
+		})
+	}
+}
+
 // TestIgnoredFlagRejection pins flags the selected mode would ignore:
 // each used to run as if it were not there, and now exits 2 before
 // anything is printed.
@@ -337,9 +338,6 @@ func TestIgnoredFlagRejection(t *testing.T) {
 	})
 	checkFlagRejections(t, "faultsim", []flagCase{
 		{"replay-with-msgs", []string{"-replay", "3", "-msgs", "8"}, "-msgs cannot combine with -replay"},
-	})
-	checkFlagRejections(t, "oslat", []flagCase{
-		{"steer-with-iters", []string{"-steer", "-iters", "30"}, "-iters cannot combine with -steer"},
 	})
 	checkFlagRejections(t, "attacksim", []flagCase{
 		{"schedule-without-victim", []string{"-figure", "5", "-schedule", "VVV"}, "-schedule needs -victim"},
@@ -453,13 +451,11 @@ func TestScaleFlagRejection(t *testing.T) {
 // TestOSLatFlagRejection pins oslat's -iters floor: the PAL-call and
 // uncached-load rows run -iters/10 iterations, so a smaller count must
 // die with exit status 2 before any world is built, instead of
-// printing 0ps rows and blaming the model. -steer prints a text
-// decision log, so -steer -json is refused the same way.
+// printing 0ps rows and blaming the model.
 func TestOSLatFlagRejection(t *testing.T) {
 	checkFlagRejections(t, "oslat", []flagCase{
 		{"zero-iters", []string{"-iters", "0"}, "-iters 0"},
 		{"five-iters", []string{"-iters", "5"}, "-iters 5"},
 		{"five-iters-json", []string{"-iters", "5", "-json"}, "-iters 5"},
-		{"steer-json", []string{"-steer", "-json"}, "-json cannot combine with -steer"},
 	})
 }

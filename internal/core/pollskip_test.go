@@ -63,7 +63,7 @@ func TestPollSkipEquivalence(t *testing.T) {
 			bound = maxRealPollsPerTransfer
 		}
 		cells = append(cells, cell{"paging/" + pol.String(), func() (any, *machine.Machine, error) {
-			return pagingBench(pol, 16, 4, transfers, nil)
+			return pagingBench(pol, 16, 4, transfers)
 		}, bound})
 	}
 	for _, pages := range []int{4, 8, 16} {

@@ -18,17 +18,20 @@ package userdma
 // PagingBench oversubscribes the kernel pager's residency budget and
 // scores the three mid-transfer fault recovery policies (stall-and-
 // resolve, bounce-buffer, kernel-assisted pin) by goodput and
-// tail latency.
+// tail latency. Both run the same stream (vaStream) and differ only in
+// how they set the machine up and what they record.
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"uldma/internal/dma"
 	"uldma/internal/machine"
 	"uldma/internal/phys"
 	"uldma/internal/proc"
 	"uldma/internal/sim"
+	"uldma/internal/stats"
 	"uldma/internal/vm"
 )
 
@@ -147,19 +150,50 @@ func MeasureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, error) {
 
 // measureIOTLB is MeasureIOTLB, also returning the finished world.
 func measureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, *machine.Machine, error) {
+	res := IOTLBPoint{Pages: pages, TLBEntries: tlbEntries, Transfers: transfers}
+	var sum sim.Time
+	m, _, err := vaStream("iotlb", tlbEntries, pages, transfers, nil,
+		func(lat sim.Time) { sum += lat })
+	if err != nil {
+		return res, m, err
+	}
+	tc := m.IOMMU.IOTLB().Counters()
+	res.Hits, res.Misses = tc.Hits.Value(), tc.Misses.Value()
+	if total := res.Hits + res.Misses; total > 0 {
+		res.HitRate = float64(res.Hits) / float64(total)
+	}
+	res.PerTransfer = sum / sim.Time(max(transfers, 1))
+	res.Fingerprint = fingerprintDigest(m.Fingerprint())
+	return res, m, nil
+}
+
+// vaStream is the world PagingBench and MeasureIOTLB measure: an
+// ext-shadow machine built from VAConfigFor(tlbEntries), on which one
+// process (named name) streams transfers full-page payloads cyclically
+// from a pages-page source window to one destination page, waiting for
+// each to be delivered. setup, if not nil, configures the machine
+// before the process exists; record receives each transfer's
+// initiate-to-delivered latency. It returns the settled world and the
+// stream's elapsed simulated time.
+func vaStream(name string, tlbEntries, pages, transfers int, setup func(*machine.Machine) error, record func(sim.Time)) (*machine.Machine, sim.Time, error) {
 	method := ExtShadow{}
 	cfg := VAConfigFor(method, tlbEntries)
 	m, err := machine.New(cfg)
 	if err != nil {
-		return IOTLBPoint{}, nil, err
+		return nil, 0, err
 	}
-	res := IOTLBPoint{Pages: pages, TLBEntries: tlbEntries, Transfers: transfers}
+	if setup != nil {
+		if err := setup(m); err != nil {
+			return m, 0, err
+		}
+	}
 
 	ps := vm.VAddr(cfg.PageSize)
 	const srcBase, dstBase = vm.VAddr(0x100000), vm.VAddr(0x80000)
 	var h *Handle
-	var sum sim.Time
-	p := m.NewProcess("iotlb", func(c *proc.Context) error {
+	var elapsed sim.Time
+	p := m.NewProcess(name, func(c *proc.Context) error {
+		t0 := m.Clock.Now()
 		for i := 0; i < transfers; i++ {
 			src := srcBase + vm.VAddr(i%pages)*ps
 			start := m.Clock.Now()
@@ -170,40 +204,38 @@ func measureIOTLB(pages, tlbEntries, transfers int) (IOTLBPoint, *machine.Machin
 			if st == dma.StatusFailure {
 				return fmt.Errorf("userdma: transfer %d refused", i)
 			}
-			// Wait for real delivery (the IOTLB penalty lands on the
-			// walk, not the initiation), so PerTransfer includes it.
+			// Wait for real delivery (IOTLB refills and page-ins land
+			// on the walk, not the initiation), so the latency
+			// includes them.
 			if err := h.Wait(c, 1<<20); err != nil {
 				return err
 			}
-			sum += m.Clock.Now() - start
+			record(m.Clock.Now() - start)
 		}
+		elapsed = m.Clock.Now() - t0
 		return nil
 	})
 	h, err = method.Attach(m, p)
 	if err != nil {
-		return res, m, err
+		return m, 0, err
 	}
+	// Under a pager, setup registers every device page with it; the
+	// ones past the budget are registered non-resident and page in on
+	// first use.
 	if _, err := SetupVAPages(m, p, h.Context(), srcBase, pages, vm.Read|vm.Write); err != nil {
-		return res, m, err
+		return m, 0, err
 	}
 	if _, err := SetupVAPages(m, p, h.Context(), dstBase, 1, vm.Read|vm.Write); err != nil {
-		return res, m, err
+		return m, 0, err
 	}
 	if err := m.Run(proc.NewRoundRobin(1<<20), 1<<32); err != nil {
-		return res, m, err
+		return m, 0, err
 	}
 	if p.Err() != nil {
-		return res, m, p.Err()
+		return m, 0, p.Err()
 	}
 	m.Settle()
-	tc := m.IOMMU.IOTLB().Counters()
-	res.Hits, res.Misses = tc.Hits.Value(), tc.Misses.Value()
-	if total := res.Hits + res.Misses; total > 0 {
-		res.HitRate = float64(res.Hits) / float64(total)
-	}
-	res.PerTransfer = sum / sim.Time(max(transfers, 1))
-	res.Fingerprint = fingerprintDigest(m.Fingerprint())
-	return res, m, nil
+	return m, elapsed, nil
 }
 
 // PagingResult is one (policy, oversubscription) cell of the paging
@@ -225,12 +257,9 @@ type PagingResult struct {
 	Evictions   uint64   // pager evictions (the oversubscription cost)
 	PageIns     uint64
 	Fingerprint uint64
-	// Completed counts transfers actually issued: Transfers unless a
-	// live observer (PagingBenchLive) cut the stream short.
+	// Completed counts the transfers that completed: every one of
+	// Transfers when PagingBench returns no error.
 	Completed int `json:"-"`
-	// LiveSamples counts the mid-run live-feed readings an observer
-	// took (0 on the plain PagingBench path).
-	LiveSamples int `json:"-"`
 }
 
 // MarshalJSON writes the row with Fingerprint as hex.
@@ -255,5 +284,50 @@ const pagingPageIn = 100 * sim.Microsecond
 // next once the budget is oversubscribed, so every lap faults — the
 // worst case the three policies are measured on.
 func PagingBench(policy dma.RecoveryPolicy, pages, budget, transfers int) (PagingResult, error) {
-	return PagingBenchLive(policy, pages, budget, transfers, nil)
+	res, _, err := pagingBench(policy, pages, budget, transfers)
+	return res, err
+}
+
+// pagingBench is PagingBench, also returning the finished world.
+func pagingBench(policy dma.RecoveryPolicy, pages, budget, transfers int) (PagingResult, *machine.Machine, error) {
+	res := PagingResult{
+		Policy:    policy.String(),
+		Pages:     pages,
+		Budget:    budget,
+		Oversub:   float64(pages+1) / float64(budget),
+		Transfers: transfers,
+	}
+	// One latency per transfer, sorted in place for the percentiles
+	// (stats.Sample would sort a copy).
+	lat := make([]sim.Time, 0, transfers)
+	m, elapsed, err := vaStream("paging", 0, pages, transfers,
+		func(m *machine.Machine) error {
+			m.Engine.SetRecoveryPolicy(policy)
+			return m.Kernel.EnablePager(budget, pagingPageIn)
+		},
+		func(d sim.Time) { lat = append(lat, d) })
+	if err != nil {
+		return res, m, err
+	}
+
+	res.Completed = len(lat)
+	moved := float64(len(lat)) * float64(m.Cfg.PageSize)
+	if elapsed > 0 {
+		res.GoodputMBps = moved * float64(sim.Second) / float64(elapsed) / 1e6
+	}
+	slices.Sort(lat)
+	res.P50, res.P99 = stats.Percentile(lat, 50), stats.Percentile(lat, 99)
+	get := func(name string) uint64 {
+		v, _ := m.Obs.Get(name)
+		return v
+	}
+	res.Faults = get("dma.va_faults")
+	res.Stalls = get("dma.va_stalls")
+	res.Bounced = get("dma.va_bounced")
+	res.Pins = get("dma.va_pins")
+	res.Evictions = get("kernel.pager_evictions")
+	res.PageIns = get("kernel.pager_page_ins")
+	res.Elapsed = elapsed
+	res.Fingerprint = fingerprintDigest(m.Fingerprint())
+	return res, m, nil
 }

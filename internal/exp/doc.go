@@ -32,9 +32,6 @@ type Doc struct {
 	VASweep     []userdma.VACompareRow                `json:",omitempty"`
 	IOTLB       []userdma.IOTLBPoint                  `json:",omitempty"`
 	Paging      []userdma.PagingResult                `json:",omitempty"`
-	// Steer is the steered-sweep scoreboard: per search, the probed-vs-
-	// grid cell counts and the verdict the adaptive policy landed on.
-	Steer []SteerRow `json:",omitempty"`
 	// Metrics is the per-method observability registry snapshot after a
 	// fixed initiation burst: exact event counts, so benchdiff flags any
 	// behavioural change even when timings agree.

@@ -109,7 +109,7 @@ func TestRegistry(t *testing.T) {
 	for _, name := range []string{
 		"table1", "comparators", "contention", "bussweep", "breakeven",
 		"trend", "exhaustive", "campaign", "oslat", "clustersim",
-		"syscall", "atomics", "libraries", "attacks", "overview", "bustrace", "steer", "metrics",
+		"syscall", "atomics", "libraries", "attacks", "overview", "bustrace", "metrics",
 	} {
 		if _, ok := Lookup(name); !ok {
 			t.Errorf("experiment %q not registered", name)

@@ -32,7 +32,6 @@ var Tools = []Tool{
 		{Name: "ringchurn", Kind: BoolFlag, Usage: "also run the register-context churn study (ring processes vs contexts)"},
 		{Name: "va", Kind: BoolFlag, Usage: "also run the virtual-address sweep (Table 1 through the IOMMU + IOTLB hit rate)"},
 		{Name: "paging", Kind: BoolFlag, Usage: "also run the device-paging study (recovery policies under oversubscription)"},
-		{Name: "steer", Kind: BoolFlag, Usage: "also run the steered sweeps (adaptive search replacing the exhaustive grids)"},
 		{Name: "tlb", Kind: IntFlag, Min: 0, NoMax: "past the sweep's largest working set (32 pages) every size reads the same", Requires: []string{"va"}, Usage: "with -va: IOTLB entries for the hit-rate sweep (0 = 8)"},
 		{Name: "trace", Kind: BoolFlag, Excludes: []string{"json"}, Usage: "show the bus transactions of one initiation per method (text only)"},
 		{Name: "trend", Kind: BoolFlag, Usage: "also run the hardware-generation trend sweep (X7)"},
@@ -44,13 +43,11 @@ var Tools = []Tool{
 		{Name: "seeds", Kind: IntFlag, Def: 40, Min: 0, NoMax: countNoMax, Excludes: []string{"json"}, Usage: "random adversarial campaigns (markdown sections only)"},
 		{Name: "ring", Kind: BoolFlag, Excludes: []string{"json", "only"}, Usage: "also include the descriptor-ring sections (depth sweep + context churn)"},
 		{Name: "va", Kind: BoolFlag, Excludes: []string{"json", "only"}, Usage: "also include the virtual-address DMA sections (vasweep + paging)"},
-		{Name: "steer", Kind: BoolFlag, Excludes: []string{"json", "only"}, Usage: "also include the steered-sweep section (adaptive search replacing the exhaustive grids)"},
 		{Name: "only", Kind: StringFlag, Usage: "render only these registry experiments (comma-separated names; unknown names exit 2)"},
 		&procsFlag, &jsonFlag, &listFlag, &cpuProfileFlag, &memProfileFlag, &traceOutFlag, &traceCapFlag,
 	}},
 	{Name: "oslat", Flags: []*Flag{
 		{Name: "iters", Kind: IntFlag, Def: 10_000, Min: 10, NoMax: countNoMax, Why: "the PAL-call and uncached-load rows run -iters/10 times", Usage: "iterations per microbenchmark"},
-		{Name: "steer", Kind: BoolFlag, Excludes: []string{"iters", "json"}, Usage: "converge the iteration count on a steered ladder instead of paying -iters up front (text only)"},
 		&procsFlag, &jsonFlag, &listFlag, &cpuProfileFlag, &memProfileFlag, &traceOutFlag, &traceCapFlag,
 	}},
 	{Name: "clustersim", Flags: []*Flag{

@@ -9,8 +9,7 @@ package exp
 // The default scenario is one Table-1 initiation world per method —
 // four process rows whose tracks show the syscall spans, uncached bus
 // transactions, DMA bus-mastering windows and scheduler events each
-// initiation style generates. Tools with a more specific story replace
-// it via SetTraceScenario; faultsim's -replay writes a cluster-wide
+// initiation style generates. faultsim's -replay writes a cluster-wide
 // trace of one faultsearch seed instead (FaultReplay).
 //
 // Everything here is simulated-deterministic: the same invocation
@@ -34,12 +33,7 @@ const defaultTraceCap = 1 << 16
 var (
 	traceOut string
 	traceCap = defaultTraceCap
-
-	traceScenario func() ([]obs.PerfettoProcess, error)
 )
-
-// SetTraceScenario replaces the default traced scenario for this tool.
-func SetTraceScenario(fn func() ([]obs.PerfettoProcess, error)) { traceScenario = fn }
 
 // flushTrace runs the traced scenario and writes the Perfetto document
 // to the -trace-out destination. It is a no-op when -trace-out was not
@@ -48,11 +42,7 @@ func flushTrace() error {
 	if traceOut == "" {
 		return nil
 	}
-	fn := traceScenario
-	if fn == nil {
-		fn = DefaultTraceScenario
-	}
-	procs, err := fn()
+	procs, err := defaultTraceScenario()
 	if err != nil {
 		return fmt.Errorf("trace-out: %w", err)
 	}
@@ -77,10 +67,10 @@ func writeTraceTo(dest string, procs []obs.PerfettoProcess) error {
 	return nil
 }
 
-// DefaultTraceScenario traces one small initiation burst per Table-1
+// defaultTraceScenario traces one small initiation burst per Table-1
 // method: each method's world becomes one Perfetto process row, so the
 // four initiation styles can be compared track by track.
-func DefaultTraceScenario() ([]obs.PerfettoProcess, error) {
+func defaultTraceScenario() ([]obs.PerfettoProcess, error) {
 	var out []obs.PerfettoProcess
 	for i, method := range userdma.Methods() {
 		p, err := tracedInitiations(method, i)

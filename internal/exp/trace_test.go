@@ -72,7 +72,7 @@ func phases(events []map[string]any) map[string]int {
 // one Perfetto process per method, named after it, with real span and
 // instant traffic, and byte-identical across two renders.
 func TestDefaultTraceScenarioSchema(t *testing.T) {
-	procs, err := DefaultTraceScenario()
+	procs, err := defaultTraceScenario()
 	if err != nil {
 		t.Fatal(err)
 	}

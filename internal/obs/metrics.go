@@ -171,22 +171,3 @@ func (r *Registry) Extrapolate(base []uint64, k uint64) {
 		}
 	}
 }
-
-// Watch is a live read handle on one registered metric: Value reads
-// the registered cell directly — no map lookup, no allocation. The
-// handle stays valid for the life of the world and tracks rewound
-// state exactly like Get (reads always reflect live component state).
-type Watch struct{ c *Counter }
-
-// Value reads the metric.
-func (w Watch) Value() uint64 { return uint64(*w.c) }
-
-// Watch resolves name to a read handle, paying the map lookup once so
-// per-sample reads don't.
-func (r *Registry) Watch(name string) (Watch, bool) {
-	i, ok := r.index[name]
-	if !ok {
-		return Watch{}, false
-	}
-	return Watch{c: r.cells[i]}, true
-}

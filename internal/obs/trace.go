@@ -42,10 +42,6 @@ const (
 	// CatMsg is a reliable-channel protocol event (timeout,
 	// retransmission, recredit).
 	CatMsg
-	// CatSteer is a steered-experiment decision (probe/split/abort/
-	// accept) mirrored onto the trace spine so Perfetto export shows
-	// the search itself, not just the worlds it probed.
-	CatSteer
 
 	numCategories
 )
@@ -67,8 +63,6 @@ func (c Category) String() string {
 		return "fault"
 	case CatMsg:
 		return "msg"
-	case CatSteer:
-		return "steer"
 	}
 	return fmt.Sprintf("cat%d", uint8(c))
 }

@@ -4,9 +4,12 @@ package uldma_test
 // ringparity, ...) select their tests with -run lists. go test accepts
 // a -run alternative that matches nothing without complaint, so a
 // renamed or deleted test would silently drop out of its contract
-// target. This check keeps every alternative pointing at a real test.
+// target. This check keeps every alternative pointing at a real test,
+// and TestDocsCiteExistingNames does the same for the make targets and
+// tests the documents cite.
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -93,4 +96,81 @@ func matchesAny(re *regexp.Regexp, names []string) bool {
 		}
 	}
 	return false
+}
+
+// docFiles are the documents whose code spans cite make targets and
+// tests by name.
+var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+var (
+	// codeSpan matches a fenced code block or an inline code span,
+	// which may wrap across lines.
+	codeSpan = regexp.MustCompile("(?s)```.*?```|`[^`]+`")
+	// makeCite matches `make X` inside a code span.
+	makeCite = regexp.MustCompile(`\bmake\s+([A-Za-z][\w-]*)`)
+	// testCite matches a test or benchmark name, or a -run prefix of
+	// one, inside a code span.
+	testCite = regexp.MustCompile(`\b(?:Test|Benchmark)\w*`)
+	// makeTarget matches a rule's target at the start of a Makefile line.
+	makeTarget = regexp.MustCompile(`(?m)^([A-Za-z][\w-]*):(?:[^=]|$)`)
+)
+
+// TestDocsCiteExistingNames checks that every `make X` in a code span
+// of the documents names a Makefile target, and every Test or Benchmark
+// name there matches at least one function, read as a go test -run
+// pattern (so a prefix like TestPollSkip counts).
+func TestDocsCiteExistingNames(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	var pkgs []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if files, _ := filepath.Glob(filepath.Join(path, "*_test.go")); len(files) > 0 {
+			pkgs = append(pkgs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := testNames(t, pkgs)
+
+	cites := 0
+	for _, doc := range docFiles {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, loc := range codeSpan.FindAllIndex(src, -1) {
+			span := string(src[loc[0]:loc[1]])
+			line := 1 + strings.Count(string(src[:loc[0]]), "\n")
+			for _, m := range makeCite.FindAllStringSubmatch(span, -1) {
+				cites++
+				if !targets[m[1]] {
+					t.Errorf("%s:%d: `make %s` names no Makefile target", doc, line, m[1])
+				}
+			}
+			for _, name := range testCite.FindAllString(span, -1) {
+				cites++
+				if !matchesAny(regexp.MustCompile(name), names) {
+					t.Errorf("%s:%d: %s matches no Test or Benchmark function", doc, line, name)
+				}
+			}
+		}
+	}
+	if cites == 0 {
+		t.Fatal("found no make target or test cited in the documents")
+	}
+	t.Logf("%d citations name existing targets and tests", cites)
 }

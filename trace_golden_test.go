@@ -7,12 +7,10 @@ package uldma_test
 //
 //	make trace-golden     (= go test -run TestTraceGolden -update .)
 //
-// Three documents are pinned: dmabench's default scenario (one Table-1
-// initiation world per method, four process rows), faultsim's -replay
-// of faultsearch seed 1 (the cluster-wide view of the reliable channel
-// surviving its seeded fault plan), and dmabench's -steer scenario
-// (the steered suite's decision track — the search itself on a
-// timeline).
+// Two documents are pinned: dmabench's default scenario (one Table-1
+// initiation world per method, four process rows) and faultsim's
+// -replay of faultsearch seed 1 (the cluster-wide view of the reliable
+// channel surviving its seeded fault plan).
 
 import (
 	"bytes"
@@ -28,10 +26,6 @@ var traceGoldenCases = []struct {
 }{
 	{"dmabench_trace.json", "dmabench", []string{"-iters", "5"}},
 	{"faultsim_replay.json", "faultsim", []string{"-replay", "1"}},
-	// The steered suite's decision track: with -steer, -trace-out
-	// exports the search itself (probe/split/abort/accept instants on
-	// the CatSteer category) instead of the initiation worlds.
-	{"dmabench_steer_trace.json", "dmabench", []string{"-iters", "30", "-steer"}},
 }
 
 func TestTraceGolden(t *testing.T) {
